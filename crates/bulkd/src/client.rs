@@ -148,19 +148,34 @@ impl Client {
         Ok(Client { reader, writer })
     }
 
-    fn roundtrip(&mut self, req: &Json) -> Result<Json, ClientError> {
-        let mut line = req.to_compact();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
+    /// Send one raw protocol line and return the raw reply line, its
+    /// terminator stripped.  The line and its terminator leave in a
+    /// single write: split writes let Nagle hold the terminator until
+    /// the server's delayed ACK.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, including the server closing the connection
+    /// before replying.
+    pub fn roundtrip_line(&mut self, line: &str) -> std::io::Result<String> {
+        let mut buf = String::with_capacity(line.len() + 1);
+        buf.push_str(line);
+        buf.push('\n');
+        self.writer.write_all(buf.as_bytes())?;
         let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp)?;
-        if n == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
+        if self.reader.read_line(&mut resp)? == 0 {
+            return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            )));
+            ));
         }
-        Json::parse(resp.trim_end()).map_err(ClientError::Protocol)
+        resp.truncate(resp.trim_end().len());
+        Ok(resp)
+    }
+
+    fn roundtrip(&mut self, req: &Json) -> Result<Json, ClientError> {
+        let resp = self.roundtrip_line(&req.to_compact())?;
+        Json::parse(&resp).map_err(ClientError::Protocol)
     }
 
     /// Check a response's `ok` flag, converting failures to typed errors.

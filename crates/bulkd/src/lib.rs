@@ -19,6 +19,8 @@
 //! - [`clock`] — time and scheduling as injectable capabilities, the seam
 //!   that lets the whole daemon run under deterministic simulation;
 //! - [`protocol`] — requests, responses, and the hex word codec;
+//! - [`wire`] — the newline-JSON transport every line server shares:
+//!   accept loop, framing, single-write replies, stop ordering;
 //! - [`queue`] — the coalescing queue with admission control and drain;
 //! - [`journal`] — write-ahead logging of accepted jobs and their
 //!   completions over the `wal` crate, with crash recovery replay;
@@ -26,8 +28,9 @@
 //!   a versioned `RunReport`-style JSON document;
 //! - [`repl`] — the replication-sink seam a primary's ack path gates on
 //!   (implemented by the `repl` crate's WAL shipper);
-//! - [`server`] — TCP accept loop, worker pool, and the [`BatchExecutor`]
-//!   trait the embedding binary implements to actually run batches;
+//! - [`server`] — request handling, the worker pool, and the
+//!   [`BatchExecutor`] trait the embedding binary implements to actually
+//!   run batches;
 //! - [`client`] — a small blocking client;
 //! - [`loadgen`] — a closed-loop load generator built on the client.
 
@@ -43,6 +46,7 @@ pub mod queue;
 pub mod repl;
 pub mod server;
 pub mod stats;
+pub mod wire;
 
 pub use client::{Client, ClientConfig, ClientError, SubmitOk};
 pub use clock::{
@@ -50,8 +54,9 @@ pub use clock::{
 };
 pub use journal::{Journal, JournalConfig, RecoveredJob, Recovery};
 pub use loadgen::{cold_key, jittered_backoff_ms, run_loadgen, LoadgenConfig, LoadgenReport};
-pub use protocol::{JobKey, LineFramer, Request, RouteClass, PROTOCOL_VERSION};
+pub use protocol::{JobKey, Request, RouteClass, PROTOCOL_VERSION};
 pub use queue::{CoalescingQueue, KeyDepth, QueueConfig, StageBreakdown, StageStamps, SubmitError};
 pub use repl::ReplSink;
 pub use server::{serve, serve_with_listener, BatchExecutor, ServerConfig};
 pub use stats::ServerStats;
+pub use wire::LineFramer;

@@ -258,70 +258,6 @@ impl Request {
     }
 }
 
-/// Incremental line framer: the byte-source seam between a transport
-/// (real TCP socket or simulated connection) and the protocol parser.
-///
-/// Bytes arrive in arbitrary chunks — partial lines, several lines
-/// coalesced into one segment, one-byte dribble — and `next_line`
-/// yields each complete LF-terminated line exactly once, with the
-/// terminator (and any preceding CR) stripped.  Both the real
-/// `conn_loop` and the simulator's connection actors drive this same
-/// type, so framing behaviour under adversarial chunking is a single
-/// code path.
-#[derive(Debug)]
-pub struct LineFramer {
-    buf: Vec<u8>,
-    limit: usize,
-}
-
-impl LineFramer {
-    /// A framer that rejects unterminated lines longer than `limit` bytes.
-    #[must_use]
-    pub fn new(limit: usize) -> Self {
-        LineFramer { buf: Vec::new(), limit }
-    }
-
-    /// Feed a chunk of received bytes, in arrival order.
-    pub fn push(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Bytes buffered but not yet yielded as a complete line.  Non-zero
-    /// at EOF means the peer disconnected mid-line.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pop the next complete line, if one has been framed.
-    ///
-    /// # Errors
-    ///
-    /// Non-UTF-8 lines and unterminated lines exceeding the length
-    /// limit are protocol errors; the connection should be dropped.
-    pub fn next_line(&mut self) -> Result<Option<String>, String> {
-        let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
-            if self.buf.len() > self.limit {
-                return Err(format!(
-                    "line exceeds {} bytes without a terminator ({} buffered)",
-                    self.limit,
-                    self.buf.len()
-                ));
-            }
-            return Ok(None);
-        };
-        let mut line: Vec<u8> = self.buf.drain(..=nl).collect();
-        line.pop(); // the LF
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        match String::from_utf8(line) {
-            Ok(s) => Ok(Some(s)),
-            Err(e) => Err(format!("line is not valid UTF-8: {e}")),
-        }
-    }
-}
-
 /// Successful submit response.  `timing` is the per-stage breakdown
 /// object, echoed only when the submit opted in with `"timing": true` —
 /// the default reply shape is unchanged.
@@ -465,36 +401,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("unknown layout"), "{e}");
-    }
-
-    #[test]
-    fn framer_handles_dribble_coalescing_and_crlf() {
-        let mut f = LineFramer::new(1024);
-        // One-byte dribble across many pushes.
-        for b in b"{\"cmd\":\"status\"}\n" {
-            f.push(&[*b]);
-        }
-        assert_eq!(f.next_line().unwrap().as_deref(), Some("{\"cmd\":\"status\"}"));
-        assert_eq!(f.next_line().unwrap(), None);
-        // Two lines coalesced into one chunk, plus a partial third.
-        f.push(b"a\r\nb\nc");
-        assert_eq!(f.next_line().unwrap().as_deref(), Some("a"));
-        assert_eq!(f.next_line().unwrap().as_deref(), Some("b"));
-        assert_eq!(f.next_line().unwrap(), None);
-        assert_eq!(f.buffered(), 1, "partial line stays buffered");
-        f.push(b"\n");
-        assert_eq!(f.next_line().unwrap().as_deref(), Some("c"));
-        assert_eq!(f.buffered(), 0);
-    }
-
-    #[test]
-    fn framer_rejects_oversized_and_non_utf8_lines() {
-        let mut f = LineFramer::new(4);
-        f.push(b"abcdef");
-        assert!(f.next_line().unwrap_err().contains("exceeds 4 bytes"));
-        let mut f = LineFramer::new(1024);
-        f.push(&[0xff, 0xfe, b'\n']);
-        assert!(f.next_line().unwrap_err().contains("UTF-8"));
     }
 
     #[test]

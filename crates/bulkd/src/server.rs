@@ -1,11 +1,11 @@
-//! The daemon: TCP accept loop, connection handlers, and the worker pool.
+//! The daemon: request handling and the worker pool.
 //!
-//! Threading model: the calling thread runs the accept loop; each
-//! connection gets its own handler thread (blocking line-at-a-time reads);
-//! a fixed pool of worker threads consumes coalesced batches from the
-//! queue.  A `drain` request blocks its connection until every accepted
-//! job has executed, then stops the accept loop, and [`serve`] returns the
-//! final stats snapshot after joining the workers.
+//! Threading model: the calling thread runs the [`wire`] accept loop;
+//! each connection gets its own handler thread (blocking line-at-a-time
+//! reads); a fixed pool of worker threads consumes coalesced batches from
+//! the queue.  A `drain` request blocks its connection until every
+//! accepted job has executed, then stops the accept loop, and [`serve`]
+//! returns the final stats snapshot after joining the workers.
 
 use crate::clock::{real_runtime, Clock};
 use crate::journal::{Journal, JournalConfig};
@@ -15,10 +15,10 @@ use crate::queue::{
 };
 use crate::repl::ReplSink;
 use crate::stats::ServerStats;
+use crate::wire::{self, LineService, Reply};
 use obs::trace::chrome_trace;
 use obs::{Gauge, Histogram, Json, PromText, Ring, Tracer};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once, Weak};
@@ -164,9 +164,7 @@ struct Shared {
     tracer: Mutex<Tracer>,
     // Anchored at serve() entry, so now_us() doubles as uptime.
     clock: Arc<dyn Clock>,
-    addr: SocketAddr,
     node_id: String,
-    stop_accepting: AtomicBool,
     journal: Option<Journal>,
     next_job_id: AtomicU64,
     recorder: Arc<Recorder>,
@@ -319,9 +317,7 @@ pub fn serve_with_listener(
         executor,
         tracer: Mutex::new(Tracer::new()),
         clock,
-        addr,
         node_id: cfg.node_id.clone().unwrap_or_else(|| addr.to_string()),
-        stop_accepting: AtomicBool::new(false),
         journal,
         next_job_id: AtomicU64::new(next_job_id),
         recorder: Arc::clone(&recorder),
@@ -392,17 +388,7 @@ pub fn serve_with_listener(
     }
 
     on_ready(addr);
-
-    for conn in listener.incoming() {
-        if shared.stop_accepting.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("bulkd-conn".into())
-            .spawn(move || handle_conn(stream, &sh));
-    }
+    wire::serve(&listener, &shared, "bulkd-conn").map_err(|e| format!("accept loop: {e}"))?;
 
     for w in workers {
         let _ = w.join();
@@ -583,187 +569,119 @@ fn log_completion(
     }
 }
 
-fn handle_conn(stream: TcpStream, sh: &Shared) {
-    sh.connections.add(1);
-    conn_loop(stream, sh);
-    sh.connections.add(-1);
-}
+impl LineService for Shared {
+    type Conn = ();
 
-/// Longest accepted protocol line, in bytes (a submit's inputs dominate;
-/// anything bigger is a protocol error, not an allocation bomb).
-const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
-
-/// Account and log an abnormal connection end.  `phase` is one of
-/// `"mid-line"` (EOF with a partial request buffered), `"mid-reply"`
-/// (the reply write failed under the peer), or `"read-error"`.  Clean
-/// EOFs — no buffered bytes, reads done — are not disconnects.
-fn note_disconnect(sh: &Shared, phase: &'static str, buffered: usize, detail: &str) {
-    sh.stats.on_disconnect(phase);
-    let now = sh.clock.now_us();
-    rec(sh, now, 0, "disconnect", 0, buffered as i64);
-    let mut o = Json::obj();
-    o.set("event", "disconnect");
-    o.set("phase", phase);
-    o.set("buffered_bytes", buffered);
-    o.set("ts_us", now);
-    if !detail.is_empty() {
-        o.set("detail", detail);
+    fn open(&self) {
+        self.connections.add(1);
     }
-    eprintln!("bulkd: {}", o.to_compact());
-}
 
-/// The per-connection loop: raw reads feed a [`protocol::LineFramer`],
-/// which yields complete requests regardless of how the transport chunks
-/// them — one-byte dribble, several requests coalesced into a segment,
-/// or a line split across reads all frame identically.  The simulator
-/// drives the same framer with scheduler-chosen chunkings.
-fn conn_loop(mut stream: TcpStream, sh: &Shared) {
-    let mut framer = protocol::LineFramer::new(MAX_LINE_BYTES);
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Drain every fully-framed line before reading more bytes, so a
-        // coalesced segment yields its replies in request order.
-        loop {
-            let line = match framer.next_line() {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                Err(e) => {
-                    // Unframeable input (over-long or non-UTF-8 line):
-                    // answer once, then hang up — resynchronizing on a
-                    // byte stream with no trustworthy framing is guesswork.
-                    sh.stats.on_protocol_error();
-                    let mut text = protocol::resp_error("protocol", &e).to_compact();
-                    text.push('\n');
-                    let _ = stream.write_all(text.as_bytes()).and_then(|()| stream.flush());
-                    return;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (resp, shutdown) = handle_line(&line, sh);
-            let mut text = resp.to_compact();
-            text.push('\n');
-            // The drain response must be on the wire *before* the accept
-            // loop is released: `serve` may return (and the process exit)
-            // the moment it pops, and this handler thread would die
-            // mid-write.
-            let wrote = stream.write_all(text.as_bytes()).and_then(|()| stream.flush());
-            if shutdown {
-                sh.stop_accepting.store(true, Ordering::SeqCst);
-                // Self-connect to pop the accept loop out of `incoming()`.
-                let _ = TcpStream::connect(sh.addr);
-            }
-            if let Err(e) = wrote {
-                note_disconnect(sh, "mid-reply", framer.buffered(), &e.to_string());
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if framer.buffered() > 0 {
-                    note_disconnect(sh, "mid-line", framer.buffered(), "");
-                }
-                return;
-            }
-            Ok(n) => framer.push(&chunk[..n]),
-            Err(e) => {
-                note_disconnect(sh, "read-error", framer.buffered(), &e.to_string());
-                return;
-            }
-        }
+    fn close(&self, _conn: ()) {
+        self.connections.add(-1);
     }
-}
 
-/// Returns the response plus whether the caller must trigger shutdown
-/// after the response is on the wire.
-fn handle_line(line: &str, sh: &Shared) -> (Json, bool) {
-    let req = match Request::parse_line(line) {
-        Ok(r) => r,
-        Err(e) => {
-            sh.stats.on_protocol_error();
-            return (protocol::resp_error("protocol", &e), false);
-        }
-    };
-    match req {
-        Request::Status => {
-            let d = sh.queue.depth();
-            let mut o = Json::obj();
-            o.set("ok", true);
-            o.set("protocol_version", PROTOCOL_VERSION);
-            o.set("node_id", sh.node_id.as_str());
-            o.set("queued_instances", d.queued_instances);
-            o.set("open_groups", d.open_groups);
-            o.set("ready_batches", d.ready_batches);
-            o.set("in_flight_batches", d.in_flight_batches);
-            o.set("draining", d.draining);
-            o.set("uptime_us", sh.clock.now_us());
-            o.set("role", sh.role);
-            if let Some(repl) = repl_section(sh) {
-                o.set("repl", repl);
-            }
-            (o, false)
-        }
-        Request::Stats => {
-            let mut snap = stats_snapshot(sh);
-            snap.set("ok", true);
-            (snap, false)
-        }
-        Request::Metrics => {
-            let (fsync, group_batch) = sh.journal.as_ref().map_or_else(
-                || (Histogram::new(), Histogram::new()),
-                |j| (j.fsync_latency(), j.group_batch_sizes()),
-            );
-            let mut text = sh.stats.render_prometheus(
-                sh.queue.depth(),
-                &sh.queue.per_key_depth(),
-                sh.clock.now_us(),
-                sh.executor.cache_stats(),
-                &fsync,
-                &group_batch,
-                sh.connections.get(),
-                (sh.recorder.ring.recorded(), sh.recorder.ring.overwritten()),
-            );
-            text.push_str(&repl_prometheus(sh));
-            let mut o = Json::obj();
-            o.set("ok", true);
-            o.set("metrics", text);
-            (o, false)
-        }
-        Request::Dump => {
-            if sh.instrument {
-                if let Err(e) = sh.recorder.dump_files() {
-                    return (protocol::resp_error("dump", &e), false);
+    /// A drain stops the accept loop once its reply is on the wire;
+    /// connections already open keep being answered (`draining` for new
+    /// submits).
+    fn handle_line(&self, _conn: &mut (), req: Request, _line: &str) -> Reply {
+        let resp = match req {
+            Request::Status => {
+                let d = self.queue.depth();
+                let mut o = Json::obj();
+                o.set("ok", true);
+                o.set("protocol_version", PROTOCOL_VERSION);
+                o.set("node_id", self.node_id.as_str());
+                o.set("queued_instances", d.queued_instances);
+                o.set("open_groups", d.open_groups);
+                o.set("ready_batches", d.ready_batches);
+                o.set("in_flight_batches", d.in_flight_batches);
+                o.set("draining", d.draining);
+                o.set("uptime_us", self.clock.now_us());
+                o.set("role", self.role);
+                if let Some(repl) = repl_section(self) {
+                    o.set("repl", repl);
                 }
+                o
             }
-            let mut o = Json::obj();
-            o.set("ok", true);
-            o.set("recorded", sh.recorder.ring.recorded());
-            o.set("overwritten", sh.recorder.ring.overwritten());
-            o.set("tail", sh.recorder.ring.text_tail(TAIL_LINES));
-            if let Some(p) = &sh.recorder.path {
-                o.set("path", p.display().to_string());
+            Request::Stats => {
+                let mut snap = stats_snapshot(self);
+                snap.set("ok", true);
+                snap
             }
-            (o, false)
-        }
-        Request::Drain => {
-            sh.queue.drain();
-            if sh.instrument {
-                let _ = sh.recorder.dump_files();
+            Request::Metrics => {
+                let (fsync, group_batch) = self.journal.as_ref().map_or_else(
+                    || (Histogram::new(), Histogram::new()),
+                    |j| (j.fsync_latency(), j.group_batch_sizes()),
+                );
+                let mut text = self.stats.render_prometheus(
+                    self.queue.depth(),
+                    &self.queue.per_key_depth(),
+                    self.clock.now_us(),
+                    self.executor.cache_stats(),
+                    &fsync,
+                    &group_batch,
+                    self.connections.get(),
+                    (self.recorder.ring.recorded(), self.recorder.ring.overwritten()),
+                );
+                text.push_str(&repl_prometheus(self));
+                let mut o = Json::obj();
+                o.set("ok", true);
+                o.set("metrics", text);
+                o
             }
-            let mut snap = stats_snapshot(sh);
-            snap.set("ok", true);
-            snap.set("drained", true);
-            (snap, true)
-        }
-        Request::Promote => (
-            protocol::resp_error(
+            Request::Dump => {
+                if self.instrument {
+                    if let Err(e) = self.recorder.dump_files() {
+                        return Reply::Line(protocol::resp_error("dump", &e).to_compact());
+                    }
+                }
+                let mut o = Json::obj();
+                o.set("ok", true);
+                o.set("recorded", self.recorder.ring.recorded());
+                o.set("overwritten", self.recorder.ring.overwritten());
+                o.set("tail", self.recorder.ring.text_tail(TAIL_LINES));
+                if let Some(p) = &self.recorder.path {
+                    o.set("path", p.display().to_string());
+                }
+                o
+            }
+            Request::Drain => {
+                self.queue.drain();
+                if self.instrument {
+                    let _ = self.recorder.dump_files();
+                }
+                let mut snap = stats_snapshot(self);
+                snap.set("ok", true);
+                snap.set("drained", true);
+                return Reply::Stop { line: snap.to_compact(), close: false };
+            }
+            Request::Promote => protocol::resp_error(
                 "not_standby",
                 "this node is not a warm standby; promote targets a standby's control port",
             ),
-            false,
-        ),
-        Request::Submit { key, inputs, timing } => (handle_submit(key, inputs, timing, sh), false),
+            Request::Submit { key, inputs, timing } => handle_submit(key, inputs, timing, self),
+        };
+        Reply::Line(resp.to_compact())
+    }
+
+    fn on_protocol_error(&self) {
+        self.stats.on_protocol_error();
+    }
+
+    /// Account and log an abnormal connection end.
+    fn on_disconnect(&self, phase: &'static str, buffered: usize, detail: &str) {
+        self.stats.on_disconnect(phase);
+        let now = self.clock.now_us();
+        rec(self, now, 0, "disconnect", 0, buffered as i64);
+        let mut o = Json::obj();
+        o.set("event", "disconnect");
+        o.set("phase", phase);
+        o.set("buffered_bytes", buffered);
+        o.set("ts_us", now);
+        if !detail.is_empty() {
+            o.set("detail", detail);
+        }
+        eprintln!("bulkd: {}", o.to_compact());
     }
 }
 

@@ -11,16 +11,19 @@ use cli::registry::{Algo, Engine, ScheduleCaches};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
 use obs::Json;
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+type ServeHandle = std::thread::JoinHandle<Result<Json, String>>;
 
 fn start_server(
     workers: usize,
     max_batch: usize,
     max_queue: usize,
     flush_after_ms: u64,
-) -> (String, std::thread::JoinHandle<Result<Json, String>>, Arc<ScheduleCaches>) {
+) -> (String, ServeHandle, Arc<ScheduleCaches>) {
     let executor = CatalogExecutor::new(1);
     let caches = Arc::clone(executor.caches());
     let cfg = bulkd::ServerConfig {
@@ -226,7 +229,6 @@ fn drain_completes_accepted_work_and_rejects_new_submits() {
 /// that stays usable, and the rejection is counted.
 #[test]
 fn zero_instance_and_out_of_range_submits_bounce_structurally() {
-    use std::io::{BufRead, BufReader, Write};
     let (addr, server, _caches) = start_server(1, 64, 1024, 5);
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -282,80 +284,195 @@ fn zero_instance_and_out_of_range_submits_bounce_structurally() {
     assert_eq!(final_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(1));
 }
 
-/// Framing under adversarial chunking on a real socket: a submit dribbled
-/// one byte at a time and two submits coalesced into a single TCP segment
-/// must both frame, parse, and execute correctly.
+/// The three servers that speak the line protocol over the shared
+/// transport: a bulkd node, a router in front of it, and a warm standby's
+/// control port.  The standby follows a replication port that accepts
+/// but never answers, so it refuses submits.
+struct LineServers {
+    node: String,
+    router: String,
+    standby: String,
+    node_thread: ServeHandle,
+    router_thread: ServeHandle,
+    standby_thread: std::thread::JoinHandle<Result<repl::StandbyOutcome, String>>,
+    standby_wal: std::path::PathBuf,
+    _silent_primary: std::net::TcpListener,
+}
+
+impl LineServers {
+    fn start(name: &str) -> LineServers {
+        let (node, node_thread, _caches) = start_server(1, 64, 1024, 5);
+        let rcfg = router::RouterConfig {
+            addr: "127.0.0.1:0".into(),
+            backends: vec![router::Backend { id: "n1".into(), addr: node.clone() }],
+            ..Default::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        let router_thread = std::thread::spawn(move || {
+            router::run_router(&rcfg, move |addr| tx.send(addr).expect("router addr channel"))
+        });
+        let router = rx.recv_timeout(Duration::from_secs(10)).expect("router ready").to_string();
+        let silent_primary = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let standby_wal =
+            std::env::temp_dir().join(format!("bulkd-e2e-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&standby_wal);
+        let scfg = repl::StandbyConfig {
+            follow_addr: silent_primary.local_addr().expect("local_addr").to_string(),
+            wal_dir: standby_wal.clone(),
+            node_id: "s1".into(),
+            ..Default::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        let standby_thread = std::thread::spawn(move || {
+            repl::run_standby(scfg, move |addr| tx.send(addr).expect("standby addr channel"))
+        });
+        let standby = rx.recv_timeout(Duration::from_secs(10)).expect("standby ready").to_string();
+        LineServers {
+            node,
+            router,
+            standby,
+            node_thread,
+            router_thread,
+            standby_thread,
+            standby_wal,
+            _silent_primary: silent_primary,
+        }
+    }
+
+    /// Each server's address, and whether it executes submits.
+    fn targets(&self) -> [(&str, bool); 3] {
+        [(&self.node, true), (&self.router, true), (&self.standby, false)]
+    }
+
+    /// Drain the node through the router and promote the standby away.
+    /// Returns the node's final stats and the router's drained snapshot.
+    fn stop(self) -> (Json, Json) {
+        let routed = bulkd::Client::connect(&self.router)
+            .expect("connect router")
+            .drain()
+            .expect("drain through router");
+        self.router_thread.join().expect("router panicked").expect("run_router failed");
+        let node_stats = self.node_thread.join().expect("node panicked").expect("serve failed");
+        bulkd::Client::connect(&self.standby)
+            .expect("connect standby")
+            .promote()
+            .expect("promote standby");
+        self.standby_thread.join().expect("standby panicked").expect("run_standby failed");
+        let _ = std::fs::remove_dir_all(&self.standby_wal);
+        (node_stats, routed)
+    }
+}
+
+/// A raw protocol connection: bytes out exactly as given, replies in.
+struct LineConn {
+    stream: std::net::TcpStream,
+    reader: BufReader<std::net::TcpStream>,
+}
+
+impl LineConn {
+    fn open(addr: &str) -> LineConn {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        LineConn { stream, reader }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).expect("write");
+    }
+
+    /// The next reply, or `None` once the server has hung up.
+    fn reply(&mut self) -> Option<Json> {
+        let mut line = String::new();
+        match self.reader.read_line(&mut line).expect("read reply") {
+            0 => None,
+            _ => Some(Json::parse(line.trim()).expect("reply parses")),
+        }
+    }
+}
+
+const STATUS: &[u8] = b"{\"cmd\":\"status\"}\n";
+
+fn submit_line(key: &bulkd::JobKey, inputs: &[Vec<u64>]) -> Vec<u8> {
+    let req = bulkd::Request::Submit { key: key.clone(), inputs: inputs.to_vec(), timing: false };
+    let mut line = req.to_json().to_compact().into_bytes();
+    line.push(b'\n');
+    line
+}
+
+/// A server that executes submits answers with the outputs; a standby
+/// refuses with `not_primary`.
+fn assert_submit_reply(addr: &str, resp: Option<Json>, executes: bool, want: &[Vec<u64>]) {
+    let resp = resp.unwrap_or_else(|| panic!("{addr}: hung up instead of answering a submit"));
+    if !executes {
+        assert_eq!(resp.path("error").and_then(Json::as_str), Some("not_primary"), "{addr}");
+        return;
+    }
+    assert_eq!(resp.path("ok"), Some(&Json::Bool(true)), "{addr}: {}", resp.to_pretty());
+    let outputs: Vec<Vec<u64>> = resp
+        .path("outputs")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("{addr}: no outputs in {}", resp.to_pretty()))
+        .iter()
+        .map(|o| bulkd::protocol::words_from_json(o).expect("outputs decode"))
+        .collect();
+    assert_eq!(outputs, want, "{addr}: served wrong outputs");
+}
+
+fn assert_status_reply(addr: &str, resp: Option<Json>) {
+    let resp = resp.unwrap_or_else(|| panic!("{addr}: hung up instead of answering status"));
+    assert_eq!(resp.path("ok"), Some(&Json::Bool(true)), "{addr}: {}", resp.to_pretty());
+    assert_eq!(resp.path("protocol_version").and_then(Json::as_i64), Some(1), "{addr}");
+}
+
+/// Framing under adversarial chunking on a real socket, on every server
+/// that speaks the line protocol: a submit dribbled one byte at a time,
+/// three requests coalesced into one TCP segment (answered in order), and
+/// blank lines (ignored) all frame alike.
 #[test]
 fn dribbled_and_coalesced_submits_frame_correctly_on_a_real_socket() {
-    use std::io::{BufRead, BufReader, Write};
-    let (addr, server, _caches) = start_server(1, 64, 1024, 5);
+    let servers = LineServers::start("framing");
     let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
     let layout = oblivious::Layout::ColumnWise;
     let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
-
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let read_outputs = |reader: &mut BufReader<std::net::TcpStream>| {
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("read reply");
-        let resp = Json::parse(reply.trim()).expect("reply parses");
-        assert_eq!(resp.path("ok"), Some(&Json::Bool(true)), "{}", resp.to_pretty());
-        resp.path("outputs")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|o| bulkd::protocol::words_from_json(o).expect("outputs decode"))
-            .collect::<Vec<Vec<u64>>>()
-    };
-
-    // One byte at a time: the server must reassemble the line from up to
-    // `len` separate reads.
     let inputs = algo.random_inputs_bits(11, 1);
     let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, 1, layout, 11);
-    let mut line = bulkd::Request::Submit { key: key.clone(), inputs, timing: false }
-        .to_json()
-        .to_compact()
-        .into_bytes();
-    line.push(b'\n');
-    for b in &line {
-        stream.write_all(std::slice::from_ref(b)).expect("write byte");
-        stream.flush().expect("flush");
-    }
-    assert_eq!(read_outputs(&mut reader), direct, "dribbled submit served wrong outputs");
-
-    // Two complete submits coalesced into one segment: both must be
-    // framed out of a single read and answered in order.
     let pair_inputs = algo.random_inputs_bits(12, 2);
     let pair_direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, 2, layout, 12);
-    let mut seg = Vec::new();
-    for i in &pair_inputs {
-        let mut l =
-            bulkd::Request::Submit { key: key.clone(), inputs: vec![i.clone()], timing: false }
-                .to_json()
-                .to_compact()
-                .into_bytes();
-        l.push(b'\n');
-        seg.extend_from_slice(&l);
-    }
-    stream.write_all(&seg).expect("write coalesced segment");
-    stream.flush().expect("flush");
-    for want in &pair_direct {
-        assert_eq!(
-            read_outputs(&mut reader),
-            vec![want.clone()],
-            "coalesced submit served wrong outputs"
-        );
-    }
-    drop(reader);
-    drop(stream);
 
-    let final_stats = drain_and_join(&addr, server);
-    assert_eq!(final_stats.path("admission.accepted_jobs").unwrap().as_i64(), Some(3));
-    assert_eq!(final_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(3));
+    for (addr, executes) in servers.targets() {
+        let mut conn = LineConn::open(addr);
+        // One byte at a time: the server must reassemble the line from up
+        // to `len` separate reads.
+        for b in submit_line(&key, &inputs) {
+            conn.send(&[b]);
+        }
+        assert_submit_reply(addr, conn.reply(), executes, &direct);
+
+        // Three complete requests coalesced into one segment: all framed
+        // out of a single read and answered in order.
+        let mut seg = submit_line(&key, &pair_inputs[..1]);
+        seg.extend_from_slice(STATUS);
+        seg.extend(submit_line(&key, &pair_inputs[1..]));
+        conn.send(&seg);
+        assert_submit_reply(addr, conn.reply(), executes, &pair_direct[..1]);
+        assert_status_reply(addr, conn.reply());
+        assert_submit_reply(addr, conn.reply(), executes, &pair_direct[1..]);
+
+        // Blank lines get no answer: the next reply is the status after them.
+        let mut seg = b"\n\r\n  \n".to_vec();
+        seg.extend_from_slice(STATUS);
+        conn.send(&seg);
+        assert_status_reply(addr, conn.reply());
+    }
+
+    let (node_stats, routed) = servers.stop();
+    // Three submits straight to the node, three relayed by the router.
+    assert_eq!(node_stats.path("admission.accepted_jobs").unwrap().as_i64(), Some(6));
+    assert_eq!(node_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(6));
+    assert_eq!(routed.path("router.acked").and_then(Json::as_i64), Some(3));
     // Clean EOFs between requests are not disconnect events.
-    assert_eq!(final_stats.path("connections.disconnects").unwrap().as_i64(), Some(0));
+    assert_eq!(node_stats.path("connections.disconnects").unwrap().as_i64(), Some(0));
 }
 
 /// Client disconnects mid-submit (partial line, then EOF) and mid-reply
@@ -364,7 +481,6 @@ fn dribbled_and_coalesced_submits_frame_correctly_on_a_real_socket() {
 /// both drops counted by phase.  The server must survive to drain.
 #[test]
 fn disconnects_mid_submit_and_mid_reply_stay_balanced_and_counted() {
-    use std::io::Write;
     // A wide flush window holds the second pipelined job long enough that
     // its reply definitively lands after the peer has vanished.
     let (addr, server, _caches) = start_server(1, 64, 1024, 700);
@@ -430,32 +546,39 @@ fn disconnects_mid_submit_and_mid_reply_stay_balanced_and_counted() {
 }
 
 /// Malformed lines are answered with structured protocol errors (carrying
-/// the parser's byte offset) and counted — the connection stays usable.
+/// the parser's byte offset) and counted — the connection stays usable —
+/// while a line that cannot be framed gets one protocol error and a
+/// hang-up.  Every server that speaks the line protocol answers alike.
 #[test]
 fn protocol_errors_are_structured_and_nonfatal() {
-    use std::io::{BufRead, BufReader, Write};
-    let (addr, server, _caches) = start_server(1, 64, 1024, 5);
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let servers = LineServers::start("protocol");
+    let assert_protocol_error = |addr: &str, resp: Option<Json>| {
+        let resp = resp.unwrap_or_else(|| panic!("{addr}: hung up instead of answering"));
+        assert_eq!(resp.path("ok"), Some(&Json::Bool(false)), "{addr}");
+        assert_eq!(resp.path("error").and_then(Json::as_str), Some("protocol"), "{addr}");
+        resp.path("detail").and_then(Json::as_str).unwrap_or_default().to_string()
+    };
+    for (addr, _) in servers.targets() {
+        let mut conn = LineConn::open(addr);
+        conn.send(b"{\"cmd\": \"submit\", \"algo\": }\n");
+        let detail = assert_protocol_error(addr, conn.reply());
+        assert!(detail.contains("byte"), "{addr}: parse error lacks a byte offset: {detail}");
 
-    stream.write_all(b"{\"cmd\": \"submit\", \"algo\": }\n").expect("write");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read");
-    let resp = Json::parse(line.trim()).expect("error response parses");
-    assert_eq!(resp.path("ok"), Some(&Json::Bool(false)));
-    assert_eq!(resp.path("error").unwrap().as_str(), Some("protocol"));
-    let detail = resp.path("detail").unwrap().as_str().unwrap();
-    assert!(detail.contains("byte"), "parse error lacks a byte offset: {detail}");
+        // The same connection still serves well-formed requests.
+        conn.send(STATUS);
+        assert_status_reply(addr, conn.reply());
 
-    // The same connection still serves well-formed requests.
-    stream.write_all(b"{\"cmd\": \"status\"}\n").expect("write");
-    line.clear();
-    reader.read_line(&mut line).expect("read");
-    let resp = Json::parse(line.trim()).expect("status parses");
-    assert_eq!(resp.path("ok"), Some(&Json::Bool(true)));
+        // A line that is not UTF-8 cannot be framed: one protocol error,
+        // then EOF.
+        conn.send(&[0xff, 0xfe, b'\n']);
+        let detail = assert_protocol_error(addr, conn.reply());
+        assert!(detail.contains("UTF-8"), "{addr}: {detail}");
+        assert!(conn.reply().is_none(), "{addr}: still open after an unframeable line");
+    }
 
-    let final_stats = drain_and_join(&addr, server);
-    assert_eq!(final_stats.path("admission.protocol_errors").unwrap().as_i64(), Some(1));
+    let (node_stats, routed) = servers.stop();
+    assert_eq!(node_stats.path("admission.protocol_errors").unwrap().as_i64(), Some(2));
+    assert_eq!(routed.path("router.protocol_errors").and_then(Json::as_i64), Some(2));
 }
 
 /// Observability verbs end-to-end: after serving real jobs, `metrics`

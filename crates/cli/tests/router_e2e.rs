@@ -115,6 +115,43 @@ fn start_node(node_id: &str, flush_after_ms: u64) -> (String, ServeHandle, Arc<S
     (addr.to_string(), handle, caches)
 }
 
+/// A router over `backends` with a 100 ms probe cadence.
+fn start_router(backends: Vec<router::Backend>) -> (String, ServeHandle) {
+    let rcfg = router::RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        backends,
+        vnodes: 64,
+        probe_interval_ms: 100,
+        probe_timeout_ms: 200,
+        ..Default::default()
+    };
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        router::run_router(&rcfg, move |addr| {
+            tx.send(addr).expect("router addr channel");
+        })
+    });
+    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("router never became ready");
+    (addr.to_string(), handle)
+}
+
+fn backend(id: &str, addr: &str) -> router::Backend {
+    router::Backend { id: id.into(), addr: addr.into() }
+}
+
+/// Drain the cluster through the router and join the router and `nodes`.
+fn drain_and_join(router_addr: &str, router_thread: ServeHandle, nodes: Vec<ServeHandle>) -> Json {
+    let drained = bulkd::Client::connect(router_addr)
+        .expect("connect router")
+        .drain()
+        .expect("drain through router");
+    router_thread.join().expect("router panicked").expect("run_router failed");
+    for node in nodes {
+        node.join().expect("node panicked").expect("node serve failed");
+    }
+    drained
+}
+
 /// ISSUE acceptance: 64 clients over 4 keys through the router over 2
 /// nodes — zero lost or duplicated acks, outputs bit-identical to
 /// `Engine::Compiled`, exactly one compile per key cluster-wide, and
@@ -146,25 +183,8 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
 
     let (addr1, node1, caches1) = start_node("n1", 30);
     let (addr2, node2, caches2) = start_node("n2", 30);
-    let rcfg = router::RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        backends: vec![
-            router::Backend { id: "n1".into(), addr: addr1 },
-            router::Backend { id: "n2".into(), addr: addr2 },
-        ],
-        vnodes: 64,
-        probe_interval_ms: 100,
-        probe_timeout_ms: 200,
-        ..Default::default()
-    };
-    let (tx, rx) = mpsc::channel();
-    let router_thread = std::thread::spawn(move || {
-        router::run_router(&rcfg, move |addr| {
-            tx.send(addr).expect("router addr channel");
-        })
-    });
-    let router_addr =
-        rx.recv_timeout(Duration::from_secs(10)).expect("router never became ready").to_string();
+    let (router_addr, router_thread) =
+        start_router(vec![backend("n1", &addr1), backend("n2", &addr2)]);
 
     // Per key: the deterministic input stream and the direct compiled run
     // every served output must match bit-for-bit.
@@ -245,6 +265,7 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
     assert_eq!(stats.path("router.relayed_errors").and_then(Json::as_i64), Some(0));
     assert_eq!(stats.path("router.unavailable").and_then(Json::as_i64), Some(0));
     assert_eq!(stats.path("router.rerouted").and_then(Json::as_i64), Some(0));
+    assert_eq!(stats.path("router.protocol_errors").and_then(Json::as_i64), Some(0));
     // Satellite: node identity and protocol version ride the snapshots.
     assert_eq!(stats.path("backends.n1.node_id").and_then(Json::as_str), Some("n1"));
     assert_eq!(stats.path("backends.n2.node_id").and_then(Json::as_str), Some("n2"));
@@ -259,7 +280,10 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
 
     let text = client.metrics().expect("metrics");
     assert!(text.contains(&format!("router_submits_total {total_jobs}\n")), "{text}");
+    assert!(text.contains(&format!("router_acked_total {total_jobs}\n")), "{text}");
     assert!(text.contains("router_backend_up{node=\"n1\"} 1\n"), "{text}");
+    assert!(text.contains("router_backend_up{node=\"n2\"} 1\n"), "{text}");
+    assert!(text.contains("bulkd_cluster_coalesce_factor "), "{text}");
     assert!(text.contains("bulkd_node_schedule_compiles_total{node=\"n1\"} 2\n"), "{text}");
     assert!(text.contains("bulkd_cluster_schedule_compiles_total 4\n"), "{text}");
     assert!(text.contains("bulkd_cluster_distinct_keys 4\n"), "{text}");
@@ -269,6 +293,14 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
     assert_eq!(drained.path("drained"), Some(&Json::Bool(true)));
     assert_eq!(drained.path("cluster.completed_jobs").and_then(Json::as_i64), Some(total_jobs));
     assert_eq!(drained.path("cluster.rejected_jobs").and_then(Json::as_i64), Some(0));
+    assert_eq!(drained.path("cluster.failed_jobs").and_then(Json::as_i64), Some(0));
+    let r = |p: &str| drained.path(p).and_then(Json::as_i64).unwrap_or(-1);
+    assert_eq!(
+        r("router.per_backend.n1.acked") + r("router.per_backend.n2.acked"),
+        r("router.acked"),
+        "per-backend acks do not sum: {}",
+        drained.to_pretty()
+    );
     let factor = drained.path("cluster.coalesce_factor").and_then(Json::as_f64).unwrap();
     assert!(factor > 1.5, "cluster coalesce factor {factor} ≤ 1.5 — batching broke");
     for node in ["n1", "n2"] {
@@ -286,6 +318,95 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
     assert_eq!(final_snap.path("router.acked").and_then(Json::as_i64), Some(total_jobs));
     node1.join().expect("n1 panicked").expect("n1 serve failed");
     node2.join().expect("n2 panicked").expect("n2 serve failed");
+}
+
+/// The router hop costs a forward, not a stall: sequential single-instance
+/// submits through the router take about as long as the same submits sent
+/// straight to the node.  A request forwarded as two writes (the line,
+/// then its terminator) waits on the backend's delayed ACK, which Linux
+/// holds for at least 40 ms.
+#[test]
+fn the_router_hop_adds_no_delayed_ack_stall() {
+    const WARMUP: usize = 5;
+    const SUBMITS: usize = 40;
+    let (node_addr, node, _caches) = start_node("n1", 1);
+    let (router_addr, router_thread) = start_router(vec![backend("n1", &node_addr)]);
+    let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
+    let key = bulkd::JobKey {
+        algo: "prefix-sums".into(),
+        size: 64,
+        layout: oblivious::Layout::ColumnWise,
+    };
+    let inputs = algo.random_inputs_bits(RUN_SEED, 1);
+    let mut clients = [&node_addr, &router_addr]
+        .map(|addr| bulkd::Client::connect(addr.as_str()).expect("connect"));
+    for client in &mut clients {
+        for _ in 0..WARMUP {
+            client.submit(&key, &inputs, false).expect("warm-up submit");
+        }
+    }
+    // Alternate the two paths so background load hits both alike.
+    let mut rtts = [Vec::new(), Vec::new()];
+    for _ in 0..SUBMITS {
+        for (client, rtt) in clients.iter_mut().zip(&mut rtts) {
+            let t0 = Instant::now();
+            client.submit(&key, &inputs, false).expect("submit");
+            rtt.push(t0.elapsed());
+        }
+    }
+    let [direct, routed] = rtts.map(|mut r| {
+        r.sort();
+        r[SUBMITS / 2]
+    });
+    assert!(
+        routed.saturating_sub(direct) < Duration::from_millis(20),
+        "the router hop adds {:?} to the median round trip (routed {routed:?}, direct {direct:?})",
+        routed.saturating_sub(direct)
+    );
+    // The client's own request write must not split either, or both
+    // paths stall alike and the difference above hides it.
+    assert!(direct < Duration::from_millis(20), "median direct round trip {direct:?}");
+    drain_and_join(&router_addr, router_thread, vec![node]);
+}
+
+/// `bulkrun loadgen` pointed at the router: every submit succeeds and the
+/// report embeds the router's merged snapshot, not one node's.
+#[test]
+fn loadgen_through_the_router_reports_the_merged_snapshot() {
+    let (node_addr, node, _caches) = start_node("n1", 5);
+    let (router_addr, router_thread) = start_router(vec![backend("n1", &node_addr)]);
+    let report = std::env::temp_dir().join(format!("router-loadgen-{}.json", std::process::id()));
+    let argv: Vec<String> = [
+        "loadgen",
+        "prefix-sums",
+        "--size",
+        "64",
+        "--addr",
+        &router_addr,
+        "--clients",
+        "4",
+        "--duration-ms",
+        "500",
+        "--seed",
+        "7",
+        "--report",
+        report.to_str().unwrap(),
+    ]
+    .map(String::from)
+    .to_vec();
+    cli::execute(&cli::args::parse(&argv).expect("loadgen argv")).expect("loadgen");
+    let rep = Json::parse(&std::fs::read_to_string(&report).expect("report written"))
+        .expect("report parses");
+    let _ = std::fs::remove_file(&report);
+    let t = |p: &str| rep.path(p).and_then(Json::as_i64).unwrap_or(-1);
+    assert!(t("throughput.completed_jobs") > 0, "{}", rep.to_pretty());
+    assert_eq!(t("throughput.errors"), 0, "{}", rep.to_pretty());
+    assert_eq!(rep.path("server.tool").and_then(Json::as_str), Some("bulk-router"));
+    let drained = drain_and_join(&router_addr, router_thread, vec![node]);
+    assert_eq!(
+        drained.path("router.acked").and_then(Json::as_i64),
+        Some(t("throughput.completed_jobs"))
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@
 //! durability promise, not a buffering report), reconnecting with the
 //! correct resume sequence whenever the transport breaks.  The
 //! **control loop** serves the ordinary line protocol on the standby's
-//! address: `status`/`stats` report the standby role and replication
-//! marks, `submit`/`drain`/`dump` answer a structured `not_primary`
-//! refusal carrying the leader's serving address, and `promote` — if
-//! the standby's durable mark covers everything the leader ever
-//! acknowledged — stops both loops and returns the still-bound listener
-//! so the caller can start [`bulkd::serve_with_listener`] on it without
-//! any close/rebind race.
+//! address, over the shared [`bulkd::wire`] transport: `status`/`stats`
+//! report the standby role and replication marks, `submit`/`drain`/
+//! `dump` answer a structured `not_primary` refusal carrying the
+//! leader's serving address, and `promote` — if the standby's durable
+//! mark covers everything the leader ever acknowledged — stops both
+//! loops and returns the still-bound listener so the caller can start
+//! [`bulkd::serve_with_listener`] on it without any close/rebind race.
 //!
 //! Exactly-once across the failover comes for free from the journal's
 //! replay filter: the promoted node re-opens the replicated WAL exactly
@@ -26,19 +26,15 @@ use crate::frame;
 use crate::primary::ack_beyond_replicated;
 use bulkd::journal::{self, REC_COMPLETE, REC_SUBMIT};
 use bulkd::protocol::{self, Request, PROTOCOL_VERSION};
+use bulkd::wire::{self, LineService, Reply};
 use obs::{Json, PromText};
 use std::collections::HashSet;
-use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wal::{FsyncPolicy, Wal, WalConfig};
-
-/// Longest accepted control line (the standby refuses submits, so it
-/// never needs the server's full submission budget).
-const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Tunables of one [`run_standby`].
 #[derive(Debug, Clone)]
@@ -107,9 +103,6 @@ struct State {
 
 struct Shared {
     cfg: StandbyConfig,
-    /// The control listener's bound address (promote's self-connect
-    /// target).
-    ctrl_addr: SocketAddr,
     state: Mutex<State>,
     stop: AtomicBool,
     /// The follower's live connection, registered so shutdown can break
@@ -150,7 +143,6 @@ pub fn run_standby(
     let ctrl_addr = listener.local_addr().map_err(|e| format!("standby local_addr: {e}"))?;
     let sh = Arc::new(Shared {
         cfg,
-        ctrl_addr,
         state: Mutex::new(State {
             replicated_seq: scan.next_seq().saturating_sub(1),
             incomplete: recovery.requeue.iter().map(|j| j.id).collect(),
@@ -167,19 +159,9 @@ pub fn run_standby(
             .map_err(|e| format!("spawn repl-standby: {e}"))?
     };
     on_ready(ctrl_addr);
-    for conn in listener.incoming() {
-        if sh.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let sh = Arc::clone(&sh);
-        let _ = std::thread::Builder::new()
-            .name("standby-conn".into())
-            .spawn(move || conn_loop(&sh, stream));
-    }
-    // Promotion: stop the follower (breaking its blocking read), wait
+    wire::serve(&listener, &sh, "standby-conn").map_err(|e| format!("standby accept loop: {e}"))?;
+    // Promotion has set `stop`: break the follower's blocking read, wait
     // for it to drop the WAL writer, then hand the listener over.
-    sh.stop.store(true, Ordering::SeqCst);
     if let Some(conn) = sh.follower_conn.lock().expect("standby state poisoned").take() {
         let _ = conn.shutdown(Shutdown::Both);
     }
@@ -303,98 +285,59 @@ fn track_replay(incomplete: &mut HashSet<u64>, rec: &wal::Record) {
     }
 }
 
-/// One control connection: the ordinary line protocol, answered in the
-/// standby role.
-fn conn_loop(sh: &Shared, mut stream: TcpStream) {
-    let mut framer = protocol::LineFramer::new(MAX_LINE_BYTES);
-    let mut chunk = [0u8; 4096];
-    loop {
-        loop {
-            let line = match framer.next_line() {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                Err(e) => {
-                    let resp = protocol::resp_error("overlong", &e);
-                    let _ = stream.write_all((resp.to_compact() + "\n").as_bytes());
-                    return;
-                }
-            };
-            if sh.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let (resp, promote) = handle_line(sh, &line);
-            if stream.write_all((resp.to_compact() + "\n").as_bytes()).is_err() {
-                return;
-            }
-            if promote {
-                // Reply first, then stop the loops; the self-connect pops
-                // the accept loop so `run_standby` can return.
-                sh.stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(sh.ctrl_addr);
-                return;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => framer.push(&chunk[..n]),
-        }
-    }
-}
+/// The control port: the ordinary line protocol, answered in the standby
+/// role.
+impl LineService for Shared {
+    type Conn = ();
 
-fn handle_line(sh: &Shared, line: &str) -> (Json, bool) {
-    let req = match Request::parse_line(line) {
-        Ok(req) => req,
-        Err(e) => return (protocol::resp_error("bad_request", &e), false),
-    };
-    let st = sh.state.lock().expect("standby state poisoned");
-    match req {
-        Request::Status | Request::Stats => (status_json(sh, &st), false),
-        Request::Metrics => {
-            let mut o = Json::obj();
-            o.set("ok", true);
-            o.set("metrics", prometheus(&st));
-            (o, false)
+    fn open(&self) {}
+
+    /// A safe promote stops the standby: its reply is the last line any
+    /// control connection answers in the standby role.
+    fn handle_line(&self, _conn: &mut (), req: Request, _line: &str) -> Reply {
+        let st = self.state.lock().expect("standby state poisoned");
+        if self.stop.load(Ordering::SeqCst) {
+            return Reply::Hangup;
         }
-        Request::Promote => {
-            if safe_to_promote(&st) {
+        let resp = match req {
+            Request::Status | Request::Stats => status_json(self, &st),
+            Request::Metrics => {
+                let mut o = Json::obj();
+                o.set("ok", true);
+                o.set("metrics", prometheus(&st));
+                o
+            }
+            Request::Promote if safe_to_promote(&st) => {
+                self.stop.store(true, Ordering::SeqCst);
                 let mut o = Json::obj();
                 o.set("ok", true);
                 o.set("promoted", true);
-                o.set("node_id", sh.cfg.node_id.as_str());
+                o.set("node_id", self.cfg.node_id.as_str());
                 o.set("replicated_seq", st.replicated_seq);
                 o.set("incomplete_jobs", st.incomplete.len() as u64);
-                (o, true)
-            } else {
-                (
-                    protocol::resp_error(
-                        "unsafe_promote",
-                        &format!(
-                            "standby durable seq {} trails the leader's acked seq {}; \
-                             promoting would lose acknowledged jobs",
-                            st.replicated_seq, st.leader_acked_seq
-                        ),
-                    ),
-                    false,
-                )
+                return Reply::Stop { line: o.to_compact(), close: true };
             }
-        }
-        Request::Submit { .. } => {
-            (protocol::resp_not_primary(&st.leader_hint, "this node is a warm standby"), false)
-        }
-        Request::Drain => (
-            protocol::resp_not_primary(
+            Request::Promote => protocol::resp_error(
+                "unsafe_promote",
+                &format!(
+                    "standby durable seq {} trails the leader's acked seq {}; \
+                     promoting would lose acknowledged jobs",
+                    st.replicated_seq, st.leader_acked_seq
+                ),
+            ),
+            Request::Submit { .. } => {
+                protocol::resp_not_primary(&st.leader_hint, "this node is a warm standby")
+            }
+            Request::Drain => protocol::resp_not_primary(
                 &st.leader_hint,
                 "this node is a warm standby; drain the serving primary",
             ),
-            false,
-        ),
-        Request::Dump => (
-            protocol::resp_not_primary(
+            Request::Dump => protocol::resp_not_primary(
                 &st.leader_hint,
                 "a standby records no flight data; dump the serving primary",
             ),
-            false,
-        ),
+        };
+        Reply::Line(resp.to_compact())
     }
 }
 

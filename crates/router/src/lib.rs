@@ -3,11 +3,11 @@
 //! One bulkd node amortizes a compiled oblivious schedule over the `p`
 //! coalesced instances of a key; this crate scales that story to a
 //! cluster without giving it up.  The router speaks the exact bulkd
-//! newline-JSON protocol on the front and places every submit by its
-//! coalescing key `(algo, n, layout)` on a consistent-hash ring over the
-//! backend nodes ([`ring`]), so each key's whole stream lands on one
-//! node: one compile per key cluster-wide, batches as large as a single
-//! node would build.
+//! newline-JSON protocol on the front, over the same [`bulkd::wire`]
+//! transport, and places every submit by its coalescing key `(algo, n,
+//! layout)` on a consistent-hash ring over the backend nodes ([`ring`]),
+//! so each key's whole stream lands on one node: one compile per key
+//! cluster-wide, batches as large as a single node would build.
 //!
 //! Around that placement sit the operational pieces:
 //!
@@ -45,19 +45,16 @@ pub use stats::{
 };
 
 use bulkd::protocol::resp_error;
+use bulkd::wire::{self, LineService, Reply};
 use bulkd::{
-    jittered_backoff_ms, Client, ClientConfig, ClientError, JobKey, LineFramer, Request,
-    RouteClass, PROTOCOL_VERSION,
+    jittered_backoff_ms, Client, ClientConfig, ClientError, JobKey, Request, RouteClass,
+    PROTOCOL_VERSION,
 };
 use obs::{Json, Rng};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Same line-length bound as the bulkd server.
-const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 
 /// One routable bulkd node: a stable identity plus a dial address.
 ///
@@ -169,7 +166,6 @@ struct Shared {
     board: HealthBoard,
     stats: RouterStats,
     stop_accepting: AtomicBool,
-    addr: SocketAddr,
     /// The drain fan-out's collected backend snapshots, stashed for
     /// [`run_router`]'s return value.
     drain_snaps: Mutex<Option<Vec<Option<Json>>>>,
@@ -180,6 +176,19 @@ impl Shared {
     /// The backend's current dial address (post-failover aware).
     fn addr_of(&self, idx: usize) -> String {
         self.addrs[idx].lock().expect("backend addr poisoned").clone()
+    }
+
+    /// Dial and reply timeouts when forwarding to a backend.
+    fn forward_cfg(&self) -> ClientConfig {
+        ClientConfig {
+            connect_timeout: Some(ms(self.cfg.connect_timeout_ms.max(1))),
+            read_timeout: Some(ms(self.cfg.read_timeout_ms.max(1))),
+        }
+    }
+
+    /// The merged cluster snapshot over the backends' `snaps`.
+    fn merged(&self, snaps: &[Option<Json>], drained: bool) -> Json {
+        merged_snapshot(&self.stats.view(), &self.ids, &self.board.view(), snaps, drained)
     }
 }
 
@@ -222,7 +231,6 @@ pub fn run_router(cfg: &RouterConfig, on_ready: impl FnOnce(SocketAddr)) -> Resu
         board: HealthBoard::new(n, cfg.health),
         stats: RouterStats::new(n),
         stop_accepting: AtomicBool::new(false),
-        addr,
         drain_snaps: Mutex::new(None),
         conn_seq: AtomicU64::new(0),
     });
@@ -236,17 +244,7 @@ pub fn run_router(cfg: &RouterConfig, on_ready: impl FnOnce(SocketAddr)) -> Resu
     };
 
     on_ready(addr);
-
-    for conn in listener.incoming() {
-        if shared.stop_accepting.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("router-conn".into())
-            .spawn(move || conn_loop(stream, &sh));
-    }
+    wire::serve(&listener, &shared, "router-conn").map_err(|e| format!("accept loop: {e}"))?;
     let _ = prober.join();
 
     // Give racing connection threads a moment to finish answering their
@@ -342,11 +340,7 @@ fn maybe_failover(sh: &Shared, i: usize, probe_cfg: &ClientConfig) {
     }
     // Promotion hands the standby's listener to a recovering server;
     // give the reply a forwarding-grade timeout, not a probe-grade one.
-    let promote_cfg = ClientConfig {
-        connect_timeout: Some(ms(sh.cfg.connect_timeout_ms.max(1))),
-        read_timeout: Some(ms(sh.cfg.read_timeout_ms.max(1))),
-    };
-    match Client::connect_with(&standby_addr, &promote_cfg)
+    match Client::connect_with(&standby_addr, &sh.forward_cfg())
         .map_err(ClientError::Io)
         .and_then(|mut c| c.promote())
     {
@@ -364,78 +358,31 @@ fn maybe_failover(sh: &Shared, i: usize, probe_cfg: &ClientConfig) {
     }
 }
 
-/// A cached raw-line connection to one backend.
-struct Link {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Link {
-    fn dial(addr: &str, connect_ms: u64, read_ms: u64) -> std::io::Result<Link> {
-        let mut last: Option<std::io::Error> = None;
-        let mut stream = None;
-        for resolved in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&resolved, ms(connect_ms.max(1))) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        let Some(s) = stream else {
-            return Err(last.unwrap_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "address resolved to no candidates",
-                )
-            }));
-        };
-        s.set_read_timeout(Some(ms(read_ms.max(1))))?;
-        Ok(Link { reader: BufReader::new(s.try_clone()?), writer: s })
-    }
-
-    /// Send one raw protocol line, read one raw reply line.
-    fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed the connection",
-            ));
-        }
-        Ok(resp.trim_end().to_string())
-    }
-}
-
-/// Forward `line` to backend `idx`, reusing this connection's cached
-/// link.  A failure on a *cached* link gets one fresh-dial retry — idle
-/// links go stale when backends close them, and that is not evidence
-/// the node is down.
+/// Forward `line` to backend `idx` over this connection's cached
+/// client, relaying the raw reply line.  A failure on a *cached* client
+/// gets one fresh-dial retry — idle connections go stale when backends
+/// close them, and that is not evidence the node is down.
 fn forward(
     sh: &Shared,
-    links: &mut [Option<Link>],
+    clients: &mut [Option<Client>],
     idx: usize,
     line: &str,
 ) -> std::io::Result<String> {
-    let dial = || Link::dial(&sh.addr_of(idx), sh.cfg.connect_timeout_ms, sh.cfg.read_timeout_ms);
-    let had_cache = links[idx].is_some();
-    if links[idx].is_none() {
-        links[idx] = Some(dial()?);
+    let dial = || Client::connect_with(sh.addr_of(idx), &sh.forward_cfg());
+    let had_cache = clients[idx].is_some();
+    if clients[idx].is_none() {
+        clients[idx] = Some(dial()?);
     }
-    match links[idx].as_mut().expect("link just ensured").roundtrip(line) {
+    match clients[idx].as_mut().expect("client just ensured").roundtrip_line(line) {
         Ok(r) => Ok(r),
         Err(first) => {
-            links[idx] = None;
+            clients[idx] = None;
             if !had_cache {
                 return Err(first);
             }
             let mut fresh = dial()?;
-            let r = fresh.roundtrip(line)?;
-            links[idx] = Some(fresh);
+            let r = fresh.roundtrip_line(line)?;
+            clients[idx] = Some(fresh);
             Ok(r)
         }
     }
@@ -471,7 +418,7 @@ fn dispatch_submit(
     sh: &Shared,
     raw_line: &str,
     key: &JobKey,
-    links: &mut [Option<Link>],
+    clients: &mut [Option<Client>],
     rng: &mut Rng,
 ) -> String {
     sh.stats.on_submit();
@@ -488,7 +435,7 @@ fn dispatch_submit(
             std::thread::sleep(ms(wait));
         }
         sh.stats.on_dispatch(idx);
-        match forward(sh, links, idx, raw_line) {
+        match forward(sh, clients, idx, raw_line) {
             Err(e) => {
                 sh.stats.on_io_redispatch(idx);
                 sh.board.on_failure(idx, &format!("forward: {e}"));
@@ -590,121 +537,79 @@ fn dump_reply(sh: &Shared) -> Json {
     o
 }
 
-enum After {
-    Continue,
-    Close,
+/// One client connection's state: a cached client per backend and its
+/// own redispatch jitter stream.
+struct Conn {
+    clients: Vec<Option<Client>>,
+    rng: Rng,
 }
 
-fn handle_line(
-    line: &str,
-    sh: &Shared,
-    links: &mut [Option<Link>],
-    rng: &mut Rng,
-) -> (String, After) {
-    let req = match Request::parse_line(line) {
-        Ok(req) => req,
-        Err(e) => {
-            sh.stats.on_protocol_error();
-            return (resp_error("protocol", &e).to_compact(), After::Continue);
-        }
-    };
-    match req.route_class() {
-        RouteClass::Keyed => {
-            let Request::Submit { key, .. } = &req else { unreachable!("Keyed is submit-only") };
-            (dispatch_submit(sh, line, key, links, rng), After::Continue)
-        }
-        RouteClass::Local => {
-            sh.stats.on_local();
-            let j = match req {
-                Request::Status => status_reply(sh),
-                // Promotion is the prober's decision, made against a
-                // standby's control port directly — a client promoting
-                // "the cluster" has no single sane target.
-                Request::Promote => resp_error(
-                    "not_standby",
-                    "the router is not a standby; send promote to a standby's control port",
-                ),
-                _ => dump_reply(sh),
-            };
-            (j.to_compact(), After::Continue)
-        }
-        RouteClass::FanOut => {
-            sh.stats.on_fanout();
-            match req {
-                Request::Stats => {
-                    let snaps = collect_fanout(sh, &FanVerb::Stats);
-                    let mut j =
-                        merged_snapshot(&sh.stats.view(), &sh.ids, &sh.board.view(), &snaps, false);
-                    j.set("ok", true);
-                    (j.to_compact(), After::Continue)
-                }
-                Request::Metrics => {
-                    let snaps = collect_fanout(sh, &FanVerb::Stats);
-                    let text =
-                        render_prometheus(&sh.stats.view(), &sh.ids, &sh.board.view(), &snaps);
-                    let mut o = Json::obj();
-                    o.set("ok", true);
-                    o.set("metrics", text);
-                    (o.to_compact(), After::Continue)
-                }
-                _ => {
-                    // Drain: stop probing/accepting *after* the merged
-                    // snapshot is assembled and on the wire.
-                    let snaps = collect_fanout(sh, &FanVerb::Drain);
-                    let mut j =
-                        merged_snapshot(&sh.stats.view(), &sh.ids, &sh.board.view(), &snaps, true);
-                    j.set("ok", true);
-                    *sh.drain_snaps.lock().expect("drain snapshot slot poisoned") = Some(snaps);
-                    (j.to_compact(), After::Close)
-                }
-            }
+impl LineService for Shared {
+    type Conn = Conn;
+
+    fn open(&self) -> Conn {
+        self.stats.on_connection();
+        let seq = self.conn_seq.fetch_add(1, Ordering::SeqCst);
+        Conn {
+            clients: (0..self.ids.len()).map(|_| None).collect(),
+            // Deterministic per-connection jitter stream (the workspace
+            // has no OS randomness source by design).
+            rng: Rng::new(0x0520_7EA4 ^ (seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))),
         }
     }
-}
 
-fn conn_loop(stream: TcpStream, sh: &Shared) {
-    sh.stats.on_connection();
-    let seq = sh.conn_seq.fetch_add(1, Ordering::SeqCst);
-    // Deterministic per-connection jitter stream (the workspace has no
-    // OS randomness source by design).
-    let mut rng = Rng::new(0x0520_7EA4 ^ (seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    let mut links: Vec<Option<Link>> = (0..sh.ids.len()).map(|_| None).collect();
-    let mut framer = LineFramer::new(MAX_LINE_BYTES);
-    let mut stream = stream;
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        loop {
-            let line = match framer.next_line() {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                Err(e) => {
-                    sh.stats.on_protocol_error();
-                    let mut reply = resp_error("protocol", &e).to_compact();
-                    reply.push('\n');
-                    let _ = stream.write_all(reply.as_bytes());
-                    return;
-                }
-            };
-            let (mut reply, after) = handle_line(&line, sh, &mut links, &mut rng);
-            reply.push('\n');
-            // The drain reply must be on the wire *before* the accept
-            // loop is released: `run_router` may return (and the process
-            // exit) the moment it pops.
-            let wrote = stream.write_all(reply.as_bytes()).and_then(|()| stream.flush());
-            if matches!(after, After::Close) {
-                sh.stop_accepting.store(true, Ordering::SeqCst);
-                // Self-connect to pop the accept loop out of `incoming()`.
-                let _ = TcpStream::connect(sh.addr);
-                return;
-            }
-            if wrote.is_err() {
-                return;
-            }
+    /// A drain closes its connection once the merged snapshot is on the
+    /// wire.
+    fn handle_line(&self, conn: &mut Conn, req: Request, line: &str) -> Reply {
+        match req.route_class() {
+            RouteClass::Keyed => {}
+            RouteClass::Local => self.stats.on_local(),
+            RouteClass::FanOut => self.stats.on_fanout(),
         }
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => framer.push(&buf[..n]),
-        }
+        let j = match req {
+            Request::Submit { key, .. } => {
+                let raw = dispatch_submit(self, line, &key, &mut conn.clients, &mut conn.rng);
+                return Reply::Line(raw);
+            }
+            Request::Status => status_reply(self),
+            Request::Dump => dump_reply(self),
+            // Promotion is the prober's decision, made against a standby's
+            // control port directly — a client promoting "the cluster" has
+            // no single sane target.
+            Request::Promote => resp_error(
+                "not_standby",
+                "the router is not a standby; send promote to a standby's control port",
+            ),
+            Request::Stats => {
+                let mut j = self.merged(&collect_fanout(self, &FanVerb::Stats), false);
+                j.set("ok", true);
+                j
+            }
+            Request::Metrics => {
+                let snaps = collect_fanout(self, &FanVerb::Stats);
+                let text =
+                    render_prometheus(&self.stats.view(), &self.ids, &self.board.view(), &snaps);
+                let mut o = Json::obj();
+                o.set("ok", true);
+                o.set("metrics", text);
+                o
+            }
+            Request::Drain => {
+                // Stop probing once the merged snapshot is assembled; the
+                // transport stops accepting once it is on the wire.
+                let snaps = collect_fanout(self, &FanVerb::Drain);
+                let mut j = self.merged(&snaps, true);
+                j.set("ok", true);
+                *self.drain_snaps.lock().expect("drain snapshot slot poisoned") = Some(snaps);
+                self.stop_accepting.store(true, Ordering::SeqCst);
+                return Reply::Stop { line: j.to_compact(), close: true };
+            }
+        };
+        Reply::Line(j.to_compact())
+    }
+
+    fn on_protocol_error(&self) {
+        self.stats.on_protocol_error();
     }
 }
 

@@ -320,7 +320,7 @@ impl Connection {
     fn new() -> Self {
         Self {
             c2s: Vec::new(),
-            framer: LineFramer::new(1 << 20),
+            framer: LineFramer::new(bulkd::wire::MAX_LINE_BYTES),
             s2c: VecDeque::new(),
             closed: false,
             busy: false,
@@ -650,7 +650,7 @@ impl World {
 
     /// The server end of `idx`'s connection: frame complete lines out of
     /// the delivered bytes and dispatch them through the daemon's real
-    /// request parser — exactly what `conn_loop` does, minus the socket.
+    /// request parser — exactly what `bulkd::wire` does, minus the socket.
     /// Stops while a submit is in flight (`busy`), as the real
     /// connection thread blocks in `rx.recv()`.
     fn pump_conn(&mut self, idx: usize) -> Result<(), String> {
