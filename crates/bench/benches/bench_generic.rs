@@ -27,15 +27,6 @@ fn bench_engine_overhead(device: &Device) {
     case("generic_vs_kernel", "generic_prefix_sums", None, || {
         launch(device, &generic, &mut buf, p);
     });
-
-    // Tape replay: control flow recorded once, replayed per launch.
-    let mut buf = arrange(&per, n, Layout::ColumnWise);
-    let mut tape = oblivious::Tape::record(&algorithms::PrefixSums::new(n));
-    tape.eliminate_dead_code();
-    let taped = GenericKernel::new(tape, Layout::ColumnWise);
-    case("generic_vs_kernel", "tape_prefix_sums", None, || {
-        launch(device, &taped, &mut buf, p);
-    });
 }
 
 fn bench_algorithm_library(device: &Device) {

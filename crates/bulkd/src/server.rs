@@ -17,7 +17,7 @@ use crate::repl::ReplSink;
 use crate::stats::ServerStats;
 use crate::wire::{self, LineService, Reply};
 use obs::trace::chrome_trace;
-use obs::{Gauge, Histogram, Json, PromText, Ring, Tracer};
+use obs::{Gauge, Histogram, Json, PromText, Ring, RingEvent, Tracer};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -113,10 +113,23 @@ impl Recorder {
     fn dump_files(&self) -> Result<(), String> {
         let Some(path) = &self.path else { return Ok(()) };
         let _g = self.dump_lock.lock().expect("recorder dump lock poisoned");
-        let events = self.ring.snapshot();
-        write_atomic(path, &obs::ring::chrome_trace(&events).to_pretty())?;
+        write_atomic(path, &recorder_trace(&self.ring.snapshot()).to_pretty())?;
         write_atomic(&path.with_extension("txt"), &self.ring.text_tail(TAIL_LINES))
     }
+}
+
+/// A recorder snapshot as a Chrome trace: each ring event becomes an
+/// instant on its writer's track, carrying `{seq, job, value}` as args.
+fn recorder_trace(events: &[RingEvent]) -> Json {
+    let mut t = Tracer::with_capacity(events.len());
+    for ev in events {
+        let mut args = Json::obj();
+        args.set("seq", ev.seq);
+        args.set("job", ev.job);
+        args.set("value", ev.value);
+        t.instant(u64::from(ev.track), ev.name, "recorder", ev.ts_us, args);
+    }
+    chrome_trace(&[("bulkd.recorder", &t)])
 }
 
 fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
@@ -765,5 +778,29 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
         }
         Ok(Err(e)) => protocol::resp_error("exec", &e),
         Err(_) => protocol::resp_error("exec", "worker dropped the job"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recorder_trace_is_loadable_json() {
+        let r = Ring::with_capacity(8);
+        r.record(100, 2, "accepted", 1, 4);
+        r.record(250, 3, "executed", 1, 4);
+        let text = recorder_trace(&r.snapshot()).to_compact();
+        let parsed = Json::parse(&text).expect("chrome trace must be valid JSON");
+        let events = parsed.path("traceEvents").unwrap().as_arr().unwrap();
+        let instants: Vec<&Json> =
+            events.iter().filter(|e| e.path("ph").and_then(Json::as_str) == Some("i")).collect();
+        assert_eq!(instants.len(), 2);
+        assert_eq!(instants[0].path("name").unwrap().as_str(), Some("accepted"));
+        assert_eq!(instants[0].path("tid").unwrap().as_i64(), Some(2));
+        assert_eq!(instants[0].path("ts").unwrap().as_i64(), Some(100));
+        assert_eq!(instants[1].path("args.seq").unwrap().as_i64(), Some(1));
+        assert_eq!(instants[1].path("args.job").unwrap().as_i64(), Some(1));
+        assert_eq!(instants[1].path("args.value").unwrap().as_i64(), Some(4));
     }
 }

@@ -64,7 +64,6 @@ pub mod layout;
 pub mod machine;
 pub mod ops;
 pub mod program;
-pub mod tape;
 pub mod tests_support;
 pub mod theorems;
 pub mod word;
@@ -81,5 +80,4 @@ pub use hmm_cost::{capacity_needed_per_dmm, hmm_bulk_cost, HmmBulkCost};
 pub use layout::Layout;
 pub use machine::{ObliviousMachine, ObliviousProgram};
 pub use ops::{BinOp, CmpOp, UnOp};
-pub use tape::{Inst, Slot, Tape};
 pub use word::{FloatWord, IntWord, Word};

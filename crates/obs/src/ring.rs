@@ -19,7 +19,6 @@
 //!   they were stamped — on a virtual clock in the simulator, the same
 //!   seed always yields the bit-identical stream.
 
-use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -161,33 +160,6 @@ impl Ring {
     }
 }
 
-/// Render a snapshot as a Chrome Trace Event Format document (instant
-/// events, one Perfetto track per ring track) — load the file in
-/// `chrome://tracing` or Perfetto to scrub through the recorded window.
-#[must_use]
-pub fn chrome_trace(events: &[RingEvent]) -> Json {
-    let mut arr = Vec::with_capacity(events.len());
-    for ev in events {
-        let mut e = Json::obj();
-        e.set("name", ev.name);
-        e.set("ph", "i");
-        e.set("ts", ev.ts_us);
-        e.set("pid", 1u64);
-        e.set("tid", u64::from(ev.track));
-        e.set("s", "t");
-        let mut args = Json::obj();
-        args.set("seq", ev.seq);
-        args.set("job", ev.job);
-        args.set("value", ev.value);
-        e.set("args", args);
-        arr.push(e);
-    }
-    let mut doc = Json::obj();
-    doc.set("traceEvents", Json::Arr(arr));
-    doc.set("displayTimeUnit", "ms");
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,19 +230,5 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("job=7"), "{tail}");
         assert!(lines[2].contains("job=9"), "{tail}");
-    }
-
-    #[test]
-    fn chrome_trace_export_is_loadable_json() {
-        let r = Ring::with_capacity(8);
-        r.record(100, 2, "accepted", 1, 4);
-        r.record(250, 3, "executed", 1, 4);
-        let doc = chrome_trace(&r.snapshot());
-        let text = doc.to_compact();
-        let parsed = Json::parse(&text).expect("chrome trace must be valid JSON");
-        let events = parsed.path("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].path("name").unwrap().as_str(), Some("accepted"));
-        assert_eq!(events[1].path("args.job").unwrap().as_i64(), Some(1));
     }
 }

@@ -194,16 +194,15 @@ impl Tracer {
     }
 
     /// Record a point-in-time marker on track `tid`.
-    pub fn instant(&mut self, tid: u64, name: &'static str, cat: &'static str, ts: u64) {
-        self.push(TraceEvent {
-            phase: Phase::Instant,
-            name,
-            cat,
-            tid,
-            ts,
-            dur: 0,
-            args: Json::Null,
-        });
+    pub fn instant(
+        &mut self,
+        tid: u64,
+        name: &'static str,
+        cat: &'static str,
+        ts: u64,
+        args: Json,
+    ) {
+        self.push(TraceEvent { phase: Phase::Instant, name, cat, tid, ts, dur: 0, args });
     }
 
     /// Sample a counter series `name` at time `ts` with `value`.
@@ -533,7 +532,7 @@ mod tests {
         let mut args = Json::obj();
         args.set("k", 2u64);
         t.span(0, "warp", "warp", 0, 2, args);
-        t.instant(1, "idle_round", "stall", 4);
+        t.instant(1, "idle_round", "stall", 4, Json::Null);
         t.counter(0, "occupancy", 0, 7);
         let j = chrome_trace(&[("model.umm", &t)]);
         let evs = j.get("traceEvents").unwrap().as_arr().unwrap();

@@ -133,7 +133,7 @@ impl SimTimeline {
     /// Mark a free idle round (no thread accessed memory) at `ts`.
     #[inline]
     pub fn idle(&mut self, ts: u64) {
-        self.tracer.instant(self.stall_tid, "idle_round", "stall", ts);
+        self.tracer.instant(self.stall_tid, "idle_round", "stall", ts, Json::Null);
     }
 
     /// The stall track's id (`warp_count`).

@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use oblivious::{
         check_oblivious, Chain, Layout, Model, ObliviousMachine, ObliviousProgram, Repeat, Shifted,
-        Tape, Word,
+        Word,
     };
     pub use umm_core::{DmmSimulator, HmmConfig, HmmSimulator, MachineConfig, UmmSimulator};
 }
