@@ -8,7 +8,7 @@
 use bench::harness::case;
 use oblivious::program::{bulk_model_time, bulk_round_trace};
 use oblivious::{Layout, Model};
-use umm_core::{simulate_async, MachineConfig, ThreadAction, UmmSimulator};
+use umm_core::{simulate_async, MachineConfig, MachineSimulator, ThreadAction};
 
 fn bench_round_step() {
     let cfg = MachineConfig::new(32, 100);
@@ -16,13 +16,13 @@ fn bench_round_step() {
     let coalesced: Vec<_> = (0..p).map(ThreadAction::read).collect();
     let scattered: Vec<_> = (0..p).map(|j| ThreadAction::read(j * 33)).collect();
     {
-        let mut sim = UmmSimulator::new(cfg, p);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
         case("umm_sim", "round_coalesced_p4096", Some(p as u64), || {
             sim.step(&coalesced);
         });
     }
     {
-        let mut sim = UmmSimulator::new(cfg, p);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
         case("umm_sim", "round_scattered_p4096", Some(p as u64), || {
             sim.step(&scattered);
         });
@@ -45,7 +45,7 @@ fn bench_cost_vs_simulators() {
     {
         let trace = bulk_round_trace::<f32, _>(&prog, Layout::ColumnWise, p);
         case("pricing", "materialised_sync_sim", None, || {
-            let mut sim = UmmSimulator::new(cfg, p);
+            let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
             std::hint::black_box(sim.run(&trace));
         });
     }

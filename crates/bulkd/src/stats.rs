@@ -262,17 +262,9 @@ impl ServerStats {
         report.set("queue", queue);
 
         // Per-key visibility: waiting work (from the queue) joined with
-        // cumulative served totals — the fairness view.  A key appears as
-        // soon as it has either.
-        let mut by_key: BTreeMap<String, (Option<&KeyDepth>, KeyServed)> = BTreeMap::new();
-        for d in per_key {
-            by_key.entry(d.key.to_string()).or_insert((None, KeyServed::default())).0 = Some(d);
-        }
-        for (k, v) in &s.per_key {
-            by_key.entry(k.clone()).or_insert((None, KeyServed::default())).1 = *v;
-        }
+        // cumulative served totals — the fairness view.
         let mut pk = Json::obj();
-        for (k, (d, served)) in by_key {
+        for (k, (d, served)) in join_per_key(per_key, &s.per_key) {
             let mut e = Json::obj();
             e.set("queued_instances", d.map_or(0, |d| d.queued_instances));
             e.set("waiting_jobs", d.map_or(0, |d| d.waiting_jobs));
@@ -399,15 +391,8 @@ impl ServerStats {
         let rate = if hits + compiles == 0 { 0.0 } else { hits as f64 / (hits + compiles) as f64 };
         p.gauge("bulkd_schedule_cache_hit_rate", "Hits over lookups.", rate);
 
-        // Per-key families share the series-building logic with `snapshot`:
-        // union of currently-waiting keys and ever-served keys.
-        let mut by_key: BTreeMap<String, (Option<&KeyDepth>, KeyServed)> = BTreeMap::new();
-        for d in per_key {
-            by_key.entry(d.key.to_string()).or_insert((None, KeyServed::default())).0 = Some(d);
-        }
-        for (k, v) in &s.per_key {
-            by_key.entry(k.clone()).or_insert((None, KeyServed::default())).1 = *v;
-        }
+        // Per-key families: the same join as `snapshot`'s per-key section.
+        let by_key = join_per_key(per_key, &s.per_key);
         let mut queued = Vec::new();
         let mut waiting = Vec::new();
         let mut oldest = Vec::new();
@@ -475,6 +460,22 @@ impl ServerStats {
 
         p.finish()
     }
+}
+
+/// Join the queue's waiting keys with the served totals, by key display
+/// form.  A key appears as soon as it has either.
+fn join_per_key<'a>(
+    waiting: &'a [KeyDepth],
+    served: &BTreeMap<String, KeyServed>,
+) -> BTreeMap<String, (Option<&'a KeyDepth>, KeyServed)> {
+    let mut by_key = BTreeMap::new();
+    for d in waiting {
+        by_key.entry(d.key.to_string()).or_insert((None, KeyServed::default())).0 = Some(d);
+    }
+    for (k, v) in served {
+        by_key.entry(k.clone()).or_insert((None, KeyServed::default())).1 = *v;
+    }
+    by_key
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@ use gpu_sim::{launch, launch_profiled, Device, GenericKernel};
 use oblivious::layout::extract;
 use oblivious::program::{
     arrange_inputs, bulk_execute, bulk_execute_compiled, bulk_execute_cpu_reference,
-    bulk_model_time, bulk_profiled_dmm, bulk_profiled_umm, bulk_traced_dmm, bulk_traced_umm,
-    compiled_profiled_dmm, compiled_profiled_umm, run_compiled_in_place, time_steps, trace_of,
+    bulk_model_time, bulk_profiled, bulk_traced, compiled_profiled, run_compiled_in_place,
+    time_steps, trace_of,
 };
 use oblivious::{
     theorems, BulkMachine, BulkMetrics, CacheStats, CompiledSchedule, Layout, Model,
@@ -427,9 +427,9 @@ impl Algo {
     /// lower bound, as one JSON object.
     ///
     /// With `compiled`, the simulators are driven through the schedule's
-    /// precomputed per-warp cost table (`compiled_profiled_umm`/`_dmm`)
-    /// instead of streamed thread actions; the resulting stats, profiles
-    /// and round counts are bit-identical, so the JSON is too.
+    /// precomputed per-warp cost table (`compiled_profiled`) instead of
+    /// streamed thread actions; the resulting stats, profiles and round
+    /// counts are bit-identical, so the JSON is too.
     #[must_use]
     pub fn model_profile_json(
         &self,
@@ -444,24 +444,10 @@ impl Algo {
             p: usize,
             compiled: bool,
         }
-        fn sim_json(stats: &umm_core::AccessStats, profile: Option<&umm_core::SimProfile>) -> Json {
-            let mut o = Json::obj();
-            o.set("stats", stats.to_json());
-            o.set("profile", profile.map_or(Json::Null, umm_core::SimProfile::to_json));
-            o
-        }
         impl ProgramOp<Json> for ModelOp {
             fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Json {
                 let Self { cfg, layout, p, compiled } = self;
-                let (umm, dmm) = if compiled {
-                    let schedule = CompiledSchedule::compile(&pr);
-                    (
-                        compiled_profiled_umm(&schedule, cfg, layout, p),
-                        compiled_profiled_dmm(&schedule, cfg, layout, p),
-                    )
-                } else {
-                    (bulk_profiled_umm(&pr, cfg, layout, p), bulk_profiled_dmm(&pr, cfg, layout, p))
-                };
+                let schedule = compiled.then(|| CompiledSchedule::compile(&pr));
                 let mut o = Json::obj();
                 o.set("machine", cfg.to_json());
                 o.set(
@@ -473,8 +459,19 @@ impl Algo {
                         cfg.latency as u64,
                     ),
                 );
-                o.set("umm", sim_json(umm.stats(), umm.profile()));
-                o.set("dmm", sim_json(dmm.stats(), dmm.profile()));
+                for model in [Model::Umm, Model::Dmm] {
+                    let sim = match &schedule {
+                        Some(schedule) => compiled_profiled(schedule, cfg, model, layout, p),
+                        None => bulk_profiled(&pr, cfg, model, layout, p),
+                    };
+                    let mut m = Json::obj();
+                    m.set("stats", sim.stats().to_json());
+                    m.set(
+                        "profile",
+                        sim.profile().map_or(Json::Null, umm_core::SimProfile::to_json),
+                    );
+                    o.set(model.name(), m);
+                }
                 o
             }
         }
@@ -693,8 +690,9 @@ impl Algo {
                     pr.run(&mut m);
                     m.take_tracer().unwrap_or_default()
                 };
-                let umm = bulk_traced_umm(&pr, cfg, layout, p).take_tracer().unwrap_or_default();
-                let dmm = bulk_traced_dmm(&pr, cfg, layout, p).take_tracer().unwrap_or_default();
+                let [umm, dmm] = [Model::Umm, Model::Dmm].map(|model| {
+                    bulk_traced(&pr, cfg, model, layout, p).take_tracer().unwrap_or_default()
+                });
                 let device = {
                     let mut buf = arrange_inputs(&pr, &refs, layout);
                     launch_profiled(device, &GenericKernel::new(pr, layout), &mut buf, p).to_trace()
@@ -715,7 +713,7 @@ impl Algo {
         }
         impl ProgramOp<Tracer> for TimelineOp {
             fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Tracer {
-                bulk_traced_umm(&pr, self.cfg, self.layout, self.p)
+                bulk_traced(&pr, self.cfg, Model::Umm, self.layout, self.p)
                     .take_tracer()
                     .unwrap_or_default()
             }

@@ -9,7 +9,9 @@
 //! - a clean drain checkpoints the log down to a single segment holding
 //!   only the job-id high-water mark, which survives further restarts;
 //! - a bit-flipped segment is repaired by torn-tail truncation — reported
-//!   in stats, never a panic.
+//!   in stats, never a panic;
+//! - `bulkrun loadgen --report` still writes its report when the server
+//!   dies before the final stats fetch, marked `server.unreachable`.
 
 use cli::registry::{Algo, ScheduleCaches};
 use cli::serve::CatalogExecutor;
@@ -407,4 +409,54 @@ fn bit_flipped_segment_truncates_reported_not_panics() {
     assert_eq!(scan.segments.len(), 1);
     assert_eq!(view.checkpoints, 1);
     let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// A server killed mid-load cannot answer loadgen's closing stats fetch.
+/// The report must still be written — with the acks banked before the
+/// kill — and say the server was unreachable rather than go missing.
+#[test]
+fn loadgen_report_marks_a_killed_server_unreachable() {
+    const CLIENTS: i64 = 4;
+    let wal_dir = temp_dir("loadgen");
+    let report_dir = temp_dir("loadgen-report");
+    let report_path = report_dir.join("loadgen.json");
+    let (mut child, addr) = spawn_server(&wal_dir, &["--flush-after-ms", "2"]);
+    // The run is set to outlast the kill, which ends it early.
+    let argv: Vec<String> = [
+        "loadgen",
+        "prefix-sums",
+        "--size",
+        "16",
+        "--addr",
+        &addr,
+        "--clients",
+        &CLIENTS.to_string(),
+        "--duration-ms",
+        "10000",
+        "--report",
+        report_path.to_str().expect("utf8 path"),
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    let cmd = cli::args::parse(&argv).expect("loadgen arguments parse");
+    let loadgen = std::thread::spawn(move || cli::execute(&cmd));
+    // Closed-loop clients send a second job only after the reply to their
+    // first, so more completions than clients means loadgen holds an ack.
+    std::thread::sleep(Duration::from_secs(1));
+    poll_stats(&addr, Duration::from_secs(30), |s| {
+        s.path("execution.completed_jobs").and_then(Json::as_i64).unwrap_or(0) > CLIENTS
+    });
+    child.kill().expect("kill -9");
+    child.wait().expect("reap killed child");
+    let out = loadgen.join().expect("loadgen thread").expect("loadgen run");
+    assert!(out.contains("server unreachable after the run"), "{out}");
+
+    let text = std::fs::read_to_string(&report_path).expect("loadgen report written");
+    let report = Json::parse(&text).expect("report parses");
+    assert_eq!(report.path("server.unreachable"), Some(&Json::Bool(true)), "{text}");
+    let completed = report.path("throughput.completed_jobs").and_then(Json::as_i64);
+    assert!(completed.unwrap_or(0) > 0, "no acks banked before the kill: {text}");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_dir_all(&report_dir);
 }

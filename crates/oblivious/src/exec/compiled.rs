@@ -9,9 +9,9 @@
 //! every execution.  [`CompiledSchedule::compile`] performs that derivation
 //! exactly once, recording a flat step table that
 //! [`crate::exec::BulkMachine::run_compiled`] replays without re-decoding,
-//! and [`CompiledSchedule::cost_table`] prices once per `(machine, layout,
-//! p)` from the closed-form per-warp charges of
-//! [`crate::layout::uniform_round_warp_charges_umm`].
+//! and [`CompiledSchedule::cost_table`] prices once per `(machine, model,
+//! layout, p)` from the closed-form per-warp charges of
+//! [`crate::layout::uniform_round_warp_charges`].
 //!
 //! **Soundness.** The compiler is itself an [`ObliviousMachine`] whose value
 //! representation, constant folding, and register allocation mirror
@@ -34,7 +34,7 @@ use crate::ops::{BinOp, CmpOp, UnOp};
 use crate::word::Word;
 use obs::Json;
 use std::sync::{Arc, Mutex};
-use umm_core::{MachineConfig, Op, ThreadAction, ThreadTrace};
+use umm_core::{MachineConfig, Model, Op, ThreadAction, ThreadTrace};
 
 /// A step operand: the compiled counterpart of
 /// [`crate::exec::BulkValue`] — constants stay scalar, registers index the
@@ -200,30 +200,6 @@ impl core::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// Precomputed per-warp charges of a schedule's memory steps under one
-/// `(machine, layout, p)` — the address-group (UMM) and bank-conflict (DMM)
-/// costs the simulators' [`umm_core::UmmSimulator::step_uniform`] fast path
-/// replays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleCostTable {
-    umm: Vec<Vec<u64>>,
-    dmm: Vec<Vec<u64>>,
-}
-
-impl ScheduleCostTable {
-    /// Per-warp UMM stage charges of a uniform round on logical `addr`.
-    #[must_use]
-    pub fn umm_charges(&self, addr: usize) -> &[u64] {
-        &self.umm[addr]
-    }
-
-    /// Per-warp DMM conflict charges of a uniform round on logical `addr`.
-    #[must_use]
-    pub fn dmm_charges(&self, addr: usize) -> &[u64] {
-        &self.dmm[addr]
-    }
-}
 
 /// A program compiled to a flat table of vector steps.
 ///
@@ -460,22 +436,22 @@ impl<W: Word> CompiledSchedule<W> {
         })
     }
 
-    /// Precompute the per-warp UMM/DMM charges of every logical address
-    /// under `(cfg, layout, p)` — computed once, replayed for each of the
-    /// schedule's memory steps by [`crate::program::compiled_profiled_umm`].
+    /// Precompute `model`'s per-warp charges of a uniform round on every
+    /// logical address (entry `addr`) under `(cfg, layout, p)` — computed
+    /// once, replayed for each of the schedule's memory steps through the
+    /// simulator's [`umm_core::MachineSimulator::step_uniform`] fast path
+    /// by [`crate::program::compiled_profiled`].
     #[must_use]
-    pub fn cost_table(&self, cfg: &MachineConfig, lay: Layout, p: usize) -> ScheduleCostTable {
-        let mut umm = Vec::with_capacity(self.msize);
-        let mut dmm = Vec::with_capacity(self.msize);
-        for addr in 0..self.msize {
-            let mut u = Vec::new();
-            let mut d = Vec::new();
-            layout::uniform_round_warp_charges_umm(cfg, lay, p, self.msize, addr, &mut u);
-            layout::uniform_round_warp_charges_dmm(cfg, lay, p, self.msize, addr, &mut d);
-            umm.push(u);
-            dmm.push(d);
-        }
-        ScheduleCostTable { umm, dmm }
+    pub fn cost_table(
+        &self,
+        cfg: &MachineConfig,
+        model: Model,
+        lay: Layout,
+        p: usize,
+    ) -> Vec<Vec<u64>> {
+        (0..self.msize)
+            .map(|addr| layout::uniform_round_warp_charges(model, cfg, lay, p, self.msize, addr))
+            .collect()
     }
 
     /// Serialize to an `obs` JSON object.
@@ -1431,10 +1407,12 @@ mod tests {
         let schedule = CompiledSchedule::compile(&MiniPrefix { n: 3 });
         let cfg = MachineConfig::new(4, 5);
         let p = 10; // 3 warps of width 4
-        let table = schedule.cost_table(&cfg, Layout::ColumnWise, p);
-        for addr in 0..3 {
-            assert_eq!(table.umm_charges(addr).len(), 3);
-            assert_eq!(table.dmm_charges(addr).len(), 3);
+        for model in [Model::Umm, Model::Dmm] {
+            let table = schedule.cost_table(&cfg, model, Layout::ColumnWise, p);
+            assert_eq!(table.len(), 3);
+            for charges in &table {
+                assert_eq!(charges.len(), 3);
+            }
         }
     }
 }

@@ -6,20 +6,12 @@
 //! the closed forms of [`crate::layout`] (which are property-tested against
 //! the materialised simulators in `umm_core`).
 
-use crate::layout::{uniform_round_conflicts_dmm, uniform_round_stages_umm, Layout};
+use crate::layout::{uniform_round_stages, Layout};
 use crate::machine::ObliviousMachine;
 use crate::ops::{BinOp, CmpOp, UnOp};
 use crate::word::Word;
 use umm_core::MachineConfig;
-
-/// Which machine model prices the execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Model {
-    /// Unified Memory Machine: address-group (coalescing) cost.
-    Umm,
-    /// Discrete Memory Machine: bank-conflict cost.
-    Dmm,
-}
+pub use umm_core::Model;
 
 /// Accumulates the round-synchronous model time of a bulk execution.
 #[derive(Debug)]
@@ -61,14 +53,7 @@ impl CostMachine {
 
     fn charge(&mut self, addr: usize) {
         assert!(addr < self.msize, "access {addr} out of instance memory {}", self.msize);
-        let s = match self.model {
-            Model::Umm => {
-                uniform_round_stages_umm(&self.cfg, self.layout, self.p, self.msize, addr)
-            }
-            Model::Dmm => {
-                uniform_round_conflicts_dmm(&self.cfg, self.layout, self.p, self.msize, addr)
-            }
-        };
+        let s = uniform_round_stages(self.model, &self.cfg, self.layout, self.p, self.msize, addr);
         self.stages += s;
         self.time += s + self.cfg.latency as u64 - 1;
         self.rounds += 1;

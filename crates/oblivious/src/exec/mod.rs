@@ -9,8 +9,7 @@ pub mod tracer;
 
 pub use bulk::{BulkMachine, BulkMetrics, BulkValue, LanePort, RmwOperand, SliceLanes};
 pub use compiled::{
-    compile_from_traces, CacheStats, CompileError, CompiledSchedule, Operand, ScheduleCache,
-    ScheduleCostTable, Step,
+    compile_from_traces, CacheStats, CompileError, CompiledSchedule, Operand, ScheduleCache, Step,
 };
 pub use cost::{CostMachine, Model};
 pub use scalar::ScalarMachine;

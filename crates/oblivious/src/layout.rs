@@ -17,7 +17,7 @@
 //! rounds, which the cost machine uses to price large executions without
 //! materialising per-thread request vectors.
 
-use umm_core::MachineConfig;
+use umm_core::{MachineConfig, Model};
 
 /// The two bulk arrangements studied in the paper (Figure 5 / Figure 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,18 +100,26 @@ pub fn extract<W: Copy>(
         .collect()
 }
 
-/// Exact UMM pipeline-stage count of one *uniform* round (all `p` threads
+/// Exact pipeline-stage count of one *uniform* round (all `p` threads
 /// access logical address `addr` of their own instance) under `layout`:
-/// the `Σ_warps k_i` term of the round cost.
+/// the `Σ_warps k_i` term of the round cost on `model`.
 ///
 /// Closed forms (validated against the materialised simulator by property
 /// test):
 ///
-/// * column-wise: each full warp spans 1 group (2 if the base is unaligned);
-/// * row-wise with `msize >= w`: every lane has its own group → `p` stages;
-/// * row-wise with `msize < w`: per-warp span arithmetic, `O(p/w)`.
+/// * UMM, column-wise: each full warp spans 1 group (2 if the base is
+///   unaligned);
+/// * UMM, row-wise with `msize >= w`: every lane has its own group → `p`
+///   stages;
+/// * UMM, row-wise with `msize < w`: per-warp span arithmetic, `O(p/w)`;
+/// * DMM, column-wise: the `w` consecutive addresses of a full warp hit
+///   each bank once (`c = 1`);
+/// * DMM, row-wise: the per-warp conflict is governed by
+///   `g = gcd(msize, w)`: the stride pattern hits `w/g` distinct banks,
+///   each `g` times.
 #[must_use]
-pub fn uniform_round_stages_umm(
+pub fn uniform_round_stages(
+    model: Model,
     cfg: &MachineConfig,
     layout: Layout,
     p: usize,
@@ -119,8 +127,8 @@ pub fn uniform_round_stages_umm(
     addr: usize,
 ) -> u64 {
     let w = cfg.width;
-    match layout {
-        Layout::ColumnWise => {
+    match (model, layout) {
+        (Model::Umm, Layout::ColumnWise) => {
             let base = addr * p;
             let o = base % w;
             let full = p / w;
@@ -132,65 +140,27 @@ pub fn uniform_round_stages_umm(
             }
             stages
         }
-        Layout::RowWise => {
-            if msize >= w {
-                // Lane j sits at j*msize + addr; consecutive lanes differ by
-                // msize >= w, hence always distinct address groups.
-                p as u64
-            } else {
-                // Addresses are monotone with step msize < w, so a warp hits
-                // every group between its first and last lane's group.
-                let mut stages = 0u64;
-                let mut lo = 0usize;
-                while lo < p {
-                    let hi = (lo + w).min(p);
-                    let g_lo = (lo * msize + addr) / w;
-                    let g_hi = ((hi - 1) * msize + addr) / w;
-                    stages += (g_hi - g_lo + 1) as u64;
-                    lo = hi;
-                }
-                stages
+        // Lane j sits at j*msize + addr; consecutive lanes differ by
+        // msize >= w, hence always distinct address groups.
+        (Model::Umm, Layout::RowWise) if msize >= w => p as u64,
+        (Model::Umm, Layout::RowWise) => {
+            // Addresses are monotone with step msize < w, so a warp hits
+            // every group between its first and last lane's group.
+            let mut stages = 0u64;
+            let mut lo = 0usize;
+            while lo < p {
+                let hi = (lo + w).min(p);
+                let g_lo = (lo * msize + addr) / w;
+                let g_hi = ((hi - 1) * msize + addr) / w;
+                stages += (g_hi - g_lo + 1) as u64;
+                lo = hi;
             }
+            stages
         }
-    }
-}
-
-/// Exact UMM cost in time units of one uniform round:
-/// `uniform_round_stages_umm + l - 1` (zero threads never happens here since
-/// every lane accesses).
-#[must_use]
-pub fn uniform_round_cost_umm(
-    cfg: &MachineConfig,
-    layout: Layout,
-    p: usize,
-    msize: usize,
-    addr: usize,
-) -> u64 {
-    uniform_round_stages_umm(cfg, layout, p, msize, addr) + cfg.latency as u64 - 1
-}
-
-/// Exact DMM serialisation count (`Σ_warps c_i`) of one uniform round.
-///
-/// For column-wise the `w` consecutive addresses of a full warp hit each
-/// bank once (`c = 1`); for row-wise the per-warp conflict is governed by
-/// `g = gcd(msize, w)`: the stride pattern hits `w/g` distinct banks, each
-/// `g` times.
-#[must_use]
-pub fn uniform_round_conflicts_dmm(
-    cfg: &MachineConfig,
-    layout: Layout,
-    p: usize,
-    msize: usize,
-    _addr: usize,
-) -> u64 {
-    let w = cfg.width;
-    match layout {
-        Layout::ColumnWise => {
-            // Each warp's lanes occupy consecutive addresses: at most
-            // ceil(lanes / w) = 1 request per bank.
-            p.div_ceil(w) as u64
-        }
-        Layout::RowWise => {
+        // Each warp's lanes occupy consecutive addresses: at most
+        // ceil(lanes / w) = 1 request per bank.
+        (Model::Dmm, Layout::ColumnWise) => p.div_ceil(w) as u64,
+        (Model::Dmm, Layout::RowWise) => {
             let g = gcd(msize.max(1), w);
             let cycle = w / g; // distinct banks hit by a stride-msize warp
             let full = p / w;
@@ -204,73 +174,49 @@ pub fn uniform_round_conflicts_dmm(
     }
 }
 
-/// Per-warp UMM stage charges `k_i` of one uniform round, in warp order.
+/// Per-warp charges `k_i` of one uniform round on `model`, in warp order.
 ///
-/// `out` is cleared and refilled with `ceil(p/w)` entries; entry `i` is the
-/// number of distinct address groups warp `i` spans, so
-/// `out.iter().sum() == uniform_round_stages_umm(..)`.  A compiled schedule
-/// replays these vectors through the simulators' uniform-round fast path,
-/// which must reproduce the interpreter's per-warp profile histogram and
-/// timeline spans exactly — totals alone are not enough.
-pub fn uniform_round_warp_charges_umm(
+/// There are `ceil(p/w)` entries; entry `i` is warp `i`'s charge (distinct
+/// address groups on the UMM, busiest-bank requests on the DMM), so they
+/// sum to [`uniform_round_stages`].  A compiled schedule replays these
+/// vectors through the simulator's uniform-round fast path, which must
+/// reproduce the interpreter's per-warp profile histogram and timeline
+/// spans exactly — totals alone are not enough.
+#[must_use]
+pub fn uniform_round_warp_charges(
+    model: Model,
     cfg: &MachineConfig,
     layout: Layout,
     p: usize,
     msize: usize,
     addr: usize,
-    out: &mut Vec<u64>,
-) {
+) -> Vec<u64> {
     let w = cfg.width;
-    out.clear();
-    let mut lo = 0usize;
-    while lo < p {
-        let hi = (lo + w).min(p);
-        let k = match layout {
-            // Consecutive physical addresses `addr*p + lane`: the warp spans
-            // every group between its first and last lane's group.
-            Layout::ColumnWise => {
-                let base = addr * p;
-                (base + hi - 1) / w - (base + lo) / w + 1
-            }
-            Layout::RowWise => {
-                if msize >= w {
-                    // Stride >= w: every lane in its own group.
-                    hi - lo
-                } else {
-                    // Monotone step < w: contiguous group span.
+    (0..p)
+        .step_by(w)
+        .map(|lo| {
+            let hi = (lo + w).min(p);
+            let k = match (model, layout) {
+                // Consecutive physical addresses `addr*p + lane`: the warp
+                // spans every group between its first and last lane's group.
+                (Model::Umm, Layout::ColumnWise) => {
+                    let base = addr * p;
+                    (base + hi - 1) / w - (base + lo) / w + 1
+                }
+                // Stride >= w: every lane in its own group.
+                (Model::Umm, Layout::RowWise) if msize >= w => hi - lo,
+                // Monotone step < w: contiguous group span.
+                (Model::Umm, Layout::RowWise) => {
                     ((hi - 1) * msize + addr) / w - (lo * msize + addr) / w + 1
                 }
-            }
-        };
-        out.push(k as u64);
-        lo = hi;
-    }
-}
-
-/// Per-warp DMM serialisation charges `c_i` of one uniform round, in warp
-/// order (the per-warp counterpart of [`uniform_round_conflicts_dmm`]).
-pub fn uniform_round_warp_charges_dmm(
-    cfg: &MachineConfig,
-    layout: Layout,
-    p: usize,
-    msize: usize,
-    _addr: usize,
-    out: &mut Vec<u64>,
-) {
-    let w = cfg.width;
-    out.clear();
-    let cycle = match layout {
-        // Consecutive addresses: each bank at most once per warp.
-        Layout::ColumnWise => w,
-        // Stride msize hits w/gcd(msize, w) distinct banks cyclically.
-        Layout::RowWise => w / gcd(msize.max(1), w),
-    };
-    let mut lo = 0usize;
-    while lo < p {
-        let hi = (lo + w).min(p);
-        out.push((hi - lo).div_ceil(cycle) as u64);
-        lo = hi;
-    }
+                // Consecutive addresses: each bank at most once per warp.
+                (Model::Dmm, Layout::ColumnWise) => (hi - lo).div_ceil(w),
+                // Stride msize hits w/gcd(msize, w) distinct banks cyclically.
+                (Model::Dmm, Layout::RowWise) => (hi - lo).div_ceil(w / gcd(msize.max(1), w)),
+            };
+            k as u64
+        })
+        .collect()
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -283,7 +229,8 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use umm_core::{dmm, umm, ThreadAction};
+    use umm_core::umm::round_cost;
+    use umm_core::ThreadAction;
 
     #[test]
     fn physical_addresses_match_paper_figure5() {
@@ -314,41 +261,28 @@ mod tests {
         let _ = arrange(&[&a[..]], 4, Layout::RowWise);
     }
 
-    /// Build the materialised round and cost it with the real simulator.
-    fn simulated_stages(
-        cfg: &MachineConfig,
-        layout: Layout,
-        p: usize,
-        msize: usize,
-        addr: usize,
-    ) -> (u64, u64) {
-        let actions: Vec<_> =
-            (0..p).map(|j| ThreadAction::read(layout.physical(addr, j, p, msize))).collect();
-        let ucost = umm::round_cost(cfg, &actions);
-        let dcost = dmm::round_cost(cfg, &actions);
-        let l = cfg.latency as u64;
-        (ucost - (l - 1), dcost - (l - 1))
-    }
-
     #[test]
     fn closed_forms_match_simulator_exhaustive_small() {
-        for w in [1usize, 2, 3, 4, 8] {
-            let cfg = MachineConfig::new(w, 3);
-            for p in [1usize, 2, 4, 7, 8, 16, 33] {
-                for msize in [1usize, 2, 3, 4, 5, 8, 16] {
-                    for addr in 0..msize {
-                        for layout in Layout::all() {
-                            let (u_sim, d_sim) = simulated_stages(&cfg, layout, p, msize, addr);
-                            let u_cf = uniform_round_stages_umm(&cfg, layout, p, msize, addr);
-                            let d_cf = uniform_round_conflicts_dmm(&cfg, layout, p, msize, addr);
-                            assert_eq!(
-                                u_cf, u_sim,
-                                "UMM closed form mismatch: w={w} p={p} msize={msize} addr={addr} {layout}"
-                            );
-                            assert_eq!(
-                                d_cf, d_sim,
-                                "DMM closed form mismatch: w={w} p={p} msize={msize} addr={addr} {layout}"
-                            );
+        for model in [Model::Umm, Model::Dmm] {
+            for w in [1usize, 2, 3, 4, 8] {
+                let cfg = MachineConfig::new(w, 3);
+                for p in [1usize, 2, 4, 7, 8, 16, 33] {
+                    for msize in [1usize, 2, 3, 4, 5, 8, 16] {
+                        for addr in 0..msize {
+                            for layout in Layout::all() {
+                                // The materialised round, costed by the real
+                                // simulator, minus its `l - 1` drain.
+                                let actions: Vec<_> = (0..p)
+                                    .map(|j| ThreadAction::read(layout.physical(addr, j, p, msize)))
+                                    .collect();
+                                let sim =
+                                    round_cost(model, &cfg, &actions) - (cfg.latency as u64 - 1);
+                                let cf = uniform_round_stages(model, &cfg, layout, p, msize, addr);
+                                assert_eq!(
+                                    cf, sim,
+                                    "{model:?} closed form mismatch: w={w} p={p} msize={msize} addr={addr} {layout}"
+                                );
+                            }
                         }
                     }
                 }
@@ -360,44 +294,32 @@ mod tests {
     fn per_warp_charges_match_warp_scratch_exhaustive_small() {
         use umm_core::{WarpRequest, WarpScratch};
         let mut scratch = WarpScratch::new();
-        let (mut ucf, mut dcf) = (Vec::new(), Vec::new());
-        for w in [1usize, 2, 3, 4, 8] {
-            let cfg = MachineConfig::new(w, 3);
-            for p in [1usize, 2, 4, 7, 8, 16, 33] {
-                for msize in [1usize, 2, 3, 4, 5, 8, 16] {
-                    for addr in 0..msize {
-                        for layout in Layout::all() {
-                            let actions: Vec<_> = (0..p)
-                                .map(|j| ThreadAction::read(layout.physical(addr, j, p, msize)))
-                                .collect();
-                            let u_sim: Vec<u64> = actions
-                                .chunks(w)
-                                .map(|c| {
-                                    scratch.distinct_address_groups(&cfg, &WarpRequest::new(c))
-                                        as u64
-                                })
-                                .collect();
-                            let d_sim: Vec<u64> = actions
-                                .chunks(w)
-                                .map(|c| {
-                                    scratch.max_bank_conflicts(&cfg, &WarpRequest::new(c)) as u64
-                                })
-                                .collect();
-                            uniform_round_warp_charges_umm(&cfg, layout, p, msize, addr, &mut ucf);
-                            uniform_round_warp_charges_dmm(&cfg, layout, p, msize, addr, &mut dcf);
-                            let ctx = format!("w={w} p={p} msize={msize} addr={addr} {layout}");
-                            assert_eq!(ucf, u_sim, "UMM per-warp mismatch: {ctx}");
-                            assert_eq!(dcf, d_sim, "DMM per-warp mismatch: {ctx}");
-                            assert_eq!(
-                                ucf.iter().sum::<u64>(),
-                                uniform_round_stages_umm(&cfg, layout, p, msize, addr),
-                                "UMM per-warp sum vs total: {ctx}"
-                            );
-                            assert_eq!(
-                                dcf.iter().sum::<u64>(),
-                                uniform_round_conflicts_dmm(&cfg, layout, p, msize, addr),
-                                "DMM per-warp sum vs total: {ctx}"
-                            );
+        for model in [Model::Umm, Model::Dmm] {
+            for w in [1usize, 2, 3, 4, 8] {
+                let cfg = MachineConfig::new(w, 3);
+                for p in [1usize, 2, 4, 7, 8, 16, 33] {
+                    for msize in [1usize, 2, 3, 4, 5, 8, 16] {
+                        for addr in 0..msize {
+                            for layout in Layout::all() {
+                                let actions: Vec<_> = (0..p)
+                                    .map(|j| ThreadAction::read(layout.physical(addr, j, p, msize)))
+                                    .collect();
+                                let sim: Vec<u64> = actions
+                                    .chunks(w)
+                                    .map(|c| scratch.charge(model, &cfg, &WarpRequest::new(c)))
+                                    .collect();
+                                let cf =
+                                    uniform_round_warp_charges(model, &cfg, layout, p, msize, addr);
+                                let ctx = format!(
+                                    "{model:?} w={w} p={p} msize={msize} addr={addr} {layout}"
+                                );
+                                assert_eq!(cf, sim, "per-warp mismatch: {ctx}");
+                                assert_eq!(
+                                    cf.iter().sum::<u64>(),
+                                    uniform_round_stages(model, &cfg, layout, p, msize, addr),
+                                    "per-warp sum vs total: {ctx}"
+                                );
+                            }
                         }
                     }
                 }
@@ -411,8 +333,8 @@ mod tests {
         // row-wise round costs p stages and the column-wise round p/w.
         let cfg = MachineConfig::new(32, 100);
         let (p, msize) = (1024, 64);
-        let row = uniform_round_stages_umm(&cfg, Layout::RowWise, p, msize, 5);
-        let col = uniform_round_stages_umm(&cfg, Layout::ColumnWise, p, msize, 5);
+        let row = uniform_round_stages(Model::Umm, &cfg, Layout::RowWise, p, msize, 5);
+        let col = uniform_round_stages(Model::Umm, &cfg, Layout::ColumnWise, p, msize, 5);
         assert_eq!(row, 1024);
         assert_eq!(col, 32);
         assert_eq!(row / col, 32);
@@ -424,8 +346,8 @@ mod tests {
         // (all lanes in one bank).
         let cfg = MachineConfig::new(4, 2);
         let p = 16;
-        let row = uniform_round_conflicts_dmm(&cfg, Layout::RowWise, p, 8, 0);
-        let col = uniform_round_conflicts_dmm(&cfg, Layout::ColumnWise, p, 8, 0);
+        let row = uniform_round_stages(Model::Dmm, &cfg, Layout::RowWise, p, 8, 0);
+        let col = uniform_round_stages(Model::Dmm, &cfg, Layout::ColumnWise, p, 8, 0);
         assert_eq!(row, 16, "stride-8 on 4 banks fully serialises each warp");
         assert_eq!(col, 4, "consecutive addresses are conflict-free");
     }

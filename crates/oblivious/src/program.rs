@@ -7,7 +7,7 @@ use crate::exec::{
 use crate::layout::{arrange, extract, Layout};
 use crate::machine::ObliviousProgram;
 use crate::word::Word;
-use umm_core::{MachineConfig, Round, RoundTrace, ThreadAction, ThreadTrace};
+use umm_core::{MachineConfig, MachineSimulator, Round, RoundTrace, ThreadAction, ThreadTrace};
 
 /// Execute a program sequentially on one instance, in place.
 ///
@@ -171,129 +171,77 @@ pub fn bulk_round_trace<W: Word, P: ObliviousProgram<W>>(
     rt
 }
 
-/// Run a profiled round-synchronous UMM simulation of a bulk execution,
-/// streaming one uniform round at a time (memory `O(p)`, not `O(p · t)`).
+/// Run a profiled round-synchronous `model` simulation of a bulk
+/// execution, streaming one uniform round at a time (memory `O(p)`, not
+/// `O(p · t)`).
 ///
 /// The returned simulator carries [`umm_core::AccessStats`] and a
-/// [`umm_core::SimProfile`] (per-warp address-group histogram, stall
-/// accounting) for the whole execution — the model half of a `RunReport`.
+/// [`umm_core::SimProfile`] (per-warp charge histogram, stall accounting)
+/// for the whole execution — the model half of a `RunReport`.
 #[must_use]
-pub fn bulk_profiled_umm<W: Word, P: ObliviousProgram<W>>(
+pub fn bulk_profiled<W: Word, P: ObliviousProgram<W>>(
     program: &P,
     cfg: MachineConfig,
+    model: Model,
     layout: Layout,
     p: usize,
-) -> umm_core::UmmSimulator {
-    let mut sim = umm_core::UmmSimulator::new(cfg, p);
+) -> MachineSimulator {
+    let mut sim = MachineSimulator::new(model, cfg, p);
     sim.enable_profiling();
-    stream_rounds(program, layout, p, |actions| {
-        sim.step(actions);
-    });
+    stream_rounds(program, layout, &mut sim);
     sim
 }
 
-/// [`bulk_profiled_umm`]'s DMM counterpart: the same streamed rounds priced
-/// by bank conflict, with the conflict histogram recorded.
-#[must_use]
-pub fn bulk_profiled_dmm<W: Word, P: ObliviousProgram<W>>(
-    program: &P,
-    cfg: MachineConfig,
-    layout: Layout,
-    p: usize,
-) -> umm_core::DmmSimulator {
-    let mut sim = umm_core::DmmSimulator::new(cfg, p);
-    sim.enable_profiling();
-    stream_rounds(program, layout, p, |actions| {
-        sim.step(actions);
-    });
-    sim
-}
-
-/// [`bulk_profiled_umm`] with event-timeline tracing also enabled: the
+/// [`bulk_profiled`] with event-timeline tracing also enabled: the
 /// returned simulator additionally carries an `obs::Tracer` with one span
 /// per dispatched warp (take it with `take_tracer()`).
 #[must_use]
-pub fn bulk_traced_umm<W: Word, P: ObliviousProgram<W>>(
+pub fn bulk_traced<W: Word, P: ObliviousProgram<W>>(
     program: &P,
     cfg: MachineConfig,
+    model: Model,
     layout: Layout,
     p: usize,
-) -> umm_core::UmmSimulator {
-    let mut sim = umm_core::UmmSimulator::new(cfg, p);
+) -> MachineSimulator {
+    let mut sim = MachineSimulator::new(model, cfg, p);
     sim.enable_profiling();
     sim.enable_tracing();
-    stream_rounds(program, layout, p, |actions| {
-        sim.step(actions);
-    });
+    stream_rounds(program, layout, &mut sim);
     sim
 }
 
-/// [`bulk_traced_umm`]'s DMM counterpart.
-#[must_use]
-pub fn bulk_traced_dmm<W: Word, P: ObliviousProgram<W>>(
-    program: &P,
-    cfg: MachineConfig,
-    layout: Layout,
-    p: usize,
-) -> umm_core::DmmSimulator {
-    let mut sim = umm_core::DmmSimulator::new(cfg, p);
-    sim.enable_profiling();
-    sim.enable_tracing();
-    stream_rounds(program, layout, p, |actions| {
-        sim.step(actions);
-    });
-    sim
-}
-
-/// [`bulk_profiled_umm`]'s compiled counterpart: price a schedule's memory
+/// [`bulk_profiled`]'s compiled counterpart: price a schedule's memory
 /// rounds through the simulator's uniform-round fast path, using the
 /// per-warp charges precomputed by [`CompiledSchedule::cost_table`] instead
 /// of materialising and re-grouping `p` thread actions per round.
 ///
 /// Statistics, profile and elapsed time are bit-identical to running the
-/// source program through [`bulk_profiled_umm`].
+/// source program through [`bulk_profiled`].
 #[must_use]
-pub fn compiled_profiled_umm<W: Word>(
+pub fn compiled_profiled<W: Word>(
     schedule: &CompiledSchedule<W>,
     cfg: MachineConfig,
+    model: Model,
     layout: Layout,
     p: usize,
-) -> umm_core::UmmSimulator {
-    let mut sim = umm_core::UmmSimulator::new(cfg, p);
+) -> MachineSimulator {
+    let mut sim = MachineSimulator::new(model, cfg, p);
     sim.enable_profiling();
-    let table = schedule.cost_table(&cfg, layout, p);
+    let table = schedule.cost_table(&cfg, model, layout, p);
     for (op, addr) in schedule.mem_steps() {
-        sim.step_uniform(op, table.umm_charges(addr));
+        sim.step_uniform(op, &table[addr]);
     }
     sim
 }
 
-/// [`compiled_profiled_umm`]'s DMM counterpart (parity with
-/// [`bulk_profiled_dmm`]).
-#[must_use]
-pub fn compiled_profiled_dmm<W: Word>(
-    schedule: &CompiledSchedule<W>,
-    cfg: MachineConfig,
-    layout: Layout,
-    p: usize,
-) -> umm_core::DmmSimulator {
-    let mut sim = umm_core::DmmSimulator::new(cfg, p);
-    sim.enable_profiling();
-    let table = schedule.cost_table(&cfg, layout, p);
-    for (op, addr) in schedule.mem_steps() {
-        sim.step_uniform(op, table.dmm_charges(addr));
-    }
-    sim
-}
-
-/// Feed each uniform bulk round of `program` under `layout` to `consume`,
+/// Step `sim` through each uniform bulk round of `program` under `layout`,
 /// reusing one `p`-wide action buffer.
 fn stream_rounds<W: Word, P: ObliviousProgram<W>>(
     program: &P,
     layout: Layout,
-    p: usize,
-    mut consume: impl FnMut(&[ThreadAction]),
+    sim: &mut MachineSimulator,
 ) {
+    let p = sim.threads();
     let msize = program.memory_words();
     let thread = trace_of(program);
     let mut actions = vec![ThreadAction::Idle; p];
@@ -306,7 +254,7 @@ fn stream_rounds<W: Word, P: ObliviousProgram<W>>(
                 }
             }
         }
-        consume(&actions);
+        sim.step(&actions);
     }
 }
 
@@ -329,22 +277,6 @@ pub fn bulk_execute_cpu_reference<W: Word, P: ObliviousProgram<W>>(
             mem[program.output_range()].to_vec()
         })
         .collect()
-}
-
-/// Run the CPU baseline over a pre-arranged **row-wise** buffer, in place —
-/// the allocation-free variant used by timing harnesses.
-pub fn cpu_reference_in_place<W: Word, P: ObliviousProgram<W>>(
-    program: &P,
-    buf: &mut [W],
-    p: usize,
-) {
-    let msize = program.memory_words();
-    assert_eq!(buf.len(), p * msize);
-    for lane in 0..p {
-        let mem = &mut buf[lane * msize..(lane + 1) * msize];
-        let mut m = ScalarMachine::new(mem);
-        program.run(&mut m);
-    }
 }
 
 /// Re-export of [`arrange`] specialised to a program: builds the bulk buffer
@@ -442,7 +374,7 @@ mod tests {
         let p = 8;
         for layout in Layout::all() {
             let rt = bulk_round_trace(&AddMax, layout, p);
-            let mut sim = umm_core::UmmSimulator::new(cfg, p);
+            let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
             let sim_time = sim.run(&rt);
             let cost_time = bulk_model_time(&AddMax, cfg, Model::Umm, layout, p);
             assert_eq!(sim_time, cost_time, "{layout}");
@@ -460,18 +392,14 @@ mod tests {
         let cfg = MachineConfig::new(4, 3);
         let p = 10; // deliberately not warp-aligned
         let schedule = CompiledSchedule::compile(&AddMax);
-        for layout in Layout::all() {
-            let a = bulk_profiled_umm(&AddMax, cfg, layout, p);
-            let b = compiled_profiled_umm(&schedule, cfg, layout, p);
-            assert_eq!(a.elapsed(), b.elapsed(), "umm {layout}");
-            assert_eq!(a.stats(), b.stats(), "umm {layout}");
-            assert_eq!(a.profile(), b.profile(), "umm {layout}");
-
-            let a = bulk_profiled_dmm(&AddMax, cfg, layout, p);
-            let b = compiled_profiled_dmm(&schedule, cfg, layout, p);
-            assert_eq!(a.elapsed(), b.elapsed(), "dmm {layout}");
-            assert_eq!(a.stats(), b.stats(), "dmm {layout}");
-            assert_eq!(a.profile(), b.profile(), "dmm {layout}");
+        for model in [Model::Umm, Model::Dmm] {
+            for layout in Layout::all() {
+                let a = bulk_profiled(&AddMax, cfg, model, layout, p);
+                let b = compiled_profiled(&schedule, cfg, model, layout, p);
+                assert_eq!(a.elapsed(), b.elapsed(), "{model:?} {layout}");
+                assert_eq!(a.stats(), b.stats(), "{model:?} {layout}");
+                assert_eq!(a.profile(), b.profile(), "{model:?} {layout}");
+            }
         }
     }
 

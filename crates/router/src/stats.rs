@@ -571,32 +571,42 @@ mod tests {
     use super::*;
     use crate::health::{HealthBoard, HealthPolicy};
 
-    fn fake_backend_snapshot(completed: u64, batches: u64, compiles: u64, keys: &[&str]) -> Json {
-        let mut j = Json::obj();
-        let mut adm = Json::obj();
-        adm.set("submitted_jobs", completed);
-        adm.set("accepted_jobs", completed);
-        adm.set("rejected_jobs", 0u64);
-        j.set("admission", adm);
-        let mut ex = Json::obj();
-        ex.set("completed_jobs", completed);
-        ex.set("failed_jobs", 0u64);
-        ex.set("completed_instances", completed * 4);
-        ex.set("batches", batches);
-        j.set("execution", ex);
-        let mut co = Json::obj();
-        co.set("coalesce_factor", completed as f64 / batches as f64);
-        j.set("coalescing", co);
-        let mut sc = Json::obj();
-        sc.set("hits", completed - compiles);
-        sc.set("compiles", compiles);
-        j.set("schedule_cache", sc);
-        let mut pk = Json::obj();
-        for k in keys {
-            pk.set(k, Json::obj());
+    /// A node's `stats` snapshot as bulkd itself renders it: `completed`
+    /// four-instance jobs spread over `keys` (display form
+    /// `algo/size/layout`) and run as `batches` batches, with `compiles`
+    /// schedule-cache misses.
+    fn backend_snapshot(completed: u64, batches: u64, compiles: u64, keys: &[&str]) -> Json {
+        let keys: Vec<bulkd::JobKey> = keys
+            .iter()
+            .map(|k| {
+                let [algo, size, layout] = k.split('/').collect::<Vec<_>>()[..] else {
+                    panic!("bad key {k}")
+                };
+                bulkd::JobKey {
+                    algo: algo.into(),
+                    size: size.parse().expect("key size"),
+                    layout: bulkd::protocol::parse_layout(layout).expect("key layout"),
+                }
+            })
+            .collect();
+        let stats = bulkd::ServerStats::new();
+        for job in 0..completed as usize {
+            stats.on_submit(4);
+            stats.on_accept(4);
+            let key = &keys[job % keys.len()];
+            stats.on_job_done(key, 4, 0, false, &bulkd::StageBreakdown::default());
         }
-        j.set("per_key", pk);
-        j
+        for _ in 0..batches {
+            stats.on_batch(completed * 4 / batches, 0);
+        }
+        let idle = bulkd::queue::QueueDepth {
+            queued_instances: 0,
+            open_groups: 0,
+            ready_batches: 0,
+            in_flight_batches: 0,
+            draining: false,
+        };
+        stats.snapshot(idle, &[], 0, (completed - compiles, compiles), None)
     }
 
     #[test]
@@ -630,8 +640,8 @@ mod tests {
         let board = HealthBoard::new(3, HealthPolicy { down_after: 1, up_after: 1 });
         board.on_failure(2, "connect: refused");
         let snaps = vec![
-            Some(fake_backend_snapshot(60, 10, 3, &["fft/64/col", "fir/32/row"])),
-            Some(fake_backend_snapshot(40, 10, 2, &["xtea/16/col", "fft/64/col"])),
+            Some(backend_snapshot(60, 10, 3, &["fft/64/col", "fir/32/row"])),
+            Some(backend_snapshot(40, 10, 2, &["xtea/16/col", "fft/64/col"])),
             None,
         ];
         let stats = RouterStats::new(3);
@@ -661,7 +671,7 @@ mod tests {
         stats.on_submit();
         stats.on_dispatch(0);
         stats.on_ack(0, false);
-        let snaps = vec![Some(fake_backend_snapshot(8, 2, 1, &["fft/8/row"])), None];
+        let snaps = vec![Some(backend_snapshot(8, 2, 1, &["fft/8/row"])), None];
         let text = render_prometheus(&stats.view(), &ids, &board.view(), &snaps);
         assert!(text.contains("router_submits_total 1\n"), "{text}");
         assert!(text.contains("router_backend_up{node=\"alpha\"} 1\n"), "{text}");

@@ -22,7 +22,8 @@
 
 use crate::access::{Op, ThreadAction};
 use crate::config::MachineConfig;
-use crate::schedule::{WarpSchedule, WarpScratch};
+use crate::schedule::Model;
+use crate::umm::round_cost;
 
 /// Which memory space a thread touches in a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +96,6 @@ pub struct HmmSimulator {
     cfg: HmmConfig,
     p: usize,
     per_dmm: usize,
-    scratch: WarpScratch,
     elapsed: u64,
     shared_units: u64,
     global_units: u64,
@@ -113,15 +113,7 @@ impl HmmSimulator {
             p > 0 && p.is_multiple_of(cfg.dmms),
             "p must be a positive multiple of the DMM count"
         );
-        Self {
-            cfg,
-            p,
-            per_dmm: p / cfg.dmms,
-            scratch: WarpScratch::new(),
-            elapsed: 0,
-            shared_units: 0,
-            global_units: 0,
-        }
+        Self { cfg, p, per_dmm: p / cfg.dmms, elapsed: 0, shared_units: 0, global_units: 0 }
     }
 
     /// Total time units charged so far.
@@ -147,7 +139,6 @@ impl HmmSimulator {
         assert_eq!(actions.len(), self.p, "round width must equal p");
         // Shared phase: per-DMM bank-conflict cost, DMMs in parallel.
         let mut shared_max = 0u64;
-        let sched = WarpSchedule::new(self.per_dmm, &self.cfg.shared);
         let mut lane_buf: Vec<ThreadAction> = Vec::with_capacity(self.per_dmm);
         for dmm in 0..self.cfg.dmms {
             lane_buf.clear();
@@ -157,16 +148,9 @@ impl HmmSimulator {
                     _ => ThreadAction::Idle,
                 },
             ));
-            let mut stages = 0u64;
-            for warp in sched.warps(&lane_buf) {
-                stages += self.scratch.max_bank_conflicts(&self.cfg.shared, &warp) as u64;
-            }
-            if stages > 0 {
-                shared_max = shared_max.max(stages + self.cfg.shared.latency as u64 - 1);
-            }
+            shared_max = shared_max.max(round_cost(Model::Dmm, &self.cfg.shared, &lane_buf));
         }
         // Global phase: all DMMs' global requests share one UMM pipeline.
-        let gsched = WarpSchedule::new(self.p, &self.cfg.global);
         let glane: Vec<ThreadAction> = actions
             .iter()
             .map(|a| match *a {
@@ -174,12 +158,7 @@ impl HmmSimulator {
                 _ => ThreadAction::Idle,
             })
             .collect();
-        let mut gstages = 0u64;
-        for warp in gsched.warps(&glane) {
-            gstages += self.scratch.distinct_address_groups(&self.cfg.global, &warp) as u64;
-        }
-        let global_cost =
-            if gstages > 0 { gstages + self.cfg.global.latency as u64 - 1 } else { 0 };
+        let global_cost = round_cost(Model::Umm, &self.cfg.global, &glane);
 
         self.shared_units += shared_max;
         self.global_units += global_cost;

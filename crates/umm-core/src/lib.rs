@@ -16,22 +16,36 @@
 //!   (addresses congruent mod `w`) — the model of shared-memory *bank
 //!   conflicts*.
 //!
+//! The two rules are one [`Model`] parameter of one round-synchronous
+//! [`MachineSimulator`]; [`WarpScratch::charge`] is the only place they
+//! differ.  The crate also has an event-driven UMM simulator
+//! ([`simulate_async`]) and the hierarchical [`HmmSimulator`].
+//!
 //! The crate is **trace-driven**: it prices sequences of memory requests and
 //! never stores data values.  Value semantics live in the `oblivious` crate.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use umm_core::{MachineConfig, ThreadAction, UmmSimulator};
+//! use umm_core::{MachineConfig, MachineSimulator, Model, ThreadAction};
 //!
 //! // Width 4, latency 5 — the machine of the paper's Figure 4.
 //! let cfg = MachineConfig::paper_figure4();
-//! let mut sim = UmmSimulator::new(cfg, 8);
+//! let mut umm = MachineSimulator::new(Model::Umm, cfg, 8);
+//! let mut dmm = MachineSimulator::new(Model::Dmm, cfg, 8);
 //!
 //! // Eight threads read eight consecutive addresses: two warps, one
-//! // address group each => 2 stages + 5 - 1 = 6 time units.
+//! // address group (and one request per bank) each => 2 stages + 5 - 1
+//! // = 6 time units on both machines.
 //! let round: Vec<_> = (0..8).map(ThreadAction::read).collect();
-//! assert_eq!(sim.step(&round), 6);
+//! assert_eq!(umm.step(&round), 6);
+//! assert_eq!(dmm.step(&round), 6);
+//!
+//! // Stride w + 1: every lane of a warp in its own address group, but in
+//! // its own bank too — 4 stages per warp on the UMM, 1 on the DMM.
+//! let diagonal: Vec<_> = (0..8).map(|j| ThreadAction::read(j * 5)).collect();
+//! assert_eq!(umm.step(&diagonal), 8 + 4);
+//! assert_eq!(dmm.step(&diagonal), 2 + 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +54,6 @@
 pub mod access;
 pub mod analysis;
 pub mod config;
-pub mod dmm;
 pub mod hmm;
 pub mod profile;
 pub mod schedule;
@@ -51,10 +64,9 @@ pub mod umm;
 pub use access::{Op, ThreadAction, WarpRequest};
 pub use analysis::{address_group_histogram, stride_histogram, summarize, TraceSummary};
 pub use config::MachineConfig;
-pub use dmm::DmmSimulator;
 pub use hmm::{HmmAction, HmmConfig, HmmSimulator};
 pub use profile::{SimProfile, SimTimeline};
-pub use schedule::{WarpSchedule, WarpScratch};
+pub use schedule::{Model, WarpSchedule, WarpScratch};
 pub use stats::AccessStats;
 pub use trace::{Round, RoundTrace, ThreadTrace};
-pub use umm::{simulate_async, simulate_async_profiled, simulate_async_traced, UmmSimulator};
+pub use umm::{simulate_async, simulate_async_profiled, simulate_async_traced, MachineSimulator};

@@ -1,8 +1,8 @@
 //! Simulator profiling: per-warp dispatch histograms and stall accounting.
 //!
-//! The round-synchronous simulators ([`crate::umm::UmmSimulator`],
-//! [`crate::dmm::DmmSimulator`]) and the event-driven
-//! [`crate::umm::simulate_async`] optionally record *why* time was spent:
+//! The round-synchronous [`crate::umm::MachineSimulator`] (UMM or DMM) and
+//! the event-driven UMM [`crate::umm::simulate_async`] optionally record
+//! *why* time was spent:
 //!
 //! * a histogram of the per-warp charge `k` (distinct address groups on the
 //!   UMM, maximum bank conflict on the DMM) — the paper's entire coalescing

@@ -1,8 +1,9 @@
-//! Warp partitioning and per-warp cost primitives.
+//! Warp partitioning and the per-warp charge of each machine model.
 //!
 //! Both machine models share the same thread organisation: `p` threads are
 //! split into `p/w` warps `W(i) = { T(iw), ..., T((i+1)w - 1) }`.  What
-//! differs is how a dispatched warp's requests are charged:
+//! differs is how a dispatched warp's requests are charged
+//! ([`WarpScratch::charge`], the only place the two rules live):
 //!
 //! * **UMM** — requests spanning `k` distinct *address groups* occupy `k`
 //!   pipeline stages;
@@ -11,6 +12,27 @@
 
 use crate::access::{ThreadAction, WarpRequest};
 use crate::config::MachineConfig;
+
+/// Which machine model prices a warp's requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Model {
+    /// Unified Memory Machine: address-group (coalescing) cost.
+    Umm,
+    /// Discrete Memory Machine: bank-conflict cost.
+    Dmm,
+}
+
+impl Model {
+    /// Lowercase name (`"umm"` / `"dmm"`): the timeline span category and
+    /// the model's key in reports.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Model::Umm => "umm",
+            Model::Dmm => "dmm",
+        }
+    }
+}
 
 /// The warp decomposition of `p` threads on a machine of width `w`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,25 +103,25 @@ impl WarpScratch {
         Self::default()
     }
 
-    /// Number of **distinct address groups** touched by a warp's requests —
-    /// the UMM pipeline-stage count `k` for this warp.  Zero for an inactive
-    /// warp.
+    /// The pipeline stages `model` charges a dispatched warp: its number of
+    /// distinct address groups on the UMM, its busiest bank's request count
+    /// on the DMM.  Zero for an inactive warp.
     #[must_use]
-    pub fn distinct_address_groups(
-        &mut self,
-        cfg: &MachineConfig,
-        warp: &WarpRequest<'_>,
-    ) -> usize {
+    pub fn charge(&mut self, model: Model, cfg: &MachineConfig, warp: &WarpRequest<'_>) -> u64 {
+        let k = match model {
+            Model::Umm => self.distinct_address_groups(cfg, warp),
+            Model::Dmm => self.max_bank_conflicts(cfg, warp),
+        };
+        k as u64
+    }
+
+    fn distinct_address_groups(&mut self, cfg: &MachineConfig, warp: &WarpRequest<'_>) -> usize {
         self.buf.clear();
         self.buf.extend(warp.addresses().map(|a| cfg.address_group(a)));
         Self::count_distinct(&mut self.buf)
     }
 
-    /// Maximum number of requests destined for any single **memory bank** —
-    /// the DMM serialisation factor for this warp.  Zero for an inactive
-    /// warp.
-    #[must_use]
-    pub fn max_bank_conflicts(&mut self, cfg: &MachineConfig, warp: &WarpRequest<'_>) -> usize {
+    fn max_bank_conflicts(&mut self, cfg: &MachineConfig, warp: &WarpRequest<'_>) -> usize {
         self.buf.clear();
         self.buf.extend(warp.addresses().map(|a| cfg.bank(a)));
         if self.buf.is_empty() {
@@ -166,13 +188,13 @@ mod tests {
         let mut scratch = WarpScratch::new();
         // Four consecutive addresses in one group: fully coalesced, k = 1.
         let lanes: Vec<_> = (8..12).map(ThreadAction::read).collect();
-        assert_eq!(scratch.distinct_address_groups(&c, &WarpRequest::new(&lanes)), 1);
+        assert_eq!(scratch.charge(Model::Umm, &c, &WarpRequest::new(&lanes)), 1);
         // Stride-n accesses land in 4 different groups: k = 4.
         let lanes: Vec<_> = (0..4).map(|j| ThreadAction::read(j * 6)).collect();
-        assert_eq!(scratch.distinct_address_groups(&c, &WarpRequest::new(&lanes)), 4);
+        assert_eq!(scratch.charge(Model::Umm, &c, &WarpRequest::new(&lanes)), 4);
         // Idle warp: k = 0.
         let lanes = vec![ThreadAction::Idle; 4];
-        assert_eq!(scratch.distinct_address_groups(&c, &WarpRequest::new(&lanes)), 0);
+        assert_eq!(scratch.charge(Model::Umm, &c, &WarpRequest::new(&lanes)), 0);
     }
 
     #[test]
@@ -181,16 +203,16 @@ mod tests {
         let mut scratch = WarpScratch::new();
         // Consecutive addresses hit distinct banks: conflict-free.
         let lanes: Vec<_> = (8..12).map(ThreadAction::read).collect();
-        assert_eq!(scratch.max_bank_conflicts(&c, &WarpRequest::new(&lanes)), 1);
+        assert_eq!(scratch.charge(Model::Dmm, &c, &WarpRequest::new(&lanes)), 1);
         // Stride-w accesses all hit bank 0: fully serialised.
         let lanes: Vec<_> = (0..4).map(|j| ThreadAction::read(j * 4)).collect();
-        assert_eq!(scratch.max_bank_conflicts(&c, &WarpRequest::new(&lanes)), 4);
+        assert_eq!(scratch.charge(Model::Dmm, &c, &WarpRequest::new(&lanes)), 4);
         // Two-way conflict.
         let lanes: Vec<_> = [0usize, 4, 1, 2].iter().map(|&a| ThreadAction::read(a)).collect();
-        assert_eq!(scratch.max_bank_conflicts(&c, &WarpRequest::new(&lanes)), 2);
+        assert_eq!(scratch.charge(Model::Dmm, &c, &WarpRequest::new(&lanes)), 2);
         // Idle warp.
         let lanes = vec![ThreadAction::Idle; 4];
-        assert_eq!(scratch.max_bank_conflicts(&c, &WarpRequest::new(&lanes)), 0);
+        assert_eq!(scratch.charge(Model::Dmm, &c, &WarpRequest::new(&lanes)), 0);
     }
 
     #[test]
@@ -199,6 +221,6 @@ mod tests {
         let c = cfg();
         let mut scratch = WarpScratch::new();
         let lanes = vec![ThreadAction::read(7); 4];
-        assert_eq!(scratch.distinct_address_groups(&c, &WarpRequest::new(&lanes)), 1);
+        assert_eq!(scratch.charge(Model::Umm, &c, &WarpRequest::new(&lanes)), 1);
     }
 }

@@ -134,8 +134,8 @@ impl Round {
 /// Materialised multi-round trace for `p` lockstep threads.
 ///
 /// Large bulk executions should prefer the streaming cost APIs in
-/// [`crate::umm`] / [`crate::dmm`], which consume one round at a time; this
-/// container exists for tests and small model experiments.
+/// [`crate::umm`], which consume one round at a time; this container
+/// exists for tests and small model experiments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundTrace {
     rounds: Vec<Round>,

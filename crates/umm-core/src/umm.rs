@@ -1,19 +1,25 @@
-//! The Unified Memory Machine (UMM) timing simulators.
+//! The memory-machine timing simulators.
 //!
-//! The UMM charges a dispatched warp one pipeline stage per **distinct
-//! address group** among its requests; a request injected into the pipeline
-//! at time `τ` completes at `τ + l - 1`.  The paper's Figure 4 example —
-//! warp `W(0)` spanning 3 address groups followed by `W(1)` spanning 1, with
-//! latency `l = 5` — therefore finishes in `3 + 1 + 5 - 1 = 8` time units.
+//! Both machines charge a dispatched warp some number of pipeline stages —
+//! one per **distinct address group** on the UMM, one per request to the
+//! warp's busiest **memory bank** on the DMM ([`WarpScratch::charge`]) —
+//! and a request injected into the pipeline at time `τ` completes at
+//! `τ + l - 1`.  The paper's Figure 4 example — warp `W(0)` spanning 3
+//! address groups followed by `W(1)` spanning 1, with latency `l = 5` —
+//! therefore finishes in `3 + 1 + 5 - 1 = 8` time units on the UMM.
+//!
+//! The two charges want opposite layouts (ablation A3 in DESIGN.md):
+//! stride-`w` access is one bank's worth of conflicts on the DMM but `w`
+//! address groups on the UMM, and consecutive access is cheap on both.
 //!
 //! Two executors are provided:
 //!
-//! * [`UmmSimulator`] — *round-synchronous*: every lockstep round is charged
-//!   `(Σ_warps k_i) + l - 1` and rounds do not overlap in the pipeline.
-//!   This is exactly the accounting used in the paper's proofs (Lemma 1,
-//!   Theorem 2, Corollary 5) and is cheap enough to stream billions of
-//!   rounds.
-//! * [`simulate_async`] — a discrete-event simulator in which warps are
+//! * [`MachineSimulator`] — *round-synchronous*, for either [`Model`]:
+//!   every lockstep round is charged `(Σ_warps k_i) + l - 1` and rounds do
+//!   not overlap in the pipeline.  This is exactly the accounting used in
+//!   the paper's proofs (Lemma 1, Theorem 2, Corollary 5) and is cheap
+//!   enough to stream billions of rounds.
+//! * [`simulate_async`] — a discrete-event UMM simulator in which warps are
 //!   dispatched round-robin and constrained only by their own previous
 //!   request (one outstanding request per thread).  It can overlap distinct
 //!   warps' rounds in the pipeline, so its time never exceeds the
@@ -23,17 +29,19 @@
 use crate::access::ThreadAction;
 use crate::config::MachineConfig;
 use crate::profile::{SimProfile, SimTimeline};
-use crate::schedule::{WarpSchedule, WarpScratch};
+use crate::schedule::{Model, WarpSchedule, WarpScratch};
 use crate::stats::AccessStats;
 use crate::trace::RoundTrace;
 use obs::trace::Tracer;
 
-/// Streaming round-synchronous UMM timing simulator.
+/// Streaming round-synchronous timing simulator of the UMM or the DMM.
 ///
-/// Feed one lockstep round at a time with [`UmmSimulator::step`]; the running
-/// total in time units is available from [`UmmSimulator::elapsed`].
+/// Feed one lockstep round at a time with [`MachineSimulator::step`]; the
+/// running total in time units is available from
+/// [`MachineSimulator::elapsed`].
 #[derive(Debug)]
-pub struct UmmSimulator {
+pub struct MachineSimulator {
+    model: Model,
     cfg: MachineConfig,
     schedule: WarpSchedule,
     scratch: WarpScratch,
@@ -43,11 +51,12 @@ pub struct UmmSimulator {
     timeline: Option<Box<SimTimeline>>,
 }
 
-impl UmmSimulator {
-    /// Create a simulator for `p` lockstep threads on machine `cfg`.
+impl MachineSimulator {
+    /// Create a `model` simulator for `p` lockstep threads on machine `cfg`.
     #[must_use]
-    pub fn new(cfg: MachineConfig, p: usize) -> Self {
+    pub fn new(model: Model, cfg: MachineConfig, p: usize) -> Self {
         Self {
+            model,
             cfg,
             schedule: WarpSchedule::new(p, &cfg),
             scratch: WarpScratch::new(),
@@ -70,9 +79,9 @@ impl UmmSimulator {
         self.schedule.p
     }
 
-    /// Turn on per-warp profiling (histogram of distinct address groups,
-    /// stall accounting).  No-op at compile time when `obs` is built
-    /// without its `profile` feature.
+    /// Turn on per-warp profiling (histogram of the per-warp charge, stall
+    /// accounting).  No-op at compile time when `obs` is built without its
+    /// `profile` feature.
     pub fn enable_profiling(&mut self) {
         if obs::PROFILING_COMPILED {
             self.profile = Some(SimProfile::new());
@@ -86,13 +95,17 @@ impl UmmSimulator {
     }
 
     /// Turn on event-timeline tracing: one span per dispatched warp (track
-    /// = warp id, args = the charge `k`) plus fill/drain and idle markers
-    /// on a "pipeline" track.  No-op at compile time when `obs` is built
-    /// without its `profile` feature.
+    /// = warp id, category = the model's name, args = the charge `k`) plus
+    /// fill/drain and idle markers on a "pipeline" track.  No-op at compile
+    /// time when `obs` is built without its `profile` feature.
     pub fn enable_tracing(&mut self) {
         if obs::PROFILING_COMPILED {
-            self.timeline = Some(Box::new(SimTimeline::new("umm", self.schedule.warp_count())));
+            self.timeline = Some(Box::new(self.new_timeline()));
         }
+    }
+
+    fn new_timeline(&self) -> SimTimeline {
+        SimTimeline::new(self.model.name(), self.schedule.warp_count())
     }
 
     /// The recorded timeline events, if tracing was enabled.
@@ -109,8 +122,8 @@ impl UmmSimulator {
 
     /// Charge one lockstep round (`actions.len() == p`) and return its cost.
     ///
-    /// The cost is `(Σ_{active warps} k_i) + l - 1` where `k_i` is the number
-    /// of distinct address groups requested by warp `i`; a round with no
+    /// The cost is `(Σ_{active warps} k_i) + l - 1` where `k_i` is warp
+    /// `i`'s [`WarpScratch::charge`] under the model; a round with no
     /// active warp costs nothing.
     ///
     /// # Panics
@@ -122,7 +135,7 @@ impl UmmSimulator {
         let mut stages = 0u64;
         let mut active = false;
         for (wi, warp) in self.schedule.warps(actions).enumerate() {
-            let k = self.scratch.distinct_address_groups(&self.cfg, &warp) as u64;
+            let k = self.scratch.charge(self.model, &self.cfg, &warp);
             if k > 0 {
                 active = true;
                 if let Some(tl) = self.timeline.as_mut() {
@@ -156,13 +169,13 @@ impl UmmSimulator {
     /// A uniform round is one in which every thread performs the same `op`
     /// on its own instance's copy of one logical address — the only round
     /// shape bulk execution of an oblivious program ever produces.  Its
-    /// per-warp stage counts depend only on `(layout, p, msize, addr)`, so a
-    /// compiled schedule precomputes them once and replays them here,
-    /// skipping the per-thread action vector and the address-group scan.
+    /// per-warp charges depend only on `(model, layout, p, msize, addr)`,
+    /// so a compiled schedule precomputes them once and replays them here,
+    /// skipping the per-thread action vector and the per-warp scan.
     ///
     /// Accounting (statistics, profile, timeline, clock) is identical to
-    /// [`UmmSimulator::step`] on the materialised round: `charges[i]` must
-    /// be warp `i`'s distinct-address-group count, which is `>= 1` for every
+    /// [`MachineSimulator::step`] on the materialised round: `charges[i]`
+    /// must be warp `i`'s charge under the model, which is `>= 1` for every
     /// warp since no lane is idle.
     ///
     /// # Panics
@@ -215,8 +228,8 @@ impl UmmSimulator {
         if let Some(pr) = self.profile.as_mut() {
             *pr = SimProfile::new();
         }
-        if let Some(tl) = self.timeline.as_mut() {
-            **tl = SimTimeline::new("umm", self.schedule.warp_count());
+        if self.timeline.is_some() {
+            self.timeline = Some(Box::new(self.new_timeline()));
         }
     }
 
@@ -229,11 +242,10 @@ impl UmmSimulator {
     }
 }
 
-/// Cost of a single round without constructing a simulator.
+/// Cost of a single round on `model` without keeping a simulator.
 #[must_use]
-pub fn round_cost(cfg: &MachineConfig, actions: &[ThreadAction]) -> u64 {
-    let mut sim = UmmSimulator::new(*cfg, actions.len());
-    sim.step(actions)
+pub fn round_cost(model: Model, cfg: &MachineConfig, actions: &[ThreadAction]) -> u64 {
+    MachineSimulator::new(model, *cfg, actions.len()).step(actions)
 }
 
 /// A recording sink for [`simulate_async`] events.
@@ -331,7 +343,7 @@ fn simulate_async_sink<S: AsyncSink>(cfg: &MachineConfig, trace: &RoundTrace, si
     let mut queues: Vec<Vec<u64>> = vec![Vec::new(); nwarps];
     for round in rounds {
         for (i, warp) in schedule.warps(&round.actions).enumerate() {
-            let k = scratch.distinct_address_groups(cfg, &warp) as u64;
+            let k = scratch.charge(Model::Umm, cfg, &warp);
             if k > 0 {
                 queues[i].push(k);
             }
@@ -405,7 +417,7 @@ mod tests {
             ThreadAction::read(14),
             ThreadAction::read(15),
         ];
-        assert_eq!(round_cost(&cfg, &actions), 8);
+        assert_eq!(round_cost(Model::Umm, &cfg, &actions), 8);
 
         // The event-driven simulator agrees on a single round.
         let mut trace = RoundTrace::new();
@@ -419,7 +431,7 @@ mod tests {
         let cfg = MachineConfig::new(4, 5);
         let p = 16;
         let actions: Vec<_> = (0..p).map(ThreadAction::read).collect();
-        assert_eq!(round_cost(&cfg, &actions), (p / 4 + 5 - 1) as u64);
+        assert_eq!(round_cost(Model::Umm, &cfg, &actions), (p / 4 + 5 - 1) as u64);
     }
 
     #[test]
@@ -431,14 +443,15 @@ mod tests {
         let p = 16;
         let n = 8; // n >= w
         let actions: Vec<_> = (0..p).map(|j| ThreadAction::read(j * n)).collect();
-        assert_eq!(round_cost(&cfg, &actions), (p + 5 - 1) as u64);
+        assert_eq!(round_cost(Model::Umm, &cfg, &actions), (p + 5 - 1) as u64);
     }
 
     #[test]
     fn idle_round_is_free() {
         let cfg = MachineConfig::new(4, 5);
         let actions = vec![ThreadAction::Idle; 8];
-        assert_eq!(round_cost(&cfg, &actions), 0);
+        assert_eq!(round_cost(Model::Umm, &cfg, &actions), 0);
+        assert_eq!(round_cost(Model::Dmm, &cfg, &actions), 0);
         let mut trace = RoundTrace::new();
         trace.push(Round { actions });
         assert_eq!(simulate_async(&cfg, &trace), 0);
@@ -448,7 +461,7 @@ mod tests {
     fn sync_simulator_accumulates_rounds() {
         let cfg = MachineConfig::new(4, 5);
         let p = 8;
-        let mut sim = UmmSimulator::new(cfg, p);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
         for i in 0..10usize {
             // Column-wise style: all threads read consecutive addresses.
             let base = i * p;
@@ -468,7 +481,7 @@ mod tests {
         let cfg = MachineConfig::new(4, 3);
         let p = 12;
         let mut trace = RoundTrace::new();
-        let mut sim = UmmSimulator::new(cfg, p);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
         for i in 0..20usize {
             let actions: Vec<_> =
                 (0..p).map(|j| ThreadAction::read((i * 31 + j * 7) % 64)).collect();
@@ -515,7 +528,7 @@ mod tests {
     #[test]
     fn sync_tracer_reconciles_with_profile_and_elapsed() {
         let cfg = MachineConfig::paper_figure4();
-        let mut sim = UmmSimulator::new(cfg, 8);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, 8);
         sim.enable_profiling();
         sim.enable_tracing();
         // Figure 4 round (k = 3 + 1), an idle round, and a coalesced round.
@@ -578,7 +591,7 @@ mod tests {
     fn stats_accumulate() {
         let cfg = MachineConfig::new(4, 5);
         let p = 8;
-        let mut sim = UmmSimulator::new(cfg, p);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
         let actions: Vec<_> = (0..p).map(ThreadAction::read).collect();
         sim.step(&actions);
         assert_eq!(sim.stats().accesses, 8);
@@ -587,40 +600,101 @@ mod tests {
     }
 
     /// `step_uniform` fed per-warp charges must be indistinguishable from
-    /// `step` on the materialised round: same cost, clock, statistics,
-    /// profile, and timeline events.
+    /// `step` on the materialised round, on both models: same cost, clock,
+    /// statistics, profile, and timeline events.  The middle round is
+    /// strided by 3 on the UMM and by 4 (= the widest warp's bank count)
+    /// on the DMM.
     #[test]
     fn step_uniform_matches_step_exactly() {
         use crate::access::{Op, WarpRequest};
-        use crate::schedule::WarpScratch;
         let mut scratch = WarpScratch::new();
-        for w in [1usize, 3, 4, 8] {
-            let cfg = MachineConfig::new(w, 5);
-            for p in [1usize, 4, 7, 16, 33] {
-                let mut a = UmmSimulator::new(cfg, p);
-                let mut b = UmmSimulator::new(cfg, p);
-                a.enable_profiling();
-                a.enable_tracing();
-                b.enable_profiling();
-                b.enable_tracing();
-                // Uniform rounds with different strides and base offsets.
-                for (base, stride, op) in
-                    [(0usize, 1usize, Op::Read), (5, 3, Op::Write), (2, 7, Op::Read)]
-                {
-                    let actions: Vec<_> =
-                        (0..p).map(|j| ThreadAction::Access(op, base + j * stride)).collect();
-                    let charges: Vec<u64> = actions
-                        .chunks(w)
-                        .map(|c| scratch.distinct_address_groups(&cfg, &WarpRequest::new(c)) as u64)
-                        .collect();
-                    assert_eq!(a.step(&actions), b.step_uniform(op, &charges), "w={w} p={p}");
+        for (model, stride) in [(Model::Umm, 3usize), (Model::Dmm, 4)] {
+            for w in [1usize, 3, 4, 8] {
+                let cfg = MachineConfig::new(w, 5);
+                for p in [1usize, 4, 7, 16, 33] {
+                    let mut a = MachineSimulator::new(model, cfg, p);
+                    let mut b = MachineSimulator::new(model, cfg, p);
+                    a.enable_profiling();
+                    a.enable_tracing();
+                    b.enable_profiling();
+                    b.enable_tracing();
+                    // Uniform rounds with different strides and base offsets.
+                    for (base, stride, op) in
+                        [(0usize, 1usize, Op::Read), (5, stride, Op::Write), (2, 7, Op::Read)]
+                    {
+                        let actions: Vec<_> =
+                            (0..p).map(|j| ThreadAction::Access(op, base + j * stride)).collect();
+                        let charges: Vec<u64> = actions
+                            .chunks(w)
+                            .map(|c| scratch.charge(model, &cfg, &WarpRequest::new(c)))
+                            .collect();
+                        let ctx = format!("{model:?} w={w} p={p}");
+                        assert_eq!(a.step(&actions), b.step_uniform(op, &charges), "{ctx}");
+                    }
+                    assert_eq!(a.elapsed(), b.elapsed());
+                    assert_eq!(a.stats(), b.stats());
+                    assert_eq!(a.profile(), b.profile());
+                    let (ta, tb) = (a.take_tracer().unwrap(), b.take_tracer().unwrap());
+                    assert_eq!(
+                        ta.events(),
+                        tb.events(),
+                        "timelines diverge at {model:?} w={w} p={p}"
+                    );
                 }
-                assert_eq!(a.elapsed(), b.elapsed());
-                assert_eq!(a.stats(), b.stats());
-                assert_eq!(a.profile(), b.profile());
-                let (ta, tb) = (a.take_tracer().unwrap(), b.take_tracer().unwrap());
-                assert_eq!(ta.events(), tb.events(), "timelines diverge at w={w} p={p}");
             }
         }
+    }
+
+    #[test]
+    fn dmm_conflict_free_round_costs_warps_plus_latency() {
+        let cfg = MachineConfig::new(4, 5);
+        let p = 16;
+        // Consecutive addresses: each warp hits all 4 banks once.
+        let actions: Vec<_> = (0..p).map(ThreadAction::read).collect();
+        assert_eq!(round_cost(Model::Dmm, &cfg, &actions), (p / 4 + 5 - 1) as u64);
+    }
+
+    #[test]
+    fn dmm_stride_w_round_fully_serialises() {
+        let cfg = MachineConfig::new(4, 5);
+        let p = 16;
+        // Stride-w: every thread in a warp hits bank 0 → c = w per warp.
+        let actions: Vec<_> = (0..p).map(|j| ThreadAction::read(j * 4)).collect();
+        assert_eq!(round_cost(Model::Dmm, &cfg, &actions), (p + 5 - 1) as u64);
+    }
+
+    #[test]
+    fn dmm_and_umm_disagree_on_layouts() {
+        // The duality the two models exist to capture: stride-w is the best
+        // case for the UMM within one group span but the worst case for the
+        // DMM, and conversely n-strided single-bank-free patterns flip it.
+        let cfg = MachineConfig::new(4, 5);
+        let p = 4;
+        // All four threads in addresses 0..4: one address group, all banks.
+        let coalesced: Vec<_> = (0..p).map(ThreadAction::read).collect();
+        assert_eq!(round_cost(Model::Umm, &cfg, &coalesced), 1 + 4);
+        assert_eq!(round_cost(Model::Dmm, &cfg, &coalesced), 1 + 4);
+        // Stride 4 (= w): 4 address groups on UMM, 1 bank on DMM.
+        let strided: Vec<_> = (0..p).map(|j| ThreadAction::read(j * 4)).collect();
+        assert_eq!(round_cost(Model::Umm, &cfg, &strided), 4 + 4);
+        assert_eq!(round_cost(Model::Dmm, &cfg, &strided), 4 + 4);
+        // Diagonal stride w+1: distinct banks AND (generally) distinct
+        // groups — good for DMM, bad for UMM.
+        let diagonal: Vec<_> = (0..p).map(|j| ThreadAction::read(j * 5)).collect();
+        assert_eq!(round_cost(Model::Dmm, &cfg, &diagonal), 1 + 4); // banks 0,1,2,3
+        assert_eq!(round_cost(Model::Umm, &cfg, &diagonal), 4 + 4); // groups 0,1,2,3
+    }
+
+    #[test]
+    fn dmm_accumulation_and_reset() {
+        let cfg = MachineConfig::new(4, 2);
+        let mut sim = MachineSimulator::new(Model::Dmm, cfg, 4);
+        let actions: Vec<_> = (0..4).map(ThreadAction::read).collect();
+        sim.step(&actions);
+        sim.step(&actions);
+        assert_eq!(sim.elapsed(), 2 * (1 + 1));
+        assert_eq!(sim.stats().rounds, 2);
+        sim.reset();
+        assert_eq!(sim.elapsed(), 0);
     }
 }

@@ -59,5 +59,5 @@ pub mod prelude {
         check_oblivious, Chain, Layout, Model, ObliviousMachine, ObliviousProgram, Repeat, Shifted,
         Word,
     };
-    pub use umm_core::{DmmSimulator, HmmConfig, HmmSimulator, MachineConfig, UmmSimulator};
+    pub use umm_core::{HmmConfig, HmmSimulator, MachineConfig, MachineSimulator};
 }

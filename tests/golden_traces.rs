@@ -17,10 +17,10 @@
 //! then inspect the diff of `tests/goldens/` before committing.
 
 use algorithms::{OptTriangulation, PrefixSums};
-use oblivious::program::{bulk_round_trace, bulk_traced_dmm, bulk_traced_umm};
+use oblivious::program::{bulk_round_trace, bulk_traced};
 use oblivious::{Layout, ObliviousProgram, Word};
 use obs::Json;
-use umm_core::{simulate_async, DmmSimulator, MachineConfig, UmmSimulator};
+use umm_core::{simulate_async, MachineConfig, MachineSimulator, Model};
 
 /// Canonical machine for the goldens: w = 4, l = 2 — small enough that the
 /// address-group and conflict structure of each round is legible by eye.
@@ -34,25 +34,20 @@ fn case_json<W: Word, P: ObliviousProgram<W>>(program: &P, layout: Layout, p: us
     let cfg = golden_config();
     let trace = bulk_round_trace(program, layout, p);
 
-    let mut umm = UmmSimulator::new(cfg, p);
-    umm.run(&trace);
-    let mut dmm = DmmSimulator::new(cfg, p);
-    dmm.run(&trace);
-
     let mut root = Json::obj();
     root.set("program", program.name());
     root.set("layout", layout.to_string());
     root.set("p", p);
     root.set("machine", cfg.to_json());
     root.set("round_trace", trace.to_json());
-    let mut u = Json::obj();
-    u.set("elapsed", umm.elapsed());
-    u.set("stats", umm.stats().to_json());
-    root.set("umm", u);
-    let mut d = Json::obj();
-    d.set("elapsed", dmm.elapsed());
-    d.set("stats", dmm.stats().to_json());
-    root.set("dmm", d);
+    for model in [Model::Umm, Model::Dmm] {
+        let mut sim = MachineSimulator::new(model, cfg, p);
+        sim.run(&trace);
+        let mut m = Json::obj();
+        m.set("elapsed", sim.elapsed());
+        m.set("stats", sim.stats().to_json());
+        root.set(model.name(), m);
+    }
     root.set("async_elapsed", simulate_async(&cfg, &trace));
     root
 }
@@ -132,12 +127,11 @@ fn chrome_trace_prefix_sums_n8() {
     }
     let cfg = golden_config();
     let pr = PrefixSums::new(8);
-    let umm = bulk_traced_umm::<f32, _>(&pr, cfg, Layout::ColumnWise, 8)
-        .take_tracer()
-        .expect("tracing enabled");
-    let dmm = bulk_traced_dmm::<f32, _>(&pr, cfg, Layout::ColumnWise, 8)
-        .take_tracer()
-        .expect("tracing enabled");
+    let [umm, dmm] = [Model::Umm, Model::Dmm].map(|model| {
+        bulk_traced::<f32, _>(&pr, cfg, model, Layout::ColumnWise, 8)
+            .take_tracer()
+            .expect("tracing enabled")
+    });
     let chrome = obs::trace::chrome_trace(&[("model.umm", &umm), ("model.dmm", &dmm)]);
     check_golden("chrome_trace_prefix_sums_n8.json", &chrome);
 }

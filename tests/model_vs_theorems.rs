@@ -122,7 +122,7 @@ fn async_simulator_is_bounded_by_sync_and_lower_bound() {
     for layout in Layout::all() {
         let trace = bulk_round_trace::<f32, _>(&prog, layout, p);
         let sync = {
-            let mut sim = UmmSimulator::new(cfg, p);
+            let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
             sim.run(&trace)
         };
         let async_t = simulate_async(&cfg, &trace);

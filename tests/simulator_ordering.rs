@@ -4,7 +4,7 @@
 //! For any materialised round trace,
 //!
 //! ```text
-//! theorems::lower_bound  <=  simulate_async  <=  UmmSimulator (round-sync)
+//! theorems::lower_bound  <=  simulate_async  <=  MachineSimulator (UMM, round-sync)
 //! ```
 //!
 //! The event-driven simulator overlaps independent warps inside the memory
@@ -18,7 +18,9 @@
 
 use oblivious::theorems;
 use obs::Rng;
-use umm_core::{simulate_async, MachineConfig, Round, RoundTrace, ThreadAction, UmmSimulator};
+use umm_core::{
+    simulate_async, MachineConfig, MachineSimulator, Model, Round, RoundTrace, ThreadAction,
+};
 
 /// One random *full* round — every thread accesses (no idle lanes), so the
 /// trace satisfies the "t accesses per thread" premise of Theorem 3.
@@ -65,7 +67,7 @@ fn async_sync_and_lower_bound_are_ordered() {
         let (cfg, trace, t) = random_case(&mut rng);
         let p = trace.p() as u64;
 
-        let mut sim = UmmSimulator::new(cfg, trace.p());
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, trace.p());
         let sync = sim.run(&trace);
         let async_t = simulate_async(&cfg, &trace);
         let lb = theorems::lower_bound(t, p, cfg.width as u64, cfg.latency as u64);
@@ -116,7 +118,7 @@ fn async_never_slower_than_sync_on_ragged_traces() {
                 trace.push(round);
             }
         }
-        let mut sim = UmmSimulator::new(cfg, p);
+        let mut sim = MachineSimulator::new(Model::Umm, cfg, p);
         let sync = sim.run(&trace);
         let async_t = simulate_async(&cfg, &trace);
         assert!(

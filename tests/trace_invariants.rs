@@ -15,9 +15,9 @@
 //!   busy time.
 
 use algorithms::{BitonicSort, OptTriangulation, PrefixSums, Transpose};
-use oblivious::program::{arrange_inputs, bulk_round_trace, bulk_traced_dmm, bulk_traced_umm};
+use oblivious::program::{arrange_inputs, bulk_round_trace, bulk_traced};
 use oblivious::{BulkMachine, Layout, ObliviousProgram};
-use umm_core::MachineConfig;
+use umm_core::{MachineConfig, Model};
 
 /// Small machines whose stall structure differs: an l = 3 pipeline on a
 /// 4-wide warp, and a shallow l = 2 pipeline on an 8-wide warp.
@@ -27,28 +27,21 @@ fn machines() -> [MachineConfig; 2] {
 
 fn check_model_timelines<P: ObliviousProgram<f32>>(pr: &P, layout: Layout, p: usize) {
     for cfg in machines() {
-        // Round-synchronous UMM.
-        let sim = bulk_traced_umm(pr, cfg, layout, p);
-        let t = sim.tracer().expect("tracing enabled");
-        obs::trace::validate(t).expect("UMM timeline well-formed");
-        let busy = t.spanned_ticks_by_cat("umm");
-        let stall = t.spanned_ticks_by_cat("stall");
-        assert_eq!(busy, sim.stats().pipeline_stages, "span ticks == injected stages");
-        let profile = sim.profile().expect("profiling enabled");
-        assert_eq!(u128::from(busy), profile.group_histogram.sum(), "span ticks == histogram mass");
-        assert_eq!(stall, profile.latency_stall_units, "stall track == drain accounting");
-        assert_eq!(busy + stall, sim.elapsed(), "busy + stall == elapsed");
-
-        // Round-synchronous DMM: same shape, conflict-priced.
-        let sim = bulk_traced_dmm(pr, cfg, layout, p);
-        let t = sim.tracer().expect("tracing enabled");
-        obs::trace::validate(t).expect("DMM timeline well-formed");
-        let busy = t.spanned_ticks_by_cat("dmm");
-        let stall = t.spanned_ticks_by_cat("stall");
-        assert_eq!(busy, sim.stats().pipeline_stages);
-        let profile = sim.profile().expect("profiling enabled");
-        assert_eq!(stall, profile.latency_stall_units);
-        assert_eq!(busy + stall, sim.elapsed());
+        // Round-synchronous UMM and DMM: same shape, each spanned under
+        // its model's name.
+        for model in [Model::Umm, Model::Dmm] {
+            let sim = bulk_traced(pr, cfg, model, layout, p);
+            let t = sim.tracer().expect("tracing enabled");
+            obs::trace::validate(t).expect("model timeline well-formed");
+            let busy = t.spanned_ticks_by_cat(model.name());
+            let stall = t.spanned_ticks_by_cat("stall");
+            assert_eq!(busy, sim.stats().pipeline_stages, "span ticks == injected stages");
+            let profile = sim.profile().expect("profiling enabled");
+            let mass = profile.group_histogram.sum();
+            assert_eq!(u128::from(busy), mass, "span ticks == histogram mass");
+            assert_eq!(stall, profile.latency_stall_units, "stall track == drain accounting");
+            assert_eq!(busy + stall, sim.elapsed(), "busy + stall == elapsed");
+        }
 
         // Asynchronous UMM: spans sit at injection slots, stalls are waits.
         let trace = bulk_round_trace(pr, layout, p);
