@@ -25,15 +25,18 @@
 //! segments are deleted.
 //!
 //! Under `--fsync always` appends go through *group commit*: each writer
-//! appends its record unsynced under the log lock, then waits until a
-//! leader-elected fsync covers its sequence number.  Whichever waiter
-//! finds no leader running becomes the leader, issues one `fsync`, and
+//! appends its records unsynced under the log lock, then waits until a
+//! leader-elected fsync covers the last of them.  Whichever waiter finds
+//! no leader running becomes the leader, issues one `fsync`, and
 //! publishes the new durable high-water mark — so a convoy of concurrent
 //! submits pays one device flush for the whole group instead of one each
-//! (the journal-lock convoy measured in EXPERIMENTS.md §9.3).  An fsync
-//! failure fail-stops the journal: durability of the page cache is
-//! unknowable after a failed flush, so every waiter (and all later
-//! appends) get the error instead of a silent retry.
+//! (the journal-lock convoy measured in EXPERIMENTS.md §9.3).  A worker
+//! settles a whole batch the same way: [`Journal::log_complete`] appends
+//! every job's completion under one lock and waits once, so a batch of
+//! `p` jobs pays one fsync, not `p`.  An fsync failure fail-stops the
+//! journal: durability of the page cache is unknowable after a failed
+//! flush, so every waiter (and all later appends) get the error instead
+//! of a silent retry.
 
 use crate::protocol::{self, JobKey};
 use obs::{Histogram, Json};
@@ -50,6 +53,10 @@ pub const REC_SUBMIT: u8 = 1;
 pub const REC_COMPLETE: u8 = 2;
 /// Record type: a drain-time checkpoint (job-id high-water mark).
 pub const REC_CHECKPOINT: u8 = 3;
+
+/// One job's completion as [`Journal::log_complete`] takes it: the job
+/// id and its outputs, or the execution error it failed with.
+pub type Completion<'a> = (u64, Result<&'a [Vec<u64>], &'a str>);
 
 /// Journal tunables (a thin view over [`WalConfig`]).
 #[derive(Debug, Clone)]
@@ -167,6 +174,20 @@ pub fn complete_payload(id: u64, result: Result<&[Vec<u64>], &str>) -> Vec<u8> {
         }
     }
     o.to_compact().into_bytes()
+}
+
+/// The job id a submit or completion payload leads with, read without
+/// parsing the rest: both [`submit_payload`] and [`complete_payload`]
+/// write `{"job":ID` first.  `None` for any other shape (a checkpoint,
+/// foreign bytes) — callers that need the full record run [`replay`].
+#[must_use]
+pub fn payload_job_id(payload: &[u8]) -> Option<u64> {
+    let rest = payload.strip_prefix(b"{\"job\":")?;
+    let end = rest.iter().position(|b| !b.is_ascii_digit())?;
+    if end == 0 || !matches!(rest[end], b',' | b'}') {
+        return None;
+    }
+    std::str::from_utf8(&rest[..end]).ok()?.parse().ok()
 }
 
 /// Whether completions whose journal append failed may still be
@@ -302,39 +323,6 @@ impl Journal {
         Ok((journal, recovery))
     }
 
-    /// Group-commit append: write the record unsynced under the log lock,
-    /// run the bookkeeping, then wait until a leader-elected fsync covers
-    /// its sequence number.  Returns the record's WAL sequence number.
-    fn append_group(
-        &self,
-        rec_type: u8,
-        payload: &[u8],
-        bookkeep: impl FnOnce(&mut Inner),
-    ) -> Result<u64, String> {
-        // Refuse early once the journal has fail-stopped: appending after
-        // a failed fsync would acknowledge records of unknowable fate.
-        {
-            let g = self.group.lock().expect("journal poisoned");
-            if let Some(e) = &g.failed {
-                return Err(format!("journal fail-stopped: {e}"));
-            }
-        }
-        let seq = {
-            let mut inner = self.inner.lock().expect("journal poisoned");
-            match inner.wal.append_unsynced(rec_type, payload) {
-                Ok(seq) => {
-                    bookkeep(&mut inner);
-                    seq
-                }
-                Err(e) => {
-                    drop(inner);
-                    return Err(self.fail_stop(e));
-                }
-            }
-        };
-        self.wait_durable(seq).map(|()| seq)
-    }
-
     /// Record the first failure (later callers see the original error)
     /// and phrase every caller-visible report the same way: the journal
     /// has fail-stopped.
@@ -392,37 +380,52 @@ impl Journal {
         }
     }
 
-    /// Route one logical append through group commit (`always`) or the
-    /// log's own policy machinery (`every-n` / `every-ms`, where appends
-    /// are cheap and batching happens policy-side already).  Every
-    /// policy shares the fail-stop flag: the first append or fsync error
-    /// poisons all later appends.
+    /// Append `payloads` as records of `rec_type` under one log lock, run
+    /// the bookkeeping once, and return the last record's sequence
+    /// number.  Under `always` the records go in unsynced and one
+    /// group-commit wait covers the last of them; under `every-n` /
+    /// `every-ms` each goes through the log's own policy machinery, where
+    /// batching happens policy-side already.  Every policy shares the
+    /// fail-stop flag: the first append or fsync error poisons all later
+    /// appends.
     fn append_record(
         &self,
         rec_type: u8,
-        payload: &[u8],
+        payloads: &[Vec<u8>],
         bookkeep: impl FnOnce(&mut Inner),
     ) -> Result<u64, String> {
-        if self.fsync == FsyncPolicy::Always {
-            return self.append_group(rec_type, payload, bookkeep);
-        }
+        // Refuse early once the journal has fail-stopped: appending after
+        // a failed fsync would acknowledge records of unknowable fate.
         {
             let g = self.group.lock().expect("journal poisoned");
             if let Some(e) = &g.failed {
                 return Err(format!("journal fail-stopped: {e}"));
             }
         }
-        let mut inner = self.inner.lock().expect("journal poisoned");
-        match inner.wal.append(rec_type, payload) {
-            Ok(seq) => {
-                bookkeep(&mut inner);
-                Ok(seq)
+        let group = self.fsync == FsyncPolicy::Always;
+        let mut last = 0;
+        {
+            let mut inner = self.inner.lock().expect("journal poisoned");
+            for payload in payloads {
+                let appended = if group {
+                    inner.wal.append_unsynced(rec_type, payload)
+                } else {
+                    inner.wal.append(rec_type, payload)
+                };
+                match appended {
+                    Ok(seq) => last = seq,
+                    Err(e) => {
+                        drop(inner);
+                        return Err(self.fail_stop(e));
+                    }
+                }
             }
-            Err(e) => {
-                drop(inner);
-                Err(self.fail_stop(e))
-            }
+            bookkeep(&mut inner);
         }
+        if group {
+            self.wait_durable(last)?;
+        }
+        Ok(last)
     }
 
     /// Arm the underlying log's fsync failpoint (test-only fault
@@ -446,26 +449,32 @@ impl Journal {
     /// Log I/O failures — the caller must then refuse the job.
     pub fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<(), String> {
         let payload = submit_payload(id, key, inputs);
-        self.append_record(REC_SUBMIT, &payload, |inner| {
+        self.append_record(REC_SUBMIT, &[payload], |inner| {
             inner.incomplete.insert(id);
             inner.log_submits += 1;
         })
         .map(|_seq| ())
     }
 
-    /// Append (and per policy sync) a completion record.  Call *before*
-    /// the reply goes to the client.  Returns the record's WAL sequence
-    /// number — the mark a replication sink must reach before the reply
-    /// may be acknowledged under semi-synchronous replication.
+    /// Append (and per policy sync) one completion record per job of a
+    /// batch, in order, under one log lock and one durability wait.  Call
+    /// *before* any of the batch's replies goes to the client.  Returns
+    /// the last record's WAL sequence number — the mark a replication
+    /// sink must reach before the replies may be acknowledged under
+    /// semi-synchronous replication (the follower acknowledges a durable
+    /// prefix of the log, so that one mark covers the whole batch).
     ///
     /// # Errors
     ///
-    /// Log I/O failures.
-    pub fn log_complete(&self, id: u64, result: Result<&[Vec<u64>], &str>) -> Result<u64, String> {
-        let payload = complete_payload(id, result);
-        self.append_record(REC_COMPLETE, &payload, |inner| {
-            inner.incomplete.remove(&id);
-            inner.log_completions += 1;
+    /// Log I/O failures — then no record of the batch is known durable.
+    pub fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String> {
+        let payloads: Vec<Vec<u8>> =
+            batch.iter().map(|&(id, result)| complete_payload(id, result)).collect();
+        self.append_record(REC_COMPLETE, &payloads, |inner| {
+            for (id, _) in batch {
+                inner.incomplete.remove(id);
+            }
+            inner.log_completions += batch.len() as u64;
         })
     }
 
@@ -658,7 +667,7 @@ mod tests {
             assert!(r.requeue.is_empty());
             j.log_submit(1, &key("a"), &[vec![1]]).unwrap();
             j.log_submit(2, &key("a"), &[vec![2]]).unwrap();
-            j.log_complete(1, Ok(&[vec![11]])).unwrap();
+            j.log_complete(&[(1, Ok(&[vec![11]]))]).unwrap();
             // Simulate crash: drop without checkpoint.
         }
         let (j, r) = Journal::open(&cfg(&dir)).unwrap();
@@ -678,7 +687,7 @@ mod tests {
             let (j, _) = Journal::open(&cfg(&dir)).unwrap();
             j.log_submit(1, &key("a"), &[vec![1]]).unwrap();
             assert!(!j.checkpoint(2).unwrap(), "incomplete job blocks the checkpoint");
-            j.log_complete(1, Err("boom")).unwrap();
+            j.log_complete(&[(1, Err("boom"))]).unwrap();
             assert!(j.checkpoint(2).unwrap());
         }
         // After a checkpoint the log is a single segment holding exactly
@@ -707,7 +716,7 @@ mod tests {
                         for i in 0..PER {
                             let id = t * PER + i + 1;
                             j.log_submit(id, &key("a"), &[vec![id]]).unwrap();
-                            j.log_complete(id, Ok(&[vec![id]])).unwrap();
+                            j.log_complete(&[(id, Ok(&[vec![id]]))]).unwrap();
                         }
                     });
                 }
@@ -742,7 +751,7 @@ mod tests {
         // No concurrency: each append elects itself leader and fsyncs —
         // the `always` contract (durable before return) is unchanged.
         j.log_submit(1, &key("a"), &[vec![1]]).unwrap();
-        let seq = j.log_complete(1, Ok(&[vec![2]])).unwrap();
+        let seq = j.log_complete(&[(1, Ok(&[vec![2]]))]).unwrap();
         assert_eq!(seq, 2, "the completion is the second appended record");
         assert_eq!(j.durable_seq(), 2, "under always, every returned append is durable");
         let s = j.stats_json();
@@ -756,6 +765,51 @@ mod tests {
         assert_eq!(s.path("group_commit.fsync_us.total").unwrap().as_i64(), Some(2));
         assert_eq!(s.path("group_commit.batch_size.total").unwrap().as_i64(), Some(2));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_of_completions_shares_one_append_and_one_fsync() {
+        let dir = temp_dir("batch");
+        let (j, _) = Journal::open(&cfg(&dir)).unwrap();
+        for id in 1..=4 {
+            j.log_submit(id, &key("a"), &[vec![id]]).unwrap();
+        }
+        let outputs: Vec<Vec<Vec<u64>>> = (1..=4).map(|id| vec![vec![id * 10]]).collect();
+        let mut batch: Vec<Completion<'_>> =
+            outputs.iter().zip(1..).map(|(o, id)| (id, Ok(o.as_slice()))).collect();
+        batch[2].1 = Err("boom");
+        let last = j.log_complete(&batch).unwrap();
+        assert_eq!(last, 8, "four submits, then the batch's four completions");
+        assert_eq!(j.durable_seq(), 8, "the returned mark is durable");
+        let s = j.stats_json();
+        assert_eq!(s.path("fsyncs").unwrap().as_i64(), Some(5), "one per submit, one per batch");
+        assert_eq!(s.path("log_completions").unwrap().as_i64(), Some(4));
+        assert_eq!(s.path("incomplete_jobs").unwrap().as_i64(), Some(0));
+        assert_eq!(j.group_batch_sizes().max(), Some(4), "the batch's fsync covered all four");
+        let (_, r) = Journal::open(&cfg(&dir)).unwrap();
+        assert!(r.requeue.is_empty());
+        assert_eq!(r.already_completed, 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn payload_job_id_reads_the_leading_id_of_submits_and_completions() {
+        let submit = submit_payload(42, &key("prefix-sums"), &[vec![1, 2]]);
+        assert_eq!(payload_job_id(&submit), Some(42));
+        assert_eq!(payload_job_id(&complete_payload(7, Ok(&[vec![9]]))), Some(7));
+        assert_eq!(payload_job_id(&complete_payload(u64::MAX >> 1, Err("x"))), Some(u64::MAX >> 1));
+        let mut checkpoint = Json::obj();
+        checkpoint.set("next_job", 900u64);
+        for other in [
+            checkpoint.to_compact().into_bytes(),
+            b"not json".to_vec(),
+            b"{\"job\":}".to_vec(),
+            b"{\"job\":12".to_vec(),
+            b"{\"job\":1.5}".to_vec(),
+            b"{\"job\":-3,".to_vec(),
+        ] {
+            assert_eq!(payload_job_id(&other), None, "{}", String::from_utf8_lossy(&other));
+        }
     }
 
     #[test]
@@ -814,7 +868,7 @@ mod tests {
         {
             let (j, _) = Journal::open(&cfg(&dir)).unwrap();
             j.log_submit(7, &key("a"), &[vec![1]]).unwrap();
-            j.log_complete(7, Err("executor exploded")).unwrap();
+            j.log_complete(&[(7, Err("executor exploded"))]).unwrap();
         }
         let (_, r) = Journal::open(&cfg(&dir)).unwrap();
         assert!(r.requeue.is_empty(), "a failed job was answered; never re-run it");

@@ -85,8 +85,18 @@ pub struct JobDone {
     pub breakdown: Option<StageBreakdown>,
 }
 
+/// Why a job was answered with an error instead of its outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobError {
+    /// The wire error kind: `exec` when the batch failed to execute,
+    /// `wal` when its completion could not be made durable.
+    pub kind: &'static str,
+    /// Human-readable cause.
+    pub detail: String,
+}
+
 /// The per-job completion message.
-pub type JobReply = Result<JobDone, String>;
+pub type JobReply = Result<JobDone, JobError>;
 
 /// Monotone stage timestamps a job accumulates on its way through the
 /// daemon, in clock microseconds.  Zero means "not reached" (or not

@@ -3,12 +3,13 @@
 //! depends on this one).
 //!
 //! The contract is semi-synchronous replication: the worker journals a
-//! job's completion, learns the record's WAL sequence number, and calls
-//! [`ReplSink::wait_replicated`] *before* the reply goes to the client.
-//! Once that returns, the completion record is on the follower's disk
-//! (or the sink has deliberately degraded after its timeout) — which is
-//! what lets a promoted standby serve every previously acked job's
-//! output after the primary dies mid-load.
+//! batch's completions, learns the last record's WAL sequence number, and
+//! calls [`ReplSink::wait_replicated`] once *before* any of the batch's
+//! replies goes to a client.  The follower's durable mark covers a prefix
+//! of the log, so once that returns every completion record of the batch
+//! is on the follower's disk (or the sink has deliberately degraded after
+//! its timeout) — which is what lets a promoted standby serve every
+//! previously acked job's output after the primary dies mid-load.
 
 use obs::Json;
 
@@ -22,8 +23,8 @@ use obs::Json;
 pub trait ReplSink: Send + Sync + std::fmt::Debug + 'static {
     /// Block until the follower's durable high-water mark covers WAL
     /// sequence number `seq`, or the sink's degrade timeout elapses.
-    /// Called on the worker ack path after the completion record is
-    /// locally durable.
+    /// Called on the worker ack path once per batch, with the last of
+    /// the batch's completion records, after it is locally durable.
     fn wait_replicated(&self, seq: u64);
 
     /// The `repl` section of the stats snapshot.  `durable_seq` is the

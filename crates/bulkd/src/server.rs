@@ -8,10 +8,11 @@
 //! returns the final stats snapshot after joining the workers.
 
 use crate::clock::{real_runtime, Clock};
-use crate::journal::{Journal, JournalConfig};
+use crate::journal::{Completion, Journal, JournalConfig};
 use crate::protocol::{self, JobKey, Request, PROTOCOL_VERSION};
 use crate::queue::{
-    CoalescingQueue, Job, JobDone, QueueConfig, StageBreakdown, StageStamps, SubmitError,
+    Batch, CoalescingQueue, Job, JobDone, JobError, QueueConfig, StageBreakdown, StageStamps,
+    SubmitError,
 };
 use crate::repl::ReplSink;
 use crate::stats::ServerStats;
@@ -188,6 +189,48 @@ struct Shared {
     promoted: bool,
 }
 
+impl Shared {
+    /// The state one [`serve`] invocation shares across its threads, for
+    /// a server bound to `addr` whose job ids continue at `next_job_id`.
+    fn new(
+        cfg: &ServerConfig,
+        addr: SocketAddr,
+        executor: Box<dyn BatchExecutor>,
+        journal: Option<Journal>,
+        next_job_id: u64,
+    ) -> Self {
+        let (clock, sched) = real_runtime();
+        Shared {
+            queue: CoalescingQueue::with_runtime(
+                QueueConfig {
+                    max_batch: cfg.max_batch.max(1),
+                    max_queue: cfg.max_queue.max(1),
+                    flush_after: Duration::from_millis(cfg.flush_after_ms.max(1)),
+                },
+                Arc::clone(&clock),
+                sched,
+            ),
+            stats: ServerStats::new(),
+            executor,
+            tracer: Mutex::new(Tracer::new()),
+            clock,
+            node_id: cfg.node_id.clone().unwrap_or_else(|| addr.to_string()),
+            journal,
+            next_job_id: AtomicU64::new(next_job_id),
+            recorder: Arc::new(Recorder {
+                ring: Ring::with_capacity(RING_CAPACITY),
+                path: cfg.recorder_path.clone(),
+                dump_lock: Mutex::new(()),
+            }),
+            connections: Gauge::new(),
+            instrument: cfg.instrument,
+            repl: cfg.repl.clone(),
+            role: if cfg.repl.is_some() || cfg.promoted { "primary" } else { "solo" },
+            promoted: cfg.promoted,
+        }
+    }
+}
+
 /// The `repl` section for stats/metrics: the sink's own lag view, fed
 /// the journal's durable high-water mark and the server clock.
 fn repl_section(sh: &Shared) -> Option<Json> {
@@ -307,39 +350,11 @@ pub fn serve_with_listener(
         None => (None, None),
     };
     let next_job_id = recovery.as_ref().map_or(1, |r| r.next_job_id);
-    let (clock, sched) = real_runtime();
-    let recorder = Arc::new(Recorder {
-        ring: Ring::with_capacity(RING_CAPACITY),
-        path: cfg.recorder_path.clone(),
-        dump_lock: Mutex::new(()),
-    });
+    let shared = Arc::new(Shared::new(cfg, addr, executor, journal, next_job_id));
+    let recorder = Arc::clone(&shared.recorder);
     if cfg.instrument && cfg.recorder_path.is_some() {
         register_recorder(&recorder);
     }
-    let shared = Arc::new(Shared {
-        queue: CoalescingQueue::with_runtime(
-            QueueConfig {
-                max_batch: cfg.max_batch.max(1),
-                max_queue: cfg.max_queue.max(1),
-                flush_after: Duration::from_millis(cfg.flush_after_ms.max(1)),
-            },
-            Arc::clone(&clock),
-            sched,
-        ),
-        stats: ServerStats::new(),
-        executor,
-        tracer: Mutex::new(Tracer::new()),
-        clock,
-        node_id: cfg.node_id.clone().unwrap_or_else(|| addr.to_string()),
-        journal,
-        next_job_id: AtomicU64::new(next_job_id),
-        recorder: Arc::clone(&recorder),
-        connections: Gauge::new(),
-        instrument: cfg.instrument,
-        repl: cfg.repl.clone(),
-        role: if cfg.repl.is_some() || cfg.promoted { "primary" } else { "solo" },
-        promoted: cfg.promoted,
-    });
     // Periodic atomic recorder flushes: at any instant — including the
     // instant a `kill -9` lands — the last completed dump is on disk.
     let flusher_stop = Arc::new(AtomicBool::new(false));
@@ -482,103 +497,93 @@ fn worker_loop(tid: u64, sh: &Shared) {
         }
         sh.stats.on_batch(p as u64, exec_us);
 
-        match result {
+        // Each job's share of the batch: its slice of the outputs, or the
+        // batch's execution error.
+        let results: Vec<Result<Vec<Vec<u64>>, String>> = match result {
             Ok(outputs) => {
-                let mut off = 0;
-                for job in batch.jobs {
-                    let n = job.inputs.len();
-                    let queue_us = t0_us.saturating_sub(job.enqueued_us);
-                    let job_outputs = outputs[off..off + n].to_vec();
-                    off += n;
-                    let seq = match log_completion(sh, job.id, Ok(&job_outputs)) {
-                        Ok(seq) => seq,
-                        Err(e) => {
-                            // Fail-stop: the completion record's durability
-                            // is unknown, so the result is never acked.
-                            let done_us = sh.clock.now_us();
-                            rec(sh, done_us, track, "completion_refused", job.id, -1);
-                            let breakdown = stage_breakdown(&job, t0_us, exec_us, done_us);
-                            sh.stats.on_job_done(&batch.key, n as u64, queue_us, true, &breakdown);
-                            let _ = job.reply.send(Err(format!("journal fail-stopped: {e}")));
-                            continue;
-                        }
-                    };
-                    // Semi-synchronous replication: the reply leaves only
-                    // once the follower's durable mark covers this
-                    // completion record (or the sink degrades after its
-                    // timeout) — what makes acked jobs survive the death
-                    // of the node that acked them.
-                    if seq > 0 {
-                        if let Some(repl) = &sh.repl {
-                            repl.wait_replicated(seq);
-                        }
-                    }
-                    let done_us = sh.clock.now_us();
-                    let breakdown = stage_breakdown(&job, t0_us, exec_us, done_us);
-                    rec(sh, done_us, track, "completion_journaled", job.id, 0);
-                    sh.stats.on_job_done(&batch.key, n as u64, queue_us, false, &breakdown);
-                    let done = JobDone {
-                        outputs: job_outputs,
-                        batch_p: p,
-                        queue_us,
-                        exec_us,
-                        breakdown: Some(breakdown),
-                    };
-                    let _ = job.reply.send(Ok(done));
-                }
+                let mut outputs = outputs.into_iter();
+                batch
+                    .jobs
+                    .iter()
+                    .map(|j| Ok(outputs.by_ref().take(j.inputs.len()).collect()))
+                    .collect()
             }
-            Err(e) => {
-                for job in batch.jobs {
-                    let n = job.inputs.len() as u64;
-                    let queue_us = t0_us.saturating_sub(job.enqueued_us);
-                    // The reply is already an error; a failed completion
-                    // append cannot make it ackable, so its result is moot.
-                    // A successful append still gates on replication: an
-                    // error reply is an answer too, and the standby must
-                    // know the job is settled before it can take over.
-                    if let Ok(seq) = log_completion(sh, job.id, Err(&e)) {
-                        if seq > 0 {
-                            if let Some(repl) = &sh.repl {
-                                repl.wait_replicated(seq);
-                            }
-                        }
-                    }
-                    let done_us = sh.clock.now_us();
-                    rec(sh, done_us, track, "completion_journaled", job.id, -1);
-                    let breakdown = stage_breakdown(&job, t0_us, exec_us, done_us);
-                    sh.stats.on_job_done(&batch.key, n, queue_us, true, &breakdown);
-                    let _ = job.reply.send(Err(e.clone()));
-                }
-            }
-        }
+            Err(e) => vec![Err(e); batch.jobs.len()],
+        };
+        settle(sh, track, batch, results, t0_us, exec_us);
         sh.queue.batch_done();
     }
 }
 
-/// Journal a job's completion *before* its reply goes out, so an
-/// acknowledged answer is never re-executed after a crash.  The
-/// fail-stop contract lives here: when the append or its fsync fails,
-/// the result must NOT be acknowledged — the journal has fail-stopped
-/// and the caller turns the reply into an error instead.  The
-/// `bug-ack-before-fsync` test feature reintroduces the historical bug
-/// (log the failure, ack anyway) so the simulator's durability invariant
-/// can prove it catches it.
-fn log_completion(
+/// Settle a batch once, then answer every job: one completion append
+/// for the batch, one group-commit fsync covering its last record, and
+/// one replication wait for that record — the follower acknowledges a
+/// durable *prefix* of the log, so a mark that covers the last record
+/// covers them all.  An error reply is an answer too, so a failed
+/// batch's completions are journaled and replicated the same way: the
+/// standby must know a job is settled before it can take over.
+///
+/// The fail-stop contract lives here: when the append or its fsync
+/// fails, no result of the batch is acknowledged — each job with outputs
+/// gets a `wal` error instead (a job whose batch failed to execute keeps
+/// its `exec` error).  The `bug-ack-before-fsync` test feature reintroduces the
+/// historical bug (log the failure, ack anyway) so the simulator's
+/// durability invariant can prove it catches it.
+fn settle(
     sh: &Shared,
-    job_id: u64,
-    result: Result<&[Vec<u64>], &String>,
-) -> Result<u64, String> {
-    let Some(journal) = &sh.journal else { return Ok(0) };
-    match journal.log_complete(job_id, result.map_err(String::as_str)) {
-        Ok(seq) => Ok(seq),
-        Err(e) => {
-            eprintln!("bulkd: journal completion append failed for job {job_id}: {e}");
-            if crate::journal::ack_despite_fsync_error() {
-                Ok(0)
-            } else {
-                Err(e)
-            }
+    track: u32,
+    batch: Batch,
+    results: Vec<Result<Vec<Vec<u64>>, String>>,
+    t0_us: u64,
+    exec_us: u64,
+) {
+    let p = batch.instances();
+    let Batch { key, jobs } = batch;
+    let journaled = match &sh.journal {
+        None => Ok(0),
+        Some(journal) => {
+            let completions: Vec<Completion<'_>> = jobs
+                .iter()
+                .zip(&results)
+                .map(|(job, r)| (job.id, r.as_deref().map_err(String::as_str)))
+                .collect();
+            journal.log_complete(&completions).or_else(|e| {
+                eprintln!("bulkd: journal completion append failed for {} jobs: {e}", jobs.len());
+                if crate::journal::ack_despite_fsync_error() {
+                    Ok(0)
+                } else {
+                    Err(e)
+                }
+            })
         }
+    };
+    // Sequence 0 is no record at all: no WAL, or the ack-anyway bug.
+    if let (Ok(seq @ 1..), Some(repl)) = (&journaled, &sh.repl) {
+        repl.wait_replicated(*seq);
+    }
+    let done_us = sh.clock.now_us();
+    for (job, result) in jobs.into_iter().zip(results) {
+        let n = job.inputs.len() as u64;
+        let queue_us = t0_us.saturating_sub(job.enqueued_us);
+        let breakdown = stage_breakdown(&job, t0_us, exec_us, done_us);
+        let reply = match (result, &journaled) {
+            (Err(e), _) => {
+                rec(sh, done_us, track, "completion_journaled", job.id, -1);
+                Err(JobError { kind: "exec", detail: e })
+            }
+            (Ok(_), Err(e)) => {
+                // The completion record's durability is unknown, so the
+                // result is never acked.
+                rec(sh, done_us, track, "completion_refused", job.id, -1);
+                Err(JobError { kind: "wal", detail: e.clone() })
+            }
+            (Ok(outputs), Ok(_)) => {
+                rec(sh, done_us, track, "completion_journaled", job.id, 0);
+                Ok(JobDone { outputs, batch_p: p, queue_us, exec_us, breakdown: Some(breakdown) })
+            }
+        };
+        sh.stats.on_job_done(&key, n, queue_us, reply.is_err(), &breakdown);
+        let _ = job.reply.send(reply);
     }
 }
 
@@ -776,7 +781,7 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
                 if timing { done.breakdown.as_ref().map(StageBreakdown::to_json) } else { None };
             protocol::resp_outputs(&done.outputs, done.batch_p, done.queue_us, done.exec_us, echoed)
         }
-        Ok(Err(e)) => protocol::resp_error("exec", &e),
+        Ok(Err(e)) => protocol::resp_error(e.kind, &e.detail),
         Err(_) => protocol::resp_error("exec", "worker dropped the job"),
     }
 }
@@ -784,6 +789,95 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oblivious::Layout;
+    use wal::FsyncPolicy;
+
+    /// Answers every instance with its own inputs.
+    struct Echo;
+
+    impl BatchExecutor for Echo {
+        fn validate(&self, _key: &JobKey) -> Result<usize, String> {
+            Ok(1)
+        }
+
+        fn execute(&self, _key: &JobKey, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, String> {
+            Ok(inputs.to_vec())
+        }
+
+        fn cache_stats(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
+    /// The fail-stop contract under the real settle step: when the fsync
+    /// that would make a batch's completions durable fails, every job of
+    /// the batch is answered `wal` (with the journal's cause, prefixed
+    /// once), none is acknowledged, and all count as failed.
+    #[test]
+    fn a_failed_completion_fsync_answers_every_job_of_the_batch_wal() {
+        const JOBS: u64 = 4;
+        let dir =
+            std::env::temp_dir().join(format!("bulkd-settle-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal =
+            JournalConfig { dir: dir.clone(), fsync: FsyncPolicy::Always, segment_bytes: 1 << 20 };
+        let (journal, _) = Journal::open(&wal).unwrap();
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            node_id: Some("failstop".into()),
+            workers: 1,
+            max_batch: JOBS as usize,
+            max_queue: 64,
+            flush_after_ms: 3_600_000,
+            trace_path: None,
+            wal: Some(wal),
+            instrument: true,
+            recorder_path: None,
+            repl: None,
+            promoted: false,
+        };
+        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
+        let sh = Shared::new(&cfg, addr, Box::new(Echo), Some(journal), 1);
+        let journal = sh.journal.as_ref().unwrap();
+        let key = JobKey { algo: "echo".into(), size: 1, layout: Layout::ColumnWise };
+        let replies: Vec<Json> = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| worker_loop(0, &sh));
+            let submit = |i: u64| {
+                let (sh, key) = (&sh, key.clone());
+                scope.spawn(move || handle_submit(key, vec![vec![i]], false, sh))
+            };
+            // All but the last submit durable and waiting in the open
+            // group (the group flushes only at JOBS instances).
+            let mut pending: Vec<_> = (1..JOBS).map(submit).collect();
+            while journal.durable_seq() < JOBS - 1 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let fsyncs = journal.stats_json().path("fsyncs").and_then(Json::as_i64).unwrap();
+            // The last submit's own fsync succeeds; the next one — the
+            // batch's completions — fails.
+            journal.inject_fsync_error(fsyncs as u64 + 2);
+            pending.push(submit(JOBS));
+            let replies = pending.into_iter().map(|h| h.join().unwrap()).collect();
+            sh.queue.drain();
+            worker.join().unwrap();
+            replies
+        });
+        for reply in &replies {
+            let text = reply.to_compact();
+            assert_eq!(reply.path("error").and_then(Json::as_str), Some("wal"), "{text}");
+            let detail = reply.path("detail").and_then(Json::as_str).unwrap();
+            assert!(detail.starts_with("journal fail-stopped: fsync"), "{text}");
+            assert_eq!(detail.matches("fail-stopped").count(), 1, "{text}");
+            assert!(reply.path("outputs").is_none(), "a refused completion was acked: {text}");
+        }
+        let snap = stats_snapshot(&sh);
+        let n = |path: &str| snap.path(path).and_then(Json::as_i64);
+        assert_eq!(n("execution.failed_jobs"), Some(JOBS as i64), "{}", snap.to_pretty());
+        assert_eq!(n("execution.completed_jobs"), Some(0));
+        assert_eq!(n("wal.durable_seq"), Some(JOBS as i64), "only the submits are durable");
+        assert!(journal.fail_stopped().is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn recorder_trace_is_loadable_json() {

@@ -224,6 +224,91 @@ fn drain_completes_accepted_work_and_rejects_new_submits() {
     assert_eq!(final_stats.path("queue.queued_instances").unwrap().as_i64(), Some(0));
 }
 
+/// A batch settles once: its completions share one WAL append and one
+/// fsync.  Seven single-instance submits wait in an open group (max batch
+/// 8, a one-hour flush window); the eighth fills it.  From then until the
+/// last reply nothing else appends, so exactly two fsyncs land — the
+/// eighth submit's and the batch's completions — where settling job by
+/// job would pay nine.
+#[test]
+fn a_batch_of_completions_costs_one_fsync() {
+    const JOBS: usize = 8;
+    let dir = std::env::temp_dir().join(format!("bulkd-settle-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let executor = CatalogExecutor::new(1);
+    let cfg = bulkd::ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        node_id: None,
+        workers: 2,
+        max_batch: JOBS,
+        max_queue: 1024,
+        flush_after_ms: 3_600_000,
+        trace_path: None,
+        wal: Some(bulkd::JournalConfig {
+            dir: dir.clone(),
+            fsync: wal::FsyncPolicy::Always,
+            segment_bytes: 4 << 20,
+        }),
+        instrument: true,
+        recorder_path: None,
+        repl: None,
+        promoted: false,
+    };
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        bulkd::serve(&cfg, Box::new(executor), move |addr| {
+            tx.send(addr).expect("addr channel");
+        })
+    });
+    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("server ready").to_string();
+
+    let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
+    let layout = oblivious::Layout::ColumnWise;
+    let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
+    let inputs = algo.random_inputs_bits(RUN_SEED, JOBS);
+    let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, JOBS, layout, RUN_SEED);
+    let mut probe = bulkd::Client::connect(&addr).expect("connect");
+    let wal_stat = |c: &mut bulkd::Client, path: &str| {
+        c.stats().expect("stats").path(path).and_then(Json::as_i64).expect(path)
+    };
+
+    let served: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let submit = |i: usize| {
+            let (addr, key, inputs) = (&addr, &key, &inputs);
+            scope.spawn(move || {
+                let mut client = bulkd::Client::connect(addr).expect("connect");
+                let ok =
+                    client.submit(key, std::slice::from_ref(&inputs[i]), false).expect("submit");
+                assert_eq!(ok.batch_p, JOBS as u64, "job {i} did not ride the full batch");
+                ok.outputs.into_iter().next().expect("one output")
+            })
+        };
+        let mut pending: Vec<_> = (0..JOBS - 1).map(submit).collect();
+        // `queued_instances` counts admissions, whose submit fsync may
+        // still be in flight; a durable mark of 7 means all seven are done.
+        let t0 = Instant::now();
+        while wal_stat(&mut probe, "wal.durable_seq") < (JOBS - 1) as i64 {
+            assert!(t0.elapsed() < Duration::from_secs(20), "submits never became durable");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let status = probe.status().expect("status");
+        assert_eq!(status.path("queued_instances").and_then(Json::as_i64), Some(JOBS as i64 - 1));
+        let fsyncs = wal_stat(&mut probe, "wal.fsyncs");
+        let completions = wal_stat(&mut probe, "wal.log_completions");
+        pending.push(submit(JOBS - 1));
+        let served = pending.into_iter().map(|h| h.join().expect("client panicked")).collect();
+        assert_eq!(wal_stat(&mut probe, "wal.fsyncs") - fsyncs, 2, "one submit, one batch");
+        assert_eq!(wal_stat(&mut probe, "wal.log_completions") - completions, JOBS as i64);
+        served
+    });
+    assert_eq!(served, direct, "served outputs diverge from the compiled engine");
+
+    let final_stats = drain_and_join(&addr, server);
+    assert_eq!(final_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(JOBS as i64));
+    assert_eq!(final_stats.path("execution.batches").unwrap().as_i64(), Some(1));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Degenerate submits — zero instances, or a size outside the catalog's
 /// serving range — bounce with a structured `bad-request` on a connection
 /// that stays usable, and the rejection is counted.

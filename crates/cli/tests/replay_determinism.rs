@@ -68,7 +68,7 @@ fn two_independent_recoveries_of_one_log_are_bit_identical() {
         if id == 1 {
             let exec = CatalogExecutor::new(1);
             let out = bulkd::BatchExecutor::execute(&exec, &key, &inputs).unwrap();
-            journal.log_complete(id as u64 + 1, Ok(&out)).unwrap();
+            journal.log_complete(&[(id as u64 + 1, Ok(&out))]).unwrap();
         }
     }
     drop(journal);

@@ -633,7 +633,10 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
 /// mid-load, promotes it and repoints the backend id — no key moves,
 /// no acked job is lost, and every output stays bit-identical to the
 /// compiled engine.  Replication lag is asserted observable through the
-/// router's merged metrics while the pair is alive.
+/// router's merged metrics while the pair is alive, and the promoted
+/// node must recover every job acked before the kill.  Built with
+/// `--features repl/bug-ack-beyond-replicated`, that recovery floor is
+/// the assertion that must fail.
 #[test]
 fn killing_the_primary_fails_over_to_the_promoted_standby() {
     const CLIENTS: usize = 4;
@@ -741,7 +744,7 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
         read_timeout: Some(Duration::from_secs(20)),
     };
     let acked = Mutex::new(vec![None::<Vec<u64>>; TOTAL]);
-    std::thread::scope(|scope| {
+    let banked_at_kill = std::thread::scope(|scope| {
         for c in 0..CLIENTS {
             let (router_addr, key, pool, acked, client_cfg) =
                 (&router_addr, &key, &pool, &acked, &client_cfg);
@@ -775,39 +778,54 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
             });
         }
 
-        // While the pair is alive: replication lag is visible end-to-end
-        // through the router's merged Prometheus exposition.
-        let mcfg = bulkd::ClientConfig {
-            connect_timeout: Some(Duration::from_millis(500)),
-            read_timeout: Some(Duration::from_secs(10)),
-        };
-        let t0 = Instant::now();
-        loop {
-            let text = bulkd::Client::connect_with(&router_addr, &mcfg)
-                .ok()
-                .and_then(|mut c| c.metrics().ok())
-                .unwrap_or_default();
-            if text.contains("bulkd_node_repl_lag_records{node=\"n1\"}") {
-                break;
+        // While the pair is alive: the primary exports a connected
+        // follower and no degraded ack, and replication lag plus probe
+        // recency are visible end-to-end through the router's merged
+        // Prometheus exposition.
+        let scrape = |addr: &str, families: &[&str]| -> String {
+            let mcfg = bulkd::ClientConfig {
+                connect_timeout: Some(Duration::from_millis(500)),
+                read_timeout: Some(Duration::from_secs(10)),
+            };
+            let t0 = Instant::now();
+            loop {
+                let text = bulkd::Client::connect_with(addr, &mcfg)
+                    .ok()
+                    .and_then(|mut c| c.metrics().ok())
+                    .unwrap_or_default();
+                if families.iter().all(|f| text.contains(f)) {
+                    return text;
+                }
+                assert!(
+                    t0.elapsed() < Duration::from_secs(15),
+                    "{families:?} never all appeared in {addr}'s metrics:\n{text}"
+                );
+                std::thread::sleep(Duration::from_millis(50));
             }
-            assert!(
-                t0.elapsed() < Duration::from_secs(15),
-                "repl lag never appeared in router metrics:\n{text}"
-            );
-            std::thread::sleep(Duration::from_millis(50));
+        };
+        let primary_text = scrape(&serve_addr, &["bulkd_repl_follower_connected 1\n"]);
+        for family in ["bulkd_repl_degraded_acks_total 0\n", "bulkd_repl_replicated_seq "] {
+            assert!(primary_text.contains(family), "primary lacks {family:?}:\n{primary_text}");
         }
+        scrape(
+            &router_addr,
+            &[
+                "bulkd_node_repl_lag_records{node=\"n1\"}",
+                "router_backend_last_probe_us{node=\"n1\"}",
+            ],
+        );
 
         // Kill -9 the primary the moment enough acks are banked.
         let t0 = Instant::now();
         loop {
             let banked = acked.lock().unwrap().iter().filter(|o| o.is_some()).count();
             if banked >= ACKS_BEFORE_KILL {
-                break;
+                primary.kill().expect("kill primary");
+                break banked;
             }
             assert!(t0.elapsed() < Duration::from_secs(60), "load never reached the kill point");
             std::thread::sleep(Duration::from_millis(5));
         }
-        primary.kill().expect("kill primary");
     });
     primary.wait().expect("reap primary");
 
@@ -846,6 +864,17 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
         drained.to_pretty()
     );
     assert_eq!(r("router.failovers"), 1);
+
+    // Zero lost acked jobs: the semi-synchronous gate put every completion
+    // acked before the kill on the standby's disk, so the promoted node's
+    // recovery finds at least that many already completed.
+    let recovered = r("backends.n1.wal.recovery.already_completed_jobs");
+    assert!(
+        recovered >= banked_at_kill as i64,
+        "acked jobs lost across the failover: the promoted node recovered {recovered} \
+         completed jobs, but {banked_at_kill} were acked before the kill"
+    );
+    assert_eq!(r("backends.n1.wal.recovery.runs"), 1, "{}", drained.to_pretty());
 
     assert!(router_child.wait().expect("reap router").success(), "router exited non-zero");
     assert!(standby.wait().expect("reap standby").success(), "standby exited non-zero");

@@ -342,7 +342,7 @@ fn bit_flipped_segment_truncates_reported_not_panics() {
                 std::slice::from_ref(input),
                 1,
             );
-            journal.log_complete(i as u64 + 1, Ok(&out)).unwrap();
+            journal.log_complete(&[(i as u64 + 1, Ok(&out))]).unwrap();
         }
     }
     let seg = std::fs::read_dir(&wal_dir)

@@ -8,11 +8,13 @@
 //! records become durable; a dedicated reader thread consumes the
 //! follower's ACK frames and publishes its durable high-water mark.
 //!
-//! [`ReplPrimary`] implements [`bulkd::ReplSink`]: the serving loop's
-//! workers call [`bulkd::ReplSink::wait_replicated`] after journaling
-//! each completion, so no reply reaches a client before the follower
-//! holds the record that backs it (or the bounded degrade timeout fires
-//! and the `degraded_acks` counter owns the exception).
+//! [`ReplPrimary`] implements [`bulkd::ReplSink`]: a serving worker calls
+//! [`bulkd::ReplSink::wait_replicated`] once per batch, after journaling
+//! the batch's completions, with the last record's sequence number.  The
+//! follower acknowledges a durable prefix of the log, so no reply reaches
+//! a client before the follower holds the record that backs it (or the
+//! bounded degrade timeout fires and the `degraded_acks` counter owns the
+//! exception).
 
 use crate::frame;
 use obs::Json;

@@ -268,18 +268,19 @@ fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(
 }
 
 /// Maintain the journal-replay view incrementally: a submit opens a job,
-/// a completion closes it.  Records that fail to parse are skipped here
-/// (the authoritative replay at promotion will surface them).
+/// a completion closes it.  This runs before the ACK that releases the
+/// primary's replies, so it reads only each record's leading job id
+/// ([`journal::payload_job_id`]) and never parses inputs or outputs.
+/// Records without one are skipped here (the authoritative replay at
+/// promotion will surface them).
 fn track_replay(incomplete: &mut HashSet<u64>, rec: &wal::Record) {
-    let Ok(text) = std::str::from_utf8(&rec.payload) else { return };
-    let Ok(j) = Json::parse(text) else { return };
-    let Some(id) = j.get("job").and_then(Json::as_i64).filter(|&v| v >= 0) else { return };
+    let Some(id) = journal::payload_job_id(&rec.payload) else { return };
     match rec.rec_type {
         REC_SUBMIT => {
-            incomplete.insert(id as u64);
+            incomplete.insert(id);
         }
         REC_COMPLETE => {
-            incomplete.remove(&(id as u64));
+            incomplete.remove(&id);
         }
         _ => {}
     }

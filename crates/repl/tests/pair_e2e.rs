@@ -69,7 +69,7 @@ fn pair_replicates_acks_and_promotes_bit_identically() {
     // inside the degrade timeout because the follower is live.
     journal.log_submit(1, &key(), &[vec![0x1], vec![0x2]]).unwrap();
     let out = vec![vec![0x1u64], vec![0x3u64]];
-    let seq = journal.log_complete(1, Ok(&out)).unwrap();
+    let seq = journal.log_complete(&[(1, Ok(&out))]).unwrap();
     let gate = Instant::now();
     prim.wait_replicated(seq);
     assert!(
@@ -161,7 +161,7 @@ fn unacked_primary_degrades_after_follower_loss_not_before() {
 
     journal.log_submit(1, &key(), &[vec![0x1]]).unwrap();
     let out = vec![vec![0x1u64]];
-    let seq = journal.log_complete(1, Ok(&out)).unwrap();
+    let seq = journal.log_complete(&[(1, Ok(&out))]).unwrap();
 
     // No standby ever connected: the pair contract holds from record
     // one, so the gate waits its (short) timeout and degrades.

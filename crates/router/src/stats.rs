@@ -570,6 +570,7 @@ pub fn render_prometheus(
 mod tests {
     use super::*;
     use crate::health::{HealthBoard, HealthPolicy};
+    use bulkd::ReplSink;
 
     /// A node's `stats` snapshot as bulkd itself renders it: `completed`
     /// four-instance jobs spread over `keys` (display form
@@ -671,7 +672,14 @@ mod tests {
         stats.on_submit();
         stats.on_dispatch(0);
         stats.on_ack(0, false);
-        let snaps = vec![Some(backend_snapshot(8, 2, 1, &["fft/8/row"])), None];
+        // Alpha is a primary whose `repl` section is the one `repl`
+        // really renders: seven records durable locally and none on a
+        // follower, first seen at t = 1 ms and still trailing at t = 4 ms.
+        let (primary, _addr) = repl::ReplPrimary::start(repl::PrimaryConfig::default()).unwrap();
+        let mut alpha = backend_snapshot(8, 2, 1, &["fft/8/row"]);
+        primary.stats_json(7, 1_000);
+        alpha.set("repl", primary.stats_json(7, 4_000));
+        let snaps = vec![Some(alpha), None];
         let text = render_prometheus(&stats.view(), &ids, &board.view(), &snaps);
         assert!(text.contains("router_submits_total 1\n"), "{text}");
         assert!(text.contains("router_backend_up{node=\"alpha\"} 1\n"), "{text}");
@@ -681,6 +689,9 @@ mod tests {
         assert!(text.contains("bulkd_cluster_completed_jobs_total 8\n"), "{text}");
         assert!(text.contains("bulkd_cluster_coalesce_factor 4\n"), "{text}");
         assert!(text.contains("router_redispatch_total{reason=\"overloaded\"} 0\n"), "{text}");
+        // `snap_u64` reads a missing field as 0, so these catch a rename.
+        assert!(text.contains("bulkd_node_repl_lag_records{node=\"alpha\"} 7\n"), "{text}");
+        assert!(text.contains("bulkd_node_repl_lag_us{node=\"alpha\"} 3000\n"), "{text}");
         // The unreachable node contributes no bulkd_node series.
         assert!(!text.contains("bulkd_node_completed_jobs_total{node=\"beta\"}"), "{text}");
     }
