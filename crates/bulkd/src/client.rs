@@ -1,6 +1,6 @@
 //! A small blocking client for the bulkd wire protocol.
 
-use crate::protocol::{words_from_json, JobKey, Request};
+use crate::protocol::{read_words, submit_line, JobKey, Request};
 use obs::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -173,8 +173,8 @@ impl Client {
         Ok(resp)
     }
 
-    fn roundtrip(&mut self, req: &Json) -> Result<Json, ClientError> {
-        let resp = self.roundtrip_line(&req.to_compact())?;
+    fn roundtrip(&mut self, req: &Request) -> Result<Json, ClientError> {
+        let resp = self.roundtrip_line(&req.to_line())?;
         Json::parse(&resp).map_err(ClientError::Protocol)
     }
 
@@ -218,16 +218,12 @@ impl Client {
         inputs: &[Vec<u64>],
         timing: bool,
     ) -> Result<SubmitOk, ClientError> {
-        let req = Request::Submit { key: key.clone(), inputs: inputs.to_vec(), timing };
-        let resp = Self::expect_ok(self.roundtrip(&req.to_json())?)?;
-        let outputs = resp
-            .get("outputs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ClientError::Protocol("submit response lacks \"outputs\"".into()))?
-            .iter()
-            .map(words_from_json)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ClientError::Protocol)?;
+        let line = self.roundtrip_line(&submit_line(key, inputs, timing))?;
+        let (resp, outputs) =
+            Json::parse_with(&line, "outputs", read_words).map_err(ClientError::Protocol)?;
+        let resp = Self::expect_ok(resp)?;
+        let outputs = outputs
+            .ok_or_else(|| ClientError::Protocol("submit response lacks \"outputs\"".into()))?;
         let field = |name: &str| resp.get(name).and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
         Ok(SubmitOk {
             outputs,
@@ -244,7 +240,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn status(&mut self) -> Result<Json, ClientError> {
-        Self::expect_ok(self.roundtrip(&Request::Status.to_json())?)
+        Self::expect_ok(self.roundtrip(&Request::Status)?)
     }
 
     /// Fetch the full observability snapshot.
@@ -253,7 +249,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn stats(&mut self) -> Result<Json, ClientError> {
-        Self::expect_ok(self.roundtrip(&Request::Stats.to_json())?)
+        Self::expect_ok(self.roundtrip(&Request::Stats)?)
     }
 
     /// Fetch the live Prometheus text exposition.
@@ -263,7 +259,7 @@ impl Client {
     /// Transport or protocol failures, or a response without the
     /// documented `metrics` string.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let resp = Self::expect_ok(self.roundtrip(&Request::Metrics.to_json())?)?;
+        let resp = Self::expect_ok(self.roundtrip(&Request::Metrics)?)?;
         resp.get("metrics")
             .and_then(Json::as_str)
             .map(str::to_owned)
@@ -278,7 +274,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn dump(&mut self) -> Result<Json, ClientError> {
-        Self::expect_ok(self.roundtrip(&Request::Dump.to_json())?)
+        Self::expect_ok(self.roundtrip(&Request::Dump)?)
     }
 
     /// Ask the server to drain and shut down; blocks until every accepted
@@ -289,7 +285,7 @@ impl Client {
     /// Transport or protocol failures, or [`ClientError::NotPrimary`]
     /// when the target is a warm standby.
     pub fn drain(&mut self) -> Result<Json, ClientError> {
-        Self::expect_ok(self.roundtrip(&Request::Drain.to_json())?)
+        Self::expect_ok(self.roundtrip(&Request::Drain)?)
     }
 
     /// Ask a warm standby to take over as the serving primary; returns
@@ -300,6 +296,6 @@ impl Client {
     /// Transport or protocol failures, or a `not_standby` rejection when
     /// the target is not a standby.
     pub fn promote(&mut self) -> Result<Json, ClientError> {
-        Self::expect_ok(self.roundtrip(&Request::Promote.to_json())?)
+        Self::expect_ok(self.roundtrip(&Request::Promote)?)
     }
 }

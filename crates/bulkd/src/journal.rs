@@ -1,7 +1,8 @@
 //! The daemon's durability journal: WAL records for accepted jobs.
 //!
 //! Record types (payloads are compact `obs::json` documents, words as
-//! the wire's `"0x…"` bit patterns):
+//! the wire's `"0x…"` bit patterns, written and read by the protocol's
+//! words codec):
 //!
 //! ```text
 //! submit     (1) := {"job":ID,"algo":NAME,"size":N,"layout":"row"|"col",
@@ -145,13 +146,12 @@ pub struct Journal {
 /// models that the real [`replay`] consumes.
 #[must_use]
 pub fn submit_payload(id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Vec<u8> {
-    let mut o = Json::obj();
-    o.set("job", id);
-    o.set("algo", key.algo.as_str());
-    o.set("size", key.size);
-    o.set("layout", protocol::layout_name(key.layout));
-    o.set("inputs", Json::Arr(inputs.iter().map(|i| protocol::words_to_json(i)).collect()));
-    o.to_compact().into_bytes()
+    let mut head = Json::obj();
+    head.set("job", id);
+    head.set("algo", key.algo.as_str());
+    head.set("size", key.size);
+    head.set("layout", protocol::layout_name(key.layout));
+    protocol::object_with_words(&head, "inputs", inputs, &Json::obj()).into_bytes()
 }
 
 /// Encode a completion record's payload.  Public for the simulator (see
@@ -163,17 +163,14 @@ pub fn complete_payload(id: u64, result: Result<&[Vec<u64>], &str>) -> Vec<u8> {
     match result {
         Ok(outputs) => {
             o.set("ok", true);
-            o.set(
-                "outputs",
-                Json::Arr(outputs.iter().map(|w| protocol::words_to_json(w)).collect()),
-            );
+            protocol::object_with_words(&o, "outputs", outputs, &Json::obj()).into_bytes()
         }
         Err(e) => {
             o.set("ok", false);
             o.set("error", e);
+            o.to_compact().into_bytes()
         }
     }
-    o.to_compact().into_bytes()
 }
 
 /// The job id a submit or completion payload leads with, read without
@@ -202,10 +199,11 @@ pub fn ack_despite_fsync_error() -> bool {
     cfg!(feature = "bug-ack-before-fsync")
 }
 
-fn payload_json(rec: &Record) -> Result<Json, String> {
+/// Parse a record's payload with `parse`, naming the record in errors.
+fn payload<T>(rec: &Record, parse: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
     let text = std::str::from_utf8(&rec.payload)
         .map_err(|e| format!("record seq {} payload is not UTF-8: {e}", rec.seq))?;
-    Json::parse(text).map_err(|e| format!("record seq {} payload: {e}", rec.seq))
+    parse(text).map_err(|e| format!("record seq {} payload: {e}", rec.seq))
 }
 
 fn field_u64(j: &Json, field: &str, seq: u64) -> Result<u64, String> {
@@ -228,13 +226,15 @@ fn field_u64(j: &Json, field: &str, seq: u64) -> Result<u64, String> {
 /// a crash artifact, and recovery refuses to guess.
 pub fn replay(records: &[Record]) -> Result<Recovery, String> {
     let mut submits: Vec<RecoveredJob> = Vec::new();
+    let mut submitted: HashSet<u64> = HashSet::new();
     let mut completed: HashSet<u64> = HashSet::new();
     let mut max_id = 0u64;
     let mut checkpoint_next = 1u64;
     for rec in records {
         match rec.rec_type {
             REC_SUBMIT => {
-                let j = payload_json(rec)?;
+                let (j, inputs) =
+                    payload(rec, |text| Json::parse_with(text, "inputs", protocol::read_words))?;
                 let id = field_u64(&j, "job", rec.seq)?;
                 let algo = j
                     .get("algo")
@@ -247,28 +247,25 @@ pub fn replay(records: &[Record]) -> Result<Recovery, String> {
                         .and_then(Json::as_str)
                         .ok_or_else(|| format!("record seq {} is missing \"layout\"", rec.seq))?,
                 )?;
-                let inputs = j
-                    .get("inputs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("record seq {} is missing \"inputs\"", rec.seq))?
-                    .iter()
-                    .map(protocol::words_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if submits.iter().any(|s| s.id == id) {
+                let inputs = inputs
+                    .ok_or_else(|| format!("record seq {} is missing \"inputs\"", rec.seq))?;
+                if !submitted.insert(id) {
                     return Err(format!("duplicate submit record for job {id}"));
                 }
                 max_id = max_id.max(id);
                 submits.push(RecoveredJob { id, key: JobKey { algo, size, layout }, inputs });
             }
             REC_COMPLETE => {
-                let j = payload_json(rec)?;
+                // The outputs are decoded only to check them.
+                let (j, _outputs) =
+                    payload(rec, |text| Json::parse_with(text, "outputs", protocol::read_words))?;
                 let id = field_u64(&j, "job", rec.seq)?;
                 if !completed.insert(id) {
                     return Err(format!("duplicate completion record for job {id}"));
                 }
             }
             REC_CHECKPOINT => {
-                let j = payload_json(rec)?;
+                let j = payload(rec, Json::parse)?;
                 checkpoint_next = checkpoint_next.max(field_u64(&j, "next_job", rec.seq)?);
             }
             other => return Err(format!("record seq {} has unknown type {other}", rec.seq)),

@@ -12,13 +12,14 @@
 //! Everything here is `std`-only: the wire protocol is newline-delimited
 //! JSON over `std::net`, serialized with the `obs::json` codec, and word
 //! values cross the wire as `"0x…"` bit-pattern strings so `f32`/`u32`/
-//! `u64` payloads survive bit-exactly.
+//! `u64` payloads survive bit-exactly.  Those words go through the
+//! protocol's own words codec, never through a JSON tree.
 //!
 //! Layering (each module usable on its own):
 //!
 //! - [`clock`] — time and scheduling as injectable capabilities, the seam
 //!   that lets the whole daemon run under deterministic simulation;
-//! - [`protocol`] — requests, responses, and the hex word codec;
+//! - [`protocol`] — requests, responses, and the direct hex words codec;
 //! - [`wire`] — the newline-JSON transport every line server shares:
 //!   accept loop, framing, single-write replies, stop ordering;
 //! - [`queue`] — the coalescing queue with admission control and drain;

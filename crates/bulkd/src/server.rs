@@ -677,7 +677,9 @@ impl LineService for Shared {
                 "not_standby",
                 "this node is not a warm standby; promote targets a standby's control port",
             ),
-            Request::Submit { key, inputs, timing } => handle_submit(key, inputs, timing, self),
+            Request::Submit { key, inputs, timing } => {
+                return Reply::Line(handle_submit(key, inputs, timing, self));
+            }
         };
         Reply::Line(resp.to_compact())
     }
@@ -703,18 +705,18 @@ impl LineService for Shared {
     }
 }
 
-fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) -> Json {
+fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) -> String {
     let n = inputs.len() as u64;
     sh.stats.on_submit(n);
     if inputs.is_empty() {
         sh.stats.on_reject(0);
-        return protocol::resp_error("bad-request", "submit carries no instances");
+        return protocol::resp_error("bad-request", "submit carries no instances").to_compact();
     }
     let words = match sh.executor.validate(&key) {
         Ok(w) => w,
         Err(e) => {
             sh.stats.on_reject(n);
-            return protocol::resp_error("bad-request", &e);
+            return protocol::resp_error("bad-request", &e).to_compact();
         }
     };
     if let Some(bad) = inputs.iter().find(|i| i.len() != words) {
@@ -722,7 +724,8 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
         return protocol::resp_error(
             "bad-request",
             &format!("{key} expects {words} input words per instance, got {}", bad.len()),
-        );
+        )
+        .to_compact();
     }
     // Two-phase admission: reserve capacity, journal the submit, then
     // make the job visible.  The WAL append sits between the phases so a
@@ -731,11 +734,12 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
     let adm = match sh.queue.reserve(inputs.len()) {
         Err(SubmitError::Draining) => {
             sh.stats.on_reject(n);
-            return protocol::resp_error("draining", "server is draining; no new work accepted");
+            return protocol::resp_error("draining", "server is draining; no new work accepted")
+                .to_compact();
         }
         Err(SubmitError::Overloaded { retry_after_ms }) => {
             sh.stats.on_reject(n);
-            return protocol::resp_overloaded(retry_after_ms);
+            return protocol::resp_overloaded(retry_after_ms).to_compact();
         }
         Ok(adm) => adm,
     };
@@ -748,7 +752,8 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
         if let Err(e) = journal.log_submit(id, &key, &inputs) {
             sh.queue.cancel(adm);
             sh.stats.on_reject(n);
-            return protocol::resp_error("wal", &format!("journal append failed: {e}"));
+            return protocol::resp_error("wal", &format!("journal append failed: {e}"))
+                .to_compact();
         }
     }
     // `journaled` covers the append *and* its group-commit durability
@@ -781,8 +786,8 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
                 if timing { done.breakdown.as_ref().map(StageBreakdown::to_json) } else { None };
             protocol::resp_outputs(&done.outputs, done.batch_p, done.queue_us, done.exec_us, echoed)
         }
-        Ok(Err(e)) => protocol::resp_error(e.kind, &e.detail),
-        Err(_) => protocol::resp_error("exec", "worker dropped the job"),
+        Ok(Err(e)) => protocol::resp_error(e.kind, &e.detail).to_compact(),
+        Err(_) => protocol::resp_error("exec", "worker dropped the job").to_compact(),
     }
 }
 
@@ -840,7 +845,7 @@ mod tests {
         let sh = Shared::new(&cfg, addr, Box::new(Echo), Some(journal), 1);
         let journal = sh.journal.as_ref().unwrap();
         let key = JobKey { algo: "echo".into(), size: 1, layout: Layout::ColumnWise };
-        let replies: Vec<Json> = std::thread::scope(|scope| {
+        let replies: Vec<String> = std::thread::scope(|scope| {
             let worker = scope.spawn(|| worker_loop(0, &sh));
             let submit = |i: u64| {
                 let (sh, key) = (&sh, key.clone());
@@ -862,8 +867,8 @@ mod tests {
             worker.join().unwrap();
             replies
         });
-        for reply in &replies {
-            let text = reply.to_compact();
+        for text in &replies {
+            let reply = Json::parse(text).unwrap();
             assert_eq!(reply.path("error").and_then(Json::as_str), Some("wal"), "{text}");
             let detail = reply.path("detail").and_then(Json::as_str).unwrap();
             assert!(detail.starts_with("journal fail-stopped: fsync"), "{text}");

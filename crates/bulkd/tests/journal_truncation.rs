@@ -13,6 +13,7 @@
 use bulkd::journal::{
     complete_payload, replay, submit_payload, REC_CHECKPOINT, REC_COMPLETE, REC_SUBMIT,
 };
+use bulkd::protocol::read_words;
 use bulkd::JobKey;
 use oblivious::Layout;
 use obs::Json;
@@ -117,15 +118,10 @@ fn every_record_boundary_prefix_recovers_to_the_prefix_state() {
                             == Some(r.id as i64)
                 })
                 .expect("requeued job must come from a submit record");
-            let j = Json::parse(std::str::from_utf8(&original.payload).unwrap()).unwrap();
+            let payload = std::str::from_utf8(&original.payload).unwrap();
+            let (j, inputs) = Json::parse_with(payload, "inputs", read_words).unwrap();
             assert_eq!(j.get("algo").and_then(Json::as_str), Some(r.key.algo.as_str()));
-            let inputs: Vec<Vec<u64>> = j
-                .get("inputs")
-                .and_then(Json::as_arr)
-                .unwrap()
-                .iter()
-                .map(|w| bulkd::protocol::words_from_json(w).unwrap())
-                .collect();
+            let inputs = inputs.expect("a submit payload carries inputs");
             assert_eq!(inputs, r.inputs, "job {} inputs survive recovery bit-exactly", r.id);
         }
     }

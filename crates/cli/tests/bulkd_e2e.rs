@@ -466,41 +466,41 @@ impl LineConn {
         self.stream.write_all(bytes).expect("write");
     }
 
-    /// The next reply, or `None` once the server has hung up.
-    fn reply(&mut self) -> Option<Json> {
+    /// The next reply line, or `None` once the server has hung up.
+    fn reply_line(&mut self) -> Option<String> {
         let mut line = String::new();
         match self.reader.read_line(&mut line).expect("read reply") {
             0 => None,
-            _ => Some(Json::parse(line.trim()).expect("reply parses")),
+            _ => Some(line),
         }
+    }
+
+    /// The next reply, or `None` once the server has hung up.
+    fn reply(&mut self) -> Option<Json> {
+        self.reply_line().map(|line| Json::parse(line.trim()).expect("reply parses"))
     }
 }
 
 const STATUS: &[u8] = b"{\"cmd\":\"status\"}\n";
 
 fn submit_line(key: &bulkd::JobKey, inputs: &[Vec<u64>]) -> Vec<u8> {
-    let req = bulkd::Request::Submit { key: key.clone(), inputs: inputs.to_vec(), timing: false };
-    let mut line = req.to_json().to_compact().into_bytes();
+    let mut line = bulkd::protocol::submit_line(key, inputs, false).into_bytes();
     line.push(b'\n');
     line
 }
 
 /// A server that executes submits answers with the outputs; a standby
 /// refuses with `not_primary`.
-fn assert_submit_reply(addr: &str, resp: Option<Json>, executes: bool, want: &[Vec<u64>]) {
-    let resp = resp.unwrap_or_else(|| panic!("{addr}: hung up instead of answering a submit"));
+fn assert_submit_reply(addr: &str, line: Option<String>, executes: bool, want: &[Vec<u64>]) {
+    let line = line.unwrap_or_else(|| panic!("{addr}: hung up instead of answering a submit"));
+    let (resp, outputs) = Json::parse_with(line.trim(), "outputs", bulkd::protocol::read_words)
+        .expect("reply parses");
     if !executes {
         assert_eq!(resp.path("error").and_then(Json::as_str), Some("not_primary"), "{addr}");
         return;
     }
-    assert_eq!(resp.path("ok"), Some(&Json::Bool(true)), "{addr}: {}", resp.to_pretty());
-    let outputs: Vec<Vec<u64>> = resp
-        .path("outputs")
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("{addr}: no outputs in {}", resp.to_pretty()))
-        .iter()
-        .map(|o| bulkd::protocol::words_from_json(o).expect("outputs decode"))
-        .collect();
+    assert_eq!(resp.path("ok"), Some(&Json::Bool(true)), "{addr}: {line}");
+    let outputs = outputs.unwrap_or_else(|| panic!("{addr}: no outputs in {line}"));
     assert_eq!(outputs, want, "{addr}: served wrong outputs");
 }
 
@@ -532,7 +532,7 @@ fn dribbled_and_coalesced_submits_frame_correctly_on_a_real_socket() {
         for b in submit_line(&key, &inputs) {
             conn.send(&[b]);
         }
-        assert_submit_reply(addr, conn.reply(), executes, &direct);
+        assert_submit_reply(addr, conn.reply_line(), executes, &direct);
 
         // Three complete requests coalesced into one segment: all framed
         // out of a single read and answered in order.
@@ -540,9 +540,9 @@ fn dribbled_and_coalesced_submits_frame_correctly_on_a_real_socket() {
         seg.extend_from_slice(STATUS);
         seg.extend(submit_line(&key, &pair_inputs[1..]));
         conn.send(&seg);
-        assert_submit_reply(addr, conn.reply(), executes, &pair_direct[..1]);
+        assert_submit_reply(addr, conn.reply_line(), executes, &pair_direct[..1]);
         assert_status_reply(addr, conn.reply());
-        assert_submit_reply(addr, conn.reply(), executes, &pair_direct[1..]);
+        assert_submit_reply(addr, conn.reply_line(), executes, &pair_direct[1..]);
 
         // Blank lines get no answer: the next reply is the status after them.
         let mut seg = b"\n\r\n  \n".to_vec();
@@ -593,10 +593,7 @@ fn disconnects_mid_submit_and_mid_reply_stay_balanced_and_counted() {
         let mut seg = Vec::new();
         for i in &inputs {
             let mut l =
-                bulkd::Request::Submit { key: key.clone(), inputs: vec![i.clone()], timing: false }
-                    .to_json()
-                    .to_compact()
-                    .into_bytes();
+                bulkd::protocol::submit_line(&key, std::slice::from_ref(i), false).into_bytes();
             l.push(b'\n');
             seg.extend_from_slice(&l);
         }

@@ -95,32 +95,22 @@ fn read_log(dir: &Path) -> (wal::Scan, LogView) {
     let scan = wal::scan(dir).expect("wal scan");
     let mut view = LogView { submits: HashMap::new(), completions: HashMap::new(), checkpoints: 0 };
     for rec in &scan.records {
-        let j = Json::parse(std::str::from_utf8(&rec.payload).expect("utf8 payload"))
-            .expect("payload parses");
+        let text = std::str::from_utf8(&rec.payload).expect("utf8 payload");
+        let field = if rec.rec_type == bulkd::journal::REC_COMPLETE { "outputs" } else { "inputs" };
+        let (j, words) =
+            Json::parse_with(text, field, bulkd::protocol::read_words).expect("payload parses");
         let job = || j.get("job").and_then(Json::as_i64).expect("job id") as u64;
         match rec.rec_type {
             bulkd::journal::REC_SUBMIT => {
                 let algo = j.get("algo").and_then(Json::as_str).expect("algo").to_string();
                 let size = j.get("size").and_then(Json::as_i64).expect("size") as usize;
-                let inputs: Vec<Vec<u64>> = j
-                    .get("inputs")
-                    .and_then(Json::as_arr)
-                    .expect("inputs")
-                    .iter()
-                    .map(|w| bulkd::protocol::words_from_json(w).expect("words"))
-                    .collect();
+                let inputs = words.expect("inputs");
                 let dup = view.submits.insert(job(), (algo, size, inputs));
                 assert!(dup.is_none(), "duplicate submit record for job {}", job());
             }
             bulkd::journal::REC_COMPLETE => {
                 assert_eq!(j.get("ok"), Some(&Json::Bool(true)), "a logged job failed");
-                let outputs: Vec<Vec<u64>> = j
-                    .get("outputs")
-                    .and_then(Json::as_arr)
-                    .expect("outputs")
-                    .iter()
-                    .map(|w| bulkd::protocol::words_from_json(w).expect("words"))
-                    .collect();
+                let outputs = words.expect("outputs");
                 let dup = view.completions.insert(job(), outputs);
                 assert!(dup.is_none(), "duplicate completion record for job {}", job());
             }

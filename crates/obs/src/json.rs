@@ -218,15 +218,48 @@ impl Json {
     /// snippet of the surrounding input, so a malformed line arriving over
     /// a wire protocol is diagnosable from the error text alone.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing garbage"));
-        }
-        Ok(v)
+        Parser::document(text, None)
+    }
+
+    /// Parse like [`Json::parse`], but hand the value of the top-level
+    /// object field `field` to `decode` instead of building a tree for it.
+    ///
+    /// `decode` receives the input from the value's first byte to the end
+    /// of the document and returns its result with the number of bytes it
+    /// consumed; parsing resumes after them.  On failure it returns the
+    /// offset (relative to the value's first byte) and a message, which
+    /// are rendered with the same byte offset and snippet as every other
+    /// parse error.  The field is absent from the returned tree; the
+    /// second element is `Some` exactly when the field was present.
+    /// Everything else — duplicate keys (the hooked field included),
+    /// trailing garbage, nested objects — is parsed and checked as in
+    /// [`Json::parse`].
+    ///
+    /// # Errors
+    ///
+    /// Any parse error, or `decode`'s own.
+    pub fn parse_with<T>(
+        text: &str,
+        field: &str,
+        decode: impl FnOnce(&[u8]) -> Result<(T, usize), (usize, String)>,
+    ) -> Result<(Json, Option<T>), String> {
+        let mut decode = Some(decode);
+        let mut decoded = None;
+        let mut hook = |rest: &[u8]| {
+            // Called at most once: a second occurrence of the field is a
+            // duplicate key, rejected before the hook runs.
+            let (value, used) = decode.take().expect("hooked field decoded twice")(rest)?;
+            decoded = Some(value);
+            Ok(used)
+        };
+        let tree = Parser::document(text, Some((field, &mut hook)))?;
+        Ok((tree, decoded))
     }
 }
+
+/// A top-level field name and the decoder its value is handed to (see
+/// [`Json::parse_with`]).
+type Hook<'h> = (&'h str, &'h mut dyn FnMut(&[u8]) -> Result<usize, (usize, String)>);
 
 fn write_seq(
     out: &mut String,
@@ -299,6 +332,22 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
+    /// Parse a whole document, handing a top-level object's `hook` field
+    /// to its decoder.
+    fn document(text: &str, hook: Option<Hook<'_>>) -> Result<Json, String> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        p.skip_ws();
+        let v = match hook {
+            Some(hook) if p.bytes.get(p.pos) == Some(&b'{') => p.object(Some(hook))?,
+            _ => p.value()?,
+        };
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing garbage"));
+        }
+        Ok(v)
+    }
+
     /// A parse error anchored at the current position.
     fn err(&self, msg: &str) -> String {
         err_at(self.bytes, self.pos, msg)
@@ -356,36 +405,52 @@ impl Parser<'_> {
                     }
                 }
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
+            Some(b'{') => self.object(None),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("unexpected input")),
+        }
+    }
+
+    /// An object, at the opening brace.  The value of `hook`'s field goes
+    /// to its decoder rather than into the tree.
+    fn object(&mut self, mut hook: Option<Hook<'_>>) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        let mut hooked = false;
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            let is_hooked = hook.as_ref().is_some_and(|(field, _)| *field == key);
+            if fields.iter().any(|(k, _)| *k == key) || (is_hooked && hooked) {
+                return Err(self.err(&format!("duplicate key \"{key}\"")));
+            }
+            self.skip_ws();
+            self.expect(b':')?;
+            match hook.as_mut().filter(|_| is_hooked) {
+                Some((_, decode)) => {
+                    self.skip_ws();
+                    let start = self.pos;
+                    let used = decode(&self.bytes[start..])
+                        .map_err(|(at, msg)| err_at(self.bytes, start + at, &msg))?;
+                    self.pos = start + used;
+                    hooked = true;
+                }
+                None => fields.push((key, self.value()?)),
+            }
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    if fields.iter().any(|(k, _)| *k == key) {
-                        return Err(self.err(&format!("duplicate key \"{key}\"")));
-                    }
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                _ => return Err(self.err("expected ',' or '}'")),
             }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("unexpected input")),
         }
     }
 
@@ -656,6 +721,54 @@ mod tests {
         assert!(err.contains("«here»1}"), "{err}");
         let err = Json::parse(r#"{"a":1} {"#).unwrap_err();
         assert!(err.contains("trailing garbage at byte 8"), "{err}");
+    }
+
+    /// A digit-run decoder standing in for a field codec: `[d,d,…]` of
+    /// single ASCII digits, nothing else.
+    fn digits(b: &[u8]) -> Result<(Vec<u8>, usize), (usize, String)> {
+        if b.first() != Some(&b'[') {
+            return Err((0, "expected '['".into()));
+        }
+        let mut out = Vec::new();
+        let mut i = 1;
+        while let Some(&d) = b.get(i).filter(|d| d.is_ascii_digit()) {
+            out.push(d - b'0');
+            i += 1;
+            match b.get(i) {
+                Some(b',') => i += 1,
+                Some(b']') => return Ok((out, i + 1)),
+                _ => break,
+            }
+        }
+        Err((i, "bad digit list".into()))
+    }
+
+    #[test]
+    fn parse_with_hands_one_top_level_field_to_its_decoder() {
+        let (tree, got) =
+            Json::parse_with(r#" {"a":1, "w" : [1,2,3] ,"o":{"w":"nested"}} "#, "w", digits)
+                .unwrap();
+        assert_eq!(got, Some(vec![1, 2, 3]));
+        assert_eq!(tree.to_compact(), r#"{"a":1,"o":{"w":"nested"}}"#, "decoded field left out");
+        // Absent field: the tree is the plain parse, the decoder never runs.
+        let (tree, got) = Json::parse_with(r#"{"a":1}"#, "w", digits).unwrap();
+        assert_eq!((tree, got), (Json::parse(r#"{"a":1}"#).unwrap(), None));
+        // Not an object: parsed as usual.
+        assert_eq!(Json::parse_with("[1]", "w", digits).unwrap().1, None);
+    }
+
+    #[test]
+    fn parse_with_keeps_every_document_level_check() {
+        let err = |text: &str| Json::parse_with(text, "w", digits).unwrap_err();
+        // The decoder's failure carries the absolute byte offset and snippet.
+        let e = err(r#"{"a":1,"w":[1,x]}"#);
+        assert!(e.starts_with("bad digit list at byte 14"), "{e}");
+        assert!(e.contains("«here»x]}"), "{e}");
+        assert!(err(r#"{"w":[1],"w":[2]}"#).contains("duplicate key \"w\""));
+        assert!(err(r#"{"w":[1]} extra"#).contains("trailing garbage"));
+        assert!(err(r#"{"w":[1] "a":1}"#).contains("expected ',' or '}'"));
+        assert!(err(r#"{"a":1,"a":2,"w":[1]}"#).contains("duplicate key \"a\""));
+        assert!(err(r#"{"w":"#).contains("expected '['"));
     }
 
     #[test]

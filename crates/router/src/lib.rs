@@ -395,6 +395,12 @@ enum ReplyKind {
 }
 
 fn classify(raw: &str) -> ReplyKind {
+    // Success replies, the bulk of the traffic and of its bytes, lead
+    // with `"ok":true` (`protocol::resp_outputs`); only the rest are
+    // parsed.
+    if raw.starts_with(r#"{"ok":true,"#) {
+        return ReplyKind::Ok;
+    }
     let Ok(j) = Json::parse(raw) else { return ReplyKind::Error };
     match j.get("ok") {
         Some(&Json::Bool(true)) => ReplyKind::Ok,
@@ -642,6 +648,10 @@ mod tests {
     #[test]
     fn reply_classification_matches_the_protocol_shapes() {
         assert!(matches!(classify(r#"{"ok":true,"outputs":[]}"#), ReplyKind::Ok));
+        // A success is read from its leading bytes alone, as a backend's
+        // own writer emits them; the outputs are never parsed.
+        assert!(matches!(classify(r#"{"ok":true,"outputs":[["0xnot-parsed"#), ReplyKind::Ok));
+        assert!(matches!(classify(r#"{"ok":true}"#), ReplyKind::Ok));
         assert!(matches!(
             classify(r#"{"ok":false,"error":"overloaded","retry_after_ms":7}"#),
             ReplyKind::Overloaded(7)

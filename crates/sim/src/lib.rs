@@ -283,14 +283,10 @@ impl SimWal {
     }
 }
 
-/// The job id a journal record names (records are JSON payloads).
+/// The job id a journal record names, read from the payload's lead.
 fn record_job_id(rec: &Record) -> Result<u64, String> {
-    let text =
-        std::str::from_utf8(&rec.payload).map_err(|e| format!("record seq {}: {e}", rec.seq))?;
-    let j = Json::parse(text).map_err(|e| format!("record seq {}: {e}", rec.seq))?;
-    Ok(j.get("job")
-        .and_then(Json::as_i64)
-        .ok_or_else(|| format!("record seq {} has no job id", rec.seq))? as u64)
+    bulkd::journal::payload_job_id(&rec.payload)
+        .ok_or_else(|| format!("record seq {} has no job id", rec.seq))
 }
 
 /// One client's byte-stream-modelled connection.  Client request lines
@@ -575,20 +571,19 @@ impl World {
             let key = JobKey { algo: "sim".into(), size, layout: oblivious::Layout::ColumnWise };
             c.pending = Some(PendingJob { key, inputs, expected, probe });
         }
-        let (key, inputs, probe) = {
+        let (submit, probe) = {
             let p = self.clients[idx].pending.as_ref().expect("pending drawn above");
-            (p.key.clone(), p.inputs.clone(), p.probe)
+            (protocol::submit_line(&p.key, &p.inputs, false), p.probe)
         };
         let c = &mut self.clients[idx];
         if probe {
             // Control traffic races data traffic through the same framer.
-            let mut line = Request::Status.to_json().to_compact().into_bytes();
+            let mut line = Request::Status.to_line().into_bytes();
             line.push(b'\n');
             c.conn.c2s.extend_from_slice(&line);
             c.probes_outstanding += 1;
         }
-        let mut line =
-            Request::Submit { key, inputs, timing: false }.to_json().to_compact().into_bytes();
+        let mut line = submit.into_bytes();
         line.push(b'\n');
         c.conn.c2s.extend_from_slice(&line);
         c.phase = Phase::Sending { job };
@@ -804,7 +799,7 @@ impl World {
             .s2c
             .pop_front()
             .ok_or_else(|| format!("client {idx} stepped in Await with no reply queued"))?;
-        let j = Json::parse(&line)
+        let (j, outputs) = Json::parse_with(&line, "outputs", protocol::read_words)
             .map_err(|e| format!("client {idx} got an unparseable reply: {e}"))?;
         if j.get("protocol_version").is_some() {
             // A status-probe reply: consume it and keep waiting.
@@ -816,13 +811,7 @@ impl World {
             return Ok(());
         }
         if j.get("ok") == Some(&Json::Bool(true)) {
-            let outputs: Vec<Vec<u64>> = j
-                .get("outputs")
-                .and_then(Json::as_arr)
-                .ok_or("ok reply has no outputs array")?
-                .iter()
-                .map(protocol::words_from_json)
-                .collect::<Result<_, _>>()?;
+            let outputs = outputs.ok_or("ok reply has no outputs array")?;
             let id = self.clients[idx].in_flight_id.ok_or("reply with no in-flight job")?;
             {
                 let c = &self.clients[idx];
@@ -950,7 +939,7 @@ impl World {
                             .collect();
                         self.ring.record(done_us, track, "completion_journaled", job.id, 0);
                         self.stats.on_job_done(&batch.key, n, queue_us, false, &breakdown);
-                        let reply = resp_outputs(&outputs, p, queue_us, exec_us, None).to_compact();
+                        let reply = resp_outputs(&outputs, p, queue_us, exec_us, None);
                         if let Some(ci) = client {
                             // "Acked" = the reply reached an open
                             // connection, the durability contract's
