@@ -246,16 +246,15 @@ pub fn write_csv(name: &str, content: &str) {
 pub mod harness {
     use std::time::Instant;
 
+    /// Samples per case: `BULK_BENCH_SAMPLES`, default 5.
+    pub fn samples() -> usize {
+        std::env::var("BULK_BENCH_SAMPLES").ok().and_then(|v| v.parse().ok()).unwrap_or(5).max(1)
+    }
+
     /// Median ns/iteration of `f`: batch size is grown until one batch
     /// takes ≥ 10 ms (capped at 4M iterations), then the median of
-    /// `samples` batches is reported.  `BULK_BENCH_SAMPLES` overrides the
-    /// sample count (default 5).
+    /// [`samples`] batches is reported.
     pub fn bench_ns(mut f: impl FnMut()) -> f64 {
-        let samples: usize = std::env::var("BULK_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5)
-            .max(1);
         let mut iters = 1u64;
         loop {
             let t0 = Instant::now();
@@ -267,7 +266,7 @@ pub mod harness {
             }
             iters *= 4;
         }
-        let mut times: Vec<f64> = (0..samples)
+        let mut times: Vec<f64> = (0..samples())
             .map(|_| {
                 let t0 = Instant::now();
                 for _ in 0..iters {
@@ -280,10 +279,9 @@ pub mod harness {
         times[times.len() / 2] * 1e9
     }
 
-    /// Run one case and print its table row; `elements` adds a derived
-    /// throughput column.
-    pub fn case(group: &str, name: &str, elements: Option<u64>, f: impl FnMut()) {
-        let ns = bench_ns(f);
+    /// Print one table row for `ns` per iteration; `elements` adds a
+    /// derived throughput column.
+    pub fn row(group: &str, name: &str, elements: Option<u64>, ns: f64) {
         match elements {
             Some(e) if ns > 0.0 => {
                 let meps = e as f64 / ns * 1e3; // elements per microsecond→M/s
@@ -291,6 +289,11 @@ pub mod harness {
             }
             _ => println!("{group}/{name:<32} {ns:>14.1} ns/iter"),
         }
+    }
+
+    /// Run one case and print its table row.
+    pub fn case(group: &str, name: &str, elements: Option<u64>, f: impl FnMut()) {
+        row(group, name, elements, bench_ns(f));
     }
 }
 

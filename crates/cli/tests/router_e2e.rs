@@ -88,14 +88,18 @@ fn ring_places_the_catalog_deterministically_with_bounded_movement() {
 
 type ServeHandle = std::thread::JoinHandle<Result<Json, String>>;
 
-fn start_node(node_id: &str, flush_after_ms: u64) -> (String, ServeHandle, Arc<ScheduleCaches>) {
+fn start_node(
+    node_id: &str,
+    max_batch: usize,
+    flush_after_ms: u64,
+) -> (String, ServeHandle, Arc<ScheduleCaches>) {
     let executor = CatalogExecutor::new(1);
     let caches = Arc::clone(executor.caches());
     let cfg = bulkd::ServerConfig {
         addr: "127.0.0.1:0".into(),
         node_id: Some(node_id.to_string()),
         workers: 2,
-        max_batch: 512,
+        max_batch,
         max_queue: 8192,
         flush_after_ms,
         trace_path: None,
@@ -181,8 +185,14 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
     let owners: Vec<usize> = keys.iter().map(|k| ring.node_of(&k.to_string())).collect();
     assert_eq!(owners.iter().filter(|&&o| o == 0).count(), 2, "keys must split 2/2: {owners:?}");
 
-    let (addr1, node1, caches1) = start_node("n1", 30);
-    let (addr2, node2, caches2) = start_node("n2", 30);
+    // Batches form by count, not by timing: a wave is one submit from
+    // each of a key's 16 clients, 64 instances, and fills `max_batch`
+    // exactly.  No client sends its second submit before its first batch
+    // flushes, and the flush window outlasts the test, so each wave is
+    // one batch however the host schedules the 64 client threads.
+    let wave = CLIENTS_PER_KEY * INSTANCES;
+    let (addr1, node1, caches1) = start_node("n1", wave, 60_000);
+    let (addr2, node2, caches2) = start_node("n2", wave, 60_000);
     let (router_addr, router_thread) =
         start_router(vec![backend("n1", &addr1), backend("n2", &addr2)]);
 
@@ -329,7 +339,7 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
 fn the_router_hop_adds_no_delayed_ack_stall() {
     const WARMUP: usize = 5;
     const SUBMITS: usize = 40;
-    let (node_addr, node, _caches) = start_node("n1", 1);
+    let (node_addr, node, _caches) = start_node("n1", 512, 1);
     let (router_addr, router_thread) = start_router(vec![backend("n1", &node_addr)]);
     let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
     let key = bulkd::JobKey {
@@ -373,7 +383,7 @@ fn the_router_hop_adds_no_delayed_ack_stall() {
 /// report embeds the router's merged snapshot, not one node's.
 #[test]
 fn loadgen_through_the_router_reports_the_merged_snapshot() {
-    let (node_addr, node, _caches) = start_node("n1", 5);
+    let (node_addr, node, _caches) = start_node("n1", 512, 5);
     let (router_addr, router_thread) = start_router(vec![backend("n1", &node_addr)]);
     let report = std::env::temp_dir().join(format!("router-loadgen-{}.json", std::process::id()));
     let argv: Vec<String> = [

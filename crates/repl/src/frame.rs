@@ -13,8 +13,9 @@
 //! ```
 //!
 //! Control payloads are compact `obs::json` documents — the same codec as
-//! the client protocol — while RECORDS carries raw `wal::record` encodings
-//! so the follower appends byte-identical records.  The piggybacked
+//! the client protocol — while RECORDS carries raw `wal::record` encodings,
+//! the primary's segment bytes verbatim, so the follower appends
+//! byte-identical records without re-encoding them.  The piggybacked
 //! `acked_seq` in every RECORDS frame (including empty heartbeats) is the
 //! primary's client-acknowledged high-water mark: the mark the standby
 //! compares its own durable sequence against to decide whether promotion
@@ -150,34 +151,37 @@ pub fn control_u64(j: &Json, field: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("control frame is missing integer \"{field}\""))
 }
 
-/// Encode a RECORDS payload: the acked high-water mark, then each
-/// record's wal encoding back to back.
+/// Encode a RECORDS payload: the acked high-water mark, then `records`
+/// — wal record encodings back to back, shipped verbatim as
+/// [`wal::Cursor::poll`] read and CRC-checked them.
 #[must_use]
-pub fn records_payload(acked_seq: u64, records: &[wal::Record]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + records.len() * 32);
+pub fn records_payload(acked_seq: u64, records: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + records.len());
     buf.extend_from_slice(&acked_seq.to_le_bytes());
-    for rec in records {
-        buf.extend_from_slice(&wal::record::encode(rec.seq, rec.rec_type, &rec.payload));
-    }
+    buf.extend_from_slice(records);
     buf
 }
 
-/// Decode a RECORDS payload back into `(acked_seq, records)`.
+/// Check a RECORDS payload in place: the `acked_seq` prefix, then every
+/// record whole and CRC-valid.  Returns the acked high-water mark, the
+/// record encodings as received and a borrowed view of each record.
+/// Nothing is copied; the record bytes can be appended verbatim with
+/// [`wal::Wal::append_encoded`], which checks sequence continuity
+/// before it writes.
 ///
 /// # Errors
 ///
 /// A short prefix, or a record that is cut or fails its CRC — on a
 /// reliable stream either means the peer is broken, so the connection
 /// must drop (there is no torn-tail tolerance inside a frame).
-pub fn decode_records(payload: &[u8]) -> Result<(u64, Vec<wal::Record>), String> {
-    if payload.len() < 8 {
+pub fn check_records(payload: &[u8]) -> Result<(u64, &[u8], Vec<wal::RecordRef<'_>>), String> {
+    let Some((acked, bytes)) = payload.split_first_chunk::<8>() else {
         return Err(format!("RECORDS frame of {} bytes lacks the acked_seq prefix", payload.len()));
-    }
-    let acked_seq = u64::from_le_bytes(payload[..8].try_into().expect("8-byte slice"));
+    };
     let mut records = Vec::new();
-    let mut rest = &payload[8..];
+    let mut rest = bytes;
     while !rest.is_empty() {
-        match wal::record::decode(rest) {
+        match wal::record::decode_ref(rest) {
             wal::record::DecodeOutcome::Complete { record, consumed } => {
                 rest = &rest[consumed..];
                 records.push(record);
@@ -190,7 +194,7 @@ pub fn decode_records(payload: &[u8]) -> Result<(u64, Vec<wal::Record>), String>
             }
         }
     }
-    Ok((acked_seq, records))
+    Ok((u64::from_le_bytes(*acked), bytes, records))
 }
 
 #[cfg(test)]
@@ -235,25 +239,27 @@ mod tests {
 
     #[test]
     fn record_batches_round_trip_bit_exactly() {
-        let records = vec![
-            wal::Record { seq: 5, rec_type: 1, payload: b"alpha".to_vec() },
-            wal::Record { seq: 6, rec_type: 2, payload: Vec::new() },
-            wal::Record { seq: 7, rec_type: 1, payload: vec![0xAB; 100] },
-        ];
-        let payload = records_payload(99, &records);
-        let (acked, back) = decode_records(&payload).unwrap();
+        let records = [(5u64, 1u8, &b"alpha"[..]), (6, 2, &[]), (7, 1, &[0xAB; 100])];
+        let bytes: Vec<u8> =
+            records.iter().flat_map(|&(seq, ty, p)| wal::record::encode(seq, ty, p)).collect();
+        let payload = records_payload(99, &bytes);
+        let (acked, shipped, back) = check_records(&payload).unwrap();
         assert_eq!(acked, 99);
+        assert_eq!(shipped, bytes.as_slice(), "the bytes travel verbatim");
+        let back: Vec<_> = back.iter().map(|r| (r.seq, r.rec_type, r.payload)).collect();
         assert_eq!(back, records);
         // A heartbeat is just the prefix.
-        let (acked, back) = decode_records(&records_payload(3, &[])).unwrap();
-        assert_eq!((acked, back.len()), (3, 0));
+        let heartbeat = records_payload(3, &[]);
+        let (acked, shipped, back) = check_records(&heartbeat).unwrap();
+        assert_eq!((acked, shipped.len(), back.len()), (3, 0, 0));
+        assert!(check_records(&[0; 7]).unwrap_err().contains("acked_seq prefix"));
         // Corruption inside a frame is fatal for the connection.
-        let mut bad = records_payload(1, &records);
+        let mut bad = payload.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
-        assert!(decode_records(&bad).unwrap_err().contains("corrupt"));
+        assert!(check_records(&bad).unwrap_err().contains("corrupt"));
         // A cut record is fatal too.
         let cut = &payload[..payload.len() - 3];
-        assert!(decode_records(cut).unwrap_err().contains("mid-record"));
+        assert!(check_records(cut).unwrap_err().contains("mid-record"));
     }
 }

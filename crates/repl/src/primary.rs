@@ -3,10 +3,15 @@
 //!
 //! One follower holds the stream at a time (a second dial waits in the
 //! accept backlog until the first session ends).  The ship loop tails
-//! the live WAL through [`wal::Cursor`] — across segment rotations,
-//! tolerating the torn in-progress tail — and pushes RECORDS frames as
-//! records become durable; a dedicated reader thread consumes the
-//! follower's ACK frames and publishes its durable high-water mark.
+//! the live WAL's segment files through [`wal::Cursor`] — across
+//! segment rotations, tolerating the torn in-progress tail — and pushes
+//! RECORDS frames carrying the cursor's CRC-checked record bytes
+//! verbatim.  The cursor reads what the journal has *appended*, so a
+//! record can ship before the primary's own group-commit fsync covers
+//! it; nothing waits on that, because a client ack needs both the
+//! primary's fsync and the follower's durable mark.  A dedicated reader
+//! thread consumes the follower's ACK frames and publishes its durable
+//! high-water mark.
 //!
 //! [`ReplPrimary`] implements [`bulkd::ReplSink`]: a serving worker calls
 //! [`bulkd::ReplSink::wait_replicated`] once per batch, after journaling
@@ -195,6 +200,7 @@ impl ReplPrimary {
 
     fn ship_loop(&self, stream: &mut TcpStream, start_seq: u64) -> Result<(), String> {
         let mut cursor = wal::Cursor::tail_from(&self.cfg.wal_dir, start_seq);
+        let mut records = Vec::new();
         let mut last_send = Instant::now();
         loop {
             let mut batch_limit = MAX_BATCH_RECORDS;
@@ -207,8 +213,9 @@ impl ReplPrimary {
                 std::thread::sleep(Duration::from_millis(1_000));
                 batch_limit = 16;
             }
-            let records = cursor.poll(batch_limit)?;
-            if records.is_empty() && last_send.elapsed() < HEARTBEAT {
+            records.clear();
+            let count = cursor.poll(batch_limit, &mut records)?;
+            if count == 0 && last_send.elapsed() < HEARTBEAT {
                 std::thread::sleep(Duration::from_millis(self.cfg.poll_interval_ms.max(1)));
                 continue;
             }
@@ -220,7 +227,7 @@ impl ReplPrimary {
             )?;
             last_send = Instant::now();
             let mut st = self.shared.state.lock().expect("repl state poisoned");
-            st.shipped_records += records.len() as u64;
+            st.shipped_records += count as u64;
             st.shipped_frames += 1;
         }
     }

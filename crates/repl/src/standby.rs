@@ -4,7 +4,8 @@
 //! promotion.
 //!
 //! The standby is two loops.  The **follower** dials the primary's
-//! replication port, handshakes, and appends every shipped record
+//! replication port, handshakes, checks each shipped frame whole (CRC
+//! and sequence continuity) and appends its record bytes verbatim
 //! through the real [`wal::Wal`] writer (fsync `always` — its ACK is a
 //! durability promise, not a buffering report), reconnecting with the
 //! correct resume sequence whenever the transport breaks.  The
@@ -205,8 +206,9 @@ fn follow_loop(sh: &Shared, mut wal: Wal) {
 
 /// One session: handshake at the local resume point, then append every
 /// shipped batch durably and acknowledge it.  Any protocol or disk
-/// error drops the session — the redial re-handshakes at the corrected
-/// resume sequence, so a half-applied batch is simply re-requested.
+/// error drops the session — the redial re-handshakes at the local
+/// `next_seq`, which a rejected frame left untouched, so the batch is
+/// simply re-requested.
 fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(), String> {
     frame::write_magic(&mut stream)?;
     frame::write_frame(
@@ -236,17 +238,11 @@ fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(
         if t != frame::FRAME_RECORDS {
             return Err(format!("expected RECORDS, got frame type {t}"));
         }
-        let (leader_acked, records) = frame::decode_records(&payload)?;
-        for rec in &records {
-            if rec.seq != wal.next_seq() {
-                return Err(format!(
-                    "sequence break: primary shipped seq {}, local log expects {}",
-                    rec.seq,
-                    wal.next_seq()
-                ));
-            }
-            wal.append_unsynced(rec.rec_type, &rec.payload)?;
-        }
+        // Check the whole frame before any byte of it reaches the log:
+        // every record whole and CRC-valid here, sequence continuity in
+        // `append_encoded`.  A bad frame is appended not at all.
+        let (leader_acked, bytes, records) = frame::check_records(&payload)?;
+        wal.append_encoded(bytes)?;
         if !records.is_empty() {
             // One fsync covers the whole frame — the follower's analogue
             // of the primary's group commit.
@@ -273,8 +269,8 @@ fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(
 /// ([`journal::payload_job_id`]) and never parses inputs or outputs.
 /// Records without one are skipped here (the authoritative replay at
 /// promotion will surface them).
-fn track_replay(incomplete: &mut HashSet<u64>, rec: &wal::Record) {
-    let Some(id) = journal::payload_job_id(&rec.payload) else { return };
+fn track_replay(incomplete: &mut HashSet<u64>, rec: &wal::RecordRef<'_>) {
+    let Some(id) = journal::payload_job_id(rec.payload) else { return };
     match rec.rec_type {
         REC_SUBMIT => {
             incomplete.insert(id);

@@ -5,8 +5,9 @@
 //! *give me every record from sequence `s` onward, and keep giving them
 //! to me as the writer appends*.  [`Cursor`] is that reader.  It holds a
 //! position (segment, byte offset, next expected sequence number) and
-//! each [`Cursor::poll`] decodes whatever complete records have appeared
-//! past it.
+//! each [`Cursor::poll`] CRC-checks whatever complete records have
+//! appeared past it and hands back their encodings verbatim, so a
+//! replica can store exactly the bytes the writer wrote.
 //!
 //! Two situations that a one-shot scan reports as damage are *normal*
 //! here and must not be treated as corruption:
@@ -26,7 +27,7 @@
 //! produces a complete-but-invalid record, so a reader that sees one is
 //! looking at damaged storage.
 
-use crate::record::{self, DecodeOutcome, Record};
+use crate::record::{self, DecodeOutcome};
 use crate::segment::{self, SEGMENT_MAGIC};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -45,8 +46,9 @@ pub struct Cursor {
 
 impl Cursor {
     /// A cursor that will emit every record with `seq >= start_seq`, in
-    /// order, as they become durable in `dir`.  The directory may be
-    /// empty (or not exist yet) — the cursor waits for the writer.
+    /// order, as the writer appends them to `dir` — possibly before an
+    /// fsync makes them durable.  The directory may be empty (or not
+    /// exist yet) — the cursor waits for the writer.
     #[must_use]
     pub fn tail_from(dir: &Path, start_seq: u64) -> Cursor {
         Cursor { dir: dir.to_path_buf(), next_seq: start_seq.max(1), seg: None, offset: 0 }
@@ -98,42 +100,42 @@ impl Cursor {
         Ok(buf)
     }
 
-    /// Decode up to `max` new records past the cursor position.  An
-    /// empty result means the cursor is caught up with the writer (or
-    /// the writer is mid-append); poll again later.
+    /// Append up to `max` new records past the cursor position to `out`,
+    /// each as its CRC-checked encoding, verbatim; returns how many.
+    /// Zero means the cursor is caught up with the writer (or the writer
+    /// is mid-append); poll again later.
     ///
     /// # Errors
     ///
     /// I/O failures, a complete-but-CRC-invalid record (storage
     /// corruption), a sequence gap, or a checkpoint that truncated the
     /// log past the cursor position.
-    pub fn poll(&mut self, max: usize) -> Result<Vec<Record>, String> {
-        let mut out = Vec::new();
+    pub fn poll(&mut self, max: usize, out: &mut Vec<u8>) -> Result<usize, String> {
+        let mut emitted = 0;
         loop {
             if self.seg.is_none() && !self.locate()? {
-                return Ok(out);
+                return Ok(emitted);
             }
             let (name_seq, path) =
                 self.seg.as_ref().map(|(s, p)| (*s, p.clone())).expect("segment just located");
 
+            let bytes = self.read_tail(&path)?;
+            let mut off = 0usize;
             if self.offset == 0 {
                 // Verify the magic before trusting any offsets.  A file
                 // shorter than the magic is a writer mid-create: wait.
-                let head = self.read_tail(&path)?;
-                if head.len() < SEGMENT_MAGIC.len() {
-                    return Ok(out);
+                if bytes.len() < SEGMENT_MAGIC.len() {
+                    return Ok(emitted);
                 }
-                if &head[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+                if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
                     return Err(format!("segment {} has bad magic", path.display()));
                 }
-                self.offset = SEGMENT_MAGIC.len() as u64;
+                off = SEGMENT_MAGIC.len();
+                self.offset = off as u64;
             }
-
-            let bytes = self.read_tail(&path)?;
-            let mut off = 0usize;
             let mut torn = false;
-            while off < bytes.len() && out.len() < max {
-                match record::decode(&bytes[off..]) {
+            while off < bytes.len() && emitted < max {
+                match record::decode_ref(&bytes[off..]) {
                     DecodeOutcome::Complete { record, consumed } => {
                         if record.seq > self.next_seq {
                             return Err(format!(
@@ -143,13 +145,14 @@ impl Cursor {
                                 record.seq
                             ));
                         }
-                        off += consumed;
                         if record.seq == self.next_seq {
                             self.next_seq += 1;
-                            out.push(record);
+                            out.extend_from_slice(&bytes[off..off + consumed]);
+                            emitted += 1;
                         }
                         // seq < next_seq: already emitted (initial
                         // positioning lands mid-segment); skip.
+                        off += consumed;
                         self.offset += consumed as u64;
                     }
                     DecodeOutcome::Incomplete => {
@@ -168,11 +171,8 @@ impl Cursor {
                     }
                 }
             }
-            if out.len() >= max {
-                return Ok(out);
-            }
-            if torn {
-                return Ok(out);
+            if emitted >= max || torn {
+                return Ok(emitted);
             }
             // Clean end of the current file.  If the writer rotated, a
             // segment named with our next expected sequence number now
@@ -184,7 +184,7 @@ impl Cursor {
                 self.seg = None;
                 continue;
             }
-            return Ok(out);
+            return Ok(emitted);
         }
     }
 }
@@ -192,6 +192,7 @@ impl Cursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Record;
     use crate::writer::{FsyncPolicy, Wal, WalConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,6 +208,23 @@ mod tests {
         dir
     }
 
+    /// Poll into a fresh buffer and decode the encodings it received.
+    fn poll(c: &mut Cursor, max: usize) -> Vec<Record> {
+        let mut buf = Vec::new();
+        let n = c.poll(max, &mut buf).unwrap();
+        let mut out = Vec::new();
+        let mut rest = buf.as_slice();
+        while !rest.is_empty() {
+            let DecodeOutcome::Complete { record, consumed } = record::decode(rest) else {
+                panic!("poll appended an unreadable record");
+            };
+            out.push(record);
+            rest = &rest[consumed..];
+        }
+        assert_eq!(n, out.len(), "poll's count matches the records it appended");
+        out
+    }
+
     fn wal(dir: &Path, segment_bytes: u64) -> Wal {
         let cfg = WalConfig { dir: dir.to_path_buf(), segment_bytes, fsync: FsyncPolicy::Always };
         Wal::open(cfg).unwrap().0
@@ -216,15 +234,15 @@ mod tests {
     fn empty_directory_polls_empty_then_catches_up() {
         let dir = temp_dir("empty");
         let mut c = Cursor::tail_from(&dir, 1);
-        assert!(c.poll(100).unwrap().is_empty());
+        assert!(poll(&mut c, 100).is_empty());
         let mut w = wal(&dir, 4 << 20);
         w.append(1, b"first").unwrap();
         w.append(2, b"second").unwrap();
-        let got = c.poll(100).unwrap();
+        let got = poll(&mut c, 100);
         assert_eq!(got.len(), 2);
         assert_eq!((got[0].seq, got[0].rec_type), (1, 1));
         assert_eq!(got[1].payload, b"second");
-        assert!(c.poll(100).unwrap().is_empty(), "caught up");
+        assert!(poll(&mut c, 100).is_empty(), "caught up");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -236,8 +254,14 @@ mod tests {
             w.append(1, format!("r{i}").as_bytes()).unwrap();
         }
         let mut c = Cursor::tail_from(&dir, 4);
-        let got = c.poll(100).unwrap();
+        let got = poll(&mut c, 100);
         assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![4, 5, 6]);
+        // What the cursor hands back is the segment's own bytes.
+        let seg = std::fs::read(segment::list(&dir).unwrap()[0].1.as_path()).unwrap();
+        let mut from_start = Cursor::tail_from(&dir, 1);
+        let mut buf = Vec::new();
+        assert_eq!(from_start.poll(100, &mut buf).unwrap(), 6);
+        assert_eq!(buf, &seg[SEGMENT_MAGIC.len()..], "verbatim, not re-encoded");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -257,15 +281,15 @@ mod tests {
             // Interleave polls with appends so rotations happen both
             // between and across polls.
             if i % 2 == 0 {
-                seen.extend(c.poll(100).unwrap());
+                seen.extend(poll(&mut c, 100));
             }
         }
-        seen.extend(c.poll(100).unwrap());
+        seen.extend(poll(&mut c, 100));
         assert_eq!(seen.iter().map(|r| r.seq).collect::<Vec<_>>(), (1..=10).collect::<Vec<_>>());
         assert!(w.segment_count() > 1, "the writer really did rotate");
         // And the cursor keeps following after yet another rotation.
         w.append(1, b"post").unwrap();
-        let got = c.poll(100).unwrap();
+        let got = poll(&mut c, 100);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 11);
         std::fs::remove_dir_all(&dir).ok();
@@ -290,19 +314,19 @@ mod tests {
             f.write_all(&full[..cut]).unwrap();
         }
         let mut c = Cursor::tail_from(&dir, 1);
-        let got = c.poll(100).unwrap();
+        let got = poll(&mut c, 100);
         assert_eq!(got.len(), 1, "only the whole record before the tear");
         assert_eq!(got[0].seq, 1);
         // Polling again against the still-torn tail: still nothing new,
         // still no error.
-        assert!(c.poll(100).unwrap().is_empty());
+        assert!(poll(&mut c, 100).is_empty());
         // The writer finishes the append.
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new().append(true).open(&seg_path).unwrap();
             f.write_all(&full[cut..]).unwrap();
         }
-        let got = c.poll(100).unwrap();
+        let got = poll(&mut c, 100);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 2);
         assert_eq!(got[0].payload, b"torn-then-finished");
@@ -319,7 +343,7 @@ mod tests {
         let mut c = Cursor::tail_from(&dir, 1);
         let mut seen = Vec::new();
         loop {
-            let batch = c.poll(3).unwrap();
+            let batch = poll(&mut c, 3);
             if batch.is_empty() {
                 break;
             }
@@ -342,7 +366,7 @@ mod tests {
         bytes[n - 3] ^= 0x20; // flip a payload bit in the last record
         std::fs::write(&seg_path, bytes).unwrap();
         let mut c = Cursor::tail_from(&dir, 1);
-        let err = c.poll(100).unwrap_err();
+        let err = c.poll(100, &mut Vec::new()).unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -356,7 +380,7 @@ mod tests {
         }
         w.truncate_before(4).unwrap();
         let mut c = Cursor::tail_from(&dir, 1);
-        let err = c.poll(100).unwrap_err();
+        let err = c.poll(100, &mut Vec::new()).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -25,8 +25,9 @@
 //! returns, `every-n`/`every-ms` batch syncs and accept a bounded
 //! recent-write loss window.
 //!
-//! Everything here is `std`-only — the CRC-32 lives in
-//! [`crc32`], serialization is raw little-endian byte twiddling — and
+//! Everything here is `std`-only — the CRC-32 lives in [`crc32`]
+//! (slicing-by-16 over 16 KiB of compile-time tables, in safe Rust),
+//! serialization is raw little-endian byte twiddling — and
 //! [`FailpointWriter`] gives tests a deterministic way to cut a record
 //! stream at an exact byte offset, simulating what `kill -9` leaves on
 //! disk.
@@ -45,5 +46,5 @@ pub mod writer;
 pub use cursor::Cursor;
 pub use failpoint::FailpointWriter;
 pub use reader::{scan, Scan, SegmentInfo, Truncation};
-pub use record::{Record, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
+pub use record::{Record, RecordRef, MAX_PAYLOAD_BYTES, RECORD_HEADER_BYTES};
 pub use writer::{FsyncPolicy, Wal, WalConfig, WalMetrics};

@@ -50,13 +50,25 @@ pub fn encode(seq: u64, rec_type: u8, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// What [`decode`] found at the head of a buffer.
+/// One record viewed in place: the header fields decoded, the payload
+/// borrowed from the buffer it was checked in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Monotonic sequence number (unique across the whole log).
+    pub seq: u64,
+    /// Caller-defined record type.
+    pub rec_type: u8,
+    /// Opaque payload bytes.
+    pub payload: &'a [u8],
+}
+
+/// What [`decode`] or [`decode_ref`] found at the head of a buffer.
 #[derive(Debug, PartialEq, Eq)]
-pub enum DecodeOutcome {
+pub enum DecodeOutcome<R = Record> {
     /// A whole valid record; `consumed` bytes were used.
     Complete {
         /// The decoded record.
-        record: Record,
+        record: R,
         /// Bytes the record occupied (header + payload).
         consumed: usize,
     },
@@ -66,37 +78,57 @@ pub enum DecodeOutcome {
     Corrupt(String),
 }
 
-/// Decode the record starting at `buf[0]`.  The caller guarantees the
-/// offset is a record boundary (segment start or the end of the previous
-/// record).
-#[must_use]
-pub fn decode(buf: &[u8]) -> DecodeOutcome {
-    if buf.len() < RECORD_HEADER_BYTES {
-        return DecodeOutcome::Incomplete;
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+/// The unchecked header of the record starting at `buf[0]`: its
+/// sequence number and encoded length (header + payload).  `Ok(None)`
+/// when `buf` is shorter than a header; `Err` when the length field is
+/// past [`MAX_PAYLOAD_BYTES`].  No CRC is computed: this is framing
+/// only, and the encoded length may run past the end of `buf`.
+pub(crate) fn header(buf: &[u8]) -> Result<Option<(u64, usize)>, String> {
+    let Some(head) = buf.get(..RECORD_HEADER_BYTES) else { return Ok(None) };
+    let len = u32::from_le_bytes(head[0..4].try_into().expect("4-byte slice")) as usize;
     if len > MAX_PAYLOAD_BYTES {
-        return DecodeOutcome::Corrupt(format!(
-            "payload length {len} exceeds the {MAX_PAYLOAD_BYTES}-byte bound"
-        ));
+        return Err(format!("payload length {len} exceeds the {MAX_PAYLOAD_BYTES}-byte bound"));
     }
-    let total = RECORD_HEADER_BYTES + len;
-    if buf.len() < total {
-        return DecodeOutcome::Incomplete;
-    }
-    let stored = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let actual = crc32(&buf[8..total]);
+    let seq = u64::from_le_bytes(head[8..16].try_into().expect("8-byte slice"));
+    Ok(Some((seq, RECORD_HEADER_BYTES + len)))
+}
+
+/// Decode and CRC-check the record starting at `buf[0]` in place.  The
+/// caller guarantees the offset is a record boundary (segment start or
+/// the end of the previous record).  On `Complete`, the record's
+/// verified encoding is `buf[..consumed]`.
+#[must_use]
+pub fn decode_ref(buf: &[u8]) -> DecodeOutcome<RecordRef<'_>> {
+    let (seq, total) = match header(buf) {
+        Ok(Some(h)) => h,
+        Ok(None) => return DecodeOutcome::Incomplete,
+        Err(e) => return DecodeOutcome::Corrupt(e),
+    };
+    let Some(bytes) = buf.get(..total) else { return DecodeOutcome::Incomplete };
+    let stored = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
+    let actual = crc32(&bytes[8..]);
     if stored != actual {
         return DecodeOutcome::Corrupt(format!(
             "CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
         ));
     }
-    let seq =
-        u64::from_le_bytes([buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15]]);
-    let rec_type = buf[16];
     DecodeOutcome::Complete {
-        record: Record { seq, rec_type, payload: buf[RECORD_HEADER_BYTES..total].to_vec() },
+        record: RecordRef { seq, rec_type: bytes[16], payload: &bytes[RECORD_HEADER_BYTES..] },
         consumed: total,
+    }
+}
+
+/// Decode the record starting at `buf[0]` into an owned [`Record`]:
+/// [`decode_ref`], then a copy of the payload.
+#[must_use]
+pub fn decode(buf: &[u8]) -> DecodeOutcome {
+    match decode_ref(buf) {
+        DecodeOutcome::Complete { record: r, consumed } => DecodeOutcome::Complete {
+            record: Record { seq: r.seq, rec_type: r.rec_type, payload: r.payload.to_vec() },
+            consumed,
+        },
+        DecodeOutcome::Incomplete => DecodeOutcome::Incomplete,
+        DecodeOutcome::Corrupt(e) => DecodeOutcome::Corrupt(e),
     }
 }
 
@@ -115,6 +147,14 @@ mod tests {
                 DecodeOutcome::Complete { record, consumed } => {
                     assert_eq!(consumed, bytes.len());
                     assert_eq!(record, Record { seq, rec_type: ty, payload: payload.to_vec() });
+                }
+                other => panic!("expected Complete, got {other:?}"),
+            }
+            // The borrowed view points into the checked buffer.
+            match decode_ref(&bytes) {
+                DecodeOutcome::Complete { record, consumed } => {
+                    assert_eq!(record, RecordRef { seq, rec_type: ty, payload });
+                    assert_eq!(header(&bytes), Ok(Some((seq, consumed))));
                 }
                 other => panic!("expected Complete, got {other:?}"),
             }

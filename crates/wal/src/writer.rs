@@ -1,7 +1,7 @@
 //! The append side: segment rotation, fsync policy, torn-tail repair.
 
 use crate::reader::{scan, Scan};
-use crate::record::encode;
+use crate::record::{self, encode};
 use crate::segment::{self, SEGMENT_MAGIC};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -253,21 +253,84 @@ impl Wal {
     ///
     /// I/O failures writing (rotation included).
     pub fn append_unsynced(&mut self, rec_type: u8, payload: &[u8]) -> Result<u64, String> {
-        if self.active_bytes >= self.cfg.segment_bytes && self.active_records > 0 {
-            self.rotate()?;
-        }
         let seq = self.next_seq;
-        let bytes = encode(seq, rec_type, payload);
-        self.active
-            .write_all(&bytes)
-            .map_err(|e| format!("append to {}: {e}", self.active_path.display()))?;
-        self.next_seq += 1;
-        self.active_bytes += bytes.len() as u64;
-        self.active_records += 1;
-        self.pending_sync += 1;
-        self.metrics.records_appended += 1;
-        self.metrics.bytes_appended += bytes.len() as u64;
+        self.append_encoded(&encode(seq, rec_type, payload))?;
         Ok(seq)
+    }
+
+    /// Append whole record encodings verbatim, *without* applying the
+    /// fsync policy; returns how many records `records` held.
+    ///
+    /// This is a replica's append: `records` are encodings back to back,
+    /// as a primary's [`Cursor::poll`](crate::Cursor::poll) read them,
+    /// whose CRCs the caller has already checked
+    /// ([`record::decode_ref`](crate::record::decode_ref)).  Only header
+    /// fields are read here: every length must frame a whole record and
+    /// the sequence numbers must run on from [`Wal::next_seq`], or
+    /// nothing is written.  The log rotates at the same record boundaries
+    /// as the equivalent series of [`Wal::append_unsynced`] calls, so the
+    /// segment files come out byte-identical.
+    ///
+    /// # Errors
+    ///
+    /// A cut or over-long record, a sequence break (both before any
+    /// write), and I/O failures writing (rotation included).
+    pub fn append_encoded(&mut self, records: &[u8]) -> Result<u64, String> {
+        let mut off = 0;
+        let mut count = 0u64;
+        while off < records.len() {
+            let (seq, len) = record::header(&records[off..])?
+                .filter(|&(_, len)| len <= records.len() - off)
+                .ok_or_else(|| {
+                    format!("records end mid-record ({} bytes left)", records.len() - off)
+                })?;
+            let want = self.next_seq + count;
+            if seq != want {
+                return Err(format!(
+                    "sequence break: record carries seq {seq}, the log expects {want}"
+                ));
+            }
+            off += len;
+            count += 1;
+        }
+        // Write runs of whole records.  Before each record, a full
+        // active segment that holds at least one record is sealed, the
+        // same rule a single record's append follows.
+        let (mut run_start, mut run_records) = (0, 0);
+        let mut off = 0;
+        while off < records.len() {
+            let run_bytes = (off - run_start) as u64;
+            if self.active_bytes + run_bytes >= self.cfg.segment_bytes
+                && self.active_records + run_records > 0
+            {
+                self.write_run(&records[run_start..off], run_records)?;
+                self.rotate()?;
+                (run_start, run_records) = (off, 0);
+            }
+            let (_, len) = record::header(&records[off..])?.expect("framed above");
+            off += len;
+            run_records += 1;
+        }
+        self.write_run(&records[run_start..], run_records)?;
+        Ok(count)
+    }
+
+    /// Write `run`, `records` whole records, to the active segment and
+    /// account for them.
+    fn write_run(&mut self, run: &[u8], records: u64) -> Result<(), String> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        self.active
+            .write_all(run)
+            .map_err(|e| format!("append to {}: {e}", self.active_path.display()))?;
+        self.next_seq += records;
+        self.active_bytes += run.len() as u64;
+        self.active_records += records;
+        self.pending_sync += records;
+        self.metrics.records_appended += records;
+        self.metrics.bytes_appended += run.len() as u64;
+        Ok(())
     }
 
     /// Force unsynced appends to disk now, regardless of policy.
@@ -570,6 +633,76 @@ mod tests {
         drop(wal);
         let (_, scan) = Wal::open(cfg(&dir)).unwrap();
         assert_eq!(scan.records.len(), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every segment file of `dir`, by name, with its bytes.
+    fn segment_files(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        segment::list(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(seq, path)| (seq, std::fs::read(path).unwrap()))
+            .collect()
+    }
+
+    /// A replica that appends what a cursor ships, a few records at a
+    /// time, ends with the same segment files, byte for byte, as the log
+    /// it follows: same rotation points, same names, same records.
+    #[test]
+    fn verbatim_appends_rotate_where_single_appends_do() {
+        let (src, dst) = (temp_dir("verbatim-src"), temp_dir("verbatim-dst"));
+        let (mut c_src, mut c_dst) = (cfg(&src), cfg(&dst));
+        c_src.segment_bytes = 200;
+        c_dst.segment_bytes = 200;
+        let (mut wal, _) = Wal::open(c_src).unwrap();
+        for i in 0..40u64 {
+            let payload = vec![i as u8; (i as usize * 7) % 90];
+            wal.append_unsynced((i % 3) as u8, &payload).unwrap();
+        }
+        wal.sync().unwrap();
+        let (mut replica, _) = Wal::open(c_dst.clone()).unwrap();
+        let mut cursor = crate::Cursor::tail_from(&src, 1);
+        for frame in [1, 3, 7, 2, 30] {
+            let mut bytes = Vec::new();
+            let n = cursor.poll(frame, &mut bytes).unwrap();
+            assert_eq!(replica.append_encoded(&bytes).unwrap(), n as u64);
+        }
+        replica.sync().unwrap();
+        assert_eq!(replica.next_seq(), 41);
+        assert!(replica.segment_count() > 5, "the tiny threshold rotated");
+        assert_eq!(replica.metrics().records_appended, 40);
+        assert_eq!(segment_files(&dst), segment_files(&src));
+        drop(replica);
+        let (reopened, scan) = Wal::open(c_dst).unwrap();
+        assert_eq!((reopened.next_seq(), scan.records.len()), (41, 40));
+        std::fs::remove_dir_all(&src).ok();
+        std::fs::remove_dir_all(&dst).ok();
+    }
+
+    /// A batch with a cut record or a sequence break writes nothing, not
+    /// even the good records in front of the bad one.
+    #[test]
+    fn a_bad_verbatim_batch_writes_nothing() {
+        let dir = temp_dir("verbatim-bad");
+        let (mut wal, _) = Wal::open(cfg(&dir)).unwrap();
+        wal.append(1, b"kept").unwrap();
+        let before = segment_files(&dir);
+        let good = |seq| encode(seq, 1, b"shipped");
+        let skipped = [good(2), good(3), good(5)].concat();
+        let e = wal.append_encoded(&skipped).unwrap_err();
+        assert!(e.contains("sequence break") && e.contains("expects 4"), "{e}");
+        let mut cut = [good(2), good(3)].concat();
+        cut.pop();
+        assert!(wal.append_encoded(&cut).unwrap_err().contains("mid-record"));
+        let mut absurd = [good(2), good(3)].concat();
+        absurd[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(wal.append_encoded(&absurd).unwrap_err().contains("exceeds"));
+        assert_eq!(wal.next_seq(), 2);
+        assert_eq!(wal.metrics().records_appended, 1);
+        assert_eq!(segment_files(&dir), before);
+        // The log stays appendable at the same sequence number.
+        assert_eq!(wal.append_encoded(&[good(2), good(3)].concat()).unwrap(), 2);
+        assert_eq!(wal.append(1, b"own").unwrap(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
