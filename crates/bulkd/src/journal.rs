@@ -12,13 +12,15 @@
 //! checkpoint (3) := {"next_job":ID}
 //! ```
 //!
-//! Ordering contract: a job's submit record is appended (and, under
-//! `--fsync always`, synced) *before* the accept path makes the job
-//! visible to workers, and its complete record is appended *before* the
-//! reply reaches the client.  Recovery therefore re-queues exactly the
-//! jobs whose submit survived without a matching completion; completed
-//! jobs are never re-executed, so every acknowledged job runs exactly
-//! once as far as the log is concerned.
+//! Ordering contract: a job's submit record is appended *before* the
+//! accept path makes the job visible to workers, and is durable *before*
+//! the job executes — the worker that claims a batch waits once, with
+//! [`Journal::wait_durable`], for the batch's highest submit record.  Its
+//! complete record is durable *before* the reply reaches the client.
+//! Recovery therefore re-queues exactly the jobs whose submit survived
+//! without a matching completion; completed jobs are never re-executed,
+//! so every acknowledged job runs exactly once as far as the log is
+//! concerned.
 //!
 //! A checkpoint is written at drain time once every logged submit has
 //! its completion: the log rotates, a checkpoint record carrying the
@@ -26,15 +28,16 @@
 //! segments are deleted.
 //!
 //! Under `--fsync always` appends go through *group commit*: each writer
-//! appends its records unsynced under the log lock, then waits until a
-//! leader-elected fsync covers the last of them.  Whichever waiter finds
-//! no leader running becomes the leader, issues one `fsync`, and
-//! publishes the new durable high-water mark — so a convoy of concurrent
-//! submits pays one device flush for the whole group instead of one each
-//! (the journal-lock convoy measured in EXPERIMENTS.md §9.3).  A worker
-//! settles a whole batch the same way: [`Journal::log_complete`] appends
+//! appends its records unsynced under the log lock, and a waiter blocks
+//! until a leader-elected fsync covers the record it needs.  Whichever
+//! waiter finds no leader running becomes the leader, issues one
+//! `fsync`, and publishes the new durable high-water mark — so every
+//! record appended by then shares one device flush.  A submit does not
+//! wait at all: its batch's worker waits once for the whole batch's
+//! submits, usually already covered while the batch filled.  The worker
+//! settles the batch the same way: [`Journal::log_complete`] appends
 //! every job's completion under one lock and waits once, so a batch of
-//! `p` jobs pays one fsync, not `p`.  An fsync failure fail-stops the
+//! `p` jobs pays about two fsyncs, not `2p`.  An fsync failure fail-stops the
 //! journal: durability of the page cache is unknowable after a failed
 //! flush, so every waiter (and all later appends) get the error instead
 //! of a silent retry.
@@ -199,6 +202,17 @@ pub fn ack_despite_fsync_error() -> bool {
     cfg!(feature = "bug-ack-before-fsync")
 }
 
+/// Whether a worker may execute a batch without first waiting for its
+/// submit records to be durable.  `false` — the durable-before-execute
+/// contract.  The CI-only `bug-execute-before-durable` feature skips the
+/// wait so the simulation harness can prove its Invariant B catches a
+/// job executed without a durable submit record — never enable it
+/// otherwise.
+#[must_use]
+pub fn execute_before_durable() -> bool {
+    cfg!(feature = "bug-execute-before-durable")
+}
+
 /// Parse a record's payload with `parse`, naming the record in errors.
 fn payload<T>(rec: &Record, parse: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
     let text = std::str::from_utf8(&rec.payload)
@@ -292,17 +306,22 @@ pub fn replay(records: &[Record]) -> Result<Recovery, String> {
 
 impl Journal {
     /// Open (or create) the journal, repairing any torn tail, and replay
-    /// what survived.
+    /// what survived.  The recovered log starts durable: a process that
+    /// died may have left its last records in the page cache only, so
+    /// open syncs them once, and the durable mark starts at the last
+    /// recovered record — requeued jobs need no wait before executing.
     ///
     /// # Errors
     ///
     /// Log I/O failures or a structurally invalid surviving record.
     pub fn open(cfg: &JournalConfig) -> Result<(Self, Recovery), String> {
-        let (wal, scan) = Wal::open(WalConfig {
+        let (mut wal, scan) = Wal::open(WalConfig {
             dir: cfg.dir.clone(),
             segment_bytes: cfg.segment_bytes,
             fsync: cfg.fsync,
         })?;
+        wal.sync()?;
+        let synced_seq = wal.next_seq().saturating_sub(1);
         let mut recovery = replay(&scan.records)?;
         recovery.torn_tail = scan.truncation.is_some();
         let incomplete: HashSet<u64> = recovery.requeue.iter().map(|r| r.id).collect();
@@ -314,7 +333,7 @@ impl Journal {
             recovery_records: recovery.recovered_records,
             recovery_next_job_id: recovery.next_job_id,
             inner: Mutex::new(Inner { wal, incomplete, log_submits: 0, log_completions: 0 }),
-            group: Mutex::new(GroupState::default()),
+            group: Mutex::new(GroupState { synced_seq, ..GroupState::default() }),
             group_cv: Condvar::new(),
         };
         Ok((journal, recovery))
@@ -331,16 +350,23 @@ impl Journal {
 
     /// Block until sequence number `seq` is durable, electing this thread
     /// leader of one fsync whenever none is running.  The fsync holds the
-    /// log lock (appends queue behind it briefly), but every waiter whose
-    /// record landed before the leader grabbed the lock shares that one
-    /// flush — the group in group commit.
-    fn wait_durable(&self, seq: u64) -> Result<(), String> {
+    /// log lock (appends queue behind it briefly), but every record that
+    /// landed before the leader grabbed the lock shares that one flush —
+    /// the group in group commit.  Under `every-n` / `every-ms` the
+    /// policy decides durability at append time, so this returns at once
+    /// (the bounded loss window [`Journal::durable_seq`] assumes).
+    ///
+    /// # Errors
+    ///
+    /// The journal has fail-stopped (now or before): whether `seq`
+    /// survives is then unknowable.
+    pub fn wait_durable(&self, seq: u64) -> Result<(), String> {
         let mut g = self.group.lock().expect("journal poisoned");
         loop {
             if let Some(e) = &g.failed {
                 return Err(format!("journal fail-stopped: {e}"));
             }
-            if g.synced_seq >= seq {
+            if g.synced_seq >= seq || self.fsync != FsyncPolicy::Always {
                 return Ok(());
             }
             if g.leader_running {
@@ -379,12 +405,11 @@ impl Journal {
 
     /// Append `payloads` as records of `rec_type` under one log lock, run
     /// the bookkeeping once, and return the last record's sequence
-    /// number.  Under `always` the records go in unsynced and one
-    /// group-commit wait covers the last of them; under `every-n` /
-    /// `every-ms` each goes through the log's own policy machinery, where
-    /// batching happens policy-side already.  Every policy shares the
-    /// fail-stop flag: the first append or fsync error poisons all later
-    /// appends.
+    /// number.  Under `always` the records go in unsynced, for a later
+    /// [`Journal::wait_durable`] to cover; under `every-n` / `every-ms`
+    /// each goes through the log's own policy machinery, where batching
+    /// happens policy-side already.  Every policy shares the fail-stop
+    /// flag: the first append or fsync error poisons all later appends.
     fn append_record(
         &self,
         rec_type: u8,
@@ -419,9 +444,6 @@ impl Journal {
             }
             bookkeep(&mut inner);
         }
-        if group {
-            self.wait_durable(last)?;
-        }
         Ok(last)
     }
 
@@ -438,19 +460,20 @@ impl Journal {
         self.group.lock().expect("journal poisoned").failed.clone()
     }
 
-    /// Append (and per policy sync) a submit record.  Call *before* the
-    /// job becomes visible to workers.
+    /// Append a submit record without waiting for it to become durable,
+    /// and return its sequence number.  The job may be enqueued at once:
+    /// the worker that claims its batch calls [`Journal::wait_durable`]
+    /// on the batch's highest submit number before executing anything.
     ///
     /// # Errors
     ///
     /// Log I/O failures — the caller must then refuse the job.
-    pub fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<(), String> {
+    pub fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<u64, String> {
         let payload = submit_payload(id, key, inputs);
         self.append_record(REC_SUBMIT, &[payload], |inner| {
             inner.incomplete.insert(id);
             inner.log_submits += 1;
         })
-        .map(|_seq| ())
     }
 
     /// Append (and per policy sync) one completion record per job of a
@@ -467,12 +490,14 @@ impl Journal {
     pub fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String> {
         let payloads: Vec<Vec<u8>> =
             batch.iter().map(|&(id, result)| complete_payload(id, result)).collect();
-        self.append_record(REC_COMPLETE, &payloads, |inner| {
+        let last = self.append_record(REC_COMPLETE, &payloads, |inner| {
             for (id, _) in batch {
                 inner.incomplete.remove(id);
             }
             inner.log_completions += batch.len() as u64;
-        })
+        })?;
+        self.wait_durable(last)?;
+        Ok(last)
     }
 
     /// The durable WAL high-water mark: the highest sequence number known
@@ -677,6 +702,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A `kill -9` can leave the last records in the page cache only:
+    /// reopening syncs them once and starts the durable mark at the last
+    /// recovered record, so requeued jobs need no wait before executing.
+    #[test]
+    fn a_recovered_log_starts_durable() {
+        let dir = temp_dir("reopen-durable");
+        {
+            let (j, _) = Journal::open(&cfg(&dir)).unwrap();
+            assert_eq!(j.log_submit(1, &key("a"), &[vec![1]]).unwrap(), 1);
+            assert_eq!(j.log_submit(2, &key("a"), &[vec![2]]).unwrap(), 2);
+            assert_eq!(j.durable_seq(), 0, "appended, never synced");
+            assert_eq!(j.stats_json().path("fsyncs").unwrap().as_i64(), Some(0));
+        }
+        let (j, r) = Journal::open(&cfg(&dir)).unwrap();
+        assert_eq!(r.requeue.len(), 2);
+        assert_eq!(j.durable_seq(), 2, "the mark starts at the last recovered record");
+        let s = j.stats_json();
+        assert_eq!(s.path("durable_seq").unwrap().as_i64(), Some(2));
+        assert_eq!(s.path("fsyncs").unwrap().as_i64(), Some(1), "open syncs exactly once");
+        j.wait_durable(2).unwrap();
+        assert_eq!(j.stats_json().path("fsyncs").unwrap().as_i64(), Some(1), "no wait needed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn checkpoint_truncates_only_when_accounting_balances() {
         let dir = temp_dir("checkpoint");
@@ -712,7 +761,8 @@ mod tests {
                     scope.spawn(move || {
                         for i in 0..PER {
                             let id = t * PER + i + 1;
-                            j.log_submit(id, &key("a"), &[vec![id]]).unwrap();
+                            let seq = j.log_submit(id, &key("a"), &[vec![id]]).unwrap();
+                            j.wait_durable(seq).unwrap();
                             j.log_complete(&[(id, Ok(&[vec![id]]))]).unwrap();
                         }
                     });
@@ -745,12 +795,16 @@ mod tests {
     fn group_commit_single_writer_still_syncs_every_append() {
         let dir = temp_dir("group-solo");
         let (j, _) = Journal::open(&cfg(&dir)).unwrap();
-        // No concurrency: each append elects itself leader and fsyncs —
-        // the `always` contract (durable before return) is unchanged.
-        j.log_submit(1, &key("a"), &[vec![1]]).unwrap();
+        // No concurrency: each wait elects itself leader and fsyncs —
+        // the `always` contract (durable once the wait returns) holds.
+        let submit = j.log_submit(1, &key("a"), &[vec![1]]).unwrap();
+        assert_eq!(submit, 1, "the submit is the first appended record");
+        assert_eq!(j.durable_seq(), 0, "a submit append does not wait for its fsync");
+        j.wait_durable(submit).unwrap();
+        assert_eq!(j.durable_seq(), 1);
         let seq = j.log_complete(&[(1, Ok(&[vec![2]]))]).unwrap();
         assert_eq!(seq, 2, "the completion is the second appended record");
-        assert_eq!(j.durable_seq(), 2, "under always, every returned append is durable");
+        assert_eq!(j.durable_seq(), 2, "under always, a returned completion is durable");
         let s = j.stats_json();
         assert_eq!(s.path("durable_seq").unwrap().as_i64(), Some(2));
         assert_eq!(s.path("fsyncs").unwrap().as_i64(), Some(2));
@@ -769,7 +823,8 @@ mod tests {
         let dir = temp_dir("batch");
         let (j, _) = Journal::open(&cfg(&dir)).unwrap();
         for id in 1..=4 {
-            j.log_submit(id, &key("a"), &[vec![id]]).unwrap();
+            let seq = j.log_submit(id, &key("a"), &[vec![id]]).unwrap();
+            j.wait_durable(seq).unwrap();
         }
         let outputs: Vec<Vec<Vec<u64>>> = (1..=4).map(|id| vec![vec![id * 10]]).collect();
         let mut batch: Vec<Completion<'_>> =
@@ -779,7 +834,7 @@ mod tests {
         assert_eq!(last, 8, "four submits, then the batch's four completions");
         assert_eq!(j.durable_seq(), 8, "the returned mark is durable");
         let s = j.stats_json();
-        assert_eq!(s.path("fsyncs").unwrap().as_i64(), Some(5), "one per submit, one per batch");
+        assert_eq!(s.path("fsyncs").unwrap().as_i64(), Some(5), "one per wait, one per batch");
         assert_eq!(s.path("log_completions").unwrap().as_i64(), Some(4));
         assert_eq!(s.path("incomplete_jobs").unwrap().as_i64(), Some(0));
         assert_eq!(j.group_batch_sizes().max(), Some(4), "the batch's fsync covered all four");
@@ -814,16 +869,22 @@ mod tests {
         use std::sync::Arc;
         let dir = temp_dir("failstop");
         let (j, _) = Journal::open(&cfg(&dir)).unwrap();
-        j.log_submit(1, &key("a"), &[vec![1]]).unwrap(); // fsync 1 succeeds
+        let seq = j.log_submit(1, &key("a"), &[vec![1]]).unwrap();
+        j.wait_durable(seq).unwrap(); // fsync 1 succeeds
         j.inject_fsync_error(2);
         let j = Arc::new(j);
-        // Concurrent appends race into the failing fsync; every waiter —
-        // parked or leader — must get an error, not a hang.
+        // Concurrent append-then-waits race into the failing fsync; every
+        // waiter — parked or leader — must get an error, not a hang (and
+        // an append after the failure is refused outright).
         let errs: Vec<String> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4u64)
                 .map(|t| {
                     let j = Arc::clone(&j);
-                    scope.spawn(move || j.log_submit(10 + t, &key("a"), &[vec![t]]).unwrap_err())
+                    scope.spawn(move || {
+                        j.log_submit(10 + t, &key("a"), &[vec![t]])
+                            .and_then(|seq| j.wait_durable(seq))
+                            .unwrap_err()
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -38,15 +38,20 @@ pub struct QueueConfig {
 /// Per-stage timing breakdown of one completed job, all in microseconds
 /// on the daemon's [`Clock`].  This is the trace context's final form:
 /// the monotone stage stamps collapsed into the durations an operator
-/// (or the opt-in `"timing"` reply echo) actually reads.
+/// (or the opt-in `"timing"` reply echo) actually reads.  The six stages
+/// tile the job's life, so they add up to `total_us` exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
-    /// Admission → submit-record durable (includes the group-commit wait).
+    /// Admission → submit record appended (the append only: the record
+    /// becomes durable later, in the `durable` stage of its batch).
     pub journal_us: u64,
     /// Enqueue → the job's group flushed into a ready batch.
     pub queue_us: u64,
-    /// Batch assembled → a worker started executing it.
+    /// Batch assembled → a worker claimed it.
     pub dispatch_us: u64,
+    /// Batch claimed → its highest submit record durable, so execution
+    /// may start.
+    pub durable_us: u64,
     /// Batch execution (compile-or-cache-hit plus the sharded replay).
     pub exec_us: u64,
     /// Execution end → completion journaled and the reply written.
@@ -55,17 +60,63 @@ pub struct StageBreakdown {
     pub total_us: u64,
 }
 
+/// The worker-side instants of one batch, shared by every job in it:
+/// claimed → durable → executed → done, in clock microseconds.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchStamps {
+    /// A worker claimed the batch.
+    pub claimed_us: u64,
+    /// The batch's submit records were durable; execution starts.
+    pub durable_us: u64,
+    /// Execution ended (equal to `durable_us` when nothing executed).
+    pub executed_us: u64,
+    /// The completions were journaled (and replicated); replies go out.
+    pub done_us: u64,
+}
+
 impl StageBreakdown {
+    /// Stage names in stage order, as the timing echo and the `stats`
+    /// JSON (with a `_us` suffix), Prometheus's `stage` label and the
+    /// flight recorder spell them.  `total` is the sum of the others.
+    pub const STAGES: [&'static str; 7] =
+        ["journal", "queue", "dispatch", "durable", "exec", "finalize", "total"];
+
+    /// Collapse `job`'s stamps and its batch's into durations.
+    #[must_use]
+    pub fn new(job: &Job, batch: &BatchStamps) -> Self {
+        let st = &job.stages;
+        Self {
+            journal_us: st.journaled_us.saturating_sub(st.accepted_us),
+            queue_us: st.assembled_us.saturating_sub(job.enqueued_us),
+            dispatch_us: batch.claimed_us.saturating_sub(st.assembled_us),
+            durable_us: batch.durable_us.saturating_sub(batch.claimed_us),
+            exec_us: batch.executed_us.saturating_sub(batch.durable_us),
+            finalize_us: batch.done_us.saturating_sub(batch.executed_us),
+            total_us: batch.done_us.saturating_sub(st.accepted_us),
+        }
+    }
+
+    /// The durations in [`Self::STAGES`] order.
+    #[must_use]
+    pub fn values(&self) -> [u64; Self::STAGES.len()] {
+        [
+            self.journal_us,
+            self.queue_us,
+            self.dispatch_us,
+            self.durable_us,
+            self.exec_us,
+            self.finalize_us,
+            self.total_us,
+        ]
+    }
+
     /// The breakdown as a JSON object (field order = stage order).
     #[must_use]
     pub fn to_json(&self) -> obs::Json {
         let mut o = obs::Json::obj();
-        o.set("journal_us", self.journal_us);
-        o.set("queue_us", self.queue_us);
-        o.set("dispatch_us", self.dispatch_us);
-        o.set("exec_us", self.exec_us);
-        o.set("finalize_us", self.finalize_us);
-        o.set("total_us", self.total_us);
+        for (name, value) in Self::STAGES.iter().zip(self.values()) {
+            o.set(&format!("{name}_us"), value);
+        }
         o
     }
 }
@@ -89,7 +140,8 @@ pub struct JobDone {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// The wire error kind: `exec` when the batch failed to execute,
-    /// `wal` when its completion could not be made durable.
+    /// `wal` when its submit or its completion could not be made
+    /// durable.
     pub kind: &'static str,
     /// Human-readable cause.
     pub detail: String,
@@ -106,7 +158,8 @@ pub type JobReply = Result<JobDone, JobError>;
 pub struct StageStamps {
     /// Admission accepted the job (trace context opened).
     pub accepted_us: u64,
-    /// The submit record became durable (after any group-commit wait).
+    /// The submit record was appended; the job is enqueued at the same
+    /// instant ([`Job::enqueued_us`]).
     pub journaled_us: u64,
     /// The job's group flushed into a ready batch (stamped by the queue).
     pub assembled_us: u64,
@@ -128,11 +181,16 @@ pub struct Job {
     pub stages: StageStamps,
     /// Whether the submitter asked for the timing breakdown in its reply.
     pub timing: bool,
+    /// WAL sequence number of the job's submit record, which must be
+    /// durable before the job executes.  0 when there is nothing to wait
+    /// for: no WAL, or a job requeued from a log that opened durable.
+    pub submit_seq: u64,
 }
 
 impl Job {
-    /// A job with empty stage stamps and no timing opt-in — the common
-    /// construction for recovery requeues and tests.
+    /// A job with empty stage stamps, no timing opt-in and no submit
+    /// record to wait for — the common construction for recovery
+    /// requeues and tests.
     #[must_use]
     pub fn new(
         id: u64,
@@ -140,7 +198,15 @@ impl Job {
         enqueued_us: u64,
         reply: mpsc::Sender<JobReply>,
     ) -> Self {
-        Self { id, inputs, enqueued_us, reply, stages: StageStamps::default(), timing: false }
+        Self {
+            id,
+            inputs,
+            enqueued_us,
+            reply,
+            stages: StageStamps::default(),
+            timing: false,
+            submit_seq: 0,
+        }
     }
 }
 
@@ -158,6 +224,13 @@ impl Batch {
     #[must_use]
     pub fn instances(&self) -> usize {
         self.jobs.iter().map(|j| j.inputs.len()).sum()
+    }
+
+    /// The highest submit sequence number among the batch's jobs: once
+    /// it is durable, every submit record of the batch is.
+    #[must_use]
+    pub fn submit_seq(&self) -> u64 {
+        self.jobs.iter().map(|j| j.submit_seq).max().unwrap_or(0)
     }
 }
 
@@ -197,9 +270,10 @@ pub enum TryNext {
 ///
 /// The two-phase shape exists for write-ahead logging: a submit must be
 /// *admitted* (capacity reserved) before it is journaled, but must not
-/// become visible to workers until the journal append succeeded —
-/// otherwise a completion could be executed (and logged) for a job whose
-/// submit record never made it to disk.
+/// become visible to workers until its submit record is appended —
+/// otherwise a completion could be logged for a job the log never
+/// heard of.  (The record need not be durable yet: the worker that
+/// claims the job's batch waits for that before executing it.)
 #[derive(Debug)]
 #[must_use = "a reservation holds queue capacity until enqueued or cancelled"]
 pub struct Admission {

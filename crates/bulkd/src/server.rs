@@ -11,8 +11,8 @@ use crate::clock::{real_runtime, Clock};
 use crate::journal::{Completion, Journal, JournalConfig};
 use crate::protocol::{self, JobKey, Request, PROTOCOL_VERSION};
 use crate::queue::{
-    Batch, CoalescingQueue, Job, JobDone, JobError, QueueConfig, StageBreakdown, StageStamps,
-    SubmitError,
+    Batch, BatchStamps, CoalescingQueue, Job, JobDone, JobError, QueueConfig, StageBreakdown,
+    StageStamps, SubmitError,
 };
 use crate::repl::ReplSink;
 use crate::stats::ServerStats;
@@ -397,7 +397,9 @@ pub fn serve_with_listener(
     // Their original submitters are gone, so the reply receiver is a
     // dropped channel end; execution (and its completion record) is what
     // matters.  Admission is unbounded: these jobs were already admitted
-    // — and possibly acknowledged — in a previous life.
+    // — and possibly acknowledged — in a previous life.  Their submit
+    // records are durable (the journal opened durable), so they carry no
+    // submit number to wait for.
     if let Some(r) = recovery {
         for job in r.requeue {
             let n = job.inputs.len() as u64;
@@ -449,69 +451,88 @@ pub fn serve_with_listener(
     Ok(stats_snapshot(&shared))
 }
 
-/// Assemble a job's stage breakdown from its trace-context stamps: the
-/// monotone timeline accepted → journaled → enqueued → assembled →
-/// executing (`t0_us`) → executed → completion-journaled (`done_us`).
-fn stage_breakdown(job: &Job, t0_us: u64, exec_us: u64, done_us: u64) -> StageBreakdown {
-    let st = &job.stages;
-    StageBreakdown {
-        journal_us: st.journaled_us.saturating_sub(st.accepted_us),
-        queue_us: st.assembled_us.saturating_sub(job.enqueued_us),
-        dispatch_us: t0_us.saturating_sub(st.assembled_us),
-        exec_us,
-        finalize_us: done_us.saturating_sub(t0_us.saturating_add(exec_us)),
-        total_us: done_us.saturating_sub(st.accepted_us),
-    }
-}
-
 fn worker_loop(tid: u64, sh: &Shared) {
     // Ring track 0 is the submit/protocol path; workers get 1-based
     // tracks, so per-shard "executed" events separate in the trace view.
     let track = u32::try_from(tid).unwrap_or(u32::MAX - 1) + 1;
     while let Some(batch) = sh.queue.next_batch() {
-        let t0_us = sh.clock.now_us();
+        let claimed_us = sh.clock.now_us();
         for job in &batch.jobs {
             rec(sh, job.stages.assembled_us, track, "assembled", job.id, job.inputs.len() as i64);
         }
-        let inputs: Vec<Vec<u64>> =
-            batch.jobs.iter().flat_map(|j| j.inputs.iter().cloned()).collect();
-        let p = inputs.len();
-        let (_, compiles_before) = sh.executor.cache_stats();
-        let result = sh.executor.execute(&batch.key, &inputs);
-        let exec_end_us = sh.clock.now_us();
-        let exec_us = exec_end_us.saturating_sub(t0_us);
-        let (_, compiles_after) = sh.executor.cache_stats();
-        let schedule = if compiles_after > compiles_before { "compiled" } else { "cache_hit" };
-        rec(sh, t0_us, track, schedule, 0, p as i64);
-        rec(sh, exec_end_us, track, "executed", 0, p as i64);
-
-        {
-            let mut args = Json::obj();
-            args.set("algo", batch.key.algo.as_str());
-            args.set("size", batch.key.size);
-            args.set("layout", protocol::layout_name(batch.key.layout));
-            args.set("p", p);
-            args.set("jobs", batch.jobs.len());
-            let mut t = sh.tracer.lock().expect("tracer poisoned");
-            t.span(tid, "batch", "exec", t0_us, exec_us.max(1), args);
-        }
-        sh.stats.on_batch(p as u64, exec_us);
-
-        // Each job's share of the batch: its slice of the outputs, or the
-        // batch's execution error.
-        let results: Vec<Result<Vec<Vec<u64>>, String>> = match result {
-            Ok(outputs) => {
-                let mut outputs = outputs.into_iter();
-                batch
-                    .jobs
-                    .iter()
-                    .map(|j| Ok(outputs.by_ref().take(j.inputs.len()).collect()))
-                    .collect()
+        // Durable before execute: one wait covers every submit record of
+        // the batch, and group commit has usually covered them already,
+        // while the batch filled.
+        let durable = match &sh.journal {
+            Some(journal) if !crate::journal::execute_before_durable() => {
+                journal.wait_durable(batch.submit_seq())
             }
-            Err(e) => vec![Err(e); batch.jobs.len()],
+            _ => Ok(()),
         };
-        settle(sh, track, batch, results, t0_us, exec_us);
+        let durable_us = sh.clock.now_us();
+        rec(sh, durable_us, track, "durable", 0, durable_us.saturating_sub(claimed_us) as i64);
+        let mut stamps =
+            BatchStamps { claimed_us, durable_us, executed_us: durable_us, done_us: durable_us };
+        match durable {
+            Ok(()) => {
+                let results = execute(sh, tid, track, &batch, &mut stamps);
+                settle(sh, track, batch, results, stamps);
+            }
+            Err(e) => {
+                // The journal has fail-stopped and the batch's submits
+                // may not survive: nothing of it executes and no
+                // completion is appended.
+                eprintln!("bulkd: batch of {} jobs not executed: {e}", batch.jobs.len());
+                let p = batch.instances();
+                let Batch { key, jobs } = batch;
+                let answers = jobs
+                    .into_iter()
+                    .map(|job| (job, Err(JobError { kind: "wal", detail: e.clone() })))
+                    .collect();
+                answer(sh, track, &key, p, answers, &stamps);
+            }
+        }
         sh.queue.batch_done();
+    }
+}
+
+/// Execute a claimed batch whose submits are durable, stamp its end,
+/// and split the result into each job's share: its slice of the
+/// outputs, or the batch's execution error.
+fn execute(
+    sh: &Shared,
+    tid: u64,
+    track: u32,
+    batch: &Batch,
+    stamps: &mut BatchStamps,
+) -> Vec<Result<Vec<Vec<u64>>, String>> {
+    let inputs: Vec<Vec<u64>> = batch.jobs.iter().flat_map(|j| j.inputs.iter().cloned()).collect();
+    let p = inputs.len();
+    let (_, compiles_before) = sh.executor.cache_stats();
+    let result = sh.executor.execute(&batch.key, &inputs);
+    stamps.executed_us = sh.clock.now_us();
+    let exec_us = stamps.executed_us.saturating_sub(stamps.durable_us);
+    let (_, compiles_after) = sh.executor.cache_stats();
+    let schedule = if compiles_after > compiles_before { "compiled" } else { "cache_hit" };
+    rec(sh, stamps.durable_us, track, schedule, 0, p as i64);
+    rec(sh, stamps.executed_us, track, "executed", 0, p as i64);
+    {
+        let mut args = Json::obj();
+        args.set("algo", batch.key.algo.as_str());
+        args.set("size", batch.key.size);
+        args.set("layout", protocol::layout_name(batch.key.layout));
+        args.set("p", p);
+        args.set("jobs", batch.jobs.len());
+        let mut t = sh.tracer.lock().expect("tracer poisoned");
+        t.span(tid, "batch", "exec", stamps.durable_us, exec_us.max(1), args);
+    }
+    sh.stats.on_batch(p as u64, exec_us);
+    match result {
+        Ok(outputs) => {
+            let mut outputs = outputs.into_iter();
+            batch.jobs.iter().map(|j| Ok(outputs.by_ref().take(j.inputs.len()).collect())).collect()
+        }
+        Err(e) => vec![Err(e); batch.jobs.len()],
     }
 }
 
@@ -523,8 +544,10 @@ fn worker_loop(tid: u64, sh: &Shared) {
 /// batch's completions are journaled and replicated the same way: the
 /// standby must know a job is settled before it can take over.
 ///
-/// The fail-stop contract lives here: when the append or its fsync
-/// fails, no result of the batch is acknowledged — each job with outputs
+/// The completion half of the fail-stop contract lives here (the submit
+/// half is the worker's durable wait, which refuses the whole batch
+/// unexecuted): when the append or its fsync fails, no result of the
+/// batch is acknowledged — each job with outputs
 /// gets a `wal` error instead (a job whose batch failed to execute keeps
 /// its `exec` error).  The `bug-ack-before-fsync` test feature reintroduces the
 /// historical bug (log the failure, ack anyway) so the simulator's
@@ -534,8 +557,7 @@ fn settle(
     track: u32,
     batch: Batch,
     results: Vec<Result<Vec<Vec<u64>>, String>>,
-    t0_us: u64,
-    exec_us: u64,
+    mut stamps: BatchStamps,
 ) {
     let p = batch.instances();
     let Batch { key, jobs } = batch;
@@ -561,28 +583,56 @@ fn settle(
     if let (Ok(seq @ 1..), Some(repl)) = (&journaled, &sh.repl) {
         repl.wait_replicated(*seq);
     }
-    let done_us = sh.clock.now_us();
-    for (job, result) in jobs.into_iter().zip(results) {
-        let n = job.inputs.len() as u64;
-        let queue_us = t0_us.saturating_sub(job.enqueued_us);
-        let breakdown = stage_breakdown(&job, t0_us, exec_us, done_us);
-        let reply = match (result, &journaled) {
-            (Err(e), _) => {
-                rec(sh, done_us, track, "completion_journaled", job.id, -1);
-                Err(JobError { kind: "exec", detail: e })
-            }
-            (Ok(_), Err(e)) => {
+    stamps.done_us = sh.clock.now_us();
+    let answers = jobs
+        .into_iter()
+        .zip(results)
+        .map(|(job, result)| {
+            let answer = match (result, &journaled) {
+                (Err(e), _) => Err(JobError { kind: "exec", detail: e }),
                 // The completion record's durability is unknown, so the
                 // result is never acked.
-                rec(sh, done_us, track, "completion_refused", job.id, -1);
-                Err(JobError { kind: "wal", detail: e.clone() })
-            }
-            (Ok(outputs), Ok(_)) => {
-                rec(sh, done_us, track, "completion_journaled", job.id, 0);
-                Ok(JobDone { outputs, batch_p: p, queue_us, exec_us, breakdown: Some(breakdown) })
-            }
+                (Ok(_), Err(e)) => Err(JobError { kind: "wal", detail: e.clone() }),
+                (Ok(outputs), Ok(_)) => Ok(outputs),
+            };
+            (job, answer)
+        })
+        .collect();
+    answer(sh, track, &key, p, answers, &stamps);
+}
+
+/// What a settled job is answered with: its outputs, or why it has none.
+type Answer = Result<Vec<Vec<u64>>, JobError>;
+
+/// Answer every job of a settled batch of `p` instances: its outputs or
+/// its error, with its stage breakdown, into the stats, the flight
+/// recorder and its reply channel.
+fn answer(
+    sh: &Shared,
+    track: u32,
+    key: &JobKey,
+    p: usize,
+    answers: Vec<(Job, Answer)>,
+    stamps: &BatchStamps,
+) {
+    for (job, answer) in answers {
+        let n = job.inputs.len() as u64;
+        let queue_us = stamps.durable_us.saturating_sub(job.enqueued_us);
+        let breakdown = StageBreakdown::new(&job, stamps);
+        let (event, value) = match &answer {
+            Ok(_) => ("completion_journaled", 0),
+            Err(e) if e.kind == "exec" => ("completion_journaled", -1),
+            Err(_) => ("completion_refused", -1),
         };
-        sh.stats.on_job_done(&key, n, queue_us, reply.is_err(), &breakdown);
+        rec(sh, stamps.done_us, track, event, job.id, value);
+        let reply = answer.map(|outputs| JobDone {
+            outputs,
+            batch_p: p,
+            queue_us,
+            exec_us: breakdown.exec_us,
+            breakdown: Some(breakdown),
+        });
+        sh.stats.on_job_done(key, n, queue_us, reply.is_err(), &breakdown);
         let _ = job.reply.send(reply);
     }
 }
@@ -729,8 +779,11 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
     }
     // Two-phase admission: reserve capacity, journal the submit, then
     // make the job visible.  The WAL append sits between the phases so a
-    // job can never execute (let alone complete) without its submit
-    // record on disk, yet a full queue is still refused before any I/O.
+    // job never reaches a worker without its submit record in the log,
+    // yet a full queue is still refused before any I/O.  The append does
+    // not wait for its fsync: the job joins its group at once, and the
+    // worker that claims the batch waits for the record to be durable
+    // before executing it.
     let adm = match sh.queue.reserve(inputs.len()) {
         Err(SubmitError::Draining) => {
             sh.stats.on_reject(n);
@@ -748,16 +801,21 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
     // every stage below stamps the same monotone clock.
     let accepted_us = sh.clock.now_us();
     rec(sh, accepted_us, 0, "accepted", id, n as i64);
+    let mut submit_seq = 0;
     if let Some(journal) = &sh.journal {
-        if let Err(e) = journal.log_submit(id, &key, &inputs) {
-            sh.queue.cancel(adm);
-            sh.stats.on_reject(n);
-            return protocol::resp_error("wal", &format!("journal append failed: {e}"))
-                .to_compact();
+        match journal.log_submit(id, &key, &inputs) {
+            Ok(seq) => submit_seq = seq,
+            Err(e) => {
+                sh.queue.cancel(adm);
+                sh.stats.on_reject(n);
+                return protocol::resp_error("wal", &format!("journal append failed: {e}"))
+                    .to_compact();
+            }
         }
     }
-    // `journaled` covers the append *and* its group-commit durability
-    // wait; without a WAL the stage is zero-width.
+    // `journaled` covers the append only; without a WAL the stage is
+    // zero-width.  The same clock read stamps the enqueue, so the stages
+    // tile the job's life without a gap.
     let journaled_us = if sh.journal.is_some() { sh.clock.now_us() } else { accepted_us };
     if sh.journal.is_some() {
         rec(
@@ -770,12 +828,12 @@ fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) 
         );
     }
     let (tx, rx) = mpsc::channel();
-    let enqueued_us = sh.clock.now_us();
-    let mut job = Job::new(id, inputs, enqueued_us, tx);
+    let mut job = Job::new(id, inputs, journaled_us, tx);
     job.stages = StageStamps { accepted_us, journaled_us, assembled_us: 0 };
+    job.submit_seq = submit_seq;
     job.timing = timing;
     sh.queue.enqueue(adm, key, job);
-    rec(sh, enqueued_us, 0, "enqueued", id, 0);
+    rec(sh, journaled_us, 0, "enqueued", id, 0);
     sh.stats.on_accept(n);
     match rx.recv() {
         Ok(Ok(done)) => {
@@ -797,8 +855,8 @@ mod tests {
     use oblivious::Layout;
     use wal::FsyncPolicy;
 
-    /// Answers every instance with its own inputs.
-    struct Echo;
+    /// Answers every instance with its own inputs, counting its calls.
+    struct Echo(Arc<AtomicU64>);
 
     impl BatchExecutor for Echo {
         fn validate(&self, _key: &JobKey) -> Result<usize, String> {
@@ -806,6 +864,7 @@ mod tests {
         }
 
         fn execute(&self, _key: &JobKey, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, String> {
+            self.0.fetch_add(1, Ordering::SeqCst);
             Ok(inputs.to_vec())
         }
 
@@ -814,22 +873,21 @@ mod tests {
         }
     }
 
-    /// The fail-stop contract under the real settle step: when the fsync
-    /// that would make a batch's completions durable fails, every job of
-    /// the batch is answered `wal` (with the journal's cause, prefixed
-    /// once), none is acknowledged, and all count as failed.
-    #[test]
-    fn a_failed_completion_fsync_answers_every_job_of_the_batch_wal() {
-        const JOBS: u64 = 4;
-        let dir =
-            std::env::temp_dir().join(format!("bulkd-settle-failstop-{}", std::process::id()));
+    const JOBS: u64 = 4;
+
+    /// Run `JOBS` single-instance submits of one key through the real
+    /// submit path and worker loop, as one batch, with the journal's
+    /// `nth` fsync failing.  Returns every reply, the final stats
+    /// snapshot and how often the executor ran.
+    fn one_batch_with_failing_fsync(tag: &str, nth: u64) -> (Vec<String>, Json, u64) {
+        let dir = std::env::temp_dir().join(format!("bulkd-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal =
             JournalConfig { dir: dir.clone(), fsync: FsyncPolicy::Always, segment_bytes: 1 << 20 };
         let (journal, _) = Journal::open(&wal).unwrap();
         let cfg = ServerConfig {
             addr: "127.0.0.1:0".into(),
-            node_id: Some("failstop".into()),
+            node_id: Some(tag.into()),
             workers: 1,
             max_batch: JOBS as usize,
             max_queue: 64,
@@ -842,7 +900,8 @@ mod tests {
             promoted: false,
         };
         let addr = SocketAddr::from(([127, 0, 0, 1], 0));
-        let sh = Shared::new(&cfg, addr, Box::new(Echo), Some(journal), 1);
+        let calls = Arc::new(AtomicU64::new(0));
+        let sh = Shared::new(&cfg, addr, Box::new(Echo(Arc::clone(&calls))), Some(journal), 1);
         let journal = sh.journal.as_ref().unwrap();
         let key = JobKey { algo: "echo".into(), size: 1, layout: Layout::ColumnWise };
         let replies: Vec<String> = std::thread::scope(|scope| {
@@ -851,16 +910,17 @@ mod tests {
                 let (sh, key) = (&sh, key.clone());
                 scope.spawn(move || handle_submit(key, vec![vec![i]], false, sh))
             };
-            // All but the last submit durable and waiting in the open
-            // group (the group flushes only at JOBS instances).
+            // All but the last submit admitted and waiting in the open
+            // group (the group flushes only at JOBS instances).  Submits
+            // never sync: the batch's durable wait is fsync 1, its
+            // completions fsync 2.
             let mut pending: Vec<_> = (1..JOBS).map(submit).collect();
-            while journal.durable_seq() < JOBS - 1 {
+            while sh.queue.depth().queued_instances < (JOBS - 1) as usize {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let fsyncs = journal.stats_json().path("fsyncs").and_then(Json::as_i64).unwrap();
-            // The last submit's own fsync succeeds; the next one — the
-            // batch's completions — fails.
-            journal.inject_fsync_error(fsyncs as u64 + 2);
+            assert_eq!(fsyncs, 0, "a submit waited for its own fsync");
+            journal.inject_fsync_error(fsyncs as u64 + nth);
             pending.push(submit(JOBS));
             let replies = pending.into_iter().map(|h| h.join().unwrap()).collect();
             sh.queue.drain();
@@ -873,15 +933,44 @@ mod tests {
             let detail = reply.path("detail").and_then(Json::as_str).unwrap();
             assert!(detail.starts_with("journal fail-stopped: fsync"), "{text}");
             assert_eq!(detail.matches("fail-stopped").count(), 1, "{text}");
-            assert!(reply.path("outputs").is_none(), "a refused completion was acked: {text}");
+            assert!(reply.path("outputs").is_none(), "a refused job was acked: {text}");
         }
+        assert!(journal.fail_stopped().is_some());
         let snap = stats_snapshot(&sh);
+        std::fs::remove_dir_all(&dir).ok();
+        (replies, snap, calls.load(Ordering::SeqCst))
+    }
+
+    /// The fail-stop contract under the real settle step: when the fsync
+    /// that would make a batch's completions durable fails, every job of
+    /// the batch is answered `wal` (with the journal's cause, prefixed
+    /// once), none is acknowledged, and all count as failed.
+    #[test]
+    fn a_failed_completion_fsync_answers_every_job_of_the_batch_wal() {
+        let (replies, snap, calls) = one_batch_with_failing_fsync("settle-failstop", 2);
+        assert_eq!(replies.len(), JOBS as usize);
         let n = |path: &str| snap.path(path).and_then(Json::as_i64);
         assert_eq!(n("execution.failed_jobs"), Some(JOBS as i64), "{}", snap.to_pretty());
         assert_eq!(n("execution.completed_jobs"), Some(0));
         assert_eq!(n("wal.durable_seq"), Some(JOBS as i64), "only the submits are durable");
-        assert!(journal.fail_stopped().is_some());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(calls, 1, "the batch executed once, after its submits were durable");
+    }
+
+    /// Durable before execute: when the batch's durable wait fails, no job
+    /// of it executes and no completion is appended; every job is
+    /// answered `wal` and counted failed.
+    #[test]
+    fn a_failed_durable_wait_executes_nothing() {
+        let (replies, snap, calls) = one_batch_with_failing_fsync("durable-failstop", 1);
+        assert_eq!(replies.len(), JOBS as usize);
+        assert_eq!(calls, 0, "a job executed before its submit record was durable");
+        let n = |path: &str| snap.path(path).and_then(Json::as_i64);
+        assert_eq!(n("execution.failed_jobs"), Some(JOBS as i64), "{}", snap.to_pretty());
+        assert_eq!(n("execution.completed_jobs"), Some(0));
+        assert_eq!(n("execution.batches"), Some(0), "nothing executed");
+        assert_eq!(n("wal.log_completions"), Some(0), "a completion was appended");
+        assert_eq!(n("wal.records_appended"), Some(JOBS as i64), "the submits only");
+        assert_eq!(n("wal.durable_seq"), Some(0));
     }
 
     #[test]

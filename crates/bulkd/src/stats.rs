@@ -20,38 +20,22 @@ struct KeyServed {
     served_instances: u64,
 }
 
-/// One histogram per pipeline stage.  Every *completed* job records
-/// exactly one sample into each, so each histogram's mass equals the
-/// completed-job count — the invariant the CI metrics scrape asserts.
+/// One histogram per pipeline stage, in [`StageBreakdown::STAGES`] order.
+/// Every *completed* job records exactly one sample into each, so each
+/// histogram's mass equals the completed-job count — the invariant the
+/// CI metrics scrape asserts.
 #[derive(Debug, Default)]
-struct StageHists {
-    journal_us: Histogram,
-    queue_us: Histogram,
-    dispatch_us: Histogram,
-    exec_us: Histogram,
-    finalize_us: Histogram,
-    total_us: Histogram,
-}
+struct StageHists([Histogram; StageBreakdown::STAGES.len()]);
 
 impl StageHists {
     fn record(&mut self, b: &StageBreakdown) {
-        self.journal_us.record(b.journal_us);
-        self.queue_us.record(b.queue_us);
-        self.dispatch_us.record(b.dispatch_us);
-        self.exec_us.record(b.exec_us);
-        self.finalize_us.record(b.finalize_us);
-        self.total_us.record(b.total_us);
+        for (h, v) in self.0.iter_mut().zip(b.values()) {
+            h.record(v);
+        }
     }
 
-    fn named(&self) -> [(&'static str, &Histogram); 6] {
-        [
-            ("journal", &self.journal_us),
-            ("queue", &self.queue_us),
-            ("dispatch", &self.dispatch_us),
-            ("exec", &self.exec_us),
-            ("finalize", &self.finalize_us),
-            ("total", &self.total_us),
-        ]
+    fn named(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        StageBreakdown::STAGES.into_iter().zip(&self.0)
     }
 }
 
@@ -433,7 +417,7 @@ impl ServerStats {
         );
 
         let stage_series: Vec<(String, &Histogram)> =
-            s.stages.named().into_iter().map(|(n, h)| (n.to_string(), h)).collect();
+            s.stages.named().map(|(n, h)| (n.to_string(), h)).collect();
         p.histogram_vec(
             "bulkd_stage_latency_us",
             "Per-stage latency of completed jobs; each stage's mass equals completed jobs.",
@@ -500,9 +484,10 @@ mod tests {
             journal_us: 10,
             queue_us,
             dispatch_us: 5,
+            durable_us: 7,
             exec_us: 200,
             finalize_us: 3,
-            total_us: 218 + queue_us,
+            total_us: 225 + queue_us,
         }
     }
 
@@ -530,8 +515,11 @@ mod tests {
         assert_eq!(j.path("queue.queued_instances").unwrap().as_i64(), Some(0));
         // Per-key and stage sections are present.
         assert_eq!(j.path("per_key.prefix-sums/8/col.served_jobs").unwrap().as_i64(), Some(1));
-        assert_eq!(j.path("stages.exec_us.total").unwrap().as_i64(), Some(1));
-        assert_eq!(j.path("stages.total_us.total").unwrap().as_i64(), Some(1));
+        for stage in StageBreakdown::STAGES {
+            let path = format!("stages.{stage}_us.total");
+            assert_eq!(j.path(&path).unwrap().as_i64(), Some(1), "{path}");
+        }
+        assert_eq!(j.path("stages.durable_us.max").unwrap().as_i64(), Some(7));
         // The snapshot is a parseable RunReport.
         assert!(RunReport::parse(&j.to_pretty()).is_ok());
     }
@@ -650,7 +638,7 @@ mod tests {
             "{text}"
         );
         // Stage-latency mass equals completed jobs, for every stage.
-        for stage in ["journal", "queue", "dispatch", "exec", "finalize", "total"] {
+        for stage in StageBreakdown::STAGES {
             let needle = format!("bulkd_stage_latency_us_count{{stage=\"{stage}\"}} 2");
             assert!(text.contains(&needle), "missing {needle} in:\n{text}");
         }

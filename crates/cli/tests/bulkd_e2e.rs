@@ -194,7 +194,15 @@ fn drain_completes_accepted_work_and_rejects_new_submits() {
     assert_eq!(ok.outputs, direct);
     // `"timing": true` echoes the per-stage breakdown with the reply.
     let timing = ok.timing.expect("timing echo was requested");
-    for stage in ["journal_us", "queue_us", "dispatch_us", "exec_us", "finalize_us", "total_us"] {
+    for stage in [
+        "journal_us",
+        "queue_us",
+        "dispatch_us",
+        "durable_us",
+        "exec_us",
+        "finalize_us",
+        "total_us",
+    ] {
         assert!(timing.path(stage).is_some(), "timing echo lacks {stage}: {timing:?}");
     }
     let total = timing.path("total_us").unwrap().as_i64().unwrap();
@@ -224,12 +232,13 @@ fn drain_completes_accepted_work_and_rejects_new_submits() {
     assert_eq!(final_stats.path("queue.queued_instances").unwrap().as_i64(), Some(0));
 }
 
-/// A batch settles once: its completions share one WAL append and one
-/// fsync.  Seven single-instance submits wait in an open group (max batch
-/// 8, a one-hour flush window); the eighth fills it.  From then until the
-/// last reply nothing else appends, so exactly two fsyncs land — the
-/// eighth submit's and the batch's completions — where settling job by
-/// job would pay nine.
+/// A batch is made durable once and settles once.  Seven single-instance
+/// submits wait in an open group (max batch 8, a one-hour flush window);
+/// the eighth fills it.  No submit waits for its own fsync, so from the
+/// first submit to the last reply exactly two fsyncs land — the batch's
+/// durable wait, which covers all eight submit records, and its
+/// completions — where submits that each wait for their own fsync pay up
+/// to nine.  Each job's echoed stages add up to its total.
 #[test]
 fn a_batch_of_completions_costs_one_fsync() {
     const JOBS: usize = 8;
@@ -278,26 +287,43 @@ fn a_batch_of_completions_costs_one_fsync() {
             scope.spawn(move || {
                 let mut client = bulkd::Client::connect(addr).expect("connect");
                 let ok =
-                    client.submit(key, std::slice::from_ref(&inputs[i]), false).expect("submit");
+                    client.submit(key, std::slice::from_ref(&inputs[i]), true).expect("submit");
                 assert_eq!(ok.batch_p, JOBS as u64, "job {i} did not ride the full batch");
+                let timing = ok.timing.expect("timing echo was requested");
+                let stage = |name: &str| {
+                    timing.path(name).and_then(Json::as_i64).unwrap_or_else(|| panic!("{name}"))
+                };
+                let parts: i64 = [
+                    "journal_us",
+                    "queue_us",
+                    "dispatch_us",
+                    "durable_us",
+                    "exec_us",
+                    "finalize_us",
+                ]
+                .into_iter()
+                .map(stage)
+                .sum();
+                assert_eq!(parts, stage("total_us"), "job {i}: stages do not add up: {timing:?}");
                 ok.outputs.into_iter().next().expect("one output")
             })
         };
-        let mut pending: Vec<_> = (0..JOBS - 1).map(submit).collect();
-        // `queued_instances` counts admissions, whose submit fsync may
-        // still be in flight; a durable mark of 7 means all seven are done.
-        let t0 = Instant::now();
-        while wal_stat(&mut probe, "wal.durable_seq") < (JOBS - 1) as i64 {
-            assert!(t0.elapsed() < Duration::from_secs(20), "submits never became durable");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let status = probe.status().expect("status");
-        assert_eq!(status.path("queued_instances").and_then(Json::as_i64), Some(JOBS as i64 - 1));
         let fsyncs = wal_stat(&mut probe, "wal.fsyncs");
         let completions = wal_stat(&mut probe, "wal.log_completions");
+        let mut pending: Vec<_> = (0..JOBS - 1).map(submit).collect();
+        let t0 = Instant::now();
+        loop {
+            let status = probe.status().expect("status");
+            if status.path("queued_instances").and_then(Json::as_i64) == Some(JOBS as i64 - 1) {
+                break;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(20), "submits never queued: {status:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         pending.push(submit(JOBS - 1));
         let served = pending.into_iter().map(|h| h.join().expect("client panicked")).collect();
-        assert_eq!(wal_stat(&mut probe, "wal.fsyncs") - fsyncs, 2, "one submit, one batch");
+        let paid = wal_stat(&mut probe, "wal.fsyncs") - fsyncs;
+        assert_eq!(paid, 2, "one durable wait and one completion fsync for the batch");
         assert_eq!(wal_stat(&mut probe, "wal.log_completions") - completions, JOBS as i64);
         served
     });

@@ -43,7 +43,8 @@ use bulkd::clock::{Clock, Scheduler, SimScheduler, VirtualClock};
 use bulkd::journal::{complete_payload, submit_payload, REC_COMPLETE, REC_SUBMIT};
 use bulkd::protocol::{self, resp_error, resp_outputs, resp_overloaded};
 use bulkd::queue::{
-    CoalescingQueue, Job, QueueConfig, StageBreakdown, StageStamps, SubmitError, TryNext,
+    BatchStamps, CoalescingQueue, Job, QueueConfig, StageBreakdown, StageStamps, SubmitError,
+    TryNext,
 };
 use bulkd::{JobKey, LineFramer, Request, ServerStats, PROTOCOL_VERSION};
 use obs::{Json, Ring, Rng};
@@ -687,10 +688,10 @@ impl World {
         }
     }
 
-    /// One submit attempt server-side: reserve → journal (durable) →
-    /// enqueue, the daemon's two-phase admission, against the real queue.
-    /// The parsed request must round-trip the client's pending job
-    /// bit-exactly — the framing-correctness check.
+    /// One submit attempt server-side: reserve → journal (appended, not
+    /// synced) → enqueue, the daemon's two-phase admission, against the
+    /// real queue.  The parsed request must round-trip the client's
+    /// pending job bit-exactly — the framing-correctness check.
     fn server_submit(
         &mut self,
         idx: usize,
@@ -736,27 +737,21 @@ impl World {
         // stamped on the virtual clock (track 0 = the submit path).
         let accepted_us = self.clock.now_us();
         self.ring.record(accepted_us, 0, "accepted", id, n as i64);
+        let submit_seq = self.wal.next_seq;
         if self.wal_append(REC_SUBMIT, submit_payload(id, key, inputs)) {
             // Crashed mid-submit: reservation and id die with the process.
             return Ok(());
         }
-        if let Err(e) = self.wal.sync() {
-            // The submit's own fsync failed: undo the reservation and
-            // refuse — the job was never durably accepted.
-            self.queue.cancel(adm);
-            self.stats.on_reject(n as u64);
-            let reply = resp_error("wal", &format!("journal fail-stopped: {e}")).to_compact();
-            self.push_reply(idx, reply);
-            return Ok(());
-        }
+        // No sync: the job joins its group at once, and the worker that
+        // claims its batch makes the record durable before executing.
         let journaled_us = self.clock.now_us();
         self.ring.record(journaled_us, 0, "journaled", id, 0);
         let (tx, _rx) = mpsc::channel();
-        let enqueued_us = self.clock.now_us();
-        let mut queued = Job::new(id, inputs.to_vec(), enqueued_us, tx);
+        let mut queued = Job::new(id, inputs.to_vec(), journaled_us, tx);
         queued.stages = StageStamps { accepted_us, journaled_us, assembled_us: 0 };
+        queued.submit_seq = submit_seq;
         self.queue.enqueue(adm, key.clone(), queued);
-        self.ring.record(enqueued_us, 0, "enqueued", id, 0);
+        self.ring.record(journaled_us, 0, "enqueued", id, 0);
         self.stats.on_accept(n as u64);
         self.owner.insert(id, idx);
         let c = &mut self.clients[idx];
@@ -878,7 +873,7 @@ impl World {
             TryNext::Batch(batch) => {
                 self.workers[idx].blocked = None;
                 let track = idx as u32 + 1;
-                let t0 = self.clock.now_us();
+                let claimed_us = self.clock.now_us();
                 let p = batch.instances();
                 for job in &batch.jobs {
                     self.ring.record(
@@ -889,16 +884,42 @@ impl World {
                         job.inputs.len() as i64,
                     );
                 }
-                // Deterministic virtual execution cost.
-                let exec_us = 20 + 5 * p as u64;
-                self.clock.advance(exec_us);
-                self.ring.record(self.clock.now_us(), track, "executed", 0, p as i64);
-                self.stats.on_batch(p as u64, exec_us);
+                // Durable before execute: one sync when the durable prefix
+                // does not cover the batch's submits.  After a fail-stop
+                // the wait fails whatever it covers, as the journal's does.
+                let durable = if bulkd::journal::execute_before_durable()
+                    || (self.wal.failed.is_none()
+                        && batch.submit_seq() <= self.wal.synced_len as u64)
+                {
+                    Ok(())
+                } else {
+                    self.wal.sync()
+                };
+                let durable_us = self.clock.now_us();
+                self.ring.record(durable_us, track, "durable", 0, 0);
+                let mut stamps = BatchStamps {
+                    claimed_us,
+                    durable_us,
+                    executed_us: durable_us,
+                    done_us: durable_us,
+                };
+                let executed = durable.is_ok();
+                if executed {
+                    // Deterministic virtual execution cost.
+                    self.clock.advance(20 + 5 * p as u64);
+                    stamps.executed_us = self.clock.now_us();
+                    self.ring.record(stamps.executed_us, track, "executed", 0, p as i64);
+                    self.stats.on_batch(p as u64, stamps.executed_us - durable_us);
+                    for job in &batch.jobs {
+                        *self.executed.entry(job.id).or_insert(0) += 1;
+                    }
+                }
                 // Group commit: append every completion unsynced, then one
                 // fsync covers the batch.  A crash between lands cuts
                 // strictly inside the unsynced window.  After a fail-stop
                 // the journal takes no further appends at all.
-                let synced = if self.wal.failed.is_none() {
+                let mut synced = false;
+                if executed && self.wal.failed.is_none() {
                     for job in &batch.jobs {
                         let outputs: Vec<Vec<u64>> = job
                             .inputs
@@ -909,27 +930,26 @@ impl World {
                             return Ok(());
                         }
                     }
-                    self.wal.sync().is_ok()
-                } else {
-                    false
-                };
+                    synced = self.wal.sync().is_ok();
+                }
+                let done_us = self.clock.now_us();
+                stamps.done_us = done_us;
                 // The deliberate CI bug: ack even though the completion
                 // never became durable.
-                let ack_anyway = bulkd::journal::ack_despite_fsync_error();
+                let ack_anyway = executed && bulkd::journal::ack_despite_fsync_error();
                 let mut involved: Vec<usize> = Vec::new();
                 for job in batch.jobs {
                     let n = job.inputs.len() as u64;
-                    let queue_us = t0.saturating_sub(job.enqueued_us);
-                    *self.executed.entry(job.id).or_insert(0) += 1;
-                    let done_us = self.clock.now_us();
-                    let breakdown = StageBreakdown {
-                        journal_us: job.stages.journaled_us.saturating_sub(job.stages.accepted_us),
-                        queue_us: job.stages.assembled_us.saturating_sub(job.enqueued_us),
-                        dispatch_us: t0.saturating_sub(job.stages.assembled_us),
-                        exec_us,
-                        finalize_us: done_us.saturating_sub(t0.saturating_add(exec_us)),
-                        total_us: done_us.saturating_sub(job.stages.accepted_us),
-                    };
+                    let queue_us = durable_us.saturating_sub(job.enqueued_us);
+                    let breakdown = StageBreakdown::new(&job, &stamps);
+                    let stages = breakdown.values();
+                    let (parts, total) = stages.split_at(stages.len() - 1);
+                    if parts.iter().sum::<u64>() != total[0] {
+                        return Err(format!(
+                            "job {}: stages {parts:?} do not add up to total {}",
+                            job.id, total[0]
+                        ));
+                    }
                     let client = self.owner.get(&job.id).copied();
                     if synced || ack_anyway {
                         let outputs: Vec<Vec<u64>> = job
@@ -939,7 +959,7 @@ impl World {
                             .collect();
                         self.ring.record(done_us, track, "completion_journaled", job.id, 0);
                         self.stats.on_job_done(&batch.key, n, queue_us, false, &breakdown);
-                        let reply = resp_outputs(&outputs, p, queue_us, exec_us, None);
+                        let reply = resp_outputs(&outputs, p, queue_us, breakdown.exec_us, None);
                         if let Some(ci) = client {
                             // "Acked" = the reply reached an open
                             // connection, the durability contract's
@@ -952,8 +972,9 @@ impl World {
                         // Fail-stop: the waiter gets an error, not a hang.
                         self.ring.record(done_us, track, "completion_refused", job.id, -1);
                         self.stats.on_job_done(&batch.key, n, queue_us, true, &breakdown);
+                        let lost = if executed { "completion" } else { "submit" };
                         let reply =
-                            resp_error("wal", "journal fail-stopped: completion not durable")
+                            resp_error("wal", &format!("journal fail-stopped: {lost} not durable"))
                                 .to_compact();
                         if let Some(ci) = client {
                             self.push_reply(ci, reply);
@@ -1041,7 +1062,7 @@ impl World {
             }
         }
         // Invariant B: nothing executed without a durable submit record —
-        // the enqueue-after-durable contract of two-phase admission.
+        // the durable-before-execute contract of the worker's batch wait.
         for id in self.executed.keys() {
             if !durable_submits.contains(id) {
                 return Err(format!("job {id} executed without a durable submit record"));
@@ -1544,8 +1565,15 @@ mod tests {
         assert_eq!(a.acked, b.acked);
         assert_eq!(a.events, b.events, "virtual-time event streams diverged");
         assert!(!a.events.is_empty(), "a run that acked jobs must record stage events");
-        for stage in ["accepted", "journaled", "enqueued", "assembled", "executed", "reply_written"]
-        {
+        for stage in [
+            "accepted",
+            "journaled",
+            "enqueued",
+            "assembled",
+            "durable",
+            "executed",
+            "reply_written",
+        ] {
             assert!(a.events.contains(stage), "event stream is missing stage {stage:?}");
         }
         assert!(a.appends > 0);

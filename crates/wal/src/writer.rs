@@ -139,8 +139,9 @@ impl Wal {
     ///
     /// Scans existing segments, physically truncates a torn tail
     /// (removing any segments past it), and positions the writer after
-    /// the last valid record.  Returns the scan so the caller can
-    /// replay its records.
+    /// the last valid record.  The active segment's records count as
+    /// unsynced, so the next [`Wal::sync`] makes them durable.  Returns
+    /// the scan so the caller can replay its records.
     ///
     /// # Errors
     ///
@@ -206,7 +207,10 @@ impl Wal {
             active_records,
             sealed,
             next_seq,
-            pending_sync: 0,
+            // A process that died may have left the active segment's
+            // records in the page cache only (sealed segments were
+            // synced at rotation), so the next sync covers them.
+            pending_sync: active_records,
             last_sync: Instant::now(),
             metrics,
             sync_attempts: 0,
