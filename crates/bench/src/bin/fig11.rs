@@ -70,7 +70,7 @@ fn measure(
     };
     let r = adaptive_reps(p * n);
     if let (Some((shards, cache)), Mode::Row | Mode::Col) = (compiled, mode) {
-        let schedule = cache.get_or_compile(&algorithms::PrefixSums::new(n), layout);
+        let (schedule, _) = cache.get_or_compile(&algorithms::PrefixSums::new(n), layout);
         let d = timing::median_time(r, || {
             std::hint::black_box(run_sharded(&schedule, &per, layout, shards));
         });

@@ -58,6 +58,6 @@ pub use loadgen::{cold_key, jittered_backoff_ms, run_loadgen, LoadgenConfig, Loa
 pub use protocol::{JobKey, Request, RouteClass, PROTOCOL_VERSION};
 pub use queue::{CoalescingQueue, KeyDepth, QueueConfig, StageBreakdown, StageStamps, SubmitError};
 pub use repl::ReplSink;
-pub use server::{serve, serve_with_listener, BatchExecutor, ServerConfig};
+pub use server::{serve, serve_with_listener, BatchExecutor, ExecPath, ServerConfig};
 pub use stats::ServerStats;
 pub use wire::LineFramer;

@@ -25,6 +25,30 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once, Weak};
 use std::time::Duration;
 
+/// Which path served one batch: the scalar engine, or compiled replay of
+/// a schedule that was cached or compiled by this very batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecPath {
+    /// One instance at a time on the scalar engine; no schedule involved.
+    Scalar,
+    /// Replay of a schedule already in the cache.
+    CacheHit,
+    /// Replay of a schedule this batch compiled.
+    Compiled,
+}
+
+impl ExecPath {
+    /// The flight-recorder event naming the path.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecPath::Scalar => "scalar",
+            ExecPath::CacheHit => "cache_hit",
+            ExecPath::Compiled => "compiled",
+        }
+    }
+}
+
 /// How the embedding binary executes one coalesced batch.
 ///
 /// `bulkd` stays catalog-agnostic: the CLI implements this over its
@@ -41,14 +65,20 @@ pub trait BatchExecutor: Send + Sync + 'static {
     fn validate(&self, key: &JobKey) -> Result<usize, String>;
 
     /// Execute the batch: one inner vector of input bits per instance, in
-    /// order; returns per-instance output bits in the same order.
+    /// order; returns per-instance output bits in the same order, and the
+    /// path that served the batch.
     ///
     /// # Errors
     ///
     /// A human-readable execution failure, fanned out to every rider.
-    fn execute(&self, key: &JobKey, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, String>;
+    fn execute(
+        &self,
+        key: &JobKey,
+        inputs: &[Vec<u64>],
+    ) -> Result<(Vec<Vec<u64>>, ExecPath), String>;
 
-    /// The shared schedule cache's cumulative `(hits, compiles)`.
+    /// The shared schedule cache's cumulative `(hits, compiles)`: one
+    /// lookup per batch that replays.
     fn cache_stats(&self) -> (u64, u64);
 }
 
@@ -508,13 +538,13 @@ fn execute(
 ) -> Vec<Result<Vec<Vec<u64>>, String>> {
     let inputs: Vec<Vec<u64>> = batch.jobs.iter().flat_map(|j| j.inputs.iter().cloned()).collect();
     let p = inputs.len();
-    let (_, compiles_before) = sh.executor.cache_stats();
     let result = sh.executor.execute(&batch.key, &inputs);
     stamps.executed_us = sh.clock.now_us();
     let exec_us = stamps.executed_us.saturating_sub(stamps.durable_us);
-    let (_, compiles_after) = sh.executor.cache_stats();
-    let schedule = if compiles_after > compiles_before { "compiled" } else { "cache_hit" };
-    rec(sh, stamps.durable_us, track, schedule, 0, p as i64);
+    let path = result.as_ref().ok().map(|&(_, path)| path);
+    if let Some(path) = path {
+        rec(sh, stamps.durable_us, track, path.name(), 0, p as i64);
+    }
     rec(sh, stamps.executed_us, track, "executed", 0, p as i64);
     {
         let mut args = Json::obj();
@@ -526,9 +556,9 @@ fn execute(
         let mut t = sh.tracer.lock().expect("tracer poisoned");
         t.span(tid, "batch", "exec", stamps.durable_us, exec_us.max(1), args);
     }
-    sh.stats.on_batch(p as u64, exec_us);
+    sh.stats.on_batch(p as u64, exec_us, path);
     match result {
-        Ok(outputs) => {
+        Ok((outputs, _)) => {
             let mut outputs = outputs.into_iter();
             batch.jobs.iter().map(|j| Ok(outputs.by_ref().take(j.inputs.len()).collect())).collect()
         }
@@ -855,22 +885,85 @@ mod tests {
     use oblivious::Layout;
     use wal::FsyncPolicy;
 
-    /// Answers every instance with its own inputs, counting its calls.
+    /// Answers every instance with its own inputs, counting its calls.  It
+    /// reports the path its key's algorithm names (scalar otherwise), and
+    /// its compile total moves on every call, as a concurrent compile of
+    /// another key would move a shared cache's.
     struct Echo(Arc<AtomicU64>);
+
+    const PATHS: [ExecPath; 3] = [ExecPath::Scalar, ExecPath::CacheHit, ExecPath::Compiled];
 
     impl BatchExecutor for Echo {
         fn validate(&self, _key: &JobKey) -> Result<usize, String> {
             Ok(1)
         }
 
-        fn execute(&self, _key: &JobKey, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, String> {
+        fn execute(
+            &self,
+            key: &JobKey,
+            inputs: &[Vec<u64>],
+        ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
             self.0.fetch_add(1, Ordering::SeqCst);
-            Ok(inputs.to_vec())
+            let path = PATHS.into_iter().find(|p| p.name() == key.algo).unwrap_or(ExecPath::Scalar);
+            Ok((inputs.to_vec(), path))
         }
 
         fn cache_stats(&self) -> (u64, u64) {
-            (0, 0)
+            (0, self.0.load(Ordering::SeqCst))
         }
+    }
+
+    fn test_config(tag: &str, max_batch: usize, wal: Option<JournalConfig>) -> ServerConfig {
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            node_id: Some(tag.into()),
+            workers: 1,
+            max_batch,
+            max_queue: 64,
+            flush_after_ms: 3_600_000,
+            trace_path: None,
+            wal,
+            instrument: true,
+            recorder_path: None,
+            repl: None,
+            promoted: false,
+        }
+    }
+
+    /// The flight recorder names each batch's path as the executor
+    /// reported it.  The executor's compile total moves during every
+    /// batch, so a label read off that total would call every batch
+    /// `compiled`.
+    #[test]
+    fn path_events_follow_the_executor_s_reported_path() {
+        let cfg = test_config("paths", 1, None);
+        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
+        let sh = Shared::new(&cfg, addr, Box::new(Echo(Arc::new(AtomicU64::new(0)))), None, 1);
+        let order = [ExecPath::Scalar, ExecPath::CacheHit, ExecPath::Scalar, ExecPath::Compiled];
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| worker_loop(0, &sh));
+            for (i, path) in order.iter().enumerate() {
+                let key = JobKey { algo: path.name().into(), size: 1, layout: Layout::ColumnWise };
+                let reply = Json::parse(&handle_submit(key, vec![vec![i as u64]], false, &sh));
+                assert_eq!(reply.unwrap().path("ok"), Some(&Json::Bool(true)));
+            }
+            sh.queue.drain();
+            worker.join().unwrap();
+        });
+        let events: Vec<&str> = sh
+            .recorder
+            .ring
+            .snapshot()
+            .iter()
+            .map(|e| e.name)
+            .filter(|name| PATHS.iter().any(|p| p.name() == *name))
+            .collect();
+        assert_eq!(events, order.map(ExecPath::name));
+        let snap = stats_snapshot(&sh);
+        let n = |path: &str| snap.path(path).and_then(Json::as_i64);
+        assert_eq!(n("execution.batches"), Some(4));
+        assert_eq!(n("execution.engine.scalar_batches"), Some(2));
+        assert_eq!(n("execution.engine.replay_batches"), Some(2));
     }
 
     const JOBS: u64 = 4;
@@ -885,20 +978,7 @@ mod tests {
         let wal =
             JournalConfig { dir: dir.clone(), fsync: FsyncPolicy::Always, segment_bytes: 1 << 20 };
         let (journal, _) = Journal::open(&wal).unwrap();
-        let cfg = ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            node_id: Some(tag.into()),
-            workers: 1,
-            max_batch: JOBS as usize,
-            max_queue: 64,
-            flush_after_ms: 3_600_000,
-            trace_path: None,
-            wal: Some(wal),
-            instrument: true,
-            recorder_path: None,
-            repl: None,
-            promoted: false,
-        };
+        let cfg = test_config(tag, JOBS as usize, Some(wal));
         let addr = SocketAddr::from(([127, 0, 0, 1], 0));
         let calls = Arc::new(AtomicU64::new(0));
         let sh = Shared::new(&cfg, addr, Box::new(Echo(Arc::clone(&calls))), Some(journal), 1);

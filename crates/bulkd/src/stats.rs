@@ -8,7 +8,7 @@
 //! the `metrics` protocol verb.
 
 use crate::queue::{KeyDepth, QueueDepth, StageBreakdown};
-use crate::JobKey;
+use crate::{ExecPath, JobKey};
 use obs::{Histogram, Json, PromText, RunReport};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -55,6 +55,10 @@ struct Inner {
     disconnects_mid_line: u64,
     disconnects_mid_reply: u64,
     batches: u64,
+    /// Batches the scalar engine served, and batches that replayed a
+    /// schedule; a batch whose execution failed counts in neither.
+    scalar_batches: u64,
+    replay_batches: u64,
     batch_p: Histogram,
     queue_wait_us: Histogram,
     exec_us: Histogram,
@@ -119,10 +123,16 @@ impl ServerStats {
         }
     }
 
-    /// One coalesced batch executed with `instances` total lanes.
-    pub fn on_batch(&self, instances: u64, exec_us: u64) {
+    /// One coalesced batch executed with `instances` total lanes, served
+    /// by `path` (`None` when its execution failed).
+    pub fn on_batch(&self, instances: u64, exec_us: u64, path: Option<ExecPath>) {
         let mut s = self.lock();
         s.batches += 1;
+        match path {
+            Some(ExecPath::Scalar) => s.scalar_batches += 1,
+            Some(ExecPath::CacheHit | ExecPath::Compiled) => s.replay_batches += 1,
+            None => {}
+        }
         s.batch_p.record(instances);
         s.exec_us.record(exec_us);
     }
@@ -220,6 +230,10 @@ impl ServerStats {
         execution.set("failed_jobs", s.failed_jobs);
         execution.set("completed_instances", s.completed_instances);
         execution.set("exec_us", s.exec_us.summary_json());
+        let mut engine = Json::obj();
+        engine.set("scalar_batches", s.scalar_batches);
+        engine.set("replay_batches", s.replay_batches);
+        execution.set("engine", engine);
         report.set("execution", execution);
 
         // Coalesce factor: jobs per executed batch — 1.0 means no
@@ -341,6 +355,12 @@ impl ServerStats {
             s.disconnects_mid_reply,
         );
         p.counter("bulkd_batches_total", "Coalesced batches executed.", s.batches);
+        p.counter_vec(
+            "bulkd_exec_batches_total",
+            "Batches executed, per engine: scalar below the crossover p, replay at or above it.",
+            "engine",
+            &[("scalar".into(), s.scalar_batches), ("replay".into(), s.replay_batches)],
+        );
 
         p.gauge(
             "bulkd_queue_depth_instances",
@@ -498,7 +518,7 @@ mod tests {
         st.on_accept(4);
         st.on_submit(1);
         st.on_reject(1);
-        st.on_batch(4, 250);
+        st.on_batch(4, 250, Some(ExecPath::Scalar));
         st.on_job_done(&key("prefix-sums"), 4, 90, false, &bd(90));
         st.on_protocol_error();
         let j = st.snapshot(IDLE, &[], 0, (7, 1), None);
@@ -509,6 +529,8 @@ mod tests {
         assert_eq!(j.path("admission.rejected_jobs").unwrap().as_i64(), Some(1));
         assert_eq!(j.path("admission.protocol_errors").unwrap().as_i64(), Some(1));
         assert_eq!(j.path("execution.batches").unwrap().as_i64(), Some(1));
+        assert_eq!(j.path("execution.engine.scalar_batches").unwrap().as_i64(), Some(1));
+        assert_eq!(j.path("execution.engine.replay_batches").unwrap().as_i64(), Some(0));
         assert_eq!(j.path("coalescing.coalesce_factor").unwrap().as_f64(), Some(1.0));
         assert_eq!(j.path("coalescing.mean_batch_p").unwrap().as_f64(), Some(4.0));
         assert_eq!(j.path("schedule_cache.hit_rate").unwrap().as_f64(), Some(0.875));
@@ -624,7 +646,10 @@ mod tests {
         let st = ServerStats::new();
         st.on_submit(2);
         st.on_accept(2);
-        st.on_batch(2, 300);
+        st.on_batch(2, 300, Some(ExecPath::Compiled));
+        st.on_batch(20, 300, Some(ExecPath::CacheHit));
+        st.on_batch(3, 300, Some(ExecPath::Scalar));
+        st.on_batch(1, 300, None);
         st.on_job_done(&key("prefix-sums"), 1, 40, false, &bd(40));
         st.on_job_done(&key("prefix-sums"), 1, 60, false, &bd(60));
         let fsync = Histogram::new();
@@ -633,6 +658,11 @@ mod tests {
         assert!(text.contains("\nbulkd_jobs_completed_total 2\n"), "{text}");
         assert!(text.contains("\nbulkd_connections_active 2\n"), "{text}");
         assert!(text.contains("\nbulkd_schedule_cache_hit_rate 0.75\n"), "{text}");
+        // Both replay paths count as replay; a failed batch counts in
+        // neither engine.
+        assert!(text.contains("\nbulkd_batches_total 4\n"), "{text}");
+        assert!(text.contains("\nbulkd_exec_batches_total{engine=\"scalar\"} 1\n"), "{text}");
+        assert!(text.contains("\nbulkd_exec_batches_total{engine=\"replay\"} 2\n"), "{text}");
         assert!(
             text.contains("bulkd_key_served_jobs_total{key=\"prefix-sums/8/col\"} 2"),
             "{text}"

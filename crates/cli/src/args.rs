@@ -107,7 +107,8 @@ pub enum Command {
         max_queue: usize,
         /// Deadline-based flush trigger, in milliseconds.
         flush_after_ms: u64,
-        /// Shards each batch replay splits over.
+        /// Shards each batch replay splits over (batches below
+        /// `SCALAR_BELOW_P` run scalar and use none).
         shards: usize,
         /// Write a Chrome-trace of batch executions here at shutdown.
         trace: Option<String>,
@@ -153,7 +154,8 @@ pub enum Command {
         max_queue: usize,
         /// Flush deadline of the promoted server, in milliseconds.
         flush_after_ms: u64,
-        /// Shards each batch replay splits over after promotion.
+        /// Shards each batch replay splits over after promotion (batches
+        /// below `SCALAR_BELOW_P` run scalar and use none).
         shards: usize,
     },
     /// `bulkrun promote [--addr A]` — ask a warm standby to take over as
@@ -354,11 +356,12 @@ USAGE:
   bulkrun hmm   <algo> [--size N] [--p P]        shared-memory staging analysis
                        [--dmms D]
   bulkrun serve        [--addr A]                batch-serving daemon: coalesce
-                       [--workers N]             submits by (algo, n, layout),
-                       [--max-batch P]           execute via cached compiled
-                       [--max-queue Q]           schedules; bounded queue with
-                       [--flush-after-ms MS]     overload backpressure
-                       [--shards N]
+                       [--workers N]             submits by (algo, n, layout);
+                       [--max-batch P]           bounded queue with overload
+                       [--max-queue Q]           backpressure; batches of p < 16
+                       [--flush-after-ms MS]     run scalar, larger ones replay
+                       [--shards N]              cached compiled schedules over
+                                                 N threads
                        [--trace PATH]            Chrome-trace of batch spans
                        [--wal-dir DIR]           write-ahead log: accepted jobs
                        [--fsync POLICY]          survive kill -9 and re-run on

@@ -11,6 +11,7 @@ use algorithms::{
     MatMul, MatVec, MatrixChain, OddEvenMergeSort, OfflinePermute, OptTriangulation,
     PascalTriangle, PolyMul, PrefixSums, SummedArea, Transpose, Xtea,
 };
+use bulkd::ExecPath;
 use gpu_sim::{launch, launch_profiled, Device, GenericKernel};
 use oblivious::layout::extract;
 use oblivious::program::{
@@ -609,10 +610,10 @@ impl Algo {
         self.with_program(GenOp { seed, p })
     }
 
-    /// Execute instances given as raw bit patterns through the shared
-    /// schedule caches + sharded replay — the serving daemon's execution
-    /// path.  Outputs come back as bit patterns in instance order,
-    /// bit-identical to `bulk_execute_compiled` on the same inputs.
+    /// Execute instances given as raw bit patterns — the serving daemon's
+    /// execution path.  Outputs come back as bit patterns in instance
+    /// order, bit-identical to `bulk_execute_compiled` on the same inputs,
+    /// whichever engine [`Algo::serve_bits`] picks.
     #[must_use]
     pub fn run_cached_bits(
         &self,
@@ -621,27 +622,60 @@ impl Algo {
         inputs_bits: &[Vec<u64>],
         shards: usize,
     ) -> Vec<Vec<u64>> {
-        struct CachedOp<'a> {
+        self.serve_bits(caches, layout, inputs_bits, shards).0
+    }
+
+    /// [`Algo::run_cached_bits`], also returning the path that served the
+    /// batch.  Fewer than [`SCALAR_BELOW_P`] instances run on the scalar
+    /// engine, one at a time, with no schedule-cache lookup.  A larger
+    /// batch replays the shared cache's schedule over `shards` threads,
+    /// compiling it on the key's first such batch.
+    #[must_use]
+    pub fn serve_bits(
+        &self,
+        caches: &ScheduleCaches,
+        layout: Layout,
+        inputs_bits: &[Vec<u64>],
+        shards: usize,
+    ) -> (Vec<Vec<u64>>, ExecPath) {
+        struct ServeOp<'a> {
             caches: &'a ScheduleCaches,
             layout: Layout,
             inputs: &'a [Vec<u64>],
             shards: usize,
         }
-        impl ProgramOp<Vec<Vec<u64>>> for CachedOp<'_> {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Vec<Vec<u64>> {
+        impl ProgramOp<(Vec<Vec<u64>>, ExecPath)> for ServeOp<'_> {
+            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(
+                self,
+                pr: P,
+            ) -> (Vec<Vec<u64>>, ExecPath) {
                 let inputs: Vec<Vec<W>> = self
                     .inputs
                     .iter()
                     .map(|i| i.iter().map(|&b| W::from_bits_u64(b)).collect())
                     .collect();
                 let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let schedule = W::cache(self.caches).get_or_compile(&pr, self.layout);
-                to_bits(oblivious::run_sharded(&schedule, &refs, self.layout, self.shards))
+                if refs.len() < SCALAR_BELOW_P {
+                    return (to_bits(bulk_execute_cpu_reference(&pr, &refs)), ExecPath::Scalar);
+                }
+                let (schedule, compiled) = W::cache(self.caches).get_or_compile(&pr, self.layout);
+                let outputs = oblivious::run_sharded(&schedule, &refs, self.layout, self.shards);
+                (to_bits(outputs), if compiled { ExecPath::Compiled } else { ExecPath::CacheHit })
             }
         }
-        self.with_program(CachedOp { caches, layout, inputs: inputs_bits, shards })
+        self.with_program(ServeOp { caches, layout, inputs: inputs_bits, shards })
     }
 }
+
+/// The batch size from which serving replays a compiled schedule; smaller
+/// batches run on the scalar engine.  Replay pays a fixed dispatch cost
+/// per vector step whatever `p` is, the `a` of the paper's `a + b·p`
+/// fits, and the scalar engine pays per instance.  The two cross just
+/// above `p = 16` on `fft/10` and `bitonic/10` (EXPERIMENTS §8, "Measured:
+/// scalar engine below the crossover"); keys that cross later lose
+/// nothing against always replaying, since every batch at or above this
+/// size still replays.
+pub const SCALAR_BELOW_P: usize = 16;
 
 /// Event timelines of one bulk run, one tracer per layer.  Exported
 /// together by `bulkrun run --trace` as one Chrome-trace document with four
@@ -803,25 +837,57 @@ mod tests {
         assert_eq!(Algo::parse("xtea", Some(5)).unwrap().size_param(), 5);
     }
 
-    /// The serving path (`run_cached_bits`) must agree bit-for-bit with a
-    /// direct `bulk_execute_compiled` run on the same input stream, across
-    /// all three word types, and compile each schedule exactly once.
+    /// The serving path's replay side (`run_cached_bits` at the crossover
+    /// `p`) must agree bit-for-bit with a direct `bulk_execute_compiled`
+    /// run on the same input stream, across all three word types, and
+    /// compile each schedule exactly once.
     #[test]
     fn cached_bits_match_direct_compiled_runs() {
+        let p = SCALAR_BELOW_P;
         for name in ["prefix-sums", "xtea", "pascal"] {
             let algo = Algo::parse(name, Some(8)).unwrap();
             let caches = ScheduleCaches::new();
-            let inputs = algo.random_inputs_bits(7, 12);
-            assert_eq!(inputs.len(), 12);
+            let inputs = algo.random_inputs_bits(7, p);
+            assert_eq!(inputs.len(), p);
             assert!(inputs.iter().all(|i| i.len() == algo.input_words()), "{name}");
             let served = algo.run_cached_bits(&caches, Layout::ColumnWise, &inputs, 3);
             let direct =
-                algo.outputs_bits(Engine::Compiled { shards: 1 }, 12, Layout::ColumnWise, 7);
+                algo.outputs_bits(Engine::Compiled { shards: 1 }, p, Layout::ColumnWise, 7);
             assert_eq!(served, direct, "{name}");
             assert_eq!(caches.totals(), CacheStats { hits: 0, compiles: 1 }, "{name}");
             let again = algo.run_cached_bits(&caches, Layout::ColumnWise, &inputs, 1);
             assert_eq!(again, direct, "{name}: shard count must not matter");
             assert_eq!(caches.totals(), CacheStats { hits: 1, compiles: 1 }, "{name}");
+        }
+    }
+
+    /// Both sides of the crossover, for every catalog entry (all three
+    /// word types): one instance short of it the scalar engine serves and
+    /// nothing compiles; at it the batch replays and compiles once.  Either
+    /// way the served outputs equal the compiled and the scalar engines'
+    /// bit for bit.
+    #[test]
+    fn served_outputs_match_both_engines_on_both_sides_of_the_crossover() {
+        for &(name, _, _) in CATALOG {
+            let algo = Algo::parse(name, None).unwrap();
+            let caches = ScheduleCaches::new();
+            for (p, path, compiles) in
+                [(SCALAR_BELOW_P - 1, ExecPath::Scalar, 0), (SCALAR_BELOW_P, ExecPath::Compiled, 1)]
+            {
+                let inputs = algo.random_inputs_bits(11, p);
+                let (served, took) = algo.serve_bits(&caches, Layout::ColumnWise, &inputs, 2);
+                assert_eq!(took, path, "{name} at p = {p}");
+                assert_eq!(caches.totals(), CacheStats { hits: 0, compiles }, "{name} at p = {p}");
+                for engine in [Engine::Compiled { shards: 1 }, Engine::Scalar] {
+                    let direct = algo.outputs_bits(engine, p, Layout::ColumnWise, 11);
+                    assert_eq!(served, direct, "{name} at p = {p} against {engine:?}");
+                }
+                assert_eq!(
+                    algo.run_cached_bits(&caches, Layout::ColumnWise, &inputs, 1),
+                    served,
+                    "{name} at p = {p}: run_cached_bits serves what serve_bits does"
+                );
+            }
         }
     }
 

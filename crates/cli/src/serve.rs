@@ -2,12 +2,15 @@
 //! `bulkrun serve`.
 //!
 //! `bulkd` is catalog-agnostic — it moves word bit patterns.  This module
-//! closes the loop: keys resolve through [`Algo::parse`], batches execute
-//! via the shared [`ScheduleCaches`] + sharded compiled replay, and the
+//! closes the loop: keys resolve through [`Algo::parse`], a batch of fewer
+//! than [`SCALAR_BELOW_P`] instances runs on the scalar engine and a larger
+//! one replays through the shared [`ScheduleCaches`] (sharded), and the
 //! caches' hit/compile totals feed the daemon's `stats` snapshot.
+//!
+//! [`SCALAR_BELOW_P`]: crate::registry::SCALAR_BELOW_P
 
 use crate::registry::{Algo, ScheduleCaches};
-use bulkd::{BatchExecutor, JobKey};
+use bulkd::{BatchExecutor, ExecPath, JobKey};
 use std::sync::Arc;
 
 /// Executes coalesced batches through the algorithm registry.
@@ -18,8 +21,10 @@ pub struct CatalogExecutor {
 }
 
 impl CatalogExecutor {
-    /// An executor replaying each batch over `shards` threads (clamped to
-    /// at least one; batch-level parallelism comes from the worker pool).
+    /// An executor replaying each batch of at least
+    /// [`SCALAR_BELOW_P`](crate::registry::SCALAR_BELOW_P) instances over
+    /// `shards` threads (clamped to at least one;
+    /// batch-level parallelism comes from the worker pool).
     #[must_use]
     pub fn new(shards: usize) -> Self {
         Self { caches: Arc::new(ScheduleCaches::new()), shards: shards.max(1) }
@@ -67,9 +72,13 @@ impl BatchExecutor for CatalogExecutor {
         Ok(Self::algo(key)?.input_words())
     }
 
-    fn execute(&self, key: &JobKey, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, String> {
+    fn execute(
+        &self,
+        key: &JobKey,
+        inputs: &[Vec<u64>],
+    ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
         let algo = Self::algo(key)?;
-        Ok(algo.run_cached_bits(&self.caches, key.layout, inputs, self.shards))
+        Ok(algo.serve_bits(&self.caches, key.layout, inputs, self.shards))
     }
 
     fn cache_stats(&self) -> (u64, u64) {
@@ -81,7 +90,7 @@ impl BatchExecutor for CatalogExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Engine;
+    use crate::registry::{Engine, SCALAR_BELOW_P};
     use oblivious::Layout;
 
     #[test]
@@ -110,17 +119,28 @@ mod tests {
         assert_eq!(ex.validate(&edge).unwrap(), MAX_SERVE_SIZE);
     }
 
+    /// Below the crossover a batch runs scalar and touches no cache; at it,
+    /// the first batch compiles and the next hits.  Every path's outputs
+    /// equal the direct compiled engine's.
     #[test]
     fn execute_matches_direct_engine_and_counts_cache_traffic() {
         let ex = CatalogExecutor::new(2);
         let key = JobKey { algo: "fir".into(), size: 16, layout: Layout::RowWise };
         let algo = Algo::parse("fir", Some(16)).unwrap();
         let inputs = algo.random_inputs_bits(3, 6);
-        let out = ex.execute(&key, &inputs).unwrap();
+        let (out, path) = ex.execute(&key, &inputs).unwrap();
         let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, 6, Layout::RowWise, 3);
         assert_eq!(out, direct);
-        assert_eq!(ex.cache_stats(), (0, 1));
-        let _ = ex.execute(&key, &inputs).unwrap();
-        assert_eq!(ex.cache_stats(), (1, 1));
+        assert_eq!((path, ex.cache_stats()), (ExecPath::Scalar, (0, 0)));
+
+        let p = SCALAR_BELOW_P;
+        let inputs = algo.random_inputs_bits(3, p);
+        let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, p, Layout::RowWise, 3);
+        let (out, path) = ex.execute(&key, &inputs).unwrap();
+        assert_eq!(out, direct);
+        assert_eq!((path, ex.cache_stats()), (ExecPath::Compiled, (0, 1)));
+        let (out, path) = ex.execute(&key, &inputs).unwrap();
+        assert_eq!(out, direct);
+        assert_eq!((path, ex.cache_stats()), (ExecPath::CacheHit, (1, 1)));
     }
 }

@@ -7,7 +7,7 @@
 //! the schedule exactly once, and return outputs bit-identical to a direct
 //! `bulk_execute_compiled` run over the same inputs.
 
-use cli::registry::{Algo, Engine, ScheduleCaches};
+use cli::registry::{Algo, Engine, ScheduleCaches, SCALAR_BELOW_P};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
 use obs::Json;
@@ -108,14 +108,18 @@ fn coalesces_single_instance_submits_compiles_once_and_matches_direct() {
     assert_eq!(totals.compiles, 1, "schedule compiled more than once: {totals:?}");
 
     // …and as reported over the wire.  The cache is touched once per
-    // executed batch, so hits + compiles == batches.
+    // batch that replays, so hits + compiles == replay batches, and every
+    // batch ran on one engine or the other.
     let mut c = bulkd::Client::connect(&addr).expect("connect");
     let stats = c.stats().expect("stats");
     assert_eq!(stats.path("schedule_cache.compiles").unwrap().as_i64(), Some(1));
     assert_eq!(stats.path("admission.accepted_jobs").unwrap().as_i64(), Some(JOBS as i64));
     let batches = stats.path("execution.batches").unwrap().as_i64().unwrap();
     assert!(batches >= 1 && batches <= (JOBS / 32) as i64, "batches = {batches}");
-    assert_eq!((totals.hits + totals.compiles) as i64, batches);
+    let scalar = stat(&stats, "execution.engine.scalar_batches");
+    let replay = stat(&stats, "execution.engine.replay_batches");
+    assert_eq!((totals.hits + totals.compiles) as i64, replay);
+    assert_eq!(scalar + replay, batches);
     if batches > 1 {
         assert!(stats.path("schedule_cache.hit_rate").unwrap().as_f64().unwrap() > 0.0);
     }
@@ -123,6 +127,79 @@ fn coalesces_single_instance_submits_compiles_once_and_matches_direct() {
     let final_stats = drain_and_join(&addr, server);
     assert_eq!(final_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(JOBS as i64));
     assert_eq!(final_stats.path("admission.rejected_jobs").unwrap().as_i64(), Some(0));
+}
+
+/// Small batches are served by the scalar engine.  Four clients send
+/// single-instance submits of one small key, so no batch holds more than
+/// four instances: every batch runs scalar, nothing compiles, and every
+/// reply equals the compiled engine's.  Then one submit of
+/// `SCALAR_BELOW_P` instances replays and compiles the schedule once.
+#[test]
+fn small_batches_run_scalar_and_match_the_compiled_engine() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 8;
+    const JOBS: usize = CLIENTS * PER_CLIENT;
+    let p = SCALAR_BELOW_P;
+
+    let algo = Algo::parse("fft", Some(4)).unwrap();
+    let layout = oblivious::Layout::ColumnWise;
+    let key = bulkd::JobKey { algo: "fft".into(), size: 4, layout };
+    let inputs = algo.random_inputs_bits(RUN_SEED, JOBS + p);
+    let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, JOBS + p, layout, RUN_SEED);
+    let (addr, server, caches) = start_server(2, 256, 1024, 2);
+
+    let served: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (addr, key, inputs) = (&addr, &key, &inputs);
+                scope.spawn(move || {
+                    let mut client = bulkd::Client::connect(addr).expect("connect");
+                    (0..PER_CLIENT)
+                        .map(|j| {
+                            let one = std::slice::from_ref(&inputs[c * PER_CLIENT + j]);
+                            let ok = client.submit(key, one, false).expect("submit");
+                            assert!(ok.batch_p <= CLIENTS as u64, "batch of {}", ok.batch_p);
+                            ok.outputs.into_iter().next().expect("one output")
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("client panicked")).collect()
+    });
+    assert_eq!(served, direct[..JOBS], "scalar-served outputs diverge from Engine::Compiled");
+
+    let mut c = bulkd::Client::connect(&addr).expect("connect");
+    let stats = c.stats().expect("stats");
+    let n = |path| stat(&stats, path);
+    assert_eq!(n("execution.engine.scalar_batches"), n("execution.batches"));
+    assert_eq!(n("execution.engine.replay_batches"), 0);
+    assert_eq!(n("schedule_cache.compiles"), 0);
+    assert_eq!(caches.totals().compiles, 0);
+    let small_batches = n("execution.batches");
+
+    let ok = c.submit(&key, &inputs[JOBS..], false).expect("crossover submit");
+    assert_eq!(ok.batch_p, p as u64);
+    assert_eq!(ok.outputs, direct[JOBS..], "replayed outputs diverge from Engine::Compiled");
+    let stats = c.stats().expect("stats");
+    let n = |path| stat(&stats, path);
+    assert_eq!(n("execution.batches"), small_batches + 1);
+    assert_eq!(n("execution.engine.scalar_batches"), small_batches);
+    assert_eq!(n("execution.engine.replay_batches"), 1);
+    assert_eq!((n("schedule_cache.hits"), n("schedule_cache.compiles")), (0, 1));
+    let text = c.metrics().expect("metrics");
+    assert!(
+        text.contains(&format!("bulkd_exec_batches_total{{engine=\"scalar\"}} {small_batches}\n")),
+        "{text}"
+    );
+    assert!(text.contains("bulkd_exec_batches_total{engine=\"replay\"} 1\n"), "{text}");
+
+    drain_and_join(&addr, server);
+}
+
+/// An integer leaf of a stats snapshot.
+fn stat(stats: &Json, path: &str) -> i64 {
+    stats.path(path).and_then(Json::as_i64).unwrap_or_else(|| panic!("no {path} in stats"))
 }
 
 fn drain_and_join(addr: &str, server: std::thread::JoinHandle<Result<Json, String>>) -> Json {

@@ -852,22 +852,25 @@ impl<W: Word> ScheduleCache<W> {
     }
 
     /// Fetch the schedule for `(program.name(), program.memory_words(),
-    /// layout)`, compiling and inserting it on first request.
+    /// layout)`, compiling and inserting it on first request.  The flag is
+    /// `true` for the one call that compiled it: a caller learns its own
+    /// outcome without reading [`ScheduleCache::stats`], whose totals other
+    /// threads move concurrently.
     pub fn get_or_compile<P: ObliviousProgram<W>>(
         &self,
         program: &P,
         layout: Layout,
-    ) -> Arc<CompiledSchedule<W>> {
+    ) -> (Arc<CompiledSchedule<W>>, bool) {
         let key = (program.name(), program.memory_words(), layout);
         let mut inner = self.inner.lock().expect("schedule cache poisoned");
         if let Some(idx) = inner.entries.iter().position(|(k, _)| *k == key) {
             inner.stats.hits += 1;
-            return Arc::clone(&inner.entries[idx].1);
+            return (Arc::clone(&inner.entries[idx].1), false);
         }
         let schedule = Arc::new(CompiledSchedule::compile(program));
         inner.stats.compiles += 1;
         inner.entries.push((key, Arc::clone(&schedule)));
-        schedule
+        (schedule, true)
     }
 
     /// Number of cached schedules.
@@ -1253,12 +1256,13 @@ mod tests {
     fn cache_compiles_once_per_key() {
         let cache: ScheduleCache<f32> = ScheduleCache::new();
         assert!(cache.is_empty());
-        let a = cache.get_or_compile(&MiniPrefix { n: 4 }, Layout::ColumnWise);
-        let b = cache.get_or_compile(&MiniPrefix { n: 4 }, Layout::ColumnWise);
+        let (a, a_compiled) = cache.get_or_compile(&MiniPrefix { n: 4 }, Layout::ColumnWise);
+        let (b, b_compiled) = cache.get_or_compile(&MiniPrefix { n: 4 }, Layout::ColumnWise);
         assert!(Arc::ptr_eq(&a, &b), "second request must hit the cache");
+        assert!(a_compiled && !b_compiled, "only the first request compiles");
         assert_eq!(cache.len(), 1);
-        let _ = cache.get_or_compile(&MiniPrefix { n: 4 }, Layout::RowWise);
-        let _ = cache.get_or_compile(&MiniPrefix { n: 5 }, Layout::ColumnWise);
+        assert!(cache.get_or_compile(&MiniPrefix { n: 4 }, Layout::RowWise).1);
+        assert!(cache.get_or_compile(&MiniPrefix { n: 5 }, Layout::ColumnWise).1);
         assert_eq!(cache.len(), 3, "layout and size are part of the key");
         let stats = cache.stats();
         assert_eq!(stats, CacheStats { hits: 1, compiles: 3 });

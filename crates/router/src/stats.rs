@@ -598,7 +598,7 @@ mod tests {
             stats.on_job_done(key, 4, 0, false, &bulkd::StageBreakdown::default());
         }
         for _ in 0..batches {
-            stats.on_batch(completed * 4 / batches, 0);
+            stats.on_batch(completed * 4 / batches, 0, Some(bulkd::ExecPath::CacheHit));
         }
         let idle = bulkd::queue::QueueDepth {
             queued_instances: 0,

@@ -909,7 +909,13 @@ impl World {
                     self.clock.advance(20 + 5 * p as u64);
                     stamps.executed_us = self.clock.now_us();
                     self.ring.record(stamps.executed_us, track, "executed", 0, p as i64);
-                    self.stats.on_batch(p as u64, stamps.executed_us - durable_us);
+                    // The virtual executor maps each word on its own, as the
+                    // scalar engine serves a small batch.
+                    self.stats.on_batch(
+                        p as u64,
+                        stamps.executed_us - durable_us,
+                        Some(bulkd::ExecPath::Scalar),
+                    );
                     for job in &batch.jobs {
                         *self.executed.entry(job.id).or_insert(0) += 1;
                     }

@@ -6,10 +6,11 @@
 //! no matter how many threads race on it, and every racer gets the same
 //! schedule back.
 //!
-//! The compile count is probed two independent ways: the cache's own
-//! [`CacheStats`] ledger, and an [`ObliviousProgram`] wrapper that counts
-//! how many times the compiler's recording dry-run actually invokes
-//! `run`.  Both must agree with the number of distinct keys.
+//! The compile count is probed three independent ways: the cache's own
+//! [`CacheStats`] ledger, the per-call flag `get_or_compile` returns, and
+//! an [`ObliviousProgram`] wrapper that counts how many times the
+//! compiler's recording dry-run actually invokes `run`.  All three must
+//! agree with the number of distinct keys.
 
 use common::{bits, random_program, RandomProgram};
 use oblivious::{
@@ -91,9 +92,10 @@ fn racing_threads_compile_each_key_exactly_once() {
     let reference_runs = dry_runs.swap(0, Ordering::SeqCst);
     assert_eq!(reference_runs, PROGRAMS, "one dry run per direct compile");
 
+    let flagged = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let cache = &cache;
+            let (cache, flagged) = (&cache, &flagged);
             let probes = &probes;
             let inputs_per = &inputs_per;
             let reference = &reference;
@@ -104,7 +106,8 @@ fn racing_threads_compile_each_key_exactly_once() {
                     for j in 0..distinct_keys {
                         let k = (t + round + j) % distinct_keys;
                         let (pi, li) = (k / layouts.len(), k % layouts.len());
-                        let schedule = cache.get_or_compile(&probes[pi], layouts[li]);
+                        let (schedule, compiled) = cache.get_or_compile(&probes[pi], layouts[li]);
+                        flagged.fetch_add(usize::from(compiled), Ordering::SeqCst);
                         let refs: Vec<&[f64]> =
                             inputs_per[pi].iter().map(|v| v.as_slice()).collect();
                         let out = run_sharded(&schedule, &refs, layouts[li], 1 + t % 3);
@@ -124,6 +127,11 @@ fn racing_threads_compile_each_key_exactly_once() {
         CacheStats { compiles: distinct_keys as u64, hits: total_calls - distinct_keys as u64 };
     assert_eq!(cache.stats(), expected, "every call past the first per key must hit");
     assert_eq!(cache.len(), distinct_keys);
+    assert_eq!(
+        flagged.load(Ordering::SeqCst),
+        distinct_keys,
+        "exactly one call per key must report that it compiled"
+    );
     assert_eq!(
         dry_runs.load(Ordering::SeqCst),
         distinct_keys,
