@@ -15,7 +15,7 @@
 //! Ordering contract: a job's submit record is appended *before* the
 //! accept path makes the job visible to workers, and is durable *before*
 //! the job executes — the worker that claims a batch waits once, with
-//! [`Journal::wait_durable`], for the batch's highest submit record.  Its
+//! [`JobLog::wait_durable`], for the batch's highest submit record.  Its
 //! complete record is durable *before* the reply reaches the client.
 //! Recovery therefore re-queues exactly the jobs whose submit survived
 //! without a matching completion; completed jobs are never re-executed,
@@ -35,7 +35,7 @@
 //! record appended by then shares one device flush.  A submit does not
 //! wait at all: its batch's worker waits once for the whole batch's
 //! submits, usually already covered while the batch filled.  The worker
-//! settles the batch the same way: [`Journal::log_complete`] appends
+//! settles the batch the same way: [`JobLog::log_complete`] appends
 //! every job's completion under one lock and waits once, so a batch of
 //! `p` jobs pays about two fsyncs, not `2p`.  An fsync failure fail-stops the
 //! journal: durability of the page cache is unknowable after a failed
@@ -58,9 +58,62 @@ pub const REC_COMPLETE: u8 = 2;
 /// Record type: a drain-time checkpoint (job-id high-water mark).
 pub const REC_CHECKPOINT: u8 = 3;
 
-/// One job's completion as [`Journal::log_complete`] takes it: the job
+/// One job's completion as [`JobLog::log_complete`] takes it: the job
 /// id and its outputs, or the execution error it failed with.
 pub type Completion<'a> = (u64, Result<&'a [Vec<u64>], &'a str>);
+
+/// The job log the serving path writes through: the three calls a submit
+/// and a batch make, plus what stats and metrics read.  The daemon's is
+/// the WAL-backed [`Journal`]; the deterministic simulator puts a
+/// record-level model behind the same calls.
+pub trait JobLog: Send + Sync {
+    /// Append a submit record without waiting for it to become durable,
+    /// and return its sequence number.  The job may be enqueued at once:
+    /// the worker that claims its batch calls [`JobLog::wait_durable`] on
+    /// the batch's highest submit number before executing anything.
+    ///
+    /// # Errors
+    ///
+    /// Log I/O failures — the caller must then refuse the job.
+    fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<u64, String>;
+
+    /// Block until sequence number `seq` is durable.
+    ///
+    /// # Errors
+    ///
+    /// The log has fail-stopped (now or before): whether `seq` survives
+    /// is then unknowable.
+    fn wait_durable(&self, seq: u64) -> Result<(), String>;
+
+    /// Append one completion record per job of a batch, in order, and
+    /// wait once for the last to be durable, *before* any of the batch's
+    /// replies goes out.  Returns the last record's sequence number: the
+    /// mark a replication sink must reach, covering the whole batch.
+    ///
+    /// # Errors
+    ///
+    /// Log I/O failures — then no record of the batch is known durable.
+    fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String>;
+
+    /// The durable high-water mark, which a standby's `replicated_seq`
+    /// must reach before promotion is safe.
+    fn durable_seq(&self) -> u64;
+
+    /// The log's section of the stats snapshot.
+    fn stats_json(&self) -> Json;
+
+    /// Leader-fsync latency distribution (microseconds); empty unless
+    /// the log group-commits.
+    fn fsync_latency(&self) -> Histogram {
+        Histogram::new()
+    }
+
+    /// Records covered per leader fsync (the group-commit batch size);
+    /// empty unless the log group-commits.
+    fn group_batch_sizes(&self) -> Histogram {
+        Histogram::new()
+    }
+}
 
 /// Journal tunables (a thin view over [`WalConfig`]).
 #[derive(Debug, Clone)]
@@ -348,65 +401,10 @@ impl Journal {
         format!("journal fail-stopped: {e}")
     }
 
-    /// Block until sequence number `seq` is durable, electing this thread
-    /// leader of one fsync whenever none is running.  The fsync holds the
-    /// log lock (appends queue behind it briefly), but every record that
-    /// landed before the leader grabbed the lock shares that one flush —
-    /// the group in group commit.  Under `every-n` / `every-ms` the
-    /// policy decides durability at append time, so this returns at once
-    /// (the bounded loss window [`Journal::durable_seq`] assumes).
-    ///
-    /// # Errors
-    ///
-    /// The journal has fail-stopped (now or before): whether `seq`
-    /// survives is then unknowable.
-    pub fn wait_durable(&self, seq: u64) -> Result<(), String> {
-        let mut g = self.group.lock().expect("journal poisoned");
-        loop {
-            if let Some(e) = &g.failed {
-                return Err(format!("journal fail-stopped: {e}"));
-            }
-            if g.synced_seq >= seq || self.fsync != FsyncPolicy::Always {
-                return Ok(());
-            }
-            if g.leader_running {
-                g = self.group_cv.wait(g).expect("journal poisoned");
-                continue;
-            }
-            g.leader_running = true;
-            drop(g);
-            let t0 = Instant::now();
-            let res = {
-                let mut inner = self.inner.lock().expect("journal poisoned");
-                // Everything appended so far — including records from
-                // waiters that arrived after ours — rides this one fsync.
-                let high = inner.wal.next_seq().saturating_sub(1);
-                inner.wal.sync().map(|()| high)
-            };
-            let fsync_us = t0.elapsed().as_micros() as u64;
-            g = self.group.lock().expect("journal poisoned");
-            g.leader_running = false;
-            match res {
-                Ok(high) => {
-                    let covered = high.saturating_sub(g.synced_seq);
-                    g.group_appends += covered;
-                    g.synced_seq = g.synced_seq.max(high);
-                    g.group_syncs += 1;
-                    g.fsync_us.record(fsync_us);
-                    if covered > 0 {
-                        g.batch_sizes.record(covered);
-                    }
-                }
-                Err(e) => g.failed = Some(e),
-            }
-            self.group_cv.notify_all();
-        }
-    }
-
     /// Append `payloads` as records of `rec_type` under one log lock, run
     /// the bookkeeping once, and return the last record's sequence
     /// number.  Under `always` the records go in unsynced, for a later
-    /// [`Journal::wait_durable`] to cover; under `every-n` / `every-ms`
+    /// [`JobLog::wait_durable`] to cover; under `every-n` / `every-ms`
     /// each goes through the log's own policy machinery, where batching
     /// happens policy-side already.  Every policy shares the fail-stop
     /// flag: the first append or fsync error poisons all later appends.
@@ -454,67 +452,6 @@ impl Journal {
         self.inner.lock().expect("journal poisoned").wal.inject_fsync_error(nth);
     }
 
-    /// The error the journal fail-stopped on, if it has.
-    #[must_use]
-    pub fn fail_stopped(&self) -> Option<String> {
-        self.group.lock().expect("journal poisoned").failed.clone()
-    }
-
-    /// Append a submit record without waiting for it to become durable,
-    /// and return its sequence number.  The job may be enqueued at once:
-    /// the worker that claims its batch calls [`Journal::wait_durable`]
-    /// on the batch's highest submit number before executing anything.
-    ///
-    /// # Errors
-    ///
-    /// Log I/O failures — the caller must then refuse the job.
-    pub fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<u64, String> {
-        let payload = submit_payload(id, key, inputs);
-        self.append_record(REC_SUBMIT, &[payload], |inner| {
-            inner.incomplete.insert(id);
-            inner.log_submits += 1;
-        })
-    }
-
-    /// Append (and per policy sync) one completion record per job of a
-    /// batch, in order, under one log lock and one durability wait.  Call
-    /// *before* any of the batch's replies goes to the client.  Returns
-    /// the last record's WAL sequence number — the mark a replication
-    /// sink must reach before the replies may be acknowledged under
-    /// semi-synchronous replication (the follower acknowledges a durable
-    /// prefix of the log, so that one mark covers the whole batch).
-    ///
-    /// # Errors
-    ///
-    /// Log I/O failures — then no record of the batch is known durable.
-    pub fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String> {
-        let payloads: Vec<Vec<u8>> =
-            batch.iter().map(|&(id, result)| complete_payload(id, result)).collect();
-        let last = self.append_record(REC_COMPLETE, &payloads, |inner| {
-            for (id, _) in batch {
-                inner.incomplete.remove(id);
-            }
-            inner.log_completions += batch.len() as u64;
-        })?;
-        self.wait_durable(last)?;
-        Ok(last)
-    }
-
-    /// The durable WAL high-water mark: the highest sequence number known
-    /// to have survived an fsync (under `always`), or the highest appended
-    /// sequence number under the batching policies (where durability of
-    /// the very tail is by contract a bounded loss window).  This is the
-    /// mark a standby's `replicated_seq` is compared against when deciding
-    /// whether promotion is safe.
-    #[must_use]
-    pub fn durable_seq(&self) -> u64 {
-        if self.fsync == FsyncPolicy::Always {
-            self.group.lock().expect("journal poisoned").synced_seq
-        } else {
-            self.inner.lock().expect("journal poisoned").wal.next_seq().saturating_sub(1)
-        }
-    }
-
     /// Drain-time checkpoint: once every logged submit has completed,
     /// rotate, write a checkpoint record carrying `next_job_id`, sync,
     /// and delete every earlier segment.  Returns whether it ran (it
@@ -537,24 +474,101 @@ impl Journal {
         inner.wal.truncate_before(seq)?;
         Ok(true)
     }
+}
 
-    /// Snapshot of the leader-fsync latency distribution (microseconds).
-    /// Empty unless the policy is `always` (group commit).
-    #[must_use]
-    pub fn fsync_latency(&self) -> Histogram {
+impl JobLog for Journal {
+    fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<u64, String> {
+        let payload = submit_payload(id, key, inputs);
+        self.append_record(REC_SUBMIT, &[payload], |inner| {
+            inner.incomplete.insert(id);
+            inner.log_submits += 1;
+        })
+    }
+
+    /// Elects this thread leader of one fsync whenever none is running.
+    /// The fsync holds the log lock (appends queue behind it briefly), but
+    /// every record that landed before the leader grabbed the lock shares
+    /// that one flush — the group in group commit.  Under `every-n` /
+    /// `every-ms` the policy decides durability at append time, so this
+    /// returns at once (the bounded loss window [`JobLog::durable_seq`]
+    /// assumes).
+    fn wait_durable(&self, seq: u64) -> Result<(), String> {
+        let mut g = self.group.lock().expect("journal poisoned");
+        loop {
+            if let Some(e) = &g.failed {
+                return Err(format!("journal fail-stopped: {e}"));
+            }
+            if g.synced_seq >= seq || self.fsync != FsyncPolicy::Always {
+                return Ok(());
+            }
+            if g.leader_running {
+                g = self.group_cv.wait(g).expect("journal poisoned");
+                continue;
+            }
+            g.leader_running = true;
+            drop(g);
+            let t0 = Instant::now();
+            let res = {
+                let mut inner = self.inner.lock().expect("journal poisoned");
+                // Everything appended so far — including records from
+                // waiters that arrived after ours — rides this one fsync.
+                let high = inner.wal.next_seq().saturating_sub(1);
+                inner.wal.sync().map(|()| high)
+            };
+            let fsync_us = t0.elapsed().as_micros() as u64;
+            g = self.group.lock().expect("journal poisoned");
+            g.leader_running = false;
+            match res {
+                Ok(high) => {
+                    let covered = high.saturating_sub(g.synced_seq);
+                    g.group_appends += covered;
+                    g.synced_seq = g.synced_seq.max(high);
+                    g.group_syncs += 1;
+                    g.fsync_us.record(fsync_us);
+                    if covered > 0 {
+                        g.batch_sizes.record(covered);
+                    }
+                }
+                Err(e) => g.failed = Some(e),
+            }
+            self.group_cv.notify_all();
+        }
+    }
+
+    fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String> {
+        let payloads: Vec<Vec<u8>> =
+            batch.iter().map(|&(id, result)| complete_payload(id, result)).collect();
+        let last = self.append_record(REC_COMPLETE, &payloads, |inner| {
+            for (id, _) in batch {
+                inner.incomplete.remove(id);
+            }
+            inner.log_completions += batch.len() as u64;
+        })?;
+        self.wait_durable(last)?;
+        Ok(last)
+    }
+
+    /// The durable WAL high-water mark: the highest sequence number known
+    /// to have survived an fsync (under `always`), or the highest appended
+    /// sequence number under the batching policies (where durability of
+    /// the very tail is by contract a bounded loss window).
+    fn durable_seq(&self) -> u64 {
+        if self.fsync == FsyncPolicy::Always {
+            self.group.lock().expect("journal poisoned").synced_seq
+        } else {
+            self.inner.lock().expect("journal poisoned").wal.next_seq().saturating_sub(1)
+        }
+    }
+
+    fn fsync_latency(&self) -> Histogram {
         self.group.lock().expect("journal poisoned").fsync_us.clone()
     }
 
-    /// Snapshot of the records-per-leader-fsync distribution (the group
-    /// commit batch size).  Empty unless the policy is `always`.
-    #[must_use]
-    pub fn group_batch_sizes(&self) -> Histogram {
+    fn group_batch_sizes(&self) -> Histogram {
         self.group.lock().expect("journal poisoned").batch_sizes.clone()
     }
 
-    /// The journal's section of the stats snapshot.
-    #[must_use]
-    pub fn stats_json(&self) -> Json {
+    fn stats_json(&self) -> Json {
         let inner = self.inner.lock().expect("journal poisoned");
         let m = inner.wal.metrics();
         let mut o = Json::obj();
@@ -900,7 +914,6 @@ mod tests {
         let s = j.stats_json();
         assert_eq!(s.path("group_commit.fail_stopped").unwrap(), &Json::Bool(true));
         assert!(s.path("fail_stopped").unwrap().as_str().unwrap().contains("injected"), "{s:?}");
-        assert!(j.fail_stopped().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

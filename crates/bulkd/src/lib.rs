@@ -53,11 +53,11 @@ pub use client::{Client, ClientConfig, ClientError, SubmitOk};
 pub use clock::{
     real_runtime, Clock, RealClock, Scheduler, SimScheduler, ThreadScheduler, VirtualClock,
 };
-pub use journal::{Journal, JournalConfig, RecoveredJob, Recovery};
+pub use journal::{JobLog, Journal, JournalConfig, RecoveredJob, Recovery};
 pub use loadgen::{cold_key, jittered_backoff_ms, run_loadgen, LoadgenConfig, LoadgenReport};
 pub use protocol::{JobKey, Request, RouteClass, PROTOCOL_VERSION};
 pub use queue::{CoalescingQueue, KeyDepth, QueueConfig, StageBreakdown, StageStamps, SubmitError};
 pub use repl::ReplSink;
-pub use server::{serve, serve_with_listener, BatchExecutor, ExecPath, ServerConfig};
+pub use server::{serve, serve_with_listener, BatchExecutor, ExecPath, Server, ServerConfig};
 pub use stats::ServerStats;
 pub use wire::LineFramer;

@@ -179,8 +179,6 @@ pub struct Job {
     pub reply: mpsc::Sender<JobReply>,
     /// Stage timestamps recorded so far (the per-job trace context).
     pub stages: StageStamps,
-    /// Whether the submitter asked for the timing breakdown in its reply.
-    pub timing: bool,
     /// WAL sequence number of the job's submit record, which must be
     /// durable before the job executes.  0 when there is nothing to wait
     /// for: no WAL, or a job requeued from a log that opened durable.
@@ -188,9 +186,8 @@ pub struct Job {
 }
 
 impl Job {
-    /// A job with empty stage stamps, no timing opt-in and no submit
-    /// record to wait for — the common construction for recovery
-    /// requeues and tests.
+    /// A job with empty stage stamps and no submit record to wait for —
+    /// the common construction for recovery requeues and tests.
     #[must_use]
     pub fn new(
         id: u64,
@@ -198,15 +195,7 @@ impl Job {
         enqueued_us: u64,
         reply: mpsc::Sender<JobReply>,
     ) -> Self {
-        Self {
-            id,
-            inputs,
-            enqueued_us,
-            reply,
-            stages: StageStamps::default(),
-            timing: false,
-            submit_seq: 0,
-        }
+        Self { id, inputs, enqueued_us, reply, stages: StageStamps::default(), submit_seq: 0 }
     }
 }
 
@@ -355,18 +344,6 @@ impl CoalescingQueue {
         sched: Arc<dyn Scheduler>,
     ) -> Self {
         Self { cfg, clock, sched, state: Mutex::new(State::default()) }
-    }
-
-    /// The configured tunables.
-    #[must_use]
-    pub fn config(&self) -> &QueueConfig {
-        &self.cfg
-    }
-
-    /// The scheduler this queue notifies (shared with its consumers).
-    #[must_use]
-    pub fn scheduler(&self) -> &Arc<dyn Scheduler> {
-        &self.sched
     }
 
     fn retry_after_ms(&self) -> u64 {

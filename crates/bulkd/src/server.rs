@@ -6,13 +6,18 @@
 //! the queue.  A `drain` request blocks its connection until every
 //! accepted job has executed, then stops the accept loop, and [`serve`]
 //! returns the final stats snapshot after joining the workers.
+//!
+//! The loops only block, log and write; every step of the request path
+//! is a method of [`Server`], which the deterministic simulator builds
+//! over a virtual clock and a record-level [`JobLog`] model and drives
+//! single-threaded.
 
-use crate::clock::{real_runtime, Clock};
-use crate::journal::{Completion, Journal, JournalConfig};
+use crate::clock::{real_runtime, Clock, Scheduler};
+use crate::journal::{Completion, JobLog, Journal, JournalConfig, RecoveredJob};
 use crate::protocol::{self, JobKey, Request, PROTOCOL_VERSION};
 use crate::queue::{
-    Batch, BatchStamps, CoalescingQueue, Job, JobDone, JobError, QueueConfig, StageBreakdown,
-    StageStamps, SubmitError,
+    Batch, BatchStamps, CoalescingQueue, Job, JobDone, JobError, JobReply, QueueConfig,
+    StageBreakdown, StageStamps, SubmitError,
 };
 use crate::repl::ReplSink;
 use crate::stats::ServerStats;
@@ -201,15 +206,18 @@ fn register_recorder(rec: &Arc<Recorder>) {
     list.push(Arc::downgrade(rec));
 }
 
-struct Shared {
+/// The serving state one node shares across its connection handlers and
+/// workers: the coalescing queue, stats, executor, job log and flight
+/// recorder, over an injected clock and scheduler.
+pub struct Server {
     queue: CoalescingQueue,
     stats: ServerStats,
     executor: Box<dyn BatchExecutor>,
     tracer: Mutex<Tracer>,
-    // Anchored at serve() entry, so now_us() doubles as uptime.
+    // Anchored at construction, so now_us() doubles as uptime.
     clock: Arc<dyn Clock>,
     node_id: String,
-    journal: Option<Journal>,
+    journal: Option<Arc<dyn JobLog>>,
     next_job_id: AtomicU64,
     recorder: Arc<Recorder>,
     connections: Gauge,
@@ -219,18 +227,22 @@ struct Shared {
     promoted: bool,
 }
 
-impl Shared {
-    /// The state one [`serve`] invocation shares across its threads, for
-    /// a server bound to `addr` whose job ids continue at `next_job_id`.
-    fn new(
+impl Server {
+    /// The serving state for `cfg`, reporting itself as `node_id`, timed
+    /// and scheduled by `runtime`, executing batches on `executor` and
+    /// logging jobs to `journal` (`None`: no durability); job ids
+    /// continue at `next_job_id`.
+    #[must_use]
+    pub fn new(
         cfg: &ServerConfig,
-        addr: SocketAddr,
+        node_id: String,
+        runtime: (Arc<dyn Clock>, Arc<dyn Scheduler>),
         executor: Box<dyn BatchExecutor>,
-        journal: Option<Journal>,
+        journal: Option<Arc<dyn JobLog>>,
         next_job_id: u64,
     ) -> Self {
-        let (clock, sched) = real_runtime();
-        Shared {
+        let (clock, sched) = runtime;
+        Server {
             queue: CoalescingQueue::with_runtime(
                 QueueConfig {
                     max_batch: cfg.max_batch.max(1),
@@ -244,7 +256,7 @@ impl Shared {
             executor,
             tracer: Mutex::new(Tracer::new()),
             clock,
-            node_id: cfg.node_id.clone().unwrap_or_else(|| addr.to_string()),
+            node_id,
             journal,
             next_job_id: AtomicU64::new(next_job_id),
             recorder: Arc::new(Recorder {
@@ -259,20 +271,227 @@ impl Shared {
             promoted: cfg.promoted,
         }
     }
+
+    /// The coalescing queue workers claim batches from.
+    #[must_use]
+    pub fn queue(&self) -> &CoalescingQueue {
+        &self.queue
+    }
+
+    /// The live counters.
+    #[must_use]
+    pub fn stats(&self) -> &ServerStats {
+        &self.stats
+    }
+
+    /// The flight recorder's event ring.
+    #[must_use]
+    pub fn recorder(&self) -> &Ring {
+        &self.recorder.ring
+    }
+
+    /// The full stats snapshot with live queue occupancy, per-key depths
+    /// and the cache/WAL sections attached, stamped with this node's
+    /// identity and protocol version so cluster-merged snapshots stay
+    /// attributable and version skew is detectable.
+    #[must_use]
+    pub fn snapshot(&self) -> Json {
+        let mut snap = self.stats.snapshot(
+            self.queue.depth(),
+            &self.queue.per_key_depth(),
+            self.clock.now_us(),
+            self.executor.cache_stats(),
+            self.journal.as_ref().map(|j| j.stats_json()),
+        );
+        snap.set("node_id", self.node_id.as_str());
+        snap.set("protocol_version", PROTOCOL_VERSION);
+        snap.set("role", self.role);
+        snap.set("promoted", self.promoted);
+        if let Some(repl) = repl_section(self) {
+            snap.set("repl", repl);
+        }
+        snap
+    }
+
+    /// Admit one submit: validate, reserve, journal, enqueue.  Returns the
+    /// job's id and the receiver its answer arrives on.
+    ///
+    /// # Errors
+    ///
+    /// The refusal line to send instead.
+    pub fn admit(
+        &self,
+        key: JobKey,
+        inputs: Vec<Vec<u64>>,
+    ) -> Result<(u64, mpsc::Receiver<JobReply>), String> {
+        let sh = self;
+        let n = inputs.len() as u64;
+        sh.stats.on_submit(n);
+        let refuse = |reply: Json| {
+            sh.stats.on_reject(n);
+            reply.to_compact()
+        };
+        if inputs.is_empty() {
+            return Err(refuse(protocol::resp_error("bad-request", "submit carries no instances")));
+        }
+        let words = sh
+            .executor
+            .validate(&key)
+            .map_err(|e| refuse(protocol::resp_error("bad-request", &e)))?;
+        if let Some(bad) = inputs.iter().find(|i| i.len() != words) {
+            let e = format!("{key} expects {words} input words per instance, got {}", bad.len());
+            return Err(refuse(protocol::resp_error("bad-request", &e)));
+        }
+        // Two-phase admission: reserve capacity, journal the submit, then
+        // make the job visible.  The WAL append sits between the phases so
+        // a job never reaches a worker without its submit record in the
+        // log, yet a full queue is still refused before any I/O.  The
+        // append does not wait for its fsync: the job joins its group at
+        // once, and the worker that claims the batch waits for the record
+        // to be durable before executing it.
+        let adm = sh.queue.reserve(inputs.len()).map_err(|e| {
+            refuse(match e {
+                SubmitError::Draining => {
+                    protocol::resp_error("draining", "server is draining; no new work accepted")
+                }
+                SubmitError::Overloaded { retry_after_ms } => {
+                    protocol::resp_overloaded(retry_after_ms)
+                }
+            })
+        })?;
+        let id = sh.next_job_id.fetch_add(1, Ordering::SeqCst);
+        // Trace context opens here: the job id doubles as the trace id,
+        // and every stage below stamps the same monotone clock.
+        let accepted_us = sh.clock.now_us();
+        rec(sh, accepted_us, 0, "accepted", id, n as i64);
+        let mut submit_seq = 0;
+        if let Some(journal) = &sh.journal {
+            match journal.log_submit(id, &key, &inputs) {
+                Ok(seq) => submit_seq = seq,
+                Err(e) => {
+                    sh.queue.cancel(adm);
+                    let e = format!("journal append failed: {e}");
+                    return Err(refuse(protocol::resp_error("wal", &e)));
+                }
+            }
+        }
+        // `journaled` covers the append only; without a WAL the stage is
+        // zero-width.  The same clock read stamps the enqueue, so the
+        // stages tile the job's life without a gap.
+        let journaled_us = if sh.journal.is_some() { sh.clock.now_us() } else { accepted_us };
+        if sh.journal.is_some() {
+            let journal_us = journaled_us.saturating_sub(accepted_us) as i64;
+            rec(sh, journaled_us, 0, "journaled", id, journal_us);
+        }
+        let (tx, rx) = mpsc::channel();
+        let mut job = Job::new(id, inputs, journaled_us, tx);
+        job.stages = StageStamps { accepted_us, journaled_us, assembled_us: 0 };
+        job.submit_seq = submit_seq;
+        sh.queue.enqueue(adm, key, job);
+        rec(sh, journaled_us, 0, "enqueued", id, 0);
+        sh.stats.on_accept(n);
+        Ok((id, rx))
+    }
+
+    /// Encode job `id`'s answer as its reply line, echoing its stage
+    /// breakdown when the submit asked for `timing`.  `None` is a job
+    /// whose worker dropped it unanswered.
+    #[must_use]
+    pub fn reply_line(&self, id: u64, timing: bool, reply: Option<JobReply>) -> String {
+        let done = match reply {
+            Some(Ok(done)) => done,
+            Some(Err(e)) => return protocol::resp_error(e.kind, &e.detail).to_compact(),
+            None => return protocol::resp_error("exec", "worker dropped the job").to_compact(),
+        };
+        let total = done.breakdown.as_ref().map_or(0, |b| b.total_us as i64);
+        rec(self, self.clock.now_us(), 0, "reply_written", id, total);
+        let echoed = done.breakdown.as_ref().filter(|_| timing).map(StageBreakdown::to_json);
+        protocol::resp_outputs(&done.outputs, done.batch_p, done.queue_us, done.exec_us, echoed)
+    }
+
+    /// Worker `tid`'s path through a claimed batch: durable wait, execute,
+    /// settle, answer, release.  Returns the journal failure that kept its
+    /// results unacknowledged, if any, for the worker to log.
+    pub fn run_batch(&self, tid: u64, batch: Batch) -> Option<String> {
+        let sh = self;
+        // Ring track 0 is the submit/protocol path; workers get 1-based
+        // tracks, so per-shard "executed" events separate in the trace view.
+        let track = u32::try_from(tid).unwrap_or(u32::MAX - 1) + 1;
+        let claimed_us = sh.clock.now_us();
+        for job in &batch.jobs {
+            rec(sh, job.stages.assembled_us, track, "assembled", job.id, job.inputs.len() as i64);
+        }
+        // Durable before execute: one wait covers every submit record of
+        // the batch, and group commit has usually covered them already,
+        // while the batch filled.
+        let durable = match &sh.journal {
+            Some(journal) if !crate::journal::execute_before_durable() => {
+                journal.wait_durable(batch.submit_seq())
+            }
+            _ => Ok(()),
+        };
+        let durable_us = sh.clock.now_us();
+        rec(sh, durable_us, track, "durable", 0, durable_us.saturating_sub(claimed_us) as i64);
+        let mut stamps =
+            BatchStamps { claimed_us, durable_us, executed_us: durable_us, done_us: durable_us };
+        let fault = match durable {
+            Ok(()) => {
+                let results = execute(sh, tid, track, &batch, &mut stamps);
+                settle(sh, track, batch, results, stamps)
+            }
+            Err(e) => {
+                // The journal has fail-stopped and the batch's submits
+                // may not survive: nothing of it executes and no
+                // completion is appended.
+                let fault = format!("batch of {} jobs not executed: {e}", batch.jobs.len());
+                let p = batch.instances();
+                let Batch { key, jobs } = batch;
+                let answers = jobs
+                    .into_iter()
+                    .map(|job| (job, Err(JobError { kind: "wal", detail: e.clone() })))
+                    .collect();
+                answer(sh, track, &key, p, answers, &stamps);
+                Some(fault)
+            }
+        };
+        sh.queue.batch_done();
+        fault
+    }
+
+    /// Re-queue journaled jobs that never completed before the crash.
+    /// Their submitters are gone, so replies go nowhere; admission is
+    /// unbounded, as they were admitted (maybe acknowledged) in a previous
+    /// life; and their submits opened durable, so nothing waits on them.
+    pub fn requeue(&self, jobs: Vec<RecoveredJob>) {
+        for job in jobs {
+            let n = job.inputs.len() as u64;
+            self.stats.on_submit(n);
+            self.stats.on_accept(n);
+            let adm = self.queue.reserve_unbounded(job.inputs.len());
+            let (tx, _rx) = mpsc::channel();
+            let now = self.clock.now_us();
+            let mut j = Job::new(job.id, job.inputs, now, tx);
+            // The job's real admission/journal stamps died with the old
+            // process; its second-life trace starts here.
+            j.stages = StageStamps { accepted_us: now, journaled_us: now, assembled_us: 0 };
+            rec(self, now, 0, "requeued", j.id, n as i64);
+            self.queue.enqueue(adm, job.key, j);
+        }
+    }
 }
 
 /// The `repl` section for stats/metrics: the sink's own lag view, fed
 /// the journal's durable high-water mark and the server clock.
-fn repl_section(sh: &Shared) -> Option<Json> {
+fn repl_section(sh: &Server) -> Option<Json> {
     let repl = sh.repl.as_ref()?;
-    let durable = sh.journal.as_ref().map_or(0, Journal::durable_seq);
+    let durable = sh.journal.as_ref().map_or(0, |j| j.durable_seq());
     Some(repl.stats_json(durable, sh.clock.now_us()))
 }
 
 /// Replication metric families, appended to the Prometheus exposition.
 /// Present only on a primary — their absence is how dashboards tell a
 /// solo node from a replicated one.
-fn repl_prometheus(sh: &Shared) -> String {
+fn repl_prometheus(sh: &Server) -> String {
     let Some(j) = repl_section(sh) else { return String::new() };
     let num = |path: &str| j.path(path).and_then(Json::as_f64).unwrap_or(0.0);
     let mut p = PromText::new();
@@ -304,38 +523,12 @@ fn repl_prometheus(sh: &Shared) -> String {
     p.finish()
 }
 
-fn wal_section(sh: &Shared) -> Option<Json> {
-    sh.journal.as_ref().map(Journal::stats_json)
-}
-
 /// Record one stage event into the flight recorder (no-op when
 /// instrumentation is off).
-fn rec(sh: &Shared, ts_us: u64, track: u32, name: &'static str, job: u64, value: i64) {
+fn rec(sh: &Server, ts_us: u64, track: u32, name: &'static str, job: u64, value: i64) {
     if sh.instrument {
         sh.recorder.ring.record(ts_us, track, name, job, value);
     }
-}
-
-/// The full stats snapshot with live queue occupancy, per-key depths and
-/// the cache/WAL sections attached, stamped with this node's identity and
-/// protocol version so cluster-merged snapshots stay attributable and
-/// version skew is detectable.
-fn stats_snapshot(sh: &Shared) -> Json {
-    let mut snap = sh.stats.snapshot(
-        sh.queue.depth(),
-        &sh.queue.per_key_depth(),
-        sh.clock.now_us(),
-        sh.executor.cache_stats(),
-        wal_section(sh),
-    );
-    snap.set("node_id", sh.node_id.as_str());
-    snap.set("protocol_version", PROTOCOL_VERSION);
-    snap.set("role", sh.role);
-    snap.set("promoted", sh.promoted);
-    if let Some(repl) = repl_section(sh) {
-        snap.set("repl", repl);
-    }
-    snap
 }
 
 /// Run the daemon until a client sends `drain`.  `on_ready` fires once
@@ -375,12 +568,14 @@ pub fn serve_with_listener(
     let (journal, recovery) = match &cfg.wal {
         Some(wal_cfg) => {
             let (j, r) = Journal::open(wal_cfg)?;
-            (Some(j), Some(r))
+            (Some(Arc::new(j)), Some(r))
         }
         None => (None, None),
     };
     let next_job_id = recovery.as_ref().map_or(1, |r| r.next_job_id);
-    let shared = Arc::new(Shared::new(cfg, addr, executor, journal, next_job_id));
+    let node_id = cfg.node_id.clone().unwrap_or_else(|| addr.to_string());
+    let log = journal.clone().map(|j| j as Arc<dyn JobLog>);
+    let shared = Arc::new(Server::new(cfg, node_id, real_runtime(), executor, log, next_job_id));
     let recorder = Arc::clone(&shared.recorder);
     if cfg.instrument && cfg.recorder_path.is_some() {
         register_recorder(&recorder);
@@ -422,29 +617,8 @@ pub fn serve_with_listener(
                 .map_err(|e| format!("spawn worker: {e}"))
         })
         .collect::<Result<_, _>>()?;
-
-    // Re-queue journaled jobs that never completed before the crash.
-    // Their original submitters are gone, so the reply receiver is a
-    // dropped channel end; execution (and its completion record) is what
-    // matters.  Admission is unbounded: these jobs were already admitted
-    // — and possibly acknowledged — in a previous life.  Their submit
-    // records are durable (the journal opened durable), so they carry no
-    // submit number to wait for.
     if let Some(r) = recovery {
-        for job in r.requeue {
-            let n = job.inputs.len() as u64;
-            shared.stats.on_submit(n);
-            shared.stats.on_accept(n);
-            let adm = shared.queue.reserve_unbounded(job.inputs.len());
-            let (tx, _rx) = mpsc::channel();
-            let now = shared.clock.now_us();
-            let mut j = Job::new(job.id, job.inputs, now, tx);
-            // The job's real admission/journal stamps died with the old
-            // process; its second-life trace starts here.
-            j.stages = StageStamps { accepted_us: now, journaled_us: now, assembled_us: 0 };
-            rec(&shared, now, 0, "requeued", j.id, n as i64);
-            shared.queue.enqueue(adm, job.key, j);
-        }
+        shared.requeue(r.requeue);
     }
 
     on_ready(addr);
@@ -474,55 +648,18 @@ pub fn serve_with_listener(
     // Every accepted job has now completed: checkpoint so a clean
     // shutdown leaves a single-segment log holding only the job-id
     // high-water mark.
-    if let Some(journal) = &shared.journal {
+    if let Some(journal) = &journal {
         journal.checkpoint(shared.next_job_id.load(Ordering::SeqCst))?;
     }
     shared.stats.check_balanced()?;
-    Ok(stats_snapshot(&shared))
+    Ok(shared.snapshot())
 }
 
-fn worker_loop(tid: u64, sh: &Shared) {
-    // Ring track 0 is the submit/protocol path; workers get 1-based
-    // tracks, so per-shard "executed" events separate in the trace view.
-    let track = u32::try_from(tid).unwrap_or(u32::MAX - 1) + 1;
+fn worker_loop(tid: u64, sh: &Server) {
     while let Some(batch) = sh.queue.next_batch() {
-        let claimed_us = sh.clock.now_us();
-        for job in &batch.jobs {
-            rec(sh, job.stages.assembled_us, track, "assembled", job.id, job.inputs.len() as i64);
+        if let Some(fault) = sh.run_batch(tid, batch) {
+            eprintln!("bulkd: {fault}");
         }
-        // Durable before execute: one wait covers every submit record of
-        // the batch, and group commit has usually covered them already,
-        // while the batch filled.
-        let durable = match &sh.journal {
-            Some(journal) if !crate::journal::execute_before_durable() => {
-                journal.wait_durable(batch.submit_seq())
-            }
-            _ => Ok(()),
-        };
-        let durable_us = sh.clock.now_us();
-        rec(sh, durable_us, track, "durable", 0, durable_us.saturating_sub(claimed_us) as i64);
-        let mut stamps =
-            BatchStamps { claimed_us, durable_us, executed_us: durable_us, done_us: durable_us };
-        match durable {
-            Ok(()) => {
-                let results = execute(sh, tid, track, &batch, &mut stamps);
-                settle(sh, track, batch, results, stamps);
-            }
-            Err(e) => {
-                // The journal has fail-stopped and the batch's submits
-                // may not survive: nothing of it executes and no
-                // completion is appended.
-                eprintln!("bulkd: batch of {} jobs not executed: {e}", batch.jobs.len());
-                let p = batch.instances();
-                let Batch { key, jobs } = batch;
-                let answers = jobs
-                    .into_iter()
-                    .map(|job| (job, Err(JobError { kind: "wal", detail: e.clone() })))
-                    .collect();
-                answer(sh, track, &key, p, answers, &stamps);
-            }
-        }
-        sh.queue.batch_done();
     }
 }
 
@@ -530,7 +667,7 @@ fn worker_loop(tid: u64, sh: &Shared) {
 /// and split the result into each job's share: its slice of the
 /// outputs, or the batch's execution error.
 fn execute(
-    sh: &Shared,
+    sh: &Server,
     tid: u64,
     track: u32,
     batch: &Batch,
@@ -575,20 +712,21 @@ fn execute(
 /// standby must know a job is settled before it can take over.
 ///
 /// The completion half of the fail-stop contract lives here (the submit
-/// half is the worker's durable wait, which refuses the whole batch
+/// half is the batch's durable wait, which refuses the whole batch
 /// unexecuted): when the append or its fsync fails, no result of the
-/// batch is acknowledged — each job with outputs
-/// gets a `wal` error instead (a job whose batch failed to execute keeps
-/// its `exec` error).  The `bug-ack-before-fsync` test feature reintroduces the
-/// historical bug (log the failure, ack anyway) so the simulator's
-/// durability invariant can prove it catches it.
+/// batch is acknowledged — each job with outputs gets a `wal` error
+/// instead (a job whose batch failed to execute keeps its `exec` error),
+/// and the failure is returned for the worker to log.  The
+/// `bug-ack-before-fsync` test feature reintroduces the historical bug
+/// (log the failure, ack anyway) so the simulator's durability invariant
+/// can prove it catches it.
 fn settle(
-    sh: &Shared,
+    sh: &Server,
     track: u32,
     batch: Batch,
     results: Vec<Result<Vec<Vec<u64>>, String>>,
     mut stamps: BatchStamps,
-) {
+) -> Option<String> {
     let p = batch.instances();
     let Batch { key, jobs } = batch;
     let journaled = match &sh.journal {
@@ -599,15 +737,16 @@ fn settle(
                 .zip(&results)
                 .map(|(job, r)| (job.id, r.as_deref().map_err(String::as_str)))
                 .collect();
-            journal.log_complete(&completions).or_else(|e| {
-                eprintln!("bulkd: journal completion append failed for {} jobs: {e}", jobs.len());
-                if crate::journal::ack_despite_fsync_error() {
-                    Ok(0)
-                } else {
-                    Err(e)
-                }
-            })
+            journal.log_complete(&completions)
         }
+    };
+    let fault = journaled
+        .as_ref()
+        .err()
+        .map(|e| format!("journal completion append failed for {} jobs: {e}", jobs.len()));
+    let journaled = match journaled {
+        Err(_) if crate::journal::ack_despite_fsync_error() => Ok(0),
+        journaled => journaled,
     };
     // Sequence 0 is no record at all: no WAL, or the ack-anyway bug.
     if let (Ok(seq @ 1..), Some(repl)) = (&journaled, &sh.repl) {
@@ -629,6 +768,7 @@ fn settle(
         })
         .collect();
     answer(sh, track, &key, p, answers, &stamps);
+    fault
 }
 
 /// What a settled job is answered with: its outputs, or why it has none.
@@ -638,7 +778,7 @@ type Answer = Result<Vec<Vec<u64>>, JobError>;
 /// its error, with its stage breakdown, into the stats, the flight
 /// recorder and its reply channel.
 fn answer(
-    sh: &Shared,
+    sh: &Server,
     track: u32,
     key: &JobKey,
     p: usize,
@@ -667,7 +807,7 @@ fn answer(
     }
 }
 
-impl LineService for Shared {
+impl LineService for Server {
     type Conn = ();
 
     fn open(&self) {
@@ -680,7 +820,7 @@ impl LineService for Shared {
 
     /// A drain stops the accept loop once its reply is on the wire;
     /// connections already open keep being answered (`draining` for new
-    /// submits).
+    /// submits).  A submit blocks until its batch answers it.
     fn handle_line(&self, _conn: &mut (), req: Request, _line: &str) -> Reply {
         let resp = match req {
             Request::Status => {
@@ -702,7 +842,7 @@ impl LineService for Shared {
                 o
             }
             Request::Stats => {
-                let mut snap = stats_snapshot(self);
+                let mut snap = self.snapshot();
                 snap.set("ok", true);
                 snap
             }
@@ -748,7 +888,7 @@ impl LineService for Shared {
                 if self.instrument {
                     let _ = self.recorder.dump_files();
                 }
-                let mut snap = stats_snapshot(self);
+                let mut snap = self.snapshot();
                 snap.set("ok", true);
                 snap.set("drained", true);
                 return Reply::Stop { line: snap.to_compact(), close: false };
@@ -758,7 +898,10 @@ impl LineService for Shared {
                 "this node is not a warm standby; promote targets a standby's control port",
             ),
             Request::Submit { key, inputs, timing } => {
-                return Reply::Line(handle_submit(key, inputs, timing, self));
+                return Reply::Line(match self.admit(key, inputs) {
+                    Ok((id, reply)) => self.reply_line(id, timing, reply.recv().ok()),
+                    Err(refusal) => refusal,
+                });
             }
         };
         Reply::Line(resp.to_compact())
@@ -768,8 +911,9 @@ impl LineService for Shared {
         self.stats.on_protocol_error();
     }
 
-    /// Account and log an abnormal connection end.
-    fn on_disconnect(&self, phase: &'static str, buffered: usize, detail: &str) {
+    /// Account and record an abnormal connection end; returns its log
+    /// line.
+    fn on_disconnect(&self, phase: &'static str, buffered: usize, detail: &str) -> Option<String> {
         self.stats.on_disconnect(phase);
         let now = self.clock.now_us();
         rec(self, now, 0, "disconnect", 0, buffered as i64);
@@ -781,101 +925,7 @@ impl LineService for Shared {
         if !detail.is_empty() {
             o.set("detail", detail);
         }
-        eprintln!("bulkd: {}", o.to_compact());
-    }
-}
-
-fn handle_submit(key: JobKey, inputs: Vec<Vec<u64>>, timing: bool, sh: &Shared) -> String {
-    let n = inputs.len() as u64;
-    sh.stats.on_submit(n);
-    if inputs.is_empty() {
-        sh.stats.on_reject(0);
-        return protocol::resp_error("bad-request", "submit carries no instances").to_compact();
-    }
-    let words = match sh.executor.validate(&key) {
-        Ok(w) => w,
-        Err(e) => {
-            sh.stats.on_reject(n);
-            return protocol::resp_error("bad-request", &e).to_compact();
-        }
-    };
-    if let Some(bad) = inputs.iter().find(|i| i.len() != words) {
-        sh.stats.on_reject(n);
-        return protocol::resp_error(
-            "bad-request",
-            &format!("{key} expects {words} input words per instance, got {}", bad.len()),
-        )
-        .to_compact();
-    }
-    // Two-phase admission: reserve capacity, journal the submit, then
-    // make the job visible.  The WAL append sits between the phases so a
-    // job never reaches a worker without its submit record in the log,
-    // yet a full queue is still refused before any I/O.  The append does
-    // not wait for its fsync: the job joins its group at once, and the
-    // worker that claims the batch waits for the record to be durable
-    // before executing it.
-    let adm = match sh.queue.reserve(inputs.len()) {
-        Err(SubmitError::Draining) => {
-            sh.stats.on_reject(n);
-            return protocol::resp_error("draining", "server is draining; no new work accepted")
-                .to_compact();
-        }
-        Err(SubmitError::Overloaded { retry_after_ms }) => {
-            sh.stats.on_reject(n);
-            return protocol::resp_overloaded(retry_after_ms).to_compact();
-        }
-        Ok(adm) => adm,
-    };
-    let id = sh.next_job_id.fetch_add(1, Ordering::SeqCst);
-    // Trace context opens here: the job id doubles as the trace id, and
-    // every stage below stamps the same monotone clock.
-    let accepted_us = sh.clock.now_us();
-    rec(sh, accepted_us, 0, "accepted", id, n as i64);
-    let mut submit_seq = 0;
-    if let Some(journal) = &sh.journal {
-        match journal.log_submit(id, &key, &inputs) {
-            Ok(seq) => submit_seq = seq,
-            Err(e) => {
-                sh.queue.cancel(adm);
-                sh.stats.on_reject(n);
-                return protocol::resp_error("wal", &format!("journal append failed: {e}"))
-                    .to_compact();
-            }
-        }
-    }
-    // `journaled` covers the append only; without a WAL the stage is
-    // zero-width.  The same clock read stamps the enqueue, so the stages
-    // tile the job's life without a gap.
-    let journaled_us = if sh.journal.is_some() { sh.clock.now_us() } else { accepted_us };
-    if sh.journal.is_some() {
-        rec(
-            sh,
-            journaled_us,
-            0,
-            "journaled",
-            id,
-            (journaled_us.saturating_sub(accepted_us)) as i64,
-        );
-    }
-    let (tx, rx) = mpsc::channel();
-    let mut job = Job::new(id, inputs, journaled_us, tx);
-    job.stages = StageStamps { accepted_us, journaled_us, assembled_us: 0 };
-    job.submit_seq = submit_seq;
-    job.timing = timing;
-    sh.queue.enqueue(adm, key, job);
-    rec(sh, journaled_us, 0, "enqueued", id, 0);
-    sh.stats.on_accept(n);
-    match rx.recv() {
-        Ok(Ok(done)) => {
-            let reply_us = sh.clock.now_us();
-            let total = done.breakdown.as_ref().map_or(0, |b| b.total_us as i64);
-            rec(sh, reply_us, 0, "reply_written", id, total);
-            let echoed =
-                if timing { done.breakdown.as_ref().map(StageBreakdown::to_json) } else { None };
-            protocol::resp_outputs(&done.outputs, done.batch_p, done.queue_us, done.exec_us, echoed)
-        }
-        Ok(Err(e)) => protocol::resp_error(e.kind, &e.detail).to_compact(),
-        Err(_) => protocol::resp_error("exec", "worker dropped the job").to_compact(),
+        Some(format!("bulkd: {}", o.to_compact()))
     }
 }
 
@@ -913,6 +963,31 @@ mod tests {
         }
     }
 
+    /// Admits every key and fails every batch with [`FAILURE`], counting
+    /// its calls.
+    struct Failing(Arc<AtomicU64>);
+
+    const FAILURE: &str = "executor exploded";
+
+    impl BatchExecutor for Failing {
+        fn validate(&self, _key: &JobKey) -> Result<usize, String> {
+            Ok(1)
+        }
+
+        fn execute(
+            &self,
+            _key: &JobKey,
+            _inputs: &[Vec<u64>],
+        ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Err(FAILURE.into())
+        }
+
+        fn cache_stats(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
     fn test_config(tag: &str, max_batch: usize, wal: Option<JournalConfig>) -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
@@ -930,6 +1005,25 @@ mod tests {
         }
     }
 
+    /// A server for `cfg` on the real runtime, as `serve` builds it.
+    fn server(
+        cfg: &ServerConfig,
+        executor: Box<dyn BatchExecutor>,
+        journal: Option<Arc<dyn JobLog>>,
+    ) -> Server {
+        let node_id = cfg.node_id.clone().unwrap_or_default();
+        Server::new(cfg, node_id, real_runtime(), executor, journal, 1)
+    }
+
+    /// Submit `inputs` under `key` the way a connection does, blocking
+    /// until the job is answered; returns the reply line.
+    fn submit(sh: &Server, key: JobKey, inputs: Vec<Vec<u64>>) -> String {
+        match sh.handle_line(&mut (), Request::Submit { key, inputs, timing: false }, "") {
+            Reply::Line(line) => line,
+            other => panic!("a submit must be answered with a line, got {other:?}"),
+        }
+    }
+
     /// The flight recorder names each batch's path as the executor
     /// reported it.  The executor's compile total moves during every
     /// batch, so a label read off that total would call every batch
@@ -937,29 +1031,27 @@ mod tests {
     #[test]
     fn path_events_follow_the_executor_s_reported_path() {
         let cfg = test_config("paths", 1, None);
-        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
-        let sh = Shared::new(&cfg, addr, Box::new(Echo(Arc::new(AtomicU64::new(0)))), None, 1);
+        let sh = server(&cfg, Box::new(Echo(Arc::new(AtomicU64::new(0)))), None);
         let order = [ExecPath::Scalar, ExecPath::CacheHit, ExecPath::Scalar, ExecPath::Compiled];
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| worker_loop(0, &sh));
             for (i, path) in order.iter().enumerate() {
                 let key = JobKey { algo: path.name().into(), size: 1, layout: Layout::ColumnWise };
-                let reply = Json::parse(&handle_submit(key, vec![vec![i as u64]], false, &sh));
+                let reply = Json::parse(&submit(&sh, key, vec![vec![i as u64]]));
                 assert_eq!(reply.unwrap().path("ok"), Some(&Json::Bool(true)));
             }
             sh.queue.drain();
             worker.join().unwrap();
         });
         let events: Vec<&str> = sh
-            .recorder
-            .ring
+            .recorder()
             .snapshot()
             .iter()
             .map(|e| e.name)
             .filter(|name| PATHS.iter().any(|p| p.name() == *name))
             .collect();
         assert_eq!(events, order.map(ExecPath::name));
-        let snap = stats_snapshot(&sh);
+        let snap = sh.snapshot();
         let n = |path: &str| snap.path(path).and_then(Json::as_i64);
         assert_eq!(n("execution.batches"), Some(4));
         assert_eq!(n("execution.engine.scalar_batches"), Some(2));
@@ -969,26 +1061,29 @@ mod tests {
     const JOBS: u64 = 4;
 
     /// Run `JOBS` single-instance submits of one key through the real
-    /// submit path and worker loop, as one batch, with the journal's
-    /// `nth` fsync failing.  Returns every reply, the final stats
-    /// snapshot and how often the executor ran.
-    fn one_batch_with_failing_fsync(tag: &str, nth: u64) -> (Vec<String>, Json, u64) {
+    /// submit path and worker loop, as one batch, over a fresh WAL on
+    /// `executor`.  `arm` sees the journal once all but the last submit
+    /// wait in the open group, none of them synced.  Returns every parsed
+    /// reply, the final stats snapshot and the completion records the
+    /// log holds.
+    fn one_batch(
+        tag: &str,
+        executor: Box<dyn BatchExecutor>,
+        arm: impl FnOnce(&Journal),
+    ) -> (Vec<Json>, Json, Vec<Json>) {
         let dir = std::env::temp_dir().join(format!("bulkd-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal =
             JournalConfig { dir: dir.clone(), fsync: FsyncPolicy::Always, segment_bytes: 1 << 20 };
-        let (journal, _) = Journal::open(&wal).unwrap();
+        let journal = Arc::new(Journal::open(&wal).unwrap().0);
         let cfg = test_config(tag, JOBS as usize, Some(wal));
-        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
-        let calls = Arc::new(AtomicU64::new(0));
-        let sh = Shared::new(&cfg, addr, Box::new(Echo(Arc::clone(&calls))), Some(journal), 1);
-        let journal = sh.journal.as_ref().unwrap();
+        let sh = server(&cfg, executor, Some(Arc::clone(&journal) as Arc<dyn JobLog>));
         let key = JobKey { algo: "echo".into(), size: 1, layout: Layout::ColumnWise };
         let replies: Vec<String> = std::thread::scope(|scope| {
             let worker = scope.spawn(|| worker_loop(0, &sh));
             let submit = |i: u64| {
                 let (sh, key) = (&sh, key.clone());
-                scope.spawn(move || handle_submit(key, vec![vec![i]], false, sh))
+                scope.spawn(move || submit(sh, key, vec![vec![i]]))
             };
             // All but the last submit admitted and waiting in the open
             // group (the group flushes only at JOBS instances).  Submits
@@ -1000,25 +1095,45 @@ mod tests {
             }
             let fsyncs = journal.stats_json().path("fsyncs").and_then(Json::as_i64).unwrap();
             assert_eq!(fsyncs, 0, "a submit waited for its own fsync");
-            journal.inject_fsync_error(fsyncs as u64 + nth);
+            arm(&journal);
             pending.push(submit(JOBS));
             let replies = pending.into_iter().map(|h| h.join().unwrap()).collect();
             sh.queue.drain();
             worker.join().unwrap();
             replies
         });
-        for text in &replies {
-            let reply = Json::parse(text).unwrap();
+        assert_eq!(replies.len(), JOBS as usize);
+        let replies = replies.iter().map(|text| Json::parse(text).unwrap()).collect();
+        let snap = sh.snapshot();
+        let completions = wal::scan(&dir)
+            .unwrap()
+            .records
+            .iter()
+            .filter(|r| r.rec_type == crate::journal::REC_COMPLETE)
+            .map(|r| Json::parse(std::str::from_utf8(&r.payload).unwrap()).unwrap())
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        (replies, snap, completions)
+    }
+
+    /// [`one_batch`] on an [`Echo`] executor with the journal's `nth`
+    /// fsync failing: every reply is a `wal` refusal carrying the
+    /// journal's cause, prefixed once.  Returns the final stats snapshot
+    /// and how often the executor ran.
+    fn one_batch_with_failing_fsync(tag: &str, nth: u64) -> (Json, u64) {
+        let calls = Arc::new(AtomicU64::new(0));
+        let (replies, snap, _) =
+            one_batch(tag, Box::new(Echo(Arc::clone(&calls))), |j| j.inject_fsync_error(nth));
+        for reply in &replies {
+            let text = reply.to_compact();
             assert_eq!(reply.path("error").and_then(Json::as_str), Some("wal"), "{text}");
             let detail = reply.path("detail").and_then(Json::as_str).unwrap();
             assert!(detail.starts_with("journal fail-stopped: fsync"), "{text}");
             assert_eq!(detail.matches("fail-stopped").count(), 1, "{text}");
             assert!(reply.path("outputs").is_none(), "a refused job was acked: {text}");
         }
-        assert!(journal.fail_stopped().is_some());
-        let snap = stats_snapshot(&sh);
-        std::fs::remove_dir_all(&dir).ok();
-        (replies, snap, calls.load(Ordering::SeqCst))
+        assert!(snap.path("wal.fail_stopped").and_then(Json::as_str).is_some());
+        (snap, calls.load(Ordering::SeqCst))
     }
 
     /// The fail-stop contract under the real settle step: when the fsync
@@ -1027,8 +1142,7 @@ mod tests {
     /// once), none is acknowledged, and all count as failed.
     #[test]
     fn a_failed_completion_fsync_answers_every_job_of_the_batch_wal() {
-        let (replies, snap, calls) = one_batch_with_failing_fsync("settle-failstop", 2);
-        assert_eq!(replies.len(), JOBS as usize);
+        let (snap, calls) = one_batch_with_failing_fsync("settle-failstop", 2);
         let n = |path: &str| snap.path(path).and_then(Json::as_i64);
         assert_eq!(n("execution.failed_jobs"), Some(JOBS as i64), "{}", snap.to_pretty());
         assert_eq!(n("execution.completed_jobs"), Some(0));
@@ -1041,8 +1155,7 @@ mod tests {
     /// answered `wal` and counted failed.
     #[test]
     fn a_failed_durable_wait_executes_nothing() {
-        let (replies, snap, calls) = one_batch_with_failing_fsync("durable-failstop", 1);
-        assert_eq!(replies.len(), JOBS as usize);
+        let (snap, calls) = one_batch_with_failing_fsync("durable-failstop", 1);
         assert_eq!(calls, 0, "a job executed before its submit record was durable");
         let n = |path: &str| snap.path(path).and_then(Json::as_i64);
         assert_eq!(n("execution.failed_jobs"), Some(JOBS as i64), "{}", snap.to_pretty());
@@ -1051,6 +1164,36 @@ mod tests {
         assert_eq!(n("wal.log_completions"), Some(0), "a completion was appended");
         assert_eq!(n("wal.records_appended"), Some(JOBS as i64), "the submits only");
         assert_eq!(n("wal.durable_seq"), Some(0));
+    }
+
+    /// A batch whose execution fails is still settled: every job is
+    /// answered `exec` with the executor's message, its completion is
+    /// journaled as `ok: false` (so recovery never re-runs it), it counts
+    /// as failed, and neither engine counter moves.
+    #[test]
+    fn a_failed_execution_journals_and_answers_every_job_exec() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let (replies, snap, completions) =
+            one_batch("exec-failure", Box::new(Failing(Arc::clone(&calls))), |_| {});
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "the batch executed once");
+        for reply in &replies {
+            let text = reply.to_compact();
+            assert_eq!(reply.path("error").and_then(Json::as_str), Some("exec"), "{text}");
+            assert_eq!(reply.path("detail").and_then(Json::as_str), Some(FAILURE), "{text}");
+        }
+        let n = |path: &str| snap.path(path).and_then(Json::as_i64);
+        assert_eq!(n("execution.failed_jobs"), Some(JOBS as i64), "{}", snap.to_pretty());
+        assert_eq!(n("execution.completed_jobs"), Some(0));
+        assert_eq!(n("execution.engine.scalar_batches"), Some(0));
+        assert_eq!(n("execution.engine.replay_batches"), Some(0));
+        assert_eq!(n("wal.log_completions"), Some(JOBS as i64));
+        assert_eq!(n("wal.durable_seq"), Some(2 * JOBS as i64), "the completions are durable");
+        assert_eq!(snap.path("wal.fail_stopped"), Some(&Json::Null));
+        assert_eq!(completions.len(), JOBS as usize);
+        for c in &completions {
+            assert_eq!(c.get("ok"), Some(&Json::Bool(false)), "{}", c.to_compact());
+            assert_eq!(c.get("error").and_then(Json::as_str), Some(FAILURE), "{}", c.to_compact());
+        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl ServerStats {
     /// `per_key` is the queue's current per-key occupancy and `now_us`
     /// the clock reading that turns its oldest-enqueue stamps into ages;
     /// `cache` is the shared schedule cache's `(hits, compiles)` pair;
-    /// `wal` is the journal's section ([`crate::Journal::stats_json`]),
+    /// `wal` is the journal's section ([`crate::JobLog::stats_json`]),
     /// `None` when the server runs without durability.
     #[must_use]
     pub fn snapshot(

@@ -133,7 +133,15 @@ pub trait LineService: Send + Sync + 'static {
     /// a partial request buffered), `"mid-reply"` (the reply write
     /// failed under the peer), or `"read-error"`; `buffered` counts the
     /// unframed bytes.  Clean EOFs between requests are not reported.
-    fn on_disconnect(&self, _phase: &'static str, _buffered: usize, _detail: &str) {}
+    /// Returns the line the connection thread logs for it, if any.
+    fn on_disconnect(
+        &self,
+        _phase: &'static str,
+        _buffered: usize,
+        _detail: &str,
+    ) -> Option<String> {
+        None
+    }
 }
 
 /// Accept connections on `listener`, each served on its own thread named
@@ -216,7 +224,7 @@ fn serve_conn<S: LineService>(
                 let _ = TcpStream::connect(addr);
             }
             if let Err(e) = wrote {
-                service.on_disconnect("mid-reply", framer.buffered(), &e.to_string());
+                disconnected(service, "mid-reply", framer.buffered(), &e.to_string());
                 return;
             }
             if close {
@@ -226,16 +234,23 @@ fn serve_conn<S: LineService>(
         match stream.read(&mut chunk) {
             Ok(0) => {
                 if framer.buffered() > 0 {
-                    service.on_disconnect("mid-line", framer.buffered(), "");
+                    disconnected(service, "mid-line", framer.buffered(), "");
                 }
                 return;
             }
             Ok(n) => framer.push(&chunk[..n]),
             Err(e) => {
-                service.on_disconnect("read-error", framer.buffered(), &e.to_string());
+                disconnected(service, "read-error", framer.buffered(), &e.to_string());
                 return;
             }
         }
+    }
+}
+
+/// Report an abnormal connection end and log the service's line for it.
+fn disconnected<S: LineService>(service: &S, phase: &'static str, buffered: usize, detail: &str) {
+    if let Some(line) = service.on_disconnect(phase, buffered, detail) {
+        eprintln!("{line}");
     }
 }
 

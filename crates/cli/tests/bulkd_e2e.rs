@@ -232,6 +232,26 @@ fn over_limit_submit_is_rejected_promptly_with_overloaded() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert!(t0.elapsed() < Duration::from_secs(5), "overload rejection was not prompt");
+    // `bulkrun submit` of the same over-limit job fails promptly, naming
+    // the rejection.
+    let t0 = Instant::now();
+    let cli_submit = cli::args::Command::Submit {
+        algo: "xtea".into(),
+        size: None,
+        layout: oblivious::Layout::ColumnWise,
+        addr: addr.clone(),
+        count: 8,
+        seed: RUN_SEED,
+        timing: false,
+        connect_timeout_ms: None,
+        // An admitted job would wait out the one-hour window: fail instead.
+        read_timeout_ms: Some(10_000),
+    };
+    match cli::execute(&cli_submit) {
+        Err(e) => assert!(e.contains("overloaded"), "not an overloaded rejection: {e}"),
+        Ok(out) => panic!("over-limit submit was accepted: {out}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(5), "the CLI's overload rejection was not prompt");
 
     // Within the limit the job is admitted (it rides the drain flush).
     let small = algo.random_inputs_bits(2, 2);
@@ -250,8 +270,8 @@ fn over_limit_submit_is_rejected_promptly_with_overloaded() {
     let ok = submit.join().expect("submitter panicked");
     assert_eq!(ok.outputs.len(), 2);
     assert_eq!(ok.batch_p, 2);
-    assert_eq!(final_stats.path("admission.rejected_jobs").unwrap().as_i64(), Some(1));
-    assert_eq!(final_stats.path("admission.rejected_instances").unwrap().as_i64(), Some(8));
+    assert_eq!(final_stats.path("admission.rejected_jobs").unwrap().as_i64(), Some(2));
+    assert_eq!(final_stats.path("admission.rejected_instances").unwrap().as_i64(), Some(16));
     assert_eq!(final_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(1));
 }
 

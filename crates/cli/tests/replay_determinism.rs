@@ -12,7 +12,7 @@
 //! depends on timing, so a promoted standby may run a job on a different
 //! engine than the primary would have; its outputs must not change.
 
-use bulkd::journal::{self, Journal, JournalConfig};
+use bulkd::journal::{self, JobLog, Journal, JournalConfig};
 use bulkd::protocol::JobKey;
 use bulkd::{BatchExecutor, ExecPath};
 use cli::registry::{Algo, SCALAR_BELOW_P};

@@ -13,6 +13,7 @@
 //! - `bulkrun loadgen --report` still writes its report when the server
 //!   dies before the final stats fetch, marked `server.unreachable`.
 
+use bulkd::JobLog;
 use cli::registry::{Algo, ScheduleCaches};
 use cli::serve::CatalogExecutor;
 use obs::Json;
@@ -404,13 +405,18 @@ fn bit_flipped_segment_truncates_reported_not_panics() {
 /// A server killed mid-load cannot answer loadgen's closing stats fetch.
 /// The report must still be written — with the acks banked before the
 /// kill — and say the server was unreachable rather than go missing.
+/// The server's flight recorder, flushed every 200 ms, survives the kill
+/// as a readable dump too.
 #[test]
 fn loadgen_report_marks_a_killed_server_unreachable() {
     const CLIENTS: i64 = 4;
     let wal_dir = temp_dir("loadgen");
     let report_dir = temp_dir("loadgen-report");
     let report_path = report_dir.join("loadgen.json");
-    let (mut child, addr) = spawn_server(&wal_dir, &["--flush-after-ms", "2"]);
+    let recorder = report_dir.join("flight.json");
+    let recorder_arg = recorder.to_str().expect("utf8 path");
+    let (mut child, addr) =
+        spawn_server(&wal_dir, &["--flush-after-ms", "2", "--recorder", recorder_arg]);
     // The run is set to outlast the kill, which ends it early.
     let argv: Vec<String> = [
         "loadgen",
@@ -447,6 +453,21 @@ fn loadgen_report_marks_a_killed_server_unreachable() {
     assert_eq!(report.path("server.unreachable"), Some(&Json::Bool(true)), "{text}");
     let completed = report.path("throughput.completed_jobs").and_then(Json::as_i64);
     assert!(completed.unwrap_or(0) > 0, "no acks banked before the kill: {text}");
+
+    // The last dump before the kill parses and holds recorded instants
+    // (the writer's process metadata is there even when nothing was).
+    let dump = std::fs::read_to_string(&recorder).expect("flight recorder dump written");
+    let trace = Json::parse(&dump).expect("flight recorder dump parses");
+    let events = trace.path("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    let names: HashSet<&str> = events
+        .iter()
+        .filter(|e| e.path("ph").and_then(Json::as_str) == Some("i"))
+        .filter_map(|e| e.path("name").and_then(Json::as_str))
+        .collect();
+    assert!(!names.is_empty(), "flight recorder dump is empty after kill -9");
+    assert!(names.contains("accepted") && names.contains("executed"), "{names:?}");
+    let tail = std::fs::read_to_string(recorder.with_extension("txt")).expect("text tail written");
+    assert!(!tail.trim().is_empty(), "text tail is empty");
     let _ = std::fs::remove_dir_all(&wal_dir);
     let _ = std::fs::remove_dir_all(&report_dir);
 }

@@ -88,6 +88,23 @@ impl PromText {
         }
     }
 
+    /// A counter family labelled by every name in `labels`, one sample
+    /// per series; a series carries its label values in `labels` order.
+    pub fn counter_labeled<const N: usize>(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: [&str; N],
+        series: &[([String; N], u64)],
+    ) {
+        self.header(name, help, "counter");
+        for (values, v) in series {
+            let pairs: Vec<(&str, &str)> =
+                labels.iter().copied().zip(values.iter().map(String::as_str)).collect();
+            self.sample(name, &pairs, &v.to_string());
+        }
+    }
+
     /// A gauge family with one label dimension, one sample per series.
     pub fn gauge_vec(&mut self, name: &str, help: &str, label: &str, series: &[(String, f64)]) {
         self.header(name, help, "gauge");
@@ -186,6 +203,21 @@ mod tests {
         assert_eq!(text.matches("# TYPE served_total counter").count(), 1);
         assert!(text.contains("served_total{key=\"fft/8/col\"} 3\n"), "{text}");
         assert!(text.contains("served_total{key=\"fir/16/row\"} 9\n"), "{text}");
+    }
+
+    #[test]
+    fn multi_label_series_keep_label_order() {
+        let mut p = PromText::new();
+        p.counter_labeled(
+            "batches_total",
+            "Batches per node and engine.",
+            ["node", "engine"],
+            &[(["a".into(), "scalar".into()], 2), (["a".into(), "replay".into()], 0)],
+        );
+        let text = p.finish();
+        assert_eq!(text.matches("# TYPE batches_total counter").count(), 1);
+        assert!(text.contains("batches_total{node=\"a\",engine=\"scalar\"} 2\n"), "{text}");
+        assert!(text.contains("batches_total{node=\"a\",engine=\"replay\"} 0\n"), "{text}");
     }
 
     #[test]

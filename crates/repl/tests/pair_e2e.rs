@@ -2,7 +2,7 @@
 //! [`repl::ReplPrimary`], a real standby follows it over loopback, and
 //! promotion hands back a WAL whose replay matches the primary's exactly.
 
-use bulkd::journal::{Journal, JournalConfig};
+use bulkd::journal::{JobLog, Journal, JournalConfig};
 use bulkd::protocol::JobKey;
 use bulkd::{Client, ClientError, ReplSink};
 use oblivious::Layout;

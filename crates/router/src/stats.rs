@@ -493,6 +493,18 @@ pub fn render_prometheus(
         "node",
         &pull("execution.batches"),
     );
+    p.counter_labeled(
+        "bulkd_node_exec_batches_total",
+        "Batches executed per node and engine: scalar below the crossover p, replay at or above it.",
+        ["node", "engine"],
+        &pull("execution.engine.scalar_batches")
+            .into_iter()
+            .zip(pull("execution.engine.replay_batches"))
+            .flat_map(|((node, scalar), (_, replay))| {
+                [([node.clone(), "scalar".into()], scalar), ([node, "replay".into()], replay)]
+            })
+            .collect::<Vec<_>>(),
+    );
     p.counter_vec(
         "bulkd_node_completed_instances_total",
         "Instances completed per node.",
@@ -570,13 +582,19 @@ pub fn render_prometheus(
 mod tests {
     use super::*;
     use crate::health::{HealthBoard, HealthPolicy};
-    use bulkd::ReplSink;
+    use bulkd::{ExecPath, ReplSink};
 
     /// A node's `stats` snapshot as bulkd itself renders it: `completed`
     /// four-instance jobs spread over `keys` (display form
-    /// `algo/size/layout`) and run as `batches` batches, with `compiles`
-    /// schedule-cache misses.
-    fn backend_snapshot(completed: u64, batches: u64, compiles: u64, keys: &[&str]) -> Json {
+    /// `algo/size/layout`) and run as `batches` batches on `path`, with
+    /// `compiles` schedule-cache misses.
+    fn backend_snapshot(
+        completed: u64,
+        batches: u64,
+        compiles: u64,
+        keys: &[&str],
+        path: bulkd::ExecPath,
+    ) -> Json {
         let keys: Vec<bulkd::JobKey> = keys
             .iter()
             .map(|k| {
@@ -598,7 +616,7 @@ mod tests {
             stats.on_job_done(key, 4, 0, false, &bulkd::StageBreakdown::default());
         }
         for _ in 0..batches {
-            stats.on_batch(completed * 4 / batches, 0, Some(bulkd::ExecPath::CacheHit));
+            stats.on_batch(completed * 4 / batches, 0, Some(path));
         }
         let idle = bulkd::queue::QueueDepth {
             queued_instances: 0,
@@ -641,8 +659,8 @@ mod tests {
         let board = HealthBoard::new(3, HealthPolicy { down_after: 1, up_after: 1 });
         board.on_failure(2, "connect: refused");
         let snaps = vec![
-            Some(backend_snapshot(60, 10, 3, &["fft/64/col", "fir/32/row"])),
-            Some(backend_snapshot(40, 10, 2, &["xtea/16/col", "fft/64/col"])),
+            Some(backend_snapshot(60, 10, 3, &["fft/64/col", "fir/32/row"], ExecPath::CacheHit)),
+            Some(backend_snapshot(40, 10, 2, &["xtea/16/col", "fft/64/col"], ExecPath::CacheHit)),
             None,
         ];
         let stats = RouterStats::new(3);
@@ -676,7 +694,7 @@ mod tests {
         // really renders: seven records durable locally and none on a
         // follower, first seen at t = 1 ms and still trailing at t = 4 ms.
         let (primary, _addr) = repl::ReplPrimary::start(repl::PrimaryConfig::default()).unwrap();
-        let mut alpha = backend_snapshot(8, 2, 1, &["fft/8/row"]);
+        let mut alpha = backend_snapshot(8, 2, 1, &["fft/8/row"], ExecPath::Scalar);
         primary.stats_json(7, 1_000);
         alpha.set("repl", primary.stats_json(7, 4_000));
         let snaps = vec![Some(alpha), None];
@@ -692,7 +710,13 @@ mod tests {
         // `snap_u64` reads a missing field as 0, so these catch a rename.
         assert!(text.contains("bulkd_node_repl_lag_records{node=\"alpha\"} 7\n"), "{text}");
         assert!(text.contains("bulkd_node_repl_lag_us{node=\"alpha\"} 3000\n"), "{text}");
+        // Alpha's two batches ran on the scalar engine.
+        let engine =
+            |e: &str| format!("bulkd_node_exec_batches_total{{node=\"alpha\",engine=\"{e}\"}}");
+        assert!(text.contains(&format!("{} 2\n", engine("scalar"))), "{text}");
+        assert!(text.contains(&format!("{} 0\n", engine("replay"))), "{text}");
         // The unreachable node contributes no bulkd_node series.
         assert!(!text.contains("bulkd_node_completed_jobs_total{node=\"beta\"}"), "{text}");
+        assert!(!text.contains("bulkd_node_exec_batches_total{node=\"beta\""), "{text}");
     }
 }

@@ -1,9 +1,15 @@
 //! # sim — deterministic simulation testing for `bulkd`
 //!
-//! FoundationDB-style schedule exploration for the batch-serving daemon:
-//! the *real* [`bulkd::CoalescingQueue`], the real crash-recovery
-//! [`bulkd::journal::replay`] logic, the real [`bulkd::ServerStats`]
-//! accounting, and the real [`bulkd::LineFramer`] protocol framing run
+//! FoundationDB-style schedule exploration for the batch-serving daemon.
+//! The simulated node is the daemon's own [`bulkd::Server`]: its
+//! admission, its per-batch path (durable wait, execute, settle, answer),
+//! its reply encoder, its request handler, its disconnect accounting and
+//! its recovery requeue, over the real [`bulkd::CoalescingQueue`],
+//! [`bulkd::ServerStats`] and flight recorder.  The harness owns only
+//! what a process does not: the socket and thread loops, and two models.
+//! The WAL is a record-level model behind the three journal calls the
+//! serving path makes, and the executor maps every word through
+//! [`exec_word`] and charges a fixed virtual cost.  Everything runs
 //! single-threaded on a [`bulkd::VirtualClock`], with a seeded
 //! [`obs::Rng`] deciding which runnable actor (client or worker) steps
 //! next.  Every run is a pure function of its seed:
@@ -15,16 +21,17 @@
 //!   dribble, partial lines, several lines coalesced), driving the
 //!   daemon's own `LineFramer` + `Request::parse_line` path, and the
 //!   connection can drop mid-submit or mid-reply (`--conn-faults`);
-//! - the WAL is modelled at record granularity with an explicit durable
-//!   prefix, so a crash can be injected after *every* append with *every*
-//!   legal surviving cut (synced prefix ≤ cut ≤ appended length) —
-//!   including between a group-commit append and its fsync;
+//! - the WAL model keeps an explicit durable prefix, so a crash can be
+//!   injected after *every* append with *every* legal surviving cut
+//!   (synced prefix ≤ cut ≤ appended length) — including between a
+//!   group-commit append and its fsync;
 //! - the WAL's fsync can *fail* (`--fsync-errors`): the journal must
 //!   fail-stop — no job acked after a failed fsync, in-flight waiters
 //!   get errors not hangs, the durable prefix never regresses;
-//! - recovery runs the daemon's own `replay` over the survivors and a
-//!   "second life" re-executes what it requeues, checking the
-//!   exactly-once contract: an acknowledged job is never re-executed.
+//! - recovery runs the daemon's own `replay` over the survivors, and a
+//!   "second life" node requeues what it returns and re-executes it,
+//!   checking the exactly-once contract: an acknowledged job is never
+//!   re-executed.
 //!
 //! A failure carries its reproducer — the seed (plus crash point, fault
 //! flags) that deterministically replays it — in the error message.
@@ -40,17 +47,17 @@
 pub mod trace;
 
 use bulkd::clock::{Clock, Scheduler, SimScheduler, VirtualClock};
-use bulkd::journal::{complete_payload, submit_payload, REC_COMPLETE, REC_SUBMIT};
-use bulkd::protocol::{self, resp_error, resp_outputs, resp_overloaded};
-use bulkd::queue::{
-    BatchStamps, CoalescingQueue, Job, QueueConfig, StageBreakdown, StageStamps, SubmitError,
-    TryNext,
+use bulkd::journal::{
+    complete_payload, submit_payload, Completion, JobLog, RecoveredJob, REC_COMPLETE, REC_SUBMIT,
 };
-use bulkd::{JobKey, LineFramer, Request, ServerStats, PROTOCOL_VERSION};
-use obs::{Json, Ring, Rng};
+use bulkd::protocol;
+use bulkd::queue::{JobReply, TryNext};
+use bulkd::wire::{LineService, Reply};
+use bulkd::{BatchExecutor, ExecPath, JobKey, LineFramer, Request, Server, ServerConfig};
+use obs::{Json, Rng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use trace::{Actor, Decision, Trace};
 use wal::record::Record;
 
@@ -70,8 +77,8 @@ pub struct SimConfig {
     /// Queue admission bound (instances) — small enough that overload
     /// backoff paths get exercised.
     pub max_queue: usize,
-    /// Queue deadline-flush trigger, in virtual microseconds.
-    pub flush_after_us: u64,
+    /// Queue deadline-flush trigger, in virtual milliseconds.
+    pub flush_after_ms: u64,
     /// Inject connection faults: partial/coalesced/dribbled delivery of
     /// request bytes, status probes racing submits, and disconnects
     /// mid-submit or mid-reply.  Off, every send delivers in one piece.
@@ -89,7 +96,7 @@ impl SimConfig {
             jobs_per_client: 4,
             max_batch: 4,
             max_queue: 8,
-            flush_after_us: 2_000,
+            flush_after_ms: 2,
             conn_faults: false,
         }
     }
@@ -139,10 +146,10 @@ pub struct RunOutcome {
     /// Job ids acknowledged to clients (reply pushed onto an open
     /// connection), in ack order.
     pub acked: Vec<u64>,
-    /// The flight-recorder event stream (one [`obs::RingEvent`] text line
-    /// per stage event, in stamp order) — recorded on the virtual clock
-    /// with the daemon's stage names, so it is bit-identical across runs
-    /// and replays of the same seed.
+    /// The server's flight-recorder event stream (one [`obs::RingEvent`]
+    /// text line per stage event, in stamp order) — recorded on the
+    /// virtual clock, so it is bit-identical across runs and replays of
+    /// the same seed.
     pub events: String,
     /// Crash recovery report when a [`CrashPlan`] was active.
     pub crash: Option<CrashOutcome>,
@@ -209,78 +216,151 @@ pub fn exec_word(w: u64) -> u64 {
     w.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0xD1B5_4A32_D192_ED03)
 }
 
-/// Record-level WAL model: an append-only record list with an explicit
-/// durable prefix.  `append` leaves records unsynced (page cache);
-/// `sync` extends the durable prefix to the full length — exactly the
-/// group-commit shape, so a crash between the two is representable.
+/// Record-level WAL model behind the three journal calls the serving path
+/// makes: an append-only record list with an explicit durable prefix.
+/// Appends leave records unsynced (page cache); a sync extends the
+/// durable prefix to the full length — exactly the group-commit shape,
+/// so a crash between the two is representable.
 ///
-/// An injected fsync error (`fail_at_sync`) makes the Nth sync attempt
-/// fail and is *sticky*: the durable prefix freezes and every later sync
-/// reports the original error, mirroring how a real `fdatasync` failure
-/// must be treated (the page cache state is unknowable afterwards).
+/// The append a crash plan names stops the world: it lands, and it and
+/// every later call fail, as nothing runs after `kill -9`.  An injected
+/// fsync error (`fail_at_sync`) makes the Nth sync attempt fail and is
+/// *sticky*: the durable prefix freezes and every later call reports the
+/// original error, mirroring how a real `fdatasync` failure must be
+/// treated (the page cache state is unknowable afterwards).
+#[derive(Debug)]
+struct SimWal(Mutex<WalState>);
+
 #[derive(Debug, Default)]
-struct SimWal {
+struct WalState {
+    crash_after_append: Option<u64>,
+    fail_at_sync: Option<u64>,
     records: Vec<Record>,
     synced_len: usize,
-    next_seq: u64,
-    appends: u64,
+    /// Successful syncs.
     syncs: u64,
+    /// For each append: the durable prefix length just before it.
     sync_floor: Vec<u64>,
     sync_attempts: u64,
-    fail_at_sync: Option<u64>,
     failed: Option<String>,
-    /// Appends issued after the fail-stop — the journal contract says
-    /// this must stay zero.
-    appends_after_fail: u64,
+    crashed: bool,
+}
+
+impl WalState {
+    /// Refuse every call once the world crashed or the log fail-stopped.
+    fn refuse(&self) -> Result<(), String> {
+        if self.crashed {
+            return Err("the process crashed".into());
+        }
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Append unsynced and return the record's sequence number.
+    fn append(&mut self, rec_type: u8, payload: Vec<u8>) -> Result<u64, String> {
+        self.refuse()?;
+        self.sync_floor.push(self.synced_len as u64);
+        let seq = self.records.len() as u64 + 1;
+        self.records.push(Record { seq, rec_type, payload });
+        if self.crash_after_append == Some(seq) {
+            self.crashed = true;
+            return Err("the process crashed".into());
+        }
+        Ok(seq)
+    }
+
+    /// Make `seq` durable: one group fsync covers everything appended so
+    /// far — unless the injection plan fails this attempt.  After a
+    /// fail-stop the wait fails whatever it covers, as the journal's does.
+    fn wait_durable(&mut self, seq: u64) -> Result<(), String> {
+        self.refuse()?;
+        if seq <= self.synced_len as u64 {
+            return Ok(());
+        }
+        self.sync_attempts += 1;
+        if self.fail_at_sync.is_some_and(|n| self.sync_attempts >= n) {
+            let e = format!(
+                "journal fail-stopped: injected fsync error at sync attempt {}",
+                self.sync_attempts
+            );
+            self.failed = Some(e.clone());
+            return Err(e);
+        }
+        self.syncs += 1;
+        self.synced_len = self.records.len();
+        Ok(())
+    }
 }
 
 impl SimWal {
-    fn new(fail_at_sync: Option<u64>) -> Self {
-        Self { next_seq: 1, fail_at_sync, ..Self::default() }
+    fn state(&self) -> MutexGuard<'_, WalState> {
+        self.0.lock().expect("sim wal poisoned")
+    }
+}
+
+impl JobLog for SimWal {
+    fn log_submit(&self, id: u64, key: &JobKey, inputs: &[Vec<u64>]) -> Result<u64, String> {
+        self.state().append(REC_SUBMIT, submit_payload(id, key, inputs))
     }
 
-    /// Append unsynced; returns the total append count (for crash
-    /// triggers).
-    fn append(&mut self, rec_type: u8, payload: Vec<u8>) -> u64 {
-        if self.failed.is_some() {
-            self.appends_after_fail += 1;
-        }
-        self.sync_floor.push(self.synced_len as u64);
-        self.records.push(Record { seq: self.next_seq, rec_type, payload });
-        self.next_seq += 1;
-        self.appends += 1;
-        self.appends
+    fn wait_durable(&self, seq: u64) -> Result<(), String> {
+        self.state().wait_durable(seq)
     }
 
-    /// One group fsync: everything appended so far becomes durable —
-    /// unless the injection plan fails this attempt, after which the
-    /// durable prefix is frozen and every sync reports the error.
-    fn sync(&mut self) -> Result<(), String> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
+    /// Completions append one at a time, so a crash can cut the batch
+    /// anywhere; then one sync covers them all.
+    fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String> {
+        let mut st = self.state();
+        let mut last = 0;
+        for &(id, result) in batch {
+            last = st.append(REC_COMPLETE, complete_payload(id, result))?;
         }
-        if self.synced_len < self.records.len() {
-            self.sync_attempts += 1;
-            if self.fail_at_sync.is_some_and(|n| self.sync_attempts >= n) {
-                let e = format!("injected fsync error at sync attempt {}", self.sync_attempts);
-                self.failed = Some(e.clone());
-                return Err(e);
-            }
-            self.syncs += 1;
-            self.synced_len = self.records.len();
-        }
-        Ok(())
+        st.wait_durable(last)?;
+        Ok(last)
+    }
+
+    fn durable_seq(&self) -> u64 {
+        self.state().synced_len as u64
     }
 
     fn stats_json(&self) -> Json {
+        let st = self.state();
         let mut o = Json::obj();
         o.set("enabled", true);
         o.set("model", "sim");
-        o.set("records_appended", self.appends);
-        o.set("fsyncs", self.syncs);
-        o.set("synced_records", self.synced_len);
-        o.set("fail_stopped", self.failed.is_some());
+        o.set("records_appended", st.records.len());
+        o.set("fsyncs", st.syncs);
+        o.set("synced_records", st.synced_len);
+        o.set("fail_stopped", st.failed.is_some());
         o
+    }
+}
+
+/// The virtual executor: maps every word through [`exec_word`], as the
+/// scalar engine serves a small batch, and charges the virtual clock a
+/// deterministic `20 + 5·p` microseconds.  Counts the batches it ran.
+struct SimExecutor {
+    clock: Arc<VirtualClock>,
+    batches: Arc<AtomicU64>,
+}
+
+impl BatchExecutor for SimExecutor {
+    fn validate(&self, _key: &JobKey) -> Result<usize, String> {
+        Ok(WORDS_PER_INSTANCE)
+    }
+
+    fn execute(
+        &self,
+        _key: &JobKey,
+        inputs: &[Vec<u64>],
+    ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
+        self.batches.fetch_add(1, Ordering::SeqCst);
+        self.clock.advance(20 + 5 * inputs.len() as u64);
+        let outputs = inputs.iter().map(|i| i.iter().copied().map(exec_word).collect()).collect();
+        Ok((outputs, ExecPath::Scalar))
+    }
+
+    fn cache_stats(&self) -> (u64, u64) {
+        (0, 0)
     }
 }
 
@@ -307,10 +387,11 @@ struct Connection {
     s2c: VecDeque<String>,
     /// The peer dropped; later replies are undeliverable.
     closed: bool,
-    /// A submit is in flight server-side: the real connection thread is
-    /// parked in `rx.recv()` and processes no further lines until the
-    /// reply — the slow-reader / head-of-line-blocking shape.
-    busy: bool,
+    /// A submit in flight server-side — its job id, whether it asked for
+    /// timing, and its reply receiver.  The real connection thread is
+    /// parked on that receiver and processes no further lines until the
+    /// reply: the slow-reader / head-of-line-blocking shape.
+    awaiting: Option<(u64, bool, mpsc::Receiver<JobReply>)>,
 }
 
 impl Connection {
@@ -320,7 +401,7 @@ impl Connection {
             framer: LineFramer::new(bulkd::wire::MAX_LINE_BYTES),
             s2c: VecDeque::new(),
             closed: false,
-            busy: false,
+            awaiting: None,
         }
     }
 }
@@ -376,29 +457,24 @@ const WORDS_PER_INSTANCE: usize = 2;
 /// Hard cap on scheduler decisions — a livelock backstop far above any
 /// legitimate run of the default world sizes.
 const STEP_LIMIT: u64 = 1_000_000;
-/// Flight-recorder capacity: ample for the default world sizes, so no
-/// run loses events to wraparound and the stream stays comparable.
-const SIM_RING_CAPACITY: usize = 65_536;
 
 struct World {
     cfg: SimConfig,
     clock: Arc<VirtualClock>,
     sched: Arc<SimScheduler>,
-    queue: CoalescingQueue,
-    stats: ServerStats,
-    wal: SimWal,
-    /// The same flight recorder the real server writes, fed from the
-    /// virtual clock — track 0 is the submit path, workers are 1-based,
-    /// mirroring `bulkd::server`.
-    ring: Ring,
+    /// The daemon's own serving state over the virtual runtime, the WAL
+    /// model and the virtual executor.  Its flight recorder writes on
+    /// the virtual clock: track 0 is the submit path, workers 1-based.
+    server: Server,
+    wal: Arc<SimWal>,
+    /// Batches the virtual executor ran.
+    batches_run: Arc<AtomicU64>,
     clients: Vec<ClientState>,
     workers: Vec<WorkerState>,
     owner: BTreeMap<u64, usize>,
     executed: BTreeMap<u64, u64>,
     acked: Vec<u64>,
-    next_job_id: u64,
     crash_plan: Option<CrashPlan>,
-    crashed: bool,
     decisions: Vec<Decision>,
     drain_started: bool,
     deliveries: u64,
@@ -411,14 +487,36 @@ impl World {
     fn new(cfg: &SimConfig, crash: Option<CrashPlan>, fsync_error_at: Option<u64>) -> Self {
         let clock = Arc::new(VirtualClock::new());
         let sched = Arc::new(SimScheduler::new());
-        let queue = CoalescingQueue::with_runtime(
-            QueueConfig {
-                max_batch: cfg.max_batch,
-                max_queue: cfg.max_queue,
-                flush_after: Duration::from_micros(cfg.flush_after_us),
-            },
-            Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
-            Arc::<SimScheduler>::clone(&sched) as Arc<dyn Scheduler>,
+        let wal = Arc::new(SimWal(Mutex::new(WalState {
+            crash_after_append: crash.map(|c| c.after_append),
+            fail_at_sync: fsync_error_at.map(|n| n.max(1)),
+            ..WalState::default()
+        })));
+        let batches_run = Arc::new(AtomicU64::new(0));
+        let server_cfg = ServerConfig {
+            addr: String::new(),
+            node_id: None,
+            workers: cfg.workers,
+            max_batch: cfg.max_batch,
+            max_queue: cfg.max_queue,
+            flush_after_ms: cfg.flush_after_ms,
+            trace_path: None,
+            wal: None,
+            instrument: true,
+            recorder_path: None,
+            repl: None,
+            promoted: false,
+        };
+        let server = Server::new(
+            &server_cfg,
+            "sim".into(),
+            (
+                Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
+                Arc::<SimScheduler>::clone(&sched) as Arc<dyn Scheduler>,
+            ),
+            Box::new(SimExecutor { clock: Arc::clone(&clock), batches: Arc::clone(&batches_run) }),
+            Some(Arc::<SimWal>::clone(&wal) as Arc<dyn JobLog>),
+            1,
         );
         let clients = (0..cfg.clients)
             .map(|c| ClientState {
@@ -441,18 +539,15 @@ impl World {
             cfg: cfg.clone(),
             clock,
             sched,
-            queue,
-            stats: ServerStats::new(),
-            wal: SimWal::new(fsync_error_at.map(|n| n.max(1))),
-            ring: Ring::with_capacity(SIM_RING_CAPACITY),
+            server,
+            wal,
+            batches_run,
             clients,
             workers,
             owner: BTreeMap::new(),
             executed: BTreeMap::new(),
             acked: Vec::new(),
-            next_job_id: 1,
             crash_plan: crash,
-            crashed: false,
             decisions: Vec::new(),
             drain_started: false,
             deliveries: 0,
@@ -462,19 +557,11 @@ impl World {
         }
     }
 
-    /// Append to the WAL model and fire the crash plan when its append
-    /// count is reached.  Returns `true` when the world just crashed —
-    /// the caller must abandon its step immediately (no sync, no enqueue,
-    /// no reply: exactly what `kill -9` at that instruction would do).
-    fn wal_append(&mut self, rec_type: u8, payload: Vec<u8>) -> bool {
-        let n = self.wal.append(rec_type, payload);
-        if let Some(plan) = &self.crash_plan {
-            if n == plan.after_append {
-                self.crashed = true;
-                return true;
-            }
-        }
-        false
+    /// Whether the crash plan fired: the caller must abandon its step
+    /// (no further I/O, no reply — exactly what `kill -9` at that
+    /// instruction would do).
+    fn crashed(&self) -> bool {
+        self.wal.state().crashed
     }
 
     fn runnable(&self) -> Vec<Actor> {
@@ -611,7 +698,7 @@ impl World {
                 let chunk: Vec<u8> = self.clients[idx].conn.c2s.drain(..n as usize).collect();
                 self.clients[idx].conn.framer.push(&chunk);
                 self.pump_conn(idx)?;
-                if self.crashed {
+                if self.crashed() {
                     return Ok(());
                 }
                 if let Phase::Sending { job } = self.clients[idx].phase {
@@ -627,36 +714,36 @@ impl World {
 
     /// Drop `idx`'s connection.  Counting rule (mirrors what the real
     /// server can observe, exactly once per drop):
-    /// - a submit in flight server-side → discovered at reply-push time,
+    /// - a submit in flight server-side → discovered at reply-write time,
     ///   counted there as `mid-reply`;
     /// - bytes buffered in the framer → a `mid-line` EOF, counted now;
     /// - otherwise a clean EOF between requests → nothing to count
     ///   (bytes never delivered don't exist server-side).
     fn disconnect(&mut self, idx: usize) {
         self.disconnects += 1;
-        let buffered = self.clients[idx].conn.framer.buffered();
-        let busy = self.clients[idx].conn.busy;
-        self.clients[idx].conn.closed = true;
+        let conn = &mut self.clients[idx].conn;
+        conn.closed = true;
+        let (buffered, busy) = (conn.framer.buffered(), conn.awaiting.is_some());
         self.clients[idx].phase = Phase::Disconnected;
         if !busy && buffered > 0 {
-            self.stats.on_disconnect("mid-line");
-            self.ring.record(self.clock.now_us(), 0, "disconnect", 0, buffered as i64);
+            // The log line is the socket loop's to print.
+            let _ = self.server.on_disconnect("mid-line", buffered, "");
         }
     }
 
     /// The server end of `idx`'s connection: frame complete lines out of
-    /// the delivered bytes and dispatch them through the daemon's real
-    /// request parser — exactly what `bulkd::wire` does, minus the socket.
-    /// Stops while a submit is in flight (`busy`), as the real
-    /// connection thread blocks in `rx.recv()`.
+    /// the delivered bytes and dispatch them as `bulkd::wire` does, minus
+    /// the socket — submits through the server's admission, every other
+    /// request through its line handler.  Stops while a submit is in
+    /// flight, as the real connection thread blocks on its reply.
     fn pump_conn(&mut self, idx: usize) -> Result<(), String> {
         loop {
-            if self.crashed {
+            if self.crashed() {
                 return Ok(());
             }
             {
                 let conn = &self.clients[idx].conn;
-                if conn.closed || conn.busy {
+                if conn.closed || conn.awaiting.is_some() {
                     return Ok(());
                 }
             }
@@ -671,110 +758,95 @@ impl World {
             let req = Request::parse_line(&line)
                 .map_err(|e| format!("client {idx} line failed to parse after framing: {e}"))?;
             match req {
-                Request::Status => {
-                    let mut o = Json::obj();
-                    o.set("ok", true);
-                    o.set("protocol_version", PROTOCOL_VERSION);
-                    o.set("queued_instances", self.queue.depth().queued_instances);
-                    o.set("uptime_us", self.clock.now_us());
-                    let reply = o.to_compact();
-                    self.push_reply(idx, reply);
-                }
-                Request::Submit { key, inputs, .. } => {
-                    self.server_submit(idx, &key, &inputs)?;
-                }
-                other => return Err(format!("client {idx} sent unexpected request {other:?}")),
+                Request::Submit { key, inputs, timing } => self.submit(idx, key, inputs, timing)?,
+                req => match self.server.handle_line(&mut (), req, &line) {
+                    Reply::Line(reply) => {
+                        self.push_reply(idx, reply);
+                    }
+                    other => {
+                        return Err(format!("client {idx}: unexpected server reply {other:?}"))
+                    }
+                },
             }
         }
     }
 
-    /// One submit attempt server-side: reserve → journal (appended, not
-    /// synced) → enqueue, the daemon's two-phase admission, against the
-    /// real queue.  The parsed request must round-trip the client's
-    /// pending job bit-exactly — the framing-correctness check.
-    fn server_submit(
+    /// One submit line server-side, through the daemon's own admission.
+    /// The parsed request must round-trip the client's pending job
+    /// bit-exactly — the framing-correctness check.
+    fn submit(
         &mut self,
         idx: usize,
-        key: &JobKey,
-        inputs: &[Vec<u64>],
+        key: JobKey,
+        inputs: Vec<Vec<u64>>,
+        timing: bool,
     ) -> Result<(), String> {
-        let n = inputs.len();
-        self.stats.on_submit(n as u64);
-        {
-            let p = self.clients[idx]
-                .pending
-                .as_ref()
-                .ok_or_else(|| format!("client {idx}: submit line with no pending job"))?;
-            if p.key != *key || p.inputs != inputs {
-                return Err(format!(
-                    "framing corrupted client {idx}'s job: parsed submit differs from what was sent"
-                ));
+        let p = self.clients[idx]
+            .pending
+            .as_ref()
+            .ok_or_else(|| format!("client {idx}: submit line with no pending job"))?;
+        if p.key != key || p.inputs != inputs {
+            return Err(format!(
+                "framing corrupted client {idx}'s job: parsed submit differs from what was sent"
+            ));
+        }
+        match self.server.admit(key, inputs) {
+            Ok((id, reply)) => {
+                self.owner.insert(id, idx);
+                let c = &mut self.clients[idx];
+                c.in_flight_id = Some(id);
+                c.conn.awaiting = Some((id, timing, reply));
+            }
+            Err(refusal) => {
+                self.push_reply(idx, refusal);
             }
         }
-        // Fail-stop: after a failed fsync the journal refuses all new
-        // work up front — no reservation, no id, no append.
-        if let Some(e) = self.wal.failed.clone() {
-            self.stats.on_reject(n as u64);
-            let reply = resp_error("wal", &format!("journal fail-stopped: {e}")).to_compact();
-            self.push_reply(idx, reply);
-            return Ok(());
-        }
-        let adm = match self.queue.reserve(n) {
-            Ok(adm) => adm,
-            Err(SubmitError::Overloaded { retry_after_ms }) => {
-                self.stats.on_reject(n as u64);
-                let reply = resp_overloaded(retry_after_ms).to_compact();
-                self.push_reply(idx, reply);
-                return Ok(());
-            }
-            Err(SubmitError::Draining) => {
-                return Err("queue draining while clients still live".into());
-            }
-        };
-        let id = self.next_job_id;
-        self.next_job_id += 1;
-        // Trace context: the same stage events the real server records,
-        // stamped on the virtual clock (track 0 = the submit path).
-        let accepted_us = self.clock.now_us();
-        self.ring.record(accepted_us, 0, "accepted", id, n as i64);
-        let submit_seq = self.wal.next_seq;
-        if self.wal_append(REC_SUBMIT, submit_payload(id, key, inputs)) {
-            // Crashed mid-submit: reservation and id die with the process.
-            return Ok(());
-        }
-        // No sync: the job joins its group at once, and the worker that
-        // claims its batch makes the record durable before executing.
-        let journaled_us = self.clock.now_us();
-        self.ring.record(journaled_us, 0, "journaled", id, 0);
-        let (tx, _rx) = mpsc::channel();
-        let mut queued = Job::new(id, inputs.to_vec(), journaled_us, tx);
-        queued.stages = StageStamps { accepted_us, journaled_us, assembled_us: 0 };
-        queued.submit_seq = submit_seq;
-        self.queue.enqueue(adm, key.clone(), queued);
-        self.ring.record(journaled_us, 0, "enqueued", id, 0);
-        self.stats.on_accept(n as u64);
-        self.owner.insert(id, idx);
-        let c = &mut self.clients[idx];
-        c.in_flight_id = Some(id);
-        // The real connection thread now parks in rx.recv(): no further
-        // lines are processed until the reply (head-of-line blocking).
-        c.conn.busy = true;
         Ok(())
     }
 
     /// Deliver a finished reply line to `idx`'s connection.  Returns
     /// `false` when the peer is gone — the mid-reply disconnect case,
-    /// counted here exactly once.
+    /// reported to the server here exactly once.
     fn push_reply(&mut self, idx: usize, line: String) -> bool {
-        if self.clients[idx].conn.closed {
+        let conn = &mut self.clients[idx].conn;
+        if conn.closed {
             self.replies_unsent += 1;
-            self.stats.on_disconnect("mid-reply");
-            self.ring.record(self.clock.now_us(), 0, "disconnect", 0, 0);
+            let buffered = conn.framer.buffered();
+            let _ = self.server.on_disconnect("mid-reply", buffered, "");
             false
         } else {
-            self.clients[idx].conn.s2c.push_back(line);
+            conn.s2c.push_back(line);
             true
         }
+    }
+
+    /// `idx`'s connection thread unparks: the server encodes its job's
+    /// answer and the thread writes it.  An ok reply that reaches an
+    /// open connection is an ack — the durability contract's observable
+    /// edge.
+    fn write_reply(&mut self, idx: usize) -> Result<(), String> {
+        let (id, timing, reply) = self.clients[idx]
+            .conn
+            .awaiting
+            .take()
+            .ok_or_else(|| format!("client {idx}: answered with no submit in flight"))?;
+        let reply = reply.try_recv().ok();
+        if let Some(Ok(done)) = &reply {
+            let stages = done.breakdown.unwrap_or_default().values();
+            let (parts, total) = stages.split_at(stages.len() - 1);
+            if parts.iter().sum::<u64>() != total[0] {
+                return Err(format!(
+                    "job {id}: stages {parts:?} do not add up to total {}",
+                    total[0]
+                ));
+            }
+        }
+        let ok = matches!(reply, Some(Ok(_)));
+        let line = self.server.reply_line(id, timing, reply);
+        if self.push_reply(idx, line) && ok {
+            self.acked.push(id);
+        }
+        Ok(())
     }
 
     /// The client reads (or refuses to read) the next queued reply line.
@@ -807,22 +879,17 @@ impl World {
         }
         if j.get("ok") == Some(&Json::Bool(true)) {
             let outputs = outputs.ok_or("ok reply has no outputs array")?;
-            let id = self.clients[idx].in_flight_id.ok_or("reply with no in-flight job")?;
-            {
-                let c = &self.clients[idx];
-                let expected = &c.pending.as_ref().ok_or("reply with no pending job")?.expected;
-                if &outputs != expected {
-                    return Err(format!("job {id}: outputs do not match the executor function"));
-                }
-                // Probes precede submits on the wire, so their replies
-                // must have drained before the job reply.
-                if c.probes_outstanding != 0 {
-                    return Err(format!("job {id}'s reply overtook a status-probe reply"));
-                }
-            }
-            let exec = j.get("exec_us").and_then(Json::as_i64).unwrap_or(0);
-            self.ring.record(self.clock.now_us(), 0, "reply_written", id, exec);
             let c = &mut self.clients[idx];
+            let id = c.in_flight_id.ok_or("reply with no in-flight job")?;
+            let expected = &c.pending.as_ref().ok_or("reply with no pending job")?.expected;
+            if &outputs != expected {
+                return Err(format!("job {id}: outputs do not match the executor function"));
+            }
+            // Probes precede submits on the wire, so their replies must
+            // have drained before the job reply.
+            if c.probes_outstanding != 0 {
+                return Err(format!("job {id}'s reply overtook a status-probe reply"));
+            }
             c.acked_jobs += 1;
             c.pending = None;
             c.in_flight_id = None;
@@ -855,145 +922,44 @@ impl World {
     fn advance_job(&mut self, idx: usize, job: usize) {
         let next = job + 1;
         let now = self.clock.now_us();
-        let flush = self.cfg.flush_after_us;
+        let flush_us = self.cfg.flush_after_ms * 1_000;
         let jobs = self.cfg.jobs_per_client;
         let c = &mut self.clients[idx];
         if next >= jobs {
             c.phase = Phase::Done;
         } else {
-            let think = c.rng.range_u64(0, flush * 2 + 1);
+            let think = c.rng.range_u64(0, flush_us * 2 + 1);
             c.phase = Phase::Pause { job: next, until_us: now + think };
         }
     }
 
+    /// A worker step: claim a batch and run the server's per-batch path
+    /// on it, then unpark the connections it answered.
     fn step_worker(&mut self, idx: usize) -> Result<(), String> {
         // Eventcount discipline: snapshot BEFORE polling the queue.
         let epoch = self.sched.epoch();
-        match self.queue.try_next_batch() {
+        match self.server.queue().try_next_batch() {
             TryNext::Batch(batch) => {
                 self.workers[idx].blocked = None;
-                let track = idx as u32 + 1;
-                let claimed_us = self.clock.now_us();
-                let p = batch.instances();
-                for job in &batch.jobs {
-                    self.ring.record(
-                        job.stages.assembled_us,
-                        track,
-                        "assembled",
-                        job.id,
-                        job.inputs.len() as i64,
-                    );
-                }
-                // Durable before execute: one sync when the durable prefix
-                // does not cover the batch's submits.  After a fail-stop
-                // the wait fails whatever it covers, as the journal's does.
-                let durable = if bulkd::journal::execute_before_durable()
-                    || (self.wal.failed.is_none()
-                        && batch.submit_seq() <= self.wal.synced_len as u64)
-                {
-                    Ok(())
-                } else {
-                    self.wal.sync()
-                };
-                let durable_us = self.clock.now_us();
-                self.ring.record(durable_us, track, "durable", 0, 0);
-                let mut stamps = BatchStamps {
-                    claimed_us,
-                    durable_us,
-                    executed_us: durable_us,
-                    done_us: durable_us,
-                };
-                let executed = durable.is_ok();
-                if executed {
-                    // Deterministic virtual execution cost.
-                    self.clock.advance(20 + 5 * p as u64);
-                    stamps.executed_us = self.clock.now_us();
-                    self.ring.record(stamps.executed_us, track, "executed", 0, p as i64);
-                    // The virtual executor maps each word on its own, as the
-                    // scalar engine serves a small batch.
-                    self.stats.on_batch(
-                        p as u64,
-                        stamps.executed_us - durable_us,
-                        Some(bulkd::ExecPath::Scalar),
-                    );
-                    for job in &batch.jobs {
-                        *self.executed.entry(job.id).or_insert(0) += 1;
+                let jobs: Vec<u64> = batch.jobs.iter().map(|j| j.id).collect();
+                let ran = self.batches_run.load(Ordering::SeqCst);
+                // A journal failure's log line is the worker loop's to print.
+                let _ = self.server.run_batch(idx as u64, batch);
+                if self.batches_run.load(Ordering::SeqCst) > ran {
+                    for id in &jobs {
+                        *self.executed.entry(*id).or_insert(0) += 1;
                     }
                 }
-                // Group commit: append every completion unsynced, then one
-                // fsync covers the batch.  A crash between lands cuts
-                // strictly inside the unsynced window.  After a fail-stop
-                // the journal takes no further appends at all.
-                let mut synced = false;
-                if executed && self.wal.failed.is_none() {
-                    for job in &batch.jobs {
-                        let outputs: Vec<Vec<u64>> = job
-                            .inputs
-                            .iter()
-                            .map(|i| i.iter().copied().map(exec_word).collect())
-                            .collect();
-                        if self.wal_append(REC_COMPLETE, complete_payload(job.id, Ok(&outputs))) {
-                            return Ok(());
-                        }
-                    }
-                    synced = self.wal.sync().is_ok();
+                if self.crashed() {
+                    return Ok(());
                 }
-                let done_us = self.clock.now_us();
-                stamps.done_us = done_us;
-                // The deliberate CI bug: ack even though the completion
-                // never became durable.
-                let ack_anyway = executed && bulkd::journal::ack_despite_fsync_error();
-                let mut involved: Vec<usize> = Vec::new();
-                for job in batch.jobs {
-                    let n = job.inputs.len() as u64;
-                    let queue_us = durable_us.saturating_sub(job.enqueued_us);
-                    let breakdown = StageBreakdown::new(&job, &stamps);
-                    let stages = breakdown.values();
-                    let (parts, total) = stages.split_at(stages.len() - 1);
-                    if parts.iter().sum::<u64>() != total[0] {
-                        return Err(format!(
-                            "job {}: stages {parts:?} do not add up to total {}",
-                            job.id, total[0]
-                        ));
-                    }
-                    let client = self.owner.get(&job.id).copied();
-                    if synced || ack_anyway {
-                        let outputs: Vec<Vec<u64>> = job
-                            .inputs
-                            .iter()
-                            .map(|i| i.iter().copied().map(exec_word).collect())
-                            .collect();
-                        self.ring.record(done_us, track, "completion_journaled", job.id, 0);
-                        self.stats.on_job_done(&batch.key, n, queue_us, false, &breakdown);
-                        let reply = resp_outputs(&outputs, p, queue_us, breakdown.exec_us, None);
-                        if let Some(ci) = client {
-                            // "Acked" = the reply reached an open
-                            // connection, the durability contract's
-                            // observable edge.
-                            if self.push_reply(ci, reply) {
-                                self.acked.push(job.id);
-                            }
-                        }
-                    } else {
-                        // Fail-stop: the waiter gets an error, not a hang.
-                        self.ring.record(done_us, track, "completion_refused", job.id, -1);
-                        self.stats.on_job_done(&batch.key, n, queue_us, true, &breakdown);
-                        let lost = if executed { "completion" } else { "submit" };
-                        let reply =
-                            resp_error("wal", &format!("journal fail-stopped: {lost} not durable"))
-                                .to_compact();
-                        if let Some(ci) = client {
-                            self.push_reply(ci, reply);
-                        }
-                    }
-                    if let Some(ci) = client {
-                        self.clients[ci].conn.busy = false;
-                        involved.push(ci);
-                    }
+                // The connection threads unpark: each writes its reply,
+                // then processes any lines framed while it was parked.
+                let involved: Vec<usize> =
+                    jobs.iter().filter_map(|id| self.owner.get(id).copied()).collect();
+                for &ci in &involved {
+                    self.write_reply(ci)?;
                 }
-                self.queue.batch_done();
-                // The connection threads unpark: process any lines that
-                // were framed while the submit was in flight.
                 for ci in involved {
                     self.pump_conn(ci)?;
                 }
@@ -1010,37 +976,28 @@ impl World {
         }
     }
 
-    fn snapshot(&self) -> String {
-        self.stats
-            .snapshot(
-                self.queue.depth(),
-                &self.queue.per_key_depth(),
-                self.clock.now_us(),
-                (0, 0),
-                Some(self.wal.stats_json()),
-            )
-            .to_compact()
-    }
-
     /// Post-crash: recover via the daemon's real `replay`, check every
     /// durability invariant, then run the "second life" that re-executes
     /// the requeued jobs.
     fn crash_outcome(&self) -> Result<CrashOutcome, String> {
         let plan = self.crash_plan.expect("crash outcome without a plan");
         let cut = plan.cut as usize;
-        if cut < self.wal.synced_len || cut > self.wal.records.len() {
-            return Err(format!(
-                "invalid cut {cut}: durable prefix is {}, appended length {}",
-                self.wal.synced_len,
-                self.wal.records.len()
-            ));
-        }
-        let survivors = &self.wal.records[..cut];
-        let recovery = bulkd::journal::replay(survivors)
+        let survivors = {
+            let st = self.wal.state();
+            if cut < st.synced_len || cut > st.records.len() {
+                return Err(format!(
+                    "invalid cut {cut}: durable prefix is {}, appended length {}",
+                    st.synced_len,
+                    st.records.len()
+                ));
+            }
+            st.records[..cut].to_vec()
+        };
+        let recovery = bulkd::journal::replay(&survivors)
             .map_err(|e| format!("recovery replay rejected surviving records: {e}"))?;
         let mut durable_submits: BTreeSet<u64> = BTreeSet::new();
         let mut durable_completes: BTreeSet<u64> = BTreeSet::new();
-        for rec in survivors {
+        for rec in &survivors {
             let id = record_job_id(rec).map_err(|e| format!("survivor {e}"))?;
             match rec.rec_type {
                 REC_SUBMIT => {
@@ -1068,7 +1025,7 @@ impl World {
             }
         }
         // Invariant B: nothing executed without a durable submit record —
-        // the durable-before-execute contract of the worker's batch wait.
+        // the durable-before-execute contract of the batch's wait.
         for id in self.executed.keys() {
             if !durable_submits.contains(id) {
                 return Err(format!("job {id} executed without a durable submit record"));
@@ -1100,56 +1057,35 @@ impl World {
         Ok(CrashOutcome { cut: cut as u64, requeued, already_completed, second_life_executed })
     }
 
-    /// The restarted daemon in miniature: requeue the recovered jobs on a
-    /// fresh queue (unbounded admission, dropped reply channels — their
-    /// submitters are gone) and drain them through one worker.
-    fn second_life(&self, requeue: Vec<bulkd::journal::RecoveredJob>) -> Result<u64, String> {
-        let clock = Arc::new(VirtualClock::new());
-        let queue = CoalescingQueue::with_runtime(
-            QueueConfig {
-                max_batch: self.cfg.max_batch,
-                max_queue: self.cfg.max_queue,
-                flush_after: Duration::from_micros(self.cfg.flush_after_us),
-            },
-            clock as Arc<dyn Clock>,
-            Arc::new(SimScheduler::new()) as Arc<dyn Scheduler>,
-        );
-        for job in requeue {
-            let adm = queue.reserve_unbounded(job.inputs.len());
-            let (tx, _rx) = mpsc::channel();
-            queue.enqueue(adm, job.key, Job::new(job.id, job.inputs, 0, tx));
-        }
-        queue.begin_drain();
-        let mut executed = 0u64;
-        let mut guard = 0u64;
-        loop {
-            guard += 1;
-            if guard > STEP_LIMIT {
-                return Err("second life livelocked".into());
+    /// The restarted daemon: a fresh node with no clients and one worker
+    /// requeues the recovered jobs through the server's own requeue and
+    /// drains them through its per-batch path.  Returns how many jobs it
+    /// executed, each exactly once and none of them acked before.
+    fn second_life(&self, requeue: Vec<RecoveredJob>) -> Result<u64, String> {
+        let cfg = SimConfig { clients: 0, workers: 1, ..self.cfg.clone() };
+        let mut life = World::new(&cfg, None, None);
+        life.server.requeue(requeue);
+        life.server.queue().begin_drain();
+        while !life.workers[0].done {
+            if life.workers[0].blocked.is_some() {
+                return Err("second life queue idle while draining".into());
             }
-            match queue.try_next_batch() {
-                TryNext::Batch(b) => {
-                    for job in &b.jobs {
-                        if self.acked.contains(&job.id) {
-                            return Err(format!(
-                                "exactly-once violated: acked job {} re-executed in recovery",
-                                job.id
-                            ));
-                        }
-                        executed += 1;
-                    }
-                    queue.batch_done();
-                }
-                TryNext::Drained => break,
-                TryNext::Empty { .. } => {
-                    return Err("second life queue idle while draining".into());
-                }
-            }
+            life.step_worker(0)?;
         }
-        if !queue.drained() {
+        if !life.server.queue().drained() {
             return Err("second life queue did not drain clean".into());
         }
-        Ok(executed)
+        for (id, count) in &life.executed {
+            if self.acked.contains(id) {
+                return Err(format!(
+                    "exactly-once violated: acked job {id} re-executed in recovery"
+                ));
+            }
+            if *count != 1 {
+                return Err(format!("second life executed job {id} {count} times"));
+            }
+        }
+        Ok(life.executed.len() as u64)
     }
 }
 
@@ -1270,13 +1206,13 @@ fn run_world(
         if steps > STEP_LIMIT {
             return Err(fail(format!("no progress after {STEP_LIMIT} decisions (livelock)")));
         }
-        if w.crashed {
+        if w.crashed() {
             break;
         }
         if !w.drain_started && w.all_clients_done() {
             // Not a decision: the daemon drains exactly when the offered
             // load ends, under every schedule.
-            w.queue.begin_drain();
+            w.server.queue().begin_drain();
             w.drain_started = true;
         }
         let runnable = w.runnable();
@@ -1308,25 +1244,27 @@ fn run_world(
         res.map_err(&fail)?;
     }
 
-    let crash_report = if w.crashed {
+    let crash_report = if w.crashed() {
         let plan = w.crash_plan.expect("crashed without a plan");
         w.decisions.push(Decision::Crash(plan.cut));
         Some(w.crash_outcome().map_err(&fail)?)
     } else {
         // Clean shutdown: the full exactly-once ledger must balance.
-        w.stats.check_balanced().map_err(&fail)?;
-        if !w.queue.drained() {
+        w.server.stats().check_balanced().map_err(&fail)?;
+        if !w.server.queue().drained() {
             return Err(fail("queue not drained at clean shutdown".into()));
         }
         // Durable-ack invariant, under every fault plan: a job was acked
         // only if its completion record sits inside the *synced* prefix.
         // This is the check the feature-gated ack-before-fsync bug trips.
         let mut durable_completes: BTreeSet<u64> = BTreeSet::new();
-        for rec in &w.wal.records[..w.wal.synced_len] {
+        let st = w.wal.state();
+        for rec in &st.records[..st.synced_len] {
             if rec.rec_type == REC_COMPLETE {
                 durable_completes.insert(record_job_id(rec).map_err(&fail)?);
             }
         }
+        drop(st);
         for id in &w.acked {
             if !durable_completes.contains(id) {
                 return Err(fail(format!(
@@ -1334,12 +1272,6 @@ fn run_world(
                      (ack must not outrun the fsync)"
                 )));
             }
-        }
-        if w.wal.appends_after_fail > 0 {
-            return Err(fail(format!(
-                "{} WAL appends after the journal fail-stopped",
-                w.wal.appends_after_fail
-            )));
         }
         for (id, count) in &w.executed {
             if *count != 1 {
@@ -1373,14 +1305,15 @@ fn run_world(
         None
     };
 
-    let stats = w.snapshot();
-    let events = w.ring.text_tail(usize::MAX);
+    let stats = w.server.snapshot().to_compact();
+    let events = w.server.recorder().text_tail(usize::MAX);
+    let st = w.wal.state();
     Ok(RunOutcome {
         trace: Trace { decisions: w.decisions },
         stats,
-        appends: w.wal.appends,
-        syncs: w.wal.syncs,
-        append_sync_floor: w.wal.sync_floor.clone(),
+        appends: st.records.len() as u64,
+        syncs: st.syncs,
+        append_sync_floor: st.sync_floor.clone(),
         acked: w.acked,
         events,
         crash: crash_report,
@@ -1389,7 +1322,7 @@ fn run_world(
         partial_deliveries: w.partial_deliveries,
         disconnects: w.disconnects,
         replies_unsent: w.replies_unsent,
-        fail_stopped: w.wal.failed.is_some(),
+        fail_stopped: st.failed.is_some(),
     })
 }
 
@@ -1577,6 +1510,7 @@ mod tests {
             "enqueued",
             "assembled",
             "durable",
+            "scalar",
             "executed",
             "reply_written",
         ] {
@@ -1725,23 +1659,32 @@ mod tests {
         }
     }
 
+    /// The exploration's coverage floors over seeds 1–100: every seed's
+    /// runs agree and replay, and the crash sweep over every WAL cut
+    /// clears its floors with every invariant holding.
     #[test]
-    fn explore_counts_schedules_and_stays_clean() {
-        let rep = explore(&SimConfig::new(0), 1, 3, false).unwrap();
-        assert_eq!(rep.seeds, 3);
-        assert!(rep.crash_scenarios > 0);
+    fn exploration_clears_its_coverage_floors() {
+        let rep = explore(&SimConfig::new(0), 1, 100, false).unwrap();
+        assert_eq!(rep.seeds, 100);
+        assert!(rep.schedules >= 1_000, "too few schedules: {rep:?}");
+        assert!(rep.crash_scenarios >= 500, "too few crash points: {rep:?}");
         assert!(rep.schedules > rep.crash_scenarios);
         assert_eq!(rep.fsync_error_scenarios, 0);
         assert!(rep.deliveries > 0);
     }
 
+    /// The fault battery over the same seeds actually exercises the fault
+    /// space — split deliveries, disconnects and an fsync-error sweep —
+    /// and every invariant still holds.
     #[test]
-    fn explore_with_faults_counts_fault_scenarios() {
+    fn fault_exploration_clears_its_coverage_floors() {
         let mut base = SimConfig::new(0);
         base.conn_faults = true;
-        let rep = explore(&base, 1, 3, true).unwrap();
-        assert!(rep.fsync_error_scenarios > 0, "no fsync-error scenarios explored");
-        assert!(rep.partial_deliveries > 0, "no partial deliveries explored");
+        let rep = explore(&base, 1, 100, true).unwrap();
+        assert_eq!(rep.seeds, 100);
+        assert!(rep.partial_deliveries > 0, "no partial deliveries: {rep:?}");
+        assert!(rep.disconnects > 0, "no disconnects explored: {rep:?}");
+        assert!(rep.fsync_error_scenarios >= 500, "too few fsync-error scenarios: {rep:?}");
     }
 
     #[test]
