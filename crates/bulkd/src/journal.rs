@@ -99,20 +99,11 @@ pub trait JobLog: Send + Sync {
     /// must reach before promotion is safe.
     fn durable_seq(&self) -> u64;
 
-    /// The log's section of the stats snapshot.
+    /// The log's section of the stats snapshot.  A group-committing log
+    /// reports its leader-fsync latencies (µs) and records per fsync as
+    /// histogram summaries at `group_commit.fsync_us` and
+    /// `group_commit.batch_size`, which the `metrics` verb renders.
     fn stats_json(&self) -> Json;
-
-    /// Leader-fsync latency distribution (microseconds); empty unless
-    /// the log group-commits.
-    fn fsync_latency(&self) -> Histogram {
-        Histogram::new()
-    }
-
-    /// Records covered per leader fsync (the group-commit batch size);
-    /// empty unless the log group-commits.
-    fn group_batch_sizes(&self) -> Histogram {
-        Histogram::new()
-    }
 }
 
 /// Journal tunables (a thin view over [`WalConfig`]).
@@ -560,14 +551,6 @@ impl JobLog for Journal {
         }
     }
 
-    fn fsync_latency(&self) -> Histogram {
-        self.group.lock().expect("journal poisoned").fsync_us.clone()
-    }
-
-    fn group_batch_sizes(&self) -> Histogram {
-        self.group.lock().expect("journal poisoned").batch_sizes.clone()
-    }
-
     fn stats_json(&self) -> Json {
         let inner = self.inner.lock().expect("journal poisoned");
         let m = inner.wal.metrics();
@@ -825,10 +808,9 @@ mod tests {
         assert_eq!(s.path("group_commit.enabled").unwrap(), &Json::Bool(true));
         assert_eq!(s.path("group_commit.fail_stopped").unwrap(), &Json::Bool(false));
         // Each leader fsync lands one latency sample and covers one record.
-        assert_eq!(j.fsync_latency().total(), 2);
-        assert_eq!(j.group_batch_sizes().sum(), 2);
         assert_eq!(s.path("group_commit.fsync_us.total").unwrap().as_i64(), Some(2));
         assert_eq!(s.path("group_commit.batch_size.total").unwrap().as_i64(), Some(2));
+        assert_eq!(s.path("group_commit.batch_size.sum").unwrap().as_i64(), Some(2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -851,7 +833,8 @@ mod tests {
         assert_eq!(s.path("fsyncs").unwrap().as_i64(), Some(5), "one per wait, one per batch");
         assert_eq!(s.path("log_completions").unwrap().as_i64(), Some(4));
         assert_eq!(s.path("incomplete_jobs").unwrap().as_i64(), Some(0));
-        assert_eq!(j.group_batch_sizes().max(), Some(4), "the batch's fsync covered all four");
+        let covered = s.path("group_commit.batch_size.max").and_then(Json::as_i64);
+        assert_eq!(covered, Some(4), "the batch's fsync covered all four");
         let (_, r) = Journal::open(&cfg(&dir)).unwrap();
         assert!(r.requeue.is_empty());
         assert_eq!(r.already_completed, 4);

@@ -20,10 +20,10 @@ use crate::queue::{
     StageBreakdown, StageStamps, SubmitError,
 };
 use crate::repl::ReplSink;
-use crate::stats::ServerStats;
+use crate::stats::{metrics_text, ServerStats};
 use crate::wire::{self, LineService, Reply};
 use obs::trace::chrome_trace;
-use obs::{Gauge, Histogram, Json, PromText, Ring, RingEvent, Tracer};
+use obs::{Gauge, Json, Ring, RingEvent, Tracer};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -213,7 +213,9 @@ pub struct Server {
     queue: CoalescingQueue,
     stats: ServerStats,
     executor: Box<dyn BatchExecutor>,
-    tracer: Mutex<Tracer>,
+    /// Per-batch spans for the Chrome trace; held only when the config
+    /// names a trace file to write them to.
+    tracer: Option<Mutex<Tracer>>,
     // Anchored at construction, so now_us() doubles as uptime.
     clock: Arc<dyn Clock>,
     node_id: String,
@@ -254,7 +256,7 @@ impl Server {
             ),
             stats: ServerStats::new(),
             executor,
-            tracer: Mutex::new(Tracer::new()),
+            tracer: cfg.trace_path.as_ref().map(|_| Mutex::new(Tracer::new())),
             clock,
             node_id,
             journal,
@@ -290,10 +292,12 @@ impl Server {
         &self.recorder.ring
     }
 
-    /// The full stats snapshot with live queue occupancy, per-key depths
-    /// and the cache/WAL sections attached, stamped with this node's
-    /// identity and protocol version so cluster-merged snapshots stay
-    /// attributable and version skew is detectable.
+    /// The full stats snapshot with live queue occupancy, per-key depths,
+    /// open connections and the cache/WAL/recorder sections attached,
+    /// stamped with this node's identity and protocol version so
+    /// cluster-merged snapshots stay attributable and version skew is
+    /// detectable.  It is the node's one metrics model: `metrics` renders
+    /// it through [`crate::stats::METRICS`].
     #[must_use]
     pub fn snapshot(&self) -> Json {
         let mut snap = self.stats.snapshot(
@@ -303,6 +307,13 @@ impl Server {
             self.executor.cache_stats(),
             self.journal.as_ref().map(|j| j.stats_json()),
         );
+        if let Some(connections) = snap.get_mut("connections") {
+            connections.set("active", self.connections.get());
+        }
+        let mut recorder = Json::obj();
+        recorder.set("recorded", self.recorder.ring.recorded());
+        recorder.set("overwritten", self.recorder.ring.overwritten());
+        snap.set("recorder", recorder);
         snap.set("node_id", self.node_id.as_str());
         snap.set("protocol_version", PROTOCOL_VERSION);
         snap.set("role", self.role);
@@ -348,14 +359,19 @@ impl Server {
         // log, yet a full queue is still refused before any I/O.  The
         // append does not wait for its fsync: the job joins its group at
         // once, and the worker that claims the batch waits for the record
-        // to be durable before executing it.
+        // to be durable before executing it.  A full queue is retryable
+        // only while the journal can still accept: after a fail-stop the
+        // refusal is `wal`, which is final.
         let adm = sh.queue.reserve(inputs.len()).map_err(|e| {
             refuse(match e {
                 SubmitError::Draining => {
                     protocol::resp_error("draining", "server is draining; no new work accepted")
                 }
                 SubmitError::Overloaded { retry_after_ms } => {
-                    protocol::resp_overloaded(retry_after_ms)
+                    match sh.journal.as_ref().map(|j| j.wait_durable(0)) {
+                        Some(Err(e)) => protocol::resp_error("wal", &e),
+                        _ => protocol::resp_overloaded(retry_after_ms),
+                    }
                 }
             })
         })?;
@@ -480,47 +496,12 @@ impl Server {
     }
 }
 
-/// The `repl` section for stats/metrics: the sink's own lag view, fed
+/// The `repl` section for stats and status: the sink's own lag view, fed
 /// the journal's durable high-water mark and the server clock.
 fn repl_section(sh: &Server) -> Option<Json> {
     let repl = sh.repl.as_ref()?;
     let durable = sh.journal.as_ref().map_or(0, |j| j.durable_seq());
     Some(repl.stats_json(durable, sh.clock.now_us()))
-}
-
-/// Replication metric families, appended to the Prometheus exposition.
-/// Present only on a primary — their absence is how dashboards tell a
-/// solo node from a replicated one.
-fn repl_prometheus(sh: &Server) -> String {
-    let Some(j) = repl_section(sh) else { return String::new() };
-    let num = |path: &str| j.path(path).and_then(Json::as_f64).unwrap_or(0.0);
-    let mut p = PromText::new();
-    p.gauge(
-        "bulkd_repl_lag_records",
-        "WAL records durable locally but not yet on the follower.",
-        num("lag_records"),
-    );
-    p.gauge(
-        "bulkd_repl_lag_us",
-        "Microseconds since the follower was last fully caught up (0 when current).",
-        num("lag_us"),
-    );
-    p.gauge(
-        "bulkd_repl_follower_connected",
-        "1 while a follower holds the replication stream.",
-        num("follower_connected"),
-    );
-    p.gauge(
-        "bulkd_repl_replicated_seq",
-        "Follower's acknowledged durable WAL sequence number.",
-        num("replicated_seq"),
-    );
-    p.counter(
-        "bulkd_repl_degraded_acks_total",
-        "Acks released after the replication wait timed out.",
-        num("degraded_acks") as u64,
-    );
-    p.finish()
 }
 
 /// Record one stage event into the flight recorder (no-op when
@@ -601,8 +582,8 @@ pub fn serve_with_listener(
     } else {
         None
     };
-    {
-        let mut t = shared.tracer.lock().expect("tracer poisoned");
+    if let Some(tracer) = &shared.tracer {
+        let mut t = tracer.lock().expect("tracer poisoned");
         for w in 0..cfg.workers.max(1) {
             t.name_track(w as u64, format!("worker-{w}"));
         }
@@ -631,9 +612,9 @@ pub fn serve_with_listener(
     if let Some(f) = flusher {
         let _ = f.join();
     }
-    if let Some(path) = &cfg.trace_path {
+    if let (Some(path), Some(tracer)) = (&cfg.trace_path, &shared.tracer) {
         let trace = {
-            let t = shared.tracer.lock().expect("tracer poisoned");
+            let t = tracer.lock().expect("tracer poisoned");
             chrome_trace(&[("bulkd", &t)])
         };
         if let Some(dir) = path.parent() {
@@ -683,14 +664,14 @@ fn execute(
         rec(sh, stamps.durable_us, track, path.name(), 0, p as i64);
     }
     rec(sh, stamps.executed_us, track, "executed", 0, p as i64);
-    {
+    if let Some(tracer) = &sh.tracer {
         let mut args = Json::obj();
         args.set("algo", batch.key.algo.as_str());
         args.set("size", batch.key.size);
         args.set("layout", protocol::layout_name(batch.key.layout));
         args.set("p", p);
         args.set("jobs", batch.jobs.len());
-        let mut t = sh.tracer.lock().expect("tracer poisoned");
+        let mut t = tracer.lock().expect("tracer poisoned");
         t.span(tid, "batch", "exec", stamps.durable_us, exec_us.max(1), args);
     }
     sh.stats.on_batch(p as u64, exec_us, path);
@@ -847,24 +828,9 @@ impl LineService for Server {
                 snap
             }
             Request::Metrics => {
-                let (fsync, group_batch) = self.journal.as_ref().map_or_else(
-                    || (Histogram::new(), Histogram::new()),
-                    |j| (j.fsync_latency(), j.group_batch_sizes()),
-                );
-                let mut text = self.stats.render_prometheus(
-                    self.queue.depth(),
-                    &self.queue.per_key_depth(),
-                    self.clock.now_us(),
-                    self.executor.cache_stats(),
-                    &fsync,
-                    &group_batch,
-                    self.connections.get(),
-                    (self.recorder.ring.recorded(), self.recorder.ring.overwritten()),
-                );
-                text.push_str(&repl_prometheus(self));
                 let mut o = Json::obj();
                 o.set("ok", true);
-                o.set("metrics", text);
+                o.set("metrics", metrics_text(&self.snapshot()));
                 o
             }
             Request::Dump => {
@@ -1051,6 +1017,7 @@ mod tests {
             .filter(|name| PATHS.iter().any(|p| p.name() == *name))
             .collect();
         assert_eq!(events, order.map(ExecPath::name));
+        assert!(sh.tracer.is_none(), "a server with no trace file keeps no spans");
         let snap = sh.snapshot();
         let n = |path: &str| snap.path(path).and_then(Json::as_i64);
         assert_eq!(n("execution.batches"), Some(4));
@@ -1196,6 +1163,50 @@ mod tests {
         }
     }
 
+    /// A node whose journal has fail-stopped answers `wal` even when its
+    /// queue is full: `overloaded` would send the client back to retry a
+    /// node that can accept nothing.
+    #[test]
+    fn a_fail_stopped_journal_with_a_full_queue_answers_wal() {
+        let dir = std::env::temp_dir().join(format!("bulkd-full-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal =
+            JournalConfig { dir: dir.clone(), fsync: FsyncPolicy::Always, segment_bytes: 1 << 20 };
+        let journal = Arc::new(Journal::open(&wal).unwrap().0);
+        let mut cfg = test_config("full-failstop", 64, Some(wal));
+        cfg.max_queue = 2;
+        let log = Arc::clone(&journal) as Arc<dyn JobLog>;
+        let sh = server(&cfg, Box::new(Echo(Arc::new(AtomicU64::new(0)))), Some(log));
+        let key = JobKey { algo: "echo".into(), size: 1, layout: Layout::ColumnWise };
+        let error = |refusal: String| {
+            let j = Json::parse(&refusal).unwrap();
+            let field = |f: &str| j.path(f).and_then(Json::as_str).map(str::to_owned);
+            (field("error").unwrap_or_default(), field("detail").unwrap_or_default())
+        };
+        // No worker runs: the first job fills the queue and stays there.
+        let _queued = sh.admit(key.clone(), vec![vec![1], vec![2]]).unwrap();
+        let (kind, _) = error(sh.admit(key.clone(), vec![vec![3]]).unwrap_err());
+        assert_eq!(kind, "overloaded", "a full queue over a healthy journal is retryable");
+        journal.inject_fsync_error(1);
+        assert!(journal.wait_durable(1).is_err(), "the journal must fail-stop");
+        let (kind, detail) = error(sh.admit(key, vec![vec![4]]).unwrap_err());
+        assert_eq!(kind, "wal", "{detail}");
+        assert!(detail.starts_with("journal fail-stopped: "), "{detail}");
+        let n = |path: &str| sh.snapshot().path(path).and_then(Json::as_i64);
+        assert_eq!(n("admission.rejected_jobs"), Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every metrics row reads a key that the stats document of a node
+    /// with a group-committing WAL holds once it has served a batch, so a
+    /// renamed key fails here rather than rendering a silent 0.
+    #[test]
+    fn every_metrics_row_resolves_in_a_served_node_s_stats() {
+        let (_, snap, _) = one_batch("rows", Box::new(Echo(Arc::new(AtomicU64::new(0)))), |_| {});
+        let unresolved = obs::prom::unresolved(crate::stats::METRICS, &snap);
+        assert!(unresolved.is_empty(), "rows without a value: {unresolved:?}");
+    }
+
     #[test]
     fn recorder_trace_is_loadable_json() {
         let r = Ring::with_capacity(8);
@@ -1213,5 +1224,225 @@ mod tests {
         assert_eq!(instants[1].path("args.seq").unwrap().as_i64(), Some(1));
         assert_eq!(instants[1].path("args.job").unwrap().as_i64(), Some(1));
         assert_eq!(instants[1].path("args.value").unwrap().as_i64(), Some(4));
+    }
+}
+
+/// Fixed-state metrics goldens: the exposition of a solo node and of a
+/// replicated primary, each driven over a virtual clock to a state where
+/// every family has a non-trivial value.  The goldens hold the text the
+/// hand-built rendering produced from the same states before the
+/// families became rows over the stats document.
+#[cfg(test)]
+mod metrics_golden {
+    use super::*;
+    use crate::clock::{SimScheduler, VirtualClock};
+    use oblivious::Layout;
+    use obs::Histogram;
+
+    /// Echoes its inputs; `fft` batches replay, everything else runs
+    /// scalar.  Each batch advances the clock `20 + 5·p` µs.
+    struct GoldenExec(Arc<VirtualClock>);
+
+    impl BatchExecutor for GoldenExec {
+        fn validate(&self, key: &JobKey) -> Result<usize, String> {
+            if key.algo == "bogus" {
+                Err("unknown algorithm".into())
+            } else {
+                Ok(1)
+            }
+        }
+
+        fn execute(
+            &self,
+            key: &JobKey,
+            inputs: &[Vec<u64>],
+        ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
+            self.0.advance(20 + 5 * inputs.len() as u64);
+            let path = if key.algo == "fft" { ExecPath::CacheHit } else { ExecPath::Scalar };
+            Ok((inputs.to_vec(), path))
+        }
+
+        fn cache_stats(&self) -> (u64, u64) {
+            (5, 2)
+        }
+    }
+
+    /// A job log whose every fsync covers what is appended and takes
+    /// `3 + 1000·covered²` µs.
+    #[derive(Default)]
+    struct GoldenLog(Mutex<(u64, u64, Histogram, Histogram)>);
+
+    impl JobLog for GoldenLog {
+        fn log_submit(&self, _id: u64, _key: &JobKey, _inputs: &[Vec<u64>]) -> Result<u64, String> {
+            let mut g = self.0.lock().unwrap();
+            g.0 += 1;
+            Ok(g.0)
+        }
+
+        fn wait_durable(&self, seq: u64) -> Result<(), String> {
+            let mut g = self.0.lock().unwrap();
+            if g.1 < seq {
+                let covered = g.0 - g.1;
+                g.2.record(3 + 1000 * covered * covered);
+                g.3.record(covered);
+                g.1 = g.0;
+            }
+            Ok(())
+        }
+
+        fn log_complete(&self, batch: &[Completion<'_>]) -> Result<u64, String> {
+            let last = {
+                let mut g = self.0.lock().unwrap();
+                g.0 += batch.len() as u64;
+                g.0
+            };
+            self.wait_durable(last)?;
+            Ok(last)
+        }
+
+        fn durable_seq(&self) -> u64 {
+            self.0.lock().unwrap().1
+        }
+
+        fn stats_json(&self) -> Json {
+            let g = self.0.lock().unwrap();
+            let mut o = Json::obj();
+            o.set("enabled", true);
+            o.set("records_appended", g.0);
+            o.set("durable_seq", g.1);
+            o.set("fail_stopped", Json::Null);
+            let mut gc = Json::obj();
+            gc.set("enabled", true);
+            gc.set("syncs", g.2.total());
+            gc.set("fail_stopped", false);
+            gc.set("fsync_us", g.2.summary_json());
+            gc.set("batch_size", g.3.summary_json());
+            o.set("group_commit", gc);
+            o
+        }
+    }
+
+    /// A follower five records behind, with two degraded acks.
+    #[derive(Debug)]
+    struct GoldenRepl;
+
+    impl ReplSink for GoldenRepl {
+        fn wait_replicated(&self, _seq: u64) {}
+
+        fn stats_json(&self, durable_seq: u64, now_us: u64) -> Json {
+            let mut o = Json::obj();
+            o.set("mode", "primary");
+            o.set("follower", "standby-1");
+            o.set("follower_connected", 1u64);
+            o.set("replicated_seq", durable_seq.saturating_sub(5));
+            o.set("acked_seq", durable_seq.saturating_sub(5));
+            o.set("durable_seq", durable_seq);
+            o.set("lag_records", 5u64);
+            o.set("lag_us", now_us / 4);
+            o.set("degraded_acks", 2u64);
+            o
+        }
+    }
+
+    fn key(algo: &str, layout: Layout) -> JobKey {
+        JobKey { algo: algo.into(), size: 8, layout }
+    }
+
+    /// Drive a node to the fixed state and return its `metrics` text.
+    fn exposition(journal: Option<Arc<dyn JobLog>>, repl: Option<Arc<dyn ReplSink>>) -> String {
+        let clock = Arc::new(VirtualClock::new());
+        let cfg = ServerConfig {
+            addr: String::new(),
+            node_id: None,
+            workers: 1,
+            max_batch: 4,
+            max_queue: 64,
+            flush_after_ms: 3_600_000,
+            trace_path: None,
+            wal: None,
+            instrument: true,
+            recorder_path: None,
+            repl,
+            promoted: false,
+        };
+        let runtime = (
+            Arc::clone(&clock) as Arc<dyn Clock>,
+            Arc::new(SimScheduler::new()) as Arc<dyn Scheduler>,
+        );
+        let sh = Server::new(
+            &cfg,
+            "golden".into(),
+            runtime,
+            Box::new(GoldenExec(Arc::clone(&clock))),
+            journal,
+            1,
+        );
+        let run_ready = |sh: &Server| {
+            while let crate::queue::TryNext::Batch(b) = sh.queue().try_next_batch() {
+                clock.advance(7);
+                let _ = sh.run_batch(0, b);
+            }
+        };
+        let mut pending = Vec::new();
+        clock.advance_to(100);
+        // Four single-instance fft jobs fill one replayed batch.
+        for i in 0..4 {
+            clock.advance(10);
+            pending.push(sh.admit(key("fft", Layout::ColumnWise), vec![vec![i]]).unwrap());
+        }
+        run_ready(&sh);
+        // Two two-instance fir jobs fill one scalar batch.
+        for i in 0..2 {
+            clock.advance(30);
+            pending
+                .push(sh.admit(key("fir", Layout::RowWise), vec![vec![i], vec![i + 1]]).unwrap());
+        }
+        run_ready(&sh);
+        // Another fft batch, then a job of a third key left waiting.
+        for i in 0..4 {
+            clock.advance(3);
+            pending.push(sh.admit(key("fft", Layout::ColumnWise), vec![vec![i]]).unwrap());
+        }
+        run_ready(&sh);
+        clock.advance(50);
+        pending.push(
+            sh.admit(key("xtea", Layout::ColumnWise), vec![vec![1], vec![2], vec![3]]).unwrap(),
+        );
+        // Refusals, protocol errors, disconnects and connections.
+        assert!(sh.admit(key("bogus", Layout::ColumnWise), vec![vec![1]]).is_err());
+        assert!(sh.admit(key("fft", Layout::ColumnWise), Vec::new()).is_err());
+        sh.on_protocol_error();
+        let _ = sh.on_disconnect("mid-line", 3, "");
+        let _ = sh.on_disconnect("mid-reply", 0, "broken pipe");
+        let _ = sh.on_disconnect("read-error", 0, "reset");
+        sh.open();
+        sh.open();
+        sh.open();
+        sh.close(());
+        clock.advance(1_000);
+        let reply = match sh.handle_line(&mut (), Request::Metrics, "metrics") {
+            Reply::Line(line) => Json::parse(&line).unwrap(),
+            other => panic!("metrics must answer a line, got {other:?}"),
+        };
+        drop(pending);
+        reply.path("metrics").and_then(Json::as_str).unwrap().to_owned()
+    }
+
+    fn solo() -> String {
+        exposition(None, None)
+    }
+
+    fn primary() -> String {
+        exposition(Some(Arc::new(GoldenLog::default())), Some(Arc::new(GoldenRepl)))
+    }
+
+    #[test]
+    fn a_solo_node_renders_its_golden_exposition() {
+        assert_eq!(solo(), include_str!("../tests/golden/solo.prom"));
+    }
+
+    #[test]
+    fn a_replicated_primary_renders_its_golden_exposition() {
+        assert_eq!(primary(), include_str!("../tests/golden/primary.prom"));
     }
 }

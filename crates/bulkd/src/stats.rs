@@ -3,13 +3,14 @@
 //! One mutex guards the whole set — every touch is a few integer adds, so
 //! contention is negligible next to batch execution — and `snapshot`
 //! renders the versioned `RunReport`-style JSON document that the `stats`
-//! protocol command returns.  The same live state also renders as
-//! Prometheus text exposition ([`ServerStats::render_prometheus`]) for
-//! the `metrics` protocol verb.
+//! protocol command returns.  That document is the node's one metrics
+//! model: the `metrics` verb renders it as Prometheus text through the
+//! rows of [`METRICS`] ([`metrics_text`]).
 
 use crate::queue::{KeyDepth, QueueDepth, StageBreakdown};
 use crate::{ExecPath, JobKey};
-use obs::{Histogram, Json, PromText, RunReport};
+use obs::prom::{self, Kind, Row};
+use obs::{Histogram, Json, RunReport};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -22,8 +23,8 @@ struct KeyServed {
 
 /// One histogram per pipeline stage, in [`StageBreakdown::STAGES`] order.
 /// Every *completed* job records exactly one sample into each, so each
-/// histogram's mass equals the completed-job count — the invariant the
-/// CI metrics scrape asserts.
+/// histogram's mass equals the completed-job count — the stage-mass law
+/// [`ServerStats::check_balanced`] asserts.
 #[derive(Debug, Default)]
 struct StageHists([Histogram; StageBreakdown::STAGES.len()]);
 
@@ -165,9 +166,10 @@ impl ServerStats {
     }
 
     /// Accounting invariant check: every submitted job must be accounted
-    /// as accepted or rejected, and (once the queue is empty) every
-    /// accepted job as completed or failed.  Returns a description of the
-    /// first violated equation.
+    /// as accepted or rejected, (once the queue is empty) every accepted
+    /// job as completed or failed, and every stage histogram's mass must
+    /// equal the completed jobs.  Returns a description of the first
+    /// violated equation.
     ///
     /// # Errors
     ///
@@ -185,6 +187,15 @@ impl ServerStats {
                 "accepted_jobs {} != completed {} + failed {}",
                 s.accepted_jobs, s.completed_jobs, s.failed_jobs
             ));
+        }
+        for (name, h) in s.stages.named() {
+            if h.total() != s.completed_jobs {
+                return Err(format!(
+                    "stage {name} mass {} != completed_jobs {}",
+                    h.total(),
+                    s.completed_jobs
+                ));
+            }
         }
         Ok(())
     }
@@ -303,167 +314,73 @@ impl ServerStats {
 
         report.json().clone()
     }
+}
 
-    /// Render the live state as Prometheus text exposition (the `metrics`
-    /// protocol verb).
-    ///
-    /// `fsync_us` / `group_batch` come from the journal (empty histograms
-    /// when the server runs without a WAL, so the families are always
-    /// present); `connections` is the live connection gauge and `recorder`
-    /// the flight recorder's `(recorded, overwritten)` event counts.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn render_prometheus(
-        &self,
-        depth: QueueDepth,
-        per_key: &[KeyDepth],
-        now_us: u64,
-        cache: (u64, u64),
-        fsync_us: &Histogram,
-        group_batch: &Histogram,
-        connections: i64,
-        recorder: (u64, u64),
-    ) -> String {
-        let s = self.lock();
-        let mut p = PromText::new();
+/// The Prometheus families of a node's stats document
+/// ([`crate::Server::snapshot`]), in exposition order.  A new counter is
+/// one key in the document plus one row here.
+#[rustfmt::skip]
+pub const METRICS: &[Row] = &[
+    (Kind::Counter, "bulkd_jobs_submitted_total", "admission.submitted_jobs", "Well-formed submit requests."),
+    (Kind::Counter, "bulkd_jobs_accepted_total", "admission.accepted_jobs", "Submits that passed admission."),
+    (Kind::Counter, "bulkd_jobs_rejected_total", "admission.rejected_jobs", "Submits turned away."),
+    (Kind::Counter, "bulkd_jobs_completed_total", "execution.completed_jobs", "Jobs that finished OK."),
+    (Kind::Counter, "bulkd_jobs_failed_total", "execution.failed_jobs", "Jobs whose batch errored."),
+    (Kind::Counter, "bulkd_instances_submitted_total", "admission.submitted_instances", "Problem instances across submits."),
+    (Kind::Counter, "bulkd_instances_completed_total", "execution.completed_instances", "Problem instances completed OK."),
+    (Kind::Counter, "bulkd_protocol_errors_total", "admission.protocol_errors", "Unparseable request lines."),
+    (Kind::Counter, "bulkd_disconnects_total", "connections.disconnects", "Connections that ended abnormally."),
+    (Kind::Counter, "bulkd_disconnects_mid_line_total", "connections.disconnects_mid_line", "Peers that vanished with a partial request buffered."),
+    (Kind::Counter, "bulkd_disconnects_mid_reply_total", "connections.disconnects_mid_reply", "Reply writes that failed under the peer."),
+    (Kind::Counter, "bulkd_batches_total", "execution.batches", "Coalesced batches executed."),
+    (Kind::Counter, "bulkd_exec_batches_total", "execution.engine.{engine}_batches", "Batches executed, per engine: scalar below the crossover p, replay at or above it."),
+    (Kind::Gauge, "bulkd_queue_depth_instances", "queue.queued_instances", "Instances admitted but not yet executed."),
+    (Kind::Gauge, "bulkd_queue_open_groups", "queue.open_groups", "Coalescing groups open."),
+    (Kind::Gauge, "bulkd_queue_ready_batches", "queue.ready_batches", "Batches flushed and awaiting a worker."),
+    (Kind::Gauge, "bulkd_queue_in_flight_batches", "queue.in_flight_batches", "Batches currently executing."),
+    (Kind::Gauge, "bulkd_queue_draining", "queue.draining", "1 while the server refuses new work."),
+    (Kind::Gauge, "bulkd_connections_active", "connections.active", "Open client connections."),
+    (Kind::Gauge, "bulkd_coalesce_factor", "coalescing.coalesce_factor", "Finished jobs per executed batch."),
+    (Kind::Counter, "bulkd_schedule_cache_hits_total", "schedule_cache.hits", "Schedule cache hits."),
+    (Kind::Counter, "bulkd_schedule_cache_compiles_total", "schedule_cache.compiles", "Schedule cache misses."),
+    (Kind::Gauge, "bulkd_schedule_cache_hit_rate", "schedule_cache.hit_rate", "Hits over lookups."),
+    (Kind::Gauge, "bulkd_key_queued_instances", "per_key.{key}.queued_instances", "Instances waiting, per coalescing key."),
+    (Kind::Gauge, "bulkd_key_waiting_jobs", "per_key.{key}.waiting_jobs", "Jobs waiting, per coalescing key."),
+    (Kind::Gauge, "bulkd_key_oldest_wait_us", "per_key.{key}.oldest_wait_us", "Age of the oldest waiting job, per key (0 when idle)."),
+    (Kind::Counter, "bulkd_key_served_jobs_total", "per_key.{key}.served_jobs", "Jobs completed, per key."),
+    (Kind::Counter, "bulkd_key_served_instances_total", "per_key.{key}.served_instances", "Instances completed, per key."),
+    (Kind::Histogram, "bulkd_stage_latency_us", "stages.{stage}_us", "Per-stage latency of completed jobs; each stage's mass equals completed jobs."),
+    (Kind::Histogram, "bulkd_queue_wait_us", "queue.queue_wait_us", "Enqueue-to-execution wait per job."),
+    (Kind::Histogram, "bulkd_batch_exec_us", "execution.exec_us", "Batch execution time."),
+    (Kind::Histogram, "bulkd_batch_instances", "coalescing.batch_p", "Coalesced instances per batch."),
+    (Kind::Histogram, "bulkd_fsync_latency_us", "wal.group_commit.fsync_us", "WAL fsync latency (group-commit leader)."),
+    (Kind::Histogram, "bulkd_group_commit_batch_size", "wal.group_commit.batch_size", "Appends covered per group-commit fsync."),
+    (Kind::Counter, "bulkd_recorder_events_total", "recorder.recorded", "Flight-recorder events written."),
+    (Kind::Counter, "bulkd_recorder_overwritten_total", "recorder.overwritten", "Flight-recorder events lost to wraparound."),
+];
 
-        p.counter("bulkd_jobs_submitted_total", "Well-formed submit requests.", s.submitted_jobs);
-        p.counter("bulkd_jobs_accepted_total", "Submits that passed admission.", s.accepted_jobs);
-        p.counter("bulkd_jobs_rejected_total", "Submits turned away.", s.rejected_jobs);
-        p.counter("bulkd_jobs_completed_total", "Jobs that finished OK.", s.completed_jobs);
-        p.counter("bulkd_jobs_failed_total", "Jobs whose batch errored.", s.failed_jobs);
-        p.counter(
-            "bulkd_instances_submitted_total",
-            "Problem instances across submits.",
-            s.submitted_instances,
-        );
-        p.counter(
-            "bulkd_instances_completed_total",
-            "Problem instances completed OK.",
-            s.completed_instances,
-        );
-        p.counter("bulkd_protocol_errors_total", "Unparseable request lines.", s.protocol_errors);
-        p.counter("bulkd_disconnects_total", "Connections that ended abnormally.", s.disconnects);
-        p.counter(
-            "bulkd_disconnects_mid_line_total",
-            "Peers that vanished with a partial request buffered.",
-            s.disconnects_mid_line,
-        );
-        p.counter(
-            "bulkd_disconnects_mid_reply_total",
-            "Reply writes that failed under the peer.",
-            s.disconnects_mid_reply,
-        );
-        p.counter("bulkd_batches_total", "Coalesced batches executed.", s.batches);
-        p.counter_vec(
-            "bulkd_exec_batches_total",
-            "Batches executed, per engine: scalar below the crossover p, replay at or above it.",
-            "engine",
-            &[("scalar".into(), s.scalar_batches), ("replay".into(), s.replay_batches)],
-        );
+/// The replication families, rendered after [`METRICS`] only when the
+/// document has a `repl` section — their absence is how dashboards tell
+/// a solo node from a replicated one.
+#[rustfmt::skip]
+pub const REPL_METRICS: &[Row] = &[
+    (Kind::Gauge, "bulkd_repl_lag_records", "repl.lag_records", "WAL records durable locally but not yet on the follower."),
+    (Kind::Gauge, "bulkd_repl_lag_us", "repl.lag_us", "Microseconds since the follower was last fully caught up (0 when current)."),
+    (Kind::Gauge, "bulkd_repl_follower_connected", "repl.follower_connected", "1 while a follower holds the replication stream."),
+    (Kind::Gauge, "bulkd_repl_replicated_seq", "repl.replicated_seq", "Follower's acknowledged durable WAL sequence number."),
+    (Kind::Counter, "bulkd_repl_degraded_acks_total", "repl.degraded_acks", "Acks released after the replication wait timed out."),
+];
 
-        p.gauge(
-            "bulkd_queue_depth_instances",
-            "Instances admitted but not yet executed.",
-            depth.queued_instances as f64,
-        );
-        p.gauge("bulkd_queue_open_groups", "Coalescing groups open.", depth.open_groups as f64);
-        p.gauge(
-            "bulkd_queue_ready_batches",
-            "Batches flushed and awaiting a worker.",
-            depth.ready_batches as f64,
-        );
-        p.gauge(
-            "bulkd_queue_in_flight_batches",
-            "Batches currently executing.",
-            depth.in_flight_batches as f64,
-        );
-        p.gauge(
-            "bulkd_queue_draining",
-            "1 while the server refuses new work.",
-            u64::from(depth.draining) as f64,
-        );
-        p.gauge("bulkd_connections_active", "Open client connections.", connections as f64);
-
-        let finished = s.completed_jobs + s.failed_jobs;
-        let factor = if s.batches == 0 { 0.0 } else { finished as f64 / s.batches as f64 };
-        p.gauge("bulkd_coalesce_factor", "Finished jobs per executed batch.", factor);
-
-        let (hits, compiles) = cache;
-        p.counter("bulkd_schedule_cache_hits_total", "Schedule cache hits.", hits);
-        p.counter("bulkd_schedule_cache_compiles_total", "Schedule cache misses.", compiles);
-        let rate = if hits + compiles == 0 { 0.0 } else { hits as f64 / (hits + compiles) as f64 };
-        p.gauge("bulkd_schedule_cache_hit_rate", "Hits over lookups.", rate);
-
-        // Per-key families: the same join as `snapshot`'s per-key section.
-        let by_key = join_per_key(per_key, &s.per_key);
-        let mut queued = Vec::new();
-        let mut waiting = Vec::new();
-        let mut oldest = Vec::new();
-        let mut served_jobs = Vec::new();
-        let mut served_instances = Vec::new();
-        for (k, (d, sv)) in &by_key {
-            queued.push((k.clone(), d.map_or(0, |d| d.queued_instances) as f64));
-            waiting.push((k.clone(), d.map_or(0, |d| d.waiting_jobs) as f64));
-            let age = d.and_then(|d| d.oldest_enqueued_us).map_or(0, |t| now_us.saturating_sub(t));
-            oldest.push((k.clone(), age as f64));
-            served_jobs.push((k.clone(), sv.served_jobs));
-            served_instances.push((k.clone(), sv.served_instances));
-        }
-        p.gauge_vec(
-            "bulkd_key_queued_instances",
-            "Instances waiting, per coalescing key.",
-            "key",
-            &queued,
-        );
-        p.gauge_vec("bulkd_key_waiting_jobs", "Jobs waiting, per coalescing key.", "key", &waiting);
-        p.gauge_vec(
-            "bulkd_key_oldest_wait_us",
-            "Age of the oldest waiting job, per key (0 when idle).",
-            "key",
-            &oldest,
-        );
-        p.counter_vec(
-            "bulkd_key_served_jobs_total",
-            "Jobs completed, per key.",
-            "key",
-            &served_jobs,
-        );
-        p.counter_vec(
-            "bulkd_key_served_instances_total",
-            "Instances completed, per key.",
-            "key",
-            &served_instances,
-        );
-
-        let stage_series: Vec<(String, &Histogram)> =
-            s.stages.named().map(|(n, h)| (n.to_string(), h)).collect();
-        p.histogram_vec(
-            "bulkd_stage_latency_us",
-            "Per-stage latency of completed jobs; each stage's mass equals completed jobs.",
-            "stage",
-            &stage_series,
-        );
-        p.histogram("bulkd_queue_wait_us", "Enqueue-to-execution wait per job.", &s.queue_wait_us);
-        p.histogram("bulkd_batch_exec_us", "Batch execution time.", &s.exec_us);
-        p.histogram("bulkd_batch_instances", "Coalesced instances per batch.", &s.batch_p);
-        p.histogram("bulkd_fsync_latency_us", "WAL fsync latency (group-commit leader).", fsync_us);
-        p.histogram(
-            "bulkd_group_commit_batch_size",
-            "Appends covered per group-commit fsync.",
-            group_batch,
-        );
-
-        let (recorded, overwritten) = recorder;
-        p.counter("bulkd_recorder_events_total", "Flight-recorder events written.", recorded);
-        p.counter(
-            "bulkd_recorder_overwritten_total",
-            "Flight-recorder events lost to wraparound.",
-            overwritten,
-        );
-
-        p.finish()
+/// A node's Prometheus exposition (the `metrics` verb): its stats
+/// document rendered through [`METRICS`], then [`REPL_METRICS`] on a
+/// primary.
+#[must_use]
+pub fn metrics_text(snapshot: &Json) -> String {
+    let mut text = prom::render(METRICS, snapshot);
+    if snapshot.get("repl").is_some() {
+        text.push_str(&prom::render(REPL_METRICS, snapshot));
     }
+    text
 }
 
 /// Join the queue's waiting keys with the served totals, by key display
@@ -560,6 +477,10 @@ mod tests {
         st.on_accept(1);
         st.on_job_done(&key("fir"), 1, 5, true, &bd(5));
         st.check_balanced().unwrap();
+        // A stage sample without a completed job breaks the stage-mass law.
+        st.lock().stages.0[1].record(3);
+        let err = st.check_balanced().unwrap_err();
+        assert_eq!(err, "stage queue mass 2 != completed_jobs 1");
     }
 
     #[test]
@@ -573,16 +494,7 @@ mod tests {
         assert_eq!(j.path("connections.disconnects").unwrap().as_i64(), Some(3));
         assert_eq!(j.path("connections.disconnects_mid_line").unwrap().as_i64(), Some(1));
         assert_eq!(j.path("connections.disconnects_mid_reply").unwrap().as_i64(), Some(1));
-        let text = st.render_prometheus(
-            IDLE,
-            &[],
-            0,
-            (0, 0),
-            &Histogram::new(),
-            &Histogram::new(),
-            0,
-            (0, 0),
-        );
+        let text = metrics_text(&j);
         assert!(text.contains("\nbulkd_disconnects_total 3\n"), "{text}");
         assert!(text.contains("\nbulkd_disconnects_mid_line_total 1\n"), "{text}");
     }
@@ -633,8 +545,8 @@ mod tests {
         st.on_job_done(&key("fir"), 1, 5, false, &bd(5));
         st.on_job_done(&key("fir"), 1, 7, true, &bd(7));
         let j = st.snapshot(IDLE, &[], 0, (0, 0), None);
-        // Stage mass equals completed (not finished) jobs — the invariant
-        // the CI metrics scrape asserts.
+        // Stage mass equals completed (not finished) jobs — the
+        // stage-mass law.
         assert_eq!(j.path("stages.total_us.total").unwrap().as_i64(), Some(1));
         assert_eq!(j.path("per_key.fir/8/col.served_jobs").unwrap().as_i64(), Some(1));
         // Queue wait records both outcomes.
@@ -652,9 +564,14 @@ mod tests {
         st.on_batch(1, 300, None);
         st.on_job_done(&key("prefix-sums"), 1, 40, false, &bd(40));
         st.on_job_done(&key("prefix-sums"), 1, 60, false, &bd(60));
-        let fsync = Histogram::new();
-        let gc = Histogram::new();
-        let text = st.render_prometheus(IDLE, &[], 0, (3, 1), &fsync, &gc, 2, (10, 0));
+        let mut snap = st.snapshot(IDLE, &[], 0, (3, 1), None);
+        // The readings the server adds to the document.
+        snap.get_mut("connections").unwrap().set("active", 2u64);
+        let mut recorder = Json::obj();
+        recorder.set("recorded", 10u64);
+        recorder.set("overwritten", 0u64);
+        snap.set("recorder", recorder);
+        let text = metrics_text(&snap);
         assert!(text.contains("\nbulkd_jobs_completed_total 2\n"), "{text}");
         assert!(text.contains("\nbulkd_connections_active 2\n"), "{text}");
         assert!(text.contains("\nbulkd_schedule_cache_hit_rate 0.75\n"), "{text}");
@@ -676,6 +593,8 @@ mod tests {
         assert!(text.contains("\nbulkd_fsync_latency_us_count 0\n"), "{text}");
         assert!(text.contains("\nbulkd_group_commit_batch_size_count 0\n"), "{text}");
         assert!(text.contains("\nbulkd_recorder_events_total 10\n"), "{text}");
+        // A solo node has no replication families.
+        assert!(!text.contains("bulkd_repl_"), "{text}");
         // Every non-comment line is `name{labels} value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (name, value) = line.rsplit_once(' ').expect("sample line");

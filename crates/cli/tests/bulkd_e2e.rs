@@ -11,6 +11,7 @@ use cli::registry::{Algo, Engine, ScheduleCaches, SCALAR_BELOW_P};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
 use obs::Json;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -883,5 +884,172 @@ fn metrics_dump_and_per_key_sections_reflect_served_work() {
         "no recorded events in the chrome trace"
     );
     assert!(recorder.with_extension("txt").exists(), "text tail missing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A Prometheus exposition's samples, by series (`name{labels}`).
+fn samples(text: &str) -> BTreeMap<&str, f64> {
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (series, value) = l.rsplit_once(' ').expect("`series value` line");
+            (series, value.parse().unwrap_or_else(|e| panic!("bad sample {l}: {e}")))
+        })
+        .collect()
+}
+
+/// The names in `wanted` that no sample of `samples` carries.
+fn missing<'a>(samples: &BTreeMap<&str, f64>, wanted: &[&'a str]) -> Vec<&'a str> {
+    let names: BTreeSet<&str> = samples.keys().map(|s| s.split('{').next().unwrap()).collect();
+    wanted.iter().copied().filter(|name| !names.contains(name)).collect()
+}
+
+/// The serving smoke: `loadgen --hot-key` (16 closed-loop clients split
+/// 12/4 over two keys, one instance per submit) against a server that
+/// writes a trace and a flight recording, scraped mid-load.  The scrape
+/// carries the headline families, its stage-histogram mass equals the
+/// completed jobs, and both keys are labelled; the recorder's tail names
+/// replies; the report shows a clean, balanced run that coalesced, on the
+/// scalar engine alone (no batch reaches `SCALAR_BELOW_P`); and the
+/// trace holds one span per executed batch.
+#[test]
+fn a_hot_key_load_scraped_mid_run_is_clean_balanced_and_coalesced() {
+    let dir = std::env::temp_dir().join(format!("bulkd-smoke-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (trace, report) = (dir.join("trace.json"), dir.join("loadgen.json"));
+    let cfg = bulkd::ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        node_id: None,
+        workers: 2,
+        max_batch: 256,
+        max_queue: 4096,
+        flush_after_ms: 5,
+        trace_path: Some(trace.clone()),
+        wal: None,
+        instrument: true,
+        recorder_path: Some(dir.join("flight.json")),
+        repl: None,
+        promoted: false,
+    };
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        bulkd::serve(&cfg, Box::new(CatalogExecutor::new(1)), move |addr| {
+            tx.send(addr).expect("addr channel");
+        })
+    });
+    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("server ready").to_string();
+    let loadgen = cli::args::Command::Loadgen {
+        algo: "prefix-sums".into(),
+        size: Some(64),
+        layout: oblivious::Layout::ColumnWise,
+        addr: addr.clone(),
+        clients: 16,
+        duration_ms: 2_000,
+        instances_per_submit: 1,
+        seed: RUN_SEED,
+        report: Some(report.display().to_string()),
+        drain_after: true,
+        timing: true,
+        hot_key: true,
+        connect_timeout_ms: None,
+        read_timeout_ms: None,
+    };
+    let load = std::thread::spawn(move || cli::execute(&loadgen));
+
+    // Scrape the live server once a few rounds have completed.
+    let (metrics, dump) = {
+        let addr = addr.clone();
+        (
+            cli::args::Command::Metrics {
+                addr: addr.clone(),
+                connect_timeout_ms: None,
+                read_timeout_ms: None,
+            },
+            cli::args::Command::Dump { addr, connect_timeout_ms: None, read_timeout_ms: None },
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let text = loop {
+        let text = cli::execute(&metrics).expect("metrics scrape");
+        let completed = samples(&text).get("bulkd_jobs_completed_total").copied().unwrap_or(0.0);
+        if completed >= 64.0 || Instant::now() >= deadline {
+            break text;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let tail = cli::execute(&dump).expect("dump");
+    assert!(tail.contains("events recorded"), "{tail}");
+    assert!(tail.contains("reply_written"), "{tail}");
+
+    let s = samples(&text);
+    let headline = [
+        "bulkd_jobs_submitted_total",
+        "bulkd_jobs_accepted_total",
+        "bulkd_jobs_completed_total",
+        "bulkd_jobs_rejected_total",
+        "bulkd_batches_total",
+        "bulkd_queue_depth_instances",
+        "bulkd_coalesce_factor",
+        "bulkd_connections_active",
+        "bulkd_schedule_cache_hits_total",
+        "bulkd_stage_latency_us_sum",
+        "bulkd_stage_latency_us_count",
+        "bulkd_queue_wait_us_count",
+        "bulkd_key_served_jobs_total",
+        "bulkd_recorder_events_total",
+        "bulkd_exec_batches_total",
+    ];
+    assert_eq!(missing(&s, &headline), Vec::<&str>::new(), "{text}");
+    // The family check trips on a family that does not exist.
+    let absent = ["bulkd_nonexistent_family_total"];
+    assert_eq!(missing(&s, &absent), absent, "{text}");
+    assert!(s["bulkd_queue_depth_instances"] >= 0.0);
+    // The stage-mass law, at scrape time: the total-stage histogram holds
+    // one observation per completed job.
+    let completed = s["bulkd_jobs_completed_total"];
+    assert!(completed > 0.0, "scraped before any job completed:\n{text}");
+    assert_eq!(s["bulkd_stage_latency_us_count{stage=\"total\"}"], completed, "{text}");
+    let keys = s.keys().filter(|k| k.starts_with("bulkd_key_served_jobs_total{")).count();
+    assert_eq!(keys, 2, "expected the hot and the cold key:\n{text}");
+
+    let out = load.join().expect("loadgen panicked").expect("loadgen");
+    let drained = server.join().expect("server panicked").expect("serve");
+    let rep = Json::parse(&std::fs::read_to_string(&report).expect("report")).expect("report json");
+    let n = |path: &str| stat(&rep, path);
+    assert_eq!(rep.path("tool").and_then(Json::as_str), Some("bulkd-loadgen"));
+    assert_eq!(n("schema_version"), 1);
+    assert!(n("throughput.completed_jobs") > 0, "no job completed: {out}");
+    assert_eq!(n("throughput.errors"), 0, "{out}");
+    assert_eq!(n("server.admission.protocol_errors"), 0);
+    assert_eq!(
+        n("server.admission.submitted_jobs"),
+        n("server.admission.accepted_jobs") + n("server.admission.rejected_jobs")
+    );
+    assert_eq!(
+        n("server.admission.accepted_jobs"),
+        n("server.execution.completed_jobs") + n("server.execution.failed_jobs")
+    );
+    assert_eq!(n("server.execution.failed_jobs"), 0);
+    let batches = n("server.execution.batches");
+    assert!(batches > 0, "no coalesced batch executed");
+    let factor = rep.path("server.coalescing.coalesce_factor").and_then(Json::as_f64).unwrap();
+    assert!(factor > 1.5, "16 closed-loop clients should coalesce, factor {factor}");
+    assert_eq!(n("server.schedule_cache.compiles"), 0, "a batch reached the replay crossover");
+    assert_eq!(n("server.execution.engine.scalar_batches"), batches);
+
+    // `--trace`: one exec span per batch, carrying its key and size.
+    let trace = Json::parse(&std::fs::read_to_string(&trace).expect("trace")).expect("trace json");
+    let spans: Vec<&Json> = trace
+        .path("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("batch"))
+        .collect();
+    assert_eq!(spans.len() as i64, stat(&drained, "execution.batches"));
+    assert!(spans
+        .iter()
+        .all(|e| e.path("args.algo").and_then(Json::as_str) == Some("prefix-sums")));
     std::fs::remove_dir_all(&dir).ok();
 }

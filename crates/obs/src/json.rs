@@ -101,6 +101,14 @@ impl Json {
         }
     }
 
+    /// Mutable field of an object, if present.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Walk a dotted path of object fields (`"model.rounds"`).
     #[must_use]
     pub fn path(&self, dotted: &str) -> Option<&Json> {

@@ -11,7 +11,8 @@
 //!   address groups per dispatched warp);
 //! * [`Ring`] — a bounded, lock-light flight-recorder ring of structured
 //!   stage events, dumped on panic/drain/demand;
-//! * [`prom`] — Prometheus text exposition rendering over the above;
+//! * [`prom`] — Prometheus text exposition, rendered from a JSON stats
+//!   document by a table of `(kind, family, path, help)` rows;
 //! * [`Spans`] — named wall-clock span accumulation;
 //! * [`RunReport`] — an ordered, structured report serialized as JSON;
 //! * [`Json`] — a dependency-free JSON value with writer *and* parser, so
@@ -45,7 +46,6 @@ pub mod trace;
 
 pub use json::Json;
 pub use metrics::{Counters, Gauge, Histogram, Spans};
-pub use prom::PromText;
 pub use report::RunReport;
 pub use ring::{Ring, RingEvent};
 pub use rng::Rng;

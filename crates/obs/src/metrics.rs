@@ -1,6 +1,7 @@
 //! Counters, gauges, histograms, and wall-clock span accumulation.
 
 use crate::json::Json;
+use crate::prom::BUCKET_BOUNDS;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::{Duration, Instant};
@@ -195,8 +196,10 @@ impl Histogram {
 
     /// Compact summary for reports where the full bucket list would drown
     /// the reader (wire latencies, batch sizes): total, mean, max and the
-    /// standard p50/p90/p99 quantiles.  Quantile fields are `null` when
-    /// the histogram is empty.
+    /// standard p50/p90/p99 quantiles, then the exact `sum` and, under
+    /// `le`, the cumulative count at each of [`BUCKET_BOUNDS`] — all a
+    /// Prometheus histogram needs.  Quantile fields are `null` when the
+    /// histogram is empty.
     #[must_use]
     pub fn summary_json(&self) -> Json {
         let q = |q: f64| self.quantile(q).map_or(Json::Null, Json::from);
@@ -207,6 +210,17 @@ impl Histogram {
         obj.set("p90", q(0.90));
         obj.set("p99", q(0.99));
         obj.set("max", self.max().map_or(Json::Null, Json::from));
+        obj.set("sum", u64::try_from(self.sum).map_or(Json::Float(self.sum as f64), Json::from));
+        let mut le = Json::obj();
+        let mut below = self.counts.iter().peekable();
+        let mut cumulative = 0u64;
+        for bound in BUCKET_BOUNDS {
+            while let Some((_, &c)) = below.next_if(|(&v, _)| v <= bound) {
+                cumulative += c;
+            }
+            le.set(&bound.to_string(), cumulative);
+        }
+        obj.set("le", le);
         obj
     }
 
@@ -354,9 +368,17 @@ mod tests {
         assert_eq!(j.path("p90").unwrap().as_i64(), Some(90));
         assert_eq!(j.path("p99").unwrap().as_i64(), Some(99));
         assert_eq!(j.path("max").unwrap().as_i64(), Some(100));
+        assert_eq!(j.path("sum").unwrap().as_i64(), Some(5050));
+        let le = |bound: &str| j.get("le").and_then(|le| le.get(bound)).and_then(Json::as_i64);
+        assert_eq!(le("1"), Some(1));
+        assert_eq!(le("64"), Some(64));
+        assert_eq!(le("256"), Some(100));
+        assert_eq!(le("16777216"), Some(100));
         let j = Histogram::new().summary_json();
         assert_eq!(j.get("p50"), Some(&Json::Null));
         assert_eq!(j.get("max"), Some(&Json::Null));
+        assert_eq!(j.get("sum"), Some(&Json::Int(0)));
+        assert_eq!(j.get("le").and_then(Json::as_obj).map(<[_]>::len), Some(BUCKET_BOUNDS.len()));
     }
 
     #[test]

@@ -1,14 +1,23 @@
-//! Prometheus text exposition format rendering.
+//! Prometheus text exposition, rendered from a JSON metrics document.
 //!
-//! Turns the live [`crate::metrics`] primitives — counters, gauges and
-//! sparse [`Histogram`]s — into the `text/plain; version=0.0.4` format a
-//! Prometheus scrape (or a human with `curl`) expects: one `# HELP` and
-//! `# TYPE` header per family, then one sample line per series.  Sparse
-//! exact-value histograms are folded into cumulative `_bucket{le="…"}`
-//! series over a fixed exponential bound ladder, plus the exact `_sum`
-//! and `_count`.
+//! A server's stats document is its one metrics model; its Prometheus
+//! families are a table of [`Row`]s over that document, which [`render`]
+//! walks into the `text/plain; version=0.0.4` format a scrape (or a
+//! human with `curl`) expects: one `# HELP` and `# TYPE` header per
+//! family, then one sample line per series.
+//!
+//! A row's dotted path names the value.  A `{label}` segment — with an
+//! optional literal prefix or suffix, as in `{engine}_batches` — stands
+//! for every key of the object there that carries them, and the key,
+//! less prefix and suffix, becomes the series' `label` value; a path may
+//! hold several.  A number renders as itself, a bool as 1 or 0 and
+//! `null` as 0.  An absent path renders 0 for an unlabelled family and
+//! no series for a labelled one.  A histogram row points at a
+//! [`crate::Histogram::summary_json`] object and renders its cumulative
+//! `_bucket{le="…"}` series over [`BUCKET_BOUNDS`], then the exact
+//! `_sum` and the `_count`.
 
-use crate::metrics::Histogram;
+use crate::json::Json;
 use std::fmt::Write as _;
 
 /// The `le` bound ladder for histogram exposition: powers of four from 1
@@ -18,10 +27,121 @@ use std::fmt::Write as _;
 pub const BUCKET_BOUNDS: [u64; 13] =
     [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262_144, 1_048_576, 4_194_304, 16_777_216];
 
+/// A family's Prometheus type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone count.
+    Counter,
+    /// A level that moves both ways.
+    Gauge,
+    /// A distribution, read from a `summary_json` object.
+    Histogram,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One family: `(kind, family name, document path, help text)`.
+pub type Row = (Kind, &'static str, &'static str, &'static str);
+
+/// A series' label pairs, in path order.
+type Labels<'a> = Vec<(&'static str, &'a str)>;
+
+/// Render every row of `rows` over `doc`, in table order.
+#[must_use]
+pub fn render(rows: &[Row], doc: &Json) -> String {
+    let mut out = String::new();
+    for &(kind, family, path, help) in rows {
+        let _ = writeln!(out, "# HELP {family} {help}");
+        let _ = writeln!(out, "# TYPE {family} {}", kind.name());
+        let mut found = series(doc, path);
+        if found.is_empty() && !path.contains('{') {
+            found.push((Vec::new(), &Json::Null));
+        }
+        for (labels, value) in found {
+            if kind == Kind::Histogram {
+                histogram(&mut out, family, &labels, value);
+            } else {
+                sample(&mut out, family, &labels, value);
+            }
+        }
+    }
+    out
+}
+
+/// The families of `rows` whose path reaches nothing in `doc`, or
+/// reaches a value its kind cannot render: anything but a number, bool
+/// or `null` for a counter or gauge, anything but an object for a
+/// histogram.  Over a document populated so that every path holds, an
+/// empty answer means no row reads a key the document lacks.
+#[must_use]
+pub fn unresolved(rows: &[Row], doc: &Json) -> Vec<&'static str> {
+    let fits = |kind: Kind, v: &Json| match v {
+        Json::Obj(_) => kind == Kind::Histogram,
+        Json::Int(_) | Json::Float(_) | Json::Bool(_) | Json::Null => kind != Kind::Histogram,
+        Json::Str(_) | Json::Arr(_) => false,
+    };
+    rows.iter()
+        .filter(|&&(kind, _, path, _)| {
+            let found = series(doc, path);
+            found.is_empty() || found.iter().any(|(_, v)| !fits(kind, v))
+        })
+        .map(|&(_, family, _, _)| family)
+        .collect()
+}
+
+/// Every value `path` reaches in `doc`, in document order, with the
+/// label values its `{label}` segments bound.
+fn series<'a>(doc: &'a Json, path: &'static str) -> Vec<(Labels<'a>, &'a Json)> {
+    let segments: Vec<&'static str> = path.split('.').collect();
+    let mut out = Vec::new();
+    walk(doc, &segments, &mut Vec::new(), &mut out);
+    out
+}
+
+fn walk<'a>(
+    node: &'a Json,
+    segments: &[&'static str],
+    labels: &mut Labels<'a>,
+    out: &mut Vec<(Labels<'a>, &'a Json)>,
+) {
+    let Some((&segment, rest)) = segments.split_first() else {
+        out.push((labels.clone(), node));
+        return;
+    };
+    let Some((prefix, label, suffix)) = placeholder(segment) else {
+        if let Some(child) = node.get(segment) {
+            walk(child, rest, labels, out);
+        }
+        return;
+    };
+    for (key, child) in node.as_obj().unwrap_or_default() {
+        if let Some(value) = key.strip_prefix(prefix).and_then(|k| k.strip_suffix(suffix)) {
+            labels.push((label, value));
+            walk(child, rest, labels, out);
+            labels.pop();
+        }
+    }
+}
+
+/// Split `prefix{label}suffix` into its parts; `None` for a literal
+/// segment.
+fn placeholder(segment: &'static str) -> Option<(&'static str, &'static str, &'static str)> {
+    let (prefix, rest) = segment.split_once('{')?;
+    let (label, suffix) = rest.split_once('}')?;
+    Some((prefix, label, suffix))
+}
+
 /// Escape a label value per the exposition format: backslash, double
 /// quote and newline.
-#[must_use]
-pub fn escape_label(v: &str) -> String {
+fn escape_label(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -34,133 +154,42 @@ pub fn escape_label(v: &str) -> String {
     out
 }
 
-/// An in-progress exposition document.  Families are written in call
-/// order; [`PromText::finish`] yields the final text.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
+fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &Json) {
+    out.push_str(name);
+    if !labels.is_empty() {
+        out.push('{');
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+        }
+        out.push('}');
+    }
+    let _ = match value {
+        Json::Int(v) => writeln!(out, " {v}"),
+        Json::Float(v) => writeln!(out, " {}", format_f64(*v)),
+        Json::Bool(b) => writeln!(out, " {}", u8::from(*b)),
+        _ => writeln!(out, " 0"),
+    };
 }
 
-impl PromText {
-    /// An empty document.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+/// One histogram series from its summary object `h` (`null` when
+/// absent): cumulative `_bucket{le}` counts, `+Inf`, `_sum`, `_count`.
+fn histogram(out: &mut String, family: &str, labels: &[(&str, &str)], h: &Json) {
+    let field = |key: &str| h.get(key).unwrap_or(&Json::Null);
+    let bucket = format!("{family}_bucket");
+    for bound in BUCKET_BOUNDS {
+        let le = bound.to_string();
+        let mut ls = labels.to_vec();
+        ls.push(("le", &le));
+        sample(out, &bucket, &ls, field("le").get(&le).unwrap_or(&Json::Null));
     }
-
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                let _ = write!(self.out, "{k}=\"{}\"", escape_label(v));
-            }
-            self.out.push('}');
-        }
-        let _ = writeln!(self.out, " {value}");
-    }
-
-    /// One unlabelled counter family.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        self.sample(name, &[], &value.to_string());
-    }
-
-    /// One unlabelled gauge family.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.header(name, help, "gauge");
-        self.sample(name, &[], &format_f64(value));
-    }
-
-    /// A counter family with one label dimension, one sample per series.
-    pub fn counter_vec(&mut self, name: &str, help: &str, label: &str, series: &[(String, u64)]) {
-        self.header(name, help, "counter");
-        for (lv, v) in series {
-            self.sample(name, &[(label, lv)], &v.to_string());
-        }
-    }
-
-    /// A counter family labelled by every name in `labels`, one sample
-    /// per series; a series carries its label values in `labels` order.
-    pub fn counter_labeled<const N: usize>(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: [&str; N],
-        series: &[([String; N], u64)],
-    ) {
-        self.header(name, help, "counter");
-        for (values, v) in series {
-            let pairs: Vec<(&str, &str)> =
-                labels.iter().copied().zip(values.iter().map(String::as_str)).collect();
-            self.sample(name, &pairs, &v.to_string());
-        }
-    }
-
-    /// A gauge family with one label dimension, one sample per series.
-    pub fn gauge_vec(&mut self, name: &str, help: &str, label: &str, series: &[(String, f64)]) {
-        self.header(name, help, "gauge");
-        for (lv, v) in series {
-            self.sample(name, &[(label, lv)], &format_f64(*v));
-        }
-    }
-
-    /// An unlabelled histogram family: cumulative `_bucket{le}` series
-    /// over [`BUCKET_BOUNDS`], then exact `_sum` and `_count`.
-    pub fn histogram(&mut self, name: &str, help: &str, h: &Histogram) {
-        self.header(name, help, "histogram");
-        self.histogram_series(name, &[], h);
-    }
-
-    /// A histogram family with one label dimension.
-    pub fn histogram_vec(
-        &mut self,
-        name: &str,
-        help: &str,
-        label: &str,
-        series: &[(String, &Histogram)],
-    ) {
-        self.header(name, help, "histogram");
-        for (lv, h) in series {
-            self.histogram_series(name, &[(label, lv)], h);
-        }
-    }
-
-    fn histogram_series(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        let buckets = h.buckets();
-        let bucket_name = format!("{name}_bucket");
-        let mut cumulative = 0u64;
-        let mut idx = 0usize;
-        for bound in BUCKET_BOUNDS {
-            while idx < buckets.len() && buckets[idx].0 <= bound {
-                cumulative += buckets[idx].1;
-                idx += 1;
-            }
-            let mut ls: Vec<(&str, &str)> = labels.to_vec();
-            let le = bound.to_string();
-            ls.push(("le", &le));
-            self.sample(&bucket_name, &ls, &cumulative.to_string());
-        }
-        let mut ls: Vec<(&str, &str)> = labels.to_vec();
-        ls.push(("le", "+Inf"));
-        self.sample(&bucket_name, &ls, &h.total().to_string());
-        self.sample(&format!("{name}_sum"), labels, &h.sum().to_string());
-        self.sample(&format!("{name}_count"), labels, &h.total().to_string());
-    }
-
-    /// The finished exposition text.
-    #[must_use]
-    pub fn finish(self) -> String {
-        self.out
-    }
+    let mut ls = labels.to_vec();
+    ls.push(("le", "+Inf"));
+    sample(out, &bucket, &ls, field("total"));
+    sample(out, &format!("{family}_sum"), labels, field("sum"));
+    sample(out, &format!("{family}_count"), labels, field("total"));
 }
 
 fn format_f64(v: f64) -> String {
@@ -176,48 +205,64 @@ fn format_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
+
+    fn doc(text: &str) -> Json {
+        Json::parse(text).unwrap()
+    }
 
     #[test]
     fn counters_and_gauges_render_with_headers() {
-        let mut p = PromText::new();
-        p.counter("jobs_total", "Jobs ever seen.", 42);
-        p.gauge("queue_depth", "Instances queued.", 7.0);
-        let text = p.finish();
-        assert!(text.contains("# HELP jobs_total Jobs ever seen.\n"), "{text}");
-        assert!(text.contains("# TYPE jobs_total counter\n"), "{text}");
-        assert!(text.contains("\njobs_total 42\n"), "{text}");
-        assert!(text.contains("# TYPE queue_depth gauge\n"), "{text}");
-        assert!(text.contains("\nqueue_depth 7\n"), "{text}");
+        let rows: [Row; 3] = [
+            (Kind::Counter, "jobs_total", "jobs", "Jobs ever seen."),
+            (Kind::Gauge, "queue_depth", "queue.depth", "Instances queued."),
+            (Kind::Gauge, "hit_rate", "queue.rate", "Hits over lookups."),
+        ];
+        let text = render(&rows, &doc(r#"{"jobs": 42, "queue": {"depth": 7, "rate": 0.75}}"#));
+        assert_eq!(
+            text,
+            "# HELP jobs_total Jobs ever seen.\n# TYPE jobs_total counter\njobs_total 42\n\
+             # HELP queue_depth Instances queued.\n# TYPE queue_depth gauge\nqueue_depth 7\n\
+             # HELP hit_rate Hits over lookups.\n# TYPE hit_rate gauge\nhit_rate 0.75\n"
+        );
     }
 
+    /// One series per key of a `{label}` segment, under one header.  A
+    /// node id may contain dots: the segment binds whole object keys and
+    /// never splits them.
     #[test]
     fn labeled_series_share_one_header() {
-        let mut p = PromText::new();
-        p.counter_vec(
-            "served_total",
-            "Jobs served per key.",
-            "key",
-            &[("fft/8/col".into(), 3), ("fir/16/row".into(), 9)],
-        );
-        let text = p.finish();
+        let rows: [Row; 1] =
+            [(Kind::Counter, "served_total", "per_key.{key}.served", "Jobs served per key.")];
+        let d = doc(r#"{"per_key": {"fft/8/col": {"served": 3}, "fir/16/row": {"served": 9},
+                "10.0.0.1:7000": {"served": 1}}}"#);
+        let text = render(&rows, &d);
         assert_eq!(text.matches("# TYPE served_total counter").count(), 1);
         assert!(text.contains("served_total{key=\"fft/8/col\"} 3\n"), "{text}");
         assert!(text.contains("served_total{key=\"fir/16/row\"} 9\n"), "{text}");
+        assert!(text.contains("served_total{key=\"10.0.0.1:7000\"} 1\n"), "{text}");
     }
 
+    /// Two placeholders label in path order.  A suffixed placeholder skips
+    /// the keys without its suffix and strips it from the label value, and
+    /// a key whose object lacks the rest of the path has no series.
     #[test]
     fn multi_label_series_keep_label_order() {
-        let mut p = PromText::new();
-        p.counter_labeled(
+        let rows: [Row; 1] = [(
+            Kind::Counter,
             "batches_total",
+            "nodes.{node}.engine.{engine}_batches",
             "Batches per node and engine.",
-            ["node", "engine"],
-            &[(["a".into(), "scalar".into()], 2), (["a".into(), "replay".into()], 0)],
-        );
-        let text = p.finish();
+        )];
+        let d = doc(r#"{"nodes": {
+                "a": {"engine": {"scalar_batches": 2, "replay_batches": 0, "batches": 2}},
+                "c": {"unreachable": true}
+            }}"#);
+        let text = render(&rows, &d);
         assert_eq!(text.matches("# TYPE batches_total counter").count(), 1);
         assert!(text.contains("batches_total{node=\"a\",engine=\"scalar\"} 2\n"), "{text}");
         assert!(text.contains("batches_total{node=\"a\",engine=\"replay\"} 0\n"), "{text}");
+        assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 2, "{text}");
     }
 
     #[test]
@@ -226,9 +271,9 @@ mod tests {
         h.record_n(3, 2); // le 4
         h.record(100); // le 256
         h.record(1_000_000); // le 1048576
-        let mut p = PromText::new();
-        p.histogram("lat_us", "Latency.", &h);
-        let text = p.finish();
+        let mut d = Json::obj();
+        d.set("lat", h.summary_json());
+        let text = render(&[(Kind::Histogram, "lat_us", "lat", "Latency.")], &d);
         assert!(text.contains("lat_us_bucket{le=\"1\"} 0\n"), "{text}");
         assert!(text.contains("lat_us_bucket{le=\"4\"} 2\n"), "{text}");
         assert!(text.contains("lat_us_bucket{le=\"256\"} 3\n"), "{text}");
@@ -249,12 +294,88 @@ mod tests {
     fn samples_beyond_the_ladder_still_land_in_inf() {
         let mut h = Histogram::new();
         h.record(u64::MAX / 2);
-        let mut p = PromText::new();
-        p.histogram_vec("big", "Huge samples.", "stage", &[("total".into(), &h)]);
-        let text = p.finish();
+        let mut stages = Json::obj();
+        stages.set("total", h.summary_json());
+        let mut d = Json::obj();
+        d.set("stages", stages);
+        let rows: [Row; 1] = [(Kind::Histogram, "big", "stages.{stage}", "Huge samples.")];
+        let text = render(&rows, &d);
         assert!(text.contains("big_bucket{stage=\"total\",le=\"16777216\"} 0\n"), "{text}");
         assert!(text.contains("big_bucket{stage=\"total\",le=\"+Inf\"} 1\n"), "{text}");
         assert!(text.contains("big_count{stage=\"total\"} 1\n"), "{text}");
+    }
+
+    #[test]
+    fn bools_nulls_and_absent_paths_follow_the_rules() {
+        let rows: [Row; 6] = [
+            (Kind::Gauge, "up", "up", "Bool true."),
+            (Kind::Gauge, "draining", "draining", "Bool false."),
+            (Kind::Gauge, "factor", "factor", "Null."),
+            (Kind::Counter, "missing_total", "no.such.path", "Absent, unlabelled."),
+            (Kind::Gauge, "lag", "nodes.{node}.repl.lag", "Absent on one node."),
+            (Kind::Counter, "gone_total", "gone.{key}.n", "Absent, labelled."),
+        ];
+        let d = doc(r#"{"up": true, "draining": false, "factor": null,
+                "nodes": {"solo": {}, "primary": {"repl": {"lag": 5}}}}"#);
+        let text = render(&rows, &d);
+        for line in ["\nup 1\n", "\ndraining 0\n", "\nfactor 0\n", "\nmissing_total 0\n"] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+        assert!(text.contains("\nlag{node=\"primary\"} 5\n"), "{text}");
+        assert!(!text.contains("lag{node=\"solo\"}"), "{text}");
+        assert!(text.ends_with("# TYPE gone_total counter\n"), "{text}");
+    }
+
+    /// The same text the live-histogram renderer produced before the
+    /// exposition moved onto the document, `+Inf`, escaping and a sample
+    /// at `i64::MAX` included.
+    #[test]
+    fn a_histogram_renders_from_its_summary_as_from_the_live_histogram() {
+        let mut lat = Histogram::new();
+        lat.record_n(3, 2);
+        lat.record(100);
+        lat.record(1_000_000);
+        lat.record(40_000_000);
+        let mut big = Histogram::new();
+        big.record(u64::MAX / 2);
+        let mut stages = Json::obj();
+        stages.set("total_us", big.summary_json());
+        stages.set("a\"b_us", Histogram::new().summary_json());
+        let mut d = Json::obj();
+        d.set("lat", lat.summary_json());
+        d.set("stages", stages);
+        let rows: [Row; 2] = [
+            (Kind::Histogram, "lat_us", "lat", "Latency."),
+            (Kind::Histogram, "big", "stages.{stage}_us", "Huge samples."),
+        ];
+        assert_eq!(render(&rows, &d), include_str!("../tests/golden/histograms.prom"));
+    }
+
+    /// An absent unlabelled histogram renders empty, so a family exists
+    /// before its first sample.
+    #[test]
+    fn an_absent_histogram_renders_empty() {
+        let rows: [Row; 1] = [(Kind::Histogram, "fsync_us", "wal.fsync_us", "Fsync latency.")];
+        let text = render(&rows, &doc(r#"{"wal": {"enabled": false}}"#));
+        let mut wal = Json::obj();
+        wal.set("fsync_us", Histogram::new().summary_json());
+        let mut empty = Json::obj();
+        empty.set("wal", wal);
+        assert_eq!(text, render(&rows, &empty));
+        assert!(text.contains("fsync_us_bucket{le=\"+Inf\"} 0\nfsync_us_sum 0\nfsync_us_count 0\n"));
+    }
+
+    #[test]
+    fn unresolved_names_the_rows_a_document_cannot_serve() {
+        let rows: [Row; 5] = [
+            (Kind::Counter, "ok_total", "a.n", "Present."),
+            (Kind::Counter, "renamed_total", "a.old_name", "Absent."),
+            (Kind::Gauge, "per_node", "nodes.{node}.n", "Present on one node."),
+            (Kind::Histogram, "not_a_histogram", "a.n", "Wrong kind."),
+            (Kind::Gauge, "a_string", "a.s", "Wrong kind."),
+        ];
+        let d = doc(r#"{"a": {"n": 1, "s": "x"}, "nodes": {"x": {"n": 2}, "y": {}}}"#);
+        assert_eq!(unresolved(&rows, &d), ["renamed_total", "not_a_histogram", "a_string"]);
     }
 
     #[test]

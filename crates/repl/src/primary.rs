@@ -304,3 +304,20 @@ impl bulkd::ReplSink for ReplPrimary {
         o
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bulkd::ReplSink;
+
+    /// bulkd renders its replication families from this section, so every
+    /// one of their rows must find its key in it.
+    #[test]
+    fn every_replication_row_resolves_in_the_repl_section() {
+        let (primary, _addr) = ReplPrimary::start(PrimaryConfig::default()).unwrap();
+        let mut doc = Json::obj();
+        doc.set("repl", primary.stats_json(7, 1_000));
+        let unresolved = obs::prom::unresolved(bulkd::stats::REPL_METRICS, &doc);
+        assert!(unresolved.is_empty(), "rows without a value: {unresolved:?}");
+    }
+}

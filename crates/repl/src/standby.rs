@@ -28,7 +28,8 @@ use crate::primary::ack_beyond_replicated;
 use bulkd::journal::{self, REC_COMPLETE, REC_SUBMIT};
 use bulkd::protocol::{self, Request, PROTOCOL_VERSION};
 use bulkd::wire::{self, LineService, Reply};
-use obs::{Json, PromText};
+use obs::prom::{self, Kind, Row};
+use obs::Json;
 use std::collections::HashSet;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -301,7 +302,7 @@ impl LineService for Shared {
             Request::Metrics => {
                 let mut o = Json::obj();
                 o.set("ok", true);
-                o.set("metrics", prometheus(&st));
+                o.set("metrics", prom::render(METRICS, &status_json(self, &st)));
                 o
             }
             Request::Promote if safe_to_promote(&st) => {
@@ -358,42 +359,67 @@ fn status_json(sh: &Shared, st: &State) -> Json {
     o
 }
 
-fn prometheus(st: &State) -> String {
-    let mut p = PromText::new();
-    p.gauge(
-        "bulkd_standby_replicated_seq",
-        "Highest WAL sequence number durable on this standby.",
-        st.replicated_seq as f64,
-    );
-    p.gauge(
-        "bulkd_standby_leader_acked_seq",
-        "Leader's acked high-water mark as last advertised.",
-        st.leader_acked_seq as f64,
-    );
-    p.gauge(
-        "bulkd_standby_connected",
-        "1 while the follower holds a live session to the primary.",
-        f64::from(u8::from(st.connected)),
-    );
-    p.gauge(
-        "bulkd_standby_safe_to_promote",
-        "1 when promotion would lose no acknowledged job.",
-        f64::from(u8::from(safe_to_promote(st))),
-    );
-    p.gauge(
-        "bulkd_standby_incomplete_jobs",
-        "Replicated submits with no replicated completion yet.",
-        st.incomplete.len() as f64,
-    );
-    p.counter(
-        "bulkd_standby_records_replicated_total",
-        "WAL records appended from the replication stream.",
-        st.records,
-    );
-    p.counter(
-        "bulkd_standby_reconnects_total",
-        "Follower sessions that ended and were redialed.",
-        st.reconnects,
-    );
-    p.finish()
+/// The standby's Prometheus families, rows over its `status` document.
+#[rustfmt::skip]
+const METRICS: &[Row] = &[
+    (Kind::Gauge, "bulkd_standby_replicated_seq", "replicated_seq", "Highest WAL sequence number durable on this standby."),
+    (Kind::Gauge, "bulkd_standby_leader_acked_seq", "leader_acked_seq", "Leader's acked high-water mark as last advertised."),
+    (Kind::Gauge, "bulkd_standby_connected", "connected", "1 while the follower holds a live session to the primary."),
+    (Kind::Gauge, "bulkd_standby_safe_to_promote", "safe_to_promote", "1 when promotion would lose no acknowledged job."),
+    (Kind::Gauge, "bulkd_standby_incomplete_jobs", "incomplete_jobs", "Replicated submits with no replicated completion yet."),
+    (Kind::Counter, "bulkd_standby_records_replicated_total", "records_replicated", "WAL records appended from the replication stream."),
+    (Kind::Counter, "bulkd_standby_reconnects_total", "reconnects", "Follower sessions that ended and were redialed."),
+];
+
+/// The fixed-state metrics golden of a connected standby: the text the
+/// hand-built rendering produced before the families became rows over
+/// the `status` document.
+#[cfg(test)]
+mod metrics_golden {
+    use super::*;
+
+    fn standby() -> Shared {
+        Shared {
+            cfg: StandbyConfig {
+                follow_addr: "127.0.0.1:7001".into(),
+                node_id: "standby-1".into(),
+                ..StandbyConfig::default()
+            },
+            state: Mutex::new(State {
+                connected: true,
+                leader: Some("primary-1".into()),
+                leader_hint: "127.0.0.1:7000".into(),
+                replicated_seq: 41,
+                leader_acked_seq: 39,
+                frames: 12,
+                records: 41,
+                reconnects: 2,
+                incomplete: [7, 9, 11].into_iter().collect(),
+            }),
+            stop: AtomicBool::new(false),
+            follower_conn: Mutex::new(None),
+        }
+    }
+
+    fn exposition() -> String {
+        let sh = standby();
+        let reply = match sh.handle_line(&mut (), Request::Metrics, "metrics") {
+            Reply::Line(line) => Json::parse(&line).unwrap(),
+            _ => panic!("metrics must answer a line"),
+        };
+        reply.path("metrics").and_then(Json::as_str).unwrap().to_owned()
+    }
+
+    #[test]
+    fn a_standby_renders_its_golden_exposition() {
+        assert_eq!(exposition(), include_str!("../tests/golden/standby.prom"));
+    }
+
+    #[test]
+    fn every_metrics_row_resolves_in_the_status_document() {
+        let sh = standby();
+        let doc = status_json(&sh, &sh.state.lock().unwrap());
+        let unresolved = prom::unresolved(METRICS, &doc);
+        assert!(unresolved.is_empty(), "rows without a value: {unresolved:?}");
+    }
 }

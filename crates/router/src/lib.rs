@@ -39,10 +39,7 @@ pub mod stats;
 
 pub use health::{HealthBoard, HealthPolicy, HealthState, NodeHealth};
 pub use ring::{stable_hash, HashRing};
-pub use stats::{
-    merged_snapshot, render_prometheus, router_section, BackendCounters, ClusterTotals, LedgerView,
-    RouterStats,
-};
+pub use stats::{merged_snapshot, router_section, BackendCounters, LedgerView, RouterStats};
 
 use bulkd::protocol::resp_error;
 use bulkd::wire::{self, LineService, Reply};
@@ -592,12 +589,10 @@ impl LineService for Shared {
                 j
             }
             Request::Metrics => {
-                let snaps = collect_fanout(self, &FanVerb::Stats);
-                let text =
-                    render_prometheus(&self.stats.view(), &self.ids, &self.board.view(), &snaps);
+                let merged = self.merged(&collect_fanout(self, &FanVerb::Stats), false);
                 let mut o = Json::obj();
                 o.set("ok", true);
-                o.set("metrics", text);
+                o.set("metrics", obs::prom::render(stats::METRICS, &merged));
                 o
             }
             Request::Drain => {

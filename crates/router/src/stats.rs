@@ -18,7 +18,8 @@
 
 use crate::health::{HealthState, NodeHealth};
 use bulkd::PROTOCOL_VERSION;
-use obs::{Json, PromText, RunReport};
+use obs::prom::{Kind, Row};
+use obs::{Json, RunReport};
 use std::sync::Mutex;
 
 /// Per-backend dispatch counters (indexed like the ring's nodes).
@@ -189,100 +190,52 @@ impl RouterStats {
     }
 }
 
-fn snap_u64(snap: &Json, path: &str) -> u64 {
-    snap.path(path).and_then(Json::as_i64).unwrap_or(0).max(0) as u64
-}
+/// The bulkd counters the cluster section sums over the reachable
+/// nodes' snapshots: `(cluster key, node path)`.
+const CLUSTER_SUMS: [(&str, &str); 9] = [
+    ("submitted_jobs", "admission.submitted_jobs"),
+    ("accepted_jobs", "admission.accepted_jobs"),
+    ("rejected_jobs", "admission.rejected_jobs"),
+    ("completed_jobs", "execution.completed_jobs"),
+    ("failed_jobs", "execution.failed_jobs"),
+    ("completed_instances", "execution.completed_instances"),
+    ("batches", "execution.batches"),
+    ("hits", "schedule_cache.hits"),
+    ("compiles", "schedule_cache.compiles"),
+];
 
 /// Totals summed across the reachable backends' stats snapshots — the
-/// cluster-wide view of the paper's amortization story.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterTotals {
-    /// Sum of backend `admission.submitted_jobs`.
-    pub submitted_jobs: u64,
-    /// Sum of backend `admission.accepted_jobs`.
-    pub accepted_jobs: u64,
-    /// Sum of backend `admission.rejected_jobs`.
-    pub rejected_jobs: u64,
-    /// Sum of backend `execution.completed_jobs`.
-    pub completed_jobs: u64,
-    /// Sum of backend `execution.failed_jobs`.
-    pub failed_jobs: u64,
-    /// Sum of backend `execution.completed_instances`.
-    pub completed_instances: u64,
-    /// Sum of backend `execution.batches`.
-    pub batches: u64,
-    /// Sum of backend `schedule_cache.hits`.
-    pub cache_hits: u64,
-    /// Sum of backend `schedule_cache.compiles`.
-    pub cache_compiles: u64,
-    /// Distinct coalescing keys seen across all backends' `per_key`.
-    pub distinct_keys: u64,
-    /// Backends whose snapshot was collected.
-    pub reachable: u64,
-    /// Backends that could not be reached for a snapshot.
-    pub unreachable: u64,
-}
-
-impl ClusterTotals {
-    /// Sum `snapshots` (one optional bulkd stats snapshot per backend).
-    #[must_use]
-    pub fn from_snapshots(snapshots: &[Option<Json>]) -> ClusterTotals {
-        let mut t = ClusterTotals::default();
-        let mut keys = std::collections::BTreeSet::new();
-        for snap in snapshots {
-            let Some(snap) = snap else {
-                t.unreachable += 1;
-                continue;
-            };
-            t.reachable += 1;
-            t.submitted_jobs += snap_u64(snap, "admission.submitted_jobs");
-            t.accepted_jobs += snap_u64(snap, "admission.accepted_jobs");
-            t.rejected_jobs += snap_u64(snap, "admission.rejected_jobs");
-            t.completed_jobs += snap_u64(snap, "execution.completed_jobs");
-            t.failed_jobs += snap_u64(snap, "execution.failed_jobs");
-            t.completed_instances += snap_u64(snap, "execution.completed_instances");
-            t.batches += snap_u64(snap, "execution.batches");
-            t.cache_hits += snap_u64(snap, "schedule_cache.hits");
-            t.cache_compiles += snap_u64(snap, "schedule_cache.compiles");
-            if let Some(pk) = snap.get("per_key").and_then(Json::as_obj) {
-                for (k, _) in pk {
-                    keys.insert(k.clone());
-                }
-            }
-        }
-        t.distinct_keys = keys.len() as u64;
-        t
+/// cluster-wide view of the paper's amortization story: the counters of
+/// [`CLUSTER_SUMS`] (the cache pair under `schedule_cache`), the cluster
+/// coalesce factor, the distinct coalescing keys across every node's
+/// `per_key`, and how many backends answered.
+fn cluster_section(snapshots: &[Option<Json>]) -> Json {
+    let nodes: Vec<&Json> = snapshots.iter().flatten().collect();
+    let sum = |path: &str| -> i64 {
+        nodes.iter().filter_map(|snap| snap.path(path).and_then(Json::as_i64)).sum()
+    };
+    let mut o = Json::obj();
+    let mut cache = Json::obj();
+    for (key, path) in CLUSTER_SUMS {
+        let section = if path.starts_with("schedule_cache.") { &mut cache } else { &mut o };
+        section.set(key, sum(path));
     }
-
-    /// Cluster coalesce factor: jobs per executed batch, over all nodes.
-    #[must_use]
-    pub fn coalesce_factor(&self) -> Option<f64> {
-        if self.batches == 0 {
-            None
-        } else {
-            Some((self.completed_jobs + self.failed_jobs) as f64 / self.batches as f64)
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("submitted_jobs", self.submitted_jobs);
-        o.set("accepted_jobs", self.accepted_jobs);
-        o.set("rejected_jobs", self.rejected_jobs);
-        o.set("completed_jobs", self.completed_jobs);
-        o.set("failed_jobs", self.failed_jobs);
-        o.set("completed_instances", self.completed_instances);
-        o.set("batches", self.batches);
-        o.set("coalesce_factor", self.coalesce_factor().map_or(Json::Null, Json::from));
-        let mut sc = Json::obj();
-        sc.set("hits", self.cache_hits);
-        sc.set("compiles", self.cache_compiles);
-        o.set("schedule_cache", sc);
-        o.set("distinct_keys", self.distinct_keys);
-        o.set("reachable_backends", self.reachable);
-        o.set("unreachable_backends", self.unreachable);
-        o
-    }
+    let batches = sum("execution.batches");
+    let finished = sum("execution.completed_jobs") + sum("execution.failed_jobs");
+    let factor =
+        if batches == 0 { Json::Null } else { Json::from(finished as f64 / batches as f64) };
+    o.set("coalesce_factor", factor);
+    o.set("schedule_cache", cache);
+    let keys: std::collections::BTreeSet<&str> = nodes
+        .iter()
+        .filter_map(|snap| snap.get("per_key").and_then(Json::as_obj))
+        .flatten()
+        .map(|(key, _)| key.as_str())
+        .collect();
+    o.set("distinct_keys", keys.len());
+    o.set("reachable_backends", nodes.len());
+    o.set("unreachable_backends", snapshots.len() - nodes.len());
+    o
 }
 
 fn health_json(health: &[NodeHealth], ids: &[String]) -> Json {
@@ -290,6 +243,8 @@ fn health_json(health: &[NodeHealth], ids: &[String]) -> Json {
     for (i, h) in health.iter().enumerate() {
         let mut e = Json::obj();
         e.set("state", if h.state == HealthState::Up { "up" } else { "down" });
+        e.set("up", h.state == HealthState::Up);
+        e.set("last_probe_us", h.last_probe_us);
         e.set("successes", h.successes);
         e.set("failures", h.failures);
         e.set("marked_down", h.marked_down);
@@ -313,6 +268,10 @@ pub fn router_section(view: &LedgerView, ids: &[String]) -> Json {
     r.set("rerouted", view.rerouted);
     r.set("overload_redispatch", view.overload_redispatch);
     r.set("io_redispatch", view.io_redispatch);
+    let mut redispatch = Json::obj();
+    redispatch.set("overloaded", view.overload_redispatch);
+    redispatch.set("io", view.io_redispatch);
+    r.set("redispatch", redispatch);
     r.set("fanouts", view.fanouts);
     r.set("local", view.local);
     r.set("protocol_errors", view.protocol_errors);
@@ -371,212 +330,50 @@ pub fn merged_snapshot(
         }
     }
     report.set("backends", backends);
-    report.set("cluster", ClusterTotals::from_snapshots(snapshots).to_json());
+    report.set("cluster", cluster_section(snapshots));
     if drained {
         report.set("drained", true);
     }
     report.json().clone()
 }
 
-/// The merged Prometheus exposition served for `metrics`: the router's
-/// counters, per-backend health and dispatch families labelled by
-/// `node`, and cluster families aggregated from the backends' stats
-/// snapshots (also labelled by `node`, plus unlabelled cluster totals).
-#[must_use]
-pub fn render_prometheus(
-    view: &LedgerView,
-    ids: &[String],
-    health: &[NodeHealth],
-    snapshots: &[Option<Json>],
-) -> String {
-    let mut p = PromText::new();
-    p.counter("router_submits_total", "Submit lines received from clients.", view.submits);
-    p.counter("router_acked_total", "Submits answered with a backend success.", view.acked);
-    p.counter(
-        "router_relayed_errors_total",
-        "Submits answered with a relayed backend rejection.",
-        view.relayed_errors,
-    );
-    p.counter(
-        "router_unavailable_total",
-        "Submits answered unavailable: no backend reachable.",
-        view.unavailable,
-    );
-    p.counter(
-        "router_rerouted_total",
-        "Submits answered by a node other than the key's ring owner.",
-        view.rerouted,
-    );
-    p.counter_vec(
-        "router_redispatch_total",
-        "Submit redispatches to a successor node, by trigger.",
-        "reason",
-        &[
-            ("overloaded".to_string(), view.overload_redispatch),
-            ("io".to_string(), view.io_redispatch),
-        ],
-    );
-    p.counter("router_fanouts_total", "Fan-out requests served.", view.fanouts);
-    p.counter(
-        "router_protocol_errors_total",
-        "Malformed client lines rejected.",
-        view.protocol_errors,
-    );
-    p.counter("router_connections_total", "Client connections accepted.", view.connections);
-    p.counter("router_failovers_total", "Standby promotions driven by the prober.", view.failovers);
-
-    let series = |f: &dyn Fn(&BackendCounters) -> u64| -> Vec<(String, u64)> {
-        view.backends.iter().enumerate().map(|(i, b)| (ids[i].clone(), f(b))).collect()
-    };
-    p.gauge_vec(
-        "router_backend_up",
-        "Whether each backend is currently routable (1 = up).",
-        "node",
-        &health
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (ids[i].clone(), f64::from(u8::from(h.state == HealthState::Up))))
-            .collect::<Vec<_>>(),
-    );
-    p.counter_vec(
-        "router_backend_dispatches_total",
-        "Submit dispatch attempts per backend.",
-        "node",
-        &series(&|b| b.dispatches),
-    );
-    p.counter_vec(
-        "router_backend_acked_total",
-        "Relayed successes per backend.",
-        "node",
-        &series(&|b| b.acked),
-    );
-    p.counter_vec(
-        "router_backend_io_failures_total",
-        "Connect/IO failures per backend.",
-        "node",
-        &series(&|b| b.io_failures),
-    );
-    p.counter_vec(
-        "router_backend_overloaded_total",
-        "Overloaded replies per backend.",
-        "node",
-        &series(&|b| b.overloaded),
-    );
-    p.gauge_vec(
-        "router_backend_last_probe_us",
-        "Prober-clock stamp of each backend's last probe or dispatch (0 = never).",
-        "node",
-        &health
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (ids[i].clone(), h.last_probe_us as f64))
-            .collect::<Vec<_>>(),
-    );
-
-    // Per-node families pulled from each reachable backend's snapshot.
-    let pull = |path: &str| -> Vec<(String, u64)> {
-        snapshots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (ids[i].clone(), snap_u64(s, path))))
-            .collect()
-    };
-    p.counter_vec(
-        "bulkd_node_completed_jobs_total",
-        "Jobs completed per node.",
-        "node",
-        &pull("execution.completed_jobs"),
-    );
-    p.counter_vec(
-        "bulkd_node_batches_total",
-        "Batches executed per node.",
-        "node",
-        &pull("execution.batches"),
-    );
-    p.counter_labeled(
-        "bulkd_node_exec_batches_total",
-        "Batches executed per node and engine: scalar below the crossover p, replay at or above it.",
-        ["node", "engine"],
-        &pull("execution.engine.scalar_batches")
-            .into_iter()
-            .zip(pull("execution.engine.replay_batches"))
-            .flat_map(|((node, scalar), (_, replay))| {
-                [([node.clone(), "scalar".into()], scalar), ([node, "replay".into()], replay)]
-            })
-            .collect::<Vec<_>>(),
-    );
-    p.counter_vec(
-        "bulkd_node_completed_instances_total",
-        "Instances completed per node.",
-        "node",
-        &pull("execution.completed_instances"),
-    );
-    p.counter_vec(
-        "bulkd_node_schedule_compiles_total",
-        "Schedules compiled per node.",
-        "node",
-        &pull("schedule_cache.compiles"),
-    );
-    // Replication lag, merged per node: a primary with a live standby
-    // reports its follower's shortfall; solo nodes report 0.
-    p.gauge_vec(
-        "bulkd_node_repl_lag_records",
-        "Durable records the node's replication follower still trails by.",
-        "node",
-        &pull("repl.lag_records").into_iter().map(|(id, v)| (id, v as f64)).collect::<Vec<_>>(),
-    );
-    p.gauge_vec(
-        "bulkd_node_repl_lag_us",
-        "Microseconds since the node's follower was last fully caught up.",
-        "node",
-        &pull("repl.lag_us").into_iter().map(|(id, v)| (id, v as f64)).collect::<Vec<_>>(),
-    );
-    p.gauge_vec(
-        "bulkd_node_coalesce_factor",
-        "Jobs per executed batch, per node.",
-        "node",
-        &snapshots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref().map(|s| {
-                    (
-                        ids[i].clone(),
-                        s.path("coalescing.coalesce_factor").and_then(Json::as_f64).unwrap_or(0.0),
-                    )
-                })
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let totals = ClusterTotals::from_snapshots(snapshots);
-    p.counter(
-        "bulkd_cluster_completed_jobs_total",
-        "Jobs completed across the cluster.",
-        totals.completed_jobs,
-    );
-    p.counter(
-        "bulkd_cluster_batches_total",
-        "Batches executed across the cluster.",
-        totals.batches,
-    );
-    p.counter(
-        "bulkd_cluster_schedule_compiles_total",
-        "Schedules compiled across the cluster.",
-        totals.cache_compiles,
-    );
-    p.gauge(
-        "bulkd_cluster_coalesce_factor",
-        "Jobs per executed batch across the cluster.",
-        totals.coalesce_factor().unwrap_or(0.0),
-    );
-    p.gauge(
-        "bulkd_cluster_distinct_keys",
-        "Distinct coalescing keys seen across the cluster.",
-        totals.distinct_keys as f64,
-    );
-    p.finish()
-}
+/// The router's Prometheus families, rows over its merged snapshot: its
+/// own counters, per-backend health and dispatch families labelled by
+/// `node`, each reachable node's families pulled from its stats section
+/// (also labelled by `node`; only a primary's has the `repl` pair), and
+/// unlabelled cluster totals.
+#[rustfmt::skip]
+pub const METRICS: &[Row] = &[
+    (Kind::Counter, "router_submits_total", "router.submits", "Submit lines received from clients."),
+    (Kind::Counter, "router_acked_total", "router.acked", "Submits answered with a backend success."),
+    (Kind::Counter, "router_relayed_errors_total", "router.relayed_errors", "Submits answered with a relayed backend rejection."),
+    (Kind::Counter, "router_unavailable_total", "router.unavailable", "Submits answered unavailable: no backend reachable."),
+    (Kind::Counter, "router_rerouted_total", "router.rerouted", "Submits answered by a node other than the key's ring owner."),
+    (Kind::Counter, "router_redispatch_total", "router.redispatch.{reason}", "Submit redispatches to a successor node, by trigger."),
+    (Kind::Counter, "router_fanouts_total", "router.fanouts", "Fan-out requests served."),
+    (Kind::Counter, "router_protocol_errors_total", "router.protocol_errors", "Malformed client lines rejected."),
+    (Kind::Counter, "router_connections_total", "router.connections", "Client connections accepted."),
+    (Kind::Counter, "router_failovers_total", "router.failovers", "Standby promotions driven by the prober."),
+    (Kind::Gauge, "router_backend_up", "health.{node}.up", "Whether each backend is currently routable (1 = up)."),
+    (Kind::Counter, "router_backend_dispatches_total", "router.per_backend.{node}.dispatches", "Submit dispatch attempts per backend."),
+    (Kind::Counter, "router_backend_acked_total", "router.per_backend.{node}.acked", "Relayed successes per backend."),
+    (Kind::Counter, "router_backend_io_failures_total", "router.per_backend.{node}.io_failures", "Connect/IO failures per backend."),
+    (Kind::Counter, "router_backend_overloaded_total", "router.per_backend.{node}.overloaded", "Overloaded replies per backend."),
+    (Kind::Gauge, "router_backend_last_probe_us", "health.{node}.last_probe_us", "Prober-clock stamp of each backend's last probe or dispatch (0 = never)."),
+    (Kind::Counter, "bulkd_node_completed_jobs_total", "backends.{node}.execution.completed_jobs", "Jobs completed per node."),
+    (Kind::Counter, "bulkd_node_batches_total", "backends.{node}.execution.batches", "Batches executed per node."),
+    (Kind::Counter, "bulkd_node_exec_batches_total", "backends.{node}.execution.engine.{engine}_batches", "Batches executed per node and engine: scalar below the crossover p, replay at or above it."),
+    (Kind::Counter, "bulkd_node_completed_instances_total", "backends.{node}.execution.completed_instances", "Instances completed per node."),
+    (Kind::Counter, "bulkd_node_schedule_compiles_total", "backends.{node}.schedule_cache.compiles", "Schedules compiled per node."),
+    (Kind::Gauge, "bulkd_node_repl_lag_records", "backends.{node}.repl.lag_records", "Durable records the node's replication follower still trails by."),
+    (Kind::Gauge, "bulkd_node_repl_lag_us", "backends.{node}.repl.lag_us", "Microseconds since the node's follower was last fully caught up."),
+    (Kind::Gauge, "bulkd_node_coalesce_factor", "backends.{node}.coalescing.coalesce_factor", "Jobs per executed batch, per node."),
+    (Kind::Counter, "bulkd_cluster_completed_jobs_total", "cluster.completed_jobs", "Jobs completed across the cluster."),
+    (Kind::Counter, "bulkd_cluster_batches_total", "cluster.batches", "Batches executed across the cluster."),
+    (Kind::Counter, "bulkd_cluster_schedule_compiles_total", "cluster.schedule_cache.compiles", "Schedules compiled across the cluster."),
+    (Kind::Gauge, "bulkd_cluster_coalesce_factor", "cluster.coalesce_factor", "Jobs per executed batch across the cluster."),
+    (Kind::Gauge, "bulkd_cluster_distinct_keys", "cluster.distinct_keys", "Distinct coalescing keys seen across the cluster."),
+];
 
 #[cfg(test)]
 mod tests {
@@ -698,7 +495,8 @@ mod tests {
         primary.stats_json(7, 1_000);
         alpha.set("repl", primary.stats_json(7, 4_000));
         let snaps = vec![Some(alpha), None];
-        let text = render_prometheus(&stats.view(), &ids, &board.view(), &snaps);
+        let merged = merged_snapshot(&stats.view(), &ids, &board.view(), &snaps, false);
+        let text = obs::prom::render(METRICS, &merged);
         assert!(text.contains("router_submits_total 1\n"), "{text}");
         assert!(text.contains("router_backend_up{node=\"alpha\"} 1\n"), "{text}");
         assert!(text.contains("router_backend_up{node=\"beta\"} 0\n"), "{text}");
@@ -707,7 +505,7 @@ mod tests {
         assert!(text.contains("bulkd_cluster_completed_jobs_total 8\n"), "{text}");
         assert!(text.contains("bulkd_cluster_coalesce_factor 4\n"), "{text}");
         assert!(text.contains("router_redispatch_total{reason=\"overloaded\"} 0\n"), "{text}");
-        // `snap_u64` reads a missing field as 0, so these catch a rename.
+        // A renamed `repl` field would drop these series.
         assert!(text.contains("bulkd_node_repl_lag_records{node=\"alpha\"} 7\n"), "{text}");
         assert!(text.contains("bulkd_node_repl_lag_us{node=\"alpha\"} 3000\n"), "{text}");
         // Alpha's two batches ran on the scalar engine.
@@ -718,5 +516,123 @@ mod tests {
         // The unreachable node contributes no bulkd_node series.
         assert!(!text.contains("bulkd_node_completed_jobs_total{node=\"beta\"}"), "{text}");
         assert!(!text.contains("bulkd_node_exec_batches_total{node=\"beta\""), "{text}");
+    }
+
+    /// Every metrics row reads a key of the merged snapshot over a primary
+    /// whose `repl` section the real sink renders, and every summed node
+    /// path a counter of the node's own snapshot: a renamed key fails here
+    /// rather than reading 0.
+    #[test]
+    fn every_metrics_row_and_cluster_sum_resolves() {
+        let ids = vec!["10.0.0.1:7070".to_string()];
+        let board = HealthBoard::new(1, HealthPolicy { down_after: 1, up_after: 1 });
+        let (primary, _addr) = repl::ReplPrimary::start(repl::PrimaryConfig::default()).unwrap();
+        let mut node = backend_snapshot(8, 2, 1, &["fft/8/row"], ExecPath::Scalar);
+        node.set("repl", primary.stats_json(7, 1_000));
+        let snaps = [Some(node.clone())];
+        let merged =
+            merged_snapshot(&RouterStats::new(1).view(), &ids, &board.view(), &snaps, false);
+        let unresolved = obs::prom::unresolved(METRICS, &merged);
+        assert!(unresolved.is_empty(), "rows without a value: {unresolved:?}");
+        for (_, path) in CLUSTER_SUMS {
+            assert!(node.path(path).and_then(Json::as_i64).is_some(), "no counter at {path}");
+        }
+    }
+}
+
+/// The fixed-state metrics golden of a router over a replicated node
+/// (whose id holds dots), a solo node and an unreachable node: the text
+/// the hand-built rendering produced before the families became rows
+/// over the merged snapshot, less its replication-lag series for the
+/// solo node, which has no `repl` section to read them from.
+#[cfg(test)]
+mod metrics_golden {
+    use super::*;
+    use crate::health::HealthState;
+    use bulkd::ExecPath;
+
+    /// A node's stats snapshot: `jobs` one-instance jobs of `key`, run as
+    /// `batches` batches on `path`, with `compiles` schedule compiles.
+    fn node(jobs: u64, batches: u64, compiles: u64, key: &str, path: ExecPath) -> Json {
+        let key = bulkd::JobKey {
+            algo: key.into(),
+            size: 8,
+            layout: bulkd::protocol::parse_layout("col").expect("layout"),
+        };
+        let stats = bulkd::ServerStats::new();
+        for _ in 0..jobs {
+            stats.on_submit(1);
+            stats.on_accept(1);
+            stats.on_job_done(&key, 1, 3, false, &bulkd::StageBreakdown::default());
+        }
+        for _ in 0..batches {
+            stats.on_batch(jobs / batches, 9, Some(path));
+        }
+        let idle = bulkd::queue::QueueDepth {
+            queued_instances: 0,
+            open_groups: 0,
+            ready_batches: 0,
+            in_flight_batches: 0,
+            draining: false,
+        };
+        stats.snapshot(idle, &[], 0, (jobs - compiles, compiles), None)
+    }
+
+    fn health(up: bool, last_probe_us: u64) -> NodeHealth {
+        NodeHealth {
+            state: if up { HealthState::Up } else { HealthState::Down },
+            successes: 4,
+            failures: u64::from(!up),
+            marked_down: u64::from(!up),
+            marked_up: 0,
+            consecutive_failures: u32::from(!up),
+            last_error: if up { String::new() } else { "connect: refused".into() },
+            last_probe_us,
+        }
+    }
+
+    fn exposition() -> String {
+        let ids: Vec<String> = ["127.0.0.1:7070", "solo", "down.node"].map(String::from).to_vec();
+        let stats = RouterStats::new(3);
+        stats.on_connection();
+        stats.on_connection();
+        for _ in 0..5 {
+            stats.on_submit();
+            stats.on_dispatch(0);
+            stats.on_ack(0, false);
+        }
+        stats.on_submit();
+        stats.on_dispatch(2);
+        stats.on_io_redispatch(2);
+        stats.on_dispatch(1);
+        stats.on_ack(1, true);
+        stats.on_submit();
+        stats.on_dispatch(0);
+        stats.on_overload_redispatch(0);
+        stats.on_dispatch(1);
+        stats.on_relayed_error(1, true);
+        stats.on_submit();
+        stats.on_unavailable();
+        stats.on_fanout();
+        stats.on_local();
+        stats.on_protocol_error();
+        stats.on_failover();
+        let mut primary = node(6, 2, 1, "fft", ExecPath::CacheHit);
+        let mut repl = Json::obj();
+        repl.set("mode", "primary");
+        repl.set("follower_connected", 1u64);
+        repl.set("replicated_seq", 10u64);
+        repl.set("lag_records", 2u64);
+        repl.set("lag_us", 750u64);
+        repl.set("degraded_acks", 0u64);
+        primary.set("repl", repl);
+        let snaps = vec![Some(primary), Some(node(2, 2, 0, "fir", ExecPath::Scalar)), None];
+        let board = [health(true, 1_500), health(true, 2_250), health(false, 3_000)];
+        obs::prom::render(METRICS, &merged_snapshot(&stats.view(), &ids, &board, &snaps, false))
+    }
+
+    #[test]
+    fn a_router_renders_its_golden_exposition() {
+        assert_eq!(exposition(), include_str!("../tests/golden/router.prom"));
     }
 }
