@@ -1,6 +1,7 @@
-//! Micro-bench for ablation A4: the generic conversion-system engine vs
-//! the hand-written kernel, and the per-algorithm cost of the generic
-//! engine across the algorithm library.
+//! Micro-bench for ablation A4: the generic conversion-system engine (the
+//! block kernel replaying a compiled schedule) vs the hand-written kernel,
+//! and the per-algorithm cost of the generic engine across the algorithm
+//! library.
 //!
 //! Plain `std::time` harness (`bench::harness`), median-of-samples.
 
@@ -9,7 +10,7 @@ use gpu_sim::kernels::PrefixSumsKernel;
 use gpu_sim::{launch, Device, GenericKernel};
 use oblivious::layout::arrange;
 use oblivious::program::arrange_inputs;
-use oblivious::Layout;
+use oblivious::{CompiledSchedule, Layout};
 
 fn bench_engine_overhead(device: &Device) {
     let (n, p) = (256usize, 4usize << 10);
@@ -23,7 +24,8 @@ fn bench_engine_overhead(device: &Device) {
     });
 
     let mut buf = arrange(&per, n, Layout::ColumnWise);
-    let generic = GenericKernel::new(algorithms::PrefixSums::new(n), Layout::ColumnWise);
+    let schedule = CompiledSchedule::compile(&algorithms::PrefixSums::new(n));
+    let generic = GenericKernel::new(&schedule, Layout::ColumnWise);
     case("generic_vs_kernel", "generic_prefix_sums", None, || {
         launch(device, &generic, &mut buf, p);
     });
@@ -38,7 +40,8 @@ fn bench_algorithm_library(device: &Device) {
         let flat = bench::random_words(p * 128, 5);
         let per: Vec<&[f32]> = flat.chunks_exact(128).collect();
         let mut buf = arrange_inputs(&prog, &per, Layout::ColumnWise);
-        let k = GenericKernel::new(prog, Layout::ColumnWise);
+        let schedule = CompiledSchedule::compile(&prog);
+        let k = GenericKernel::new(&schedule, Layout::ColumnWise);
         case("generic_library", "fft64", None, || launch(device, &k, &mut buf, p));
     }
     // Bitonic sort of 64 elements.
@@ -47,7 +50,8 @@ fn bench_algorithm_library(device: &Device) {
         let flat = bench::random_words(p * 64, 6);
         let per: Vec<&[f32]> = flat.chunks_exact(64).collect();
         let mut buf = arrange_inputs(&prog, &per, Layout::ColumnWise);
-        let k = GenericKernel::new(prog, Layout::ColumnWise);
+        let schedule = CompiledSchedule::compile(&prog);
+        let k = GenericKernel::new(&schedule, Layout::ColumnWise);
         case("generic_library", "bitonic64", None, || launch(device, &k, &mut buf, p));
     }
     // XTEA over 8 blocks (u32 words).
@@ -58,7 +62,8 @@ fn bench_algorithm_library(device: &Device) {
             .collect();
         let refs: Vec<&[u32]> = inputs.iter().map(|v| v.as_slice()).collect();
         let mut buf = arrange_inputs(&prog, &refs, Layout::ColumnWise);
-        let k = GenericKernel::new(prog, Layout::ColumnWise);
+        let schedule = CompiledSchedule::compile(&prog);
+        let k = GenericKernel::new(&schedule, Layout::ColumnWise);
         case("generic_library", "xtea8", None, || launch(device, &k, &mut buf, p));
     }
 }

@@ -8,7 +8,8 @@
 //! * **A3 — DMM vs UMM:** identical bulk traces priced on both machines:
 //!   the layouts swap winners between address-group and bank cost.
 //! * **A4 — generic engine vs hand-written kernel:** measured wall-clock
-//!   interpretation overhead of the "conversion system".
+//!   cost of the "conversion system" — the block kernel replaying a
+//!   compiled schedule — against the hand-written kernel, both layouts.
 //!
 //! Besides the printed tables, the run emits a machine-readable
 //! `bench_results/ablation_report.json` (`--profile <path>` overrides).
@@ -20,7 +21,7 @@ use gpu_sim::kernels::PrefixSumsKernel;
 use gpu_sim::{launch, timing, Device, GenericKernel};
 use oblivious::layout::arrange;
 use oblivious::program::bulk_model_time;
-use oblivious::{Layout, Model};
+use oblivious::{CompiledSchedule, Layout, Model};
 use obs::{Json, RunReport};
 use umm_core::MachineConfig;
 
@@ -102,38 +103,44 @@ fn a3_dmm_vs_umm() -> Json {
 }
 
 fn a4_generic_vs_kernel() -> Json {
-    println!("\n=== A4: generic engine vs hand-written kernel (measured) ===");
+    println!("\n=== A4: generic engine (compiled replay) vs hand-written kernel (measured) ===");
     let device = Device::titan_like();
     let n = 256usize;
     let ps: Vec<u64> = if smoke_scale() { vec![1 << 10] } else { vec![1 << 10, 4 << 10, 16 << 10] };
-    let make_buf = |p: usize, layout: Layout| {
-        let flat = random_words(p * n, 11);
-        let per: Vec<&[f32]> = flat.chunks_exact(n).collect();
-        arrange(&per, n, layout)
-    };
-    let kern = sweep_series("kernel col", &ps, |p| {
-        let p = p as usize;
-        let mut buf = make_buf(p, Layout::ColumnWise);
-        timing::secs(timing::median_time(reps(), || {
-            launch(&device, &PrefixSumsKernel::new(n, Layout::ColumnWise), &mut buf, p);
-        }))
-    });
-    let gene = sweep_series("generic col", &ps, |p| {
-        let p = p as usize;
-        let mut buf = make_buf(p, Layout::ColumnWise);
-        let k = GenericKernel::new(PrefixSums::new(n), Layout::ColumnWise);
-        timing::secs(timing::median_time(reps(), || {
-            launch(&device, &k, &mut buf, p);
-        }))
-    });
-    println!("{}", analytic::table("prefix-sums n = 256, column-wise", &[&kern, &gene]));
-    let overhead: Series = analytic::speedup(&gene, &kern);
-    if let Some((p, x)) = analytic::peak(&overhead) {
-        println!("interpretation overhead: up to {x:.2}x (at p = {p})");
-    }
+    let schedule = CompiledSchedule::compile(&PrefixSums::new(n));
     let mut o = Json::obj();
-    o.set("kernel", series_json(&kern));
-    o.set("generic", series_json(&gene));
+    for layout in [Layout::ColumnWise, Layout::RowWise] {
+        let make_buf = |p: usize| {
+            let flat = random_words(p * n, 11);
+            let per: Vec<&[f32]> = flat.chunks_exact(n).collect();
+            arrange(&per, n, layout)
+        };
+        let tag = layout.label();
+        let kern = sweep_series(&format!("kernel {tag}"), &ps, |p| {
+            let p = p as usize;
+            let mut buf = make_buf(p);
+            timing::secs(timing::median_time(reps(), || {
+                launch(&device, &PrefixSumsKernel::new(n, layout), &mut buf, p);
+            }))
+        });
+        let gene = sweep_series(&format!("generic {tag}"), &ps, |p| {
+            let p = p as usize;
+            let mut buf = make_buf(p);
+            let k = GenericKernel::new(&schedule, layout);
+            timing::secs(timing::median_time(reps(), || {
+                launch(&device, &k, &mut buf, p);
+            }))
+        });
+        println!("{}", analytic::table(&format!("prefix-sums n = 256, {layout}"), &[&kern, &gene]));
+        let ratio: Series = analytic::speedup(&gene, &kern);
+        if let Some((p, x)) = analytic::peak(&ratio) {
+            println!("generic / kernel time, {layout}: up to {x:.2}x (at p = {p})");
+        }
+        let mut pair = Json::obj();
+        pair.set("kernel", series_json(&kern));
+        pair.set("generic", series_json(&gene));
+        o.set(tag, pair);
+    }
     o
 }
 

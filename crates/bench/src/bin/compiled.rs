@@ -2,14 +2,17 @@
 //!
 //! Times `bulk_execute_in_place` (re-decoding the program every run)
 //! against `run_compiled_in_place` (replaying a pre-compiled step table,
-//! with load/binop/store fusion) and sharded replay, on bulk prefix-sums.
-//! Writes a BENCH JSON (`bench_results/compiled_report.json` by default;
-//! `--profile PATH` overrides) capturing the measured ns/iter and the
-//! interpreter-over-compiled speedup per configuration.
+//! with load/binop/store fusion) on bulk prefix-sums, then whole-batch
+//! replay on the SIMT device (`gpu_sim::replay`: arrange, launch, extract)
+//! across device shapes: 1, 2 and 4 workers with one block each, and the
+//! same workers with the paper's 64-lane blocks where that cuts the batch
+//! finer.  Writes a BENCH JSON (`bench_results/compiled_report.json` by
+//! default; `--profile PATH` overrides) capturing the measured ns/iter,
+//! the interpreter-over-compiled speedup and the per-shape replay times.
 
 use bench::harness::bench_ns;
 use bench::{random_words, smoke_scale, write_report};
-use oblivious::exec::shard::run_sharded;
+use gpu_sim::{replay, Device};
 use oblivious::layout::arrange;
 use oblivious::program::{bulk_execute, bulk_execute_in_place, run_compiled_in_place};
 use oblivious::{CompiledSchedule, Layout};
@@ -20,7 +23,7 @@ fn main() {
     // shrinks both so CI exercises the paths in milliseconds.
     let configs: &[(usize, usize)] =
         if smoke_scale() { &[(256, 16), (64, 64)] } else { &[(32 << 10, 64), (1024, 1 << 10)] };
-    let shard_counts = [2usize, 4];
+    let worker_counts = [1usize, 2, 4];
 
     let mut report = RunReport::new("compiled");
     let mut cases: Vec<Json> = Vec::new();
@@ -32,9 +35,10 @@ fn main() {
 
         // Outputs must agree before the timings mean anything.
         let expect = bulk_execute(&program, &per, Layout::ColumnWise);
-        for shards in [1, 2, 7] {
-            let got = run_sharded(&schedule, &per, Layout::ColumnWise, shards);
-            assert_eq!(got, expect, "n={n} p={p} shards={shards}");
+        for workers in [1, 2, 7] {
+            let device = Device::one_block_per_worker(workers, p);
+            let got = replay(&device, &schedule, &per, Layout::ColumnWise);
+            assert_eq!(got, expect, "n={n} p={p} workers={workers}");
         }
 
         let label = format!("prefix_sums_n{n}_p{p}");
@@ -59,19 +63,35 @@ fn main() {
         case.set("compiled_ns_per_iter", compiled_ns);
         case.set("compiled_speedup", speedup);
 
-        // Sharded replay re-arranges per shard, so time the whole call
-        // (inputs → outputs) — comparable across shard counts, not to the
-        // in-place single-shard number above.
-        let mut sharded = Json::obj();
-        for &s in &shard_counts {
-            let ns = bench_ns(|| {
-                let out = run_sharded(&schedule, &per, Layout::ColumnWise, s);
-                std::hint::black_box(out);
-            });
-            println!("{label:<28} sharded x{s}  {ns:>12.1} ns/iter");
-            sharded.set(&format!("shards_{s}_ns_per_iter"), ns);
+        // Device replay arranges and extracts per call, so time the whole
+        // call (inputs → outputs) — comparable across device shapes, not
+        // to the in-place numbers above.
+        let mut shapes = Vec::new();
+        for &workers in &worker_counts {
+            let one_each = Device::one_block_per_worker(workers, p);
+            let mut blocks = vec![one_each.block_size];
+            if one_each.block_size > 64 {
+                blocks.push(64);
+            }
+            for block_size in blocks {
+                let device = Device { block_size, ..one_each.clone() };
+                let ns = bench_ns(|| {
+                    std::hint::black_box(replay(&device, &schedule, &per, Layout::ColumnWise));
+                });
+                let nblocks = p.div_ceil(block_size);
+                println!(
+                    "{label:<28} device {workers} worker(s) x {nblocks} block(s) of \
+                     {block_size} {ns:>12.1} ns/iter"
+                );
+                let mut row = Json::obj();
+                row.set("workers", device.worker_threads);
+                row.set("block_size", block_size);
+                row.set("blocks", nblocks);
+                row.set("ns_per_iter", ns);
+                shapes.push(row);
+            }
         }
-        case.set("sharded", sharded);
+        case.set("device", Json::Arr(shapes));
         cases.push(case);
     }
     report.set("cases", Json::Arr(cases));

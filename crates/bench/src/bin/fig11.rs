@@ -15,29 +15,19 @@ use bench::{
     write_csv, write_report,
 };
 use gpu_sim::kernels::PrefixSumsKernel;
-use gpu_sim::{cpu_ref, launch, launch_profiled, timing, Device};
+use gpu_sim::{cpu_ref, launch, launch_profiled, timing, Device, GenericKernel};
 use oblivious::layout::arrange;
-use oblivious::{run_sharded, Layout, ScheduleCache};
+use oblivious::{Layout, ScheduleCache};
 use obs::{Json, RunReport};
 
-/// `--compiled [--shards N]`: measure the GPU series through sharded
-/// compiled-schedule replay instead of the SIMT kernel.  Timings change
-/// (they are informational in `bulkrun compare`); every deterministic
-/// leaf of the report — series labels, sweep shape, device geometry — is
-/// identical, so the same smoke baseline gates both modes.
-fn compiled_mode() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    if !args.iter().any(|a| a == "--compiled") {
-        return None;
-    }
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<usize>().expect("--shards must be a number"))
-        .unwrap_or(1);
-    assert!(shards > 0, "--shards must be positive");
-    Some(shards)
+/// `--compiled`: the GPU series launch the generic block kernel, replaying
+/// a compiled prefix-sums schedule, instead of the hand-written kernel, on
+/// the same device.  Timings change (they are informational in `bulkrun
+/// compare`); every deterministic leaf of the report — series labels,
+/// sweep shape, device geometry — is identical, so the same smoke baseline
+/// gates both modes.
+fn compiled_mode() -> bool {
+    std::env::args().any(|a| a == "--compiled")
 }
 
 fn adaptive_reps(words: usize) -> usize {
@@ -50,17 +40,16 @@ fn adaptive_reps(words: usize) -> usize {
 
 /// Time one configuration (arrangement excluded, as for CUDA kernel time).
 ///
-/// In compiled mode the GPU series replay a cached [`oblivious`] schedule
-/// via [`run_sharded`] (which re-arranges per shard, so arrangement is on
-/// the clock there); the CPU series is the engine-independent reference
-/// and is measured identically in both modes.
+/// With a schedule cache (compiled mode) the GPU series launch the generic
+/// kernel over the cached schedule; the CPU series is the
+/// engine-independent reference and is measured identically in both modes.
 fn measure(
     device: &Device,
     n: usize,
     p: usize,
     mode: Mode,
     seed: u64,
-    compiled: Option<(usize, &ScheduleCache<f32>)>,
+    compiled: Option<&ScheduleCache<f32>>,
 ) -> f64 {
     let flat = random_words(p * n, seed);
     let per: Vec<&[f32]> = flat.chunks_exact(n).collect();
@@ -68,19 +57,12 @@ fn measure(
         Mode::Cpu | Mode::Row => Layout::RowWise,
         Mode::Col => Layout::ColumnWise,
     };
-    let r = adaptive_reps(p * n);
-    if let (Some((shards, cache)), Mode::Row | Mode::Col) = (compiled, mode) {
-        let (schedule, _) = cache.get_or_compile(&algorithms::PrefixSums::new(n), layout);
-        let d = timing::median_time(r, || {
-            std::hint::black_box(run_sharded(&schedule, &per, layout, shards));
-        });
-        return timing::secs(d);
-    }
+    let schedule = compiled.map(|c| c.get_or_compile(&algorithms::PrefixSums::new(n), layout).0);
     let mut buf = arrange(&per, n, layout);
-    let d = timing::median_time(r, || match mode {
-        Mode::Cpu => cpu_ref::prefix_sums_rowwise(&mut buf, p, n),
-        Mode::Row => launch(device, &PrefixSumsKernel::new(n, Layout::RowWise), &mut buf, p),
-        Mode::Col => launch(device, &PrefixSumsKernel::new(n, Layout::ColumnWise), &mut buf, p),
+    let d = timing::median_time(adaptive_reps(p * n), || match (mode, &schedule) {
+        (Mode::Cpu, _) => cpu_ref::prefix_sums_rowwise(&mut buf, p, n),
+        (_, Some(s)) => launch(device, &GenericKernel::new(s, layout), &mut buf, p),
+        (_, None) => launch(device, &PrefixSumsKernel::new(n, layout), &mut buf, p),
     });
     timing::secs(d)
 }
@@ -99,9 +81,10 @@ fn main() {
         device.name, device.worker_threads, device.warp_size, device.block_size
     );
     let cache: ScheduleCache<f32> = ScheduleCache::new();
-    let compiled = compiled_mode().inspect(|&shards| {
-        println!("engine: compiled schedule replay, {shards} shard(s)");
-    });
+    let compiled = compiled_mode().then_some(&cache);
+    if compiled.is_some() {
+        println!("engine: compiled schedule replay on the device");
+    }
     let mut report = RunReport::new("fig11");
     report.set("device", bench::device_json(&device));
     let mut figures: Vec<Json> = Vec::new();
@@ -116,14 +99,13 @@ fn main() {
         let cap = if paper_scale() { paper_cap } else { lap_cap };
         let ps = p_sweep(64, cap);
         eprintln!("\n-- prefix-sums n = {n}, p up to {cap} --");
-        let cmode = compiled.map(|s| (s, &cache));
         let cpu =
-            sweep_series("CPU", &ps, |p| measure(&device, n, p as usize, Mode::Cpu, p, cmode));
+            sweep_series("CPU", &ps, |p| measure(&device, n, p as usize, Mode::Cpu, p, compiled));
         let row = sweep_series("GPU row-wise", &ps, |p| {
-            measure(&device, n, p as usize, Mode::Row, p, cmode)
+            measure(&device, n, p as usize, Mode::Row, p, compiled)
         });
         let col = sweep_series("GPU col-wise", &ps, |p| {
-            measure(&device, n, p as usize, Mode::Col, p, cmode)
+            measure(&device, n, p as usize, Mode::Col, p, compiled)
         });
         print_figure_block(
             &format!("Figure 11, n = {n}"),

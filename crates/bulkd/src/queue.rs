@@ -52,7 +52,7 @@ pub struct StageBreakdown {
     /// Batch claimed → its highest submit record durable, so execution
     /// may start.
     pub durable_us: u64,
-    /// Batch execution (compile-or-cache-hit plus the sharded replay).
+    /// Batch execution (compile-or-cache-hit plus the device replay).
     pub exec_us: u64,
     /// Execution end → completion journaled and the reply written.
     pub finalize_us: u64,

@@ -69,18 +69,15 @@ pub trait BatchExecutor: Send + Sync + 'static {
     /// A human-readable rejection reason (unknown algorithm, bad size).
     fn validate(&self, key: &JobKey) -> Result<usize, String>;
 
-    /// Execute the batch: one inner vector of input bits per instance, in
-    /// order; returns per-instance output bits in the same order, and the
-    /// path that served the batch.
+    /// Execute the batch: one slice of input bits per instance, borrowed
+    /// from the queued jobs, in order; returns per-instance output bits in
+    /// the same order, and the path that served the batch.
     ///
     /// # Errors
     ///
     /// A human-readable execution failure, fanned out to every rider.
-    fn execute(
-        &self,
-        key: &JobKey,
-        inputs: &[Vec<u64>],
-    ) -> Result<(Vec<Vec<u64>>, ExecPath), String>;
+    fn execute(&self, key: &JobKey, inputs: &[&[u64]])
+        -> Result<(Vec<Vec<u64>>, ExecPath), String>;
 
     /// The shared schedule cache's cumulative `(hits, compiles)`: one
     /// lookup per batch that replays.
@@ -654,7 +651,8 @@ fn execute(
     batch: &Batch,
     stamps: &mut BatchStamps,
 ) -> Vec<Result<Vec<Vec<u64>>, String>> {
-    let inputs: Vec<Vec<u64>> = batch.jobs.iter().flat_map(|j| j.inputs.iter().cloned()).collect();
+    let inputs: Vec<&[u64]> =
+        batch.jobs.iter().flat_map(|j| j.inputs.iter().map(Vec::as_slice)).collect();
     let p = inputs.len();
     let result = sh.executor.execute(&batch.key, &inputs);
     stamps.executed_us = sh.clock.now_us();
@@ -917,11 +915,11 @@ mod tests {
         fn execute(
             &self,
             key: &JobKey,
-            inputs: &[Vec<u64>],
+            inputs: &[&[u64]],
         ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
             self.0.fetch_add(1, Ordering::SeqCst);
             let path = PATHS.into_iter().find(|p| p.name() == key.algo).unwrap_or(ExecPath::Scalar);
-            Ok((inputs.to_vec(), path))
+            Ok((inputs.iter().map(|i| i.to_vec()).collect(), path))
         }
 
         fn cache_stats(&self) -> (u64, u64) {
@@ -943,7 +941,7 @@ mod tests {
         fn execute(
             &self,
             _key: &JobKey,
-            _inputs: &[Vec<u64>],
+            _inputs: &[&[u64]],
         ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
             self.0.fetch_add(1, Ordering::SeqCst);
             Err(FAILURE.into())
@@ -1255,11 +1253,11 @@ mod metrics_golden {
         fn execute(
             &self,
             key: &JobKey,
-            inputs: &[Vec<u64>],
+            inputs: &[&[u64]],
         ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
             self.0.advance(20 + 5 * inputs.len() as u64);
             let path = if key.algo == "fft" { ExecPath::CacheHit } else { ExecPath::Scalar };
-            Ok((inputs.to_vec(), path))
+            Ok((inputs.iter().map(|i| i.to_vec()).collect(), path))
         }
 
         fn cache_stats(&self) -> (u64, u64) {

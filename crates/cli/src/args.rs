@@ -49,7 +49,7 @@ pub enum Command {
         /// Execute through a compiled schedule (one dry run, replayed)
         /// instead of re-interpreting the program.
         compiled: bool,
-        /// Number of instance shards replayed on separate threads
+        /// Device workers, one block each, that replay the schedule
         /// (`--compiled` only).
         shards: usize,
     },
@@ -107,8 +107,8 @@ pub enum Command {
         max_queue: usize,
         /// Deadline-based flush trigger, in milliseconds.
         flush_after_ms: u64,
-        /// Shards each batch replay splits over (batches below
-        /// `SCALAR_BELOW_P` run scalar and use none).
+        /// Device workers, one block each, that each batch replay runs on
+        /// (batches below `SCALAR_BELOW_P` run scalar and use none).
         shards: usize,
         /// Write a Chrome-trace of batch executions here at shutdown.
         trace: Option<String>,
@@ -154,8 +154,9 @@ pub enum Command {
         max_queue: usize,
         /// Flush deadline of the promoted server, in milliseconds.
         flush_after_ms: u64,
-        /// Shards each batch replay splits over after promotion (batches
-        /// below `SCALAR_BELOW_P` run scalar and use none).
+        /// Device workers, one block each, that each batch replay runs on
+        /// after promotion (batches below `SCALAR_BELOW_P` run scalar and
+        /// use none).
         shards: usize,
     },
     /// `bulkrun promote [--addr A]` — ask a warm standby to take over as
@@ -343,9 +344,10 @@ USAGE:
                        [--trace PATH]            write a Chrome-trace timeline
                                                  (open in Perfetto / about:tracing)
                        [--compiled]              replay a compiled schedule
-                                                 instead of re-interpreting
-                       [--shards N]              split instances over N threads
-                                                 (requires --compiled)
+                                                 on the SIMT device instead of
+                                                 re-interpreting
+                       [--shards N]              N device workers, one block
+                                                 each (requires --compiled)
   bulkrun timeline <algo> [--size N] [--p P]     plain-terminal warp timeline
                        [--layout row|col]        of the UMM model simulation
                        [--width W] [--latency L]
@@ -360,8 +362,9 @@ USAGE:
                        [--max-batch P]           bounded queue with overload
                        [--max-queue Q]           backpressure; batches of p < 16
                        [--flush-after-ms MS]     run scalar, larger ones replay
-                       [--shards N]              cached compiled schedules over
-                                                 N threads
+                       [--shards N]              cached compiled schedules on
+                                                 N device workers, one block
+                                                 each
                        [--trace PATH]            Chrome-trace of batch spans
                        [--wal-dir DIR]           write-ahead log: accepted jobs
                        [--fsync POLICY]          survive kill -9 and re-run on
@@ -386,7 +389,7 @@ USAGE:
                        [--max-batch P]           apply to the promoted server)
                        [--max-queue Q]
                        [--flush-after-ms MS]
-                       [--shards N]
+                       [--shards N]              (N device workers per batch)
   bulkrun promote      [--addr A]                promote a warm standby to the
                        [--connect-timeout-ms MS] serving primary (refused if it
                        [--read-timeout-ms MS]    would lose acked jobs)
@@ -1130,7 +1133,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // --compiled alone defaults to one shard; plain runs stay on the
+        // --compiled alone defaults to one device worker; plain runs stay on the
         // interpreter.
         match parse(&argv("run opt --compiled")).unwrap() {
             Command::Run { compiled, shards, .. } => {

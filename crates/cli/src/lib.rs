@@ -185,7 +185,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         Command::Run { algo, size, p, layout, profile, trace, compiled, shards } => {
             let a = Algo::parse(algo, *size)?;
             let engine_desc = if *compiled {
-                format!("compiled schedule, {shards} shard(s)")
+                format!("compiled schedule, {shards} device worker(s)")
             } else {
                 "interpreter".to_string()
             };

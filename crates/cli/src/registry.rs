@@ -12,12 +12,10 @@ use algorithms::{
     PascalTriangle, PolyMul, PrefixSums, SummedArea, Transpose, Xtea,
 };
 use bulkd::ExecPath;
-use gpu_sim::{launch, launch_profiled, Device, GenericKernel};
-use oblivious::layout::extract;
+use gpu_sim::{launch_profiled, replay, Device, GenericKernel};
 use oblivious::program::{
-    arrange_inputs, bulk_execute, bulk_execute_compiled, bulk_execute_cpu_reference,
-    bulk_model_time, bulk_profiled, bulk_traced, compiled_profiled, run_compiled_in_place,
-    time_steps, trace_of,
+    arrange_inputs, bulk_execute, bulk_execute_cpu_reference, bulk_model_time, bulk_profiled,
+    bulk_traced, compiled_profiled, run_compiled_in_place, time_steps, trace_of,
 };
 use oblivious::{
     theorems, BulkMachine, BulkMetrics, CacheStats, CompiledSchedule, Layout, Model,
@@ -107,16 +105,12 @@ impl ScheduleCaches {
 pub enum Engine<'d> {
     /// The scalar reference, one instance at a time (layout-independent).
     Scalar,
-    /// The block-parallel SIMT device via [`GenericKernel`].
-    Device(&'d Device),
-    /// The single [`BulkMachine`] engine (`bulk_execute`).
+    /// The single [`BulkMachine`] engine interpreting the program
+    /// (`bulk_execute`).
     BulkMachine,
-    /// Compiled-schedule replay, sharded over `shards` threads
-    /// (`bulk_execute_compiled`).
-    Compiled {
-        /// Number of instance shards replayed on separate threads.
-        shards: usize,
-    },
+    /// Compiled-schedule replay on the block-parallel SIMT device it
+    /// launches on ([`gpu_sim::replay`]).
+    Compiled(&'d Device),
 }
 
 /// A selected algorithm with its size parameter bound.
@@ -350,37 +344,38 @@ impl Algo {
         self.with_program(RunOp { p, layout, seed })
     }
 
-    /// Bulk-execute `p` random instances through the compiled-schedule
-    /// replay path (`shards` threads), returning wall-clock seconds.
-    /// Compilation happens before the clock starts, mirroring
-    /// [`Algo::run_bulk`]'s kernel-only timing.
+    /// Bulk-execute `p` random instances through compiled-schedule replay
+    /// on `workers` device workers with one block each, returning
+    /// wall-clock seconds.  Compilation happens before the clock starts,
+    /// mirroring [`Algo::run_bulk`]'s kernel-only timing.
     #[must_use]
-    pub fn run_bulk_compiled(&self, p: usize, layout: Layout, seed: u64, shards: usize) -> f64 {
+    pub fn run_bulk_compiled(&self, p: usize, layout: Layout, seed: u64, workers: usize) -> f64 {
         struct RunOp {
             p: usize,
             layout: Layout,
             seed: u64,
-            shards: usize,
+            workers: usize,
         }
         impl ProgramOp<f64> for RunOp {
             fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> f64 {
                 let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
                 let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
                 let schedule = CompiledSchedule::compile(&pr);
+                let device = Device::one_block_per_worker(self.workers, self.p);
                 let t0 = std::time::Instant::now();
-                let out = oblivious::run_sharded(&schedule, &refs, self.layout, self.shards);
+                let out = replay(&device, &schedule, &refs, self.layout);
                 let dt = t0.elapsed().as_secs_f64();
                 std::hint::black_box(out);
                 dt
             }
         }
-        self.with_program(RunOp { p, layout, seed, shards })
+        self.with_program(RunOp { p, layout, seed, workers })
     }
 
     /// Port-traffic metrics of one *compiled* bulk replay — identical to
     /// [`Algo::bulk_metrics`] for every program (the compiler mirrors the
-    /// interpreter's step table and counters), and independent of the shard
-    /// count: each shard replays the same schedule, so the merged counters
+    /// interpreter's step table and counters), and independent of the
+    /// device shape: every block replays the same schedule, so the counters
     /// are the schedule's own.
     #[must_use]
     pub fn bulk_metrics_compiled(&self, p: usize, layout: Layout, seed: u64) -> BulkMetrics {
@@ -479,8 +474,8 @@ impl Algo {
         self.with_program(ModelOp { cfg, layout, p, compiled })
     }
 
-    /// Run the program through [`GenericKernel`] on `device` with scheduler
-    /// profiling, returning the [`gpu_sim::LaunchReport`] as JSON
+    /// Replay the compiled program through [`GenericKernel`] on `device`
+    /// with scheduler profiling, returning the [`gpu_sim::LaunchReport`] as JSON
     /// (per-worker block counts and busy/wait times, per-block timings).
     #[must_use]
     pub fn device_profile_json(
@@ -500,8 +495,9 @@ impl Algo {
             fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Json {
                 let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
                 let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
+                let schedule = CompiledSchedule::compile(&pr);
                 let mut buf = arrange_inputs(&pr, &refs, self.layout);
-                let kernel = GenericKernel::new(pr, self.layout);
+                let kernel = GenericKernel::new(&schedule, self.layout);
                 let report = launch_profiled(self.device, &kernel, &mut buf, self.p);
                 std::hint::black_box(buf);
                 report.to_json()
@@ -513,8 +509,8 @@ impl Algo {
     /// Execute `p` deterministic random instances on `engine` and return
     /// each instance's output words as raw bit patterns (`f32::to_bits`,
     /// zero-extended integers).  Bit-level equality across engines is the
-    /// differential-testing contract: the SIMT device, the single bulk
-    /// machine and the scalar reference must agree exactly.
+    /// differential-testing contract: compiled replay on any device, the
+    /// single bulk machine and the scalar reference must agree exactly.
     #[must_use]
     pub fn outputs_bits(
         &self,
@@ -537,15 +533,8 @@ impl Algo {
                 let outputs = match engine {
                     Engine::Scalar => bulk_execute_cpu_reference(&pr, &refs),
                     Engine::BulkMachine => bulk_execute(&pr, &refs, layout),
-                    Engine::Compiled { shards } => {
-                        bulk_execute_compiled(&pr, &refs, layout, shards)
-                    }
-                    Engine::Device(device) => {
-                        let msize = pr.memory_words();
-                        let or = pr.output_range();
-                        let mut buf = arrange_inputs(&pr, &refs, layout);
-                        launch(device, &GenericKernel::new(pr, layout), &mut buf, p);
-                        extract(&buf, p, msize, layout, or)
+                    Engine::Compiled(device) => {
+                        replay(device, &CompiledSchedule::compile(&pr), &refs, layout)
                     }
                 };
                 to_bits(outputs)
@@ -612,7 +601,7 @@ impl Algo {
 
     /// Execute instances given as raw bit patterns — the serving daemon's
     /// execution path.  Outputs come back as bit patterns in instance
-    /// order, bit-identical to `bulk_execute_compiled` on the same inputs,
+    /// order, bit-identical to [`Engine::Compiled`] on the same inputs,
     /// whichever engine [`Algo::serve_bits`] picks.
     #[must_use]
     pub fn run_cached_bits(
@@ -622,26 +611,28 @@ impl Algo {
         inputs_bits: &[Vec<u64>],
         shards: usize,
     ) -> Vec<Vec<u64>> {
-        self.serve_bits(caches, layout, inputs_bits, shards).0
+        let inputs: Vec<&[u64]> = inputs_bits.iter().map(Vec::as_slice).collect();
+        self.serve_bits(caches, layout, &inputs, shards).0
     }
 
-    /// [`Algo::run_cached_bits`], also returning the path that served the
-    /// batch.  Fewer than [`SCALAR_BELOW_P`] instances run on the scalar
-    /// engine, one at a time, with no schedule-cache lookup.  A larger
-    /// batch replays the shared cache's schedule over `shards` threads,
+    /// [`Algo::run_cached_bits`] over borrowed instances, also returning
+    /// the path that served the batch.  Fewer than [`SCALAR_BELOW_P`]
+    /// instances run on the scalar engine, one at a time, with no
+    /// schedule-cache lookup.  A larger batch replays the shared cache's
+    /// schedule on a device of `shards` workers with one block each,
     /// compiling it on the key's first such batch.
     #[must_use]
     pub fn serve_bits(
         &self,
         caches: &ScheduleCaches,
         layout: Layout,
-        inputs_bits: &[Vec<u64>],
+        inputs_bits: &[&[u64]],
         shards: usize,
     ) -> (Vec<Vec<u64>>, ExecPath) {
         struct ServeOp<'a> {
             caches: &'a ScheduleCaches,
             layout: Layout,
-            inputs: &'a [Vec<u64>],
+            inputs: &'a [&'a [u64]],
             shards: usize,
         }
         impl ProgramOp<(Vec<Vec<u64>>, ExecPath)> for ServeOp<'_> {
@@ -659,7 +650,8 @@ impl Algo {
                     return (to_bits(bulk_execute_cpu_reference(&pr, &refs)), ExecPath::Scalar);
                 }
                 let (schedule, compiled) = W::cache(self.caches).get_or_compile(&pr, self.layout);
-                let outputs = oblivious::run_sharded(&schedule, &refs, self.layout, self.shards);
+                let device = Device::one_block_per_worker(self.shards, refs.len());
+                let outputs = replay(&device, &schedule, &refs, self.layout);
                 (to_bits(outputs), if compiled { ExecPath::Compiled } else { ExecPath::CacheHit })
             }
         }
@@ -728,8 +720,10 @@ impl Algo {
                     bulk_traced(&pr, cfg, model, layout, p).take_tracer().unwrap_or_default()
                 });
                 let device = {
+                    let schedule = CompiledSchedule::compile(&pr);
                     let mut buf = arrange_inputs(&pr, &refs, layout);
-                    launch_profiled(device, &GenericKernel::new(pr, layout), &mut buf, p).to_trace()
+                    launch_profiled(device, &GenericKernel::new(&schedule, layout), &mut buf, p)
+                        .to_trace()
                 };
                 TraceBundle { engine, umm, dmm, device }
             }
@@ -838,9 +832,9 @@ mod tests {
     }
 
     /// The serving path's replay side (`run_cached_bits` at the crossover
-    /// `p`) must agree bit-for-bit with a direct `bulk_execute_compiled`
-    /// run on the same input stream, across all three word types, and
-    /// compile each schedule exactly once.
+    /// `p`) must agree bit-for-bit with a direct `Engine::Compiled` run on
+    /// the same input stream, across all three word types and worker
+    /// counts, and compile each schedule exactly once.
     #[test]
     fn cached_bits_match_direct_compiled_runs() {
         let p = SCALAR_BELOW_P;
@@ -851,12 +845,16 @@ mod tests {
             assert_eq!(inputs.len(), p);
             assert!(inputs.iter().all(|i| i.len() == algo.input_words()), "{name}");
             let served = algo.run_cached_bits(&caches, Layout::ColumnWise, &inputs, 3);
-            let direct =
-                algo.outputs_bits(Engine::Compiled { shards: 1 }, p, Layout::ColumnWise, 7);
+            let direct = algo.outputs_bits(
+                Engine::Compiled(&Device::single_worker()),
+                p,
+                Layout::ColumnWise,
+                7,
+            );
             assert_eq!(served, direct, "{name}");
             assert_eq!(caches.totals(), CacheStats { hits: 0, compiles: 1 }, "{name}");
             let again = algo.run_cached_bits(&caches, Layout::ColumnWise, &inputs, 1);
-            assert_eq!(again, direct, "{name}: shard count must not matter");
+            assert_eq!(again, direct, "{name}: worker count must not matter");
             assert_eq!(caches.totals(), CacheStats { hits: 1, compiles: 1 }, "{name}");
         }
     }
@@ -875,10 +873,11 @@ mod tests {
                 [(SCALAR_BELOW_P - 1, ExecPath::Scalar, 0), (SCALAR_BELOW_P, ExecPath::Compiled, 1)]
             {
                 let inputs = algo.random_inputs_bits(11, p);
-                let (served, took) = algo.serve_bits(&caches, Layout::ColumnWise, &inputs, 2);
+                let borrowed: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+                let (served, took) = algo.serve_bits(&caches, Layout::ColumnWise, &borrowed, 2);
                 assert_eq!(took, path, "{name} at p = {p}");
                 assert_eq!(caches.totals(), CacheStats { hits: 0, compiles }, "{name} at p = {p}");
-                for engine in [Engine::Compiled { shards: 1 }, Engine::Scalar] {
+                for engine in [Engine::Compiled(&Device::single_worker()), Engine::Scalar] {
                     let direct = algo.outputs_bits(engine, p, Layout::ColumnWise, 11);
                     assert_eq!(served, direct, "{name} at p = {p} against {engine:?}");
                 }

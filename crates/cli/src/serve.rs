@@ -4,8 +4,9 @@
 //! `bulkd` is catalog-agnostic — it moves word bit patterns.  This module
 //! closes the loop: keys resolve through [`Algo::parse`], a batch of fewer
 //! than [`SCALAR_BELOW_P`] instances runs on the scalar engine and a larger
-//! one replays through the shared [`ScheduleCaches`] (sharded), and the
-//! caches' hit/compile totals feed the daemon's `stats` snapshot.
+//! one replays a schedule from the shared [`ScheduleCaches`] on the SIMT
+//! device, and the caches' hit/compile totals feed the daemon's `stats`
+//! snapshot.
 //!
 //! [`SCALAR_BELOW_P`]: crate::registry::SCALAR_BELOW_P
 
@@ -22,9 +23,9 @@ pub struct CatalogExecutor {
 
 impl CatalogExecutor {
     /// An executor replaying each batch of at least
-    /// [`SCALAR_BELOW_P`](crate::registry::SCALAR_BELOW_P) instances over
-    /// `shards` threads (clamped to at least one;
-    /// batch-level parallelism comes from the worker pool).
+    /// [`SCALAR_BELOW_P`](crate::registry::SCALAR_BELOW_P) instances on a
+    /// device of `shards` workers with one block each (clamped to at least
+    /// one; batch-level parallelism comes from the worker pool).
     #[must_use]
     pub fn new(shards: usize) -> Self {
         Self { caches: Arc::new(ScheduleCaches::new()), shards: shards.max(1) }
@@ -75,7 +76,7 @@ impl BatchExecutor for CatalogExecutor {
     fn execute(
         &self,
         key: &JobKey,
-        inputs: &[Vec<u64>],
+        inputs: &[&[u64]],
     ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
         let algo = Self::algo(key)?;
         Ok(algo.serve_bits(&self.caches, key.layout, inputs, self.shards))
@@ -91,6 +92,7 @@ impl BatchExecutor for CatalogExecutor {
 mod tests {
     use super::*;
     use crate::registry::{Engine, SCALAR_BELOW_P};
+    use gpu_sim::Device;
     use oblivious::Layout;
 
     #[test]
@@ -127,19 +129,22 @@ mod tests {
         let ex = CatalogExecutor::new(2);
         let key = JobKey { algo: "fir".into(), size: 16, layout: Layout::RowWise };
         let algo = Algo::parse("fir", Some(16)).unwrap();
+        let single = Device::single_worker();
         let inputs = algo.random_inputs_bits(3, 6);
-        let (out, path) = ex.execute(&key, &inputs).unwrap();
-        let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, 6, Layout::RowWise, 3);
+        let borrowed: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+        let (out, path) = ex.execute(&key, &borrowed).unwrap();
+        let direct = algo.outputs_bits(Engine::Compiled(&single), 6, Layout::RowWise, 3);
         assert_eq!(out, direct);
         assert_eq!((path, ex.cache_stats()), (ExecPath::Scalar, (0, 0)));
 
         let p = SCALAR_BELOW_P;
         let inputs = algo.random_inputs_bits(3, p);
-        let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, p, Layout::RowWise, 3);
-        let (out, path) = ex.execute(&key, &inputs).unwrap();
+        let borrowed: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+        let direct = algo.outputs_bits(Engine::Compiled(&single), p, Layout::RowWise, 3);
+        let (out, path) = ex.execute(&key, &borrowed).unwrap();
         assert_eq!(out, direct);
         assert_eq!((path, ex.cache_stats()), (ExecPath::Compiled, (0, 1)));
-        let (out, path) = ex.execute(&key, &inputs).unwrap();
+        let (out, path) = ex.execute(&key, &borrowed).unwrap();
         assert_eq!(out, direct);
         assert_eq!((path, ex.cache_stats()), (ExecPath::CacheHit, (1, 1)));
     }

@@ -5,11 +5,12 @@
 //! 512 independent single-instance submits of the same `(algo, n, layout)`
 //! key must coalesce into large batches (mean executed `p ≥ 32`), compile
 //! the schedule exactly once, and return outputs bit-identical to a direct
-//! `bulk_execute_compiled` run over the same inputs.
+//! `Engine::Compiled` run over the same inputs.
 
 use cli::registry::{Algo, Engine, ScheduleCaches, SCALAR_BELOW_P};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
+use gpu_sim::Device;
 use obs::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
@@ -65,7 +66,8 @@ fn coalesces_single_instance_submits_compiles_once_and_matches_direct() {
     let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
     // The same deterministic stream `bulkrun submit --count 512` would draw.
     let inputs = algo.random_inputs_bits(RUN_SEED, JOBS);
-    let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, JOBS, layout, RUN_SEED);
+    let direct =
+        algo.outputs_bits(Engine::Compiled(&Device::single_worker()), JOBS, layout, RUN_SEED);
 
     // A flush window comfortably wider than a batch's execution keeps the
     // closed-loop clients in lock-step: every round all 64 in-flight
@@ -98,7 +100,7 @@ fn coalesces_single_instance_submits_compiles_once_and_matches_direct() {
 
     // Bit-identity: reassemble per-submit outputs in instance order.
     let served: Vec<Vec<u64>> = outputs.into_iter().flatten().collect();
-    assert_eq!(served, direct, "served outputs diverge from bulk_execute_compiled");
+    assert_eq!(served, direct, "served outputs diverge from Engine::Compiled");
 
     // Coalescing: the mean executed batch p each job observed.
     let mean_p = batch_p_sum.load(Ordering::Relaxed) as f64 / JOBS as f64;
@@ -146,7 +148,8 @@ fn small_batches_run_scalar_and_match_the_compiled_engine() {
     let layout = oblivious::Layout::ColumnWise;
     let key = bulkd::JobKey { algo: "fft".into(), size: 4, layout };
     let inputs = algo.random_inputs_bits(RUN_SEED, JOBS + p);
-    let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, JOBS + p, layout, RUN_SEED);
+    let direct =
+        algo.outputs_bits(Engine::Compiled(&Device::single_worker()), JOBS + p, layout, RUN_SEED);
     let (addr, server, caches) = start_server(2, 256, 1024, 2);
 
     let served: Vec<Vec<u64>> = std::thread::scope(|scope| {
@@ -283,8 +286,12 @@ fn drain_completes_accepted_work_and_rejects_new_submits() {
     let (addr, server, _caches) = start_server(2, 64, 1024, 10);
     let algo = Algo::parse("fir", Some(16)).unwrap();
     let key = bulkd::JobKey { algo: "fir".into(), size: 16, layout: oblivious::Layout::RowWise };
-    let direct =
-        algo.outputs_bits(Engine::Compiled { shards: 1 }, 6, oblivious::Layout::RowWise, 9);
+    let direct = algo.outputs_bits(
+        Engine::Compiled(&Device::single_worker()),
+        6,
+        oblivious::Layout::RowWise,
+        9,
+    );
 
     let mut client = bulkd::Client::connect(&addr).expect("connect");
     let inputs = algo.random_inputs_bits(9, 6);
@@ -373,7 +380,8 @@ fn a_batch_of_completions_costs_one_fsync() {
     let layout = oblivious::Layout::ColumnWise;
     let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
     let inputs = algo.random_inputs_bits(RUN_SEED, JOBS);
-    let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, JOBS, layout, RUN_SEED);
+    let direct =
+        algo.outputs_bits(Engine::Compiled(&Device::single_worker()), JOBS, layout, RUN_SEED);
     let mut probe = bulkd::Client::connect(&addr).expect("connect");
     let wal_stat = |c: &mut bulkd::Client, path: &str| {
         c.stats().expect("stats").path(path).and_then(Json::as_i64).expect(path)
@@ -645,9 +653,9 @@ fn dribbled_and_coalesced_submits_frame_correctly_on_a_real_socket() {
     let layout = oblivious::Layout::ColumnWise;
     let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
     let inputs = algo.random_inputs_bits(11, 1);
-    let direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, 1, layout, 11);
+    let direct = algo.outputs_bits(Engine::Compiled(&Device::single_worker()), 1, layout, 11);
     let pair_inputs = algo.random_inputs_bits(12, 2);
-    let pair_direct = algo.outputs_bits(Engine::Compiled { shards: 1 }, 2, layout, 12);
+    let pair_direct = algo.outputs_bits(Engine::Compiled(&Device::single_worker()), 2, layout, 12);
 
     for (addr, executes) in servers.targets() {
         let mut conn = LineConn::open(addr);

@@ -1,11 +1,13 @@
 //! Differential lockdown of the compiled-schedule replay path.
 //!
 //! For every catalog algorithm, under both memory layouts, the compiled
-//! schedule replayed over {1, 2, 7} shards must reproduce the interpreter
+//! schedule replayed on the SIMT device must reproduce the interpreter
 //! (`Engine::BulkMachine`) *bitwise*: outputs, `BulkMetrics` counters, and
-//! every deterministic leaf of the `RunReport` JSON.  Shard counts are
-//! chosen so the even-split, ragged-split and single-shard merge paths are
-//! all on the tested path (`p = 33` is divisible by none of them except 1).
+//! every deterministic leaf of the `RunReport` JSON.  The devices run 1, 2
+//! and 7 workers with one block each (a block of 33; 17 + 16; six of 5 and
+//! one of 3) and the titan-shaped device's 64-lane blocks, so the inline,
+//! even-split, ragged-split and partial-block paths are all tested
+//! (`p = 33` is divisible by none of the block sizes but itself).
 //!
 //! The negative half: the schedule compiler must *refuse* algorithms whose
 //! address trace is input-dependent (`algorithms::nonoblivious`), with an
@@ -14,6 +16,7 @@
 //! program would be silently wrong.
 
 use cli::registry::{Algo, Engine, CATALOG};
+use gpu_sim::Device;
 use oblivious::{compile_from_traces, CompileError, Layout};
 
 /// Per-algorithm problem size — mirrors `differential.rs` so the two
@@ -42,7 +45,7 @@ const SIZES: &[(&str, usize)] = &[
 ];
 
 const P: usize = 33;
-const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
+const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn sweep_size(name: &str) -> usize {
     SIZES
@@ -63,14 +66,19 @@ fn sweep_covers_the_whole_catalog() {
 fn check(name: &str) {
     let algo = Algo::parse(name, Some(sweep_size(name))).expect("catalog name parses");
     let seed = 0xD1FF_0000 ^ name.len() as u64;
+    let devices: Vec<Device> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| Device::one_block_per_worker(workers, P))
+        .chain([Device::titan_like()])
+        .collect();
     for layout in Layout::all() {
         let interp = algo.outputs_bits(Engine::BulkMachine, P, layout, seed);
         let interp_metrics = algo.bulk_metrics(P, layout, seed);
-        for shards in SHARD_COUNTS {
-            let compiled = algo.outputs_bits(Engine::Compiled { shards }, P, layout, seed);
-            assert_eq!(compiled, interp, "{name} {layout} shards={shards}: outputs");
+        for device in &devices {
+            let compiled = algo.outputs_bits(Engine::Compiled(device), P, layout, seed);
+            assert_eq!(compiled, interp, "{name} {layout} on {}: outputs", device.name);
         }
-        // Replay counters are shard-count independent and interpreter-exact.
+        // Replay counters are device-shape independent and interpreter-exact.
         let compiled_metrics = algo.bulk_metrics_compiled(P, layout, seed);
         assert_eq!(compiled_metrics, interp_metrics, "{name} {layout}: BulkMetrics");
     }

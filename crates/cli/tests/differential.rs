@@ -2,13 +2,14 @@
 //! registry.
 //!
 //! For each catalog entry, `p` randomized instances are executed by four
-//! engines — the scalar reference, the single `BulkMachine`, the SIMT
-//! device with its full worker pool (`Device::titan_like()`), and the same
-//! device degraded to one worker (`Device::single_worker()`) — under both
-//! memory layouts.  All outputs must agree *bitwise* (`f32::to_bits`,
-//! zero-extended integers): oblivious programs execute the same scalar
-//! operation sequence per lane regardless of engine, so even floating-point
-//! results must be identical down to the last bit.
+//! engines — the scalar reference, the single `BulkMachine`, and compiled
+//! replay on the SIMT device with its full worker pool
+//! (`Device::titan_like()`) and degraded to one worker
+//! (`Device::single_worker()`) — under both memory layouts.  All outputs
+//! must agree *bitwise* (`f32::to_bits`, zero-extended integers):
+//! oblivious programs execute the same scalar operation sequence per lane
+//! regardless of engine, so even floating-point results must be identical
+//! down to the last bit.
 //!
 //! `p = 33` is deliberately not a multiple of the warp or block size, so
 //! partial warps and ragged final blocks are on the tested path.
@@ -78,9 +79,9 @@ fn check(name: &str) {
         assert_eq!(scalar.len(), P, "{name} {layout}: one output per instance");
         let bulk = algo.outputs_bits(Engine::BulkMachine, P, layout, seed);
         assert_eq!(bulk, scalar, "{name} {layout}: BulkMachine vs scalar reference");
-        let dev = algo.outputs_bits(Engine::Device(&titan), P, layout, seed);
+        let dev = algo.outputs_bits(Engine::Compiled(&titan), P, layout, seed);
         assert_eq!(dev, scalar, "{name} {layout}: parallel device vs scalar reference");
-        let dev1 = algo.outputs_bits(Engine::Device(&single), P, layout, seed);
+        let dev1 = algo.outputs_bits(Engine::Compiled(&single), P, layout, seed);
         assert_eq!(dev1, scalar, "{name} {layout}: single-worker device vs scalar reference");
     }
 }

@@ -27,6 +27,12 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Borrow each instance of a batch, as the server hands them to its
+/// executor.
+fn slices(instances: &[Vec<u64>]) -> Vec<&[u64]> {
+    instances.iter().map(Vec::as_slice).collect()
+}
+
 /// Re-queued job outputs in re-queue order: `(job_id, instance outputs,
 /// the path that served the job)`.
 type JobOutputs = Vec<(u64, Vec<Vec<u64>>, ExecPath)>;
@@ -41,7 +47,7 @@ fn recover_and_execute(records: &[wal::Record], shards: usize) -> (journal::Reco
         .requeue
         .iter()
         .map(|job| {
-            let (out, path) = exec.execute(&job.key, &job.inputs).unwrap();
+            let (out, path) = exec.execute(&job.key, &slices(&job.inputs)).unwrap();
             (job.id, out, path)
         })
         .collect();
@@ -84,7 +90,7 @@ fn two_independent_recoveries_of_one_log_are_bit_identical() {
         let (_, key, inputs) = job(id);
         journal.log_submit(id, &key, &inputs).unwrap();
         if id == 2 {
-            let (out, _) = CatalogExecutor::new(1).execute(&key, &inputs).unwrap();
+            let (out, _) = CatalogExecutor::new(1).execute(&key, &slices(&inputs)).unwrap();
             journal.log_complete(&[(id, Ok(&out))]).unwrap();
         }
     }
@@ -125,14 +131,14 @@ fn two_independent_recoveries_of_one_log_are_bit_identical() {
 fn a_job_s_outputs_do_not_depend_on_the_engine_its_batch_takes() {
     for id in 1..=4 {
         let (algo, key, inputs) = job(id);
-        let (alone, path) = CatalogExecutor::new(1).execute(&key, &inputs).unwrap();
+        let (alone, path) = CatalogExecutor::new(1).execute(&key, &slices(&inputs)).unwrap();
         assert_eq!(path, ExecPath::Scalar, "job {id} alone");
         // Arrivals of the same key on both sides of the job.
         let arrivals = algo.random_inputs_bits(0xA11 + id, SCALAR_BELOW_P);
         let (before, after) = arrivals.split_at(SCALAR_BELOW_P / 2);
         let batch: Vec<Vec<u64>> = [before, &inputs, after].concat();
         for shards in [1, 2] {
-            let (out, path) = CatalogExecutor::new(shards).execute(&key, &batch).unwrap();
+            let (out, path) = CatalogExecutor::new(shards).execute(&key, &slices(&batch)).unwrap();
             assert_eq!(path, ExecPath::Compiled, "job {id} coalesced, {shards} shard(s)");
             let share = &out[before.len()..before.len() + inputs.len()];
             assert_eq!(share, alone, "job {id}: coalesced outputs differ, {shards} shard(s)");

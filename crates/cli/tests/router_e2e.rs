@@ -14,6 +14,7 @@
 use cli::registry::{Algo, Engine, ScheduleCaches, CATALOG};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
+use gpu_sim::Device;
 use obs::Json;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
@@ -206,7 +207,7 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
         .iter()
         .map(|a| {
             a.outputs_bits(
-                Engine::Compiled { shards: 1 },
+                Engine::Compiled(&Device::single_worker()),
                 PER_KEY,
                 oblivious::Layout::ColumnWise,
                 RUN_SEED,
@@ -540,7 +541,7 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
     let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
     let pool = algo.random_inputs_bits(RUN_SEED, TOTAL);
     let direct = algo.outputs_bits(
-        Engine::Compiled { shards: 1 },
+        Engine::Compiled(&Device::single_worker()),
         TOTAL,
         oblivious::Layout::ColumnWise,
         RUN_SEED,
@@ -739,7 +740,7 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
     };
     let pool = algo.random_inputs_bits(RUN_SEED, TOTAL);
     let direct = algo.outputs_bits(
-        Engine::Compiled { shards: 1 },
+        Engine::Compiled(&Device::single_worker()),
         TOTAL,
         oblivious::Layout::ColumnWise,
         RUN_SEED,

@@ -41,6 +41,23 @@ impl Device {
         Self { name: "sw-simt-1".into(), worker_threads: 1, warp_size: 32, block_size: 64 }
     }
 
+    /// A device of `workers` workers that runs a `p`-instance batch as one
+    /// block per worker: blocks of `⌈p / workers⌉` lanes, the last one
+    /// ragged.  Every block pays a replayed schedule's fixed per-step
+    /// dispatch again, so this is the cheapest way to cut a batch into
+    /// `workers` parallel pieces; the block size need not be a multiple of
+    /// the warp size.  `workers` is clamped to `1..=p`.
+    #[must_use]
+    pub fn one_block_per_worker(workers: usize, p: usize) -> Self {
+        let workers = workers.clamp(1, p.max(1));
+        Self {
+            name: format!("sw-simt-{workers}"),
+            worker_threads: workers,
+            warp_size: 32,
+            block_size: p.div_ceil(workers).max(1),
+        }
+    }
+
     /// Override the block size.
     ///
     /// # Panics
@@ -75,6 +92,17 @@ mod tests {
         assert!(d.worker_threads >= 1 && d.worker_threads <= 14);
         assert_eq!(d.warp_size, 32);
         assert_eq!(d.block_size, 64);
+    }
+
+    #[test]
+    fn one_block_per_worker_cuts_the_batch_evenly() {
+        for (workers, p, used, block) in
+            [(1, 33, 1, 33), (2, 33, 2, 17), (7, 33, 7, 5), (4, 3, 3, 1), (0, 5, 1, 5)]
+        {
+            let d = Device::one_block_per_worker(workers, p);
+            assert_eq!((d.worker_threads, d.block_size), (used, block), "{workers} x {p}");
+            assert!(p.div_ceil(d.block_size) <= used, "at most one block per worker");
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   ([`launch_profiled`]) recording per-block timings and queue-waits.
 //! * [`kernels`] — hand-written lockstep kernels for Parallel Algorithm
 //!   Prefix-sums and Parallel Algorithm OPT, both layouts.
-//! * [`generic`] — any [`oblivious::ObliviousProgram`] as a kernel
-//!   (the paper's "conversion system", multi-threaded).
+//! * [`generic`] — any compiled [`oblivious::ObliviousProgram`] as a
+//!   kernel (the paper's "conversion system", multi-threaded), and
+//!   [`replay`], which takes a batch from inputs to outputs on a device.
 //! * [`cpu_ref`] — the paper's sequential single-core baseline.
 //! * [`timing`] — median-of-N wall-clock helpers for the harnesses.
 //!
@@ -38,6 +39,6 @@ pub mod timing;
 
 pub use buffer::SharedSlice;
 pub use device::Device;
-pub use generic::{BlockLanes, GenericKernel};
+pub use generic::{replay, BlockLanes, GenericKernel};
 pub use kernels::{OptKernel, PrefixSumsKernel, XteaKernel};
 pub use launch::{launch, launch_profiled, BlockRecord, BulkKernel, LaunchReport, WorkerReport};

@@ -10,7 +10,9 @@
 //! contiguous slice copy (the coalesced pattern), with [`Layout::RowWise`]
 //! a stride-`msize` gather/scatter (the uncoalesced pattern).  The GPU
 //! simulator provides its own port that confines a machine to one thread
-//! block's lane range, which is how the generic engine runs multi-threaded.
+//! block's lane window of a shared buffer, which is how compiled replay
+//! runs block-parallel on the device.  Either port only maps an address to
+//! its lanes' words; the lane loops are the trait's, written once.
 
 use crate::exec::compiled::{CompiledSchedule, FusedStep, Operand, Step};
 use crate::layout::Layout;
@@ -73,33 +75,105 @@ pub enum RmwOperand<'a, W> {
     Reg(&'a [W]),
 }
 
+/// Dispatch on a [`BinOp`] once, binding `$f` to a closure that applies
+/// that one operation, so each lane loop in `$body` monomorphises to a
+/// single arithmetic instruction and can vectorise.  `W` is the word type
+/// in scope at the call site.
+macro_rules! per_bin_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            BinOp::Add => {
+                let $f = |x, y| W::apply_bin(BinOp::Add, x, y);
+                $body
+            }
+            BinOp::Sub => {
+                let $f = |x, y| W::apply_bin(BinOp::Sub, x, y);
+                $body
+            }
+            BinOp::Mul => {
+                let $f = |x, y| W::apply_bin(BinOp::Mul, x, y);
+                $body
+            }
+            BinOp::Div => {
+                let $f = |x, y| W::apply_bin(BinOp::Div, x, y);
+                $body
+            }
+            BinOp::Min => {
+                let $f = |x, y| W::apply_bin(BinOp::Min, x, y);
+                $body
+            }
+            BinOp::Max => {
+                let $f = |x, y| W::apply_bin(BinOp::Max, x, y);
+                $body
+            }
+            BinOp::Xor => {
+                let $f = |x, y| W::apply_bin(BinOp::Xor, x, y);
+                $body
+            }
+            BinOp::And => {
+                let $f = |x, y| W::apply_bin(BinOp::And, x, y);
+                $body
+            }
+            BinOp::Or => {
+                let $f = |x, y| W::apply_bin(BinOp::Or, x, y);
+                $body
+            }
+        }
+    };
+}
+
 /// Vectorised memory access over a set of lockstep lanes.
 ///
-/// `load`/`store` move one logical address's value for *every* lane at once;
-/// the port owns the physical address mapping.
-pub trait LanePort<W> {
+/// A port only maps a logical address to its lanes' words
+/// ([`LanePort::lane_words`]); the lane loops — `load`, `store`,
+/// `broadcast` and the fused read-modify-write rounds — are written once,
+/// here, over that run.
+pub trait LanePort<W: Word> {
     /// Number of lanes this port serves.
     fn lanes(&self) -> usize;
 
+    /// The words of logical `addr`, one per lane, and the stride between
+    /// them: lane `k`'s word is `run[k * stride]`, and the run ends at the
+    /// last lane's word.  Column-wise storage hands out a contiguous run
+    /// (stride 1), row-wise storage a stride-`msize` one
+    /// ([`Layout::lane_words`]).
+    fn lane_words(&mut self, addr: usize) -> (&mut [W], usize);
+
     /// Load logical `addr` of each lane into `dst` (`dst.len() == lanes()`).
-    fn load(&mut self, addr: usize, dst: &mut [W]);
+    fn load(&mut self, addr: usize, dst: &mut [W]) {
+        match self.lane_words(addr) {
+            // Contiguous: one block copy (the coalesced pattern).
+            (run, 1) => dst.copy_from_slice(run),
+            (run, stride) => each_lane(run, stride, dst.iter_mut(), |m, d| *d = *m),
+        }
+    }
 
     /// Store `src[lane]` to logical `addr` of each lane.
-    fn store(&mut self, addr: usize, src: &[W]);
+    fn store(&mut self, addr: usize, src: &[W]) {
+        match self.lane_words(addr) {
+            (run, 1) => run.copy_from_slice(src),
+            (run, stride) => each_lane(run, stride, src.iter(), |m, &s| *m = s),
+        }
+    }
 
     /// Store the same constant to logical `addr` of every lane.
-    fn broadcast(&mut self, addr: usize, c: W);
+    fn broadcast(&mut self, addr: usize, c: W) {
+        let lanes = self.lanes();
+        match self.lane_words(addr) {
+            (run, 1) => run.fill(c),
+            (run, stride) => each_lane(run, stride, core::iter::repeat_n(c, lanes), |m, c| *m = c),
+        }
+    }
 
     /// Fused read-modify-write: per lane, combine the word at `addr` with
     /// `other` and write the result back to `addr` *and* into `dst`
     /// (`dst.len() == lanes()`).  Operand order follows `other_on_left`:
     /// `op(other, mem)` when set, `op(mem, other)` otherwise.
     ///
-    /// Semantically identical to `load(addr, dst); combine; store(addr,
-    /// dst)` — which is the default implementation — but ports backed by
-    /// directly addressable storage override it with a single pass, which is
-    /// what makes compiled replay of streaming programs cheaper than the
-    /// interpreter's three separate rounds.
+    /// Semantically `load(addr, dst); combine; store(addr, dst)`, in one
+    /// pass over the lanes — which is what makes compiled replay of
+    /// streaming programs cheaper than the interpreter's three separate
+    /// rounds.
     fn rmw_bin(
         &mut self,
         addr: usize,
@@ -107,58 +181,86 @@ pub trait LanePort<W> {
         other: RmwOperand<'_, W>,
         other_on_left: bool,
         dst: &mut [W],
-    ) where
-        W: Word,
-    {
-        self.load(addr, dst);
-        match other {
-            RmwOperand::Const(c) => {
-                if other_on_left {
-                    for d in dst.iter_mut() {
-                        *d = W::apply_bin(op, c, *d);
-                    }
-                } else {
-                    for d in dst.iter_mut() {
-                        *d = W::apply_bin(op, *d, c);
-                    }
-                }
-            }
-            RmwOperand::Reg(o) => {
-                if other_on_left {
-                    for (d, &x) in dst.iter_mut().zip(o) {
-                        *d = W::apply_bin(op, x, *d);
-                    }
-                } else {
-                    for (d, &x) in dst.iter_mut().zip(o) {
-                        *d = W::apply_bin(op, *d, x);
-                    }
-                }
-            }
-        }
-        self.store(addr, dst);
+    ) {
+        let (run, stride) = self.lane_words(addr);
+        // The operand-order branch is resolved outside the lane loops (each
+        // order monomorphises its own copy), so the loops stay branch-free.
+        per_bin_op!(op, f => if other_on_left {
+            rmw_lanes(run, stride, other, dst, |m, o| f(o, m));
+        } else {
+            rmw_lanes(run, stride, other, dst, f);
+        });
     }
 
     /// Accumulator variant of [`LanePort::rmw_bin`]: `acc` is both the
     /// non-memory operand and the result sink — per lane,
     /// `mem[addr] = acc = op(mem[addr], acc)` (operand order per
-    /// `other_on_left`).  One link of a fused accumulator chain.
-    fn rmw_bin_acc(&mut self, addr: usize, op: BinOp, other_on_left: bool, acc: &mut [W])
-    where
-        W: Word,
-    {
-        let mut mem = vec![W::ZERO; acc.len()];
-        self.load(addr, &mut mem);
-        if other_on_left {
-            for (a, &m) in acc.iter_mut().zip(&mem) {
-                *a = W::apply_bin(op, *a, m);
-            }
+    /// `other_on_left`).  One link of a fused accumulator chain: two
+    /// streams, with the accumulator staying hot across the whole chain.
+    fn rmw_bin_acc(&mut self, addr: usize, op: BinOp, other_on_left: bool, acc: &mut [W]) {
+        let (run, stride) = self.lane_words(addr);
+        per_bin_op!(op, f => if other_on_left {
+            acc_lanes(run, stride, acc, |m, a| f(a, m));
         } else {
-            for (a, &m) in acc.iter_mut().zip(&mem) {
-                *a = W::apply_bin(op, m, *a);
-            }
-        }
-        self.store(addr, acc);
+            acc_lanes(run, stride, acc, f);
+        });
     }
+}
+
+/// Walk a lane run (`run[k * stride]` is lane `k`'s word) in lane order,
+/// beside `with`.  The unit-stride run gets its own loop, so column-wise
+/// rounds stay contiguous and vectorisable.
+#[inline(always)]
+fn each_lane<W, T>(
+    run: &mut [W],
+    stride: usize,
+    with: impl Iterator<Item = T>,
+    mut f: impl FnMut(&mut W, T),
+) {
+    if stride == 1 {
+        for (m, t) in run.iter_mut().zip(with) {
+            f(m, t);
+        }
+    } else {
+        for (k, t) in with.enumerate() {
+            f(&mut run[k * stride], t);
+        }
+    }
+}
+
+/// The lane loops of [`LanePort::rmw_bin`], with `g(mem, other)` already in
+/// memory-first operand order.
+#[inline(always)]
+fn rmw_lanes<W: Word>(
+    run: &mut [W],
+    stride: usize,
+    other: RmwOperand<'_, W>,
+    dst: &mut [W],
+    g: impl Fn(W, W) -> W,
+) {
+    match other {
+        RmwOperand::Const(c) => each_lane(run, stride, dst.iter_mut(), |m, d| {
+            let v = g(*m, c);
+            *m = v;
+            *d = v;
+        }),
+        RmwOperand::Reg(o) => each_lane(run, stride, dst.iter_mut().zip(o), |m, (d, &x)| {
+            let v = g(*m, x);
+            *m = v;
+            *d = v;
+        }),
+    }
+}
+
+/// The lane loops of [`LanePort::rmw_bin_acc`], with `g(mem, acc)` already
+/// in memory-first operand order.
+#[inline(always)]
+fn acc_lanes<W: Word>(run: &mut [W], stride: usize, acc: &mut [W], g: impl Fn(W, W) -> W) {
+    each_lane(run, stride, acc.iter_mut(), |m, a| {
+        let v = g(*m, *a);
+        *m = v;
+        *a = v;
+    });
 }
 
 /// The standard port: a flat `p × msize` buffer addressed through a
@@ -183,126 +285,6 @@ impl<'a, W: Word> SliceLanes<'a, W> {
         assert_eq!(buf.len(), p * msize, "buffer must hold p * msize words");
         Self { buf, p, msize, layout }
     }
-
-    /// Single-pass read-modify-write over the flat buffer: each lane's word
-    /// at `addr` is read, combined, and written back in place, with the
-    /// result mirrored into `dst`.
-    ///
-    /// The operand-order branch is resolved *here*, outside the lane loops
-    /// (each order monomorphises its own copy of [`SliceLanes::rmw_go`]),
-    /// so the loops stay branch-free and vectorisable.
-    fn rmw_lanes(
-        &mut self,
-        addr: usize,
-        other: RmwOperand<'_, W>,
-        other_on_left: bool,
-        dst: &mut [W],
-        f: impl Fn(W, W) -> W,
-    ) {
-        if other_on_left {
-            self.rmw_go(addr, other, dst, |m: W, o: W| f(o, m));
-        } else {
-            self.rmw_go(addr, other, dst, f);
-        }
-    }
-
-    /// Single-pass accumulator link: per lane, combine the word at `addr`
-    /// with `acc` and write the result to both — two streams, with the
-    /// accumulator staying hot across a whole chain.
-    fn acc_lanes(
-        &mut self,
-        addr: usize,
-        other_on_left: bool,
-        acc: &mut [W],
-        f: impl Fn(W, W) -> W,
-    ) {
-        if other_on_left {
-            self.acc_go(addr, acc, |m: W, o: W| f(o, m));
-        } else {
-            self.acc_go(addr, acc, f);
-        }
-    }
-
-    /// The lane loops of [`SliceLanes::acc_lanes`], with `g(mem, acc)`
-    /// already in memory-first operand order.
-    fn acc_go(&mut self, addr: usize, acc: &mut [W], g: impl Fn(W, W) -> W) {
-        assert!(addr < self.msize, "write address {addr} out of instance memory {}", self.msize);
-        match self.layout {
-            Layout::ColumnWise => {
-                let base = addr * self.p;
-                let seg = &mut self.buf[base..base + self.p];
-                for (s, a) in seg.iter_mut().zip(acc.iter_mut()) {
-                    let v = g(*s, *a);
-                    *s = v;
-                    *a = v;
-                }
-            }
-            Layout::RowWise => {
-                let msize = self.msize;
-                for (lane, a) in acc.iter_mut().enumerate() {
-                    let s = &mut self.buf[lane * msize + addr];
-                    let v = g(*s, *a);
-                    *s = v;
-                    *a = v;
-                }
-            }
-        }
-    }
-
-    /// The lane loops of [`SliceLanes::rmw_lanes`], with `g(mem, other)`
-    /// already in memory-first operand order.
-    fn rmw_go(
-        &mut self,
-        addr: usize,
-        other: RmwOperand<'_, W>,
-        dst: &mut [W],
-        g: impl Fn(W, W) -> W,
-    ) {
-        assert!(addr < self.msize, "write address {addr} out of instance memory {}", self.msize);
-        match self.layout {
-            Layout::ColumnWise => {
-                let base = addr * self.p;
-                let seg = &mut self.buf[base..base + self.p];
-                match other {
-                    RmwOperand::Const(c) => {
-                        for (s, d) in seg.iter_mut().zip(dst.iter_mut()) {
-                            let v = g(*s, c);
-                            *s = v;
-                            *d = v;
-                        }
-                    }
-                    RmwOperand::Reg(o) => {
-                        for ((s, d), &x) in seg.iter_mut().zip(dst.iter_mut()).zip(o) {
-                            let v = g(*s, x);
-                            *s = v;
-                            *d = v;
-                        }
-                    }
-                }
-            }
-            Layout::RowWise => {
-                let msize = self.msize;
-                match other {
-                    RmwOperand::Const(c) => {
-                        for (lane, d) in dst.iter_mut().enumerate() {
-                            let s = &mut self.buf[lane * msize + addr];
-                            let v = g(*s, c);
-                            *s = v;
-                            *d = v;
-                        }
-                    }
-                    RmwOperand::Reg(o) => {
-                        for ((lane, d), &x) in dst.iter_mut().enumerate().zip(o) {
-                            let s = &mut self.buf[lane * msize + addr];
-                            let v = g(*s, x);
-                            *s = v;
-                            *d = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<'a, W: Word> LanePort<W> for SliceLanes<'a, W> {
@@ -310,145 +292,9 @@ impl<'a, W: Word> LanePort<W> for SliceLanes<'a, W> {
         self.p
     }
 
-    fn load(&mut self, addr: usize, dst: &mut [W]) {
-        assert!(addr < self.msize, "read address {addr} out of instance memory {}", self.msize);
-        match self.layout {
-            Layout::ColumnWise => {
-                // Coalesced: one contiguous p-word block.
-                let base = addr * self.p;
-                dst.copy_from_slice(&self.buf[base..base + self.p]);
-            }
-            Layout::RowWise => {
-                // Uncoalesced: stride-msize gather.
-                let msize = self.msize;
-                for (lane, d) in dst.iter_mut().enumerate() {
-                    *d = self.buf[lane * msize + addr];
-                }
-            }
-        }
-    }
-
-    fn store(&mut self, addr: usize, src: &[W]) {
-        assert!(addr < self.msize, "write address {addr} out of instance memory {}", self.msize);
-        match self.layout {
-            Layout::ColumnWise => {
-                let base = addr * self.p;
-                self.buf[base..base + self.p].copy_from_slice(src);
-            }
-            Layout::RowWise => {
-                let msize = self.msize;
-                for (lane, &x) in src.iter().enumerate() {
-                    self.buf[lane * msize + addr] = x;
-                }
-            }
-        }
-    }
-
-    fn broadcast(&mut self, addr: usize, c: W) {
-        assert!(addr < self.msize, "write address {addr} out of instance memory {}", self.msize);
-        match self.layout {
-            Layout::ColumnWise => {
-                let base = addr * self.p;
-                self.buf[base..base + self.p].fill(c);
-            }
-            Layout::RowWise => {
-                let msize = self.msize;
-                for lane in 0..self.p {
-                    self.buf[lane * msize + addr] = c;
-                }
-            }
-        }
-    }
-
-    fn rmw_bin(
-        &mut self,
-        addr: usize,
-        op: BinOp,
-        other: RmwOperand<'_, W>,
-        other_on_left: bool,
-        dst: &mut [W],
-    ) {
-        // Dispatch on `op` once so each lane loop can vectorise (as in
-        // `BulkMachine::binop`).
-        match op {
-            BinOp::Add => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Add, x, y)
-                });
-            }
-            BinOp::Sub => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Sub, x, y)
-                });
-            }
-            BinOp::Mul => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Mul, x, y)
-                });
-            }
-            BinOp::Div => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Div, x, y)
-                });
-            }
-            BinOp::Min => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Min, x, y)
-                });
-            }
-            BinOp::Max => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Max, x, y)
-                });
-            }
-            BinOp::Xor => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Xor, x, y)
-                });
-            }
-            BinOp::And => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::And, x, y)
-                });
-            }
-            BinOp::Or => {
-                self.rmw_lanes(addr, other, other_on_left, dst, |x, y| {
-                    W::apply_bin(BinOp::Or, x, y)
-                });
-            }
-        }
-    }
-
-    fn rmw_bin_acc(&mut self, addr: usize, op: BinOp, other_on_left: bool, acc: &mut [W]) {
-        match op {
-            BinOp::Add => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Add, x, y));
-            }
-            BinOp::Sub => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Sub, x, y));
-            }
-            BinOp::Mul => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Mul, x, y));
-            }
-            BinOp::Div => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Div, x, y));
-            }
-            BinOp::Min => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Min, x, y));
-            }
-            BinOp::Max => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Max, x, y));
-            }
-            BinOp::Xor => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Xor, x, y));
-            }
-            BinOp::And => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::And, x, y));
-            }
-            BinOp::Or => {
-                self.acc_lanes(addr, other_on_left, acc, |x, y| W::apply_bin(BinOp::Or, x, y));
-            }
-        }
+    fn lane_words(&mut self, addr: usize) -> (&mut [W], usize) {
+        let (run, stride) = self.layout.lane_words(addr, 0..self.p, self.p, self.msize);
+        (&mut self.buf[run], stride)
     }
 }
 
@@ -767,17 +613,7 @@ impl<W: Word, P: LanePort<W>> BulkMachine<W, P> {
                 }
                 self.put(dst, d);
             }
-            Step::Bin { op, a, b, dst } => match op {
-                BinOp::Add => self.replay_bin(|x, y| W::apply_bin(BinOp::Add, x, y), a, b, dst),
-                BinOp::Sub => self.replay_bin(|x, y| W::apply_bin(BinOp::Sub, x, y), a, b, dst),
-                BinOp::Mul => self.replay_bin(|x, y| W::apply_bin(BinOp::Mul, x, y), a, b, dst),
-                BinOp::Div => self.replay_bin(|x, y| W::apply_bin(BinOp::Div, x, y), a, b, dst),
-                BinOp::Min => self.replay_bin(|x, y| W::apply_bin(BinOp::Min, x, y), a, b, dst),
-                BinOp::Max => self.replay_bin(|x, y| W::apply_bin(BinOp::Max, x, y), a, b, dst),
-                BinOp::Xor => self.replay_bin(|x, y| W::apply_bin(BinOp::Xor, x, y), a, b, dst),
-                BinOp::And => self.replay_bin(|x, y| W::apply_bin(BinOp::And, x, y), a, b, dst),
-                BinOp::Or => self.replay_bin(|x, y| W::apply_bin(BinOp::Or, x, y), a, b, dst),
-            },
+            Step::Bin { op, a, b, dst } => per_bin_op!(op, f => self.replay_bin(f, a, b, dst)),
             Step::Select { cmp, a, b, t, e, dst } => self.replay_select(cmp, a, b, t, e, dst),
         }
     }
@@ -918,19 +754,7 @@ impl<W: Word, Pt: LanePort<W>> ObliviousMachine<W> for BulkMachine<W, Pt> {
     }
 
     fn binop(&mut self, op: BinOp, a: BulkValue<W>, b: BulkValue<W>) -> BulkValue<W> {
-        // Dispatch on `op` once so each lane loop monomorphises to a single
-        // arithmetic instruction and can vectorise.
-        match op {
-            BinOp::Add => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Add, x, y), a, b),
-            BinOp::Sub => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Sub, x, y), a, b),
-            BinOp::Mul => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Mul, x, y), a, b),
-            BinOp::Div => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Div, x, y), a, b),
-            BinOp::Min => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Min, x, y), a, b),
-            BinOp::Max => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Max, x, y), a, b),
-            BinOp::Xor => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Xor, x, y), a, b),
-            BinOp::And => self.bin_dispatch(|x, y| W::apply_bin(BinOp::And, x, y), a, b),
-            BinOp::Or => self.bin_dispatch(|x, y| W::apply_bin(BinOp::Or, x, y), a, b),
-        }
+        per_bin_op!(op, f => self.bin_dispatch(f, a, b))
     }
 
     fn select(
@@ -1154,38 +978,26 @@ mod tests {
         let _ = BulkMachine::new(&mut buf, 4, 2, Layout::ColumnWise);
     }
 
-    /// A custom port that offsets every address by a fixed shift — checks
+    /// A custom port storing each address's lanes contiguously — checks
     /// that BulkMachine is genuinely port-generic.
     #[derive(Debug)]
-    struct ShiftPort {
+    struct CustomPort {
         data: Vec<f32>,
         lanes: usize,
     }
 
-    impl LanePort<f32> for ShiftPort {
+    impl LanePort<f32> for CustomPort {
         fn lanes(&self) -> usize {
             self.lanes
         }
-        fn load(&mut self, addr: usize, dst: &mut [f32]) {
-            for (l, d) in dst.iter_mut().enumerate() {
-                *d = self.data[addr * self.lanes + l];
-            }
-        }
-        fn store(&mut self, addr: usize, src: &[f32]) {
-            for (l, &s) in src.iter().enumerate() {
-                self.data[addr * self.lanes + l] = s;
-            }
-        }
-        fn broadcast(&mut self, addr: usize, c: f32) {
-            for l in 0..self.lanes {
-                self.data[addr * self.lanes + l] = c;
-            }
+        fn lane_words(&mut self, addr: usize) -> (&mut [f32], usize) {
+            (&mut self.data[addr * self.lanes..(addr + 1) * self.lanes], 1)
         }
     }
 
     #[test]
     fn custom_port_is_usable() {
-        let port = ShiftPort { data: vec![1.0, 2.0, 3.0, 4.0], lanes: 2 };
+        let port = CustomPort { data: vec![1.0, 2.0, 3.0, 4.0], lanes: 2 };
         let mut m = BulkMachine::with_port(port);
         let x = m.read(0);
         let y = m.read(1);
@@ -1302,33 +1114,5 @@ mod tests {
         let y = m.read(1);
         m.write(0, y);
         assert!(m.take_tracer().is_none(), "tracing must stay off after the take");
-    }
-
-    #[test]
-    fn default_rmw_methods_match_slice_lane_overrides() {
-        // ShiftPort uses the LanePort default rmw_bin/rmw_bin_acc;
-        // SliceLanes overrides them with fused loops. Same data, same ops,
-        // same result.
-        let data = vec![1.5f32, -2.0, 3.0, 0.25];
-        for (op, other_on_left) in
-            [(BinOp::Add, false), (BinOp::Sub, true), (BinOp::Max, false), (BinOp::Mul, true)]
-        {
-            let mut custom = ShiftPort { data: data.clone(), lanes: 2 };
-            let mut dst_c = vec![0.0f32; 2];
-            custom.rmw_bin(1, op, RmwOperand::Const(2.0), other_on_left, &mut dst_c);
-            let mut acc_c = vec![4.0f32, -4.0];
-            custom.rmw_bin_acc(0, op, other_on_left, &mut acc_c);
-
-            let mut flat = data.clone();
-            let mut slices = SliceLanes::new(&mut flat, 2, 2, Layout::ColumnWise);
-            let mut dst_s = vec![0.0f32; 2];
-            slices.rmw_bin(1, op, RmwOperand::Const(2.0), other_on_left, &mut dst_s);
-            let mut acc_s = vec![4.0f32, -4.0];
-            slices.rmw_bin_acc(0, op, other_on_left, &mut acc_s);
-
-            assert_eq!(custom.data, flat, "{op:?} left={other_on_left}");
-            assert_eq!(dst_c, dst_s, "{op:?} left={other_on_left}");
-            assert_eq!(acc_c, acc_s, "{op:?} left={other_on_left}");
-        }
     }
 }

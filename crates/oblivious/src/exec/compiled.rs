@@ -204,10 +204,10 @@ impl std::error::Error for CompileError {}
 /// A program compiled to a flat table of vector steps.
 ///
 /// Built by [`CompiledSchedule::compile`] (one dry run) and replayed by
-/// [`crate::exec::BulkMachine::run_compiled`] or
-/// [`crate::exec::shard::run_sharded`].  The stored [`BulkMetrics`] are the
-/// interpreter's, by construction — replay reports them instead of
-/// recounting.
+/// [`crate::exec::BulkMachine::run_compiled`] — over one flat buffer, or
+/// over each block of a SIMT device launch.  The stored [`BulkMetrics`]
+/// are the interpreter's, by construction — replay reports them instead
+/// of recounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSchedule<W> {
     name: String,
@@ -793,7 +793,7 @@ fn reg_dead_after<W: Word>(rest: &[Step<W>], x: u32) -> bool {
 /// schedule cannot depend on the physical arrangement); keying by layout
 /// keeps the cache aligned with how executions are requested and leaves
 /// room for layout-specialised artifacts (cost tables) to live alongside.
-/// Thread-safe: sharded executors and serving daemons share one cache
+/// Thread-safe: serving daemons share one cache across their workers
 /// behind an `Arc`.  Compilation happens *under* the lock, so each key
 /// compiles exactly once no matter how many threads race on it — the
 /// invariant [`ScheduleCache::stats`] lets callers assert.

@@ -4,7 +4,6 @@ pub mod bulk;
 pub mod compiled;
 pub mod cost;
 pub mod scalar;
-pub mod shard;
 pub mod tracer;
 
 pub use bulk::{BulkMachine, BulkMetrics, BulkValue, LanePort, RmwOperand, SliceLanes};
@@ -13,5 +12,4 @@ pub use compiled::{
 };
 pub use cost::{CostMachine, Model};
 pub use scalar::ScalarMachine;
-pub use shard::{run_sharded, shard_bounds};
 pub use tracer::TraceMachine;

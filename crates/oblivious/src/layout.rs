@@ -17,6 +17,7 @@
 //! rounds, which the cost machine uses to price large executions without
 //! materialising per-thread request vectors.
 
+use core::ops::Range;
 use umm_core::{MachineConfig, Model};
 
 /// The two bulk arrangements studied in the paper (Figure 5 / Figure 10).
@@ -38,6 +39,35 @@ impl Layout {
         match self {
             Layout::RowWise => lane * msize + addr,
             Layout::ColumnWise => addr * p + lane,
+        }
+    }
+
+    /// Where logical word `addr` of instances `lanes` lives: the physical
+    /// range from the first lane's word to the last one's, and the stride
+    /// between consecutive lanes' words — 1 column-wise (one contiguous
+    /// run), `msize` row-wise.  Lane `k` of the window is at
+    /// `range.start + k * stride`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr >= msize` or the lane window is empty.
+    #[inline]
+    #[must_use]
+    pub fn lane_words(
+        &self,
+        addr: usize,
+        lanes: core::ops::Range<usize>,
+        p: usize,
+        msize: usize,
+    ) -> (core::ops::Range<usize>, usize) {
+        assert!(addr < msize, "address {addr} out of instance memory {msize}");
+        assert!(!lanes.is_empty(), "empty lane window");
+        match self {
+            Layout::RowWise => {
+                let first = lanes.start * msize + addr;
+                (first..first + (lanes.len() - 1) * msize + 1, msize)
+            }
+            Layout::ColumnWise => (addr * p + lanes.start..addr * p + lanes.end, 1),
         }
     }
 
@@ -75,15 +105,62 @@ impl core::fmt::Display for Layout {
 /// Panics if any input is longer than `msize`.
 #[must_use]
 pub fn arrange<W: crate::word::Word>(inputs: &[&[W]], msize: usize, layout: Layout) -> Vec<W> {
+    arrange_at(inputs, 0, msize, layout)
+}
+
+/// [`arrange`] with each input's word `k` placed at logical address
+/// `at + k` — a program's inputs start at its `input_range().start`.
+///
+/// # Panics
+///
+/// Panics if any input runs past `msize`.
+#[must_use]
+pub fn arrange_at<W: crate::word::Word>(
+    inputs: &[&[W]],
+    at: usize,
+    msize: usize,
+    layout: Layout,
+) -> Vec<W> {
     let p = inputs.len();
     let mut buf = vec![W::ZERO; p * msize];
-    for (lane, input) in inputs.iter().enumerate() {
-        assert!(input.len() <= msize, "input longer than instance memory");
-        for (a, &v) in input.iter().enumerate() {
-            buf[layout.physical(a, lane, p, msize)] = v;
+    for input in inputs {
+        assert!(at + input.len() <= msize, "input longer than instance memory");
+    }
+    match layout {
+        // One contiguous copy per instance.
+        Layout::RowWise => {
+            for (lane, input) in inputs.iter().enumerate() {
+                let base = lane * msize + at;
+                buf[base..base + input.len()].copy_from_slice(input);
+            }
+        }
+        // A transpose, block by block (`col_blocks`).
+        Layout::ColumnWise => {
+            let len = inputs.iter().map(|i| i.len()).max().unwrap_or(0);
+            for (lanes, ks) in col_blocks(p, len) {
+                for lane in lanes {
+                    let words = inputs[lane].get(ks.start..).unwrap_or_default();
+                    for (k, &v) in ks.clone().zip(words) {
+                        buf[(at + k) * p + lane] = v;
+                    }
+                }
+            }
         }
     }
     buf
+}
+
+/// The blocks in which the column-wise transposes of [`arrange_at`] and
+/// [`extract`] visit a `p`-lane buffer's first `len` addresses: 32 lanes
+/// by 256 addresses, lane by lane within a block.  Each block's words
+/// stay cache- and TLB-resident however large the batch, while a small
+/// batch is one block per 32 lanes.
+fn col_blocks(p: usize, len: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    const LANES: usize = 32;
+    const ADDRS: usize = 256;
+    (0..p).step_by(LANES).flat_map(move |lo| {
+        (0..len).step_by(ADDRS).map(move |k0| (lo..(lo + LANES).min(p), k0..(k0 + ADDRS).min(len)))
+    })
 }
 
 /// Extract the `range` of every instance from a bulk buffer.
@@ -95,9 +172,22 @@ pub fn extract<W: Copy>(
     layout: Layout,
     range: core::ops::Range<usize>,
 ) -> Vec<Vec<W>> {
-    (0..p)
-        .map(|lane| range.clone().map(|a| buf[layout.physical(a, lane, p, msize)]).collect())
-        .collect()
+    match layout {
+        Layout::RowWise => (0..p)
+            .map(|lane| buf[lane * msize + range.start..lane * msize + range.end].to_vec())
+            .collect(),
+        // The transpose of `arrange_at`'s.
+        Layout::ColumnWise => {
+            let mut out: Vec<Vec<W>> = (0..p).map(|_| Vec::with_capacity(range.len())).collect();
+            for (lanes, ks) in col_blocks(p, range.len()) {
+                for lane in lanes {
+                    let addrs = range.start + ks.start..range.start + ks.end;
+                    out[lane].extend(addrs.map(|a| buf[a * p + lane]));
+                }
+            }
+            out
+        }
+    }
 }
 
 /// Exact pipeline-stage count of one *uniform* round (all `p` threads
@@ -239,6 +329,18 @@ mod tests {
         let (p, n) = (4, 6);
         assert_eq!(Layout::RowWise.physical(2, 3, p, n), 3 * 6 + 2);
         assert_eq!(Layout::ColumnWise.physical(2, 3, p, n), 2 * 4 + 3);
+    }
+
+    #[test]
+    fn lane_words_locate_every_lane_of_a_window() {
+        let (p, msize, addr) = (7, 5, 3);
+        for layout in Layout::all() {
+            let (run, stride) = layout.lane_words(addr, 2..6, p, msize);
+            for (k, lane) in (2..6).enumerate() {
+                assert_eq!(run.start + k * stride, layout.physical(addr, lane, p, msize));
+            }
+            assert_eq!(run.end, layout.physical(addr, 5, p, msize) + 1, "{layout}");
+        }
     }
 
     #[test]

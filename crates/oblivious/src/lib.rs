@@ -70,7 +70,6 @@ pub mod word;
 
 pub use checker::{check_oblivious, ObliviousnessViolation};
 pub use compose::{Chain, Repeat, Shifted};
-pub use exec::shard::{run_sharded, shard_bounds};
 pub use exec::{
     compile_from_traces, BulkMachine, BulkMetrics, BulkValue, CacheStats, CompileError,
     CompiledSchedule, CostMachine, LanePort, Model, RmwOperand, ScalarMachine, ScheduleCache,

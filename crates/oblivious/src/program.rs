@@ -1,10 +1,9 @@
 //! High-level entry points: run, trace, price and bulk-execute programs.
 
-use crate::exec::shard::run_sharded;
 use crate::exec::{
     BulkMachine, BulkMetrics, CompiledSchedule, CostMachine, Model, ScalarMachine, TraceMachine,
 };
-use crate::layout::{arrange, extract, Layout};
+use crate::layout::{arrange_at, extract, Layout};
 use crate::machine::ObliviousProgram;
 use crate::word::Word;
 use umm_core::{MachineConfig, MachineSimulator, Round, RoundTrace, ThreadAction, ThreadTrace};
@@ -77,13 +76,7 @@ pub fn bulk_execute<W: Word, P: ObliviousProgram<W>>(
         assert_eq!(input.len(), ir.len(), "input {i} must fill input_range of {}", program.name());
     }
     let msize = program.memory_words();
-    // Arrange inputs: logical address `ir.start + k` holds input word k.
-    let mut buf = vec![W::ZERO; p * msize];
-    for (lane, input) in inputs.iter().enumerate() {
-        for (k, &v) in input.iter().enumerate() {
-            buf[layout.physical(ir.start + k, lane, p, msize)] = v;
-        }
-    }
+    let mut buf = arrange_inputs(program, inputs, layout);
     let mut m = BulkMachine::new(&mut buf, p, msize, layout);
     program.run(&mut m);
     extract(&buf, p, msize, layout, program.output_range())
@@ -100,21 +93,6 @@ pub fn bulk_execute_in_place<W: Word, P: ObliviousProgram<W>>(
     let msize = program.memory_words();
     let mut m = BulkMachine::new(buf, p, msize, layout);
     program.run(&mut m);
-}
-
-/// [`bulk_execute`]'s compiled counterpart: compile the program once (one
-/// dry run), then replay the schedule across all instances with up to
-/// `shards` worker threads.  Outputs are bit-identical to [`bulk_execute`]
-/// for every shard count.
-#[must_use]
-pub fn bulk_execute_compiled<W: Word + Send + Sync, P: ObliviousProgram<W>>(
-    program: &P,
-    inputs: &[&[W]],
-    layout: Layout,
-    shards: usize,
-) -> Vec<Vec<W>> {
-    let schedule = CompiledSchedule::compile(program);
-    run_sharded(&schedule, inputs, layout, shards)
 }
 
 /// [`bulk_execute_in_place`]'s compiled counterpart: replay a schedule over
@@ -279,30 +257,15 @@ pub fn bulk_execute_cpu_reference<W: Word, P: ObliviousProgram<W>>(
         .collect()
 }
 
-/// Re-export of [`arrange`] specialised to a program: builds the bulk buffer
-/// for raw inputs (scratch zeroed), with inputs placed at `input_range`.
+/// [`arrange_at`] specialised to a program: builds the bulk buffer for raw
+/// inputs (scratch zeroed), with inputs placed at `input_range`.
 #[must_use]
 pub fn arrange_inputs<W: Word, P: ObliviousProgram<W>>(
     program: &P,
     inputs: &[&[W]],
     layout: Layout,
 ) -> Vec<W> {
-    let p = inputs.len();
-    let msize = program.memory_words();
-    let ir = program.input_range();
-    if ir.start == 0 {
-        // Fast path: inputs are a prefix of memory, so the generic
-        // `arrange` (word k at logical address k) already places them.
-        arrange(inputs, msize, layout)
-    } else {
-        let mut buf = vec![W::ZERO; p * msize];
-        for (lane, input) in inputs.iter().enumerate() {
-            for (k, &v) in input.iter().enumerate() {
-                buf[layout.physical(ir.start + k, lane, p, msize)] = v;
-            }
-        }
-        buf
-    }
+    arrange_at(inputs, program.input_range().start, program.memory_words(), layout)
 }
 
 #[cfg(test)]
@@ -399,20 +362,6 @@ mod tests {
                 assert_eq!(a.elapsed(), b.elapsed(), "{model:?} {layout}");
                 assert_eq!(a.stats(), b.stats(), "{model:?} {layout}");
                 assert_eq!(a.profile(), b.profile(), "{model:?} {layout}");
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_execute_compiled_matches_bulk_execute() {
-        let inputs: Vec<Vec<f64>> =
-            (0..9).map(|i| vec![f64::from(i), 9.0 - f64::from(i)]).collect();
-        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        for layout in Layout::all() {
-            let expect = bulk_execute(&AddMax, &refs, layout);
-            for shards in [1, 3, 4] {
-                let got = bulk_execute_compiled(&AddMax, &refs, layout, shards);
-                assert_eq!(got, expect, "{layout} shards={shards}");
             }
         }
     }

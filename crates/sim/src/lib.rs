@@ -351,7 +351,7 @@ impl BatchExecutor for SimExecutor {
     fn execute(
         &self,
         _key: &JobKey,
-        inputs: &[Vec<u64>],
+        inputs: &[&[u64]],
     ) -> Result<(Vec<Vec<u64>>, ExecPath), String> {
         self.batches.fetch_add(1, Ordering::SeqCst);
         self.clock.advance(20 + 5 * inputs.len() as u64);

@@ -14,8 +14,6 @@
 //! the virtual device, and locates the tones in the averaged spectrum.
 
 use bulk_oblivious::prelude::*;
-use oblivious::layout::extract;
-use oblivious::program::arrange_inputs;
 
 const BLOCK_LOG2: u32 = 6; // 64-point FFT blocks
 const BLOCKS: usize = 512;
@@ -52,17 +50,15 @@ fn main() {
     println!("stage 1: FIR denoise, {} instances (column-wise bulk)", smoothed.len());
 
     // Stage 2: bulk FFT of all blocks on the virtual device via the
-    // generic engine (complex-interleaved inputs).
+    // generic engine, replaying the compiled FFT (complex-interleaved
+    // inputs).
     let fft = Fft::new(BLOCK_LOG2);
     let packed: Vec<Vec<f32>> =
         smoothed.iter().map(|b| b.iter().flat_map(|&re| [re, 0.0f32]).collect()).collect();
     let refs: Vec<&[f32]> = packed.iter().map(|v| v.as_slice()).collect();
 
     let device = Device::titan_like();
-    let msize = 2 * (1usize << BLOCK_LOG2);
-    let mut buf = arrange_inputs(&fft, &refs, Layout::ColumnWise);
-    launch(&device, &GenericKernel::new(fft, Layout::ColumnWise), &mut buf, BLOCKS);
-    let spectra = extract(&buf, BLOCKS, msize, Layout::ColumnWise, 0..msize);
+    let spectra = replay(&device, &CompiledSchedule::compile(&fft), &refs, Layout::ColumnWise);
     println!("stage 2: bulk FFT on {} ({} workers)", device.name, device.worker_threads);
 
     // Stage 3: average magnitude spectrum across blocks.

@@ -50,14 +50,16 @@ pub mod prelude {
         MatMul, MatVec, OddEvenMergeSort, OfflinePermute, OptTriangulation, PrefixSums, SummedArea,
         Transpose, Xtea,
     };
-    pub use gpu_sim::{launch, BulkKernel, Device, GenericKernel, OptKernel, PrefixSumsKernel};
+    pub use gpu_sim::{
+        launch, replay, BulkKernel, Device, GenericKernel, OptKernel, PrefixSumsKernel,
+    };
     pub use oblivious::program::{
         bulk_execute, bulk_execute_cpu_reference, bulk_model_time, run_on_input, time_steps,
         trace_of,
     };
     pub use oblivious::{
-        check_oblivious, Chain, Layout, Model, ObliviousMachine, ObliviousProgram, Repeat, Shifted,
-        Word,
+        check_oblivious, Chain, CompiledSchedule, Layout, Model, ObliviousMachine,
+        ObliviousProgram, Repeat, Shifted, Word,
     };
     pub use umm_core::{HmmConfig, HmmSimulator, MachineConfig, MachineSimulator};
 }

@@ -1,8 +1,9 @@
 //! Integration: every execution path computes the same thing.
 //!
 //! For each algorithm in the library the five implementations must agree:
-//! sequential scalar, generic bulk (row- and column-wise), the device's
-//! generic kernel, and (where one exists) the hand-written kernel.
+//! sequential scalar, generic bulk (row- and column-wise), compiled replay
+//! on the device's generic kernel, and (where one exists) the hand-written
+//! kernel.
 
 use bulk_oblivious::prelude::*;
 use oblivious::layout::extract;
@@ -15,16 +16,13 @@ where
     P: ObliviousProgram<W> + Sync + Copy,
 {
     let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-    let p = refs.len();
     let baseline = bulk_execute_cpu_reference(&prog, &refs);
+    let schedule = CompiledSchedule::compile(&prog);
     for layout in Layout::all() {
         let bulk = bulk_execute(&prog, &refs, layout);
         assert_eq!(bulk, baseline, "generic bulk, {layout}");
 
-        let mut buf = arrange_inputs(&prog, &refs, layout);
-        let device = Device::titan_like();
-        launch(&device, &GenericKernel::new(prog, layout), &mut buf, p);
-        let got = extract(&buf, p, prog.memory_words(), layout, prog.output_range());
+        let got = replay(&Device::titan_like(), &schedule, &refs, layout);
         assert_eq!(got, baseline, "device generic kernel, {layout}");
     }
 }

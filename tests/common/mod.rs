@@ -4,7 +4,7 @@
 //! a valid oblivious program: operands are opaque value handles, so no
 //! address can depend on data.  `fuzz_random_programs.rs` drives it
 //! through every backend; `compiled_determinism.rs` locks down the
-//! schedule compiler and sharded replay on the same corpus.
+//! schedule compiler and device replay on the same corpus.
 
 use oblivious::{BinOp, CmpOp, ObliviousMachine, ObliviousProgram, UnOp};
 use obs::Rng;

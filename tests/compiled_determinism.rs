@@ -3,12 +3,13 @@
 //!
 //! Two properties per case:
 //!
-//! 1. **Shard-count independence.** `run_sharded` must produce bitwise
-//!    identical outputs for every shard count — including counts that do
-//!    not divide `p` (ragged last shard) and counts exceeding `p`
-//!    (clamped) — and those outputs must equal the interpreter's.  The
-//!    merge is deterministic by construction (shards are joined in spawn
-//!    order), so any divergence is a real replay bug.
+//! 1. **Device-shape independence.** Replay on the SIMT device
+//!    (`gpu_sim::replay`) must produce bitwise identical outputs for every
+//!    worker count with one block each — including counts that do not
+//!    divide `p` (ragged last block) and counts exceeding `p` (clamped) —
+//!    and for block sizes that do not divide `p`, and those outputs must
+//!    equal the interpreter's.  Lanes never interact and blocks write
+//!    disjoint lanes, so any divergence is a real replay bug.
 //!
 //! 2. **JSON round-trip.** A `CompiledSchedule` serialized through
 //!    `obs::Json` and parsed back must be step-for-step identical,
@@ -17,14 +18,15 @@
 //!    (possible under random arithmetic) still compare bit-exactly.
 
 use common::{bits, random_program};
+use gpu_sim::{replay, Device};
 use oblivious::program::bulk_execute;
-use oblivious::{run_sharded, CompiledSchedule, Layout, ObliviousProgram};
+use oblivious::{CompiledSchedule, Layout, ObliviousProgram};
 use obs::Rng;
 
 mod common;
 
 #[test]
-fn sharded_replay_is_shard_count_independent() {
+fn device_replay_is_worker_and_block_count_independent() {
     let mut rng = Rng::new(0x5EED_5A4D);
     for case in 0..48 {
         let prog = random_program(&mut rng);
@@ -44,16 +46,26 @@ fn sharded_replay_is_shard_count_independent() {
             time_steps::<f64, _>(&prog)
         });
 
-        for layout in Layout::all() {
-            let interp = bulk_execute(&prog, &refs, layout);
-            // 1 = inline path, 2/3 = even-ish splits, 7 = ragged split,
-            // 9 = one instance per shard, 13 = clamped to p.
-            for shards in [1usize, 2, 3, 7, 9, 13] {
-                let sharded = run_sharded(&schedule, &refs, layout, shards);
+        // Workers with one block each: 1 = inline path, 2/3 = even-ish
+        // splits, 7 = ragged split, 9 = one instance per block, 13 =
+        // clamped to p.  Then two workers over blocks of 2, 4 and 5 lanes,
+        // none of which divides p.
+        let devices = [1usize, 2, 3, 7, 9, 13]
+            .map(|workers| Device::one_block_per_worker(workers, p))
+            .into_iter()
+            .chain(
+                [2, 4, 5]
+                    .map(|block_size| Device { block_size, ..Device::one_block_per_worker(2, p) }),
+            );
+        for device in devices {
+            let shape = format!("{} worker(s), block {}", device.worker_threads, device.block_size);
+            for layout in Layout::all() {
+                let interp = bulk_execute(&prog, &refs, layout);
+                let replayed = replay(&device, &schedule, &refs, layout);
                 assert_eq!(
-                    bits(&sharded),
+                    bits(&replayed),
                     bits(&interp),
-                    "case {case}: {layout} shards={shards} diverges from the interpreter"
+                    "case {case}: {layout} on {shape} diverges from the interpreter"
                 );
             }
         }

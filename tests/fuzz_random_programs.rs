@@ -3,19 +3,18 @@
 //! A random instruction sequence over a small memory is, by construction, a
 //! valid oblivious program — so every backend must agree on it *bitwise*:
 //! scalar execution per instance, lockstep bulk execution in both layouts,
-//! the device's generic kernel, and compiled-schedule replay in both
-//! layouts.  The cost machine must charge exactly one round per memory
-//! instruction.  This is the strongest guard the engine has against subtle
-//! lane-indexing or register-recycling bugs.
+//! and compiled-schedule replay on the device in both layouts, on two
+//! workers with one block each and on the titan-shaped device.  The cost
+//! machine must charge exactly one round per memory instruction.  This is
+//! the strongest guard the engine has against subtle lane-indexing or
+//! register-recycling bugs.
 //!
 //! Cases are generated by a seeded SplitMix64 RNG (`obs::Rng`) so every run
 //! fuzzes the same corpus deterministically.
 
 use bulk_oblivious::prelude::*;
 use common::{bits, random_program};
-use oblivious::program::{
-    bulk_execute, bulk_execute_compiled, bulk_model_time, run_on_input, time_steps,
-};
+use oblivious::program::{bulk_execute, bulk_model_time, run_on_input, time_steps};
 use obs::Rng;
 
 mod common;
@@ -37,27 +36,17 @@ fn all_backends_agree_bitwise() {
         // Oracle: scalar execution per instance.
         let scalar: Vec<Vec<f64>> = inputs.iter().map(|inp| run_on_input(&prog, inp)).collect();
 
-        // Generic bulk and compiled-schedule replay (2 shards), both layouts.
+        // Generic bulk and compiled-schedule replay on the device (two
+        // workers with one block each, and titan-shaped), both layouts.
+        let schedule = CompiledSchedule::compile(&prog);
         for layout in Layout::all() {
             let bulk = bulk_execute(&prog, &refs, layout);
             assert_eq!(bits(&bulk), bits(&scalar), "case {case}: bulk {layout}");
-            let compiled = bulk_execute_compiled(&prog, &refs, layout, 2);
-            assert_eq!(bits(&compiled), bits(&scalar), "case {case}: compiled {layout}");
-        }
-
-        // Device generic kernel (block-partitioned engine).
-        {
-            use oblivious::layout::extract;
-            use oblivious::program::arrange_inputs;
-            let mut buf = arrange_inputs(&prog, &refs, Layout::ColumnWise);
-            launch(
-                &Device::titan_like(),
-                &GenericKernel::new(prog.clone(), Layout::ColumnWise),
-                &mut buf,
-                p,
-            );
-            let dev = extract(&buf, p, prog.msize, Layout::ColumnWise, 0..prog.msize);
-            assert_eq!(bits(&dev), bits(&scalar), "case {case}: device kernel");
+            for device in [Device::one_block_per_worker(2, p), Device::titan_like()] {
+                let compiled = replay(&device, &schedule, &refs, layout);
+                let what = format!("case {case}: compiled on {} {layout}", device.name);
+                assert_eq!(bits(&compiled), bits(&scalar), "{what}");
+            }
         }
 
         // Cost machine: exactly one round per memory instruction.

@@ -6,7 +6,6 @@
 
 use bulk_oblivious::prelude::*;
 use oblivious::layout::{arrange, extract};
-use oblivious::program::arrange_inputs;
 
 #[test]
 fn parallel_and_single_worker_results_are_identical() {
@@ -67,10 +66,7 @@ fn generic_kernel_parallel_equals_reference_on_dp_workload() {
     let prog = OptTriangulation::new(n);
     let mut dev = Device::titan_like();
     dev.worker_threads = 3;
-    let mut buf = arrange_inputs(&prog, &refs, Layout::ColumnWise);
-    launch(&dev, &GenericKernel::new(prog, Layout::ColumnWise), &mut buf, p);
-    let nn = n * n;
-    let outs = extract(&buf, p, 2 * nn, Layout::ColumnWise, nn..2 * nn);
+    let outs = replay(&dev, &CompiledSchedule::compile(&prog), &refs, Layout::ColumnWise);
     for (c, out) in weights.iter().zip(&outs) {
         let (want, _) = algorithms::opt::reference(c);
         assert_eq!(out[prog.answer_offset()], want);

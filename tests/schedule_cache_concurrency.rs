@@ -13,9 +13,8 @@
 //! agree with the number of distinct keys.
 
 use common::{bits, random_program, RandomProgram};
-use oblivious::{
-    run_sharded, CacheStats, Layout, ObliviousMachine, ObliviousProgram, ScheduleCache,
-};
+use gpu_sim::{replay, Device};
+use oblivious::{CacheStats, Layout, ObliviousMachine, ObliviousProgram, ScheduleCache};
 use obs::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -86,7 +85,8 @@ fn racing_threads_compile_each_key_exactly_once() {
         .map(|(probe, inputs)| {
             let schedule = oblivious::CompiledSchedule::compile(probe);
             let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-            layouts.iter().map(|&l| run_sharded(&schedule, &refs, l, 2)).collect()
+            let device = Device::one_block_per_worker(2, p);
+            layouts.iter().map(|&l| replay(&device, &schedule, &refs, l)).collect()
         })
         .collect();
     let reference_runs = dry_runs.swap(0, Ordering::SeqCst);
@@ -110,7 +110,8 @@ fn racing_threads_compile_each_key_exactly_once() {
                         flagged.fetch_add(usize::from(compiled), Ordering::SeqCst);
                         let refs: Vec<&[f64]> =
                             inputs_per[pi].iter().map(|v| v.as_slice()).collect();
-                        let out = run_sharded(&schedule, &refs, layouts[li], 1 + t % 3);
+                        let device = Device::one_block_per_worker(1 + t % 3, p);
+                        let out = replay(&device, &schedule, &refs, layouts[li]);
                         assert_eq!(
                             bits(&out),
                             bits(&reference[pi][li]),

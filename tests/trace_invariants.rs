@@ -116,9 +116,10 @@ fn device_check<P: ObliviousProgram<f32> + Sync>(pr: P, p: usize) {
     let mut device = gpu_sim::Device::titan_like();
     device.worker_threads = device.worker_threads.max(2);
     let layout = Layout::ColumnWise;
+    let schedule = oblivious::CompiledSchedule::compile(&pr);
     let mut buf = arrange_inputs(&pr, &refs, layout);
-    let report =
-        gpu_sim::launch_profiled(&device, &gpu_sim::GenericKernel::new(pr, layout), &mut buf, p);
+    let kernel = gpu_sim::GenericKernel::new(&schedule, layout);
+    let report = gpu_sim::launch_profiled(&device, &kernel, &mut buf, p);
     let t = report.to_trace();
     obs::trace::validate(&t).expect("device timeline well-formed");
     assert_eq!(
