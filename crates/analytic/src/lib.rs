@@ -3,8 +3,6 @@
 //! Everything the bench harness needs to turn raw timings into the paper's
 //! evaluation artefacts:
 //!
-//! * [`model`] — the UMM closed-form predictions (row/column/lower bound),
-//!   layout-gap asymptotics, and latency-saturation knees;
 //! * [`fit`] — least-squares recovery of the paper's `a + b·p`
 //!   latency/throughput summaries ("37µs + 8.09·p ns");
 //! * [`mod@speedup`] — sweep series and pointwise speedups (Figures 11(2),
@@ -15,11 +13,9 @@
 #![warn(missing_docs)]
 
 pub mod fit;
-pub mod model;
 pub mod report;
 pub mod speedup;
 
 pub use fit::{crossover, fit_affine, fit_affine_tail, AffineFit};
-pub use model::{layout_gap, predict, saturation_p, UmmPrediction};
 pub use report::{csv, format_p, format_ratio, format_value, p_sweep, table, table_fmt};
 pub use speedup::{first_reaching, peak, speedup, Series, SweepPoint};

@@ -15,15 +15,22 @@
 //! `bench_results/ablation_report.json` (`--profile <path>` overrides).
 
 use algorithms::PrefixSums;
-use analytic::{layout_gap, Series};
+use analytic::Series;
 use bench::{random_words, reps, series_json, smoke_scale, sweep_series, write_report};
 use gpu_sim::kernels::PrefixSumsKernel;
 use gpu_sim::{launch, timing, Device, GenericKernel};
 use oblivious::layout::arrange;
 use oblivious::program::bulk_model_time;
-use oblivious::{CompiledSchedule, Layout, Model};
+use oblivious::{theorems, CompiledSchedule, Layout, Model};
 use obs::{Json, RunReport};
 use umm_core::MachineConfig;
+
+/// The model's row-wise / column-wise time ratio for `t` memory steps on
+/// `p` instances: Theorem 2's two closed forms.
+fn layout_gap(cfg: &MachineConfig, t: u64, p: u64) -> f64 {
+    let (w, l) = (cfg.width as u64, cfg.latency as u64);
+    theorems::row_wise_time(t, p, l) as f64 / theorems::column_wise_time(t, p, w, l) as f64
+}
 
 fn a1_width() -> Json {
     println!("\n=== A1: layout gap vs warp width (model, t = 1000, p = 64K, l = 4) ===");
@@ -165,7 +172,7 @@ fn a5_hmm_staging() -> Json {
     }
     for n in [8usize, 32, 64] {
         let prog = algorithms::OptTriangulation::new(n);
-        let t = oblivious::theorems::opt_steps(n as u64) as usize;
+        let t = theorems::opt_steps(n as u64) as usize;
         let c = oblivious::hmm_bulk_cost::<f32, _>(&prog, &hmm, p);
         let name = oblivious::ObliviousProgram::<f32>::name(&prog);
         report_a5(&name, &prog_ratio(t, 2 * n * n), &c);

@@ -30,7 +30,7 @@ pub enum Command {
         cfg: MachineConfig,
     },
     /// `bulkrun run <algo> [--size N] [--p P] [--layout row|col]
-    /// [--profile PATH]`
+    /// [--profile PATH] [--trace PATH] [--shards N]`
     Run {
         /// Algorithm name.
         algo: String,
@@ -46,11 +46,8 @@ pub enum Command {
         /// Write a Chrome Trace Event Format JSON timeline (engine, UMM,
         /// DMM and device processes) to this path.
         trace: Option<String>,
-        /// Execute through a compiled schedule (one dry run, replayed)
-        /// instead of re-interpreting the program.
-        compiled: bool,
-        /// Device workers, one block each, that replay the schedule
-        /// (`--compiled` only).
+        /// Device workers, one block each, that replay the compiled
+        /// schedule.
         shards: usize,
     },
     /// `bulkrun timeline <algo> [--size N] [--p P] [--layout row|col]
@@ -343,11 +340,9 @@ USAGE:
                                                  device worker/block timings)
                        [--trace PATH]            write a Chrome-trace timeline
                                                  (open in Perfetto / about:tracing)
-                       [--compiled]              replay a compiled schedule
-                                                 on the SIMT device instead of
-                                                 re-interpreting
-                       [--shards N]              N device workers, one block
-                                                 each (requires --compiled)
+                       [--shards N]              replay the compiled schedule
+                                                 on N device workers, one
+                                                 block each (default 1)
   bulkrun timeline <algo> [--size N] [--p P]     plain-terminal warp timeline
                        [--layout row|col]        of the UMM model simulation
                        [--width W] [--latency L]
@@ -961,15 +956,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 "model" => reject_unknown(rest, &["--size", "--p", "--width", "--latency"])?,
                 "run" => reject_unknown(
                     rest,
-                    &[
-                        "--size",
-                        "--p",
-                        "--layout",
-                        "--profile",
-                        "--trace",
-                        "--compiled",
-                        "--shards",
-                    ],
+                    &["--size", "--p", "--layout", "--profile", "--trace", "--shards"],
                 )?,
                 "hmm" => reject_unknown(rest, &["--size", "--p", "--dmms"])?,
                 _ => unreachable!(),
@@ -991,12 +978,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     ),
                 }),
                 "run" => {
-                    let compiled = rest.iter().any(|a| a == "--compiled");
-                    let shards = parse_flag(rest, "--shards")?;
-                    if shards.is_some() && !compiled {
-                        return Err("--shards requires --compiled".into());
-                    }
-                    let shards = shards.unwrap_or(1);
+                    let shards = parse_flag(rest, "--shards")?.unwrap_or(1);
                     if shards == 0 {
                         return Err("--shards must be positive".into());
                     }
@@ -1007,7 +989,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         layout: parse_layout(rest)?,
                         profile: parse_string_flag(rest, "--profile")?,
                         trace: parse_string_flag(rest, "--trace")?,
-                        compiled,
                         shards,
                     })
                 }
@@ -1124,34 +1105,18 @@ mod tests {
     }
 
     #[test]
-    fn run_compiled_and_shards() {
-        let c = parse(&argv("run prefix-sums --compiled --shards 4")).unwrap();
-        match c {
-            Command::Run { compiled, shards, .. } => {
-                assert!(compiled);
-                assert_eq!(shards, 4);
-            }
+    fn run_shards() {
+        match parse(&argv("run prefix-sums --shards 4")).unwrap() {
+            Command::Run { shards, .. } => assert_eq!(shards, 4),
             other => panic!("unexpected {other:?}"),
         }
-        // --compiled alone defaults to one device worker; plain runs stay on the
-        // interpreter.
-        match parse(&argv("run opt --compiled")).unwrap() {
-            Command::Run { compiled, shards, .. } => {
-                assert!(compiled);
-                assert_eq!(shards, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // One device worker by default.
         match parse(&argv("run opt")).unwrap() {
-            Command::Run { compiled, shards, .. } => {
-                assert!(!compiled);
-                assert_eq!(shards, 1);
-            }
+            Command::Run { shards, .. } => assert_eq!(shards, 1),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&argv("run opt --shards 2")).unwrap_err().contains("requires --compiled"));
-        assert!(parse(&argv("run opt --compiled --shards 0")).unwrap_err().contains("positive"));
-        assert!(parse(&argv("run opt --compiled --shards x")).is_err());
+        assert!(parse(&argv("run opt --shards 0")).unwrap_err().contains("positive"));
+        assert!(parse(&argv("run opt --shards x")).is_err());
     }
 
     #[test]

@@ -53,17 +53,12 @@ fn read_report(path: &str) -> Result<obs::Json, String> {
     obs::Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Assemble the full profiling [`RunReport`] for one bulk run: engine
-/// port-traffic metrics, the profiled UMM/DMM model simulation (round
-/// counts, address-group histogram, stall accounting), and the SIMT
-/// device's scheduler profile (per-worker block counts and timings).
-///
-/// With `compiled`, the engine metrics come from a compiled-schedule
-/// replay and the model section is priced through the schedule's cost
-/// table.  Every deterministic leaf — key structure included — is
-/// bit-identical to the interpreter-mode report, so compiled and
-/// interpreter reports can be gated against each other with
-/// `bulkrun compare`.
+/// Assemble the full profiling [`RunReport`] for one bulk run: the
+/// compiled schedule's port-traffic metrics (the interpreter's, by
+/// construction), the UMM/DMM model simulation priced through the
+/// schedule's cost table (round counts, address-group histogram, stall
+/// accounting), and the SIMT device's scheduler profile (per-worker block
+/// counts and timings).
 #[must_use]
 pub fn run_report(
     algo: &Algo,
@@ -71,7 +66,6 @@ pub fn run_report(
     layout: Layout,
     seed: u64,
     wall_seconds: f64,
-    compiled: bool,
 ) -> RunReport {
     let cfg = MachineConfig::new(32, 100);
     let mut report = RunReport::new("bulkrun run");
@@ -86,13 +80,8 @@ pub fn run_report(
     params.set("seed", seed as i64);
     report.set("params", params);
     report.set("wall_seconds", wall_seconds);
-    let engine_metrics = if compiled {
-        algo.bulk_metrics_compiled(p, layout, seed)
-    } else {
-        algo.bulk_metrics(p, layout, seed)
-    };
-    report.set("engine", engine_metrics.to_json());
-    report.set("model", algo.model_profile_json(cfg, layout, p, compiled));
+    report.set("engine", algo.bulk_metrics_compiled(p, layout, seed).to_json());
+    report.set("model", algo.model_profile_json(cfg, layout, p));
     report.set("device", algo.device_profile_json(&Device::titan_like(), p, layout, seed));
     report
 }
@@ -182,29 +171,21 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 a.memory_words() * (p / dmms),
             ));
         }
-        Command::Run { algo, size, p, layout, profile, trace, compiled, shards } => {
+        Command::Run { algo, size, p, layout, profile, trace, shards } => {
             let a = Algo::parse(algo, *size)?;
-            let engine_desc = if *compiled {
-                format!("compiled schedule, {shards} device worker(s)")
-            } else {
-                "interpreter".to_string()
-            };
             out.push_str(&format!(
-                "bulk-executing {} for p = {p} instances, {layout} ({engine_desc}) …\n",
+                "bulk-executing {} for p = {p} instances, {layout} \
+                 (compiled schedule, {shards} device worker(s)) …\n",
                 a.display_name()
             ));
-            let secs = if *compiled {
-                a.run_bulk_compiled(*p, *layout, RUN_SEED, *shards)
-            } else {
-                a.run_bulk(*p, *layout, RUN_SEED)
-            };
+            let secs = a.run_bulk(*p, *layout, RUN_SEED, *shards);
             out.push_str(&format!(
                 "  wall clock: {}  ({} per instance)\n",
                 analytic::format_value(secs),
                 analytic::format_value(secs / *p as f64)
             ));
             if let Some(path) = profile {
-                let report = run_report(&a, *p, *layout, RUN_SEED, secs, *compiled);
+                let report = run_report(&a, *p, *layout, RUN_SEED, secs);
                 report
                     .write_to(std::path::Path::new(path))
                     .map_err(|e| format!("cannot write profile to {path}: {e}"))?;
@@ -772,7 +753,6 @@ mod tests {
             layout: oblivious::Layout::ColumnWise,
             profile: None,
             trace: None,
-            compiled: false,
             shards: 1,
         };
         let out = execute(&cmd).unwrap();
@@ -801,7 +781,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bulkrun-cmp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let a = Algo::parse("prefix-sums", Some(8)).unwrap();
-        let report = run_report(&a, 64, Layout::ColumnWise, 7, 0.001, false);
+        let report = run_report(&a, 64, Layout::ColumnWise, 7, 0.001);
         let pa = dir.join("a.json");
         let pb = dir.join("b.json");
         report.write_to(&pa).unwrap();
@@ -836,30 +816,27 @@ mod tests {
     /// The measured model section of a report must agree with the analytic
     /// closed forms: for warp-aligned `p`, the simulated column-wise time
     /// equals `(p/w + l - 1)·t` *exactly*, and sits between Theorem 3's
-    /// lower bound and the row-wise prediction.
+    /// lower bound and the row-wise time.
     #[test]
     fn report_model_section_matches_analytic_prediction() {
         let a = Algo::parse("prefix-sums", Some(32)).unwrap();
-        let p = 64usize; // multiple of the report's w = 32
-        let report = run_report(&a, p, Layout::ColumnWise, 7, 0.001, false);
+        let p = 64u64; // multiple of the report's w = 32
+        let report = run_report(&a, p as usize, Layout::ColumnWise, 7, 0.001);
         let j = report.json();
         let t = j.path("algo.time_steps").unwrap().as_i64().unwrap() as u64;
         let measured = j.path("model.umm.stats.time_units").unwrap().as_i64().unwrap() as u64;
-        let cfg = umm_core::MachineConfig::new(32, 100);
-        let predicted = analytic::predict(&cfg, t, p as u64);
-        assert_eq!(measured, predicted.column_wise, "simulator vs closed form");
-        assert!(measured >= predicted.lower_bound);
-        assert!(measured <= predicted.row_wise);
-        assert_eq!(
-            j.path("model.lower_bound").unwrap().as_i64().unwrap() as u64,
-            predicted.lower_bound,
-        );
+        let (w, l) = (32, 100);
+        let lower_bound = theorems::lower_bound(t, p, w, l);
+        assert_eq!(measured, theorems::column_wise_time(t, p, w, l), "simulator vs closed form");
+        assert!(measured >= lower_bound);
+        assert!(measured <= theorems::row_wise_time(t, p, l));
+        assert_eq!(j.path("model.lower_bound").unwrap().as_i64().unwrap() as u64, lower_bound);
     }
 
     #[test]
     fn run_report_carries_model_and_device_profiles() {
         let a = Algo::parse("prefix-sums", Some(8)).unwrap();
-        let report = run_report(&a, 64, Layout::ColumnWise, 42, 0.001, false);
+        let report = run_report(&a, 64, Layout::ColumnWise, 42, 0.001);
         let j = report.json();
         // Round counts and the address-group histogram from the model sim.
         assert!(j.path("model.umm.stats.rounds").unwrap().as_i64().unwrap() > 0);

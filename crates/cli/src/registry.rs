@@ -14,8 +14,8 @@ use algorithms::{
 use bulkd::ExecPath;
 use gpu_sim::{launch_profiled, replay, Device, GenericKernel};
 use oblivious::program::{
-    arrange_inputs, bulk_execute, bulk_execute_cpu_reference, bulk_model_time, bulk_profiled,
-    bulk_traced, compiled_profiled, run_compiled_in_place, time_steps, trace_of,
+    arrange_inputs, bulk_execute, bulk_execute_cpu_reference, bulk_model_time, compiled_profiled,
+    run_compiled_in_place, time_steps, trace_of,
 };
 use oblivious::{
     theorems, BulkMachine, BulkMetrics, CacheStats, CompiledSchedule, Layout, Model,
@@ -320,36 +320,12 @@ impl Algo {
         self.with_program(CostOp { cfg, model, layout, p })
     }
 
-    /// Bulk-execute `p` random instances through the generic engine,
-    /// returning wall-clock seconds (excludes input generation and
-    /// arrangement, to mirror kernel-only timing).
-    #[must_use]
-    pub fn run_bulk(&self, p: usize, layout: Layout, seed: u64) -> f64 {
-        struct RunOp {
-            p: usize,
-            layout: Layout,
-            seed: u64,
-        }
-        impl ProgramOp<f64> for RunOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> f64 {
-                let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let t0 = std::time::Instant::now();
-                let out = bulk_execute(&pr, &refs, self.layout);
-                let dt = t0.elapsed().as_secs_f64();
-                std::hint::black_box(out);
-                dt
-            }
-        }
-        self.with_program(RunOp { p, layout, seed })
-    }
-
     /// Bulk-execute `p` random instances through compiled-schedule replay
     /// on `workers` device workers with one block each, returning
-    /// wall-clock seconds.  Compilation happens before the clock starts,
-    /// mirroring [`Algo::run_bulk`]'s kernel-only timing.
+    /// wall-clock seconds.  Input generation and compilation happen before
+    /// the clock starts.
     #[must_use]
-    pub fn run_bulk_compiled(&self, p: usize, layout: Layout, seed: u64, workers: usize) -> f64 {
+    pub fn run_bulk(&self, p: usize, layout: Layout, seed: u64, workers: usize) -> f64 {
         struct RunOp {
             p: usize,
             layout: Layout,
@@ -419,47 +395,33 @@ impl Algo {
     }
 
     /// Profiled round-synchronous model simulation of a bulk execution:
-    /// UMM and DMM stats + profiles under `layout`, plus the Theorem 3
-    /// lower bound, as one JSON object.
-    ///
-    /// With `compiled`, the simulators are driven through the schedule's
-    /// precomputed per-warp cost table (`compiled_profiled`) instead of
-    /// streamed thread actions; the resulting stats, profiles and round
-    /// counts are bit-identical, so the JSON is too.
+    /// UMM and DMM stats + profiles under `layout`, priced through the
+    /// compiled schedule's per-warp cost table (`compiled_profiled`), plus
+    /// the Theorem 3 lower bound, as one JSON object.
     #[must_use]
-    pub fn model_profile_json(
-        &self,
-        cfg: MachineConfig,
-        layout: Layout,
-        p: usize,
-        compiled: bool,
-    ) -> Json {
+    pub fn model_profile_json(&self, cfg: MachineConfig, layout: Layout, p: usize) -> Json {
         struct ModelOp {
             cfg: MachineConfig,
             layout: Layout,
             p: usize,
-            compiled: bool,
         }
         impl ProgramOp<Json> for ModelOp {
             fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Json {
-                let Self { cfg, layout, p, compiled } = self;
-                let schedule = compiled.then(|| CompiledSchedule::compile(&pr));
+                let Self { cfg, layout, p } = self;
+                let schedule = CompiledSchedule::compile(&pr);
                 let mut o = Json::obj();
                 o.set("machine", cfg.to_json());
                 o.set(
                     "lower_bound",
                     theorems::lower_bound(
-                        time_steps(&pr) as u64,
+                        schedule.metrics().memory_rounds(),
                         p as u64,
                         cfg.width as u64,
                         cfg.latency as u64,
                     ),
                 );
                 for model in [Model::Umm, Model::Dmm] {
-                    let sim = match &schedule {
-                        Some(schedule) => compiled_profiled(schedule, cfg, model, layout, p),
-                        None => bulk_profiled(&pr, cfg, model, layout, p),
-                    };
+                    let sim = compiled_profiled(&schedule, cfg, model, layout, p, false);
                     let mut m = Json::obj();
                     m.set("stats", sim.stats().to_json());
                     m.set(
@@ -471,7 +433,7 @@ impl Algo {
                 o
             }
         }
-        self.with_program(ModelOp { cfg, layout, p, compiled })
+        self.with_program(ModelOp { cfg, layout, p })
     }
 
     /// Replay the compiled program through [`GenericKernel`] on `device`
@@ -674,7 +636,7 @@ pub const SCALAR_BELOW_P: usize = 16;
 /// processes on a shared axis.
 #[derive(Debug)]
 pub struct TraceBundle {
-    /// Per-step port/ALU traffic of the single `BulkMachine` engine.
+    /// Per-step port/ALU traffic of the schedule's replay on one `BulkMachine`.
     pub engine: Tracer,
     /// Per-round warp-dispatch spans of the UMM model simulation.
     pub umm: Tracer,
@@ -685,9 +647,10 @@ pub struct TraceBundle {
 }
 
 impl Algo {
-    /// Run the program once through every instrumented layer — the
-    /// `BulkMachine` engine, the profiled UMM and DMM model simulations,
-    /// and a profiled device launch — collecting each layer's timeline.
+    /// Compile the program once and run its schedule through every
+    /// instrumented layer — traced replay on one `BulkMachine`, the profiled
+    /// UMM and DMM model simulations, and a profiled device launch —
+    /// collecting each layer's timeline.
     #[must_use]
     pub fn trace_bundle(
         &self,
@@ -709,18 +672,20 @@ impl Algo {
                 let Self { cfg, device, p, layout, seed } = self;
                 let inputs = random_inputs::<W>(seed, p, pr.input_range().len());
                 let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
+                let schedule = CompiledSchedule::compile(&pr);
                 let engine = {
                     let mut buf = arrange_inputs(&pr, &refs, layout);
                     let mut m = BulkMachine::new(&mut buf, p, pr.memory_words(), layout);
                     m.enable_tracing();
-                    pr.run(&mut m);
+                    m.run_compiled(&schedule);
                     m.take_tracer().unwrap_or_default()
                 };
                 let [umm, dmm] = [Model::Umm, Model::Dmm].map(|model| {
-                    bulk_traced(&pr, cfg, model, layout, p).take_tracer().unwrap_or_default()
+                    compiled_profiled(&schedule, cfg, model, layout, p, true)
+                        .take_tracer()
+                        .unwrap_or_default()
                 });
                 let device = {
-                    let schedule = CompiledSchedule::compile(&pr);
                     let mut buf = arrange_inputs(&pr, &refs, layout);
                     launch_profiled(device, &GenericKernel::new(&schedule, layout), &mut buf, p)
                         .to_trace()
@@ -741,7 +706,8 @@ impl Algo {
         }
         impl ProgramOp<Tracer> for TimelineOp {
             fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Tracer {
-                bulk_traced(&pr, self.cfg, Model::Umm, self.layout, self.p)
+                let schedule = CompiledSchedule::compile(&pr);
+                compiled_profiled(&schedule, self.cfg, Model::Umm, self.layout, self.p, true)
                     .take_tracer()
                     .unwrap_or_default()
             }
@@ -916,9 +882,9 @@ mod tests {
     #[test]
     fn run_bulk_smoke() {
         let algo = Algo::parse("bitonic", Some(4)).unwrap();
-        let secs = algo.run_bulk(32, Layout::ColumnWise, 1);
+        let secs = algo.run_bulk(32, Layout::ColumnWise, 1, 1);
         assert!(secs >= 0.0);
         let algo = Algo::parse("xtea", Some(2)).unwrap();
-        assert!(algo.run_bulk(16, Layout::RowWise, 2) >= 0.0);
+        assert!(algo.run_bulk(16, Layout::RowWise, 2, 2) >= 0.0);
     }
 }

@@ -2,22 +2,18 @@
 //!
 //! For every catalog algorithm, under both memory layouts, the compiled
 //! schedule replayed on the SIMT device must reproduce the interpreter
-//! (`Engine::BulkMachine`) *bitwise*: outputs, `BulkMetrics` counters, and
-//! every deterministic leaf of the `RunReport` JSON.  The devices run 1, 2
-//! and 7 workers with one block each (a block of 33; 17 + 16; six of 5 and
-//! one of 3) and the titan-shaped device's 64-lane blocks, so the inline,
-//! even-split, ragged-split and partial-block paths are all tested
-//! (`p = 33` is divisible by none of the block sizes but itself).
-//!
-//! The negative half: the schedule compiler must *refuse* algorithms whose
-//! address trace is input-dependent (`algorithms::nonoblivious`), with an
-//! error naming the program and the failure mode — a compiled schedule
-//! replays one fixed trace for all inputs, so compiling a non-oblivious
-//! program would be silently wrong.
+//! (`Engine::BulkMachine`) *bitwise*: outputs and `BulkMetrics` counters.
+//! The devices run 1, 2 and 7 workers with one block each (a block of 33;
+//! 17 + 16; six of 5 and one of 3) and the titan-shaped device's 64-lane
+//! blocks, so the inline, even-split, ragged-split and partial-block paths
+//! are all tested (`p = 33` is divisible by none of the block sizes but
+//! itself).  The `RunReport`, built from the schedule alone, must agree
+//! with the interpreter's counters and the `CostMachine`'s model times.
 
 use cli::registry::{Algo, Engine, CATALOG};
 use gpu_sim::Device;
-use oblivious::{compile_from_traces, CompileError, Layout};
+use oblivious::{Layout, Model};
+use umm_core::MachineConfig;
 
 /// Per-algorithm problem size — mirrors `differential.rs` so the two
 /// batteries cover the same program shapes.
@@ -116,58 +112,29 @@ compiled_differential! {
     pascal => "pascal";
 }
 
-/// The compiled-mode `RunReport` must be leaf-identical to the interpreter
-/// report: same key structure, same deterministic values.  Only timing
-/// leaves (informational, never gated) may differ.
+/// The `RunReport` is built from the compiled schedule alone, so each of
+/// its sections is checked against an independent account of the same run:
+/// the `engine` section against the interpreter's `BulkMetrics`, and each
+/// model's time units against the `CostMachine` pricing the program itself.
 #[test]
-fn compiled_run_report_matches_interpreter_report() {
+fn run_report_matches_the_interpreter_and_the_cost_machine() {
+    let cfg = MachineConfig::new(32, 100);
     for name in ["prefix-sums", "xtea", "pascal"] {
         let algo = Algo::parse(name, Some(sweep_size(name))).unwrap();
-        let interp = cli::run_report(&algo, P, Layout::ColumnWise, 7, 0.5, false);
-        let compiled = cli::run_report(&algo, P, Layout::ColumnWise, 7, 0.25, true);
-        let cfg = obs::diff::DiffConfig::default();
-        let diff = obs::diff::diff_reports(interp.json(), compiled.json(), &cfg);
-        assert_eq!(
-            diff.regression_count(),
-            0,
-            "{name}: compiled report drifts from interpreter report:\n{}",
-            diff.summary()
-        );
+        for layout in Layout::all() {
+            let report = cli::run_report(&algo, P, layout, 7, 0.5);
+            let j = report.json();
+            let interp = algo.bulk_metrics(P, layout, 7).to_json();
+            assert_eq!(j.path("engine"), Some(&interp), "{name} {layout}: engine section");
+            for model in [Model::Umm, Model::Dmm] {
+                let key = format!("model.{}.stats.time_units", model.name());
+                let priced = algo.model_time(cfg, model, layout, P);
+                assert_eq!(
+                    j.path(&key).and_then(obs::Json::as_i64),
+                    Some(priced as i64),
+                    "{name} {layout}: {key}"
+                );
+            }
+        }
     }
-}
-
-/// The compiler refuses input-dependent algorithms: binary search's probe
-/// sequence and quicksort's partition writes both depend on the data, so
-/// `compile_from_traces` must return `CompileError::NotOblivious` with a
-/// message a user can act on.
-#[test]
-fn nonoblivious_programs_are_refused_by_the_compiler() {
-    let sorted: Vec<f64> = (0..64).map(f64::from).collect();
-    let targets = vec![3.0, 40.0, 63.0, -1.0];
-    let err = compile_from_traces::<f32, _>(
-        "binary-search",
-        sorted.len(),
-        |t| algorithms::nonoblivious::binary_search_trace(&sorted, *t),
-        &targets,
-    )
-    .expect_err("binary search must not compile");
-    match &err {
-        CompileError::NotOblivious { name, .. } => assert_eq!(name, "binary-search"),
-        other => panic!("expected NotOblivious, got {other:?}"),
-    }
-    let msg = err.to_string();
-    assert!(msg.contains("binary-search"), "{msg}");
-    assert!(msg.contains("not oblivious"), "{msg}");
-    assert!(msg.contains("input-dependent"), "{msg}");
-
-    let arrays: Vec<Vec<f64>> =
-        vec![vec![3.0, 1.0, 2.0, 0.0], vec![0.0, 1.0, 2.0, 3.0], vec![2.0, 2.0, 2.0, 2.0]];
-    let err = compile_from_traces::<f32, _>(
-        "partition",
-        4,
-        |a: &Vec<f64>| algorithms::nonoblivious::partition_trace(a),
-        &arrays,
-    )
-    .expect_err("Lomuto partition must not compile");
-    assert!(matches!(err, CompileError::NotOblivious { .. }), "{err:?}");
 }

@@ -366,13 +366,12 @@ impl<W: Word, P: LanePort<W>> BulkMachine<W, P> {
 
     /// Turn on per-step event tracing: one unit span per vector step, on a
     /// "port" track (loads/stores/broadcasts, args = the logical address)
-    /// or an "alu" track (register-only ops).  No-op at compile time when
-    /// `obs` is built without its `profile` feature, and after
+    /// or an "alu" track (register-only ops).  No-op after
     /// [`BulkMachine::take_tracer`] — re-enabling on a machine whose trace
     /// was taken would restart the step clock at zero and silently record a
     /// disjoint fragment that misaligns with the taken one.
     pub fn enable_tracing(&mut self) {
-        if obs::PROFILING_COMPILED && self.trace.is_none() && !self.trace_taken {
+        if self.trace.is_none() && !self.trace_taken {
             let mut tracer = Tracer::new();
             tracer.name_track(0, "port");
             tracer.name_track(1, "alu");

@@ -21,20 +21,17 @@
 //! program's control flow cannot observe lane data (values are opaque
 //! handles, branching happens only through lane-wise `select`), so the one
 //! dry run characterises all `p` instances.  Algorithms *outside* the
-//! machine interface carry no such guarantee; [`compile_from_traces`]
-//! accepts them only after [`crate::checker::check_oblivious`] certifies
-//! their traces agree, and refuses input-dependent ones with
-//! [`CompileError::NotOblivious`].
+//! machine interface carry no such guarantee and are never compiled;
+//! [`crate::checker::check_oblivious`] falsifies their obliviousness
+//! claims by cross-input trace comparison.
 
-use crate::checker::{check_oblivious, ObliviousnessViolation};
 use crate::exec::bulk::BulkMetrics;
 use crate::layout::{self, Layout};
 use crate::machine::{ObliviousMachine, ObliviousProgram};
 use crate::ops::{BinOp, CmpOp, UnOp};
 use crate::word::Word;
-use obs::Json;
 use std::sync::{Arc, Mutex};
-use umm_core::{MachineConfig, Model, Op, ThreadAction, ThreadTrace};
+use umm_core::{MachineConfig, Model, Op};
 
 /// A step operand: the compiled counterpart of
 /// [`crate::exec::BulkValue`] — constants stay scalar, registers index the
@@ -117,8 +114,8 @@ pub enum Step<W> {
 /// `op(acc, mem[addr])` per the flag), written back to `mem[addr]`.
 pub(crate) type ChainLink = (usize, BinOp, bool);
 
-/// A replay step after peephole fusion (derived from [`Step`], never
-/// serialized — [`CompiledSchedule::from_json`] recomputes it).
+/// A replay step after peephole fusion, derived from the canonical [`Step`]
+/// table at compile time.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FusedStep<W> {
     /// An unfused step, executed as in the canonical table.
@@ -156,50 +153,6 @@ pub(crate) enum FusedStep<W> {
         links: Vec<ChainLink>,
     },
 }
-
-/// Why a program or trace cannot be compiled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    /// The traces diverge across probe inputs: the algorithm's address
-    /// schedule depends on its input, so no single compiled schedule can
-    /// replay it.  Carries the checker's divergence evidence.
-    NotOblivious {
-        /// Name of the refused algorithm.
-        name: String,
-        /// First divergence found by the obliviousness checker.
-        violation: ObliviousnessViolation,
-    },
-    /// A traced access lies outside the declared instance memory.
-    AddressOutOfBounds {
-        /// Name of the refused algorithm.
-        name: String,
-        /// Index of the offending trace step.
-        step: usize,
-        /// The out-of-bounds logical address.
-        addr: usize,
-        /// Declared instance memory size.
-        msize: usize,
-    },
-}
-
-impl core::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CompileError::NotOblivious { name, violation } => write!(
-                f,
-                "cannot compile {name}: not oblivious — address trace is input-dependent \
-                 ({violation}); a compiled schedule replays one fixed trace for all inputs"
-            ),
-            CompileError::AddressOutOfBounds { name, step, addr, msize } => write!(
-                f,
-                "cannot compile {name}: trace step {step} accesses address {addr} \
-                 outside instance memory of {msize} words"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// A program compiled to a flat table of vector steps.
 ///
@@ -352,29 +305,17 @@ impl<W: Word> CompiledSchedule<W> {
             metrics: BulkMetrics::default(),
         };
         program.run(&mut c);
-        let metrics = BulkMetrics { max_live_registers: c.max_live, ..c.metrics };
-        Self::from_parts(
-            program.name(),
+        let fused = fuse(&c.steps);
+        Self {
+            name: program.name(),
             msize,
-            program.input_range(),
-            program.output_range(),
-            c.steps,
-            c.next as usize,
-            metrics,
-        )
-    }
-
-    fn from_parts(
-        name: String,
-        msize: usize,
-        input_range: core::ops::Range<usize>,
-        output_range: core::ops::Range<usize>,
-        steps: Vec<Step<W>>,
-        reg_count: usize,
-        metrics: BulkMetrics,
-    ) -> Self {
-        let fused = fuse(&steps);
-        Self { name, msize, input_range, output_range, steps, reg_count, metrics, fused }
+            input_range: program.input_range(),
+            output_range: program.output_range(),
+            steps: c.steps,
+            reg_count: c.next as usize,
+            metrics: BulkMetrics { max_live_registers: c.max_live, ..c.metrics },
+            fused,
+        }
     }
 
     /// Name of the compiled program.
@@ -453,193 +394,6 @@ impl<W: Word> CompiledSchedule<W> {
             .map(|addr| layout::uniform_round_warp_charges(model, cfg, lay, p, self.msize, addr))
             .collect()
     }
-
-    /// Serialize to an `obs` JSON object.
-    ///
-    /// Word constants travel as fixed-width hex strings of their
-    /// [`Word::to_bits_u64`] pattern (JSON numbers are `i64`/`f64` and
-    /// would corrupt `u64` and NaN patterns).  The fused table is derived,
-    /// not serialized; [`CompiledSchedule::from_json`] recomputes it.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj();
-        obj.set("name", self.name.clone());
-        obj.set("memory_words", self.msize);
-        obj.set(
-            "input",
-            Json::Arr(vec![self.input_range.start.into(), self.input_range.end.into()]),
-        );
-        obj.set(
-            "output",
-            Json::Arr(vec![self.output_range.start.into(), self.output_range.end.into()]),
-        );
-        obj.set("reg_count", self.reg_count);
-        obj.set("metrics", self.metrics.to_json());
-        obj.set("steps", Json::Arr(self.steps.iter().map(step_to_json).collect()));
-        obj
-    }
-
-    /// Deserialize a schedule serialized by [`CompiledSchedule::to_json`],
-    /// validating register ids, addresses, and metric consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let name = j.path("name").and_then(Json::as_str).ok_or("missing name")?.to_string();
-        let msize = get_usize(j, "memory_words")?;
-        let input_range = get_range(j, "input")?;
-        let output_range = get_range(j, "output")?;
-        let reg_count = get_usize(j, "reg_count")?;
-        let steps_json = j.path("steps").and_then(Json::as_arr).ok_or("missing steps")?;
-        let mut steps = Vec::with_capacity(steps_json.len());
-        for (i, s) in steps_json.iter().enumerate() {
-            steps.push(step_from_json(s).map_err(|e| format!("step {i}: {e}"))?);
-        }
-        // Validate references and recount the derivable metrics.
-        let mut recount = BulkMetrics::default();
-        for (i, s) in steps.iter().enumerate() {
-            let check_reg = |r: u32| {
-                if (r as usize) < reg_count {
-                    Ok(())
-                } else {
-                    Err(format!("step {i}: register {r} out of {reg_count}"))
-                }
-            };
-            let check_opnd = |o: &Operand<W>| match o {
-                Operand::Reg(r) => check_reg(*r),
-                Operand::Const(_) => Ok(()),
-            };
-            let check_addr = |a: usize| {
-                if a < msize {
-                    Ok(())
-                } else {
-                    Err(format!("step {i}: address {a} out of {msize}"))
-                }
-            };
-            match s {
-                Step::Load { addr, dst } => {
-                    check_addr(*addr)?;
-                    check_reg(*dst)?;
-                    recount.loads += 1;
-                }
-                Step::Store { addr, src } => {
-                    check_addr(*addr)?;
-                    check_reg(*src)?;
-                    recount.stores += 1;
-                }
-                Step::Broadcast { addr, .. } => {
-                    check_addr(*addr)?;
-                    recount.broadcasts += 1;
-                }
-                Step::Un { src, dst, .. } => {
-                    check_reg(*src)?;
-                    check_reg(*dst)?;
-                    recount.register_ops += 1;
-                }
-                Step::Bin { a, b, dst, .. } => {
-                    check_opnd(a)?;
-                    check_opnd(b)?;
-                    check_reg(*dst)?;
-                    recount.register_ops += 1;
-                }
-                Step::Select { a, b, t, e, dst, .. } => {
-                    for o in [a, b, t, e] {
-                        check_opnd(o)?;
-                    }
-                    check_reg(*dst)?;
-                    recount.register_ops += 1;
-                }
-            }
-        }
-        let m = j.path("metrics").ok_or("missing metrics")?;
-        let metrics = BulkMetrics {
-            loads: get_u64(m, "loads")?,
-            stores: get_u64(m, "stores")?,
-            broadcasts: get_u64(m, "broadcasts")?,
-            register_ops: get_u64(m, "register_ops")?,
-            max_live_registers: get_usize(m, "max_live_registers")?,
-        };
-        if (metrics.loads, metrics.stores, metrics.broadcasts, metrics.register_ops)
-            != (recount.loads, recount.stores, recount.broadcasts, recount.register_ops)
-        {
-            return Err("metrics disagree with the step table".to_string());
-        }
-        if metrics.max_live_registers > reg_count {
-            return Err("max_live_registers exceeds reg_count".to_string());
-        }
-        Ok(Self::from_parts(name, msize, input_range, output_range, steps, reg_count, metrics))
-    }
-}
-
-/// Compile a *raw* (non-machine) algorithm from its address traces.
-///
-/// Programs written against [`ObliviousMachine`] never need this — use
-/// [`CompiledSchedule::compile`].  For algorithms outside the interface
-/// there is no by-construction guarantee, so this entry point records the
-/// trace on every probe input, requires all traces to coincide
-/// ([`check_oblivious`]), and **refuses** input-dependent algorithms with
-/// [`CompileError::NotOblivious`].  The resulting schedule carries
-/// pass-through dataflow — each store writes the most recently loaded word
-/// (register 0) — preserving the address schedule exactly, which is what
-/// cost analysis and replay pricing consume.  `Idle` trace steps are
-/// skipped (they cost nothing on either machine as part of a bulk round).
-///
-/// # Errors
-///
-/// [`CompileError::NotOblivious`] on trace divergence,
-/// [`CompileError::AddressOutOfBounds`] if a trace step leaves the declared
-/// memory.
-///
-/// # Panics
-///
-/// Panics if `probes` is empty (the checker needs at least one trace).
-pub fn compile_from_traces<W: Word, I>(
-    name: &str,
-    msize: usize,
-    trace_fn: impl Fn(&I) -> ThreadTrace,
-    probes: &[I],
-) -> Result<CompiledSchedule<W>, CompileError> {
-    let trace = check_oblivious(trace_fn, probes)
-        .map_err(|violation| CompileError::NotOblivious { name: name.to_string(), violation })?;
-    let mut steps: Vec<Step<W>> = Vec::new();
-    let mut metrics = BulkMetrics::default();
-    for (i, action) in trace.steps().iter().enumerate() {
-        match *action {
-            ThreadAction::Idle => {}
-            ThreadAction::Access(op, addr) => {
-                if addr >= msize {
-                    return Err(CompileError::AddressOutOfBounds {
-                        name: name.to_string(),
-                        step: i,
-                        addr,
-                        msize,
-                    });
-                }
-                match op {
-                    Op::Read => {
-                        metrics.loads += 1;
-                        steps.push(Step::Load { addr, dst: 0 });
-                    }
-                    Op::Write => {
-                        metrics.stores += 1;
-                        steps.push(Step::Store { addr, src: 0 });
-                    }
-                }
-            }
-        }
-    }
-    let reg_count = usize::from(!steps.is_empty());
-    metrics.max_live_registers = reg_count;
-    Ok(CompiledSchedule::from_parts(
-        name.to_string(),
-        msize,
-        0..msize,
-        0..msize,
-        steps,
-        reg_count,
-        metrics,
-    ))
 }
 
 /// Peephole fusion: collapse `Load a → x; Bin op …x…; Store a ← s` into one
@@ -892,223 +646,6 @@ impl<W: Word> ScheduleCache<W> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON encoding helpers
-// ---------------------------------------------------------------------------
-
-fn bits_str<W: Word>(w: W) -> String {
-    format!("0x{:016x}", w.to_bits_u64())
-}
-
-fn bits_parse<W: Word>(s: &str) -> Result<W, String> {
-    let hex = s.strip_prefix("0x").ok_or_else(|| format!("bad word literal {s:?}"))?;
-    u64::from_str_radix(hex, 16)
-        .map(W::from_bits_u64)
-        .map_err(|e| format!("bad word literal {s:?}: {e}"))
-}
-
-fn operand_to_json<W: Word>(o: &Operand<W>) -> Json {
-    let mut j = Json::obj();
-    match o {
-        Operand::Const(c) => {
-            j.set("const", bits_str(*c));
-        }
-        Operand::Reg(r) => {
-            j.set("reg", *r as usize);
-        }
-    }
-    j
-}
-
-fn operand_from_json<W: Word>(j: &Json) -> Result<Operand<W>, String> {
-    if let Some(r) = j.path("reg").and_then(Json::as_i64) {
-        return u32::try_from(r).map(Operand::Reg).map_err(|_| format!("bad register {r}"));
-    }
-    if let Some(s) = j.path("const").and_then(Json::as_str) {
-        return bits_parse(s).map(Operand::Const);
-    }
-    Err("operand needs reg or const".to_string())
-}
-
-fn un_name(op: UnOp) -> (&'static str, Option<u32>) {
-    match op {
-        UnOp::Neg => ("neg", None),
-        UnOp::Not => ("not", None),
-        UnOp::Shl(k) => ("shl", Some(k)),
-        UnOp::Shr(k) => ("shr", Some(k)),
-    }
-}
-
-fn un_parse(name: &str, k: Option<u32>) -> Result<UnOp, String> {
-    match (name, k) {
-        ("neg", None) => Ok(UnOp::Neg),
-        ("not", None) => Ok(UnOp::Not),
-        ("shl", Some(k)) => Ok(UnOp::Shl(k)),
-        ("shr", Some(k)) => Ok(UnOp::Shr(k)),
-        _ => Err(format!("bad unary op {name:?}")),
-    }
-}
-
-fn bin_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::Div => "div",
-        BinOp::Min => "min",
-        BinOp::Max => "max",
-        BinOp::Xor => "xor",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-    }
-}
-
-fn bin_parse(name: &str) -> Result<BinOp, String> {
-    Ok(match name {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "min" => BinOp::Min,
-        "max" => BinOp::Max,
-        "xor" => BinOp::Xor,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        _ => return Err(format!("bad binary op {name:?}")),
-    })
-}
-
-fn cmp_name(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Lt => "lt",
-        CmpOp::Le => "le",
-        CmpOp::Eq => "eq",
-    }
-}
-
-fn cmp_parse(name: &str) -> Result<CmpOp, String> {
-    Ok(match name {
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "eq" => CmpOp::Eq,
-        _ => return Err(format!("bad comparison {name:?}")),
-    })
-}
-
-fn step_to_json<W: Word>(s: &Step<W>) -> Json {
-    let mut j = Json::obj();
-    match s {
-        Step::Load { addr, dst } => {
-            j.set("op", "load");
-            j.set("addr", *addr);
-            j.set("dst", *dst as usize);
-        }
-        Step::Store { addr, src } => {
-            j.set("op", "store");
-            j.set("addr", *addr);
-            j.set("src", *src as usize);
-        }
-        Step::Broadcast { addr, value } => {
-            j.set("op", "broadcast");
-            j.set("addr", *addr);
-            j.set("value", bits_str(*value));
-        }
-        Step::Un { op, src, dst } => {
-            j.set("op", "un");
-            let (name, k) = un_name(*op);
-            j.set("f", name);
-            if let Some(k) = k {
-                j.set("k", k as usize);
-            }
-            j.set("src", *src as usize);
-            j.set("dst", *dst as usize);
-        }
-        Step::Bin { op, a, b, dst } => {
-            j.set("op", "bin");
-            j.set("f", bin_name(*op));
-            j.set("a", operand_to_json(a));
-            j.set("b", operand_to_json(b));
-            j.set("dst", *dst as usize);
-        }
-        Step::Select { cmp, a, b, t, e, dst } => {
-            j.set("op", "select");
-            j.set("cmp", cmp_name(*cmp));
-            j.set("a", operand_to_json(a));
-            j.set("b", operand_to_json(b));
-            j.set("t", operand_to_json(t));
-            j.set("e", operand_to_json(e));
-            j.set("dst", *dst as usize);
-        }
-    }
-    j
-}
-
-fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.path(key)
-        .and_then(Json::as_i64)
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| format!("missing or negative {key}"))
-}
-
-fn get_usize(j: &Json, key: &str) -> Result<usize, String> {
-    get_u64(j, key).map(|v| v as usize)
-}
-
-fn get_u32(j: &Json, key: &str) -> Result<u32, String> {
-    get_u64(j, key).and_then(|v| u32::try_from(v).map_err(|_| format!("{key} too large")))
-}
-
-fn get_range(j: &Json, key: &str) -> Result<core::ops::Range<usize>, String> {
-    let arr = j.path(key).and_then(Json::as_arr).ok_or_else(|| format!("missing {key}"))?;
-    if arr.len() != 2 {
-        return Err(format!("{key} must be [start, end]"));
-    }
-    let lo = arr[0].as_i64().and_then(|v| usize::try_from(v).ok());
-    let hi = arr[1].as_i64().and_then(|v| usize::try_from(v).ok());
-    match (lo, hi) {
-        (Some(lo), Some(hi)) if lo <= hi => Ok(lo..hi),
-        _ => Err(format!("bad {key} bounds")),
-    }
-}
-
-fn step_from_json<W: Word>(j: &Json) -> Result<Step<W>, String> {
-    let op = j.path("op").and_then(Json::as_str).ok_or("missing op")?;
-    let opnd = |key: &str| {
-        j.path(key).ok_or_else(|| format!("missing {key}")).and_then(|o| operand_from_json(o))
-    };
-    Ok(match op {
-        "load" => Step::Load { addr: get_usize(j, "addr")?, dst: get_u32(j, "dst")? },
-        "store" => Step::Store { addr: get_usize(j, "addr")?, src: get_u32(j, "src")? },
-        "broadcast" => {
-            let s = j.path("value").and_then(Json::as_str).ok_or("missing value")?;
-            Step::Broadcast { addr: get_usize(j, "addr")?, value: bits_parse(s)? }
-        }
-        "un" => {
-            let name = j.path("f").and_then(Json::as_str).ok_or("missing f")?;
-            let k = match j.path("k").and_then(Json::as_i64) {
-                Some(k) => Some(u32::try_from(k).map_err(|_| "bad shift amount")?),
-                None => None,
-            };
-            Step::Un { op: un_parse(name, k)?, src: get_u32(j, "src")?, dst: get_u32(j, "dst")? }
-        }
-        "bin" => Step::Bin {
-            op: bin_parse(j.path("f").and_then(Json::as_str).ok_or("missing f")?)?,
-            a: opnd("a")?,
-            b: opnd("b")?,
-            dst: get_u32(j, "dst")?,
-        },
-        "select" => Step::Select {
-            cmp: cmp_parse(j.path("cmp").and_then(Json::as_str).ok_or("missing cmp")?)?,
-            a: opnd("a")?,
-            b: opnd("b")?,
-            t: opnd("t")?,
-            e: opnd("e")?,
-            dst: get_u32(j, "dst")?,
-        },
-        other => return Err(format!("unknown step op {other:?}")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1268,142 +805,6 @@ mod tests {
         assert_eq!(stats, CacheStats { hits: 1, compiles: 3 });
         assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0, "unused cache has rate 0");
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let schedule = CompiledSchedule::compile(&Mixed);
-        let j = schedule.to_json();
-        let back = CompiledSchedule::<f32>::from_json(&j).expect("round trip");
-        assert_eq!(back, schedule);
-        assert_eq!(back.to_json(), j);
-        assert_eq!(back.fused_steps(), schedule.fused_steps(), "fusion is recomputed");
-    }
-
-    /// A program whose constants stress the bit-exact hex encoding: NaN and
-    /// a u64 word above `i64::MAX` (both corrupted by naive JSON numbers).
-    struct NastyConsts;
-
-    impl ObliviousProgram<u64> for NastyConsts {
-        fn name(&self) -> String {
-            "nasty".into()
-        }
-        fn memory_words(&self) -> usize {
-            1
-        }
-        fn input_range(&self) -> core::ops::Range<usize> {
-            0..1
-        }
-        fn output_range(&self) -> core::ops::Range<usize> {
-            0..1
-        }
-        fn run<M: ObliviousMachine<u64>>(&self, m: &mut M) {
-            let x = m.read(0);
-            let big = m.constant(u64::MAX - 5);
-            let y = m.max(x, big);
-            m.write(0, y);
-        }
-    }
-
-    #[test]
-    fn json_preserves_extreme_word_constants() {
-        let schedule = CompiledSchedule::compile(&NastyConsts);
-        let back = CompiledSchedule::<u64>::from_json(&schedule.to_json()).expect("round trip");
-        assert_eq!(back, schedule);
-
-        // f32 NaN constant survives via bits even though NaN != NaN.
-        let steps: Vec<Step<f32>> = vec![
-            Step::Load { addr: 0, dst: 0 },
-            Step::Bin { op: BinOp::Add, a: Operand::Reg(0), b: Operand::Const(f32::NAN), dst: 1 },
-            Step::Store { addr: 0, src: 1 },
-        ];
-        let metrics = BulkMetrics {
-            loads: 1,
-            stores: 1,
-            broadcasts: 0,
-            register_ops: 1,
-            max_live_registers: 2,
-        };
-        let s = CompiledSchedule::from_parts("nan".into(), 1, 0..1, 0..1, steps, 2, metrics);
-        let j = s.to_json();
-        let back = CompiledSchedule::<f32>::from_json(&j).expect("round trip");
-        assert_eq!(back.to_json(), j, "NaN bit pattern must survive");
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistencies() {
-        let schedule = CompiledSchedule::compile(&Mixed);
-        let mut j = schedule.to_json();
-        j.set("reg_count", 1usize); // steps reference higher registers
-        let err = CompiledSchedule::<f32>::from_json(&j).unwrap_err();
-        assert!(err.contains("register"), "{err}");
-
-        let mut j = schedule.to_json();
-        let m = schedule.metrics();
-        let mut bad = Json::obj();
-        bad.set("loads", m.loads + 1);
-        bad.set("stores", m.stores);
-        bad.set("broadcasts", m.broadcasts);
-        bad.set("register_ops", m.register_ops);
-        bad.set("max_live_registers", m.max_live_registers);
-        j.set("metrics", bad);
-        let err = CompiledSchedule::<f32>::from_json(&j).unwrap_err();
-        assert!(err.contains("metrics"), "{err}");
-    }
-
-    #[test]
-    fn trace_compilation_accepts_agreeing_traces() {
-        // An oblivious "algorithm" outside the machine interface: the trace
-        // ignores the input.
-        let trace_fn = |_: &u32| {
-            let mut t = ThreadTrace::new();
-            t.read(0);
-            t.push(ThreadAction::Idle);
-            t.write(1);
-            t
-        };
-        let s: CompiledSchedule<f32> =
-            compile_from_traces("raw", 2, trace_fn, &[1, 2, 3]).expect("oblivious");
-        let mem: Vec<(Op, usize)> = s.mem_steps().collect();
-        assert_eq!(mem, vec![(Op::Read, 0), (Op::Write, 1)], "idle steps are skipped");
-        assert_eq!(s.metrics().loads, 1);
-        assert_eq!(s.metrics().stores, 1);
-    }
-
-    #[test]
-    fn trace_compilation_refuses_input_dependent_algorithms() {
-        // A data-dependent branch: reads address 0 or 1 depending on input.
-        let trace_fn = |input: &u32| {
-            let mut t = ThreadTrace::new();
-            t.read(if *input > 1 { 1 } else { 0 });
-            t
-        };
-        let err = compile_from_traces::<f32, _>("branchy", 2, trace_fn, &[0, 5]).unwrap_err();
-        match &err {
-            CompileError::NotOblivious { name, violation } => {
-                assert_eq!(name, "branchy");
-                assert_eq!(violation.input_index, 1);
-            }
-            other => panic!("expected NotOblivious, got {other:?}"),
-        }
-        let msg = err.to_string();
-        assert!(msg.contains("not oblivious"), "{msg}");
-        assert!(msg.contains("input-dependent"), "{msg}");
-    }
-
-    #[test]
-    fn trace_compilation_rejects_out_of_bounds_addresses() {
-        let trace_fn = |_: &u32| {
-            let mut t = ThreadTrace::new();
-            t.read(7);
-            t
-        };
-        let err = compile_from_traces::<f32, _>("oob", 4, trace_fn, &[0]).unwrap_err();
-        assert_eq!(
-            err,
-            CompileError::AddressOutOfBounds { name: "oob".into(), step: 0, addr: 7, msize: 4 }
-        );
-        assert!(err.to_string().contains("outside instance memory"));
     }
 
     #[test]

@@ -7,9 +7,7 @@ pub mod scalar;
 pub mod tracer;
 
 pub use bulk::{BulkMachine, BulkMetrics, BulkValue, LanePort, RmwOperand, SliceLanes};
-pub use compiled::{
-    compile_from_traces, CacheStats, CompileError, CompiledSchedule, Operand, ScheduleCache, Step,
-};
+pub use compiled::{CacheStats, CompiledSchedule, Operand, ScheduleCache, Step};
 pub use cost::{CostMachine, Model};
 pub use scalar::ScalarMachine;
 pub use tracer::TraceMachine;

@@ -71,9 +71,8 @@ pub mod word;
 pub use checker::{check_oblivious, ObliviousnessViolation};
 pub use compose::{Chain, Repeat, Shifted};
 pub use exec::{
-    compile_from_traces, BulkMachine, BulkMetrics, BulkValue, CacheStats, CompileError,
-    CompiledSchedule, CostMachine, LanePort, Model, RmwOperand, ScalarMachine, ScheduleCache,
-    SliceLanes, TraceMachine,
+    BulkMachine, BulkMetrics, BulkValue, CacheStats, CompiledSchedule, CostMachine, LanePort,
+    Model, RmwOperand, ScalarMachine, ScheduleCache, SliceLanes, TraceMachine,
 };
 pub use hmm_cost::{capacity_needed_per_dmm, hmm_bulk_cost, HmmBulkCost};
 pub use layout::Layout;

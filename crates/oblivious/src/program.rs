@@ -149,52 +149,18 @@ pub fn bulk_round_trace<W: Word, P: ObliviousProgram<W>>(
     rt
 }
 
-/// Run a profiled round-synchronous `model` simulation of a bulk
-/// execution, streaming one uniform round at a time (memory `O(p)`, not
-/// `O(p · t)`).
+/// Price a compiled schedule on the round-synchronous `model` simulator:
+/// each memory step is one uniform round, charged through the simulator's
+/// [`MachineSimulator::step_uniform`] fast path from the per-warp charges
+/// that [`CompiledSchedule::cost_table`] computes once per address, instead
+/// of materialising and re-grouping `p` thread actions per round.
 ///
 /// The returned simulator carries [`umm_core::AccessStats`] and a
 /// [`umm_core::SimProfile`] (per-warp charge histogram, stall accounting)
-/// for the whole execution — the model half of a `RunReport`.
-#[must_use]
-pub fn bulk_profiled<W: Word, P: ObliviousProgram<W>>(
-    program: &P,
-    cfg: MachineConfig,
-    model: Model,
-    layout: Layout,
-    p: usize,
-) -> MachineSimulator {
-    let mut sim = MachineSimulator::new(model, cfg, p);
-    sim.enable_profiling();
-    stream_rounds(program, layout, &mut sim);
-    sim
-}
-
-/// [`bulk_profiled`] with event-timeline tracing also enabled: the
-/// returned simulator additionally carries an `obs::Tracer` with one span
-/// per dispatched warp (take it with `take_tracer()`).
-#[must_use]
-pub fn bulk_traced<W: Word, P: ObliviousProgram<W>>(
-    program: &P,
-    cfg: MachineConfig,
-    model: Model,
-    layout: Layout,
-    p: usize,
-) -> MachineSimulator {
-    let mut sim = MachineSimulator::new(model, cfg, p);
-    sim.enable_profiling();
-    sim.enable_tracing();
-    stream_rounds(program, layout, &mut sim);
-    sim
-}
-
-/// [`bulk_profiled`]'s compiled counterpart: price a schedule's memory
-/// rounds through the simulator's uniform-round fast path, using the
-/// per-warp charges precomputed by [`CompiledSchedule::cost_table`] instead
-/// of materialising and re-grouping `p` thread actions per round.
-///
-/// Statistics, profile and elapsed time are bit-identical to running the
-/// source program through [`bulk_profiled`].
+/// for the whole execution — the model half of a `RunReport` — and, with
+/// `traced`, an `obs::Tracer` with one span per dispatched warp (take it
+/// with `take_tracer()`).  All of it equals [`MachineSimulator::run`] over
+/// the materialised [`bulk_round_trace`].
 #[must_use]
 pub fn compiled_profiled<W: Word>(
     schedule: &CompiledSchedule<W>,
@@ -202,38 +168,18 @@ pub fn compiled_profiled<W: Word>(
     model: Model,
     layout: Layout,
     p: usize,
+    traced: bool,
 ) -> MachineSimulator {
     let mut sim = MachineSimulator::new(model, cfg, p);
     sim.enable_profiling();
+    if traced {
+        sim.enable_tracing();
+    }
     let table = schedule.cost_table(&cfg, model, layout, p);
     for (op, addr) in schedule.mem_steps() {
         sim.step_uniform(op, &table[addr]);
     }
     sim
-}
-
-/// Step `sim` through each uniform bulk round of `program` under `layout`,
-/// reusing one `p`-wide action buffer.
-fn stream_rounds<W: Word, P: ObliviousProgram<W>>(
-    program: &P,
-    layout: Layout,
-    sim: &mut MachineSimulator,
-) {
-    let p = sim.threads();
-    let msize = program.memory_words();
-    let thread = trace_of(program);
-    let mut actions = vec![ThreadAction::Idle; p];
-    for step in thread.steps() {
-        match step {
-            ThreadAction::Idle => actions.fill(ThreadAction::Idle),
-            ThreadAction::Access(op, addr) => {
-                for (lane, a) in actions.iter_mut().enumerate() {
-                    *a = ThreadAction::Access(*op, layout.physical(*addr, lane, p, msize));
-                }
-            }
-        }
-        sim.step(&actions);
-    }
 }
 
 /// Bulk-execute by running the scalar machine once per input, sequentially —
@@ -350,18 +296,29 @@ mod tests {
         assert_eq!(out, vec![7.0, 4.0]);
     }
 
+    /// Schedule pricing against an independent oracle: the materialised
+    /// round trace stepped through the simulator one thread action at a
+    /// time, with profiling and tracing on both sides.  `p = 8` fills the
+    /// 4-wide warps exactly; `p = 10` leaves a ragged final warp.
     #[test]
-    fn compiled_profiling_matches_interpreter_profiling() {
+    fn schedule_pricing_matches_the_materialised_round_trace() {
         let cfg = MachineConfig::new(4, 3);
-        let p = 10; // deliberately not warp-aligned
         let schedule = CompiledSchedule::compile(&AddMax);
-        for model in [Model::Umm, Model::Dmm] {
-            for layout in Layout::all() {
-                let a = bulk_profiled(&AddMax, cfg, model, layout, p);
-                let b = compiled_profiled(&schedule, cfg, model, layout, p);
-                assert_eq!(a.elapsed(), b.elapsed(), "{model:?} {layout}");
-                assert_eq!(a.stats(), b.stats(), "{model:?} {layout}");
-                assert_eq!(a.profile(), b.profile(), "{model:?} {layout}");
+        for p in [8, 10] {
+            for model in [Model::Umm, Model::Dmm] {
+                for layout in Layout::all() {
+                    let ctx = format!("{model:?} {layout} p={p}");
+                    let mut want = MachineSimulator::new(model, cfg, p);
+                    want.enable_profiling();
+                    want.enable_tracing();
+                    want.run(&bulk_round_trace(&AddMax, layout, p));
+                    let mut got = compiled_profiled(&schedule, cfg, model, layout, p, true);
+                    assert_eq!(got.elapsed(), want.elapsed(), "{ctx}");
+                    assert_eq!(got.stats(), want.stats(), "{ctx}");
+                    assert_eq!(got.profile(), want.profile(), "{ctx}");
+                    let (tg, tw) = (got.take_tracer().unwrap(), want.take_tracer().unwrap());
+                    assert_eq!(tg.events(), tw.events(), "{ctx}");
+                }
             }
         }
     }

@@ -1,10 +1,9 @@
-//! Counters, gauges, histograms, and wall-clock span accumulation.
+//! Counters, gauges and histograms.
 
 use crate::json::Json;
 use crate::prom::BUCKET_BOUNDS;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Named monotone event counters, in first-touch order.
 ///
@@ -245,59 +244,6 @@ impl Histogram {
     }
 }
 
-/// Named wall-clock span accumulation, in first-touch order.
-#[derive(Debug, Clone, Default)]
-pub struct Spans {
-    items: Vec<(&'static str, Duration)>,
-}
-
-impl Spans {
-    /// An empty span set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `d` to the span named `key`.
-    pub fn record(&mut self, key: &'static str, d: Duration) {
-        if let Some(slot) = self.items.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 += d;
-        } else {
-            self.items.push((key, d));
-        }
-    }
-
-    /// Run `f`, charging its wall-clock time to `key`.
-    pub fn time<R>(&mut self, key: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.record(key, start.elapsed());
-        out
-    }
-
-    /// Accumulated time for `key`.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Duration {
-        self.items.iter().find(|(k, _)| *k == key).map_or(Duration::ZERO, |(_, d)| *d)
-    }
-
-    /// Sum of all spans.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        self.items.iter().map(|(_, d)| *d).sum()
-    }
-
-    /// As a JSON object of seconds: `{key: secs, ...}`.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj();
-        for (k, d) in &self.items {
-            obj.set(k, d.as_secs_f64());
-        }
-        obj
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,15 +355,5 @@ mod tests {
             }
         });
         assert_eq!(g.get(), -7, "balanced concurrent updates must cancel");
-    }
-
-    #[test]
-    fn spans_time_and_merge() {
-        let mut s = Spans::new();
-        let v = s.time("work", || 7);
-        assert_eq!(v, 7);
-        s.record("work", Duration::from_millis(1));
-        assert!(s.get("work") >= Duration::from_millis(1));
-        assert_eq!(s.total(), s.get("work"));
     }
 }

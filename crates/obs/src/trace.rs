@@ -13,8 +13,8 @@
 //! Recording is bounded: once a tracer holds [`Tracer::capacity`] events,
 //! further ones are counted in [`Tracer::dropped`] but not stored, so
 //! tracing an arbitrarily long run cannot exhaust memory.  Instrumented
-//! layers install a tracer only behind [`crate::PROFILING_COMPILED`], the
-//! same zero-cost-when-disabled contract as `SimProfile`.
+//! layers install a tracer only when asked to (`enable_tracing`), so an
+//! untraced run records nothing, as with an un-enabled `SimProfile`.
 
 use crate::json::Json;
 

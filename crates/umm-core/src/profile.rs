@@ -13,8 +13,7 @@
 //!   warp was ready to dispatch.
 //!
 //! Recording is off by default and costs one never-taken branch per warp
-//! when disabled; when the `obs` crate is built without its `profile`
-//! feature, `enable_profiling` is a compile-time no-op.
+//! when disabled.
 
 use obs::trace::Tracer;
 use obs::{Histogram, Json};

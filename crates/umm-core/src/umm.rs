@@ -80,12 +80,9 @@ impl MachineSimulator {
     }
 
     /// Turn on per-warp profiling (histogram of the per-warp charge, stall
-    /// accounting).  No-op at compile time when `obs` is built without its
-    /// `profile` feature.
+    /// accounting).
     pub fn enable_profiling(&mut self) {
-        if obs::PROFILING_COMPILED {
-            self.profile = Some(SimProfile::new());
-        }
+        self.profile = Some(SimProfile::new());
     }
 
     /// The recorded profile, if profiling was enabled.
@@ -96,12 +93,9 @@ impl MachineSimulator {
 
     /// Turn on event-timeline tracing: one span per dispatched warp (track
     /// = warp id, category = the model's name, args = the charge `k`) plus
-    /// fill/drain and idle markers on a "pipeline" track.  No-op at compile
-    /// time when `obs` is built without its `profile` feature.
+    /// fill/drain and idle markers on a "pipeline" track.
     pub fn enable_tracing(&mut self) {
-        if obs::PROFILING_COMPILED {
-            self.timeline = Some(Box::new(self.new_timeline()));
-        }
+        self.timeline = Some(Box::new(self.new_timeline()));
     }
 
     fn new_timeline(&self) -> SimTimeline {

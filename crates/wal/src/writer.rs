@@ -268,7 +268,7 @@ impl Wal {
     /// This is a replica's append: `records` are encodings back to back,
     /// as a primary's [`Cursor::poll`](crate::Cursor::poll) read them,
     /// whose CRCs the caller has already checked
-    /// ([`record::decode_ref`](crate::record::decode_ref)).  Only header
+    /// ([`record::decode_ref`]).  Only header
     /// fields are read here: every length must frame a whole record and
     /// the sequence numbers must run on from [`Wal::next_seq`], or
     /// nothing is written.  The log rotates at the same record boundaries

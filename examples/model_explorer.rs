@@ -45,9 +45,10 @@ fn main() {
     // View 2: the width sweep at fixed p.
     println!("layout gap vs machine width (p = 64K, l = 4):");
     print!("  ");
-    for w in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let c = MachineConfig::new(w, 4);
-        print!("w={w}: {:.1}x  ", analytic::layout_gap(&c, t, 64 << 10));
+    for w in [1u64, 2, 4, 8, 16, 32, 64, 128] {
+        let row = oblivious::theorems::row_wise_time(t, 64 << 10, 4);
+        let col = oblivious::theorems::column_wise_time(t, 64 << 10, w, 4);
+        print!("w={w}: {:.1}x  ", row as f64 / col as f64);
     }
     println!("\n");
 

@@ -1,26 +1,18 @@
 //! Determinism of compiled-schedule replay, property-tested on the random
 //! oblivious-program corpus shared with `fuzz_random_programs.rs`.
 //!
-//! Two properties per case:
-//!
-//! 1. **Device-shape independence.** Replay on the SIMT device
-//!    (`gpu_sim::replay`) must produce bitwise identical outputs for every
-//!    worker count with one block each — including counts that do not
-//!    divide `p` (ragged last block) and counts exceeding `p` (clamped) —
-//!    and for block sizes that do not divide `p`, and those outputs must
-//!    equal the interpreter's.  Lanes never interact and blocks write
-//!    disjoint lanes, so any divergence is a real replay bug.
-//!
-//! 2. **JSON round-trip.** A `CompiledSchedule` serialized through
-//!    `obs::Json` and parsed back must be step-for-step identical,
-//!    including register ids, metrics counters and recomputed fusion.
-//!    Comparison is on the serialized form, so NaN-valued constants
-//!    (possible under random arithmetic) still compare bit-exactly.
+//! **Device-shape independence.** Replay on the SIMT device
+//! (`gpu_sim::replay`) must produce bitwise identical outputs for every
+//! worker count with one block each — including counts that do not divide
+//! `p` (ragged last block) and counts exceeding `p` (clamped) — and for
+//! block sizes that do not divide `p`, and those outputs must equal the
+//! interpreter's.  Lanes never interact and blocks write disjoint lanes, so
+//! any divergence is a real replay bug.
 
 use common::{bits, random_program};
 use gpu_sim::{replay, Device};
 use oblivious::program::bulk_execute;
-use oblivious::{CompiledSchedule, Layout, ObliviousProgram};
+use oblivious::{CompiledSchedule, Layout};
 use obs::Rng;
 
 mod common;
@@ -69,21 +61,5 @@ fn device_replay_is_worker_and_block_count_independent() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn compiled_schedules_round_trip_through_json_unchanged() {
-    let mut rng = Rng::new(0x0DD_1505);
-    for case in 0..48 {
-        let prog = random_program(&mut rng);
-        let schedule = CompiledSchedule::compile(&prog);
-        let j = schedule.to_json();
-        let back = CompiledSchedule::<f64>::from_json(&j)
-            .unwrap_or_else(|e| panic!("case {case}: round trip failed: {e}"));
-        assert_eq!(back.to_json(), j, "case {case}: serialized forms differ");
-        assert_eq!(back.name(), prog.name(), "case {case}");
-        assert_eq!(back.memory_words(), prog.memory_words(), "case {case}");
-        assert_eq!(back.metrics(), schedule.metrics(), "case {case}");
     }
 }

@@ -17,8 +17,8 @@
 //! then inspect the diff of `tests/goldens/` before committing.
 
 use algorithms::{OptTriangulation, PrefixSums};
-use oblivious::program::{bulk_round_trace, bulk_traced};
-use oblivious::{Layout, ObliviousProgram, Word};
+use oblivious::program::{bulk_round_trace, compiled_profiled};
+use oblivious::{CompiledSchedule, Layout, ObliviousProgram, Word};
 use obs::Json;
 use umm_core::{simulate_async, MachineConfig, MachineSimulator, Model};
 
@@ -122,13 +122,10 @@ fn prefix_sums_n8_column_wise() {
 /// shape is a reviewable diff.
 #[test]
 fn chrome_trace_prefix_sums_n8() {
-    if !obs::PROFILING_COMPILED {
-        return; // tracing compiled out; nothing to compare
-    }
     let cfg = golden_config();
-    let pr = PrefixSums::new(8);
+    let schedule = CompiledSchedule::<f32>::compile(&PrefixSums::new(8));
     let [umm, dmm] = [Model::Umm, Model::Dmm].map(|model| {
-        bulk_traced::<f32, _>(&pr, cfg, model, Layout::ColumnWise, 8)
+        compiled_profiled(&schedule, cfg, model, Layout::ColumnWise, 8, true)
             .take_tracer()
             .expect("tracing enabled")
     });

@@ -13,11 +13,15 @@
 //! * on the `BulkMachine` engine, one span is recorded per vector step;
 //! * on the SIMT device, per-track busy time equals each worker's reported
 //!   busy time.
+//!
+//! The model timelines come from schedule pricing (`compiled_profiled`),
+//! which is itself checked against an independent oracle: the materialised
+//! round trace stepped through the simulator one thread action at a time.
 
-use algorithms::{BitonicSort, OptTriangulation, PrefixSums, Transpose};
-use oblivious::program::{arrange_inputs, bulk_round_trace, bulk_traced};
-use oblivious::{BulkMachine, Layout, ObliviousProgram};
-use umm_core::{MachineConfig, Model};
+use algorithms::{BitonicSort, Fft, OptTriangulation, PascalTriangle, PrefixSums, Transpose, Xtea};
+use oblivious::program::{arrange_inputs, bulk_round_trace, compiled_profiled};
+use oblivious::{BulkMachine, CompiledSchedule, Layout, ObliviousProgram, Word};
+use umm_core::{MachineConfig, MachineSimulator, Model};
 
 /// Small machines whose stall structure differs: an l = 3 pipeline on a
 /// 4-wide warp, and a shallow l = 2 pipeline on an 8-wide warp.
@@ -26,11 +30,12 @@ fn machines() -> [MachineConfig; 2] {
 }
 
 fn check_model_timelines<P: ObliviousProgram<f32>>(pr: &P, layout: Layout, p: usize) {
+    let schedule = CompiledSchedule::compile(pr);
     for cfg in machines() {
         // Round-synchronous UMM and DMM: same shape, each spanned under
         // its model's name.
         for model in [Model::Umm, Model::Dmm] {
-            let sim = bulk_traced(pr, cfg, model, layout, p);
+            let sim = compiled_profiled(&schedule, cfg, model, layout, p, true);
             let t = sim.tracer().expect("tracing enabled");
             obs::trace::validate(t).expect("model timeline well-formed");
             let busy = t.spanned_ticks_by_cat(model.name());
@@ -63,9 +68,6 @@ fn check_model_timelines<P: ObliviousProgram<f32>>(pr: &P, layout: Layout, p: us
 
 #[test]
 fn model_timelines_reconcile_across_programs_and_layouts() {
-    if !obs::PROFILING_COMPILED {
-        return;
-    }
     for layout in [Layout::RowWise, Layout::ColumnWise] {
         // p = 16 fills warps exactly on both machines; p = 6 leaves a
         // ragged final warp.
@@ -74,6 +76,46 @@ fn model_timelines_reconcile_across_programs_and_layouts() {
         check_model_timelines(&OptTriangulation::new(5), layout, 8);
         check_model_timelines(&Transpose::new(4), layout, 16);
         check_model_timelines(&BitonicSort::new(3), layout, 8);
+    }
+}
+
+/// Price `pr`'s schedule and, separately, its materialised round trace
+/// through `MachineSimulator::run`, both with profiling and tracing on:
+/// clocks, statistics, profiles and event streams must be equal.
+fn check_schedule_pricing<W: Word, P: ObliviousProgram<W>>(pr: &P, p: usize) {
+    let schedule = CompiledSchedule::compile(pr);
+    for layout in Layout::all() {
+        let trace = bulk_round_trace(pr, layout, p);
+        for cfg in machines() {
+            for model in [Model::Umm, Model::Dmm] {
+                let ctx = format!("{} {model:?} {layout} w={} p={p}", pr.name(), cfg.width);
+                let mut want = MachineSimulator::new(model, cfg, p);
+                want.enable_profiling();
+                want.enable_tracing();
+                want.run(&trace);
+                let mut got = compiled_profiled(&schedule, cfg, model, layout, p, true);
+                assert_eq!(got.elapsed(), want.elapsed(), "{ctx}");
+                assert_eq!(got.stats(), want.stats(), "{ctx}");
+                assert_eq!(got.profile(), want.profile(), "{ctx}");
+                let (tg, tw) = (got.take_tracer().unwrap(), want.take_tracer().unwrap());
+                assert_eq!(tg.dropped(), 0, "{ctx}");
+                assert_eq!(tg.events(), tw.events(), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
+fn schedule_pricing_matches_the_materialised_round_trace() {
+    // p = 16 fills the warps of both machines; p = 6 leaves a ragged one.
+    for p in [16, 6] {
+        check_schedule_pricing::<f32, _>(&PrefixSums::new(8), p);
+        check_schedule_pricing::<f32, _>(&OptTriangulation::new(5), p);
+        check_schedule_pricing::<f32, _>(&Transpose::new(4), p);
+        check_schedule_pricing::<f32, _>(&BitonicSort::new(3), p);
+        check_schedule_pricing::<f32, _>(&Fft::new(3), p);
+        check_schedule_pricing::<u64, _>(&PascalTriangle::new(6), p);
+        check_schedule_pricing(&Xtea::encrypt(1), p);
     }
 }
 
@@ -104,9 +146,6 @@ fn engine_check<P: ObliviousProgram<f32>>(pr: &P, p: usize) {
 
 #[test]
 fn engine_timeline_counts_every_vector_step() {
-    if !obs::PROFILING_COMPILED {
-        return;
-    }
     engine_check(&PrefixSums::new(16), 8);
 }
 
