@@ -234,6 +234,16 @@ pub fn payload_job_id(payload: &[u8]) -> Option<u64> {
     std::str::from_utf8(&rest[..end]).ok()?.parse().ok()
 }
 
+/// Whether recovery re-queues jobs that already have a completion record.
+/// `false` — the exactly-once contract.  The CI-only
+/// `bug-requeue-completed` feature reintroduces the historical bug
+/// (completed jobs re-executed after a crash) so the simulation harness
+/// can prove it catches it — never enable it otherwise.
+#[must_use]
+pub fn requeue_completed() -> bool {
+    cfg!(feature = "bug-requeue-completed")
+}
+
 /// Whether completions whose journal append failed may still be
 /// acknowledged.  `false` — the fail-stop contract: after a failed fsync
 /// the durability of the page cache is unknowable, so no result backed
@@ -330,15 +340,11 @@ pub fn replay(records: &[Record]) -> Result<Recovery, String> {
         }
     }
     let already_completed = submits.iter().filter(|s| completed.contains(&s.id)).count() as u64;
-    // `bug-requeue-completed` deliberately reintroduces the exactly-once
-    // violation this filter exists to prevent (completed jobs re-queued
-    // and re-executed after a crash).  It exists solely so CI can prove
-    // the simulation harness catches the bug — never enable it otherwise.
-    #[cfg(feature = "bug-requeue-completed")]
-    let requeue: Vec<RecoveredJob> = submits;
-    #[cfg(not(feature = "bug-requeue-completed"))]
-    let requeue: Vec<RecoveredJob> =
-        submits.into_iter().filter(|s| !completed.contains(&s.id)).collect();
+    let requeue: Vec<RecoveredJob> = if requeue_completed() {
+        submits
+    } else {
+        submits.into_iter().filter(|s| !completed.contains(&s.id)).collect()
+    };
     Ok(Recovery {
         requeue,
         next_job_id: checkpoint_next.max(max_id + 1),

@@ -455,82 +455,96 @@ Loadgen defaults: clients = 32, duration-ms = 5000, instances = 1.
 Sim defaults: seeds = 100, seed0 = 1, clients = 3, workers = 2, jobs = 4.
 ";
 
-fn parse_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            let v = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            return v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| format!("{flag}: '{v}' is not a number"));
-        }
-    }
-    Ok(None)
+/// A command line's flags, walked once against the command's flag list:
+/// every token is a known flag or the value of the flag before it, no
+/// flag is given twice, and a flag has a value exactly when it takes one.
+struct Flags<'a> {
+    given: Vec<(&'a str, Option<&'a str>)>,
 }
 
-fn parse_f64_flag(args: &[String], flag: &str) -> Result<Option<f64>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            let v = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            let x = v.parse::<f64>().map_err(|_| format!("{flag}: '{v}' is not a number"))?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!("{flag} must be a non-negative number, got '{v}'"));
+impl<'a> Flags<'a> {
+    /// Walk `args` against the command's flags: `values` take a value,
+    /// `switches` stand alone.  Errors name the offending token — a typo'd
+    /// `--profil` or a stray `-p` must fail, not run without its effect.
+    fn parse(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut given: Vec<(&str, Option<&str>)> = Vec::new();
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(flag) = tokens.next() {
+            let takes_value = values.contains(&flag);
+            if !takes_value && !switches.contains(&flag) {
+                return Err(if flag.starts_with("--") {
+                    format!("unknown flag '{flag}'; try `bulkrun help`")
+                } else {
+                    format!("unexpected argument '{flag}'; try `bulkrun help`")
+                });
             }
-            return Ok(Some(x));
-        }
-    }
-    Ok(None)
-}
-
-fn parse_string_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            let v = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-            if v.starts_with("--") {
-                return Err(format!("{flag} needs a value, got flag '{v}'"));
+            if given.iter().any(|&(f, _)| f == flag) {
+                return Err(format!("{flag} is given twice"));
             }
-            return Ok(Some(v.clone()));
-        }
-    }
-    Ok(None)
-}
-
-/// Reject any `--flag` token the subcommand does not know — a typo'd
-/// `--profil` must error, not silently run without its effect.
-fn reject_unknown(args: &[String], allowed: &[&str]) -> Result<(), String> {
-    for a in args {
-        if a.starts_with("--") && !allowed.contains(&a.as_str()) {
-            return Err(format!("unknown flag '{a}'; try `bulkrun help`"));
-        }
-    }
-    Ok(())
-}
-
-/// Parse the optional `--connect-timeout-ms` / `--read-timeout-ms` pair
-/// shared by every client-side subcommand.
-fn parse_timeouts(args: &[String]) -> Result<(Option<u64>, Option<u64>), String> {
-    let ct = parse_flag(args, "--connect-timeout-ms")?;
-    let rt = parse_flag(args, "--read-timeout-ms")?;
-    for (flag, v) in [("--connect-timeout-ms", ct), ("--read-timeout-ms", rt)] {
-        if v == Some(0) {
-            return Err(format!("{flag} must be positive"));
-        }
-    }
-    Ok((ct.map(|v| v as u64), rt.map(|v| v as u64)))
-}
-
-fn parse_layout(args: &[String]) -> Result<Layout, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == "--layout" {
-            let v = args.get(i + 1).ok_or("--layout needs a value")?;
-            return match v.as_str() {
-                "row" | "row-wise" => Ok(Layout::RowWise),
-                "col" | "column" | "column-wise" => Ok(Layout::ColumnWise),
-                other => Err(format!("--layout: '{other}' is neither row nor col")),
+            let value = if takes_value {
+                let v = tokens.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                if v.starts_with("--") {
+                    return Err(format!("{flag} needs a value, got flag '{v}'"));
+                }
+                Some(v)
+            } else {
+                None
             };
+            given.push((flag, value));
+        }
+        Ok(Self { given })
+    }
+
+    /// The value of `flag`, if given.
+    fn string(&self, flag: &str) -> Option<String> {
+        self.given.iter().find(|&&(f, _)| f == flag).and_then(|&(_, v)| v).map(str::to_owned)
+    }
+
+    /// Whether the switch `flag` is given.
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|&(f, _)| f == flag)
+    }
+
+    fn usize(&self, flag: &str) -> Result<Option<usize>, String> {
+        self.string(flag)
+            .map(|v| v.parse::<usize>().map_err(|_| format!("{flag}: '{v}' is not a number")))
+            .transpose()
+    }
+
+    fn f64(&self, flag: &str) -> Result<Option<f64>, String> {
+        let Some(v) = self.string(flag) else { return Ok(None) };
+        let x = v.parse::<f64>().map_err(|_| format!("{flag}: '{v}' is not a number"))?;
+        if !x.is_finite() || x < 0.0 {
+            return Err(format!("{flag} must be a non-negative number, got '{v}'"));
+        }
+        Ok(Some(x))
+    }
+
+    /// The optional `--connect-timeout-ms` / `--read-timeout-ms` pair
+    /// shared by every client-side subcommand.
+    fn timeouts(&self) -> Result<(Option<u64>, Option<u64>), String> {
+        let ct = self.usize("--connect-timeout-ms")?;
+        let rt = self.usize("--read-timeout-ms")?;
+        for (flag, v) in [("--connect-timeout-ms", ct), ("--read-timeout-ms", rt)] {
+            if v == Some(0) {
+                return Err(format!("{flag} must be positive"));
+            }
+        }
+        Ok((ct.map(|v| v as u64), rt.map(|v| v as u64)))
+    }
+
+    fn layout(&self) -> Result<Layout, String> {
+        match self.string("--layout").as_deref() {
+            None => Ok(Layout::ColumnWise),
+            Some("row" | "row-wise") => Ok(Layout::RowWise),
+            Some("col" | "column" | "column-wise") => Ok(Layout::ColumnWise),
+            Some(other) => Err(format!("--layout: '{other}' is neither row nor col")),
         }
     }
-    Ok(Layout::ColumnWise)
+
+    fn addr(&self) -> String {
+        self.string("--addr").unwrap_or_else(|| DEFAULT_ADDR.into())
+    }
 }
 
 /// Parse a full argument vector (excluding `argv[0]`).
@@ -552,9 +566,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("compare needs two report paths")?
                 .clone();
-            let rest = &args[3..];
-            reject_unknown(rest, &["--threshold"])?;
-            let threshold = parse_f64_flag(rest, "--threshold")?.unwrap_or(0.0);
+            let f = Flags::parse(&args[3..], &["--threshold"], &[])?;
+            let threshold = f.f64("--threshold")?.unwrap_or(0.0);
             Ok(Command::Compare { a, b, threshold })
         }
         "timeline" => {
@@ -563,24 +576,26 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("timeline needs an algorithm name")?
                 .clone();
-            let rest = &args[2..];
-            reject_unknown(rest, &["--size", "--p", "--layout", "--width", "--latency", "--cols"])?;
+            let f = Flags::parse(
+                &args[2..],
+                &["--size", "--p", "--layout", "--width", "--latency", "--cols"],
+                &[],
+            )?;
             Ok(Command::Timeline {
                 algo,
-                size: parse_flag(rest, "--size")?,
-                p: parse_flag(rest, "--p")?.unwrap_or(128),
-                layout: parse_layout(rest)?,
+                size: f.usize("--size")?,
+                p: f.usize("--p")?.unwrap_or(128),
+                layout: f.layout()?,
                 cfg: MachineConfig::new(
-                    parse_flag(rest, "--width")?.unwrap_or(32),
-                    parse_flag(rest, "--latency")?.unwrap_or(8),
+                    f.usize("--width")?.unwrap_or(32),
+                    f.usize("--latency")?.unwrap_or(8),
                 ),
-                cols: parse_flag(rest, "--cols")?.unwrap_or(72),
+                cols: f.usize("--cols")?.unwrap_or(72),
             })
         }
         "serve" => {
-            let rest = &args[1..];
-            reject_unknown(
-                rest,
+            let f = Flags::parse(
+                &args[1..],
                 &[
                     "--addr",
                     "--workers",
@@ -593,15 +608,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--fsync",
                     "--wal-segment-bytes",
                     "--recorder",
-                    "--no-instrument",
                     "--node-id",
                     "--replicate-to",
                 ],
+                &["--no-instrument"],
             )?;
-            let workers = parse_flag(rest, "--workers")?.unwrap_or(4);
-            let max_batch = parse_flag(rest, "--max-batch")?.unwrap_or(256);
-            let max_queue = parse_flag(rest, "--max-queue")?.unwrap_or(4096);
-            let shards = parse_flag(rest, "--shards")?.unwrap_or(1);
+            let workers = f.usize("--workers")?.unwrap_or(4);
+            let max_batch = f.usize("--max-batch")?.unwrap_or(256);
+            let max_queue = f.usize("--max-queue")?.unwrap_or(4096);
+            let shards = f.usize("--shards")?.unwrap_or(1);
             for (flag, v) in
                 [("--workers", workers), ("--max-batch", max_batch), ("--shards", shards)]
             {
@@ -609,9 +624,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     return Err(format!("{flag} must be positive"));
                 }
             }
-            let wal_dir = parse_string_flag(rest, "--wal-dir")?;
-            let fsync_raw = parse_string_flag(rest, "--fsync")?;
-            let wal_segment_bytes = parse_flag(rest, "--wal-segment-bytes")?;
+            let wal_dir = f.string("--wal-dir");
+            let fsync_raw = f.string("--fsync");
+            let wal_segment_bytes = f.usize("--wal-segment-bytes")?;
             if wal_dir.is_none() && (fsync_raw.is_some() || wal_segment_bytes.is_some()) {
                 return Err("--fsync / --wal-segment-bytes require --wal-dir".into());
             }
@@ -623,31 +638,30 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             if wal_segment_bytes == 0 {
                 return Err("--wal-segment-bytes must be positive".into());
             }
-            let replicate_to = parse_string_flag(rest, "--replicate-to")?;
+            let replicate_to = f.string("--replicate-to");
             if replicate_to.is_some() && wal_dir.is_none() {
                 return Err("--replicate-to ships the WAL, so it requires --wal-dir".into());
             }
             Ok(Command::Serve {
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
-                node_id: parse_string_flag(rest, "--node-id")?,
+                addr: f.addr(),
+                node_id: f.string("--node-id"),
                 workers,
                 max_batch,
                 max_queue,
-                flush_after_ms: parse_flag(rest, "--flush-after-ms")?.unwrap_or(5) as u64,
+                flush_after_ms: f.usize("--flush-after-ms")?.unwrap_or(5) as u64,
                 shards,
-                trace: parse_string_flag(rest, "--trace")?,
+                trace: f.string("--trace"),
                 wal_dir,
                 fsync,
                 wal_segment_bytes,
-                recorder: parse_string_flag(rest, "--recorder")?,
-                instrument: !rest.iter().any(|a| a == "--no-instrument"),
+                recorder: f.string("--recorder"),
+                instrument: !f.has("--no-instrument"),
                 replicate_to,
             })
         }
         "standby" => {
-            let rest = &args[1..];
-            reject_unknown(
-                rest,
+            let f = Flags::parse(
+                &args[1..],
                 &[
                     "--addr",
                     "--node-id",
@@ -661,16 +675,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--flush-after-ms",
                     "--shards",
                 ],
+                &[],
             )?;
-            let follow = parse_string_flag(rest, "--follow")?
+            let follow = f
+                .string("--follow")
                 .ok_or("standby needs --follow ADDR (the primary's --replicate-to address)")?;
-            let wal_dir = parse_string_flag(rest, "--wal-dir")?
+            let wal_dir = f
+                .string("--wal-dir")
                 .ok_or("standby needs --wal-dir DIR (where the shipped records land)")?;
-            let wal_segment_bytes = parse_flag(rest, "--wal-segment-bytes")?.unwrap_or(4 << 20);
-            let reconnect_ms = parse_flag(rest, "--reconnect-ms")?.unwrap_or(100);
-            let workers = parse_flag(rest, "--workers")?.unwrap_or(4);
-            let max_batch = parse_flag(rest, "--max-batch")?.unwrap_or(256);
-            let shards = parse_flag(rest, "--shards")?.unwrap_or(1);
+            let wal_segment_bytes = f.usize("--wal-segment-bytes")?.unwrap_or(4 << 20);
+            let reconnect_ms = f.usize("--reconnect-ms")?.unwrap_or(100);
+            let workers = f.usize("--workers")?.unwrap_or(4);
+            let max_batch = f.usize("--max-batch")?.unwrap_or(256);
+            let shards = f.usize("--shards")?.unwrap_or(1);
             for (flag, v) in [
                 ("--wal-segment-bytes", wal_segment_bytes),
                 ("--reconnect-ms", reconnect_ms),
@@ -683,33 +700,22 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
             }
             Ok(Command::Standby {
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
-                node_id: parse_string_flag(rest, "--node-id")?,
+                addr: f.addr(),
+                node_id: f.string("--node-id"),
                 follow,
                 wal_dir,
                 wal_segment_bytes: wal_segment_bytes as u64,
                 reconnect_ms: reconnect_ms as u64,
                 workers,
                 max_batch,
-                max_queue: parse_flag(rest, "--max-queue")?.unwrap_or(4096),
-                flush_after_ms: parse_flag(rest, "--flush-after-ms")?.unwrap_or(5) as u64,
+                max_queue: f.usize("--max-queue")?.unwrap_or(4096),
+                flush_after_ms: f.usize("--flush-after-ms")?.unwrap_or(5) as u64,
                 shards,
             })
         }
-        "promote" => {
-            let rest = &args[1..];
-            reject_unknown(rest, &["--addr", "--connect-timeout-ms", "--read-timeout-ms"])?;
-            let (connect_timeout_ms, read_timeout_ms) = parse_timeouts(rest)?;
-            Ok(Command::Promote {
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
-                connect_timeout_ms,
-                read_timeout_ms,
-            })
-        }
         "route" => {
-            let rest = &args[1..];
-            reject_unknown(
-                rest,
+            let f = Flags::parse(
+                &args[1..],
                 &[
                     "--addr",
                     "--backends",
@@ -722,11 +728,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--connect-timeout-ms",
                     "--read-timeout-ms",
                 ],
+                &[],
             )?;
-            let spec = parse_string_flag(rest, "--backends")?
+            let spec = f
+                .string("--backends")
                 .ok_or("route needs --backends id=addr,… (the bulkd nodes to route over)")?;
             let backends = router::parse_backends(&spec).map_err(|e| format!("--backends: {e}"))?;
-            let standbys = match parse_string_flag(rest, "--standbys")? {
+            let standbys = match f.string("--standbys") {
                 Some(spec) => {
                     let standbys =
                         router::parse_backends(&spec).map_err(|e| format!("--standbys: {e}"))?;
@@ -743,14 +751,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 None => Vec::new(),
             };
-            let vnodes = parse_flag(rest, "--vnodes")?.unwrap_or(64);
-            let probe_interval_ms = parse_flag(rest, "--probe-interval-ms")?.unwrap_or(500) as u64;
-            let probe_timeout_ms = parse_flag(rest, "--probe-timeout-ms")?.unwrap_or(250) as u64;
-            let down_after = parse_flag(rest, "--down-after")?.unwrap_or(3);
-            let up_after = parse_flag(rest, "--up-after")?.unwrap_or(2);
-            let connect_timeout_ms =
-                parse_flag(rest, "--connect-timeout-ms")?.unwrap_or(1000) as u64;
-            let read_timeout_ms = parse_flag(rest, "--read-timeout-ms")?.unwrap_or(30_000) as u64;
+            let vnodes = f.usize("--vnodes")?.unwrap_or(64);
+            let probe_interval_ms = f.usize("--probe-interval-ms")?.unwrap_or(500) as u64;
+            let probe_timeout_ms = f.usize("--probe-timeout-ms")?.unwrap_or(250) as u64;
+            let down_after = f.usize("--down-after")?.unwrap_or(3);
+            let up_after = f.usize("--up-after")?.unwrap_or(2);
+            let connect_timeout_ms = f.usize("--connect-timeout-ms")?.unwrap_or(1000) as u64;
+            let read_timeout_ms = f.usize("--read-timeout-ms")?.unwrap_or(30_000) as u64;
             for (flag, v) in [
                 ("--vnodes", vnodes as u64),
                 ("--probe-interval-ms", probe_interval_ms),
@@ -765,8 +772,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
             }
             Ok(Command::Route {
-                addr: parse_string_flag(rest, "--addr")?
-                    .unwrap_or_else(|| DEFAULT_ROUTER_ADDR.into()),
+                addr: f.string("--addr").unwrap_or_else(|| DEFAULT_ROUTER_ADDR.into()),
                 backends,
                 standbys,
                 vnodes,
@@ -778,34 +784,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 read_timeout_ms,
             })
         }
-        "drain" => {
-            let rest = &args[1..];
-            reject_unknown(rest, &["--addr", "--connect-timeout-ms", "--read-timeout-ms"])?;
-            let (connect_timeout_ms, read_timeout_ms) = parse_timeouts(rest)?;
-            Ok(Command::Drain {
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
-                connect_timeout_ms,
-                read_timeout_ms,
-            })
-        }
-        "metrics" => {
-            let rest = &args[1..];
-            reject_unknown(rest, &["--addr", "--connect-timeout-ms", "--read-timeout-ms"])?;
-            let (connect_timeout_ms, read_timeout_ms) = parse_timeouts(rest)?;
-            Ok(Command::Metrics {
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
-                connect_timeout_ms,
-                read_timeout_ms,
-            })
-        }
-        "dump" => {
-            let rest = &args[1..];
-            reject_unknown(rest, &["--addr", "--connect-timeout-ms", "--read-timeout-ms"])?;
-            let (connect_timeout_ms, read_timeout_ms) = parse_timeouts(rest)?;
-            Ok(Command::Dump {
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
-                connect_timeout_ms,
-                read_timeout_ms,
+        "promote" | "drain" | "metrics" | "dump" => {
+            let client = ["--addr", "--connect-timeout-ms", "--read-timeout-ms"];
+            let f = Flags::parse(&args[1..], &client, &[])?;
+            let addr = f.addr();
+            let (connect_timeout_ms, read_timeout_ms) = f.timeouts()?;
+            Ok(match cmd.as_str() {
+                "promote" => Command::Promote { addr, connect_timeout_ms, read_timeout_ms },
+                "drain" => Command::Drain { addr, connect_timeout_ms, read_timeout_ms },
+                "metrics" => Command::Metrics { addr, connect_timeout_ms, read_timeout_ms },
+                _ => Command::Dump { addr, connect_timeout_ms, read_timeout_ms },
             })
         }
         "submit" => {
@@ -814,33 +802,32 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("submit needs an algorithm name")?
                 .clone();
-            let rest = &args[2..];
-            reject_unknown(
-                rest,
+            let f = Flags::parse(
+                &args[2..],
                 &[
                     "--size",
                     "--layout",
                     "--addr",
                     "--count",
                     "--seed",
-                    "--timing",
                     "--connect-timeout-ms",
                     "--read-timeout-ms",
                 ],
+                &["--timing"],
             )?;
-            let count = parse_flag(rest, "--count")?.unwrap_or(1);
+            let count = f.usize("--count")?.unwrap_or(1);
             if count == 0 {
                 return Err("--count must be positive".into());
             }
-            let (connect_timeout_ms, read_timeout_ms) = parse_timeouts(rest)?;
+            let (connect_timeout_ms, read_timeout_ms) = f.timeouts()?;
             Ok(Command::Submit {
                 algo,
-                size: parse_flag(rest, "--size")?,
-                layout: parse_layout(rest)?,
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
+                size: f.usize("--size")?,
+                layout: f.layout()?,
+                addr: f.addr(),
                 count,
-                seed: parse_flag(rest, "--seed")?.unwrap_or(crate::RUN_SEED as usize) as u64,
-                timing: rest.iter().any(|a| a == "--timing"),
+                seed: f.usize("--seed")?.unwrap_or(crate::RUN_SEED as usize) as u64,
+                timing: f.has("--timing"),
                 connect_timeout_ms,
                 read_timeout_ms,
             })
@@ -851,9 +838,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("loadgen needs an algorithm name")?
                 .clone();
-            let rest = &args[2..];
-            reject_unknown(
-                rest,
+            let f = Flags::parse(
+                &args[2..],
                 &[
                     "--size",
                     "--layout",
@@ -863,40 +849,37 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--instances",
                     "--seed",
                     "--report",
-                    "--drain-after",
-                    "--no-timing",
-                    "--hot-key",
                     "--connect-timeout-ms",
                     "--read-timeout-ms",
                 ],
+                &["--drain-after", "--no-timing", "--hot-key"],
             )?;
-            let clients = parse_flag(rest, "--clients")?.unwrap_or(32);
-            let instances = parse_flag(rest, "--instances")?.unwrap_or(1);
+            let clients = f.usize("--clients")?.unwrap_or(32);
+            let instances = f.usize("--instances")?.unwrap_or(1);
             if clients == 0 || instances == 0 {
                 return Err("--clients and --instances must be positive".into());
             }
-            let (connect_timeout_ms, read_timeout_ms) = parse_timeouts(rest)?;
+            let (connect_timeout_ms, read_timeout_ms) = f.timeouts()?;
             Ok(Command::Loadgen {
                 algo,
-                size: parse_flag(rest, "--size")?,
-                layout: parse_layout(rest)?,
-                addr: parse_string_flag(rest, "--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
+                size: f.usize("--size")?,
+                layout: f.layout()?,
+                addr: f.addr(),
                 clients,
-                duration_ms: parse_flag(rest, "--duration-ms")?.unwrap_or(5000) as u64,
+                duration_ms: f.usize("--duration-ms")?.unwrap_or(5000) as u64,
                 instances_per_submit: instances,
-                seed: parse_flag(rest, "--seed")?.unwrap_or(crate::RUN_SEED as usize) as u64,
-                report: parse_string_flag(rest, "--report")?,
-                drain_after: rest.iter().any(|a| a == "--drain-after"),
-                timing: !rest.iter().any(|a| a == "--no-timing"),
-                hot_key: rest.iter().any(|a| a == "--hot-key"),
+                seed: f.usize("--seed")?.unwrap_or(crate::RUN_SEED as usize) as u64,
+                report: f.string("--report"),
+                drain_after: f.has("--drain-after"),
+                timing: !f.has("--no-timing"),
+                hot_key: f.has("--hot-key"),
                 connect_timeout_ms,
                 read_timeout_ms,
             })
         }
         "sim" => {
-            let rest = &args[1..];
-            reject_unknown(
-                rest,
+            let f = Flags::parse(
+                &args[1..],
                 &[
                     "--seeds",
                     "--seed0",
@@ -905,25 +888,24 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--jobs",
                     "--replay",
                     "--crash-at",
-                    "--conn-faults",
-                    "--fsync-errors",
                     "--fsync-fail-at",
                     "--report",
                 ],
+                &["--conn-faults", "--fsync-errors"],
             )?;
-            let seeds = parse_flag(rest, "--seeds")?.unwrap_or(100) as u64;
-            let clients = parse_flag(rest, "--clients")?.unwrap_or(3);
-            let workers = parse_flag(rest, "--workers")?.unwrap_or(2);
-            let jobs = parse_flag(rest, "--jobs")?.unwrap_or(4);
+            let seeds = f.usize("--seeds")?.unwrap_or(100) as u64;
+            let clients = f.usize("--clients")?.unwrap_or(3);
+            let workers = f.usize("--workers")?.unwrap_or(2);
+            let jobs = f.usize("--jobs")?.unwrap_or(4);
             if seeds == 0 || clients == 0 || workers == 0 || jobs == 0 {
                 return Err("--seeds, --clients, --workers and --jobs must be positive".into());
             }
-            let replay = parse_flag(rest, "--replay")?.map(|s| s as u64);
-            let crash_at = parse_flag(rest, "--crash-at")?.map(|k| k as u64);
+            let replay = f.usize("--replay")?.map(|s| s as u64);
+            let crash_at = f.usize("--crash-at")?.map(|k| k as u64);
             if crash_at.is_some() && replay.is_none() {
                 return Err("--crash-at requires --replay".into());
             }
-            let fsync_fail_at = parse_flag(rest, "--fsync-fail-at")?.map(|s| s as u64);
+            let fsync_fail_at = f.usize("--fsync-fail-at")?.map(|s| s as u64);
             if fsync_fail_at.is_some() && replay.is_none() {
                 return Err("--fsync-fail-at requires --replay".into());
             }
@@ -932,16 +914,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Sim {
                 seeds,
-                seed0: parse_flag(rest, "--seed0")?.unwrap_or(1) as u64,
+                seed0: f.usize("--seed0")?.unwrap_or(1) as u64,
                 clients,
                 workers,
                 jobs,
                 replay,
                 crash_at,
-                conn_faults: rest.iter().any(|a| a == "--conn-faults"),
-                fsync_errors: rest.iter().any(|a| a == "--fsync-errors"),
+                conn_faults: f.has("--conn-faults"),
+                fsync_errors: f.has("--fsync-errors"),
                 fsync_fail_at,
-                report: parse_string_flag(rest, "--report")?,
+                report: f.string("--report"),
             })
         }
         "trace" | "model" | "run" | "hmm" => {
@@ -950,57 +932,50 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .filter(|a| !a.starts_with("--"))
                 .ok_or_else(|| format!("{cmd} needs an algorithm name"))?
                 .clone();
-            let rest = &args[2..];
+            let values: &[&str] = match cmd.as_str() {
+                "trace" => &["--size", "--head"],
+                "model" => &["--size", "--p", "--width", "--latency"],
+                "run" => &["--size", "--p", "--layout", "--profile", "--trace", "--shards"],
+                _ => &["--size", "--p", "--dmms"],
+            };
+            let f = Flags::parse(&args[2..], values, &[])?;
+            let size = f.usize("--size")?;
             match cmd.as_str() {
-                "trace" => reject_unknown(rest, &["--size", "--head"])?,
-                "model" => reject_unknown(rest, &["--size", "--p", "--width", "--latency"])?,
-                "run" => reject_unknown(
-                    rest,
-                    &["--size", "--p", "--layout", "--profile", "--trace", "--shards"],
-                )?,
-                "hmm" => reject_unknown(rest, &["--size", "--p", "--dmms"])?,
-                _ => unreachable!(),
-            }
-            let size = parse_flag(rest, "--size")?;
-            match cmd.as_str() {
-                "trace" => Ok(Command::Trace {
-                    algo,
-                    size,
-                    head: parse_flag(rest, "--head")?.unwrap_or(16),
-                }),
+                "trace" => {
+                    Ok(Command::Trace { algo, size, head: f.usize("--head")?.unwrap_or(16) })
+                }
                 "model" => Ok(Command::Model {
                     algo,
                     size,
-                    p: parse_flag(rest, "--p")?.unwrap_or(4096),
+                    p: f.usize("--p")?.unwrap_or(4096),
                     cfg: MachineConfig::new(
-                        parse_flag(rest, "--width")?.unwrap_or(32),
-                        parse_flag(rest, "--latency")?.unwrap_or(100),
+                        f.usize("--width")?.unwrap_or(32),
+                        f.usize("--latency")?.unwrap_or(100),
                     ),
                 }),
                 "run" => {
-                    let shards = parse_flag(rest, "--shards")?.unwrap_or(1);
+                    let shards = f.usize("--shards")?.unwrap_or(1);
                     if shards == 0 {
                         return Err("--shards must be positive".into());
                     }
                     Ok(Command::Run {
                         algo,
                         size,
-                        p: parse_flag(rest, "--p")?.unwrap_or(4096),
-                        layout: parse_layout(rest)?,
-                        profile: parse_string_flag(rest, "--profile")?,
-                        trace: parse_string_flag(rest, "--trace")?,
+                        p: f.usize("--p")?.unwrap_or(4096),
+                        layout: f.layout()?,
+                        profile: f.string("--profile"),
+                        trace: f.string("--trace"),
                         shards,
                     })
                 }
-                "hmm" => {
-                    let dmms = parse_flag(rest, "--dmms")?.unwrap_or(14);
+                _ => {
+                    let dmms = f.usize("--dmms")?.unwrap_or(14);
                     if dmms == 0 {
                         return Err("--dmms must be positive".into());
                     }
-                    let p = parse_flag(rest, "--p")?.unwrap_or(14 * 64);
+                    let p = f.usize("--p")?.unwrap_or(14 * 64);
                     Ok(Command::Hmm { algo, size, p, dmms })
                 }
-                _ => unreachable!(),
             }
         }
         other => Err(format!("unknown command '{other}'; try `bulkrun help`")),
@@ -1092,6 +1067,26 @@ mod tests {
         assert!(parse(&argv("hmm opt --width 4")).unwrap_err().contains("--width"));
         assert!(parse(&argv("compare a.json b.json --tolerance 5")).is_err());
         assert!(parse(&argv("timeline opt --dmms 2")).is_err());
+    }
+
+    /// Each token is a known flag or its flag's value, and each flag
+    /// comes once: a single-dash `-p` and a trailing word are stray tokens
+    /// (not silently skipped), a repeated `--p` is not first-one-wins, and
+    /// a switch takes no value.
+    #[test]
+    fn stray_tokens_and_repeated_flags_are_rejected() {
+        let err = parse(&argv("run horner --size 8 -p 64")).unwrap_err();
+        assert!(err.contains("unexpected argument '-p'"), "{err}");
+        let err = parse(&argv("run horner --p 64 --p 16")).unwrap_err();
+        assert!(err.contains("--p is given twice"), "{err}");
+        let err = parse(&argv("trace prefix-sums --size 4 extra")).unwrap_err();
+        assert!(err.contains("unexpected argument 'extra'"), "{err}");
+        let err = parse(&argv("serve --no-instrument false")).unwrap_err();
+        assert!(err.contains("unexpected argument 'false'"), "{err}");
+        let err = parse(&argv("loadgen opt --hot-key --hot-key")).unwrap_err();
+        assert!(err.contains("--hot-key is given twice"), "{err}");
+        let err = parse(&argv("timeline fft --p --size 4")).unwrap_err();
+        assert!(err.contains("--p needs a value, got flag '--size'"), "{err}");
     }
 
     #[test]

@@ -13,11 +13,10 @@ pub mod registry;
 pub mod serve;
 
 use args::Command;
-use gpu_sim::Device;
 use oblivious::{theorems, Layout, Model};
 use obs::RunReport;
-use registry::{Algo, CATALOG};
-use umm_core::MachineConfig;
+use registry::{Algo, BulkRun, RunSpec, CATALOG, RUN_MACHINE};
+use umm_core::SimProfile;
 
 /// The seed every `bulkrun run` invocation uses for input generation —
 /// fixed so reports and differential runs are reproducible.
@@ -53,37 +52,58 @@ fn read_report(path: &str) -> Result<obs::Json, String> {
     obs::Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Assemble the full profiling [`RunReport`] for one bulk run: the
-/// compiled schedule's port-traffic metrics (the interpreter's, by
-/// construction), the UMM/DMM model simulation priced through the
+/// Assemble the profiling [`RunReport`] of one bulk run: the compiled
+/// schedule's facts and port-traffic counters (the interpreter's, by
+/// construction), the UMM/DMM model simulations priced through the
 /// schedule's cost table (round counts, address-group histogram, stall
 /// accounting), and the SIMT device's scheduler profile (per-worker block
-/// counts and timings).
+/// counts and timings).  A layer the run did not build has no section.
 #[must_use]
-pub fn run_report(
-    algo: &Algo,
-    p: usize,
-    layout: Layout,
-    seed: u64,
-    wall_seconds: f64,
-) -> RunReport {
-    let cfg = MachineConfig::new(32, 100);
+pub fn run_report(run: &BulkRun) -> RunReport {
+    let RunSpec { p, layout, seed, .. } = run.spec;
     let mut report = RunReport::new("bulkrun run");
-    let mut algo_json = obs::Json::obj();
-    algo_json.set("name", algo.display_name());
-    algo_json.set("memory_words", algo.memory_words());
-    algo_json.set("time_steps", algo.time_steps());
-    report.set("algo", algo_json);
+    let mut algo = obs::Json::obj();
+    algo.set("name", run.name.as_str());
+    algo.set("memory_words", run.memory_words);
+    algo.set("time_steps", run.time_steps);
+    report.set("algo", algo);
     let mut params = obs::Json::obj();
     params.set("p", p);
     params.set("layout", format!("{layout}"));
     params.set("seed", seed as i64);
     report.set("params", params);
-    report.set("wall_seconds", wall_seconds);
-    report.set("engine", algo.bulk_metrics_compiled(p, layout, seed).to_json());
-    report.set("model", algo.model_profile_json(cfg, layout, p));
-    report.set("device", algo.device_profile_json(&Device::titan_like(), p, layout, seed));
+    report.set("wall_seconds", run.wall_seconds);
+    report.set("engine", run.engine.to_json());
+    if !run.models.is_empty() {
+        let mut model = obs::Json::obj();
+        let (w, l) = (RUN_MACHINE.width as u64, RUN_MACHINE.latency as u64);
+        model.set("machine", RUN_MACHINE.to_json());
+        model.set("lower_bound", theorems::lower_bound(run.time_steps, p as u64, w, l));
+        for (m, sim) in &run.models {
+            let mut section = obs::Json::obj();
+            section.set("stats", sim.stats().to_json());
+            section.set("profile", sim.profile().map_or(obs::Json::Null, SimProfile::to_json));
+            model.set(m.name(), section);
+        }
+        report.set("model", model);
+    }
+    if let Some(device) = &run.device {
+        report.set("device", device.to_json());
+    }
     report
+}
+
+/// Every layer's timeline of a traced bulk run, as named Chrome-trace
+/// processes on one axis: the engine's replay, each model's pricing and
+/// the device launch.
+fn run_timelines(run: &mut BulkRun) -> Vec<(String, obs::Tracer)> {
+    let mut layers = vec![("engine".to_owned(), run.engine_trace.take().unwrap_or_default())];
+    for (model, sim) in &mut run.models {
+        layers.push((format!("model.{}", model.name()), sim.take_tracer().unwrap_or_default()));
+    }
+    let device = run.device.as_ref().map(gpu_sim::LaunchReport::to_trace);
+    layers.push(("device".to_owned(), device.unwrap_or_default()));
+    layers
 }
 
 /// Execute a parsed command, writing human output to the returned string.
@@ -178,31 +198,30 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                  (compiled schedule, {shards} device worker(s)) …\n",
                 a.display_name()
             ));
-            let secs = a.run_bulk(*p, *layout, RUN_SEED, *shards);
+            let mut run = a.run(RunSpec {
+                workers: *shards,
+                profile: profile.is_some(),
+                trace: trace.is_some(),
+                ..RunSpec::new(*p, *layout, RUN_SEED)
+            });
+            let secs = run.wall_seconds;
             out.push_str(&format!(
                 "  wall clock: {}  ({} per instance)\n",
                 analytic::format_value(secs),
                 analytic::format_value(secs / *p as f64)
             ));
             if let Some(path) = profile {
-                let report = run_report(&a, *p, *layout, RUN_SEED, secs);
-                report
+                run_report(&run)
                     .write_to(std::path::Path::new(path))
                     .map_err(|e| format!("cannot write profile to {path}: {e}"))?;
                 out.push_str(&format!("  profile   : wrote {path}\n"));
             }
             if let Some(path) = trace {
-                let cfg = MachineConfig::new(32, 100);
-                let b = a.trace_bundle(cfg, &Device::titan_like(), *p, *layout, RUN_SEED);
-                let chrome = obs::trace::chrome_trace(&[
-                    ("engine", &b.engine),
-                    ("model.umm", &b.umm),
-                    ("model.dmm", &b.dmm),
-                    ("device", &b.device),
-                ]);
-                write_text("trace", path, &chrome.to_compact())?;
-                let dropped: u64 =
-                    [&b.engine, &b.umm, &b.dmm, &b.device].iter().map(|t| t.dropped()).sum();
+                let layers = run_timelines(&mut run);
+                let named: Vec<(&str, &obs::Tracer)> =
+                    layers.iter().map(|(name, t)| (name.as_str(), t)).collect();
+                write_text("trace", path, &obs::trace::chrome_trace(&named).to_compact())?;
+                let dropped: u64 = layers.iter().map(|(_, t)| t.dropped()).sum();
                 out.push_str(&format!("  trace     : wrote {path}"));
                 if dropped > 0 {
                     out.push_str(&format!(" ({dropped} events dropped; ring buffer full)"));
@@ -713,6 +732,11 @@ mod tests {
     use super::*;
     use umm_core::MachineConfig;
 
+    /// A column-wise run of `p` instances with the report's layers.
+    fn profiled(p: usize, seed: u64) -> RunSpec {
+        RunSpec { profile: true, ..RunSpec::new(p, Layout::ColumnWise, seed) }
+    }
+
     #[test]
     fn list_mentions_every_algorithm() {
         let out = execute(&Command::List).unwrap();
@@ -781,7 +805,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bulkrun-cmp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let a = Algo::parse("prefix-sums", Some(8)).unwrap();
-        let report = run_report(&a, 64, Layout::ColumnWise, 7, 0.001);
+        let report = run_report(&a.run(profiled(64, 7)));
         let pa = dir.join("a.json");
         let pb = dir.join("b.json");
         report.write_to(&pa).unwrap();
@@ -821,7 +845,7 @@ mod tests {
     fn report_model_section_matches_analytic_prediction() {
         let a = Algo::parse("prefix-sums", Some(32)).unwrap();
         let p = 64u64; // multiple of the report's w = 32
-        let report = run_report(&a, p as usize, Layout::ColumnWise, 7, 0.001);
+        let report = run_report(&a.run(profiled(p as usize, 7)));
         let j = report.json();
         let t = j.path("algo.time_steps").unwrap().as_i64().unwrap() as u64;
         let measured = j.path("model.umm.stats.time_units").unwrap().as_i64().unwrap() as u64;
@@ -836,7 +860,7 @@ mod tests {
     #[test]
     fn run_report_carries_model_and_device_profiles() {
         let a = Algo::parse("prefix-sums", Some(8)).unwrap();
-        let report = run_report(&a, 64, Layout::ColumnWise, 42, 0.001);
+        let report = run_report(&a.run(profiled(64, 42)));
         let j = report.json();
         // Round counts and the address-group histogram from the model sim.
         assert!(j.path("model.umm.stats.rounds").unwrap().as_i64().unwrap() > 0);

@@ -2,8 +2,8 @@
 //! program library.
 //!
 //! `ObliviousProgram::run` is generic over the machine, so programs cannot
-//! be trait objects; the registry is an enum that dispatches each CLI
-//! operation to the concrete program type and its word type — XTEA runs
+//! be trait objects; the registry is an enum, and `with_program!` binds
+//! the concrete program type and word type each entry selects — XTEA runs
 //! on `u32`, Pascal's triangle on `u64`, everything else on `f32`.
 
 use algorithms::{
@@ -12,17 +12,17 @@ use algorithms::{
     PascalTriangle, PolyMul, PrefixSums, SummedArea, Transpose, Xtea,
 };
 use bulkd::ExecPath;
-use gpu_sim::{launch_profiled, replay, Device, GenericKernel};
+use gpu_sim::{launch_profiled, replay, Device, GenericKernel, LaunchReport};
 use oblivious::program::{
     arrange_inputs, bulk_execute, bulk_execute_cpu_reference, bulk_model_time, compiled_profiled,
-    run_compiled_in_place, time_steps, trace_of,
+    time_steps, trace_of,
 };
 use oblivious::{
-    theorems, BulkMachine, BulkMetrics, CacheStats, CompiledSchedule, Layout, Model,
-    ObliviousProgram, ScheduleCache, Word,
+    BulkMachine, BulkMetrics, CacheStats, CompiledSchedule, Layout, Model, ObliviousProgram,
+    ScheduleCache, Word,
 };
-use obs::{Json, Rng, Tracer};
-use umm_core::{MachineConfig, ThreadTrace};
+use obs::{Rng, Tracer};
+use umm_core::{MachineConfig, MachineSimulator, ThreadTrace};
 
 /// A word type the catalog runs on, with the two decisions that depend on
 /// it: how its random inputs are drawn and which shared cache serves it.
@@ -182,6 +182,125 @@ pub const CATALOG: &[(&str, usize, &str)] = &[
     ("pascal", 24, "Pascal's triangle / binomial table (u64 words)"),
 ];
 
+/// Bind `$pr` to the program `$algo` selects and the type name `$W` to its
+/// word type, then evaluate `$body` — the one place the catalog's entries
+/// map to program types, so every [`Algo`] operation is one expression
+/// over `(pr, W)`.
+macro_rules! with_program {
+    (@bind $word:ty, $program:expr, $pr:ident: $W:ident => $body:expr) => {{
+        #[allow(dead_code)]
+        type $W = $word;
+        let $pr = pinned::<$W, _>($program);
+        $body
+    }};
+    ($algo:expr, $pr:ident: $W:ident => $body:expr) => {
+        match $algo {
+            Algo::PrefixSums(n) => with_program!(@bind f32, PrefixSums::new(n), $pr: $W => $body),
+            Algo::Opt(n) => with_program!(@bind f32, OptTriangulation::new(n), $pr: $W => $body),
+            Algo::MatMul(n) => with_program!(@bind f32, MatMul::new(n), $pr: $W => $body),
+            Algo::Transpose(n) => with_program!(@bind f32, Transpose::new(n), $pr: $W => $body),
+            Algo::MatVec(n) => with_program!(@bind f32, MatVec::new(n), $pr: $W => $body),
+            Algo::Fft(k) => with_program!(@bind f32, Fft::new(k), $pr: $W => $body),
+            Algo::Fir(n) => {
+                with_program!(@bind f32, FirFilter::moving_average(n, 4), $pr: $W => $body)
+            }
+            Algo::Bitonic(k) => with_program!(@bind f32, BitonicSort::new(k), $pr: $W => $body),
+            Algo::OeMergeSort(k) => {
+                with_program!(@bind f32, OddEvenMergeSort::new(k), $pr: $W => $body)
+            }
+            Algo::Lcs(n) => with_program!(@bind f32, LcsLength::new(n, n), $pr: $W => $body),
+            Algo::EditDistance(n) => {
+                with_program!(@bind f32, EditDistance::new(n, n), $pr: $W => $body)
+            }
+            Algo::FloydWarshall(n) => {
+                with_program!(@bind f32, FloydWarshall::new(n), $pr: $W => $body)
+            }
+            Algo::SummedArea(n) => {
+                with_program!(@bind f32, SummedArea::new(n, n), $pr: $W => $body)
+            }
+            Algo::Xtea(n) => with_program!(@bind u32, Xtea::encrypt(n), $pr: $W => $body),
+            Algo::Horner(n) => with_program!(@bind f32, Horner::new(n), $pr: $W => $body),
+            Algo::Permute(n) => {
+                with_program!(@bind f32, OfflinePermute::perfect_shuffle(n), $pr: $W => $body)
+            }
+            Algo::MatrixChain(n) => {
+                with_program!(@bind f32, MatrixChain::new(n), $pr: $W => $body)
+            }
+            Algo::Lu(n) => with_program!(@bind f32, LuDecomposition::new(n), $pr: $W => $body),
+            Algo::PolyMul(n) => with_program!(@bind f32, PolyMul::new(n), $pr: $W => $body),
+            Algo::Pascal(n) => with_program!(@bind u64, PascalTriangle::new(n), $pr: $W => $body),
+        }
+    };
+}
+
+/// A program as an `ObliviousProgram` over `W` alone: the float programs
+/// implement the trait for every float word, so pinning the word type is
+/// what lets `W` be inferred at each call on the program.
+fn pinned<W: Word, P: ObliviousProgram<W>>(program: P) -> impl ObliviousProgram<W> {
+    program
+}
+
+/// What one [`Algo::run`] does: the timed replay's batch and device, and
+/// which instrumented layers to run after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSpec {
+    /// Instances in the batch.
+    pub p: usize,
+    /// Memory layout of the batch.
+    pub layout: Layout,
+    /// Seed of the deterministic input stream.
+    pub seed: u64,
+    /// Device workers of the timed replay, one block each.
+    pub workers: usize,
+    /// Price the models and profile a device launch (`--profile`).
+    pub profile: bool,
+    /// Also record each layer's timeline (`--trace`).
+    pub trace: bool,
+}
+
+impl RunSpec {
+    /// A timed replay of `p` instances on one device worker, with no
+    /// instrumented layer.
+    #[must_use]
+    pub fn new(p: usize, layout: Layout, seed: u64) -> Self {
+        Self { p, layout, seed, workers: 1, profile: false, trace: false }
+    }
+}
+
+/// The machine [`Algo::run`] prices its models on: a UMM/DMM of width 32
+/// and latency 100.
+pub const RUN_MACHINE: MachineConfig = MachineConfig { width: 32, latency: 100 };
+
+/// What one [`Algo::run`] measured.  The program's facts and port-traffic
+/// counters come from its compiled schedule; each instrumented layer ran
+/// at most once, and only if the [`RunSpec`] asked for it.
+#[derive(Debug)]
+pub struct BulkRun {
+    /// The run's parameters.
+    pub spec: RunSpec,
+    /// Wall-clock seconds of the timed replay.
+    pub wall_seconds: f64,
+    /// The program's display name.
+    pub name: String,
+    /// Per-instance memory words.
+    pub memory_words: usize,
+    /// Sequential memory steps `t` (the schedule's memory rounds).
+    pub time_steps: u64,
+    /// Port-traffic counters of one replay — the schedule's own, equal to
+    /// the interpreter's.
+    pub engine: BulkMetrics,
+    /// The UMM and DMM pricings of the schedule (`compiled_profiled`),
+    /// profiled and, under `trace`, traced; empty unless `profile` or
+    /// `trace`.
+    pub models: Vec<(Model, MachineSimulator)>,
+    /// The one profiled launch on the titan-shaped device, under `profile`
+    /// or `trace`: the report's `device` section and the device timeline.
+    pub device: Option<LaunchReport>,
+    /// Per-step port/ALU timeline of one traced replay on a
+    /// [`BulkMachine`], under `trace`.
+    pub engine_trace: Option<Tracer>,
+}
+
 impl Algo {
     /// Parse a name and optional size into a bound algorithm.
     pub fn parse(name: &str, size: Option<usize>) -> Result<Self, String> {
@@ -229,243 +348,103 @@ impl Algo {
         })
     }
 
-    /// Dispatch a generic operation over the concrete program type.
-    fn with_program<R>(&self, op: impl ProgramOp<R>) -> R {
-        match *self {
-            Algo::PrefixSums(n) => op.call::<f32, _>(PrefixSums::new(n)),
-            Algo::Opt(n) => op.call::<f32, _>(OptTriangulation::new(n)),
-            Algo::MatMul(n) => op.call::<f32, _>(MatMul::new(n)),
-            Algo::Transpose(n) => op.call::<f32, _>(Transpose::new(n)),
-            Algo::MatVec(n) => op.call::<f32, _>(MatVec::new(n)),
-            Algo::Fft(k) => op.call::<f32, _>(Fft::new(k)),
-            Algo::Fir(n) => op.call::<f32, _>(FirFilter::moving_average(n, 4)),
-            Algo::Bitonic(k) => op.call::<f32, _>(BitonicSort::new(k)),
-            Algo::OeMergeSort(k) => op.call::<f32, _>(OddEvenMergeSort::new(k)),
-            Algo::Lcs(n) => op.call::<f32, _>(LcsLength::new(n, n)),
-            Algo::EditDistance(n) => op.call::<f32, _>(EditDistance::new(n, n)),
-            Algo::FloydWarshall(n) => op.call::<f32, _>(FloydWarshall::new(n)),
-            Algo::SummedArea(n) => op.call::<f32, _>(SummedArea::new(n, n)),
-            Algo::Xtea(n) => op.call::<u32, _>(Xtea::encrypt(n)),
-            Algo::Horner(n) => op.call::<f32, _>(Horner::new(n)),
-            Algo::Permute(n) => op.call::<f32, _>(OfflinePermute::perfect_shuffle(n)),
-            Algo::MatrixChain(n) => op.call::<f32, _>(MatrixChain::new(n)),
-            Algo::Lu(n) => op.call::<f32, _>(LuDecomposition::new(n)),
-            Algo::PolyMul(n) => op.call::<f32, _>(PolyMul::new(n)),
-            Algo::Pascal(n) => op.call::<u64, _>(PascalTriangle::new(n)),
-        }
-    }
-
     /// The program's display name.
     #[must_use]
     pub fn display_name(&self) -> String {
-        struct NameOp;
-        impl ProgramOp<String> for NameOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> String {
-                pr.name()
-            }
-        }
-        self.with_program(NameOp)
+        with_program!(*self, pr: W => pr.name())
     }
 
     /// Per-instance memory words.
     #[must_use]
     pub fn memory_words(&self) -> usize {
-        struct MemOp;
-        impl ProgramOp<usize> for MemOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> usize {
-                pr.memory_words()
-            }
-        }
-        self.with_program(MemOp)
+        with_program!(*self, pr: W => pr.memory_words())
     }
 
     /// Sequential memory steps `t`.
     #[must_use]
     pub fn time_steps(&self) -> usize {
-        struct StepsOp;
-        impl ProgramOp<usize> for StepsOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> usize {
-                time_steps(&pr)
-            }
-        }
-        self.with_program(StepsOp)
+        with_program!(*self, pr: W => time_steps(&pr))
     }
 
     /// The address trace.
     #[must_use]
     pub fn trace(&self) -> ThreadTrace {
-        struct TraceOp;
-        impl ProgramOp<ThreadTrace> for TraceOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> ThreadTrace {
-                trace_of(&pr)
-            }
-        }
-        self.with_program(TraceOp)
+        with_program!(*self, pr: W => trace_of(&pr))
     }
 
     /// UMM/DMM model time for a bulk execution.
     #[must_use]
     pub fn model_time(&self, cfg: MachineConfig, model: Model, layout: Layout, p: usize) -> u64 {
-        struct CostOp {
-            cfg: MachineConfig,
-            model: Model,
-            layout: Layout,
-            p: usize,
-        }
-        impl ProgramOp<u64> for CostOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> u64 {
-                bulk_model_time(&pr, self.cfg, self.model, self.layout, self.p)
-            }
-        }
-        self.with_program(CostOp { cfg, model, layout, p })
+        with_program!(*self, pr: W => bulk_model_time(&pr, cfg, model, layout, p))
     }
 
-    /// Bulk-execute `p` random instances through compiled-schedule replay
-    /// on `workers` device workers with one block each, returning
-    /// wall-clock seconds.  Input generation and compilation happen before
-    /// the clock starts.
+    /// The one operation behind `bulkrun run`.  Draws `spec.p` random
+    /// instances and compiles the program once, before the clock starts;
+    /// times the schedule's replay on `spec.workers` device workers with
+    /// one block each; then, for `profile` or `trace`, prices the schedule
+    /// on the UMM and the DMM (traced under `trace`) and profiles one
+    /// launch on the titan-shaped device, and for `trace` also replays it
+    /// traced on one [`BulkMachine`].  The program's name, size, step
+    /// count and counters are the schedule's, with no replay.
     #[must_use]
-    pub fn run_bulk(&self, p: usize, layout: Layout, seed: u64, workers: usize) -> f64 {
-        struct RunOp {
-            p: usize,
-            layout: Layout,
-            seed: u64,
-            workers: usize,
-        }
-        impl ProgramOp<f64> for RunOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> f64 {
-                let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let schedule = CompiledSchedule::compile(&pr);
-                let device = Device::one_block_per_worker(self.workers, self.p);
-                let t0 = std::time::Instant::now();
-                let out = replay(&device, &schedule, &refs, self.layout);
-                let dt = t0.elapsed().as_secs_f64();
-                std::hint::black_box(out);
-                dt
+    pub fn run(&self, spec: RunSpec) -> BulkRun {
+        let RunSpec { p, layout, seed, workers, profile, trace } = spec;
+        with_program!(*self, pr: W => {
+            let inputs = random_inputs::<W>(seed, p, pr.input_range().len());
+            let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
+            let schedule = CompiledSchedule::compile(&pr);
+            let timed = Device::one_block_per_worker(workers, p);
+            let t0 = std::time::Instant::now();
+            let out = replay(&timed, &schedule, &refs, layout);
+            let wall_seconds = t0.elapsed().as_secs_f64();
+            std::hint::black_box(out);
+            let instrumented = profile || trace;
+            let price = |model| compiled_profiled(&schedule, RUN_MACHINE, model, layout, p, trace);
+            let models = if instrumented {
+                [Model::Umm, Model::Dmm].map(|model| (model, price(model))).into()
+            } else {
+                Vec::new()
+            };
+            let device = instrumented.then(|| {
+                let mut buf = arrange_inputs(&pr, &refs, layout);
+                let kernel = GenericKernel::new(&schedule, layout);
+                launch_profiled(&Device::titan_like(), &kernel, &mut buf, p)
+            });
+            let engine_trace = trace.then(|| {
+                let mut buf = arrange_inputs(&pr, &refs, layout);
+                let mut m = BulkMachine::new(&mut buf, p, pr.memory_words(), layout);
+                m.enable_tracing();
+                m.run_compiled(&schedule);
+                m.take_tracer().unwrap_or_default()
+            });
+            BulkRun {
+                spec,
+                wall_seconds,
+                name: schedule.name().to_owned(),
+                memory_words: schedule.memory_words(),
+                time_steps: schedule.metrics().memory_rounds(),
+                engine: schedule.metrics(),
+                models,
+                device,
+                engine_trace,
             }
-        }
-        self.with_program(RunOp { p, layout, seed, workers })
-    }
-
-    /// Port-traffic metrics of one *compiled* bulk replay — identical to
-    /// [`Algo::bulk_metrics`] for every program (the compiler mirrors the
-    /// interpreter's step table and counters), and independent of the
-    /// device shape: every block replays the same schedule, so the counters
-    /// are the schedule's own.
-    #[must_use]
-    pub fn bulk_metrics_compiled(&self, p: usize, layout: Layout, seed: u64) -> BulkMetrics {
-        struct MetricsOp {
-            p: usize,
-            layout: Layout,
-            seed: u64,
-        }
-        impl ProgramOp<BulkMetrics> for MetricsOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> BulkMetrics {
-                let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let schedule = CompiledSchedule::compile(&pr);
-                let mut buf = arrange_inputs(&pr, &refs, self.layout);
-                run_compiled_in_place(&schedule, &mut buf, self.p, self.layout)
-            }
-        }
-        self.with_program(MetricsOp { p, layout, seed })
+        })
     }
 
     /// Port-traffic metrics of one bulk execution on the single
-    /// [`BulkMachine`] engine (loads/stores/broadcasts/register ops).
+    /// [`BulkMachine`] engine interpreting the program
+    /// (loads/stores/broadcasts/register ops) — the reference the
+    /// schedule's counters are checked against.
     #[must_use]
     pub fn bulk_metrics(&self, p: usize, layout: Layout, seed: u64) -> BulkMetrics {
-        struct MetricsOp {
-            p: usize,
-            layout: Layout,
-            seed: u64,
-        }
-        impl ProgramOp<BulkMetrics> for MetricsOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> BulkMetrics {
-                let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let mut buf = arrange_inputs(&pr, &refs, self.layout);
-                let mut m = BulkMachine::new(&mut buf, self.p, pr.memory_words(), self.layout);
-                pr.run(&mut m);
-                m.metrics()
-            }
-        }
-        self.with_program(MetricsOp { p, layout, seed })
-    }
-
-    /// Profiled round-synchronous model simulation of a bulk execution:
-    /// UMM and DMM stats + profiles under `layout`, priced through the
-    /// compiled schedule's per-warp cost table (`compiled_profiled`), plus
-    /// the Theorem 3 lower bound, as one JSON object.
-    #[must_use]
-    pub fn model_profile_json(&self, cfg: MachineConfig, layout: Layout, p: usize) -> Json {
-        struct ModelOp {
-            cfg: MachineConfig,
-            layout: Layout,
-            p: usize,
-        }
-        impl ProgramOp<Json> for ModelOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Json {
-                let Self { cfg, layout, p } = self;
-                let schedule = CompiledSchedule::compile(&pr);
-                let mut o = Json::obj();
-                o.set("machine", cfg.to_json());
-                o.set(
-                    "lower_bound",
-                    theorems::lower_bound(
-                        schedule.metrics().memory_rounds(),
-                        p as u64,
-                        cfg.width as u64,
-                        cfg.latency as u64,
-                    ),
-                );
-                for model in [Model::Umm, Model::Dmm] {
-                    let sim = compiled_profiled(&schedule, cfg, model, layout, p, false);
-                    let mut m = Json::obj();
-                    m.set("stats", sim.stats().to_json());
-                    m.set(
-                        "profile",
-                        sim.profile().map_or(Json::Null, umm_core::SimProfile::to_json),
-                    );
-                    o.set(model.name(), m);
-                }
-                o
-            }
-        }
-        self.with_program(ModelOp { cfg, layout, p })
-    }
-
-    /// Replay the compiled program through [`GenericKernel`] on `device`
-    /// with scheduler profiling, returning the [`gpu_sim::LaunchReport`] as JSON
-    /// (per-worker block counts and busy/wait times, per-block timings).
-    #[must_use]
-    pub fn device_profile_json(
-        &self,
-        device: &Device,
-        p: usize,
-        layout: Layout,
-        seed: u64,
-    ) -> Json {
-        struct LaunchOp<'d> {
-            device: &'d Device,
-            p: usize,
-            layout: Layout,
-            seed: u64,
-        }
-        impl ProgramOp<Json> for LaunchOp<'_> {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Json {
-                let inputs = random_inputs::<W>(self.seed, self.p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let schedule = CompiledSchedule::compile(&pr);
-                let mut buf = arrange_inputs(&pr, &refs, self.layout);
-                let kernel = GenericKernel::new(&schedule, self.layout);
-                let report = launch_profiled(self.device, &kernel, &mut buf, self.p);
-                std::hint::black_box(buf);
-                report.to_json()
-            }
-        }
-        self.with_program(LaunchOp { device, p, layout, seed })
+        with_program!(*self, pr: W => {
+            let inputs = random_inputs::<W>(seed, p, pr.input_range().len());
+            let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
+            let mut buf = arrange_inputs(&pr, &refs, layout);
+            let mut m = BulkMachine::new(&mut buf, p, pr.memory_words(), layout);
+            pr.run(&mut m);
+            m.metrics()
+        })
     }
 
     /// Execute `p` deterministic random instances on `engine` and return
@@ -481,28 +460,17 @@ impl Algo {
         layout: Layout,
         seed: u64,
     ) -> Vec<Vec<u64>> {
-        struct BitsOp<'d> {
-            engine: Engine<'d>,
-            p: usize,
-            layout: Layout,
-            seed: u64,
-        }
-        impl ProgramOp<Vec<Vec<u64>>> for BitsOp<'_> {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Vec<Vec<u64>> {
-                let Self { engine, p, layout, seed } = self;
-                let inputs = random_inputs::<W>(seed, p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let outputs = match engine {
-                    Engine::Scalar => bulk_execute_cpu_reference(&pr, &refs),
-                    Engine::BulkMachine => bulk_execute(&pr, &refs, layout),
-                    Engine::Compiled(device) => {
-                        replay(device, &CompiledSchedule::compile(&pr), &refs, layout)
-                    }
-                };
-                to_bits(outputs)
-            }
-        }
-        self.with_program(BitsOp { engine, p, layout, seed })
+        with_program!(*self, pr: W => {
+            let inputs = random_inputs::<W>(seed, p, pr.input_range().len());
+            let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
+            to_bits(match engine {
+                Engine::Scalar => bulk_execute_cpu_reference(&pr, &refs),
+                Engine::BulkMachine => bulk_execute(&pr, &refs, layout),
+                Engine::Compiled(device) => {
+                    replay(device, &CompiledSchedule::compile(&pr), &refs, layout)
+                }
+            })
+        })
     }
 
     /// The bound size parameter (defaults already applied by
@@ -534,13 +502,7 @@ impl Algo {
     /// Input words per instance — what a serving submit must carry.
     #[must_use]
     pub fn input_words(&self) -> usize {
-        struct InputOp;
-        impl ProgramOp<usize> for InputOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> usize {
-                pr.input_range().len()
-            }
-        }
-        self.with_program(InputOp)
+        with_program!(*self, pr: W => pr.input_range().len())
     }
 
     /// The same deterministic input stream every engine run draws, as raw
@@ -549,16 +511,9 @@ impl Algo {
     /// results can be compared bit-for-bit against direct engine runs.
     #[must_use]
     pub fn random_inputs_bits(&self, seed: u64, p: usize) -> Vec<Vec<u64>> {
-        struct GenOp {
-            seed: u64,
-            p: usize,
-        }
-        impl ProgramOp<Vec<Vec<u64>>> for GenOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Vec<Vec<u64>> {
-                to_bits(random_inputs::<W>(self.seed, self.p, pr.input_range().len()))
-            }
-        }
-        self.with_program(GenOp { seed, p })
+        with_program!(*self, pr: W => {
+            to_bits(random_inputs::<W>(seed, p, pr.input_range().len()))
+        })
     }
 
     /// Execute instances given as raw bit patterns — the serving daemon's
@@ -591,33 +546,37 @@ impl Algo {
         inputs_bits: &[&[u64]],
         shards: usize,
     ) -> (Vec<Vec<u64>>, ExecPath) {
-        struct ServeOp<'a> {
-            caches: &'a ScheduleCaches,
-            layout: Layout,
-            inputs: &'a [&'a [u64]],
-            shards: usize,
-        }
-        impl ProgramOp<(Vec<Vec<u64>>, ExecPath)> for ServeOp<'_> {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(
-                self,
-                pr: P,
-            ) -> (Vec<Vec<u64>>, ExecPath) {
-                let inputs: Vec<Vec<W>> = self
-                    .inputs
-                    .iter()
-                    .map(|i| i.iter().map(|&b| W::from_bits_u64(b)).collect())
-                    .collect();
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                if refs.len() < SCALAR_BELOW_P {
-                    return (to_bits(bulk_execute_cpu_reference(&pr, &refs)), ExecPath::Scalar);
-                }
-                let (schedule, compiled) = W::cache(self.caches).get_or_compile(&pr, self.layout);
-                let device = Device::one_block_per_worker(self.shards, refs.len());
-                let outputs = replay(&device, &schedule, &refs, self.layout);
-                (to_bits(outputs), if compiled { ExecPath::Compiled } else { ExecPath::CacheHit })
+        with_program!(*self, pr: W => {
+            let inputs: Vec<Vec<W>> = inputs_bits
+                .iter()
+                .map(|i| i.iter().map(|&b| W::from_bits_u64(b)).collect())
+                .collect();
+            let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
+            if refs.len() < SCALAR_BELOW_P {
+                return (to_bits(bulk_execute_cpu_reference(&pr, &refs)), ExecPath::Scalar);
             }
-        }
-        self.with_program(ServeOp { caches, layout, inputs: inputs_bits, shards })
+            let (schedule, compiled) = W::cache(caches).get_or_compile(&pr, layout);
+            let device = Device::one_block_per_worker(shards, refs.len());
+            let outputs = replay(&device, &schedule, &refs, layout);
+            (to_bits(outputs), if compiled { ExecPath::Compiled } else { ExecPath::CacheHit })
+        })
+    }
+
+    /// The UMM model timeline alone — what `bulkrun timeline` renders.
+    #[must_use]
+    pub fn umm_timeline(&self, cfg: MachineConfig, layout: Layout, p: usize) -> Tracer {
+        with_program!(*self, pr: W => {
+            let schedule = CompiledSchedule::compile(&pr);
+            compiled_profiled(&schedule, cfg, Model::Umm, layout, p, true)
+                .take_tracer()
+                .unwrap_or_default()
+        })
+    }
+
+    /// HMM staging analysis (all-global vs staged) for a bulk execution.
+    #[must_use]
+    pub fn hmm_cost(&self, hmm: &umm_core::HmmConfig, p: usize) -> oblivious::HmmBulkCost {
+        with_program!(*self, pr: W => oblivious::hmm_bulk_cost(&pr, hmm, p))
     }
 }
 
@@ -631,118 +590,9 @@ impl Algo {
 /// size still replays.
 pub const SCALAR_BELOW_P: usize = 16;
 
-/// Event timelines of one bulk run, one tracer per layer.  Exported
-/// together by `bulkrun run --trace` as one Chrome-trace document with four
-/// processes on a shared axis.
-#[derive(Debug)]
-pub struct TraceBundle {
-    /// Per-step port/ALU traffic of the schedule's replay on one `BulkMachine`.
-    pub engine: Tracer,
-    /// Per-round warp-dispatch spans of the UMM model simulation.
-    pub umm: Tracer,
-    /// Per-round warp-dispatch spans of the DMM model simulation.
-    pub dmm: Tracer,
-    /// Per-worker block/wait spans of the SIMT device launch (nanoseconds).
-    pub device: Tracer,
-}
-
-impl Algo {
-    /// Compile the program once and run its schedule through every
-    /// instrumented layer — traced replay on one `BulkMachine`, the profiled
-    /// UMM and DMM model simulations, and a profiled device launch —
-    /// collecting each layer's timeline.
-    #[must_use]
-    pub fn trace_bundle(
-        &self,
-        cfg: MachineConfig,
-        device: &Device,
-        p: usize,
-        layout: Layout,
-        seed: u64,
-    ) -> TraceBundle {
-        struct BundleOp<'d> {
-            cfg: MachineConfig,
-            device: &'d Device,
-            p: usize,
-            layout: Layout,
-            seed: u64,
-        }
-        impl ProgramOp<TraceBundle> for BundleOp<'_> {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> TraceBundle {
-                let Self { cfg, device, p, layout, seed } = self;
-                let inputs = random_inputs::<W>(seed, p, pr.input_range().len());
-                let refs: Vec<&[W]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let schedule = CompiledSchedule::compile(&pr);
-                let engine = {
-                    let mut buf = arrange_inputs(&pr, &refs, layout);
-                    let mut m = BulkMachine::new(&mut buf, p, pr.memory_words(), layout);
-                    m.enable_tracing();
-                    m.run_compiled(&schedule);
-                    m.take_tracer().unwrap_or_default()
-                };
-                let [umm, dmm] = [Model::Umm, Model::Dmm].map(|model| {
-                    compiled_profiled(&schedule, cfg, model, layout, p, true)
-                        .take_tracer()
-                        .unwrap_or_default()
-                });
-                let device = {
-                    let mut buf = arrange_inputs(&pr, &refs, layout);
-                    launch_profiled(device, &GenericKernel::new(&schedule, layout), &mut buf, p)
-                        .to_trace()
-                };
-                TraceBundle { engine, umm, dmm, device }
-            }
-        }
-        self.with_program(BundleOp { cfg, device, p, layout, seed })
-    }
-
-    /// The UMM model timeline alone — what `bulkrun timeline` renders.
-    #[must_use]
-    pub fn umm_timeline(&self, cfg: MachineConfig, layout: Layout, p: usize) -> Tracer {
-        struct TimelineOp {
-            cfg: MachineConfig,
-            layout: Layout,
-            p: usize,
-        }
-        impl ProgramOp<Tracer> for TimelineOp {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> Tracer {
-                let schedule = CompiledSchedule::compile(&pr);
-                compiled_profiled(&schedule, self.cfg, Model::Umm, self.layout, self.p, true)
-                    .take_tracer()
-                    .unwrap_or_default()
-            }
-        }
-        self.with_program(TimelineOp { cfg, layout, p })
-    }
-
-    /// HMM staging analysis (all-global vs staged) for a bulk execution.
-    #[must_use]
-    pub fn hmm_cost(&self, hmm: &umm_core::HmmConfig, p: usize) -> oblivious::HmmBulkCost {
-        struct HmmOp<'a> {
-            hmm: &'a umm_core::HmmConfig,
-            p: usize,
-        }
-        impl ProgramOp<oblivious::HmmBulkCost> for HmmOp<'_> {
-            fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(
-                self,
-                pr: P,
-            ) -> oblivious::HmmBulkCost {
-                oblivious::hmm_bulk_cost(&pr, self.hmm, self.p)
-            }
-        }
-        self.with_program(HmmOp { hmm, p })
-    }
-}
-
 /// Each word's raw bit pattern (`Word::to_bits_u64`), instance by instance.
 fn to_bits<W: Word>(instances: Vec<Vec<W>>) -> Vec<Vec<u64>> {
     instances.into_iter().map(|i| i.into_iter().map(Word::to_bits_u64).collect()).collect()
-}
-
-/// A rank-2-style operation applied to whichever program type, and word
-/// type, the registry selects.
-trait ProgramOp<R> {
-    fn call<W: CatalogWord, P: ObliviousProgram<W> + Sync>(self, pr: P) -> R;
 }
 
 #[cfg(test)]
@@ -879,12 +729,43 @@ mod tests {
         assert_eq!(stream("pascal", 3), [[0u64; 0]; 2]);
     }
 
+    /// A plain run times the replay and runs no instrumented layer;
+    /// `profile` adds the two model pricings, untraced, and one device
+    /// launch; `trace` adds every layer's timeline.  The schedule's facts
+    /// need no replay, and equal the interpreter's and the trace pass's.
     #[test]
-    fn run_bulk_smoke() {
-        let algo = Algo::parse("bitonic", Some(4)).unwrap();
-        let secs = algo.run_bulk(32, Layout::ColumnWise, 1, 1);
-        assert!(secs >= 0.0);
-        let algo = Algo::parse("xtea", Some(2)).unwrap();
-        assert!(algo.run_bulk(16, Layout::RowWise, 2, 2) >= 0.0);
+    fn run_builds_only_the_layers_asked_for() {
+        for (name, size, p, layout, workers) in
+            [("bitonic", 4, 32, Layout::ColumnWise, 1), ("xtea", 2, 16, Layout::RowWise, 2)]
+        {
+            let algo = Algo::parse(name, Some(size)).unwrap();
+            let spec = RunSpec { workers, ..RunSpec::new(p, layout, 1) };
+            let plain = algo.run(spec);
+            assert!(plain.wall_seconds >= 0.0, "{name}");
+            assert_eq!(plain.engine, algo.bulk_metrics(p, layout, 1), "{name}");
+            assert_eq!(plain.time_steps, algo.time_steps() as u64, "{name}");
+            assert_eq!(plain.name, algo.display_name(), "{name}");
+            assert_eq!(plain.memory_words, algo.memory_words(), "{name}");
+            assert!(plain.models.is_empty() && plain.device.is_none(), "{name}");
+            assert!(plain.engine_trace.is_none(), "{name}");
+
+            let mut profiled = algo.run(RunSpec { profile: true, ..spec });
+            let models: Vec<Model> = profiled.models.iter().map(|(m, _)| *m).collect();
+            assert_eq!(models, [Model::Umm, Model::Dmm], "{name}");
+            for (_, sim) in &mut profiled.models {
+                assert!(sim.profile().is_some(), "{name}");
+                assert!(sim.take_tracer().is_none(), "{name}: priced untraced");
+            }
+            let launch = profiled.device.as_ref().expect("one device launch");
+            assert_eq!(launch.blocks, p.div_ceil(Device::titan_like().block_size), "{name}");
+            assert!(profiled.engine_trace.is_none(), "{name}");
+
+            let mut traced = algo.run(RunSpec { trace: true, ..spec });
+            assert_eq!(traced.models.len(), 2, "{name}");
+            for (_, sim) in &mut traced.models {
+                assert!(sim.take_tracer().is_some(), "{name}: priced traced");
+            }
+            assert!(traced.device.is_some() && traced.engine_trace.is_some(), "{name}");
+        }
     }
 }

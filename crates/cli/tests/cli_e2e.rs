@@ -151,6 +151,63 @@ fn run_trace_emits_chrome_json_reconciling_with_profile() {
     std::fs::remove_dir_all(dir.parent().unwrap()).ok();
 }
 
+/// `run --profile --trace` launches the titan-shaped device once: each
+/// `block` span of the trace's `device` process is the report's
+/// `device.blocks_detail` record with the same block index — the same
+/// worker and the same duration, to the nanosecond.  Two launches would
+/// time their blocks apart.
+#[test]
+fn run_profile_and_trace_share_one_device_launch() {
+    let dir = std::env::temp_dir().join(format!("bulkrun_one_launch_{}", std::process::id()));
+    let (trace_path, profile_path) = (dir.join("t.json"), dir.join("p.json"));
+    let (out, err, ok) = bulkrun(&[
+        "run",
+        "prefix-sums",
+        "--size",
+        "8",
+        "--p",
+        "256",
+        "--profile",
+        profile_path.to_str().unwrap(),
+        "--trace",
+        trace_path.to_str().unwrap(),
+    ]);
+    assert!(ok, "stdout: {out}\nstderr: {err}");
+    let report = obs::RunReport::parse(&std::fs::read_to_string(&profile_path).unwrap()).unwrap();
+    let chrome = obs::Json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let int = |j: &obs::Json, path: &str| j.path(path).and_then(obs::Json::as_i64).unwrap();
+    let nanos = |j: &obs::Json, path: &str, per_ns: f64| {
+        (j.path(path).and_then(obs::Json::as_f64).unwrap() * per_ns).round() as i64
+    };
+    let records = report.json().path("device.blocks_detail").and_then(obs::Json::as_arr).unwrap();
+    let events = chrome.path("traceEvents").and_then(obs::Json::as_arr).unwrap();
+    let device_pid = events
+        .iter()
+        .find(|e| {
+            e.path("name").and_then(obs::Json::as_str) == Some("process_name")
+                && e.path("args.name").and_then(obs::Json::as_str) == Some("device")
+        })
+        .map(|e| int(e, "pid"))
+        .expect("a device process");
+    let spans: Vec<&obs::Json> = events
+        .iter()
+        .filter(|e| {
+            e.path("pid").and_then(obs::Json::as_i64) == Some(device_pid)
+                && e.path("name").and_then(obs::Json::as_str) == Some("block")
+        })
+        .collect();
+    assert_eq!(spans.len(), records.len(), "one span per launched block");
+    assert!(records.len() > 1, "the launch has several blocks");
+    for span in spans {
+        let block = int(span, "args.block");
+        let record = records.iter().find(|r| int(r, "block") == block).expect("block recorded");
+        assert_eq!(int(span, "tid"), int(record, "worker"), "block {block}: worker");
+        assert_eq!(nanos(span, "dur", 1e3), nanos(record, "exec_s", 1e9), "block {block}: exec");
+    }
+}
+
 #[test]
 fn timeline_command_end_to_end() {
     let (out, err, ok) = bulkrun(&["timeline", "prefix-sums", "--size", "16", "--p", "64"]);

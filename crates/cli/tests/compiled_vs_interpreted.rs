@@ -7,10 +7,11 @@
 //! 17 + 16; six of 5 and one of 3) and the titan-shaped device's 64-lane
 //! blocks, so the inline, even-split, ragged-split and partial-block paths
 //! are all tested (`p = 33` is divisible by none of the block sizes but
-//! itself).  The `RunReport`, built from the schedule alone, must agree
-//! with the interpreter's counters and the `CostMachine`'s model times.
+//! itself).  The `RunReport`, whose `engine` counters are the schedule's
+//! own, must agree with the interpreter's counters and the
+//! `CostMachine`'s model times.
 
-use cli::registry::{Algo, Engine, CATALOG};
+use cli::registry::{Algo, Engine, RunSpec, CATALOG};
 use gpu_sim::Device;
 use oblivious::{Layout, Model};
 use umm_core::MachineConfig;
@@ -74,9 +75,10 @@ fn check(name: &str) {
             let compiled = algo.outputs_bits(Engine::Compiled(device), P, layout, seed);
             assert_eq!(compiled, interp, "{name} {layout} on {}: outputs", device.name);
         }
-        // Replay counters are device-shape independent and interpreter-exact.
-        let compiled_metrics = algo.bulk_metrics_compiled(P, layout, seed);
-        assert_eq!(compiled_metrics, interp_metrics, "{name} {layout}: BulkMetrics");
+        // The counters a run reports are the schedule's own, taken with no
+        // replay, and interpreter-exact.
+        let reported = algo.run(RunSpec::new(P, layout, seed)).engine;
+        assert_eq!(reported, interp_metrics, "{name} {layout}: BulkMetrics");
     }
 }
 
@@ -122,7 +124,8 @@ fn run_report_matches_the_interpreter_and_the_cost_machine() {
     for name in ["prefix-sums", "xtea", "pascal"] {
         let algo = Algo::parse(name, Some(sweep_size(name))).unwrap();
         for layout in Layout::all() {
-            let report = cli::run_report(&algo, P, layout, 7, 0.5);
+            let run = algo.run(RunSpec { profile: true, ..RunSpec::new(P, layout, 7) });
+            let report = cli::run_report(&run);
             let j = report.json();
             let interp = algo.bulk_metrics(P, layout, 7).to_json();
             assert_eq!(j.path("engine"), Some(&interp), "{name} {layout}: engine section");

@@ -646,8 +646,9 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
 /// compiled engine.  Replication lag is asserted observable through the
 /// router's merged metrics while the pair is alive, and the promoted
 /// node must recover every job acked before the kill.  Built with
-/// `--features repl/bug-ack-beyond-replicated`, that recovery floor is
-/// the assertion that must fail.
+/// `--features repl/bug-ack-beyond-replicated`, that recovery floor must
+/// catch the acked jobs the seeded bug loses, and the test checks that
+/// it does.
 #[test]
 fn killing_the_primary_fails_over_to_the_promoted_standby() {
     const CLIENTS: usize = 4;
@@ -878,10 +879,27 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
 
     // Zero lost acked jobs: the semi-synchronous gate put every completion
     // acked before the kill on the standby's disk, so the promoted node's
-    // recovery finds at least that many already completed.
+    // recovery finds at least that many already completed.  With the
+    // seeded bug (`repl::primary::ack_beyond_replicated`) acks outrun the
+    // stream, and this floor must see the loss.
     let recovered = r("backends.n1.wal.recovery.already_completed_jobs");
+    let lost = banked_at_kill as i64 - recovered;
+    if repl::primary::ack_beyond_replicated() {
+        assert!(
+            lost > 0,
+            "seeded ack-beyond-replicated bug survived the exactly-once floor: the promoted \
+             node recovered {recovered} completed jobs, {banked_at_kill} were acked before \
+             the kill"
+        );
+        for child in [&mut router_child, &mut standby] {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = std::fs::remove_dir_all(&tmp);
+        return;
+    }
     assert!(
-        recovered >= banked_at_kill as i64,
+        lost <= 0,
         "acked jobs lost across the failover: the promoted node recovered {recovered} \
          completed jobs, but {banked_at_kill} were acked before the kill"
     );

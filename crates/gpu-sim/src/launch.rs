@@ -249,6 +249,50 @@ fn worker_loop<W: Copy, K: BulkKernel<W>, O: BlockObserver>(
     }
 }
 
+/// The one launch loop behind [`launch`] and [`launch_profiled`], with
+/// `observer(worker)` watching each worker's blocks; returns the observers
+/// in worker order.  A single-worker device, or a one-block launch, runs
+/// inline on the calling thread: every served replay batch takes that
+/// path, so it spawns no thread.
+fn run_blocks<W, K, O>(
+    device: &Device,
+    kernel: &K,
+    buf: &mut [W],
+    p: usize,
+    observer: impl Fn(usize) -> O + Sync,
+) -> Vec<O>
+where
+    W: Copy + Send,
+    K: BulkKernel<W>,
+    O: BlockObserver + Send,
+{
+    assert!(p > 0, "launch needs at least one instance");
+    assert_eq!(buf.len(), p * kernel.memory_words(), "buffer must hold p * memory_words words");
+    let block = device.block_size;
+    let nblocks = p.div_ceil(block);
+    let shared = SharedSlice::new(buf);
+    let next = AtomicUsize::new(0);
+    if device.worker_threads <= 1 || nblocks == 1 {
+        let mut inline = observer(0);
+        worker_loop(kernel, &shared, p, block, nblocks, &next, &mut inline);
+        return vec![inline];
+    }
+    let workers = device.worker_threads.min(nblocks);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|wid| {
+                let (shared, next, observer) = (&shared, &next, &observer);
+                scope.spawn(move || {
+                    let mut watching = observer(wid);
+                    worker_loop(kernel, shared, p, block, nblocks, next, &mut watching);
+                    watching
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("kernel worker panicked")).collect()
+    })
+}
+
 /// Launch a kernel over `p` instances stored in `buf` (length
 /// `p * kernel.memory_words()`), in place.
 ///
@@ -266,37 +310,7 @@ pub fn launch<W: Copy + Send, K: BulkKernel<W>>(
     buf: &mut [W],
     p: usize,
 ) {
-    assert!(p > 0, "launch needs at least one instance");
-    assert_eq!(buf.len(), p * kernel.memory_words(), "buffer must hold p * memory_words words");
-    let block = device.block_size;
-    let nblocks = p.div_ceil(block);
-    let shared = SharedSlice::new(buf);
-
-    if device.worker_threads <= 1 || nblocks == 1 {
-        for b in 0..nblocks {
-            let lo = b * block;
-            let hi = ((b + 1) * block).min(p);
-            // SAFETY: sequential execution, ranges disjoint by construction.
-            unsafe { kernel.run_block(&shared, p, lo, hi) };
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let workers = device.worker_threads.min(nblocks);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (shared, next) = (&shared, &next);
-                scope.spawn(move || {
-                    worker_loop(kernel, shared, p, block, nblocks, next, &mut NoObserver);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("kernel worker panicked");
-        }
-    });
+    run_blocks(device, kernel, buf, p, |_| NoObserver);
 }
 
 /// [`launch`] with scheduler profiling: records which worker executed each
@@ -313,35 +327,8 @@ pub fn launch_profiled<W: Copy + Send, K: BulkKernel<W>>(
     buf: &mut [W],
     p: usize,
 ) -> LaunchReport {
-    assert!(p > 0, "launch needs at least one instance");
-    assert_eq!(buf.len(), p * kernel.memory_words(), "buffer must hold p * memory_words words");
-    let block = device.block_size;
-    let nblocks = p.div_ceil(block);
-    let shared = SharedSlice::new(buf);
     let start = Instant::now();
-    let next = AtomicUsize::new(0);
-
-    let recorders: Vec<Recorder> = if device.worker_threads <= 1 || nblocks == 1 {
-        let mut rec = Recorder::new(0, start);
-        worker_loop(kernel, &shared, p, block, nblocks, &next, &mut rec);
-        vec![rec]
-    } else {
-        let workers = device.worker_threads.min(nblocks);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|wid| {
-                    let (shared, next) = (&shared, &next);
-                    scope.spawn(move || {
-                        let mut rec = Recorder::new(wid, start);
-                        worker_loop(kernel, shared, p, block, nblocks, next, &mut rec);
-                        rec
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("kernel worker panicked")).collect()
-        })
-    };
-
+    let recorders = run_blocks(device, kernel, buf, p, |wid| Recorder::new(wid, start));
     let wall = start.elapsed();
     let workers = recorders
         .iter()
@@ -357,8 +344,8 @@ pub fn launch_profiled<W: Copy + Send, K: BulkKernel<W>>(
     block_records.sort_by_key(|b| b.block);
     LaunchReport {
         device: device.name.clone(),
-        block_size: block,
-        blocks: nblocks,
+        block_size: device.block_size,
+        blocks: p.div_ceil(device.block_size),
         wall,
         workers,
         block_records,
