@@ -500,7 +500,7 @@ impl<'a> Flags<'a> {
         self.given.iter().find(|&&(f, _)| f == flag).and_then(|&(_, v)| v).map(str::to_owned)
     }
 
-    /// Whether the switch `flag` is given.
+    /// Whether `flag` is given.
     fn has(&self, flag: &str) -> bool {
         self.given.iter().any(|&(f, _)| f == flag)
     }
@@ -509,6 +509,15 @@ impl<'a> Flags<'a> {
         self.string(flag)
             .map(|v| v.parse::<usize>().map_err(|_| format!("{flag}: '{v}' is not a number")))
             .transpose()
+    }
+
+    /// The value of `flag`, or `default` when absent; zero is an error,
+    /// caught here rather than as a panic deep in a simulator.
+    fn positive(&self, flag: &str, default: usize) -> Result<usize, String> {
+        match self.usize(flag)?.unwrap_or(default) {
+            0 => Err(format!("{flag} must be positive")),
+            v => Ok(v),
+        }
     }
 
     fn f64(&self, flag: &str) -> Result<Option<f64>, String> {
@@ -584,12 +593,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Timeline {
                 algo,
                 size: f.usize("--size")?,
-                p: f.usize("--p")?.unwrap_or(128),
+                p: f.positive("--p", 128)?,
                 layout: f.layout()?,
-                cfg: MachineConfig::new(
-                    f.usize("--width")?.unwrap_or(32),
-                    f.usize("--latency")?.unwrap_or(8),
-                ),
+                cfg: MachineConfig::new(f.positive("--width", 32)?, f.positive("--latency", 8)?),
                 cols: f.usize("--cols")?.unwrap_or(72),
             })
         }
@@ -613,31 +619,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 ],
                 &["--no-instrument"],
             )?;
-            let workers = f.usize("--workers")?.unwrap_or(4);
-            let max_batch = f.usize("--max-batch")?.unwrap_or(256);
-            let max_queue = f.usize("--max-queue")?.unwrap_or(4096);
-            let shards = f.usize("--shards")?.unwrap_or(1);
-            for (flag, v) in
-                [("--workers", workers), ("--max-batch", max_batch), ("--shards", shards)]
-            {
-                if v == 0 {
-                    return Err(format!("{flag} must be positive"));
-                }
-            }
             let wal_dir = f.string("--wal-dir");
             let fsync_raw = f.string("--fsync");
-            let wal_segment_bytes = f.usize("--wal-segment-bytes")?;
-            if wal_dir.is_none() && (fsync_raw.is_some() || wal_segment_bytes.is_some()) {
+            if wal_dir.is_none() && (fsync_raw.is_some() || f.has("--wal-segment-bytes")) {
                 return Err("--fsync / --wal-segment-bytes require --wal-dir".into());
             }
             let fsync = match fsync_raw {
                 Some(s) => FsyncPolicy::parse(&s).map_err(|e| format!("--fsync: {e}"))?,
                 None => FsyncPolicy::Always,
             };
-            let wal_segment_bytes = wal_segment_bytes.unwrap_or(4 << 20) as u64;
-            if wal_segment_bytes == 0 {
-                return Err("--wal-segment-bytes must be positive".into());
-            }
             let replicate_to = f.string("--replicate-to");
             if replicate_to.is_some() && wal_dir.is_none() {
                 return Err("--replicate-to ships the WAL, so it requires --wal-dir".into());
@@ -645,15 +635,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Serve {
                 addr: f.addr(),
                 node_id: f.string("--node-id"),
-                workers,
-                max_batch,
-                max_queue,
+                workers: f.positive("--workers", 4)?,
+                max_batch: f.positive("--max-batch", 256)?,
+                max_queue: f.positive("--max-queue", 4096)?,
                 flush_after_ms: f.usize("--flush-after-ms")?.unwrap_or(5) as u64,
-                shards,
+                shards: f.positive("--shards", 1)?,
                 trace: f.string("--trace"),
                 wal_dir,
                 fsync,
-                wal_segment_bytes,
+                wal_segment_bytes: f.positive("--wal-segment-bytes", 4 << 20)? as u64,
                 recorder: f.string("--recorder"),
                 instrument: !f.has("--no-instrument"),
                 replicate_to,
@@ -683,34 +673,18 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let wal_dir = f
                 .string("--wal-dir")
                 .ok_or("standby needs --wal-dir DIR (where the shipped records land)")?;
-            let wal_segment_bytes = f.usize("--wal-segment-bytes")?.unwrap_or(4 << 20);
-            let reconnect_ms = f.usize("--reconnect-ms")?.unwrap_or(100);
-            let workers = f.usize("--workers")?.unwrap_or(4);
-            let max_batch = f.usize("--max-batch")?.unwrap_or(256);
-            let shards = f.usize("--shards")?.unwrap_or(1);
-            for (flag, v) in [
-                ("--wal-segment-bytes", wal_segment_bytes),
-                ("--reconnect-ms", reconnect_ms),
-                ("--workers", workers),
-                ("--max-batch", max_batch),
-                ("--shards", shards),
-            ] {
-                if v == 0 {
-                    return Err(format!("{flag} must be positive"));
-                }
-            }
             Ok(Command::Standby {
                 addr: f.addr(),
                 node_id: f.string("--node-id"),
                 follow,
                 wal_dir,
-                wal_segment_bytes: wal_segment_bytes as u64,
-                reconnect_ms: reconnect_ms as u64,
-                workers,
-                max_batch,
-                max_queue: f.usize("--max-queue")?.unwrap_or(4096),
+                wal_segment_bytes: f.positive("--wal-segment-bytes", 4 << 20)? as u64,
+                reconnect_ms: f.positive("--reconnect-ms", 100)? as u64,
+                workers: f.positive("--workers", 4)?,
+                max_batch: f.positive("--max-batch", 256)?,
+                max_queue: f.positive("--max-queue", 4096)?,
                 flush_after_ms: f.usize("--flush-after-ms")?.unwrap_or(5) as u64,
-                shards,
+                shards: f.positive("--shards", 1)?,
             })
         }
         "route" => {
@@ -751,37 +725,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 None => Vec::new(),
             };
-            let vnodes = f.usize("--vnodes")?.unwrap_or(64);
-            let probe_interval_ms = f.usize("--probe-interval-ms")?.unwrap_or(500) as u64;
-            let probe_timeout_ms = f.usize("--probe-timeout-ms")?.unwrap_or(250) as u64;
-            let down_after = f.usize("--down-after")?.unwrap_or(3);
-            let up_after = f.usize("--up-after")?.unwrap_or(2);
-            let connect_timeout_ms = f.usize("--connect-timeout-ms")?.unwrap_or(1000) as u64;
-            let read_timeout_ms = f.usize("--read-timeout-ms")?.unwrap_or(30_000) as u64;
-            for (flag, v) in [
-                ("--vnodes", vnodes as u64),
-                ("--probe-interval-ms", probe_interval_ms),
-                ("--probe-timeout-ms", probe_timeout_ms),
-                ("--down-after", down_after as u64),
-                ("--up-after", up_after as u64),
-                ("--connect-timeout-ms", connect_timeout_ms),
-                ("--read-timeout-ms", read_timeout_ms),
-            ] {
-                if v == 0 {
-                    return Err(format!("{flag} must be positive"));
-                }
-            }
             Ok(Command::Route {
                 addr: f.string("--addr").unwrap_or_else(|| DEFAULT_ROUTER_ADDR.into()),
                 backends,
                 standbys,
-                vnodes,
-                probe_interval_ms,
-                probe_timeout_ms,
-                down_after: down_after as u32,
-                up_after: up_after as u32,
-                connect_timeout_ms,
-                read_timeout_ms,
+                vnodes: f.positive("--vnodes", 64)?,
+                probe_interval_ms: f.positive("--probe-interval-ms", 500)? as u64,
+                probe_timeout_ms: f.positive("--probe-timeout-ms", 250)? as u64,
+                down_after: f.positive("--down-after", 3)? as u32,
+                up_after: f.positive("--up-after", 2)? as u32,
+                connect_timeout_ms: f.positive("--connect-timeout-ms", 1000)? as u64,
+                read_timeout_ms: f.positive("--read-timeout-ms", 30_000)? as u64,
             })
         }
         "promote" | "drain" | "metrics" | "dump" => {
@@ -815,10 +769,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 ],
                 &["--timing"],
             )?;
-            let count = f.usize("--count")?.unwrap_or(1);
-            if count == 0 {
-                return Err("--count must be positive".into());
-            }
+            let count = f.positive("--count", 1)?;
             let (connect_timeout_ms, read_timeout_ms) = f.timeouts()?;
             Ok(Command::Submit {
                 algo,
@@ -947,35 +898,27 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 "model" => Ok(Command::Model {
                     algo,
                     size,
-                    p: f.usize("--p")?.unwrap_or(4096),
+                    p: f.positive("--p", 4096)?,
                     cfg: MachineConfig::new(
-                        f.usize("--width")?.unwrap_or(32),
-                        f.usize("--latency")?.unwrap_or(100),
+                        f.positive("--width", 32)?,
+                        f.positive("--latency", 100)?,
                     ),
                 }),
-                "run" => {
-                    let shards = f.usize("--shards")?.unwrap_or(1);
-                    if shards == 0 {
-                        return Err("--shards must be positive".into());
-                    }
-                    Ok(Command::Run {
-                        algo,
-                        size,
-                        p: f.usize("--p")?.unwrap_or(4096),
-                        layout: f.layout()?,
-                        profile: f.string("--profile"),
-                        trace: f.string("--trace"),
-                        shards,
-                    })
-                }
-                _ => {
-                    let dmms = f.usize("--dmms")?.unwrap_or(14);
-                    if dmms == 0 {
-                        return Err("--dmms must be positive".into());
-                    }
-                    let p = f.usize("--p")?.unwrap_or(14 * 64);
-                    Ok(Command::Hmm { algo, size, p, dmms })
-                }
+                "run" => Ok(Command::Run {
+                    algo,
+                    size,
+                    p: f.positive("--p", 4096)?,
+                    layout: f.layout()?,
+                    profile: f.string("--profile"),
+                    trace: f.string("--trace"),
+                    shards: f.positive("--shards", 1)?,
+                }),
+                _ => Ok(Command::Hmm {
+                    algo,
+                    size,
+                    p: f.positive("--p", 14 * 64)?,
+                    dmms: f.positive("--dmms", 14)?,
+                }),
             }
         }
         other => Err(format!("unknown command '{other}'; try `bulkrun help`")),
@@ -1575,5 +1518,47 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("timeline")).is_err());
+    }
+
+    /// `cmd` is refused at parse time with exactly `"<flag> must be
+    /// positive"`: a zero machine parameter never reaches a simulator,
+    /// where it would panic or price an impossible machine.
+    fn rejects_zero(cmd: &str, flag: &str) {
+        let err = parse(&argv(cmd)).unwrap_err();
+        assert_eq!(err, format!("{flag} must be positive"), "{cmd}");
+    }
+
+    #[test]
+    fn run_rejects_zero_p() {
+        rejects_zero("run prefix-sums --p 0", "--p");
+    }
+
+    #[test]
+    fn timeline_rejects_zero_machine_parameters() {
+        rejects_zero("timeline prefix-sums --p 0", "--p");
+        rejects_zero("timeline prefix-sums --width 0", "--width");
+        rejects_zero("timeline prefix-sums --latency 0", "--latency");
+    }
+
+    #[test]
+    fn model_rejects_zero_machine_parameters() {
+        rejects_zero("model prefix-sums --size 8 --p 0", "--p");
+        rejects_zero("model prefix-sums --width 0", "--width");
+        rejects_zero("model prefix-sums --latency 0", "--latency");
+    }
+
+    #[test]
+    fn hmm_rejects_zero_p() {
+        rejects_zero("hmm opt --p 0", "--p");
+    }
+
+    #[test]
+    fn serve_rejects_zero_max_queue() {
+        rejects_zero("serve --max-queue 0", "--max-queue");
+    }
+
+    #[test]
+    fn standby_rejects_zero_max_queue() {
+        rejects_zero("standby --follow h:1 --wal-dir /tmp/s --max-queue 0", "--max-queue");
     }
 }

@@ -260,3 +260,19 @@ fn bad_invocations_fail_with_stderr() {
     assert!(!ok);
     assert!(err.contains("unknown command"));
 }
+
+/// A zero machine parameter is a usage error (exit 2, one line naming the
+/// flag), not a panic in the launcher.  `RUST_BACKTRACE=1` makes a panic
+/// print its backtrace, so its absence is visible on stderr.
+#[test]
+fn run_with_zero_p_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_bulkrun"))
+        .args(["run", "prefix-sums", "--p", "0"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("--p must be positive"), "{err}");
+    assert!(!err.contains("panicked") && !err.contains("backtrace"), "{err}");
+}

@@ -57,19 +57,18 @@
 #![warn(missing_docs)]
 
 pub mod checker;
-pub mod compose;
 pub mod exec;
 pub mod hmm_cost;
 pub mod layout;
 pub mod machine;
 pub mod ops;
 pub mod program;
-pub mod tests_support;
+#[cfg(test)]
+mod tests_support;
 pub mod theorems;
 pub mod word;
 
 pub use checker::{check_oblivious, ObliviousnessViolation};
-pub use compose::{Chain, Repeat, Shifted};
 pub use exec::{
     BulkMachine, BulkMetrics, BulkValue, CacheStats, CompiledSchedule, CostMachine, LanePort,
     Model, RmwOperand, ScalarMachine, ScheduleCache, SliceLanes, TraceMachine,

@@ -59,15 +59,6 @@ impl TraceEvent {
     }
 }
 
-#[derive(Debug)]
-struct OpenSpan {
-    tid: u64,
-    name: &'static str,
-    cat: &'static str,
-    ts: u64,
-    args: Json,
-}
-
 /// A bounded in-memory event-timeline recorder.
 ///
 /// Times are integer *ticks*; [`Tracer::ticks_per_us`] declares how many
@@ -79,7 +70,6 @@ pub struct Tracer {
     ticks_per_us: u64,
     events: Vec<TraceEvent>,
     dropped: u64,
-    open: Vec<OpenSpan>,
     track_names: Vec<(u64, String)>,
 }
 
@@ -99,14 +89,7 @@ impl Tracer {
     /// A tracer bounded to at most `capacity` stored events.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ticks_per_us: 1,
-            events: Vec::new(),
-            dropped: 0,
-            open: Vec::new(),
-            track_names: Vec::new(),
-        }
+        Self { capacity, ticks_per_us: 1, events: Vec::new(), dropped: 0, track_names: Vec::new() }
     }
 
     /// Declare the tick scale: `ticks` ticks make one exported microsecond.
@@ -175,24 +158,6 @@ impl Tracer {
         self.push(TraceEvent { phase: Phase::Complete, name, cat, tid, ts, dur, args });
     }
 
-    /// Open a span on track `tid`; it is stored once [`Tracer::end`] closes it.
-    pub fn begin(&mut self, tid: u64, name: &'static str, cat: &'static str, ts: u64, args: Json) {
-        self.open.push(OpenSpan { tid, name, cat, ts, args });
-    }
-
-    /// Close the most recently opened span on track `tid`, recording it as
-    /// a complete span ending at `ts`.  Returns `false` when no span is
-    /// open on that track (the call is then a no-op).
-    pub fn end(&mut self, tid: u64, ts: u64) -> bool {
-        let Some(pos) = self.open.iter().rposition(|o| o.tid == tid) else {
-            return false;
-        };
-        let o = self.open.remove(pos);
-        let dur = ts.saturating_sub(o.ts);
-        self.span(o.tid, o.name, o.cat, o.ts, dur, o.args);
-        true
-    }
-
     /// Record a point-in-time marker on track `tid`.
     pub fn instant(
         &mut self,
@@ -218,12 +183,6 @@ impl Tracer {
             dur: 0,
             args,
         });
-    }
-
-    /// Number of spans opened by [`Tracer::begin`] and not yet closed.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
     }
 
     /// Stored events in recording order.
@@ -287,16 +246,13 @@ impl Tracer {
     }
 }
 
-/// Check a tracer's structural invariants: every opened span was closed,
-/// and complete spans on any one track do not overlap.
+/// Check a tracer's structural invariant: complete spans on any one track
+/// do not overlap.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending track and time on violation.
 pub fn validate(t: &Tracer) -> Result<(), String> {
-    if t.open_spans() != 0 {
-        return Err(format!("{} span(s) opened with begin() but never end()ed", t.open_spans()));
-    }
     for tid in t.tracks() {
         let mut spans: Vec<(u64, u64)> = t
             .events()
@@ -479,28 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_pairs_become_complete_spans() {
+    fn validate_flags_overlapping_spans() {
         let mut t = Tracer::new();
-        t.begin(4, "block", "block", 10, Json::Null);
-        assert_eq!(t.open_spans(), 1);
-        assert_eq!(t.len(), 0);
-        assert!(t.end(4, 25));
-        assert_eq!(t.open_spans(), 0);
-        assert_eq!(t.events()[0].phase, Phase::Complete);
-        assert_eq!(t.events()[0].ts, 10);
-        assert_eq!(t.events()[0].dur, 15);
-        // end() with nothing open is a detectable no-op.
-        assert!(!t.end(4, 30));
-        assert!(!t.end(7, 30));
-        validate(&t).unwrap();
-    }
-
-    #[test]
-    fn validate_flags_unclosed_and_overlapping_spans() {
-        let mut t = Tracer::new();
-        t.begin(0, "warp", "warp", 0, Json::Null);
-        assert!(validate(&t).unwrap_err().contains("never end()ed"));
-        assert!(t.end(0, 4));
+        t.span(0, "warp", "warp", 0, 4, Json::Null);
         t.span(0, "warp", "warp", 2, 5, Json::Null);
         let err = validate(&t).unwrap_err();
         assert!(err.contains("track 0"), "{err}");

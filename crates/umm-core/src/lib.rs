@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod analysis;
 pub mod config;
 pub mod hmm;
 pub mod profile;
@@ -62,11 +61,10 @@ pub mod trace;
 pub mod umm;
 
 pub use access::{Op, ThreadAction, WarpRequest};
-pub use analysis::{address_group_histogram, stride_histogram, summarize, TraceSummary};
 pub use config::MachineConfig;
 pub use hmm::{HmmAction, HmmConfig, HmmSimulator};
 pub use profile::{SimProfile, SimTimeline};
 pub use schedule::{Model, WarpSchedule, WarpScratch};
 pub use stats::AccessStats;
 pub use trace::{Round, RoundTrace, ThreadTrace};
-pub use umm::{simulate_async, simulate_async_profiled, simulate_async_traced, MachineSimulator};
+pub use umm::{simulate_async, simulate_async_traced, MachineSimulator};

@@ -245,8 +245,8 @@ pub fn round_cost(model: Model, cfg: &MachineConfig, actions: &[ThreadAction]) -
 /// A recording sink for [`simulate_async`] events.
 ///
 /// The plain entry point uses the no-op implementation, which monomorphizes
-/// to nothing — the profiled and unprofiled simulations compile to separate
-/// code, so disabled instrumentation costs zero.
+/// to nothing — the traced and plain simulations compile to separate code,
+/// so disabled instrumentation costs zero.
 trait AsyncSink {
     fn dispatch(&mut self, _warp: usize, _k: u64, _inject: u64) {}
     fn wait(&mut self, _at: u64, _gap: u64) {}
@@ -255,15 +255,6 @@ trait AsyncSink {
 /// The zero-cost sink.
 struct NoSink;
 impl AsyncSink for NoSink {}
-
-impl AsyncSink for SimProfile {
-    fn dispatch(&mut self, _warp: usize, k: u64, _inject: u64) {
-        self.record_warp(k);
-    }
-    fn wait(&mut self, _at: u64, gap: u64) {
-        self.record_wait(gap);
-    }
-}
 
 /// Profile + timeline recording for [`simulate_async_traced`].
 struct TracedSink {
@@ -295,21 +286,14 @@ pub fn simulate_async(cfg: &MachineConfig, trace: &RoundTrace) -> u64 {
     simulate_async_sink(cfg, trace, &mut NoSink)
 }
 
-/// [`simulate_async`] with profiling: additionally returns the per-warp
-/// dispatch histogram and the time units in which the pipeline sat idle
-/// because every warp was waiting on its outstanding request.
-#[must_use]
-pub fn simulate_async_profiled(cfg: &MachineConfig, trace: &RoundTrace) -> (u64, SimProfile) {
-    let mut profile = SimProfile::new();
-    let t = simulate_async_sink(cfg, trace, &mut profile);
-    (t, profile)
-}
-
-/// [`simulate_async_profiled`] plus an event timeline: one span per warp
-/// dispatch at its actual injection slot (track = warp id, args = `k`) and
-/// starvation gaps on the "pipeline" track.  Unlike the round-synchronous
-/// tracer, spans of different warps interleave freely on the time axis —
-/// that overlap *is* the speedup the async executor models.
+/// [`simulate_async`] with profiling and an event timeline.  The profile
+/// holds the per-warp dispatch histogram and the time units in which the
+/// pipeline sat idle because every warp was waiting on its outstanding
+/// request.  The timeline has one span per warp dispatch at its actual
+/// injection slot (track = warp id, args = `k`) and starvation gaps on the
+/// "pipeline" track.  Unlike the round-synchronous tracer, spans of
+/// different warps interleave freely on the time axis — that overlap *is*
+/// the speedup the async executor models.
 #[must_use]
 pub fn simulate_async_traced(cfg: &MachineConfig, trace: &RoundTrace) -> (u64, SimProfile, Tracer) {
     let warp_count = WarpSchedule::new(trace.p().max(1), cfg).warp_count();

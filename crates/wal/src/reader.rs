@@ -54,18 +54,6 @@ impl Scan {
     pub fn next_seq(&self) -> u64 {
         self.records.last().map_or(1, |r| r.seq + 1)
     }
-
-    /// Where a tailing reader resumes: `(segment name_seq, byte offset)`
-    /// of the first byte the scan could not vouch for.  With a
-    /// truncation that is the exact offset of the first invalid record
-    /// (magic included); on a clean log it is the end of the last
-    /// segment's valid prefix.  `None` when the directory held no
-    /// segments at all.
-    #[must_use]
-    pub fn resume_point(&self) -> Option<(u64, u64)> {
-        let last = self.segments.last()?;
-        Some((last.name_seq, last.valid_bytes))
-    }
 }
 
 /// Scan `dir` for segments and decode them front to back.
@@ -308,33 +296,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `Wal::open` truncates a torn segment to its valid prefix and
+    /// resumes appending at the last segment's `valid_bytes`, so the scan
+    /// must name exactly those offsets.
     #[test]
-    fn resume_point_names_the_first_invalid_byte() {
-        // Empty directory: nowhere to resume.
+    fn valid_bytes_name_the_first_invalid_byte() {
+        // Empty directory: no segment to resume in.
         let dir = temp_dir("resume-empty");
-        assert_eq!(scan(&dir).unwrap().resume_point(), None);
+        assert!(scan(&dir).unwrap().segments.is_empty());
         std::fs::remove_dir_all(&dir).ok();
 
-        // Clean log: resume at the end of the last segment's prefix.
+        // Clean log: the last segment is valid to its end.
         let dir = temp_dir("resume-clean");
         let (_, b1) = records(2, 1);
         let (_, b2) = records(3, 3);
         write_segment(&dir, 1, &b1);
         write_segment(&dir, 3, &b2);
         let s = scan(&dir).unwrap();
-        assert_eq!(s.resume_point(), Some((3, (SEGMENT_MAGIC.len() + b2.len()) as u64)));
+        let last = s.segments.last().unwrap();
+        assert_eq!((last.name_seq, last.valid_bytes), (3, (SEGMENT_MAGIC.len() + b2.len()) as u64));
 
-        // Torn tail: resume exactly at the first invalid record, in the
-        // segment that holds it.
+        // Torn tail: the valid prefix ends exactly at the first invalid
+        // record, in the segment that holds it.
         let (_, b3) = records(2, 6);
         write_segment(&dir, 6, &b3[..b3.len() - 4]);
         let s = scan(&dir).unwrap();
         let t = s.truncation.as_ref().unwrap();
-        let (seg, off) = s.resume_point().unwrap();
-        assert_eq!(seg, 6);
-        assert_eq!(off, t.valid_bytes, "resume offset == clean prefix of the bad segment");
+        let last = s.segments.last().unwrap();
+        assert_eq!(last.name_seq, 6);
+        assert_eq!(last.valid_bytes, t.valid_bytes, "segment prefix == truncation prefix");
         let one_record = 17 + b"payload-6".len();
-        assert_eq!(off, (SEGMENT_MAGIC.len() + one_record) as u64);
+        assert_eq!(t.valid_bytes, (SEGMENT_MAGIC.len() + one_record) as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 

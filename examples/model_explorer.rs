@@ -4,14 +4,13 @@
 //! cargo run --release --example model_explorer
 //! ```
 //!
-//! Prints three views of the UMM model for bulk OPT:
+//! Prints two views of the UMM model for bulk OPT, then its HMM staging
+//! verdict:
 //! 1. the `p` sweep (the latency floor and the throughput asymptote that
 //!    give the paper's Figure-12 curves their shape),
-//! 2. the width sweep (the layout gap *is* `w`),
-//! 3. the trace anatomy of the DP (where the time actually goes).
+//! 2. the width sweep (the layout gap *is* `w`).
 
 use bulk_oblivious::prelude::*;
-use umm_core::{address_group_histogram, summarize};
 
 fn main() {
     let n = 16;
@@ -52,32 +51,12 @@ fn main() {
     }
     println!("\n");
 
-    // View 3: trace anatomy.
-    let trace = trace_of::<f32, _>(&prog);
-    let s = summarize(&trace);
-    println!("trace anatomy of one instance:");
-    println!("  memory steps      : {} ({} reads, {} writes)", s.steps, s.reads, s.writes);
-    let msize = ObliviousProgram::<f32>::memory_words(&prog);
-    println!("  working set       : {} of {} words", s.working_set, msize);
-    println!("  mean |stride|     : {:.1} words", s.mean_abs_stride);
-    println!("  sequential pairs  : {:.0}%", s.sequential_fraction * 100.0);
-    println!("  mean reuse dist.  : {:.1} steps", s.mean_reuse_distance);
-    let groups = address_group_histogram(&trace, &cfg);
-    let hottest = groups.iter().max_by_key(|(_, c)| *c).expect("non-empty");
-    println!(
-        "  hottest row       : address group {} with {} touches (of {} groups used)",
-        hottest.0,
-        hottest.1,
-        groups.len()
-    );
-    println!();
-
-    // Epilogue: the same numbers drive the HMM staging verdict.
+    // Epilogue: the HMM staging verdict.
     let hmm = umm_core::HmmConfig::titan_like();
     let p = 14 * 64;
     let c = oblivious::hmm_bulk_cost::<f32, _>(&prog, &hmm, p);
     println!(
-        "HMM staging verdict at p = {p}: {} ({:.1}x) — reuse distance this short begs for shared memory",
+        "HMM staging verdict at p = {p}: {} ({:.1}x)",
         if c.staging_wins() { "stage" } else { "stay global" },
         c.advantage(),
     );

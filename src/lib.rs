@@ -58,8 +58,7 @@ pub mod prelude {
         trace_of,
     };
     pub use oblivious::{
-        check_oblivious, Chain, CompiledSchedule, Layout, Model, ObliviousMachine,
-        ObliviousProgram, Repeat, Shifted, Word,
+        check_oblivious, CompiledSchedule, Layout, Model, ObliviousMachine, ObliviousProgram, Word,
     };
     pub use umm_core::{HmmConfig, HmmSimulator, MachineConfig, MachineSimulator};
 }
