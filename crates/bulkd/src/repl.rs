@@ -16,20 +16,21 @@ use obs::Json;
 /// A replication sink the serving loop gates acknowledgements on.
 ///
 /// Implementations must be cheap to query ([`ReplSink::stats_json`] is
-/// called per stats/metrics request) and must never block
-/// `wait_replicated` forever: a dead follower degrades the pair to
+/// called per stats/metrics request, and only reads) and must never
+/// block `wait_replicated` forever: a dead follower degrades the pair to
 /// solo-durability after a bounded timeout rather than wedging the
 /// worker pool.
 pub trait ReplSink: Send + Sync + std::fmt::Debug + 'static {
     /// Block until the follower's durable high-water mark covers WAL
     /// sequence number `seq`, or the sink's degrade timeout elapses.
     /// Called on the worker ack path once per batch, with the last of
-    /// the batch's completion records, after it is locally durable.
+    /// the batch's completion records, after it is locally durable: the
+    /// call is also the sink's cue to ship that record now.
     fn wait_replicated(&self, seq: u64);
 
-    /// The `repl` section of the stats snapshot.  `durable_seq` is the
-    /// local journal's durable high-water mark and `now_us` the server
-    /// clock, from which the sink computes its lag gauges
-    /// (`lag_records`, `lag_us`) and follower state.
-    fn stats_json(&self, durable_seq: u64, now_us: u64) -> Json;
+    /// The `repl` section of the stats snapshot: follower state and the
+    /// lag gauges, `lag_records` against `durable_seq` (the local
+    /// journal's durable high-water mark) and `lag_us`, which the sink
+    /// times itself.  A read: it takes no clock and changes no state.
+    fn stats_json(&self, durable_seq: u64) -> Json;
 }

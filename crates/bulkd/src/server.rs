@@ -494,11 +494,11 @@ impl Server {
 }
 
 /// The `repl` section for stats and status: the sink's own lag view, fed
-/// the journal's durable high-water mark and the server clock.
+/// the journal's durable high-water mark.
 fn repl_section(sh: &Server) -> Option<Json> {
     let repl = sh.repl.as_ref()?;
     let durable = sh.journal.as_ref().map_or(0, |j| j.durable_seq());
-    Some(repl.stats_json(durable, sh.clock.now_us()))
+    Some(repl.stats_json(durable))
 }
 
 /// Record one stage event into the flight recorder (no-op when
@@ -1320,14 +1320,14 @@ mod metrics_golden {
         }
     }
 
-    /// A follower five records behind, with two degraded acks.
+    /// A follower five records and 350 µs behind, with two degraded acks.
     #[derive(Debug)]
     struct GoldenRepl;
 
     impl ReplSink for GoldenRepl {
         fn wait_replicated(&self, _seq: u64) {}
 
-        fn stats_json(&self, durable_seq: u64, now_us: u64) -> Json {
+        fn stats_json(&self, durable_seq: u64) -> Json {
             let mut o = Json::obj();
             o.set("mode", "primary");
             o.set("follower", "standby-1");
@@ -1336,7 +1336,7 @@ mod metrics_golden {
             o.set("acked_seq", durable_seq.saturating_sub(5));
             o.set("durable_seq", durable_seq);
             o.set("lag_records", 5u64);
-            o.set("lag_us", now_us / 4);
+            o.set("lag_us", 350u64);
             o.set("degraded_acks", 2u64);
             o
         }

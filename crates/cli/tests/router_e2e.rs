@@ -424,13 +424,14 @@ fn loadgen_through_the_router_reports_the_merged_snapshot() {
 // Subprocess cluster: kill one backend mid-load.
 // ---------------------------------------------------------------------------
 
-/// Spawn a `bulkrun` child and scrape one stdout value per prefix in
-/// `prefixes`, in order.  Stdout then drains on a reaper thread.
-fn spawn_scraped_many(args: &[&str], prefixes: &[&str]) -> (Child, Vec<String>) {
+/// Spawn a `bulkrun` child with `stderr` and scrape one stdout value per
+/// prefix in `prefixes`, in order.  Stdout then drains on a reaper
+/// thread.
+fn spawn_scraped_many(args: &[&str], prefixes: &[&str], stderr: Stdio) -> (Child, Vec<String>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_bulkrun"))
         .args(args)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(stderr)
         .spawn()
         .expect("spawn bulkrun");
     let stdout = child.stdout.take().expect("child stdout");
@@ -456,7 +457,7 @@ fn spawn_scraped_many(args: &[&str], prefixes: &[&str]) -> (Child, Vec<String>) 
 /// Spawn a `bulkrun` child and scrape the bound address off its stdout
 /// line starting with `prefix`.  Stdout then drains on a reaper thread.
 fn spawn_scraped(args: &[&str], prefix: &str) -> (Child, String) {
-    let (child, mut values) = spawn_scraped_many(args, &[prefix]);
+    let (child, mut values) = spawn_scraped_many(args, &[prefix], Stdio::null());
     (child, values.pop().expect("one scraped value"))
 }
 
@@ -680,6 +681,7 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
             "127.0.0.1:0",
         ],
         &["repl listening on ", "bulkd listening on "],
+        Stdio::null(),
     );
     let (repl_addr, serve_addr) = (addrs[0].clone(), addrs[1].clone());
 
@@ -928,5 +930,91 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
         "promoted node's log ({standby_max}) never advanced past the primary's ({primary_max})"
     );
 
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// A child process killed and reaped on drop, so a failing test leaves
+/// none behind.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A replicated pair run from the CLI to a clean end: the primary serves
+/// a few submits and drains, then the standby is promoted, serves and
+/// drains.  Both processes exit 0 and neither reports a replication
+/// fault: the primary's stop ends its session between frames, and the
+/// standby takes that, and the refused redials after it, quietly.
+#[test]
+fn a_drained_pair_exits_cleanly_without_replication_errors() {
+    let tmp = std::env::temp_dir().join(format!("pair-clean-exit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let (primary_wal, standby_wal) = (tmp.join("primary"), tmp.join("standby"));
+    let (primary, addrs) = spawn_scraped_many(
+        &[
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--wal-dir",
+            primary_wal.to_str().unwrap(),
+            "--replicate-to",
+            "127.0.0.1:0",
+        ],
+        &["repl listening on ", "bulkd listening on "],
+        Stdio::piped(),
+    );
+    let (mut primary, repl_addr, serve_addr) = (Reaped(primary), &addrs[0], &addrs[1]);
+    let standby_dir = standby_wal.to_str().unwrap();
+    let (standby, values) = spawn_scraped_many(
+        &["standby", "--addr", "127.0.0.1:0", "--follow", repl_addr, "--wal-dir", standby_dir],
+        &["standby listening on "],
+        Stdio::piped(),
+    );
+    let (mut standby, standby_addr) = (Reaped(standby), &values[0]);
+    let connected = || {
+        let status = bulkd::Client::connect(standby_addr).unwrap().status().unwrap();
+        status.get("connected").and_then(Json::as_i64) == Some(1)
+    };
+    let t0 = Instant::now();
+    while !connected() {
+        assert!(t0.elapsed() < Duration::from_secs(15), "the standby never connected");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
+    let key = bulkd::JobKey {
+        algo: "prefix-sums".into(),
+        size: 64,
+        layout: oblivious::Layout::ColumnWise,
+    };
+    let mut client = bulkd::Client::connect(serve_addr).unwrap();
+    for input in algo.random_inputs_bits(RUN_SEED, 4) {
+        client.submit(&key, std::slice::from_ref(&input), false).unwrap();
+    }
+    client.drain().unwrap();
+    let primary_exit = primary.0.wait().unwrap();
+    bulkd::Client::connect(standby_addr).unwrap().promote().unwrap();
+    // A dial that lands while the control port stops is closed unanswered;
+    // the promoted server answers the next one.
+    let t0 = Instant::now();
+    while bulkd::Client::connect(standby_addr).unwrap().drain().is_err() {
+        assert!(t0.elapsed() < Duration::from_secs(15), "the promoted standby never drained");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let standby_exit = standby.0.wait().unwrap();
+
+    for (name, mut child, exit) in
+        [("primary", primary, primary_exit), ("standby", standby, standby_exit)]
+    {
+        let mut stderr = String::new();
+        child.0.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+        assert!(exit.success(), "the {name} exited with {exit}: {stderr}");
+        let faults: Vec<_> = stderr.lines().filter(|l| l.starts_with("repl")).collect();
+        assert!(faults.is_empty(), "the {name} reported replication faults: {faults:?}");
+    }
     let _ = std::fs::remove_dir_all(&tmp);
 }

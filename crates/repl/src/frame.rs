@@ -86,18 +86,57 @@ pub fn write_frame(w: &mut impl Write, frame_type: u8, payload: &[u8]) -> Result
 ///
 /// # Errors
 ///
-/// Transport failures (including EOF mid-frame) or a length prefix past
-/// [`MAX_FRAME_BYTES`] (framing lost — the connection must drop).
+/// Transport failures (including EOF, mid-frame or between frames) or a
+/// length prefix past [`MAX_FRAME_BYTES`] (framing lost — the connection
+/// must drop).
 pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), String> {
+    read_frame_or_end(r)?.ok_or_else(|| "read repl frame header: the stream ended".to_owned())
+}
+
+/// Read one frame like [`read_frame`], or `None` when the stream ends
+/// between two frames.
+///
+/// # Errors
+///
+/// As [`read_frame`], except an end between frames.
+pub fn read_frame_or_end(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, String> {
+    use std::io::ErrorKind::{ConnectionReset, Interrupted};
     let mut header = [0u8; 5];
-    r.read_exact(&mut header).map_err(|e| format!("read repl frame header: {e}"))?;
+    let mut got = 0;
+    while got < header.len() {
+        match r.read(&mut header[got..]) {
+            Ok(n @ 1..) => got += n,
+            Err(e) if e.kind() == Interrupted => {}
+            // The peer closed the stream, or its process exited with
+            // bytes unread, which resets the stream instead.
+            Ok(0) if got == 0 => return Ok(None),
+            Err(e) if got == 0 && e.kind() == ConnectionReset => return Ok(None),
+            Ok(_) => return Err("read repl frame header: the stream ended mid-header".into()),
+            Err(e) => return Err(format!("read repl frame header: {e}")),
+        }
+    }
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(format!("frame length {len} exceeds the cap; framing lost"));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload).map_err(|e| format!("read repl frame payload: {e}"))?;
-    Ok((header[4], payload))
+    Ok(Some((header[4], payload)))
+}
+
+/// Read one control frame (HELLO / WELCOME / ACK) of type `want` and
+/// decode its JSON payload.
+///
+/// # Errors
+///
+/// As [`read_frame`], a frame of another type, or a payload that is not
+/// JSON.
+pub fn read_control(r: &mut impl Read, want: u8) -> Result<Json, String> {
+    let (t, payload) = read_frame(r)?;
+    if t != want {
+        return Err(format!("expected frame type {want}, got {t}"));
+    }
+    control_json(&payload)
 }
 
 /// Encode a HELLO payload.

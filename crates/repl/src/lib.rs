@@ -15,15 +15,17 @@
 //!   length-prefixed typed frames, HELLO/WELCOME handshake, RECORDS
 //!   batches piggybacking the primary's acked high-water mark, ACKs
 //!   carrying the follower's durable mark.
-//! - [`primary`] — the shipping side: a replication listener, a
-//!   [`wal::Cursor`]-driven tail loop, and the semi-synchronous ack
-//!   gate ([`ReplPrimary`] implements [`bulkd::ReplSink`], so client
-//!   replies wait for the follower's fsync, bounded by a degrade
-//!   timeout).
+//! - [`primary`] — the shipping side: a replication listener, one
+//!   [`wal::Cursor`]-driven session thread that ships when the ack gate
+//!   asks (or a heartbeat is due), and the semi-synchronous ack gate
+//!   ([`ReplPrimary`] implements [`bulkd::ReplSink`], so client replies
+//!   wait for the follower's fsync, bounded by a degrade timeout).
+//!   Dropping the last handle stops it.
 //! - [`standby`] — the following side: durable appends through the real
-//!   WAL writer, a control plane that answers `status`/`promote`/
-//!   `not_primary`, and a listener handoff that lets the promoted
-//!   server reuse the standby's address with no rebind race.
+//!   WAL writer (fail-stopping on a failed write or fsync), a control
+//!   plane that answers `status`/`promote`/`not_primary`, and a listener
+//!   handoff that lets the promoted server reuse the standby's address
+//!   with no rebind race.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

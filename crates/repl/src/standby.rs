@@ -8,7 +8,10 @@
 //! and sequence continuity) and appends its record bytes verbatim
 //! through the real [`wal::Wal`] writer (fsync `always` — its ACK is a
 //! durability promise, not a buffering report), reconnecting with the
-//! correct resume sequence whenever the transport breaks.  The
+//! correct resume sequence whenever the session ends.  A failed write or
+//! fsync fail-stops it instead, as it does a primary's journal: the
+//! records past the last good fsync have unknowable fate, so the
+//! follower never acknowledges again and promotion is refused.  The
 //! **control loop** serves the ordinary line protocol on the standby's
 //! address, over the shared [`bulkd::wire`] transport: `status`/`stats`
 //! report the standby role and replication marks, `submit`/`drain`/
@@ -101,6 +104,9 @@ struct State {
     reconnects: u64,
     /// Job ids with a replicated submit but no completion yet.
     incomplete: HashSet<u64>,
+    /// The local log's first write or fsync failure: the follower has
+    /// stopped for good.
+    fail_stopped: Option<String>,
 }
 
 struct Shared {
@@ -112,13 +118,15 @@ struct Shared {
     follower_conn: Mutex<Option<TcpStream>>,
 }
 
-/// Promotion safety: the local durable mark must cover every sequence
-/// the leader released a client ack for.  The CI-only
-/// `bug-ack-beyond-replicated` feature removes the guard (with the
-/// matching primary bug, a lagging standby looks clean — the drill
-/// proves the harness catches the resulting acked-job loss).
+/// Promotion safety: the local log must not have fail-stopped, and its
+/// durable mark must cover every sequence the leader released a client
+/// ack for.  The CI-only `bug-ack-beyond-replicated` feature removes the
+/// second guard (with the matching primary bug, a lagging standby looks
+/// clean — the drill proves the harness catches the resulting acked-job
+/// loss).
 fn safe_to_promote(st: &State) -> bool {
-    ack_beyond_replicated() || st.replicated_seq >= st.leader_acked_seq
+    st.fail_stopped.is_none()
+        && (ack_beyond_replicated() || st.replicated_seq >= st.leader_acked_seq)
 }
 
 /// Run a warm standby until it is promoted.  Blocks the calling thread;
@@ -177,9 +185,10 @@ pub fn run_standby(
     })
 }
 
-/// Dial–follow–redial until stopped.  Owns the WAL writer: every
-/// append in this process goes through the same single-writer path a
-/// primary's journal uses.
+/// Dial–follow–redial until stopped or fail-stopped.  Owns the WAL
+/// writer: every append in this process goes through the same
+/// single-writer path a primary's journal uses.  A session the primary
+/// closes between frames (it stopped) ends as quietly as a refused dial.
 fn follow_loop(sh: &Shared, mut wal: Wal) {
     while !sh.stop.load(Ordering::SeqCst) {
         let stream = match TcpStream::connect(&sh.cfg.follow_addr) {
@@ -192,8 +201,15 @@ fn follow_loop(sh: &Shared, mut wal: Wal) {
         let _ = stream.set_nodelay(true);
         *sh.follower_conn.lock().expect("standby state poisoned") = stream.try_clone().ok();
         let err = follow_session(sh, &mut wal, stream);
+        // Close the session's socket now, not at the next dial: a
+        // fail-stopped follower never dials again.
+        sh.follower_conn.lock().expect("standby state poisoned").take();
         let mut st = sh.state.lock().expect("standby state poisoned");
         st.connected = false;
+        if let Some(e) = &st.fail_stopped {
+            eprintln!("repl standby: fail-stopped, following no more: {e}");
+            return;
+        }
         if !sh.stop.load(Ordering::SeqCst) {
             st.reconnects += 1;
             if let Err(e) = err {
@@ -206,10 +222,11 @@ fn follow_loop(sh: &Shared, mut wal: Wal) {
 }
 
 /// One session: handshake at the local resume point, then append every
-/// shipped batch durably and acknowledge it.  Any protocol or disk
-/// error drops the session — the redial re-handshakes at the local
-/// `next_seq`, which a rejected frame left untouched, so the batch is
-/// simply re-requested.
+/// shipped batch durably and acknowledge it.  A protocol error or a
+/// rejected frame drops the session — the redial re-handshakes at the
+/// local `next_seq`, which a rejected frame left untouched, so the batch
+/// is simply re-requested.  A write or fsync failure past those checks
+/// fail-stops the follower.
 fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(), String> {
     frame::write_magic(&mut stream)?;
     frame::write_frame(
@@ -218,11 +235,7 @@ fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(
         &frame::hello(&sh.cfg.node_id, wal.next_seq()),
     )?;
     frame::read_magic(&mut stream)?;
-    let (t, payload) = frame::read_frame(&mut stream)?;
-    if t != frame::FRAME_WELCOME {
-        return Err(format!("expected WELCOME, got frame type {t}"));
-    }
-    let welcome = frame::control_json(&payload)?;
+    let welcome = frame::read_control(&mut stream, frame::FRAME_WELCOME)?;
     {
         let mut st = sh.state.lock().expect("standby state poisoned");
         st.leader = welcome.get("node_id").and_then(Json::as_str).map(str::to_owned);
@@ -235,19 +248,29 @@ fn follow_session(sh: &Shared, wal: &mut Wal, mut stream: TcpStream) -> Result<(
         if sh.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let (t, payload) = frame::read_frame(&mut stream)?;
+        let Some((t, payload)) = frame::read_frame_or_end(&mut stream)? else {
+            return Ok(());
+        };
         if t != frame::FRAME_RECORDS {
             return Err(format!("expected RECORDS, got frame type {t}"));
         }
         // Check the whole frame before any byte of it reaches the log:
-        // every record whole and CRC-valid here, sequence continuity in
-        // `append_encoded`.  A bad frame is appended not at all.
+        // every record whole and CRC-valid, sequence numbers running on
+        // from the log's.  A bad frame is appended not at all, and an
+        // error past these checks is the disk's.
         let (leader_acked, bytes, records) = frame::check_records(&payload)?;
-        wal.append_encoded(bytes)?;
-        if !records.is_empty() {
+        if let Some((r, want)) = records.iter().zip(wal.next_seq()..).find(|(r, s)| r.seq != *s) {
+            return Err(format!("sequence break: record carries seq {}, want {want}", r.seq));
+        }
+        let mut written = wal.append_encoded(bytes).map(drop);
+        if written.is_ok() && !records.is_empty() {
             // One fsync covers the whole frame — the follower's analogue
             // of the primary's group commit.
-            wal.sync()?;
+            written = wal.sync();
+        }
+        if let Err(e) = written {
+            sh.state.lock().expect("standby state poisoned").fail_stopped = Some(e.clone());
+            return Err(e);
         }
         let durable = wal.next_seq().saturating_sub(1);
         {
@@ -317,11 +340,16 @@ impl LineService for Shared {
             }
             Request::Promote => protocol::resp_error(
                 "unsafe_promote",
-                &format!(
-                    "standby durable seq {} trails the leader's acked seq {}; \
-                     promoting would lose acknowledged jobs",
-                    st.replicated_seq, st.leader_acked_seq
-                ),
+                &match &st.fail_stopped {
+                    Some(e) => {
+                        format!("standby log fail-stopped, so it promises no durability: {e}")
+                    }
+                    None => format!(
+                        "standby durable seq {} trails the leader's acked seq {}; \
+                         promoting would lose acknowledged jobs",
+                        st.replicated_seq, st.leader_acked_seq
+                    ),
+                },
             ),
             Request::Submit { .. } => {
                 protocol::resp_not_primary(&st.leader_hint, "this node is a warm standby")
@@ -352,6 +380,7 @@ fn status_json(sh: &Shared, st: &State) -> Json {
     o.set("replicated_seq", st.replicated_seq);
     o.set("leader_acked_seq", st.leader_acked_seq);
     o.set("safe_to_promote", safe_to_promote(st));
+    o.set("fail_stopped", st.fail_stopped.clone().map_or(Json::Null, Json::Str));
     o.set("incomplete_jobs", st.incomplete.len() as u64);
     o.set("records_replicated", st.records);
     o.set("frames", st.frames);
@@ -370,6 +399,83 @@ const METRICS: &[Row] = &[
     (Kind::Counter, "bulkd_standby_records_replicated_total", "records_replicated", "WAL records appended from the replication stream."),
     (Kind::Counter, "bulkd_standby_reconnects_total", "reconnects", "Follower sessions that ended and were redialed."),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// The standby's local fsync fails under a frame, the way a Linux
+    /// fsync error does once.  A redial would resume past the unsynced
+    /// records (`next_seq` counts them), so the primary would never resend
+    /// them and the next ACK would cover them: the follower must stop for
+    /// good instead, and refuse promotion.
+    #[test]
+    fn a_failed_fsync_fail_stops_the_follower() {
+        let dir = std::env::temp_dir().join(format!("repl-standby-fsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut wal, _) = Wal::open(WalConfig {
+            dir: dir.clone(),
+            segment_bytes: 4 << 20,
+            fsync: FsyncPolicy::Always,
+        })
+        .unwrap();
+        wal.inject_fsync_error(1);
+        let primary = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sh = Arc::new(Shared {
+            cfg: StandbyConfig {
+                follow_addr: primary.local_addr().unwrap().to_string(),
+                node_id: "s1".into(),
+                reconnect_ms: 10,
+                ..StandbyConfig::default()
+            },
+            state: Mutex::new(State::default()),
+            stop: AtomicBool::new(false),
+            follower_conn: Mutex::new(None),
+        });
+        let follower = {
+            let sh = Arc::clone(&sh);
+            std::thread::spawn(move || follow_loop(&sh, wal))
+        };
+
+        // Play the primary: handshake, then ship seqs 1–3.
+        let (mut s, _) = primary.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        frame::read_magic(&mut s).unwrap();
+        let hello = frame::read_control(&mut s, frame::FRAME_HELLO).unwrap();
+        assert_eq!(frame::control_u64(&hello, "start_seq").unwrap(), 1);
+        frame::write_magic(&mut s).unwrap();
+        let welcome = frame::welcome("p1", "127.0.0.1:7070", 1);
+        frame::write_frame(&mut s, frame::FRAME_WELCOME, &welcome).unwrap();
+        let records: Vec<u8> =
+            (1..=3).flat_map(|seq| wal::record::encode(seq, REC_SUBMIT, b"{}")).collect();
+        let payload = frame::records_payload(0, &records);
+        frame::write_frame(&mut s, frame::FRAME_RECORDS, &payload).unwrap();
+        assert!(frame::read_frame(&mut s).is_err(), "the standby acked an unsynced frame");
+
+        // The follower thread ends, so nothing is left to dial again.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !follower.is_finished() {
+            assert!(Instant::now() < deadline, "the follower went on after its fsync failed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        follower.join().unwrap();
+        primary.set_nonblocking(true).unwrap();
+        assert!(primary.accept().is_err(), "the standby redialed after its fsync failed");
+        let reply = |req| match sh.handle_line(&mut (), req, "") {
+            Reply::Line(line) => Json::parse(&line).unwrap(),
+            _ => panic!("the control port must answer a line"),
+        };
+        let status = reply(Request::Status);
+        let why = status.path("fail_stopped").and_then(Json::as_str).unwrap_or_default();
+        assert!(why.contains("injected failure"), "{status:?}");
+        assert_eq!(status.path("safe_to_promote"), Some(&Json::Bool(false)));
+        assert_eq!(status.path("replicated_seq").and_then(Json::as_i64), Some(0));
+        let refused = reply(Request::Promote);
+        assert_eq!(refused.path("error").and_then(Json::as_str), Some("unsafe_promote"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
 
 /// The fixed-state metrics golden of a connected standby: the text the
 /// hand-built rendering produced before the families became rows over
@@ -395,6 +501,7 @@ mod metrics_golden {
                 records: 41,
                 reconnects: 2,
                 incomplete: [7, 9, 11].into_iter().collect(),
+                fail_stopped: None,
             }),
             stop: AtomicBool::new(false),
             follower_conn: Mutex::new(None),

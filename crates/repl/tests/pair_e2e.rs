@@ -47,7 +47,6 @@ fn pair_replicates_acks_and_promotes_bit_identically() {
         node_id: "p1".into(),
         serving_addr: "127.0.0.1:7070".into(),
         ack_timeout_ms: 4_000,
-        poll_interval_ms: 1,
     })
     .unwrap();
 
@@ -77,7 +76,7 @@ fn pair_replicates_acks_and_promotes_bit_identically() {
         "semi-sync ack took {:?} — follower never acked",
         gate.elapsed()
     );
-    let stats = prim.stats_json(journal.durable_seq(), 1);
+    let stats = prim.stats_json(journal.durable_seq());
     assert_eq!(stats.path("degraded_acks").unwrap().as_i64(), Some(0));
     assert!(stats.path("replicated_seq").unwrap().as_i64().unwrap() >= seq as i64);
     assert_eq!(stats.path("follower_connected").unwrap().as_i64(), Some(1));
@@ -155,7 +154,6 @@ fn unacked_primary_degrades_after_follower_loss_not_before() {
         node_id: "p1".into(),
         serving_addr: "127.0.0.1:7070".into(),
         ack_timeout_ms: 60,
-        poll_interval_ms: 1,
     })
     .unwrap();
 
@@ -168,7 +166,7 @@ fn unacked_primary_degrades_after_follower_loss_not_before() {
     let gate = Instant::now();
     prim.wait_replicated(seq);
     assert!(gate.elapsed() >= Duration::from_millis(50), "gate skipped the wait");
-    let stats = prim.stats_json(journal.durable_seq(), 1);
+    let stats = prim.stats_json(journal.durable_seq());
     assert_eq!(stats.path("degraded_acks").unwrap().as_i64(), Some(1));
     assert!(stats.path("lag_records").unwrap().as_i64().unwrap() > 0);
     assert_eq!(stats.path("acked_seq").unwrap().as_i64(), Some(seq as i64));
