@@ -19,7 +19,7 @@ pub struct ClientConfig {
     pub connect_timeout: Option<Duration>,
     /// Fail any reply read that stalls longer than this (`None` = block
     /// forever).  Submits block for a full queue-wait + execution, so
-    /// leave headroom well above the server's flush window.
+    /// leave headroom well above the server's `flush_after_ms` cap.
     pub read_timeout: Option<Duration>,
 }
 

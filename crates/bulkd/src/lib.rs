@@ -7,7 +7,10 @@
 //! `(algo, n, layout)` key, and each flushed batch rides one
 //! already-compiled schedule on a fixed worker pool.  The larger the
 //! coalesced `p`, the closer the service runs to the paper's amortized
-//! regime.
+//! regime — but Theorem 2 charges the latency term once per batch, so
+//! waiting for riders pays only while it saves more than it costs.  The
+//! queue is therefore self-clocking: an idle worker takes the oldest open
+//! group at once, and groups grow only while every worker is busy.
 //!
 //! Everything here is `std`-only: the wire protocol is newline-delimited
 //! JSON over `std::net`, serialized with the `obs::json` codec, and word

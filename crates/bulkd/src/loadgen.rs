@@ -3,8 +3,8 @@
 //! `clients` threads each run their own connection and submit
 //! back-to-back until the deadline: the offered load is `clients`
 //! in-flight jobs, which is exactly what makes coalescing visible — the
-//! server groups whatever arrives within one flush window into a single
-//! batch.  Per-thread latency/batch-p histograms merge losslessly into
+//! server groups whatever arrives while its workers are busy into a
+//! single batch.  Per-thread latency/batch-p histograms merge losslessly into
 //! one report.
 
 use crate::client::{Client, ClientConfig, ClientError};

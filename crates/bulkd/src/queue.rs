@@ -1,12 +1,17 @@
 //! The coalescing queue: groups compatible jobs, bounds admission, drains.
 //!
-//! Jobs sharing a [`JobKey`] accumulate in an open *group*; a group flushes
-//! to the ready queue as one batch when its instance count reaches the
-//! target `p` (`max_batch`) or its deadline (`flush_after` past the first
-//! job) expires — whichever comes first.  A submit's instances are never
-//! split across batches.  Admission is bounded by `max_queue` total queued
-//! instances; beyond it submitters get [`SubmitError::Overloaded`] with a
-//! retry hint instead of unbounded buffering.
+//! Jobs sharing a [`JobKey`] accumulate in an open *group*.  Groups are
+//! self-clocking: a worker that polls and finds no ready batch takes the
+//! oldest open group at once, so a group grows only while every worker is
+//! busy — the way WAL group commit batches fsyncs.  A group also closes
+//! when its instance count reaches the target `p` (`max_batch`), when it
+//! reaches the cap (`flush_after` past its first job: at each poll, every
+//! group older than the cap closes, in age order, before the oldest open
+//! group is taken), or when the queue drains.  Each batch carries its
+//! [`CloseReason`].  A submit's instances are never split across batches.
+//! Admission is bounded by `max_queue` total queued instances; beyond it
+//! submitters get [`SubmitError::Overloaded`] with a retry hint instead of
+//! unbounded buffering.
 //!
 //! All time flows through the injected [`Clock`] (microseconds) and all
 //! blocking through the injected [`Scheduler`], so the same queue runs
@@ -31,7 +36,10 @@ pub struct QueueConfig {
     pub max_batch: usize,
     /// Admission bound on total queued (grouped + ready) instances.
     pub max_queue: usize,
-    /// How long a group may wait for more riders before flushing anyway.
+    /// The cap on how long a group stays open.  A group grows only while
+    /// every worker is busy, so the cap binds only then: at each poll,
+    /// every group older than this closes, in age order, before an idle
+    /// worker takes the oldest open group.
     pub flush_after: Duration,
 }
 
@@ -199,6 +207,38 @@ impl Job {
     }
 }
 
+/// Why a group closed into a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseReason {
+    /// The group reached `max_batch` instances.
+    Full,
+    /// An idle worker found no ready batch and took the group, the oldest
+    /// open one.
+    Worker,
+    /// The group reached the `flush_after` cap before a worker took it.
+    Cap,
+    /// The queue began draining.
+    Drain,
+}
+
+impl CloseReason {
+    /// Every reason, in the order the stats document lists them.
+    pub const ALL: [CloseReason; 4] =
+        [CloseReason::Full, CloseReason::Worker, CloseReason::Cap, CloseReason::Drain];
+
+    /// The reason's name in the stats document and the Prometheus
+    /// `reason` label.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            CloseReason::Full => "full",
+            CloseReason::Worker => "worker",
+            CloseReason::Cap => "cap",
+            CloseReason::Drain => "drain",
+        }
+    }
+}
+
 /// A flushed group, ready for one worker to execute as a unit.
 #[derive(Debug)]
 pub struct Batch {
@@ -206,6 +246,8 @@ pub struct Batch {
     pub key: JobKey,
     /// The coalesced jobs, in arrival order.
     pub jobs: Vec<Job>,
+    /// Why the group closed.
+    pub reason: CloseReason,
 }
 
 impl Batch {
@@ -241,13 +283,9 @@ pub enum TryNext {
     /// A batch was claimed; execute it, then call
     /// [`CoalescingQueue::batch_done`].
     Batch(Batch),
-    /// Nothing ready.  `next_deadline_us` is the earliest open-group
-    /// flush deadline, if any group is open — the time by which polling
-    /// again is guaranteed to make progress.
-    Empty {
-        /// Earliest open-group deadline on the queue's clock.
-        next_deadline_us: Option<u64>,
-    },
+    /// No group is open and no batch is ready: only a new job can make
+    /// progress, and its enqueue notifies.
+    Empty,
     /// The queue is draining and empty: the consumer should exit.
     Drained,
 }
@@ -274,7 +312,7 @@ struct PendingGroup {
     key: JobKey,
     jobs: Vec<Job>,
     instances: usize,
-    deadline_us: u64,
+    cap_us: u64,
 }
 
 #[derive(Debug, Default)]
@@ -415,40 +453,48 @@ impl CoalescingQueue {
         let n = job.inputs.len();
         assert_eq!(adm.instances, n, "reservation/job instance mismatch");
         let now = self.clock.now_us();
-        let deadline_us = now + self.cfg.flush_after.as_micros() as u64;
+        let cap_us = now + self.cfg.flush_after.as_micros() as u64;
         let mut st = self.state.lock().expect("queue poisoned");
         let pos = match st.groups.iter().position(|g| g.key == key) {
             Some(pos) => pos,
             None => {
-                st.groups.push(PendingGroup { key, jobs: Vec::new(), instances: 0, deadline_us });
+                st.groups.push(PendingGroup { key, jobs: Vec::new(), instances: 0, cap_us });
                 st.groups.len() - 1
             }
         };
         st.groups[pos].jobs.push(job);
         st.groups[pos].instances += n;
         if st.groups[pos].instances >= self.cfg.max_batch {
-            Self::flush_group(&mut st, pos, now);
+            Self::flush_group(&mut st, pos, now, CloseReason::Full);
         }
         drop(st);
-        // Wake workers either way: a ready batch needs a consumer, a fresh
-        // group needs someone to arm its deadline timer.
+        // Wake workers either way: a ready batch and an open group both
+        // need a consumer, and an idle worker takes either at once.
         self.sched.notify_all();
     }
 
-    /// Non-blocking poll: claim a ready batch, flushing any group whose
-    /// deadline has passed (all of them when draining — nothing else is
-    /// coming to fill them).  This is the consumer core the simulator
-    /// drives directly; threads use [`CoalescingQueue::next_batch`].
+    /// Non-blocking poll: close every group that has reached its cap (all
+    /// of them when draining — nothing else is coming to fill them), then
+    /// claim the oldest ready batch, or, when none is ready, the oldest
+    /// open group.  This is the consumer core the simulator drives
+    /// directly; threads use [`CoalescingQueue::next_batch`].
     pub fn try_next_batch(&self) -> TryNext {
         let now = self.clock.now_us();
         let mut st = self.state.lock().expect("queue poisoned");
         let mut i = 0;
         while i < st.groups.len() {
-            if st.draining || st.groups[i].deadline_us <= now {
-                Self::flush_group(&mut st, i, now);
+            if st.draining {
+                Self::flush_group(&mut st, i, now, CloseReason::Drain);
+            } else if st.groups[i].cap_us <= now {
+                Self::flush_group(&mut st, i, now, CloseReason::Cap);
             } else {
                 i += 1;
             }
+        }
+        // Self-clocking: waiting for riders pays only while every worker
+        // is busy, so an idle worker takes the oldest open group now.
+        if st.ready.is_empty() && !st.groups.is_empty() {
+            Self::flush_group(&mut st, 0, now, CloseReason::Worker);
         }
         if let Some(b) = st.ready.pop_front() {
             st.queued_instances -= b.instances();
@@ -464,19 +510,18 @@ impl CoalescingQueue {
             }
             return TryNext::Drained;
         }
-        TryNext::Empty { next_deadline_us: st.groups.iter().map(|g| g.deadline_us).min() }
+        TryNext::Empty
     }
 
-    /// Block until a batch is available (size- or deadline-flushed) and
-    /// claim it.  Returns `None` once the queue is draining and empty —
-    /// the worker-pool exit signal.
+    /// Block until a job is queued and claim its batch.  Returns `None`
+    /// once the queue is draining and empty — the worker-pool exit signal.
     pub fn next_batch(&self) -> Option<Batch> {
         loop {
             let epoch = self.sched.epoch();
             match self.try_next_batch() {
                 TryNext::Batch(b) => return Some(b),
                 TryNext::Drained => return None,
-                TryNext::Empty { next_deadline_us } => self.sched.wait(epoch, next_deadline_us),
+                TryNext::Empty => self.sched.wait(epoch, None),
             }
         }
     }
@@ -526,14 +571,14 @@ impl CoalescingQueue {
         }
     }
 
-    /// Move group `i` to the ready queue, stamping every rider's
-    /// batch-assembled time.  Caller holds the state lock.
-    fn flush_group(st: &mut State, i: usize, now: u64) {
+    /// Move group `i` to the ready queue, closed for `reason`, stamping
+    /// every rider's batch-assembled time.  Caller holds the state lock.
+    fn flush_group(st: &mut State, i: usize, now: u64, reason: CloseReason) {
         let mut g = st.groups.remove(i);
         for j in &mut g.jobs {
             j.stages.assembled_us = now;
         }
-        st.ready.push_back(Batch { key: g.key, jobs: g.jobs });
+        st.ready.push_back(Batch { key: g.key, jobs: g.jobs, reason });
     }
 
     /// Per-key occupancy: waiting instances/jobs and the oldest enqueue
@@ -598,7 +643,6 @@ mod tests {
     use super::*;
     use crate::clock::{SimScheduler, VirtualClock};
     use oblivious::Layout;
-    use std::time::Instant;
 
     fn key(algo: &str) -> JobKey {
         JobKey { algo: algo.into(), size: 8, layout: Layout::ColumnWise }
@@ -647,44 +691,76 @@ mod tests {
         let b = q.next_batch().unwrap();
         assert_eq!(b.instances(), 4);
         assert_eq!(b.jobs.len(), 4);
+        assert_eq!(b.reason, CloseReason::Full);
         assert_eq!(q.depth().in_flight_batches, 1);
         q.batch_done();
         assert_eq!(q.depth().in_flight_batches, 0);
     }
 
+    /// Self-clocking: a worker that finds no ready batch takes the oldest
+    /// open group at the instant it polls, not at the group's cap, and
+    /// the next poll takes the next group.
     #[test]
-    fn deadline_trigger_flushes_a_partial_group() {
-        let q = queue(1000, 100, 20);
-        q.submit(key("a"), job(2).0).unwrap();
-        let t0 = Instant::now();
-        let b = q.next_batch().expect("deadline flush");
-        assert!(t0.elapsed() >= Duration::from_millis(10), "flushed too early");
-        assert_eq!(b.instances(), 2);
-        q.batch_done();
-    }
-
-    /// The same deadline semantics, with zero sleeping: under a virtual
-    /// clock the flush instant is exact and the test is deterministic.
-    #[test]
-    fn deadline_flush_is_exact_under_a_virtual_clock() {
+    fn an_idle_worker_takes_the_oldest_open_group_at_once() {
         let (q, clock) = sim_queue(1000, 100, 20);
         clock.advance_to(5_000);
         q.submit(key("a"), job(2).0).unwrap();
+        clock.advance_to(6_000);
+        q.submit(key("b"), job(1).0).unwrap();
+        assert_eq!(q.depth().open_groups, 2);
+        clock.advance_to(7_000);
         match q.try_next_batch() {
-            TryNext::Empty { next_deadline_us } => assert_eq!(next_deadline_us, Some(25_000)),
-            other => panic!("group must still be open: {other:?}"),
+            TryNext::Batch(b) => {
+                assert_eq!((&b.key, b.instances(), b.reason), (&key("a"), 2, CloseReason::Worker));
+                assert!(b.jobs.iter().all(|j| j.stages.assembled_us == 7_000));
+            }
+            other => panic!("an idle worker must take the oldest group: {other:?}"),
         }
-        clock.advance_to(24_999);
-        assert!(matches!(q.try_next_batch(), TryNext::Empty { .. }));
-        clock.advance_to(25_000);
+        assert_eq!(q.depth().open_groups, 1, "the younger group stays open");
+        clock.advance_to(7_500);
         match q.try_next_batch() {
-            TryNext::Batch(b) => assert_eq!(b.instances(), 2),
-            other => panic!("deadline reached, must flush: {other:?}"),
+            TryNext::Batch(b) => {
+                assert_eq!((&b.key, b.instances(), b.reason), (&key("b"), 1, CloseReason::Worker));
+                assert_eq!(b.jobs[0].stages.assembled_us, 7_500);
+            }
+            other => panic!("the next poll takes the other group: {other:?}"),
         }
         q.batch_done();
+        q.batch_done();
+        assert!(matches!(q.try_next_batch(), TryNext::Empty));
+    }
+
+    /// The cap: while a poll finds a batch ready ahead of it, a group
+    /// stays open until exactly `flush_after` past its first job, then
+    /// closes for that reason, stamped with the poll instant.
+    #[test]
+    fn a_group_closes_exactly_at_its_cap_while_batches_are_ready_ahead_of_it() {
+        let (q, clock) = sim_queue(2, 100, 20);
+        clock.advance_to(5_000);
+        q.submit(key("a"), job(1).0).unwrap();
+        let full = |q: &CoalescingQueue| q.submit(key("b"), job(2).0).unwrap();
+        full(&q);
+        clock.advance_to(24_999);
         match q.try_next_batch() {
-            TryNext::Empty { next_deadline_us } => assert_eq!(next_deadline_us, None),
-            other => panic!("empty queue: {other:?}"),
+            TryNext::Batch(b) => assert_eq!((b.key, b.reason), (key("b"), CloseReason::Full)),
+            other => panic!("the ready batch goes first: {other:?}"),
+        }
+        assert_eq!(q.depth().open_groups, 1, "still open one microsecond before its cap");
+        full(&q);
+        clock.advance_to(25_000);
+        match q.try_next_batch() {
+            TryNext::Batch(b) => assert_eq!((b.key, b.reason), (key("b"), CloseReason::Full)),
+            other => panic!("the older ready batch goes first: {other:?}"),
+        }
+        let d = q.depth();
+        assert_eq!((d.open_groups, d.ready_batches), (0, 1), "closed at its cap");
+        clock.advance_to(26_000);
+        match q.try_next_batch() {
+            TryNext::Batch(b) => {
+                assert_eq!((&b.key, b.instances(), b.reason), (&key("a"), 1, CloseReason::Cap));
+                assert_eq!(b.jobs[0].stages.assembled_us, 25_000);
+            }
+            other => panic!("the capped group is ready: {other:?}"),
         }
     }
 
@@ -832,14 +908,14 @@ mod tests {
         drainer.join().unwrap();
     }
 
-    /// Satellite regression: the `flush_after` deadline timer racing a
-    /// concurrent `drain`.  Both paths pull groups out of `st.groups` and
-    /// push them to `ready`; the hazard is a job being flushed twice (two
-    /// replies) or silently dropped (drain observes an empty queue while
-    /// the job sits in a batch a timer wakeup is mid-flushing).  The test
-    /// hammers the window: many submitters on distinct keys (so groups
-    /// only ever deadline-flush), a tiny flush window, workers consuming,
-    /// and a drain fired mid-storm.
+    /// Satellite regression: a worker's flush (an idle worker taking a
+    /// group, or the `flush_after` cap) racing a concurrent `drain`.  Both
+    /// paths pull groups out of `st.groups` and push them to `ready`; the
+    /// hazard is a job being flushed twice (two replies) or silently
+    /// dropped (drain observes an empty queue while the job sits in a
+    /// batch a worker is mid-flushing).  The test hammers the window: many
+    /// submitters on distinct keys (so groups never fill), a tiny cap,
+    /// workers consuming, and a drain fired mid-storm.
     #[test]
     fn deadline_flush_racing_drain_loses_and_duplicates_nothing() {
         const WORKERS: usize = 3;
@@ -878,8 +954,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut receivers = Vec::new();
                     // A distinct key per (submitter, iteration) keeps every
-                    // group below max_batch: only the deadline timer — the
-                    // racer under test — can flush it.
+                    // group below max_batch: only a worker's poll — the
+                    // racer under test — or the drain can flush it.
                     for i in 0..40 {
                         let (j, rx) = job(1);
                         match qc.submit(key(&format!("k{s}-{i}")), j) {
@@ -973,7 +1049,7 @@ mod tests {
             TryNext::Batch(b) => {
                 assert!(q.per_key_depth().iter().all(|x| x.key != b.key));
             }
-            other => panic!("deadline passed, must flush: {other:?}"),
+            other => panic!("cap passed, must flush: {other:?}"),
         }
     }
 
@@ -993,12 +1069,12 @@ mod tests {
             other => panic!("size-flushed batch expected: {other:?}"),
         }
         q.batch_done();
-        // Deadline flush stamps the poll instant that noticed the expiry.
+        // A capped group is stamped with the poll instant that closed it.
         q.submit(key("b"), job_at(1, 700).0).unwrap();
         clock.advance_to(90_000);
         match q.try_next_batch() {
             TryNext::Batch(b) => assert_eq!(b.jobs[0].stages.assembled_us, 90_000),
-            other => panic!("deadline-flushed batch expected: {other:?}"),
+            other => panic!("capped batch expected: {other:?}"),
         }
         q.batch_done();
     }
@@ -1012,12 +1088,12 @@ mod tests {
         q.submit(key("a"), j).unwrap();
         q.begin_drain();
         assert!(!q.drained(), "accepted job still owed execution");
-        // Draining flushes the open group without waiting for its deadline.
+        // Draining flushes the open group without waiting for its cap.
         let b = match q.try_next_batch() {
             TryNext::Batch(b) => b,
             other => panic!("drain must flush the open group: {other:?}"),
         };
-        assert_eq!(b.instances(), 3);
+        assert_eq!((b.instances(), b.reason), (3, CloseReason::Drain));
         for jb in b.jobs {
             let done = JobDone {
                 outputs: vec![vec![1]; 3],

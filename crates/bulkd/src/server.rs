@@ -96,11 +96,15 @@ pub struct ServerConfig {
     pub node_id: Option<String>,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Target batch `p` (size-based flush trigger).
+    /// Target batch `p`: a group closes once it holds this many instances.
     pub max_batch: usize,
     /// Admission bound on queued instances.
     pub max_queue: usize,
-    /// Deadline-based flush trigger, in milliseconds.
+    /// The cap on how long a coalescing group stays open, in
+    /// milliseconds.  An idle worker takes the oldest open group at once,
+    /// so groups grow only while every worker is busy; at each poll,
+    /// every group older than the cap closes, in age order, before the
+    /// oldest open group is taken.  Also the `overloaded` retry hint.
     pub flush_after_ms: u64,
     /// Where to write the per-batch Chrome trace at shutdown, if anywhere.
     pub trace_path: Option<PathBuf>,
@@ -431,6 +435,7 @@ impl Server {
         // tracks, so per-shard "executed" events separate in the trace view.
         let track = u32::try_from(tid).unwrap_or(u32::MAX - 1) + 1;
         let claimed_us = sh.clock.now_us();
+        sh.stats.on_batch_closed(batch.reason);
         for job in &batch.jobs {
             rec(sh, job.stages.assembled_us, track, "assembled", job.id, job.inputs.len() as i64);
         }
@@ -458,7 +463,7 @@ impl Server {
                 // completion is appended.
                 let fault = format!("batch of {} jobs not executed: {e}", batch.jobs.len());
                 let p = batch.instances();
-                let Batch { key, jobs } = batch;
+                let Batch { key, jobs, .. } = batch;
                 let answers = jobs
                     .into_iter()
                     .map(|job| (job, Err(JobError { kind: "wal", detail: e.clone() })))
@@ -707,7 +712,7 @@ fn settle(
     mut stamps: BatchStamps,
 ) -> Option<String> {
     let p = batch.instances();
-    let Batch { key, jobs } = batch;
+    let Batch { key, jobs, .. } = batch;
     let journaled = match &sh.journal {
         None => Ok(0),
         Some(journal) => {
@@ -979,10 +984,11 @@ mod tests {
         Server::new(cfg, node_id, real_runtime(), executor, journal, 1)
     }
 
-    /// Submit `inputs` under `key` the way a connection does, blocking
-    /// until the job is answered; returns the reply line.
+    /// Submit `inputs` under `key` the way a connection does, asking for
+    /// the timing echo, blocking until the job is answered; returns the
+    /// reply line.
     fn submit(sh: &Server, key: JobKey, inputs: Vec<Vec<u64>>) -> String {
-        match sh.handle_line(&mut (), Request::Submit { key, inputs, timing: false }, "") {
+        match sh.handle_line(&mut (), Request::Submit { key, inputs, timing: true }, "") {
             Reply::Line(line) => line,
             other => panic!("a submit must be answered with a line, got {other:?}"),
         }
@@ -1028,9 +1034,11 @@ mod tests {
     /// Run `JOBS` single-instance submits of one key through the real
     /// submit path and worker loop, as one batch, over a fresh WAL on
     /// `executor`.  `arm` sees the journal once all but the last submit
-    /// wait in the open group, none of them synced.  Returns every parsed
-    /// reply, the final stats snapshot and the completion records the
-    /// log holds.
+    /// wait in the open group, none of them synced.  The worker starts
+    /// only once the last submit has size-flushed the group to one ready
+    /// batch, since an idle worker would take the open group at once.
+    /// Returns every parsed reply, the final stats snapshot and the
+    /// completion records the log holds.
     fn one_batch(
         tag: &str,
         executor: Box<dyn BatchExecutor>,
@@ -1045,23 +1053,27 @@ mod tests {
         let sh = server(&cfg, executor, Some(Arc::clone(&journal) as Arc<dyn JobLog>));
         let key = JobKey { algo: "echo".into(), size: 1, layout: Layout::ColumnWise };
         let replies: Vec<String> = std::thread::scope(|scope| {
-            let worker = scope.spawn(|| worker_loop(0, &sh));
             let submit = |i: u64| {
                 let (sh, key) = (&sh, key.clone());
                 scope.spawn(move || submit(sh, key, vec![vec![i]]))
             };
+            let await_depth = |ready: fn(&crate::queue::QueueDepth) -> bool| {
+                while !ready(&sh.queue.depth()) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            };
             // All but the last submit admitted and waiting in the open
-            // group (the group flushes only at JOBS instances).  Submits
-            // never sync: the batch's durable wait is fsync 1, its
-            // completions fsync 2.
+            // group, which flushes only at JOBS instances.  Submits never
+            // sync: the batch's durable wait is fsync 1, its completions
+            // fsync 2.
             let mut pending: Vec<_> = (1..JOBS).map(submit).collect();
-            while sh.queue.depth().queued_instances < (JOBS - 1) as usize {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            await_depth(|d| d.queued_instances == (JOBS - 1) as usize);
             let fsyncs = journal.stats_json().path("fsyncs").and_then(Json::as_i64).unwrap();
             assert_eq!(fsyncs, 0, "a submit waited for its own fsync");
             arm(&journal);
             pending.push(submit(JOBS));
+            await_depth(|d| d.ready_batches == 1);
+            let worker = scope.spawn(|| worker_loop(0, &sh));
             let replies = pending.into_iter().map(|h| h.join().unwrap()).collect();
             sh.queue.drain();
             worker.join().unwrap();
@@ -1079,6 +1091,80 @@ mod tests {
             .collect();
         std::fs::remove_dir_all(&dir).ok();
         (replies, snap, completions)
+    }
+
+    /// A batch is made durable once and settles once.  No submit waits
+    /// for its own fsync, so from the first submit to the last reply
+    /// exactly two fsyncs land — the batch's durable wait, which covers
+    /// every submit record, and its completions — where submits that each
+    /// wait for their own fsync pay up to `JOBS + 1`.  Each job rode the
+    /// one full batch, has one completion record, and its echoed stages
+    /// add up to its total.
+    #[test]
+    fn a_batch_of_completions_costs_one_fsync() {
+        let (replies, snap, completions) =
+            one_batch("settle-once", Box::new(Echo(Arc::new(AtomicU64::new(0)))), |_| {});
+        let n = |path: &str| snap.path(path).and_then(Json::as_i64);
+        assert_eq!(n("wal.fsyncs"), Some(2), "one durable wait and one completion fsync");
+        assert_eq!(n("execution.batches"), Some(1));
+        assert_eq!(n("coalescing.closed.full"), Some(1), "{}", snap.to_pretty());
+        let jobs: std::collections::BTreeSet<i64> =
+            completions.iter().filter_map(|c| c.get("job").and_then(Json::as_i64)).collect();
+        assert_eq!((completions.len(), jobs.len()), (JOBS as usize, JOBS as usize));
+        for reply in &replies {
+            let text = reply.to_compact();
+            assert_eq!(reply.path("batch_p").and_then(Json::as_i64), Some(JOBS as i64), "{text}");
+            let stage =
+                |name: &str| reply.path(&format!("timing.{name}_us")).and_then(Json::as_i64);
+            let parts: Option<i64> = StageBreakdown::STAGES[..6].iter().map(|s| stage(s)).sum();
+            assert_eq!(parts, stage("total"), "stages do not add up: {text}");
+        }
+    }
+
+    /// `run_batch` counts each claimed batch under the reason its group
+    /// closed, on a virtual clock with `max_batch` 2 and a 20 ms cap: a
+    /// full group, a group an idle worker takes, a group that reaches its
+    /// cap behind a ready batch, and a group the drain closes.
+    #[test]
+    fn run_batch_counts_each_batch_by_why_its_group_closed() {
+        use crate::clock::{SimScheduler, VirtualClock};
+        use crate::queue::{CloseReason, TryNext};
+        let clock = Arc::new(VirtualClock::new());
+        let runtime: (Arc<dyn Clock>, Arc<dyn Scheduler>) =
+            (Arc::<VirtualClock>::clone(&clock), Arc::new(SimScheduler::new()));
+        let cfg = ServerConfig { flush_after_ms: 20, ..test_config("closed", 2, None) };
+        let echo = Box::new(Echo(Arc::new(AtomicU64::new(0))));
+        let sh = Server::new(&cfg, "closed".into(), runtime, echo, None, 1);
+        let admit = |algo: &str, p: usize| {
+            let key = JobKey { algo: algo.into(), size: 1, layout: Layout::ColumnWise };
+            sh.admit(key, vec![vec![7]; p]).expect("admitted").1
+        };
+        let run_next = || match sh.queue.try_next_batch() {
+            TryNext::Batch(b) => {
+                let reason = b.reason;
+                assert_eq!(sh.run_batch(0, b), None);
+                reason
+            }
+            other => panic!("a batch must be claimable: {other:?}"),
+        };
+        let mut replies = vec![admit("a", 2)];
+        assert_eq!(run_next(), CloseReason::Full);
+        replies.push(admit("b", 1));
+        assert_eq!(run_next(), CloseReason::Worker);
+        replies.push(admit("c", 1));
+        replies.push(admit("d", 2));
+        clock.advance_to(20_000);
+        assert_eq!(run_next(), CloseReason::Full);
+        assert_eq!(run_next(), CloseReason::Cap);
+        replies.push(admit("e", 1));
+        sh.queue.begin_drain();
+        assert_eq!(run_next(), CloseReason::Drain);
+        assert!(replies.iter().all(|rx| rx.recv().expect("answered").is_ok()));
+        let snap = sh.snapshot();
+        for (reason, want) in [("full", 2), ("worker", 1), ("cap", 1), ("drain", 1)] {
+            let got = snap.path(&format!("coalescing.closed.{reason}")).and_then(Json::as_i64);
+            assert_eq!(got, Some(want), "{reason}: {}", snap.to_pretty());
+        }
     }
 
     /// [`one_batch`] on an [`Echo`] executor with the journal's `nth`

@@ -7,7 +7,7 @@
 //! model: the `metrics` verb renders it as Prometheus text through the
 //! rows of [`METRICS`] ([`metrics_text`]).
 
-use crate::queue::{KeyDepth, QueueDepth, StageBreakdown};
+use crate::queue::{CloseReason, KeyDepth, QueueDepth, StageBreakdown};
 use crate::{ExecPath, JobKey};
 use obs::prom::{self, Kind, Row};
 use obs::{Histogram, Json, RunReport};
@@ -60,6 +60,9 @@ struct Inner {
     /// schedule; a batch whose execution failed counts in neither.
     scalar_batches: u64,
     replay_batches: u64,
+    /// Batches claimed, by why their group closed, in
+    /// [`CloseReason::ALL`] order.
+    closed: [u64; CloseReason::ALL.len()],
     batch_p: Histogram,
     queue_wait_us: Histogram,
     exec_us: Histogram,
@@ -122,6 +125,11 @@ impl ServerStats {
             "mid-reply" => s.disconnects_mid_reply += 1,
             _ => {}
         }
+    }
+
+    /// A worker claimed a batch whose group closed for `reason`.
+    pub fn on_batch_closed(&self, reason: CloseReason) {
+        self.lock().closed[reason as usize] += 1;
     }
 
     /// One coalesced batch executed with `instances` total lanes, served
@@ -259,6 +267,11 @@ impl ServerStats {
         coalescing.set("coalesce_factor", factor);
         coalescing.set("mean_batch_p", s.batch_p.mean());
         coalescing.set("batch_p", s.batch_p.summary_json());
+        let mut closed = Json::obj();
+        for (reason, n) in CloseReason::ALL.iter().zip(s.closed) {
+            closed.set(reason.name(), n);
+        }
+        coalescing.set("closed", closed);
         report.set("coalescing", coalescing);
 
         let mut queue = Json::obj();
@@ -334,6 +347,7 @@ pub const METRICS: &[Row] = &[
     (Kind::Counter, "bulkd_disconnects_mid_reply_total", "connections.disconnects_mid_reply", "Reply writes that failed under the peer."),
     (Kind::Counter, "bulkd_batches_total", "execution.batches", "Coalesced batches executed."),
     (Kind::Counter, "bulkd_exec_batches_total", "execution.engine.{engine}_batches", "Batches executed, per engine: scalar below the crossover p, replay at or above it."),
+    (Kind::Counter, "bulkd_batches_closed_total", "coalescing.closed.{reason}", "Batches claimed, by why their group closed: full at max_batch, worker when an idle worker took it, cap at flush_after_ms, drain."),
     (Kind::Gauge, "bulkd_queue_depth_instances", "queue.queued_instances", "Instances admitted but not yet executed."),
     (Kind::Gauge, "bulkd_queue_open_groups", "queue.open_groups", "Coalescing groups open."),
     (Kind::Gauge, "bulkd_queue_ready_batches", "queue.ready_batches", "Batches flushed and awaiting a worker."),

@@ -102,7 +102,9 @@ pub enum Command {
         max_batch: usize,
         /// Admission bound on queued instances.
         max_queue: usize,
-        /// Deadline-based flush trigger, in milliseconds.
+        /// The cap on how long a group stays open, in milliseconds: an
+        /// idle worker takes the oldest open group at once, and each poll
+        /// first closes every group older than this.
         flush_after_ms: u64,
         /// Device workers, one block each, that each batch replay runs on
         /// (batches below `SCALAR_BELOW_P` run scalar and use none).
@@ -149,7 +151,7 @@ pub enum Command {
         max_batch: usize,
         /// Admission bound of the promoted server.
         max_queue: usize,
-        /// Flush deadline of the promoted server, in milliseconds.
+        /// Group cap of the promoted server, in milliseconds.
         flush_after_ms: u64,
         /// Device workers, one block each, that each batch replay runs on
         /// after promotion (batches below `SCALAR_BELOW_P` run scalar and
@@ -353,11 +355,16 @@ USAGE:
   bulkrun hmm   <algo> [--size N] [--p P]        shared-memory staging analysis
                        [--dmms D]
   bulkrun serve        [--addr A]                batch-serving daemon: coalesce
-                       [--workers N]             submits by (algo, n, layout);
-                       [--max-batch P]           bounded queue with overload
-                       [--max-queue Q]           backpressure; batches of p < 16
-                       [--flush-after-ms MS]     run scalar, larger ones replay
-                       [--shards N]              cached compiled schedules on
+                       [--workers N]             submits by (algo, n, layout)
+                       [--max-batch P]           while every worker is busy: an
+                       [--max-queue Q]           idle worker takes the oldest
+                       [--flush-after-ms MS]     open group at once, and each
+                       [--shards N]              poll first closes every group
+                                                 open MS or longer (the cap);
+                                                 bounded queue with overload
+                                                 backpressure; batches of p < 16
+                                                 run scalar, larger ones replay
+                                                 cached compiled schedules on
                                                  N device workers, one block
                                                  each
                        [--trace PATH]            Chrome-trace of batch spans
@@ -383,7 +390,7 @@ USAGE:
                        [--workers N]             same address (serve tunables
                        [--max-batch P]           apply to the promoted server)
                        [--max-queue Q]
-                       [--flush-after-ms MS]
+                       [--flush-after-ms MS]     (MS: the group cap)
                        [--shards N]              (N device workers per batch)
   bulkrun promote      [--addr A]                promote a warm standby to the
                        [--connect-timeout-ms MS] serving primary (refused if it

@@ -7,14 +7,17 @@
 //! the schedule exactly once, and return outputs bit-identical to a direct
 //! `Engine::Compiled` run over the same inputs.
 
+mod gate;
+
 use cli::registry::{Algo, Engine, ScheduleCaches, SCALAR_BELOW_P};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
+use gate::{Gate, Gated, OpenOnDrop};
 use gpu_sim::Device;
 use obs::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -28,6 +31,33 @@ fn start_server(
 ) -> (String, ServeHandle, Arc<ScheduleCaches>) {
     let executor = CatalogExecutor::new(1);
     let caches = Arc::clone(executor.caches());
+    let (addr, handle) =
+        start_server_with(workers, max_batch, max_queue, flush_after_ms, Box::new(executor));
+    (addr, handle, caches)
+}
+
+/// A one-worker server whose batches wait at `gate` until the test lets
+/// them through.
+fn start_gated_server(
+    gate: &Arc<Gate>,
+    max_batch: usize,
+    max_queue: usize,
+    flush_after_ms: u64,
+) -> (String, ServeHandle, Arc<ScheduleCaches>) {
+    let executor = Gated::new(gate);
+    let caches = executor.caches();
+    let (addr, handle) =
+        start_server_with(1, max_batch, max_queue, flush_after_ms, Box::new(executor));
+    (addr, handle, caches)
+}
+
+fn start_server_with(
+    workers: usize,
+    max_batch: usize,
+    max_queue: usize,
+    flush_after_ms: u64,
+    executor: Box<dyn bulkd::BatchExecutor>,
+) -> (String, ServeHandle) {
     let cfg = bulkd::ServerConfig {
         addr: "127.0.0.1:0".into(),
         node_id: None,
@@ -44,12 +74,12 @@ fn start_server(
     };
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
-        bulkd::serve(&cfg, Box::new(executor), move |addr| {
+        bulkd::serve(&cfg, executor, move |addr| {
             tx.send(addr).expect("addr channel");
         })
     });
     let addr = rx.recv_timeout(Duration::from_secs(10)).expect("server never became ready");
-    (addr.to_string(), handle, caches)
+    (addr.to_string(), handle)
 }
 
 /// ISSUE acceptance: 512 clients' worth of single-instance submits of one
@@ -69,16 +99,22 @@ fn coalesces_single_instance_submits_compiles_once_and_matches_direct() {
     let direct =
         algo.outputs_bits(Engine::Compiled(&Device::single_worker()), JOBS, layout, RUN_SEED);
 
-    // A flush window comfortably wider than a batch's execution keeps the
-    // closed-loop clients in lock-step: every round all 64 in-flight
-    // submits land in one batch.
-    let (addr, server, caches) = start_server(2, JOBS, 4 * JOBS, 30);
+    // One worker behind a gate that lets a batch through only once every
+    // client still running has a submit in the server: two consecutive
+    // batches then hold all of them, so the closed-loop herd coalesces
+    // however the host schedules its threads.
+    let gate = Gate::new();
+    let (addr, server, caches) = start_gated_server(&gate, JOBS, 4 * JOBS, 30);
 
     let batch_p_sum = AtomicU64::new(0);
+    let unfinished = AtomicUsize::new(CLIENTS);
+    let keys = [key.to_string()];
     let outputs: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+        let (gate, addr, keys, unfinished) = (&gate, &addr, &keys, &unfinished);
+        scope.spawn(move || gate::release_herd(gate, addr, keys, 1, unfinished));
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let (addr, key, inputs) = (&addr, &key, &inputs);
+                let (key, inputs) = (&key, &inputs);
                 let batch_p_sum = &batch_p_sum;
                 scope.spawn(move || {
                     let mut client = bulkd::Client::connect(addr).expect("connect");
@@ -91,6 +127,7 @@ fn coalesces_single_instance_submits_compiles_once_and_matches_direct() {
                         batch_p_sum.fetch_add(ok.batch_p, Ordering::Relaxed);
                         outs.push(ok.outputs.into_iter().next().unwrap());
                     }
+                    unfinished.fetch_sub(1, Ordering::SeqCst);
                     outs
                 })
             })
@@ -216,8 +253,6 @@ fn drain_and_join(addr: &str, server: std::thread::JoinHandle<Result<Json, Strin
 /// promptly with an `overloaded` response, never hang.
 #[test]
 fn over_limit_submit_is_rejected_promptly_with_overloaded() {
-    // A one-hour flush window: if admission control let the job in, the
-    // submit would block far past the test's patience.
     let (addr, server, _caches) = start_server(1, 1024, 4, 3_600_000);
     let algo = Algo::parse("xtea", None).unwrap();
     let key = bulkd::JobKey {
@@ -248,7 +283,6 @@ fn over_limit_submit_is_rejected_promptly_with_overloaded() {
         seed: RUN_SEED,
         timing: false,
         connect_timeout_ms: None,
-        // An admitted job would wait out the one-hour window: fail instead.
         read_timeout_ms: Some(10_000),
     };
     match cli::execute(&cli_submit) {
@@ -257,7 +291,7 @@ fn over_limit_submit_is_rejected_promptly_with_overloaded() {
     }
     assert!(t0.elapsed() < Duration::from_secs(5), "the CLI's overload rejection was not prompt");
 
-    // Within the limit the job is admitted (it rides the drain flush).
+    // Within the limit the job is admitted and served.
     let small = algo.random_inputs_bits(2, 2);
     let submit = {
         let addr = addr.clone();
@@ -267,8 +301,8 @@ fn over_limit_submit_is_rejected_promptly_with_overloaded() {
             c.submit(&key, &small, false).expect("in-limit submit")
         })
     };
-    // Give the submit time to enqueue, then drain: the pending group must
-    // flush and complete, not be abandoned.
+    // Give the submit time to enqueue, then drain: the job must complete,
+    // not be abandoned.
     std::thread::sleep(Duration::from_millis(200));
     let final_stats = drain_and_join(&addr, server);
     let ok = submit.join().expect("submitter panicked");
@@ -335,110 +369,6 @@ fn drain_completes_accepted_work_and_rejects_new_submits() {
     assert_eq!((accepted, completed, failed), (1, 1, 0));
     assert_eq!(final_stats.path("queue.draining"), Some(&Json::Bool(true)));
     assert_eq!(final_stats.path("queue.queued_instances").unwrap().as_i64(), Some(0));
-}
-
-/// A batch is made durable once and settles once.  Seven single-instance
-/// submits wait in an open group (max batch 8, a one-hour flush window);
-/// the eighth fills it.  No submit waits for its own fsync, so from the
-/// first submit to the last reply exactly two fsyncs land — the batch's
-/// durable wait, which covers all eight submit records, and its
-/// completions — where submits that each wait for their own fsync pay up
-/// to nine.  Each job's echoed stages add up to its total.
-#[test]
-fn a_batch_of_completions_costs_one_fsync() {
-    const JOBS: usize = 8;
-    let dir = std::env::temp_dir().join(format!("bulkd-settle-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let executor = CatalogExecutor::new(1);
-    let cfg = bulkd::ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        node_id: None,
-        workers: 2,
-        max_batch: JOBS,
-        max_queue: 1024,
-        flush_after_ms: 3_600_000,
-        trace_path: None,
-        wal: Some(bulkd::JournalConfig {
-            dir: dir.clone(),
-            fsync: wal::FsyncPolicy::Always,
-            segment_bytes: 4 << 20,
-        }),
-        instrument: true,
-        recorder_path: None,
-        repl: None,
-        promoted: false,
-    };
-    let (tx, rx) = mpsc::channel();
-    let server = std::thread::spawn(move || {
-        bulkd::serve(&cfg, Box::new(executor), move |addr| {
-            tx.send(addr).expect("addr channel");
-        })
-    });
-    let addr = rx.recv_timeout(Duration::from_secs(10)).expect("server ready").to_string();
-
-    let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
-    let layout = oblivious::Layout::ColumnWise;
-    let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
-    let inputs = algo.random_inputs_bits(RUN_SEED, JOBS);
-    let direct =
-        algo.outputs_bits(Engine::Compiled(&Device::single_worker()), JOBS, layout, RUN_SEED);
-    let mut probe = bulkd::Client::connect(&addr).expect("connect");
-    let wal_stat = |c: &mut bulkd::Client, path: &str| {
-        c.stats().expect("stats").path(path).and_then(Json::as_i64).expect(path)
-    };
-
-    let served: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let submit = |i: usize| {
-            let (addr, key, inputs) = (&addr, &key, &inputs);
-            scope.spawn(move || {
-                let mut client = bulkd::Client::connect(addr).expect("connect");
-                let ok =
-                    client.submit(key, std::slice::from_ref(&inputs[i]), true).expect("submit");
-                assert_eq!(ok.batch_p, JOBS as u64, "job {i} did not ride the full batch");
-                let timing = ok.timing.expect("timing echo was requested");
-                let stage = |name: &str| {
-                    timing.path(name).and_then(Json::as_i64).unwrap_or_else(|| panic!("{name}"))
-                };
-                let parts: i64 = [
-                    "journal_us",
-                    "queue_us",
-                    "dispatch_us",
-                    "durable_us",
-                    "exec_us",
-                    "finalize_us",
-                ]
-                .into_iter()
-                .map(stage)
-                .sum();
-                assert_eq!(parts, stage("total_us"), "job {i}: stages do not add up: {timing:?}");
-                ok.outputs.into_iter().next().expect("one output")
-            })
-        };
-        let fsyncs = wal_stat(&mut probe, "wal.fsyncs");
-        let completions = wal_stat(&mut probe, "wal.log_completions");
-        let mut pending: Vec<_> = (0..JOBS - 1).map(submit).collect();
-        let t0 = Instant::now();
-        loop {
-            let status = probe.status().expect("status");
-            if status.path("queued_instances").and_then(Json::as_i64) == Some(JOBS as i64 - 1) {
-                break;
-            }
-            assert!(t0.elapsed() < Duration::from_secs(20), "submits never queued: {status:?}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        pending.push(submit(JOBS - 1));
-        let served = pending.into_iter().map(|h| h.join().expect("client panicked")).collect();
-        let paid = wal_stat(&mut probe, "wal.fsyncs") - fsyncs;
-        assert_eq!(paid, 2, "one durable wait and one completion fsync for the batch");
-        assert_eq!(wal_stat(&mut probe, "wal.log_completions") - completions, JOBS as i64);
-        served
-    });
-    assert_eq!(served, direct, "served outputs diverge from the compiled engine");
-
-    let final_stats = drain_and_join(&addr, server);
-    assert_eq!(final_stats.path("execution.completed_jobs").unwrap().as_i64(), Some(JOBS as i64));
-    assert_eq!(final_stats.path("execution.batches").unwrap().as_i64(), Some(1));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Degenerate submits — zero instances, or a size outside the catalog's
@@ -698,9 +628,11 @@ fn dribbled_and_coalesced_submits_frame_correctly_on_a_real_socket() {
 /// both drops counted by phase.  The server must survive to drain.
 #[test]
 fn disconnects_mid_submit_and_mid_reply_stay_balanced_and_counted() {
-    // A wide flush window holds the second pipelined job long enough that
-    // its reply definitively lands after the peer has vanished.
-    let (addr, server, _caches) = start_server(1, 64, 1024, 700);
+    // One worker behind a gate: job 1 passes, and job 2 waits at the gate
+    // until its peer is gone, so its reply definitively lands after.
+    let gate = Gate::new();
+    let _open = OpenOnDrop(&gate);
+    let (addr, server, _caches) = start_gated_server(&gate, 64, 1024, 5);
     let algo = Algo::parse("prefix-sums", Some(64)).unwrap();
     let layout = oblivious::Layout::ColumnWise;
     let key = bulkd::JobKey { algo: "prefix-sums".into(), size: 64, layout };
@@ -716,8 +648,8 @@ fn disconnects_mid_submit_and_mid_reply_stay_balanced_and_counted() {
 
     // Mid-reply: pipeline two submits, never read a reply, and close
     // while the first reply sits unread in our receive buffer — that
-    // close is an immediate RST, so the server's second reply write
-    // (due ~700ms later, at the next flush deadline) must fail.
+    // close is an immediate RST, so the server's second reply write must
+    // fail.
     let inputs = algo.random_inputs_bits(21, 2);
     {
         let mut s = std::net::TcpStream::connect(&addr).expect("connect");
@@ -731,13 +663,26 @@ fn disconnects_mid_submit_and_mid_reply_stay_balanced_and_counted() {
         }
         s.write_all(&seg).expect("write pipelined submits");
         s.flush().expect("flush");
-        // Job 1 flushes at ~700ms and its reply lands here unread; job 2
-        // is enqueued after it and completes at ~1400ms.
-        std::thread::sleep(Duration::from_millis(1100));
+        // Job 1 passes and its reply lands here unread.  The connection
+        // admits job 2 only after writing that reply, so once job 2 waits
+        // at the gate, reply 1 is on its way.
+        let patience = Duration::from_secs(20);
+        assert_eq!(gate.held(patience), Some(1), "job 1 never reached the worker");
+        gate.release();
+        assert_eq!(gate.held(patience), Some(1), "job 2 never reached the worker");
+        let mut peeked = [0u8; 1];
+        assert_eq!(s.peek(&mut peeked).expect("peek reply 1"), 1);
     }
-    // Let job 2 complete and the server hit the broken pipe before the
-    // final snapshot.
-    std::thread::sleep(Duration::from_millis(1500));
+    // The peer is gone: let job 2 complete into the broken pipe, and wait
+    // for the server to count it before the final snapshot.
+    gate.release();
+    let mut probe = bulkd::Client::connect(&addr).expect("connect");
+    let t0 = Instant::now();
+    while stat(&probe.stats().expect("stats"), "connections.disconnects_mid_reply") == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(20), "the second reply never failed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(probe);
 
     let final_stats = drain_and_join(&addr, server);
     let submitted = final_stats.path("admission.submitted_jobs").unwrap().as_i64().unwrap();

@@ -11,14 +11,18 @@
 //! proves the router reroutes to the survivor with the accounting intact
 //! and no client ever hanging.
 
+mod gate;
+
 use cli::registry::{Algo, Engine, ScheduleCaches, CATALOG};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
+use gate::{Gate, Gated};
 use gpu_sim::Device;
 use obs::Json;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -96,10 +100,35 @@ fn start_node(
 ) -> (String, ServeHandle, Arc<ScheduleCaches>) {
     let executor = CatalogExecutor::new(1);
     let caches = Arc::clone(executor.caches());
+    let (addr, handle) = start_node_with(node_id, 2, max_batch, flush_after_ms, Box::new(executor));
+    (addr, handle, caches)
+}
+
+/// A one-worker node whose batches wait at `gate` until the test lets
+/// them through.
+fn start_gated_node(
+    node_id: &str,
+    gate: &Arc<Gate>,
+    max_batch: usize,
+    flush_after_ms: u64,
+) -> (String, ServeHandle, Arc<ScheduleCaches>) {
+    let executor = Gated::new(gate);
+    let caches = executor.caches();
+    let (addr, handle) = start_node_with(node_id, 1, max_batch, flush_after_ms, Box::new(executor));
+    (addr, handle, caches)
+}
+
+fn start_node_with(
+    node_id: &str,
+    workers: usize,
+    max_batch: usize,
+    flush_after_ms: u64,
+    executor: Box<dyn bulkd::BatchExecutor>,
+) -> (String, ServeHandle) {
     let cfg = bulkd::ServerConfig {
         addr: "127.0.0.1:0".into(),
         node_id: Some(node_id.to_string()),
-        workers: 2,
+        workers,
         max_batch,
         max_queue: 8192,
         flush_after_ms,
@@ -112,12 +141,12 @@ fn start_node(
     };
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
-        bulkd::serve(&cfg, Box::new(executor), move |addr| {
+        bulkd::serve(&cfg, executor, move |addr| {
             tx.send(addr).expect("addr channel");
         })
     });
     let addr = rx.recv_timeout(Duration::from_secs(10)).expect("node never became ready");
-    (addr.to_string(), handle, caches)
+    (addr.to_string(), handle)
 }
 
 /// A router over `backends` with a 100 ms probe cadence.
@@ -188,12 +217,14 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
 
     // Batches form by count, not by timing: a wave is one submit from
     // each of a key's 16 clients, 64 instances, and fills `max_batch`
-    // exactly.  No client sends its second submit before its first batch
-    // flushes, and the flush window outlasts the test, so each wave is
-    // one batch however the host schedules the 64 client threads.
+    // exactly.  Each node runs one worker behind a gate that lets a batch
+    // through only once every client of the node still running has a
+    // submit in it, so two consecutive batches hold all of them however
+    // the host schedules the 64 client threads.
     let wave = CLIENTS_PER_KEY * INSTANCES;
-    let (addr1, node1, caches1) = start_node("n1", wave, 60_000);
-    let (addr2, node2, caches2) = start_node("n2", wave, 60_000);
+    let gates = [Gate::new(), Gate::new()];
+    let (addr1, node1, caches1) = start_gated_node("n1", &gates[0], wave, 60_000);
+    let (addr2, node2, caches2) = start_gated_node("n2", &gates[1], wave, 60_000);
     let (router_addr, router_thread) =
         start_router(vec![backend("n1", &addr1), backend("n2", &addr2)]);
 
@@ -220,10 +251,23 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
     // a duplicate or missing ack fails the unwrap/assert below.
     let served: Vec<Mutex<Vec<Option<Vec<u64>>>>> =
         (0..keys.len()).map(|_| Mutex::new(vec![None; PER_KEY])).collect();
+    // Per node: its keys and how many of its clients are still running.
+    let node_keys: Vec<Vec<String>> = (0..2)
+        .map(|n| {
+            keys.iter().zip(&owners).filter(|&(_, &o)| o == n).map(|(k, _)| k.to_string()).collect()
+        })
+        .collect();
+    let unfinished: Vec<AtomicUsize> =
+        node_keys.iter().map(|k| AtomicUsize::new(k.len() * CLIENTS_PER_KEY)).collect();
     std::thread::scope(|scope| {
+        for (n, addr) in [&addr1, &addr2].into_iter().enumerate() {
+            let (gate, keys, unfinished) = (&gates[n], &node_keys[n], &unfinished[n]);
+            scope.spawn(move || gate::release_herd(gate, addr, keys, INSTANCES, unfinished));
+        }
         for (ki, key) in keys.iter().enumerate() {
             for c in 0..CLIENTS_PER_KEY {
                 let (router_addr, inputs, served) = (&router_addr, &inputs[ki], &served[ki]);
+                let unfinished = &unfinished[owners[ki]];
                 scope.spawn(move || {
                     let mut client = bulkd::Client::connect(router_addr).expect("connect router");
                     for s in 0..SUBMITS_PER_CLIENT {
@@ -239,6 +283,7 @@ fn cluster_serves_bit_identically_with_one_compile_per_key_and_large_batches() {
                             *slot = Some(out);
                         }
                     }
+                    unfinished.fetch_sub(1, Ordering::SeqCst);
                 });
             }
         }

@@ -14,8 +14,8 @@
 //!   dies before the final stats fetch, marked `server.unreachable`.
 
 use bulkd::JobLog;
-use cli::registry::{Algo, ScheduleCaches};
-use cli::serve::CatalogExecutor;
+use cli::registry::{Algo, ScheduleCaches, SCALAR_BELOW_P};
+use cli::serve::{CatalogExecutor, MAX_SERVE_SIZE};
 use obs::Json;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read};
@@ -122,24 +122,55 @@ fn read_log(dir: &Path) -> (wal::Scan, LogView) {
     (scan, view)
 }
 
-/// The headline test: kill -9 a serving process mid-load, restart it on the
-/// same log, and prove every acked job completed exactly once with outputs
-/// bit-identical to a crash-free run.
+/// The submit that keeps the killed server's only worker busy for at
+/// least `BUSY_FOR`, whatever the build's speed.  A `matrix-chain`
+/// instance is cubic work on linear input, and a batch below
+/// `SCALAR_BELOW_P` runs on the scalar engine, which this process times
+/// in its own build, as the server's is: the size doubles from 64 until
+/// `SCALAR_BELOW_P - 1` instances take `BUSY_FOR`, and the submit carries
+/// just enough instances of it.
+fn busy_submit() -> (bulkd::JobKey, Vec<Vec<u64>>) {
+    const BUSY_FOR: Duration = Duration::from_millis(100);
+    let most = SCALAR_BELOW_P - 1;
+    let caches = ScheduleCaches::new();
+    let mut size = 64;
+    loop {
+        let algo = Algo::parse("matrix-chain", Some(size)).unwrap();
+        let one = algo.random_inputs_bits(3, 1);
+        let t0 = Instant::now();
+        let _ = algo.run_cached_bits(&caches, oblivious::Layout::ColumnWise, &one, 1);
+        let each = t0.elapsed().max(Duration::from_micros(1));
+        if each * most as u32 >= BUSY_FOR || size == MAX_SERVE_SIZE {
+            let p = (BUSY_FOR.as_nanos().div_ceil(each.as_nanos()) as usize).clamp(1, most);
+            let key = bulkd::JobKey {
+                algo: "matrix-chain".into(),
+                size,
+                layout: oblivious::Layout::ColumnWise,
+            };
+            return (key, algo.random_inputs_bits(3, p));
+        }
+        size *= 2;
+    }
+}
+
+/// The headline test: kill -9 a serving process mid-batch, restart it on
+/// the same log, and prove every acked job completed exactly once with
+/// outputs bit-identical to a crash-free run.
 #[test]
 fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
     const CLIENTS: usize = 4;
     const ACKS_BEFORE_KILL: usize = 48;
     let wal_dir = temp_dir("kill");
 
-    // Phase 1: a one-hour flush window and max-batch 4, so the only flush
-    // trigger is the size one.  Four closed-loop clients on one key keep
-    // batches flowing; a fifth job on a *different* key can never reach
-    // max-batch and is guaranteed to be logged-but-incomplete at the kill.
+    // Phase 1: one worker, max-batch 4 and a one-hour cap.  Four
+    // closed-loop clients on one key bank acks; then a large submit keeps
+    // the only worker busy, and a fifth job on a *different* key parks
+    // behind it, logged-but-incomplete at the kill.
     let (mut child, addr) = spawn_server(
         &wal_dir,
         &[
             "--workers",
-            "2",
+            "1",
             "--max-batch",
             "4",
             "--max-queue",
@@ -161,8 +192,51 @@ fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
         "inputs must be unique so acks map onto WAL records"
     );
 
-    // The straggler first: once the WAL shows one incomplete job, it is
-    // provably on disk and parked in an open group.
+    // Unleash the closed-loop clients; collect input → acked output.  Each
+    // stops once enough acks are banked.
+    let acked: Mutex<HashMap<Vec<u64>, Vec<u64>>> = Mutex::new(HashMap::new());
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (addr, key16, pool, acked) = (&addr, &key16, &pool, &acked);
+            scope.spawn(move || {
+                let mut client = bulkd::Client::connect(addr).expect("connect");
+                for i in (c..pool.len()).step_by(CLIENTS) {
+                    if acked.lock().unwrap().len() >= ACKS_BEFORE_KILL {
+                        return;
+                    }
+                    let one = std::slice::from_ref(&pool[i]);
+                    let ok = client.submit(key16, one, false).expect("submit");
+                    let out = ok.outputs.into_iter().next().unwrap();
+                    acked.lock().unwrap().insert(pool[i].clone(), out);
+                }
+            });
+        }
+    });
+
+    // The large submit: once the only worker has claimed it, a submit
+    // under another key waits in an open group until the worker is free.
+    // Stats are polled every millisecond over one connection, so both
+    // waits below end while the large batch still runs: it runs for at
+    // least 100 ms, against a few milliseconds from its claim to the kill.
+    let (busy_key, busy_inputs) = busy_submit();
+    let mut probe = bulkd::Client::connect(&addr).expect("connect");
+    let mut await_stat = |path: &str, want: i64| {
+        let t0 = Instant::now();
+        while probe.stats().expect("stats").path(path).and_then(Json::as_i64) != Some(want) {
+            assert!(t0.elapsed() < Duration::from_secs(30), "{path} never reached {want}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    await_stat("queue.in_flight_batches", 0);
+    let busy = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            bulkd::Client::connect(&addr).expect("connect").submit(&busy_key, &busy_inputs, false)
+        })
+    };
+    await_stat("queue.in_flight_batches", 1);
+    // The straggler parks behind it; kill -9 once it is provably on disk
+    // and waiting under its key.
     let straggler_input = Algo::parse("prefix-sums", Some(32)).unwrap().random_inputs_bits(7, 1);
     let straggler = {
         let addr = addr.clone();
@@ -176,42 +250,10 @@ fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
             bulkd::Client::connect(&addr).expect("connect").submit(&key, &inputs, false)
         })
     };
-    poll_stats(&addr, Duration::from_secs(30), |s| {
-        s.path("wal.incomplete_jobs").and_then(Json::as_i64) == Some(1)
-    });
-
-    // Unleash the closed-loop clients; collect input → acked output.
-    let acked: Mutex<HashMap<Vec<u64>, Vec<u64>>> = Mutex::new(HashMap::new());
-    std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
-            let (addr, key16, pool, acked) = (&addr, &key16, &pool, &acked);
-            scope.spawn(move || {
-                let Ok(mut client) = bulkd::Client::connect(addr) else { return };
-                for i in (c..pool.len()).step_by(CLIENTS) {
-                    if acked.lock().unwrap().len() >= ACKS_BEFORE_KILL {
-                        return;
-                    }
-                    let one = std::slice::from_ref(&pool[i]);
-                    match client.submit(key16, one, false) {
-                        Ok(ok) => {
-                            let out = ok.outputs.into_iter().next().unwrap();
-                            acked.lock().unwrap().insert(pool[i].clone(), out);
-                        }
-                        // The kill lands mid-submit for whoever is in flight.
-                        Err(_) => return,
-                    }
-                }
-            });
-        }
-        // Kill -9 the instant enough acks are banked.
-        let t0 = Instant::now();
-        while acked.lock().unwrap().len() < ACKS_BEFORE_KILL {
-            assert!(t0.elapsed() < Duration::from_secs(60), "load never reached the kill point");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        child.kill().expect("kill -9");
-    });
+    await_stat("per_key.prefix-sums/32/col.waiting_jobs", 1);
+    child.kill().expect("kill -9");
     child.wait().expect("reap killed child");
+    assert!(busy.join().expect("busy thread").is_err(), "the large submit must die unanswered");
     assert!(straggler.join().expect("straggler thread").is_err(), "straggler must die unanswered");
     let acked = acked.into_inner().unwrap();
     assert!(acked.len() >= ACKS_BEFORE_KILL);
@@ -243,8 +285,8 @@ fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
     );
     let max_id = *view.submits.keys().max().unwrap();
 
-    // Phase 2: restart on the same log.  A short flush window lets the
-    // re-queued stragglers (whose submitters are gone) execute promptly.
+    // Phase 2: restart on the same log.  The re-queued jobs, whose
+    // submitters are gone, execute at once.
     let (mut child, addr) = spawn_server(
         &wal_dir,
         &["--workers", "2", "--max-batch", "4", "--max-queue", "4096", "--flush-after-ms", "2"],

@@ -123,7 +123,7 @@ pub struct RouterConfig {
     pub connect_timeout_ms: u64,
     /// Backend reply-read timeout when forwarding, in milliseconds.
     /// Submits block for queue wait + execution, so leave headroom well
-    /// above the backends' flush window.
+    /// above the backends' `flush_after_ms` cap.
     pub read_timeout_ms: u64,
     /// Cap on the jittered wait before an overload redispatch, in
     /// milliseconds (the backend's `retry_after_ms` hint is honored up

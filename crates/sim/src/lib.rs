@@ -77,7 +77,7 @@ pub struct SimConfig {
     /// Queue admission bound (instances) — small enough that overload
     /// backoff paths get exercised.
     pub max_queue: usize,
-    /// Queue deadline-flush trigger, in virtual milliseconds.
+    /// Queue cap on how long a group stays open, in virtual milliseconds.
     pub flush_after_ms: u64,
     /// Inject connection faults: partial/coalesced/dribbled delivery of
     /// request bytes, status probes racing submits, and disconnects
@@ -449,8 +449,9 @@ struct ClientState {
 
 struct WorkerState {
     done: bool,
-    /// Eventcount snapshot + deadline from the last `Empty` poll.
-    blocked: Option<(u64, Option<u64>)>,
+    /// Eventcount snapshot from the last `Empty` poll: the worker parks
+    /// until a notify moves the epoch past it.
+    blocked: Option<u64>,
 }
 
 const WORDS_PER_INSTANCE: usize = 2;
@@ -580,14 +581,7 @@ impl World {
             }
         }
         for (i, w) in self.workers.iter().enumerate() {
-            if w.done {
-                continue;
-            }
-            let ready = match &w.blocked {
-                None => true,
-                Some((e, dl)) => *e != epoch || dl.is_some_and(|d| now >= d),
-            };
-            if ready {
+            if !w.done && w.blocked.is_none_or(|e| e != epoch) {
                 r.push(Actor::Worker(i as u32));
             }
         }
@@ -595,21 +589,17 @@ impl World {
     }
 
     /// The earliest virtual instant at which a currently-blocked actor
-    /// becomes runnable by time alone.
+    /// becomes runnable by time alone: only a pausing client does.  A
+    /// parked worker waits for a notify, since an idle worker takes any
+    /// open group at once.
     fn earliest_deadline(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let mut fold = |t: u64| min = Some(min.map_or(t, |m| m.min(t)));
-        for c in &self.clients {
-            if let Phase::Pause { until_us, .. } = &c.phase {
-                fold(*until_us);
-            }
-        }
-        for w in &self.workers {
-            if let Some((_, Some(d))) = &w.blocked {
-                fold(*d);
-            }
-        }
-        min
+        self.clients
+            .iter()
+            .filter_map(|c| match c.phase {
+                Phase::Pause { until_us, .. } => Some(until_us),
+                _ => None,
+            })
+            .min()
     }
 
     fn all_clients_done(&self) -> bool {
@@ -965,8 +955,8 @@ impl World {
                 }
                 Ok(())
             }
-            TryNext::Empty { next_deadline_us } => {
-                self.workers[idx].blocked = Some((epoch, next_deadline_us));
+            TryNext::Empty => {
+                self.workers[idx].blocked = Some(epoch);
                 Ok(())
             }
             TryNext::Drained => {
