@@ -13,7 +13,7 @@ use std::time::Duration;
 /// probing servers that may be dead or wedged — the router's health
 /// checker above all — must set both, or a single hung backend stalls the
 /// caller indefinitely.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClientConfig {
     /// Give up dialing after this long (`None` = the OS default).
     pub connect_timeout: Option<Duration>,

@@ -26,10 +26,6 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Microseconds elapsed since the clock's epoch.
     fn now_us(&self) -> u64;
-
-    /// Block the calling thread for roughly `dur` (used by client-side
-    /// backoff).  A virtual clock advances itself instead of sleeping.
-    fn sleep(&self, dur: Duration);
 }
 
 /// Wall-clock time via `Instant`, anchored at construction.
@@ -55,10 +51,6 @@ impl Default for RealClock {
 impl Clock for RealClock {
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn sleep(&self, dur: Duration) {
-        std::thread::sleep(dur);
     }
 }
 
@@ -91,11 +83,6 @@ impl VirtualClock {
 impl Clock for VirtualClock {
     fn now_us(&self) -> u64 {
         self.now_us.load(Ordering::SeqCst)
-    }
-
-    fn sleep(&self, dur: Duration) {
-        // Sleeping in virtual time *is* advancing the clock.
-        self.advance(dur.as_micros() as u64);
     }
 }
 
@@ -223,7 +210,7 @@ mod tests {
     fn real_clock_is_monotonic_and_sleeps() {
         let c = RealClock::new();
         let a = c.now_us();
-        c.sleep(Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
         let b = c.now_us();
         assert!(b >= a + 1_000, "slept 2ms but advanced only {}us", b - a);
     }
@@ -238,8 +225,6 @@ mod tests {
         assert_eq!(c.now_us(), 500);
         c.advance(250);
         assert_eq!(c.now_us(), 750);
-        c.sleep(Duration::from_micros(50));
-        assert_eq!(c.now_us(), 800);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub trait JobLog: Send + Sync {
 }
 
 /// Journal tunables (a thin view over [`WalConfig`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalConfig {
     /// Directory for the segment files.
     pub dir: PathBuf,

@@ -14,7 +14,7 @@ use obs::{Histogram, Json, Rng, RunReport};
 use std::time::{Duration, Instant};
 
 /// Tunables of one load-generation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Server address.
     pub addr: String,

@@ -127,6 +127,29 @@ pub struct ServerConfig {
     pub promoted: bool,
 }
 
+/// `bulkrun serve`'s defaults: `127.0.0.1:7070`, 4 workers, batches of up
+/// to 256 instances, 4 096 queued instances, a 5 ms group cap, and stage
+/// events recorded; no trace, WAL, recorder or replication, and not
+/// promoted.
+impl Default for ServerConfig {
+    fn default() -> Self {
+        Self {
+            addr: "127.0.0.1:7070".into(),
+            node_id: None,
+            workers: 4,
+            max_batch: 256,
+            max_queue: 4096,
+            flush_after_ms: 5,
+            trace_path: None,
+            wal: None,
+            instrument: true,
+            recorder_path: None,
+            repl: None,
+            promoted: false,
+        }
+    }
+}
+
 /// Flight-recorder events retained (oldest overwritten beyond this).
 const RING_CAPACITY: usize = 8192;
 /// Lines in the human-readable text-tail dump.

@@ -12,7 +12,7 @@ pub mod args;
 pub mod registry;
 pub mod serve;
 
-use args::Command;
+use args::{Command, Verb};
 use oblivious::{theorems, Layout, Model};
 use obs::RunReport;
 use registry::{Algo, BulkRun, RunSpec, CATALOG, RUN_MACHINE};
@@ -32,18 +32,6 @@ fn write_text(kind: &str, path: &str, text: &str) -> Result<(), String> {
         })?;
     }
     std::fs::write(p, text).map_err(|e| format!("cannot write {kind} to {path}: {e}"))
-}
-
-/// Build a [`bulkd::ClientConfig`] from the optional per-command timeout
-/// flags (`None` keeps the blocking defaults).
-fn client_cfg(
-    connect_timeout_ms: Option<u64>,
-    read_timeout_ms: Option<u64>,
-) -> bulkd::ClientConfig {
-    bulkd::ClientConfig {
-        connect_timeout: connect_timeout_ms.map(std::time::Duration::from_millis),
-        read_timeout: read_timeout_ms.map(std::time::Duration::from_millis),
-    }
 }
 
 /// Read and parse a JSON report for `bulkrun compare`.
@@ -246,58 +234,26 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 ));
             }
         }
-        Command::Serve {
-            addr,
-            node_id,
-            workers,
-            max_batch,
-            max_queue,
-            flush_after_ms,
-            shards,
-            trace,
-            wal_dir,
-            fsync,
-            wal_segment_bytes,
-            recorder,
-            instrument,
-            replicate_to,
-        } => {
+        Command::Serve { server, shards, replicate_to } => {
             let executor = serve::CatalogExecutor::new(*shards);
-            let mut cfg = bulkd::ServerConfig {
-                addr: addr.clone(),
-                node_id: node_id.clone(),
-                workers: *workers,
-                max_batch: *max_batch,
-                max_queue: *max_queue,
-                flush_after_ms: *flush_after_ms,
-                trace_path: trace.as_ref().map(std::path::PathBuf::from),
-                wal: wal_dir.as_ref().map(|dir| bulkd::JournalConfig {
-                    dir: std::path::PathBuf::from(dir),
-                    fsync: *fsync,
-                    segment_bytes: *wal_segment_bytes,
-                }),
-                instrument: *instrument,
-                recorder_path: recorder.as_ref().map(std::path::PathBuf::from),
-                repl: None,
-                promoted: false,
-            };
             let snapshot = if let Some(repl_listen) = replicate_to {
                 // Replication needs the serving address *before* the
                 // server starts (WELCOME advertises it as the standby's
                 // `leader_hint`), so bind the listener here and hand it
                 // to the server rather than letting `serve` bind.
+                let addr = &server.addr;
                 let listener =
                     std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
                 let bound = listener.local_addr().map_err(|e| format!("serve local_addr: {e}"))?;
-                let wal_dir = wal_dir.as_ref().ok_or("--replicate-to requires --wal-dir")?;
+                let wal = server.wal.as_ref().ok_or("--replicate-to requires --wal-dir")?;
                 let (prim, repl_addr) = repl::ReplPrimary::start(repl::PrimaryConfig {
                     listen_addr: repl_listen.clone(),
-                    wal_dir: std::path::PathBuf::from(wal_dir),
-                    node_id: node_id.clone().unwrap_or_else(|| bound.to_string()),
+                    wal_dir: wal.dir.clone(),
+                    node_id: server.node_id.clone().unwrap_or_else(|| bound.to_string()),
                     serving_addr: bound.to_string(),
                     ..repl::PrimaryConfig::default()
                 })?;
-                cfg.repl = Some(prim);
+                let cfg = bulkd::ServerConfig { repl: Some(prim), ..server.clone() };
                 bulkd::serve_with_listener(listener, &cfg, Box::new(executor), |bound| {
                     // Two scrape lines: the replication endpoint for the
                     // standby's `--follow`, then the usual serving port.
@@ -306,7 +262,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     let _ = std::io::Write::flush(&mut std::io::stdout());
                 })?
             } else {
-                bulkd::serve(&cfg, Box::new(executor), |bound| {
+                bulkd::serve(server, Box::new(executor), |bound| {
                     // The one line the harness (tests, CI scripts) scrapes
                     // for the ephemeral port — flush so it lands before
                     // any wait.
@@ -317,43 +273,20 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             out.push_str("bulkd drained; final stats:\n");
             out.push_str(&snapshot.to_pretty());
             out.push('\n');
-            if let Some(path) = trace {
-                out.push_str(&format!("trace: wrote {path}\n"));
+            if let Some(path) = &server.trace_path {
+                out.push_str(&format!("trace: wrote {}\n", path.display()));
             }
-            if let Some(path) = recorder {
-                out.push_str(&format!("flight recorder: wrote {path}\n"));
+            if let Some(path) = &server.recorder_path {
+                out.push_str(&format!("flight recorder: wrote {}\n", path.display()));
             }
         }
-        Command::Standby {
-            addr,
-            node_id,
-            follow,
-            wal_dir,
-            wal_segment_bytes,
-            reconnect_ms,
-            workers,
-            max_batch,
-            max_queue,
-            flush_after_ms,
-            shards,
-        } => {
-            let nid = node_id.clone().unwrap_or_else(|| addr.clone());
-            let outcome = repl::run_standby(
-                repl::StandbyConfig {
-                    addr: addr.clone(),
-                    follow_addr: follow.clone(),
-                    wal_dir: std::path::PathBuf::from(wal_dir),
-                    node_id: nid.clone(),
-                    segment_bytes: *wal_segment_bytes,
-                    reconnect_ms: *reconnect_ms,
-                },
-                |bound| {
-                    // Scrape line for scripts wiring up a pair on
-                    // ephemeral ports.
-                    println!("standby listening on {bound}");
-                    let _ = std::io::Write::flush(&mut std::io::stdout());
-                },
-            )?;
+        Command::Standby { follow, server, shards } => {
+            let outcome = repl::run_standby(follow.clone(), |bound| {
+                // Scrape line for scripts wiring up a pair on
+                // ephemeral ports.
+                println!("standby listening on {bound}");
+                let _ = std::io::Write::flush(&mut std::io::stdout());
+            })?;
             println!(
                 "promoted at seq {} ({} job(s) to re-queue); recovering and serving",
                 outcome.replicated_seq, outcome.incomplete_jobs
@@ -361,71 +294,23 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let _ = std::io::Write::flush(&mut std::io::stdout());
             // Serve on the standby's own listener: recovery replays the
             // replicated WAL (re-queueing the incomplete jobs) before any
-            // client is admitted, and durability stays fsync-always so a
-            // promoted node offers the guarantees the primary advertised.
+            // client is admitted.
             let executor = serve::CatalogExecutor::new(*shards);
-            let cfg = bulkd::ServerConfig {
-                addr: addr.clone(),
-                node_id: Some(nid),
-                workers: *workers,
-                max_batch: *max_batch,
-                max_queue: *max_queue,
-                flush_after_ms: *flush_after_ms,
-                trace_path: None,
-                wal: Some(bulkd::JournalConfig {
-                    dir: std::path::PathBuf::from(wal_dir),
-                    fsync: wal::FsyncPolicy::Always,
-                    segment_bytes: *wal_segment_bytes,
-                }),
-                instrument: true,
-                recorder_path: None,
-                repl: None,
-                promoted: true,
-            };
-            let snapshot =
-                bulkd::serve_with_listener(outcome.listener, &cfg, Box::new(executor), |bound| {
+            let snapshot = bulkd::serve_with_listener(
+                outcome.listener,
+                server,
+                Box::new(executor),
+                |bound| {
                     println!("bulkd listening on {bound}");
                     let _ = std::io::Write::flush(&mut std::io::stdout());
-                })?;
+                },
+            )?;
             out.push_str("bulkd drained; final stats:\n");
             out.push_str(&snapshot.to_pretty());
             out.push('\n');
         }
-        Command::Promote { addr, connect_timeout_ms, read_timeout_ms } => {
-            let cfg = client_cfg(*connect_timeout_ms, *read_timeout_ms);
-            let mut client = bulkd::Client::connect_with(addr, &cfg)
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            let reply = client.promote().map_err(|e| format!("promote: {e}"))?;
-            // Pure JSON on stdout, like `drain`: failover scripts parse
-            // `replicated_seq` / `incomplete_jobs` straight out of it.
-            out.push_str(&reply.to_pretty());
-            out.push('\n');
-        }
-        Command::Route {
-            addr,
-            backends,
-            standbys,
-            vnodes,
-            probe_interval_ms,
-            probe_timeout_ms,
-            down_after,
-            up_after,
-            connect_timeout_ms,
-            read_timeout_ms,
-        } => {
-            let cfg = router::RouterConfig {
-                addr: addr.clone(),
-                backends: backends.clone(),
-                standbys: standbys.clone(),
-                vnodes: *vnodes,
-                probe_interval_ms: *probe_interval_ms,
-                probe_timeout_ms: *probe_timeout_ms,
-                health: router::HealthPolicy { down_after: *down_after, up_after: *up_after },
-                connect_timeout_ms: *connect_timeout_ms,
-                read_timeout_ms: *read_timeout_ms,
-                ..Default::default()
-            };
-            let snapshot = router::run_router(&cfg, |bound| {
+        Command::Route(cfg) => {
+            let snapshot = router::run_router(cfg, |bound| {
                 // Same scrape contract as `serve`: one line, flushed, so
                 // scripts can pick up the ephemeral port immediately.
                 println!("router listening on {bound}");
@@ -435,58 +320,54 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             out.push_str(&snapshot.to_pretty());
             out.push('\n');
         }
-        Command::Drain { addr, connect_timeout_ms, read_timeout_ms } => {
-            let cfg = client_cfg(*connect_timeout_ms, *read_timeout_ms);
-            let mut client = bulkd::Client::connect_with(addr, &cfg)
+        Command::Control { verb, addr, client } => {
+            let mut client = bulkd::Client::connect_with(addr, client)
                 .map_err(|e| format!("connect {addr}: {e}"))?;
-            let snap = client.drain().map_err(|e| format!("drain: {e}"))?;
-            // Pure JSON on stdout so scripts can pipe it straight into a
-            // parser (the CI crash-recovery gate does exactly that).
-            out.push_str(&snap.to_pretty());
-            out.push('\n');
-        }
-        Command::Metrics { addr, connect_timeout_ms, read_timeout_ms } => {
-            let cfg = client_cfg(*connect_timeout_ms, *read_timeout_ms);
-            let mut client = bulkd::Client::connect_with(addr, &cfg)
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            let text = client.metrics().map_err(|e| format!("metrics: {e}"))?;
-            // Raw Prometheus text exposition on stdout: pipe it into
-            // promtool, a scraper, or the CI assertion script unchanged.
-            out.push_str(&text);
-        }
-        Command::Dump { addr, connect_timeout_ms, read_timeout_ms } => {
-            let cfg = client_cfg(*connect_timeout_ms, *read_timeout_ms);
-            let mut client = bulkd::Client::connect_with(addr, &cfg)
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            let j = client.dump().map_err(|e| format!("dump: {e}"))?;
-            let recorded = j.path("recorded").and_then(obs::Json::as_i64).unwrap_or(0);
-            let overwritten = j.path("overwritten").and_then(obs::Json::as_i64).unwrap_or(0);
-            out.push_str(&format!(
-                "flight recorder: {recorded} events recorded, {overwritten} overwritten\n"
-            ));
-            if let Some(path) = j.path("path").and_then(obs::Json::as_str) {
-                out.push_str(&format!("  dumped to {path} (+ .txt tail)\n"));
+            match verb {
+                Verb::Promote => {
+                    let reply = client.promote().map_err(|e| format!("promote: {e}"))?;
+                    // Pure JSON on stdout, like `drain`: failover scripts
+                    // parse `replicated_seq` / `incomplete_jobs` straight
+                    // out of it.
+                    out.push_str(&reply.to_pretty());
+                    out.push('\n');
+                }
+                Verb::Drain => {
+                    let snap = client.drain().map_err(|e| format!("drain: {e}"))?;
+                    // Pure JSON on stdout so scripts can pipe it straight
+                    // into a parser (the CI crash-recovery gate does
+                    // exactly that).
+                    out.push_str(&snap.to_pretty());
+                    out.push('\n');
+                }
+                Verb::Metrics => {
+                    // Raw Prometheus text exposition on stdout: pipe it
+                    // into promtool, a scraper, or the CI assertion script
+                    // unchanged.
+                    out.push_str(&client.metrics().map_err(|e| format!("metrics: {e}"))?);
+                }
+                Verb::Dump => {
+                    let j = client.dump().map_err(|e| format!("dump: {e}"))?;
+                    let recorded = j.path("recorded").and_then(obs::Json::as_i64).unwrap_or(0);
+                    let overwritten =
+                        j.path("overwritten").and_then(obs::Json::as_i64).unwrap_or(0);
+                    out.push_str(&format!(
+                        "flight recorder: {recorded} events recorded, {overwritten} overwritten\n"
+                    ));
+                    if let Some(path) = j.path("path").and_then(obs::Json::as_str) {
+                        out.push_str(&format!("  dumped to {path} (+ .txt tail)\n"));
+                    }
+                    if let Some(tail) = j.path("tail").and_then(obs::Json::as_str) {
+                        out.push_str(tail);
+                    }
+                }
             }
-            if let Some(tail) = j.path("tail").and_then(obs::Json::as_str) {
-                out.push_str(tail);
-            }
         }
-        Command::Submit {
-            algo,
-            size,
-            layout,
-            addr,
-            count,
-            seed,
-            timing,
-            connect_timeout_ms,
-            read_timeout_ms,
-        } => {
+        Command::Submit { algo, size, layout, addr, count, seed, timing, client } => {
             let a = Algo::parse(algo, *size)?;
             let key = bulkd::JobKey { algo: algo.clone(), size: a.size_param(), layout: *layout };
             let inputs = a.random_inputs_bits(*seed, *count);
-            let ccfg = client_cfg(*connect_timeout_ms, *read_timeout_ms);
-            let mut client = bulkd::Client::connect_with(addr, &ccfg)
+            let mut client = bulkd::Client::connect_with(addr, client)
                 .map_err(|e| format!("connect {addr}: {e}"))?;
             let ok = client.submit(&key, &inputs, *timing).map_err(|e| format!("submit: {e}"))?;
             out.push_str(&format!(
@@ -501,40 +382,15 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 out.push_str(&format!("  stage breakdown: {}\n", t.to_compact()));
             }
         }
-        Command::Loadgen {
-            algo,
-            size,
-            layout,
-            addr,
-            clients,
-            duration_ms,
-            instances_per_submit,
-            seed,
-            report,
-            drain_after,
-            timing,
-            hot_key,
-            connect_timeout_ms,
-            read_timeout_ms,
-        } => {
-            let a = Algo::parse(algo, *size)?;
-            let cfg = bulkd::LoadgenConfig {
-                addr: addr.clone(),
-                clients: *clients,
-                duration: std::time::Duration::from_millis(*duration_ms),
-                key: bulkd::JobKey { algo: algo.clone(), size: a.size_param(), layout: *layout },
-                instances_per_submit: *instances_per_submit,
-                seed: *seed,
-                timing: *timing,
-                hot_key: *hot_key,
-                client: client_cfg(*connect_timeout_ms, *read_timeout_ms),
-            };
-            let pool = a.random_inputs_bits(RUN_SEED, 64.max(*instances_per_submit));
-            let rep = bulkd::run_loadgen(&cfg, &pool)?;
+        Command::Loadgen { load, report, drain_after } => {
+            let a = Algo::parse(&load.key.algo, Some(load.key.size))?;
+            let pool = a.random_inputs_bits(RUN_SEED, 64.max(load.instances_per_submit));
+            let rep = bulkd::run_loadgen(load, &pool)?;
             // Fetching the server's stats is best-effort: in crash drills
             // the server is killed mid-run, and the client-side report
             // (what was acknowledged) is exactly the evidence needed.
-            let server_stats = bulkd::Client::connect_with(addr, &cfg.client)
+            let addr = &load.addr;
+            let server_stats = bulkd::Client::connect_with(addr, &load.client)
                 .map_err(|e| format!("connect {addr}: {e}"))
                 .and_then(|mut client| {
                     if *drain_after { client.drain() } else { client.stats() }
@@ -551,11 +407,11 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             out.push_str(&format!(
                 "loadgen {}: {} submitted, {} completed ({:.0} jobs/s, \
                  {:.0} instances/s), {} overload retries, {} errors\n",
-                cfg.key,
+                load.key,
                 rep.submitted,
                 rep.completed,
                 rep.completed as f64 / secs,
-                (rep.completed * *instances_per_submit as u64) as f64 / secs,
+                (rep.completed * load.instances_per_submit as u64) as f64 / secs,
                 rep.overload_retries,
                 rep.errors
             ));
@@ -565,7 +421,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 rep.latency_us.quantile(0.99).unwrap_or(0),
                 rep.batch_p.mean()
             ));
-            if *timing {
+            if load.timing {
                 out.push_str(&format!(
                     "  queue-wait p50/p99: {} / {} us; service p50/p99: {} / {} us\n",
                     rep.queue_wait_us.quantile(0.5).unwrap_or(0),
@@ -575,7 +431,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 ));
             }
             if let Some(path) = report {
-                let mut j = rep.to_json(&cfg);
+                let mut j = rep.to_json(load);
                 // Surface which node served the run next to the client-side
                 // numbers (the full server snapshot keeps its own copy).
                 if let Some(nid) = server_stats.path("node_id").and_then(obs::Json::as_str) {
@@ -591,32 +447,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 (false, false) => {}
             }
         }
-        Command::Sim {
-            seeds,
-            seed0,
-            clients,
-            workers,
-            jobs,
-            replay,
-            crash_at,
-            conn_faults,
-            fsync_errors,
-            fsync_fail_at,
-            report,
-        } => {
-            let mk_cfg = |seed: u64| {
-                let mut cfg = sim::SimConfig::new(seed);
-                cfg.clients = *clients;
-                cfg.workers = *workers;
-                cfg.jobs_per_client = *jobs;
-                cfg.conn_faults = *conn_faults;
-                cfg
-            };
+        Command::Sim { world, seeds, replay, crash_at, fsync_errors, fsync_fail_at, report } => {
             if let Some(seed) = replay {
                 // Reproduce one seed: the failure path prints this exact
                 // invocation, so it must re-run the same checks explore
                 // ran for that seed.
-                let cfg = mk_cfg(*seed);
+                let cfg = sim::SimConfig { seed: *seed, ..world.clone() };
                 let base = sim::run(&cfg, None, None).map_err(|f| f.to_string())?;
                 let again = sim::run(&cfg, None, None).map_err(|f| f.to_string())?;
                 if base.trace != again.trace || base.stats != again.stats {
@@ -680,7 +516,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 }
             } else {
                 let t0 = std::time::Instant::now();
-                let rep = sim::explore(&mk_cfg(0), *seed0, *seeds, *fsync_errors)
+                let rep = sim::explore(world, world.seed, *seeds, *fsync_errors)
                     .map_err(|f| f.to_string())?;
                 let secs = t0.elapsed().as_secs_f64().max(1e-9);
                 out.push_str(&format!(
@@ -701,8 +537,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 ));
                 if let Some(path) = report {
                     let mut j = rep.to_json();
-                    j.set("seed0", *seed0);
-                    j.set("conn_faults", *conn_faults);
+                    j.set("seed0", world.seed);
+                    j.set("conn_faults", world.conn_faults);
                     j.set("elapsed_ms", (secs * 1_000.0) as u64);
                     write_text("sim report", path, &j.to_pretty())?;
                     out.push_str(&format!("  report: wrote {path}\n"));

@@ -282,8 +282,10 @@ fn over_limit_submit_is_rejected_promptly_with_overloaded() {
         count: 8,
         seed: RUN_SEED,
         timing: false,
-        connect_timeout_ms: None,
-        read_timeout_ms: Some(10_000),
+        client: bulkd::ClientConfig {
+            connect_timeout: None,
+            read_timeout: Some(Duration::from_secs(10)),
+        },
     };
     match cli::execute(&cli_submit) {
         Err(e) => assert!(e.contains("overloaded"), "not an overloaded rejection: {e}"),
@@ -893,35 +895,33 @@ fn a_hot_key_load_scraped_mid_run_is_clean_balanced_and_coalesced() {
     });
     let addr = rx.recv_timeout(Duration::from_secs(10)).expect("server ready").to_string();
     let loadgen = cli::args::Command::Loadgen {
-        algo: "prefix-sums".into(),
-        size: Some(64),
-        layout: oblivious::Layout::ColumnWise,
-        addr: addr.clone(),
-        clients: 16,
-        duration_ms: 2_000,
-        instances_per_submit: 1,
-        seed: RUN_SEED,
+        load: bulkd::LoadgenConfig {
+            addr: addr.clone(),
+            clients: 16,
+            duration: Duration::from_millis(2_000),
+            key: bulkd::JobKey {
+                algo: "prefix-sums".into(),
+                size: 64,
+                layout: oblivious::Layout::ColumnWise,
+            },
+            instances_per_submit: 1,
+            seed: RUN_SEED,
+            timing: true,
+            hot_key: true,
+            client: bulkd::ClientConfig::default(),
+        },
         report: Some(report.display().to_string()),
         drain_after: true,
-        timing: true,
-        hot_key: true,
-        connect_timeout_ms: None,
-        read_timeout_ms: None,
     };
     let load = std::thread::spawn(move || cli::execute(&loadgen));
 
     // Scrape the live server once a few rounds have completed.
-    let (metrics, dump) = {
-        let addr = addr.clone();
-        (
-            cli::args::Command::Metrics {
-                addr: addr.clone(),
-                connect_timeout_ms: None,
-                read_timeout_ms: None,
-            },
-            cli::args::Command::Dump { addr, connect_timeout_ms: None, read_timeout_ms: None },
-        )
+    let control = |verb| cli::args::Command::Control {
+        verb,
+        addr: addr.clone(),
+        client: bulkd::ClientConfig::default(),
     };
+    let (metrics, dump) = (control(cli::args::Verb::Metrics), control(cli::args::Verb::Dump));
     let deadline = Instant::now() + Duration::from_secs(20);
     let text = loop {
         let text = cli::execute(&metrics).expect("metrics scrape");

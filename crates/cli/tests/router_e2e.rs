@@ -11,8 +11,10 @@
 //! proves the router reroutes to the survivor with the accounting intact
 //! and no client ever hanging.
 
+mod child;
 mod gate;
 
+use child::spawn_scraped;
 use cli::registry::{Algo, Engine, ScheduleCaches, CATALOG};
 use cli::serve::CatalogExecutor;
 use cli::RUN_SEED;
@@ -20,8 +22,8 @@ use gate::{Gate, Gated};
 use gpu_sim::Device;
 use obs::Json;
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Read};
-use std::process::{Child, Command, Stdio};
+use std::io::Read;
+use std::process::Stdio;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -469,43 +471,6 @@ fn loadgen_through_the_router_reports_the_merged_snapshot() {
 // Subprocess cluster: kill one backend mid-load.
 // ---------------------------------------------------------------------------
 
-/// Spawn a `bulkrun` child with `stderr` and scrape one stdout value per
-/// prefix in `prefixes`, in order.  Stdout then drains on a reaper
-/// thread.
-fn spawn_scraped_many(args: &[&str], prefixes: &[&str], stderr: Stdio) -> (Child, Vec<String>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_bulkrun"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(stderr)
-        .spawn()
-        .expect("spawn bulkrun");
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut values = Vec::new();
-    let mut line = String::new();
-    while values.len() < prefixes.len()
-        && reader.read_line(&mut line).expect("read child stdout") > 0
-    {
-        if let Some(rest) = line.trim().strip_prefix(prefixes[values.len()]) {
-            values.push(rest.to_string());
-        }
-        line.clear();
-    }
-    assert_eq!(values.len(), prefixes.len(), "child never printed {prefixes:?}");
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        let _ = reader.read_to_string(&mut sink);
-    });
-    (child, values)
-}
-
-/// Spawn a `bulkrun` child and scrape the bound address off its stdout
-/// line starting with `prefix`.  Stdout then drains on a reaper thread.
-fn spawn_scraped(args: &[&str], prefix: &str) -> (Child, String) {
-    let (child, mut values) = spawn_scraped_many(args, &[prefix], Stdio::null());
-    (child, values.pop().expect("one scraped value"))
-}
-
 fn poll_router_stats(addr: &str, deadline: Duration, mut pred: impl FnMut(&Json) -> bool) -> Json {
     let cfg = bulkd::ClientConfig {
         connect_timeout: Some(Duration::from_millis(500)),
@@ -548,16 +513,18 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
     let ring = router::HashRing::new(&ids, 64).unwrap();
     assert_eq!(ring.names()[ring.node_of(&key.to_string())], "n1", "victim must own the key");
 
-    let (mut victim, addr1) = spawn_scraped(
+    let (mut victim, [addr1]) = spawn_scraped(
         &["serve", "--addr", "127.0.0.1:0", "--node-id", "n1", "--flush-after-ms", "5"],
-        "bulkd listening on ",
+        ["bulkd listening on "],
+        Stdio::null(),
     );
-    let (mut survivor, addr2) = spawn_scraped(
+    let (mut survivor, [addr2]) = spawn_scraped(
         &["serve", "--addr", "127.0.0.1:0", "--node-id", "n2", "--flush-after-ms", "5"],
-        "bulkd listening on ",
+        ["bulkd listening on "],
+        Stdio::null(),
     );
     let backends = format!("n1={addr1},n2={addr2}");
-    let (mut router_child, router_addr) = spawn_scraped(
+    let (mut router_child, [router_addr]) = spawn_scraped(
         &[
             "route",
             "--addr",
@@ -577,7 +544,8 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
             "--read-timeout-ms",
             "10000",
         ],
-        "router listening on ",
+        ["router listening on "],
+        Stdio::null(),
     );
 
     poll_router_stats(&router_addr, Duration::from_secs(15), |s| {
@@ -628,9 +596,9 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
             assert!(t0.elapsed() < Duration::from_secs(60), "load never reached the kill point");
             std::thread::sleep(Duration::from_millis(5));
         }
-        victim.kill().expect("kill victim");
+        victim.0.kill().expect("kill victim");
     });
-    victim.wait().expect("reap victim");
+    victim.0.wait().expect("reap victim");
 
     // Every instance acked exactly once, bit-identical to the compiled
     // engine — re-executions on the survivor included.
@@ -676,8 +644,8 @@ fn killing_a_backend_mid_load_reroutes_and_stays_balanced() {
 
     // Clean exits: the drain fan-out shut the survivor down, and the
     // router exits after its own drain.
-    assert!(router_child.wait().expect("reap router").success(), "router exited non-zero");
-    assert!(survivor.wait().expect("reap survivor").success(), "survivor exited non-zero");
+    assert!(router_child.0.wait().expect("reap router").success(), "router exited non-zero");
+    assert!(survivor.0.wait().expect("reap survivor").success(), "survivor exited non-zero");
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +677,7 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
     std::fs::create_dir_all(&primary_wal).unwrap();
     std::fs::create_dir_all(&standby_wal).unwrap();
 
-    let (mut primary, addrs) = spawn_scraped_many(
+    let (mut primary, [repl_addr, serve_addr]) = spawn_scraped(
         &[
             "serve",
             "--addr",
@@ -725,12 +693,11 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
             "--replicate-to",
             "127.0.0.1:0",
         ],
-        &["repl listening on ", "bulkd listening on "],
+        ["repl listening on ", "bulkd listening on "],
         Stdio::null(),
     );
-    let (repl_addr, serve_addr) = (addrs[0].clone(), addrs[1].clone());
 
-    let (mut standby, standby_addr) = spawn_scraped(
+    let (mut standby, [standby_addr]) = spawn_scraped(
         &[
             "standby",
             "--addr",
@@ -746,12 +713,13 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
             "--flush-after-ms",
             "5",
         ],
-        "standby listening on ",
+        ["standby listening on "],
+        Stdio::null(),
     );
 
     let backends = format!("n1={serve_addr}");
     let standbys = format!("n1={standby_addr}");
-    let (mut router_child, router_addr) = spawn_scraped(
+    let (mut router_child, [router_addr]) = spawn_scraped(
         &[
             "route",
             "--addr",
@@ -773,7 +741,8 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
             "--read-timeout-ms",
             "15000",
         ],
-        "router listening on ",
+        ["router listening on "],
+        Stdio::null(),
     );
 
     poll_router_stats(&router_addr, Duration::from_secs(15), |s| {
@@ -879,14 +848,14 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
         loop {
             let banked = acked.lock().unwrap().iter().filter(|o| o.is_some()).count();
             if banked >= ACKS_BEFORE_KILL {
-                primary.kill().expect("kill primary");
+                primary.0.kill().expect("kill primary");
                 break banked;
             }
             assert!(t0.elapsed() < Duration::from_secs(60), "load never reached the kill point");
             std::thread::sleep(Duration::from_millis(5));
         }
     });
-    primary.wait().expect("reap primary");
+    primary.0.wait().expect("reap primary");
 
     // Exactly once, bit-identical — the acks banked before the kill and
     // the ones served by the promoted standby are indistinguishable.
@@ -938,10 +907,7 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
              node recovered {recovered} completed jobs, {banked_at_kill} were acked before \
              the kill"
         );
-        for child in [&mut router_child, &mut standby] {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        drop((router_child, standby));
         let _ = std::fs::remove_dir_all(&tmp);
         return;
     }
@@ -952,8 +918,8 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
     );
     assert_eq!(r("backends.n1.wal.recovery.runs"), 1, "{}", drained.to_pretty());
 
-    assert!(router_child.wait().expect("reap router").success(), "router exited non-zero");
-    assert!(standby.wait().expect("reap standby").success(), "standby exited non-zero");
+    assert!(router_child.0.wait().expect("reap router").success(), "router exited non-zero");
+    assert!(standby.0.wait().expect("reap standby").success(), "standby exited non-zero");
 
     // Replication is the journal: every shipped record the promoted
     // node still retains (checkpointing may have truncated old segments
@@ -978,17 +944,6 @@ fn killing_the_primary_fails_over_to_the_promoted_standby() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
-/// A child process killed and reaped on drop, so a failing test leaves
-/// none behind.
-struct Reaped(Child);
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// A replicated pair run from the CLI to a clean end: the primary serves
 /// a few submits and drains, then the standby is promoted, serves and
 /// drains.  Both processes exit 0 and neither reports a replication
@@ -999,7 +954,7 @@ fn a_drained_pair_exits_cleanly_without_replication_errors() {
     let tmp = std::env::temp_dir().join(format!("pair-clean-exit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let (primary_wal, standby_wal) = (tmp.join("primary"), tmp.join("standby"));
-    let (primary, addrs) = spawn_scraped_many(
+    let (mut primary, [repl_addr, serve_addr]) = spawn_scraped(
         &[
             "serve",
             "--addr",
@@ -1009,19 +964,17 @@ fn a_drained_pair_exits_cleanly_without_replication_errors() {
             "--replicate-to",
             "127.0.0.1:0",
         ],
-        &["repl listening on ", "bulkd listening on "],
+        ["repl listening on ", "bulkd listening on "],
         Stdio::piped(),
     );
-    let (mut primary, repl_addr, serve_addr) = (Reaped(primary), &addrs[0], &addrs[1]);
     let standby_dir = standby_wal.to_str().unwrap();
-    let (standby, values) = spawn_scraped_many(
-        &["standby", "--addr", "127.0.0.1:0", "--follow", repl_addr, "--wal-dir", standby_dir],
-        &["standby listening on "],
+    let (mut standby, [standby_addr]) = spawn_scraped(
+        &["standby", "--addr", "127.0.0.1:0", "--follow", &repl_addr, "--wal-dir", standby_dir],
+        ["standby listening on "],
         Stdio::piped(),
     );
-    let (mut standby, standby_addr) = (Reaped(standby), &values[0]);
     let connected = || {
-        let status = bulkd::Client::connect(standby_addr).unwrap().status().unwrap();
+        let status = bulkd::Client::connect(&standby_addr).unwrap().status().unwrap();
         status.get("connected").and_then(Json::as_i64) == Some(1)
     };
     let t0 = Instant::now();
@@ -1036,17 +989,17 @@ fn a_drained_pair_exits_cleanly_without_replication_errors() {
         size: 64,
         layout: oblivious::Layout::ColumnWise,
     };
-    let mut client = bulkd::Client::connect(serve_addr).unwrap();
+    let mut client = bulkd::Client::connect(&serve_addr).unwrap();
     for input in algo.random_inputs_bits(RUN_SEED, 4) {
         client.submit(&key, std::slice::from_ref(&input), false).unwrap();
     }
     client.drain().unwrap();
     let primary_exit = primary.0.wait().unwrap();
-    bulkd::Client::connect(standby_addr).unwrap().promote().unwrap();
+    bulkd::Client::connect(&standby_addr).unwrap().promote().unwrap();
     // A dial that lands while the control port stops is closed unanswered;
     // the promoted server answers the next one.
     let t0 = Instant::now();
-    while bulkd::Client::connect(standby_addr).unwrap().drain().is_err() {
+    while bulkd::Client::connect(&standby_addr).unwrap().drain().is_err() {
         assert!(t0.elapsed() < Duration::from_secs(15), "the promoted standby never drained");
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -13,14 +13,16 @@
 //! - `bulkrun loadgen --report` still writes its report when the server
 //!   dies before the final stats fetch, marked `server.unreachable`.
 
+mod child;
+
 use bulkd::JobLog;
+use child::{spawn_scraped, Reaped};
 use cli::registry::{Algo, ScheduleCaches, SCALAR_BELOW_P};
 use cli::serve::{CatalogExecutor, MAX_SERVE_SIZE};
 use obs::Json;
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::Stdio;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -35,35 +37,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Spawn a `bulkrun serve` child on an ephemeral port and scrape the bound
-/// address off its stdout.  The rest of stdout drains on a reaper thread so
-/// the child can never block on a full pipe.
-fn spawn_server(wal_dir: &Path, extra: &[&str]) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_bulkrun"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--wal-dir"])
-        .arg(wal_dir)
-        .args(["--fsync", "always"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn bulkrun serve");
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut addr = None;
-    let mut line = String::new();
-    while reader.read_line(&mut line).expect("read child stdout") > 0 {
-        if let Some(rest) = line.trim().strip_prefix("bulkd listening on ") {
-            addr = Some(rest.to_string());
-            break;
-        }
-        line.clear();
-    }
-    let addr = addr.expect("server never announced its address");
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        let _ = reader.read_to_string(&mut sink);
-    });
+/// Spawn a `bulkrun serve` child on an ephemeral port, logging to an
+/// fsync-always WAL in `wal_dir`, and scrape the bound address off its
+/// stdout.
+fn spawn_server(wal_dir: &Path, extra: &[&str]) -> (Reaped, String) {
+    let dir = wal_dir.to_str().expect("utf8 path");
+    let wal = ["serve", "--addr", "127.0.0.1:0", "--wal-dir", dir, "--fsync", "always"];
+    let (child, [addr]) =
+        spawn_scraped(&[&wal[..], extra].concat(), ["bulkd listening on "], Stdio::null());
     (child, addr)
 }
 
@@ -251,8 +232,8 @@ fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
         })
     };
     await_stat("per_key.prefix-sums/32/col.waiting_jobs", 1);
-    child.kill().expect("kill -9");
-    child.wait().expect("reap killed child");
+    child.0.kill().expect("kill -9");
+    child.0.wait().expect("reap killed child");
     assert!(busy.join().expect("busy thread").is_err(), "the large submit must die unanswered");
     assert!(straggler.join().expect("straggler thread").is_err(), "straggler must die unanswered");
     let acked = acked.into_inner().unwrap();
@@ -325,7 +306,7 @@ fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
     // Drain: the checkpoint must shrink the log to one segment holding
     // nothing but the job-id high-water mark.
     bulkd::Client::connect(&addr).expect("connect").drain().expect("drain");
-    let status = child.wait().expect("reap drained child");
+    let status = child.0.wait().expect("reap drained child");
     assert!(status.success(), "drained server exited with {status}");
     let (scan, view3) = read_log(&wal_dir);
     assert_eq!(scan.segments.len(), 1, "checkpoint must leave a single segment");
@@ -338,7 +319,7 @@ fn killed_server_recovers_every_acked_job_exactly_once_bit_identically() {
     assert_eq!(stats.path("wal.recovery.requeued_jobs").unwrap().as_i64(), Some(0));
     assert!(stats.path("wal.recovery.next_job_id").unwrap().as_i64().unwrap() as u64 > max_id);
     bulkd::Client::connect(&addr).expect("connect").drain().expect("drain");
-    assert!(child.wait().expect("reap").success());
+    assert!(child.0.wait().expect("reap").success());
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
@@ -485,8 +466,8 @@ fn loadgen_report_marks_a_killed_server_unreachable() {
     poll_stats(&addr, Duration::from_secs(30), |s| {
         s.path("execution.completed_jobs").and_then(Json::as_i64).unwrap_or(0) > CLIENTS
     });
-    child.kill().expect("kill -9");
-    child.wait().expect("reap killed child");
+    child.0.kill().expect("kill -9");
+    child.0.wait().expect("reap killed child");
     let out = loadgen.join().expect("loadgen thread").expect("loadgen run");
     assert!(out.contains("server unreachable after the run"), "{out}");
 

@@ -42,7 +42,7 @@ use std::time::Duration;
 use wal::{FsyncPolicy, Wal, WalConfig};
 
 /// Tunables of one [`run_standby`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandbyConfig {
     /// Control listener bind address — the address a promoted node
     /// serves on.

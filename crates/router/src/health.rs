@@ -18,7 +18,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// When a node transitions between up and down.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
     /// Consecutive failures before a node is marked down.
     pub down_after: u32,

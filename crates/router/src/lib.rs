@@ -99,7 +99,7 @@ pub fn parse_backends(spec: &str) -> Result<Vec<Backend>, String> {
 }
 
 /// Tunables of one [`run_router`] invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,

@@ -62,7 +62,7 @@ use trace::{Actor, Decision, Trace};
 use wal::record::Record;
 
 /// Tunables of one simulated world.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The seed: the run is a pure function of it (given the same config).
     pub seed: u64,
